@@ -1,13 +1,16 @@
 """Exact linear algebra over the rationals: homogeneous inequality systems,
 full-dimensionality of solution cones, deterministic solution sampling.
 
-All arithmetic uses fractions.Fraction; no floating point anywhere.
+Arithmetic is exact and never uses floating point.  The simplex pivots
+integer rows over one common positive determinant and divides exactly;
+points and basis vectors are returned as fractions.Fraction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,8 +73,8 @@ class FullDimResult:
     certificate: LinearForm | None  # nonzero form vanishing on the cone when false
 
 
-def _dot(row: Sequence, point: Sequence) -> Fraction:
-    return sum((c * p for c, p in zip(row, point)), Fraction(0))
+def _dot(row: Sequence, point: Sequence) -> int | Fraction:
+    return sum(map(operator.mul, row, point))
 
 
 def normalize_row(row: Sequence[int]) -> LinearForm:
@@ -117,80 +120,100 @@ def feasible_point(
 
     Free variables are split x = u - v; each inequality gets a slack; phase-1
     artificials are driven to zero with Bland's rule (guaranteed termination).
+
+    The tableau is pivoted fraction-free (Edmonds 1967, Bareiss 1968): every
+    row is kept as integers over one common positive determinant ``det``, the
+    true tableau being the integer one divided by ``det``.  Each update
+    divides exactly, so the pivots are those of the rational simplex and the
+    point, returned as Fractions, is the same.
     """
     m = len(rows)
     if m == 0:
         return [Fraction(0)] * n
     # columns: u_1..u_n, v_1..v_n, s_1..s_m, a_1..a_m
     num_cols = 2 * n + 2 * m
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     basis: list[int] = []
     for i, (row, b) in enumerate(zip(rows, rhs)):
         # row.(u - v) - s_i = b, flipped to keep the right-hand side >= 0
-        coeffs = [Fraction(0)] * (num_cols + 1)
+        coeffs = [0] * (num_cols + 1)
         sign = 1 if b >= 0 else -1
         for j, c in enumerate(row):
-            coeffs[j] = Fraction(sign * c)
-            coeffs[n + j] = Fraction(-sign * c)
-        coeffs[2 * n + i] = Fraction(-sign)
-        coeffs[2 * n + m + i] = Fraction(1)
-        coeffs[num_cols] = Fraction(abs(b))
+            coeffs[j] = sign * c
+            coeffs[n + j] = -sign * c
+        coeffs[2 * n + i] = -sign
+        coeffs[2 * n + m + i] = 1
+        coeffs[num_cols] = abs(b)
         tableau.append(coeffs)
         basis.append(2 * n + m + i)
     # phase-1 objective: minimize the sum of artificials
-    cost = [Fraction(0)] * (num_cols + 1)
-    for trow in tableau:
-        cost = [c - t for c, t in zip(cost, trow)]
+    cost = [-sum(col) for col in zip(*tableau)]
     for j in range(2 * n + m, num_cols):
-        cost[j] = Fraction(0)
+        cost[j] = 0
+    in_basis = set(basis)
+    det = 1
 
     while True:
         entering = next(
-            (j for j in range(num_cols) if cost[j] < 0 and j not in basis), None
+            (j for j in range(num_cols) if cost[j] < 0 and j not in in_basis), None
         )
         if entering is None:
             break
-        # ratio test, Bland tie-break on the leaving basic variable
+        # ratio test rhs_i / T[i][entering], cross-multiplied (both over det);
+        # Bland tie-break on the leaving basic variable
         leaving = None
-        best = None
+        best_num = best_den = 0
         for i, trow in enumerate(tableau):
-            if trow[entering] > 0:
-                ratio = trow[num_cols] / trow[entering]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
+            den = trow[entering]
+            if den > 0:
+                num = trow[num_cols]
+                if leaving is None:
+                    better = True
+                else:
+                    lhs, rhs_ = num * best_den, best_num * den
+                    better = lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[leaving])
+                if better:
+                    best_num, best_den, leaving = num, den, i
         if leaving is None:
             # unbounded in phase 1 cannot happen (objective bounded below by 0)
             raise RuntimeError("phase-1 simplex unbounded")
-        _pivot(tableau, cost, leaving, entering, num_cols)
+        det = _pivot(tableau, cost, leaving, entering, det)
+        in_basis.discard(basis[leaving])
+        in_basis.add(entering)
         basis[leaving] = entering
 
-    total = sum(
-        tableau[i][num_cols] for i in range(m) if basis[i] >= 2 * n + m
-    )
-    if total != 0:
+    if any(tableau[i][num_cols] for i in range(m) if basis[i] >= 2 * n + m):
         return None
-    point = [Fraction(0)] * n
+    point = [0] * n
     for i, b in enumerate(basis):
         if b < n:
             point[b] += tableau[i][num_cols]
         elif b < 2 * n:
             point[b - n] -= tableau[i][num_cols]
-    return point
+    return [Fraction(v, det) for v in point]
 
 
-def _pivot(tableau, cost, leaving, entering, num_cols):
+def _pivot(tableau, cost, leaving, entering, det) -> int:
+    """Integer pivot on tableau[leaving][entering]; returns the new det.
+
+    Sylvester's identity makes every division by the old det exact.
+    """
     prow = tableau[leaving]
-    pval = prow[entering]
-    tableau[leaving] = [c / pval for c in prow]
-    prow = tableau[leaving]
+    p = prow[entering]
     for i, trow in enumerate(tableau):
-        if i != leaving and trow[entering] != 0:
-            f = trow[entering]
-            tableau[i] = [a - f * b for a, b in zip(trow, prow)]
-    if cost[entering] != 0:
-        f = cost[entering]
-        cost[:] = [a - f * b for a, b in zip(cost, prow)]
+        if i == leaving:
+            continue
+        f = trow[entering]
+        if f:
+            tableau[i] = [(a * p - f * b) // det for a, b in zip(trow, prow)]
+        else:
+            tableau[i] = [a * p // det for a in trow]
+    f = cost[entering]
+    if f:
+        cost[:] = [(a * p - f * b) // det for a, b in zip(cost, prow)]
+    else:
+        cost[:] = [a * p // det for a in cost]
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -227,21 +250,20 @@ def _unit(n: int, j: int) -> RationalVector:
 
 
 def _basis_around(point: list[Fraction], rows, n: int) -> tuple[RationalVector, ...]:
-    """n independent solutions near an interior point with rows.point >= 1."""
-    slack = max(sum(abs(c) for c in row) for row in rows)
-    scale = Fraction(slack + 1)
-    while True:
-        candidates = [tuple(point)] + [
-            tuple(scale * p + (1 if i == j else 0) for i, p in enumerate(point))
-            for j in range(n)
-        ]
-        basis: list[RationalVector] = []
-        for cand in candidates:
-            if rank_of(basis + [list(cand)]) > len(basis):
-                basis.append(cand)
-            if len(basis) == n:
-                return tuple(basis)
-        scale += 1  # at most one scale makes the perturbed family degenerate
+    """n independent solutions near an interior point with rows.point >= 1.
+
+    The point p, then scale*p + e_j for every j except j*, the last index
+    where p is nonzero: e_j lies in the span of p and the earlier e_i exactly
+    when j = j*.  With scale above every row's absolute sum, each
+    scale*p + e_j keeps rows.x >= 1.
+    """
+    scale = max(sum(abs(c) for c in row) for row in rows) + 1
+    last = max(j for j, c in enumerate(point) if c)
+    return (tuple(point),) + tuple(
+        tuple(scale * c + (1 if i == j else 0) for i, c in enumerate(point))
+        for j in range(n)
+        if j != last
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -813,14 +813,18 @@ def parse_model(text: str) -> WitnessAlgebra:
 
 
 def _split_args(text: str) -> tuple[str, str]:
+    """Split at the first depth-0 comma that is not inside a qs: prime list;
+    a comma after a qs: prefix continues the list when a digit follows it."""
     depth = 0
     for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch == "," and depth == 0 and not text[:i].strip().startswith("qs:"):
-            return text[:i], text[i + 1 :]
+        elif ch == "," and depth == 0:
+            in_primes = text[:i].strip().startswith("qs:")
+            if not (in_primes and text[i + 1 :].lstrip()[:1].isdigit()):
+                return text[:i], text[i + 1 :]
     raise ModelError(f"expected two comma-separated descriptors in {text!r}")
 
 
@@ -850,7 +854,7 @@ def parse_element(a: WitnessAlgebra, text: str):
         if len(parts) != 2:
             raise ModelError(f"pair literal expected, got {text!r}")
         if isinstance(a, GammaPerfect):
-            e = (int(parts[0]), Fraction(parts[1]))
+            e = (int(parts[0]), _parse_rational(parts[1]))
         else:
             e = (parse_element(a.left, parts[0]), parse_element(a.right, parts[1]))
         check_element(a, e)
@@ -858,9 +862,16 @@ def parse_element(a: WitnessAlgebra, text: str):
     if isinstance(a, TwoMV):
         e = int(text)
     else:
-        e = Fraction(text)
+        e = _parse_rational(text)
     check_element(a, e)
     return e
+
+
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ModelError(f"zero denominator in {text.strip()!r}") from None
 
 
 def format_element(e) -> str:

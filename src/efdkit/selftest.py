@@ -111,17 +111,12 @@ def suite_piecewise(seed: int = DEFAULT_SEED, budget: int = 200) -> SuiteReport:
             point = random_rational_point(rng, n)
             # homogeneity: checking at the common-denominator integer
             # multiple is equivalent and keeps the arithmetic integral
-            den = 1
-            for c in point:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-            ipoint = tuple(int(c * den) for c in point)
+            ipoint = tuple(_cleared(point))
             env = {xvar(i): Fraction(v) for i, v in enumerate(ipoint, start=1)}
             value = eval_term(q, t, env)
             hit = None
             for region, form in pw.pieces:
-                if all(
-                    sum(c * p for c, p in zip(row, ipoint)) >= 0 for row in region.rows
-                ):
+                if region.contains(ipoint):
                     hit = form
                     break
             if hit is None or sum(c * p for c, p in zip(hit, ipoint)) != value:
@@ -200,24 +195,33 @@ def suite_reduction_oracle(seed: int = DEFAULT_SEED, budget: int = 0) -> SuiteRe
 # 3. Full-dimensionality oracle
 
 
-def _span_oracle_rank(system: IneqSystem, pool) -> int:
-    basis: list[list[Fraction]] = []
-    for point in pool:
-        if not all(
-            sum(c * p for c, p in zip(row, point)) >= 0 for row in system.rows
-        ):
-            continue
-        vec = [Fraction(v) for v in point]
-        for b in basis:
-            lead = next((i for i, c in enumerate(b) if c != 0))
-            if vec[lead] != 0:
-                f = vec[lead] / b[lead]
-                vec = [a - f * c for a, c in zip(vec, b)]
-        if any(vec):
-            basis.append(vec)
-            if len(basis) == system.n:
+def _integer_rank(vectors, n: int) -> int:
+    """Rank of integer vectors, capped at n, by fraction-free elimination."""
+    echelon: list[tuple[int, list[int]]] = []  # (leading index, row)
+    for v in vectors:
+        vec = list(v)
+        for lead, b in echelon:
+            f = vec[lead]
+            if f:
+                g = b[lead]
+                vec = [g * a - f * c for a, c in zip(vec, b)]
+        lead = next((i for i, c in enumerate(vec) if c), None)
+        if lead is not None:
+            echelon.append((lead, vec))
+            if len(echelon) == n:
                 break
-    return len(basis)
+    return len(echelon)
+
+
+def _cleared(v) -> list[int]:
+    """A rational vector scaled to integers by the lcm of its denominators."""
+    m = math.lcm(*(c.denominator for c in v))
+    return [c.numerator * (m // c.denominator) for c in v]
+
+
+def _span_oracle_rank(system: IneqSystem, pool) -> int:
+    """Rank of the integer pool points in the cone; independent of the LP."""
+    return _integer_rank((p for p in pool if system.contains(p)), system.n)
 
 
 def _check_fulldim_system(system: IneqSystem, pool, report: SuiteReport) -> bool:
@@ -233,7 +237,7 @@ def _check_fulldim_system(system: IneqSystem, pool, report: SuiteReport) -> bool
         if not all(system.contains(v) for v in res.basis):
             report.record("basis satisfies system", False, system)
             return False
-        if geometry.rank_of(res.basis) != system.n:
+        if _integer_rank(map(_cleared, res.basis), system.n) != system.n:
             report.record("basis rank", False, system)
             return False
     else:
@@ -242,7 +246,7 @@ def _check_fulldim_system(system: IneqSystem, pool, report: SuiteReport) -> bool
             report.record("vanishing certificate", False, system)
             return False
         for point in pool:
-            if all(sum(c * p for c, p in zip(row, point)) >= 0 for row in system.rows):
+            if system.contains(point):
                 if sum(c * p for c, p in zip(cert, point)) != 0:
                     report.record("certificate orthogonality", False, (system, point))
                     return False

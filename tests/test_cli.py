@@ -159,6 +159,13 @@ class TestExitCodes:
         code, _ = invoke(capsys, "selftest", "nope")
         assert code == 2
 
+    def test_zero_denominator_is_2(self, capsys):
+        code = run(["eval", "--model", "q", "--term", "x1", "--assign", "x1=1/0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "zero denominator" in captured.err
+
 
 class TestDeterminism:
     def test_identical_argv_identical_bytes(self, capsys):

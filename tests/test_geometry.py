@@ -1,10 +1,14 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from efdkit import geometry
+from efdkit.canonical import piecewise_canonical
+from efdkit.cli import run
 from efdkit.geometry import (
     FullDimResult,
     IneqSystem,
@@ -15,6 +19,7 @@ from efdkit.geometry import (
     rank_of,
     sample_solutions,
 )
+from efdkit.terms import Signature, parse_term
 
 
 class TestRowUtilities:
@@ -56,6 +61,104 @@ class TestFeasiblePoint:
         assert p is not None
         assert 3 * p[0] - 7 * p[1] >= 1 and -2 * p[0] + 5 * p[1] >= 1
         assert all(isinstance(c, Fraction) for c in p)
+
+
+def _frac(text):
+    return None if text is None else tuple(Fraction(c) for c in text)
+
+
+# Points returned by the rational-tableau simplex that the integer pivoting
+# replaced; identical pivots must give identical points.
+FEASIBLE_CASES = [
+    ([(1, 0), (0, 1)], [1, 1], 2, ("1", "1")),
+    ([(1,), (-1,)], [1, 1], 1, None),
+    ([(-1,)], [3], 1, ("-3",)),
+    ([(3, -7), (-2, 5)], [1, 1], 2, ("12", "5")),
+    ([(2, 1), (1, 3)], [3, -2], 2, ("11/5", "-7/5")),
+    ([(1, 1, 1), (-1, 2, 0), (0, -1, 3)], [1, 1, 1], 3, ("0", "1/2", "1/2")),
+    ([(4, -3, 2), (-1, 0, 1), (2, 2, -1)], [2, -1, 1], 3, ("8/15", "-4/15", "-7/15")),
+    ([(1, -1), (-1, 1)], [0, 1], 2, None),
+    (
+        [(3, 1, 0, -2), (0, 2, -1, 1), (-1, 0, 4, 1), (1, 1, 1, 1)],
+        [1, 2, -3, 1],
+        4,
+        ("3/4", "1/4", "-3/4", "3/4"),
+    ),
+    ([(0, 0)], [1], 2, None),
+    ([(0, 0)], [-1], 2, ("0", "0")),
+    ([(5, -2, 0), (0, 3, -4), (-1, 0, 2), (2, -3, 1)], [1, 1, 1, 1], 3, ("7", "17/3", "4")),
+    ([(2, -1, 0, 1), (-2, 1, 0, -1)], [-1, -1], 4, ("1/2", "0", "0", "0")),
+    # a ratio-test tie that Bland's rule breaks towards the lower basic index
+    ([(-3, -2, 2), (-1, 0, 2), (1, 2, 2)], [1, 1, -2], 3, ("0", "-3/2", "1/2")),
+]
+
+
+class TestPinnedSimplex:
+    @pytest.mark.parametrize("rows,rhs,n,expected", FEASIBLE_CASES)
+    def test_point_is_pinned(self, rows, rhs, n, expected):
+        p = feasible_point(rows, rhs, n)
+        assert (None if p is None else tuple(p)) == _frac(expected)
+        if p is not None:
+            assert all(type(c) is Fraction for c in p)
+
+    @pytest.mark.parametrize(
+        "rows,full,basis,certificate",
+        [
+            ("1,0;-1,0", False, None, [1, 0]),
+            ("1", True, [["1"]], None),
+            ("1,-1;0,1", True, [["2", "1"], ["7", "3"]], None),
+            ("1,1,0;0,1,-1", True, [["0", "1", "0"], ["1", "3", "0"], ["0", "3", "1"]], None),
+            ("1,0,0;0,1,0;-1,-1,0", False, None, [1, 0, 0]),
+            (
+                "1,2,0,-1;0,1,1,0;2,0,-1,1",
+                True,
+                [["1", "0", "1", "0"], ["6", "0", "5", "0"], ["5", "1", "5", "0"], ["5", "0", "5", "1"]],
+                None,
+            ),
+            ("1,-1,0,0;-1,1,0,0;0,0,1,1", False, None, [1, -1, 0, 0]),
+            ("2,-3;-4,6", False, None, [2, -3]),
+        ],
+    )
+    def test_fulldim_json_is_pinned(self, capsys, rows, full, basis, certificate):
+        assert run(["fulldim", "--rows", rows]) == 0
+        parsed = [[int(c) for c in r.split(",")] for r in rows.split(";")]
+        assert json.loads(capsys.readouterr().out) == {
+            "basis": basis,
+            "certificate": certificate,
+            "full_dimensional": full,
+            "n": len(parsed[0]),
+            "rows": parsed,
+            "schema": "efdkit/fulldim/1",
+        }
+
+    def test_returned_points_satisfy_rows_exactly(self):
+        rng = random.Random(20260823)
+        found = 0
+        for _ in range(500):
+            n, m = rng.randint(1, 4), rng.randint(1, 6)
+            rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)]
+            rhs = [rng.randint(-3, 2) for _ in range(m)]
+            p = feasible_point(rows, rhs, n)
+            if p is not None:
+                found += 1
+                assert all(sum(c * x for c, x in zip(r, p)) >= b for r, b in zip(rows, rhs))
+        assert found > 250
+
+    @pytest.mark.parametrize(
+        "text,calls", [(r"2 x1 \/ 6 x1", 2), (r"(x1 /\ x2) \/ (2 x1 - x2) \/ -x2", 49)]
+    )
+    def test_lp_call_count_is_pinned(self, monkeypatch, text, calls):
+        count = 0
+        inner = geometry.feasible_point
+
+        def counting(*args):
+            nonlocal count
+            count += 1
+            return inner(*args)
+
+        monkeypatch.setattr(geometry, "feasible_point", counting)
+        piecewise_canonical(parse_term(text, Signature.GROUP))
+        assert count == calls
 
 
 class TestFullDimensionality:

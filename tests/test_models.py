@@ -240,7 +240,18 @@ class TestSentenceChecking:
 class TestDescriptors:
     @pytest.mark.parametrize(
         "text",
-        ["z", "q", "qs:2,3", "lex(z,qs:2)", "gamma(qs:2,3)", "two", "cone(q)"],
+        [
+            "z",
+            "q",
+            "qs:2,3",
+            "lex(z,qs:2)",
+            "lex(qs:2,z)",
+            "lex(qs:2,3,q)",
+            "lex(z,qs:2,3)",
+            "gamma(qs:2,3)",
+            "two",
+            "cone(q)",
+        ],
     )
     def test_roundtrip(self, text):
         assert model_name(parse_model(text)) == text
