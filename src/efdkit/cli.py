@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -134,19 +135,30 @@ def parse_sentence_spec(text: str, sig: Signature):
     return parse_sentence(s, sig)
 
 
-def _gather_sentences(args, sig: Signature) -> list:
-    items = []
-    for spec in args.sentence or []:
-        items.append(parse_sentence_spec(spec, sig))
-    if getattr(args, "file", None):
+def _sentence_specs(args) -> list[str]:
+    """The --sentence texts, then the non-blank, non-comment lines of --file."""
+    specs = list(args.sentence or [])
+    if args.file:
         with open(args.file, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if line and not line.startswith("#"):
-                    items.append(parse_sentence_spec(line, sig))
-    if not items:
+                    specs.append(line)
+    if not specs:
         raise ValueError("no sentences given (use --sentence and/or --file)")
-    return items
+    return specs
+
+
+def _gather_sentences(args, sig: Signature) -> list:
+    return [parse_sentence_spec(spec, sig) for spec in _sentence_specs(args)]
+
+
+def _seed_from_env() -> int:
+    text = os.environ.get(SEED_ENV, str(DEFAULT_SEED))
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV} must be an integer, got {text!r}") from None
 
 
 def _parse_rows(text: str) -> tuple[tuple[int, ...], ...]:
@@ -332,7 +344,7 @@ def _cmd_translate(args) -> int:
                 },
             )
             return 0
-        phi = parse_sentence_spec(args.sentence[0], Signature.HOOP)
+        phi = parse_sentence_spec(_sentence_specs(args)[0], Signature.HOOP)
         res = star_sentence(phi)
         _emit(
             args,
@@ -344,7 +356,7 @@ def _cmd_translate(args) -> int:
             },
         )
         return 0
-    phi = parse_sentence_spec(args.sentence[0], Signature.MV)
+    phi = parse_sentence_spec(_sentence_specs(args)[0], Signature.MV)
     if not isinstance(phi, EFDSentence):
         raise FragmentError("mv-hoop translation expects an MV EFD-sentence")
     hoop = mv_to_hoop(RadBasicSentence(phi, (0,) * phi.n))
@@ -361,7 +373,7 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    phi = parse_sentence_spec(args.sentence[0], Signature.MV)
+    phi = parse_sentence_spec(_sentence_specs(args)[0], Signature.MV)
     if not isinstance(phi, EFDSentence):
         raise FragmentError("decomposition expects an MV EFD-sentence")
     parts = phi_rad_decompose(phi)
@@ -438,8 +450,8 @@ def _exact_check(a, spec: str) -> Verdict | None:
 
 
 def _cmd_check(args) -> int:
+    spec = _sentence_specs(args)[0]
     a = parse_model(args.model)
-    spec = args.sentence[0]
     verdict = None if args.no_shortcut else _exact_check(a, spec)
     phi = parse_sentence_spec(spec, species(a))
     if not isinstance(phi, EFDSentence):
@@ -540,18 +552,20 @@ def _cmd_selftest(args) -> int:
 # Argument parsing and dispatch
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    run() in the process; it holds no per-call state."""
     parser = argparse.ArgumentParser(
         prog="efdkit",
         description="Canonicalize, translate, classify, and model-check "
         "EFD-sentences over l-groups, hoops, and perfect MV-algebras.",
     )
-    default_seed = int(os.environ.get(SEED_ENV, DEFAULT_SEED))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, sig=False, sentences=False, cap=False):
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=default_seed)
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--budget", type=int, default=None)
         if sig:
             p.add_argument("--sig", choices=tuple(_SIGS), required=True)
@@ -641,22 +655,10 @@ _DISPATCH = {
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    needs_sentence = args.command in ("translate", "decompose", "check")
+    args = _build_parser().parse_args(argv)
     try:
-        if needs_sentence and not (args.sentence or getattr(args, "file", None)):
-            if args.command == "translate" and args.term is not None:
-                pass
-            else:
-                raise ValueError("--sentence is required")
-        if needs_sentence and not args.sentence and getattr(args, "file", None):
-            with open(args.file, encoding="utf-8") as fh:
-                args.sentence = [
-                    line.strip()
-                    for line in fh
-                    if line.strip() and not line.startswith("#")
-                ]
+        if args.seed is None:
+            args.seed = _seed_from_env()
         return _DISPATCH[args.command](args)
     except (FragmentError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -262,8 +262,9 @@ def _gamma_monus(a: GammaPerfect, u, v):
     return _gamma_clamp(a, u[0] - v[0], _gadd(a.inner, u[1], _gneg(a.inner, v[1])))
 
 
-def _gamma_star(a: GammaPerfect, u, v):
-    return _gamma_neg(a, _gamma_add(a, _gamma_neg(a, u), _gamma_neg(a, v)))
+def _gamma_scale(a: GammaPerfect, k: int, u):
+    # k u = min(1, k u) for k >= 0: the partial sums of u >= 0 only grow
+    return _gamma_clamp(a, k * u[0], _gscale(a.inner, k, u[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +377,11 @@ def _eval_gamma(a: GammaPerfect, t, env):
     if isinstance(t, Scalar):
         if t.k < 0:
             raise ModelError("negative scalar in an MV term")
-        acc = (0, _gzero(a.inner))
-        v = _eval_gamma(a, t.arg, env)
-        for _ in range(t.k):
-            acc = _gamma_add(a, acc, v)
-        return acc
+        return _gamma_scale(a, t.k, _eval_gamma(a, t.arg, env))
     if isinstance(t, Power):
+        # x^k = ~(k ~x); the parser and validate_term keep k >= 1
         v = _eval_gamma(a, t.arg, env)
-        acc = v
-        for _ in range(t.k - 1):
-            acc = _gamma_star(a, acc, v)
-        return acc
+        return _gamma_neg(a, _gamma_scale(a, t.k, _gamma_neg(a, v)))
     raise ModelError(f"{type(t).__name__} not evaluable in a Gamma model")
 
 
@@ -395,7 +390,7 @@ def radical_member(a: GammaPerfect | TwoMV, e) -> bool:
     check_element(a, e)
     if isinstance(a, TwoMV):
         return e == 0
-    return _gamma_star(a, e, e) == (0, _gzero(a.inner))
+    return _gamma_scale(a, 2, _gamma_neg(a, e)) == gamma_unit(a)  # e * e = ~(2 ~e)
 
 
 def gamma_div(a: GammaPerfect, e, k: int):

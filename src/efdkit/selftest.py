@@ -219,17 +219,8 @@ def _cleared(v) -> list[int]:
     return [c.numerator * (m // c.denominator) for c in v]
 
 
-def _span_oracle_rank(system: IneqSystem, pool) -> int:
-    """Rank of the integer pool points in the cone; independent of the LP."""
-    return _integer_rank((p for p in pool if system.contains(p)), system.n)
-
-
 def _check_fulldim_system(system: IneqSystem, pool, report: SuiteReport) -> bool:
     res = is_full_dimensional(system)
-    rank = _span_oracle_rank(system, pool)
-    if rank == system.n and not res.full_dimensional:
-        report.record("span oracle vs LP", False, system)
-        return False
     if res.full_dimensional:
         if res.basis is None or len(res.basis) != system.n:
             report.record("basis certificate", False, system)
@@ -240,16 +231,20 @@ def _check_fulldim_system(system: IneqSystem, pool, report: SuiteReport) -> bool
         if _integer_rank(map(_cleared, res.basis), system.n) != system.n:
             report.record("basis rank", False, system)
             return False
-    else:
-        cert = res.certificate
-        if cert is None or not any(cert):
-            report.record("vanishing certificate", False, system)
+        return True
+    # span oracle, independent of the LP: the integer pool points in the cone
+    inside = [p for p in pool if system.contains(p)]
+    if _integer_rank(inside, system.n) == system.n:
+        report.record("span oracle vs LP", False, system)
+        return False
+    cert = res.certificate
+    if cert is None or not any(cert):
+        report.record("vanishing certificate", False, system)
+        return False
+    for point in inside:
+        if sum(c * p for c, p in zip(cert, point)) != 0:
+            report.record("certificate orthogonality", False, (system, point))
             return False
-        for point in pool:
-            if system.contains(point):
-                if sum(c * p for c, p in zip(cert, point)) != 0:
-                    report.record("certificate orthogonality", False, (system, point))
-                    return False
     return True
 
 

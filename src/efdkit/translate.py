@@ -153,6 +153,18 @@ def check_in_two(phi: EFDSentence) -> TwoCheck:
 # Phi_rad decomposition
 
 
+class _NoUniqueSolution(FragmentError):
+    """check_in_two failed at e-bar ``failing``: the precondition of the
+    decomposition."""
+
+    def __init__(self, failing: tuple):
+        super().__init__(
+            f"decomposition precondition failed in the two-element model at "
+            f"e-bar = {failing}"
+        )
+        self.failing = failing
+
+
 def _subst_signs(t: Term, esub: dict[Var, bool]) -> Term:
     """Negate the variables flagged in esub."""
     if isinstance(t, Var):
@@ -192,10 +204,7 @@ def phi_rad_decompose(phi: EFDSentence) -> list[RadBasicSentence]:
     """
     ct = check_in_two(phi)
     if not ct.holds:
-        raise FragmentError(
-            f"decomposition precondition failed in the two-element model at "
-            f"e-bar = {ct.failing}"
-        )
+        raise _NoUniqueSolution(ct.failing)
     out = []
     for ebar in _bits(phi.n):
         eprime = ct.table[ebar]
@@ -452,13 +461,14 @@ def classify_mv_sentences(
             raise FragmentError("the only supported identity is the Boolean marker")
         if not isinstance(item, EFDSentence) or item.signature is not Signature.MV:
             raise FragmentError(f"unsupported classification input {item!r}")
-        ct = check_in_two(item)
-        if not ct.holds:
+        try:
+            branches = phi_rad_decompose(item)
+        except _NoUniqueSolution as exc:
             return MVClassification(
                 trivial_p(),
-                (f"per-paper-scope: no unique two-element solution at {ct.failing}",),
+                (f"per-paper-scope: no unique two-element solution at {exc.failing}",),
             )
-        for rb in phi_rad_decompose(item):
+        for rb in branches:
             hoop = mv_to_hoop(rb)
             k, t_hoop = hoop_sentence_to_delta_kt(hoop)
             deltas.append(DeltaKT(k, star_term(t_hoop)))

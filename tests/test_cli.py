@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import efdkit.cli as cli
 from efdkit.cli import run
 
 
@@ -89,6 +94,20 @@ class TestExamples:
         assert code == 0
         assert payload["value"] == "(1, -1/2)"
 
+    @pytest.mark.parametrize(
+        "term,assign,value",
+        [
+            ("100000000 z1", "z1=(0, 1/3)", "(0, 100000000/3)"),
+            ("z1^100000000", "z1=(1, -1/3)", "(1, -100000000/3)"),
+        ],
+    )
+    def test_eval_gamma_huge_multiples(self, capsys, term, assign, value):
+        code, payload = invoke_json(
+            capsys, "eval", "--model", "gamma(q)", "--term", term, "--assign", assign
+        )
+        assert code == 0
+        assert payload["value"] == value
+
     def test_check_pass(self, capsys):
         code, payload = invoke_json(
             capsys, "check", "--model", "qs:2,3", "--sentence", "delta 6"
@@ -159,6 +178,45 @@ class TestExitCodes:
         code, _ = invoke(capsys, "selftest", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--model", "q"),
+            ("decompose",),
+            ("translate", "--direction", "star"),
+        ],
+    )
+    def test_file_without_sentences_is_2(self, capsys, tmp_path, argv):
+        f = tmp_path / "sentences.txt"
+        f.write_text("# only a comment\n\n   \n")
+        code = run([*argv, "--file", str(f)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "no sentences given" in captured.err
+
+    def test_mv_hoop_without_sentence_is_2(self, capsys):
+        code, _ = invoke(capsys, "translate", "--direction", "mv-hoop", "--term", "x1")
+        assert code == 2
+
+    def test_invalid_env_seed_is_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("EFDKIT_SEED", "abc")
+        code = run(["lattice", "--op", "meet", "--left", "divisible:2",
+                    "--right", "divisible:3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "EFDKIT_SEED" in captured.err
+
+    def test_invalid_env_seed_unused_with_seed_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("EFDKIT_SEED", "abc")
+        code, payload = invoke_json(
+            capsys, "lattice", "--op", "meet", "--left", "divisible:2",
+            "--right", "divisible:3", "--seed", "3",
+        )
+        assert code == 0
+        assert payload["meet"] == {"family": "G", "class": "divisible", "primes": [2, 3]}
+
     def test_zero_denominator_is_2(self, capsys):
         code = run(["eval", "--model", "q", "--term", "x1", "--assign", "x1=1/0"])
         captured = capsys.readouterr()
@@ -176,13 +234,39 @@ class TestDeterminism:
         assert out1 == out2
 
     def test_env_seed_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("EFDKIT_SEED", "99")
+        seeds = []
+        original = cli.check_sentence_sampled
+
+        def recording(a, phi, budget, seed):
+            seeds.append(seed)
+            return original(a, phi, budget=budget, seed=seed)
+
+        monkeypatch.setattr(cli, "check_sentence_sampled", recording)
         argv = ("check", "--model", "gamma(q)", "--sentence", "epsilon 2",
-                "--no-shortcut")
-        _, out1 = invoke(capsys, *argv)
-        monkeypatch.setenv("EFDKIT_SEED", "99")
-        _, out2 = invoke(capsys, *argv)
-        assert out1 == out2
+                "--no-shortcut", "--budget", "20")
+        for value in ("99", "5", "99"):
+            monkeypatch.setenv("EFDKIT_SEED", value)
+            assert invoke(capsys, *argv)[0] == 0
+        assert invoke(capsys, *argv, "--seed", "7")[0] == 0
+        monkeypatch.delenv("EFDKIT_SEED")
+        assert invoke(capsys, *argv)[0] == 0
+        assert seeds == [99, 5, 99, 7, cli.DEFAULT_SEED]
+
+    def test_consecutive_runs_share_no_state(self, capsys):
+        two = ("classify", "--sig", "mv", "--sentence", "epsilon 2",
+               "--sentence", "epsilon 3")
+        one = ("classify", "--sig", "mv", "--sentence", "epsilon 5")
+        src = str(Path(cli.__file__).parents[1])
+        alone = {
+            argv: subprocess.run(
+                [sys.executable, "-m", "efdkit.cli", *argv], capture_output=True,
+                text=True, env={**os.environ, "PYTHONPATH": src},
+            )
+            for argv in (two, one)
+        }
+        assert alone[two].stdout != alone[one].stdout
+        for argv in (two, one, two):
+            assert invoke(capsys, *argv) == (alone[argv].returncode, alone[argv].stdout)
 
     def test_text_format(self, capsys):
         code, out = invoke(

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from efdkit.gen import random_term
 from efdkit.models import (
     GammaPerfect,
     IntegerGroup,
@@ -31,7 +33,12 @@ from efdkit.models import (
     species,
 )
 from efdkit.terms import (
+    MVNeg,
+    Power,
+    Scalar,
     Signature,
+    Var,
+    ZERO,
     build_delta_k,
     build_epsilon_k,
     build_t_k,
@@ -153,6 +160,58 @@ class TestGammaModel:
             check_element(GQ, (2, Fraction(0)))
         with pytest.raises(ModelError):
             check_element(GQ, (1, Fraction(1)))  # above the unit
+
+
+_SUM = parse_term("x1 + x2", Signature.MV)
+_PRODUCT = parse_term("~(~x1 + ~x2)", Signature.MV)
+
+
+def _loop_eval(a, t, env):
+    """Gamma evaluation with k x as the k-fold sum and x^k as the k-fold
+    product: the O(k) definitions, kept as an oracle for the closed forms.
+    Other nodes go through eval_term on fresh variables."""
+    if isinstance(t, Scalar):
+        v, acc = _loop_eval(a, t.arg, env), eval_term(a, ZERO, {})
+        for _ in range(t.k):
+            acc = eval_term(a, _SUM, {xvar(1): acc, xvar(2): v})
+        return acc
+    if isinstance(t, Power):
+        v = acc = _loop_eval(a, t.arg, env)
+        for _ in range(t.k - 1):
+            acc = eval_term(a, _PRODUCT, {xvar(1): acc, xvar(2): v})
+        return acc
+    if isinstance(t, Var):
+        return env[t]
+    if t == ZERO:
+        return eval_term(a, t, {})
+    if isinstance(t, MVNeg):
+        return eval_term(a, MVNeg(xvar(1)), {xvar(1): _loop_eval(a, t.arg, env)})
+    left, right = _loop_eval(a, t.left, env), _loop_eval(a, t.right, env)
+    return eval_term(a, type(t)(xvar(1), xvar(2)), {xvar(1): left, xvar(2): right})
+
+
+class TestGammaClosedForms:
+    @pytest.mark.parametrize("descriptor", ["gamma(q)", "gamma(qs:2,3)"])
+    def test_agree_with_loop_oracle(self, descriptor):
+        a = parse_model(descriptor)
+        rng = random.Random(descriptor)
+        for i in range(200):
+            t = random_term(rng, Signature.MV, 2, 4, coeff=12)
+            points = sample_elements(a, 20, seed=i)
+            for j in range(10):
+                env = {xvar(1): points[2 * j], xvar(2): points[2 * j + 1]}
+                assert eval_term(a, t, env) == _loop_eval(a, t, env), (t, env)
+
+    def test_huge_multiple_and_power(self):
+        big = 100_000_000
+        assert eval_term(GQ, Scalar(big, zvar(1)), {zvar(1): (0, Fraction(1, 3))}) == (
+            0, Fraction(big, 3))
+        assert eval_term(GQ, Power(big, zvar(1)), {zvar(1): (1, Fraction(-1, 3))}) == (
+            1, Fraction(-big, 3))
+        assert eval_term(GQ, Scalar(big, zvar(1)), {zvar(1): (1, Fraction(-1, 3))}) == (
+            1, Fraction(0))
+        assert eval_term(GQ, Power(big, zvar(1)), {zvar(1): (0, Fraction(1, 3))}) == (
+            0, Fraction(0))
 
 
 class TestTwoElementModel:

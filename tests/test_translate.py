@@ -192,3 +192,26 @@ class TestMVClassification:
     def test_rejects_group_sentence(self):
         with pytest.raises(FragmentError):
             classify_mv_sentences([build_delta_k(2, Signature.GROUP)])
+
+    def test_no_unique_two_element_solution_is_trivial(self):
+        phi = parse_sentence("forall x1 exists! z1 : z1 + ~z1 = x1", Signature.MV)
+        result = classify_mv_sentences([build_epsilon_k(2), phi])
+        assert result.ae_class == trivial_p()
+        assert result.notes == (
+            "per-paper-scope: no unique two-element solution at (0,)",
+        )
+
+    def test_two_element_check_runs_once_per_sentence(self, monkeypatch):
+        import efdkit.translate as translate
+
+        calls = []
+        original = translate.check_in_two
+
+        def counting(phi):
+            calls.append(phi)
+            return original(phi)
+
+        monkeypatch.setattr(translate, "check_in_two", counting)
+        sentences = [build_epsilon_k(2), build_epsilon_k(5)]
+        classify_mv_sentences(sentences)
+        assert calls == sentences
