@@ -226,10 +226,6 @@ def _expansion_spec(text: str) -> LogicExpansion:
 # Output helpers
 
 
-def _fr(v) -> str:
-    return format_element(v)
-
-
 def _class_json(c: AEClass) -> dict:
     body = {"family": c.family, "class": c.kind}
     if c.kind == "divisible":
@@ -402,7 +398,7 @@ def _cmd_fulldim(args) -> int:
         "n": system.n,
         "rows": [list(r) for r in system.rows],
         "full_dimensional": res.full_dimensional,
-        "basis": [[_fr(c) for c in v] for v in res.basis] if res.basis else None,
+        "basis": [[format_element(c) for c in v] for v in res.basis] if res.basis else None,
         "certificate": list(res.certificate) if res.certificate else None,
     }
     _emit(args, "fulldim", payload)
@@ -421,11 +417,11 @@ def _cmd_eval(args) -> int:
             "model": model_name(a),
             "term": print_term(t),
             "assignment": {
-                f"{v.kind}{v.index}": _fr(e) for v, e in sorted(
+                f"{v.kind}{v.index}": format_element(e) for v, e in sorted(
                     env.items(), key=lambda kv: (kv[0].kind, kv[0].index)
                 )
             },
-            "value": _fr(value),
+            "value": format_element(value),
         },
     )
     return 0
@@ -457,9 +453,8 @@ def _cmd_check(args) -> int:
     if not isinstance(phi, EFDSentence):
         raise FragmentError("check expects an EFD-sentence")
     if verdict is None:
-        verdict = check_sentence_sampled(
-            a, phi, budget=args.budget or 500, seed=args.seed
-        )
+        budget = 500 if args.budget is None else args.budget
+        verdict = check_sentence_sampled(a, phi, budget=budget, seed=args.seed)
     _emit(
         args,
         "check",
@@ -659,6 +654,8 @@ def run(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _seed_from_env()
+        if args.budget is not None and args.budget < 1:
+            raise ValueError(f"--budget must be >= 1, got {args.budget}")
         return _DISPATCH[args.command](args)
     except (FragmentError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -153,13 +153,6 @@ class AEClass:
         if self.kind not in ("trivial", "boolean", "divisible"):
             raise LatticeError(f"bad class kind {self.kind!r}")
 
-    def to_json(self):
-        if self.kind == "divisible":
-            body = {"class": "divisible", "primes": self.primes.to_json()}
-        else:
-            body = {"class": self.kind}
-        return {"family": self.family, **body}
-
 
 def trivial_g() -> AEClass:
     return AEClass("G", "trivial")

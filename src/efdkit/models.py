@@ -1,14 +1,29 @@
 """Computable witness algebras with exact term evaluation and exact or
 sampled sentence checking.
 
-Group models carry numbers (or lex pairs of numbers), the positive cone
-carries nonnegative numbers, Gamma models carry pairs (i, q) with i in {0,1}
-and q >= 0 when i = 0, q <= 0 when i = 1; TwoMV carries bits.
+Every witness algebra is read off one totally ordered Abelian group G and
+its arithmetic (zero, +, -, <, k-fold multiple):
+
+- a group model is G itself: numbers, or (nested) lex pairs of numbers;
+- cone(G) is the positive cone of G, a cancellative hoop with
+  u -. v = (u - v) \\/ 0;
+- an MV model is Gamma(G, u), the interval [0, u] with x + y cut at u and
+  ~x = u - x (Mundici).  TwoMV is Gamma(Z, 1) on the bits 0 and 1, and the
+  perfect algebra GammaPerfect(A) is Gamma(Z lex A, (1, 0)) (Di Nola and
+  Lettieri): pairs (i, q) with i in {0, 1}, q >= 0 when i = 0 (the radical)
+  and q <= 0 when i = 1.
+
+eval_term is the one term evaluator; it walks a term through a table of
+node operations built once per algebra from that arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,8 +42,10 @@ from .terms import (
     Term,
     UniquenessRule,
     Var,
+    ZERO,
     Zero,
     free_vars,
+    xvar,
 )
 
 __all__ = [
@@ -123,6 +140,7 @@ WitnessAlgebra = (
 )
 
 _GROUPS = (IntegerGroup, RationalGroup, LocalizedRationals, LexProduct)
+_BITS = (0, 1)  # the universe of TwoMV
 
 
 def species(a: WitnessAlgebra) -> Signature:
@@ -162,109 +180,84 @@ def check_element(a: WitnessAlgebra, e) -> None:
         check_element(a.right, e[1])
     elif isinstance(a, PositiveCone):
         check_element(a.inner, e)
-        if _glt(a.inner, e, _gzero(a.inner)):
+        g = _group(a.inner)
+        if g.lt(e, g.zero):
             raise ModelError(f"{e!r} is negative")
     elif isinstance(a, GammaPerfect):
         if not (isinstance(e, tuple) and len(e) == 2 and e[0] in (0, 1)):
             raise ModelError(f"{e!r} is not a Gamma pair")
         check_element(a.inner, e[1])
-        zero = _gzero(a.inner)
-        if e[0] == 0 and _glt(a.inner, e[1], zero):
+        g = _group(a.inner)
+        if e[0] == 0 and g.lt(e[1], g.zero):
             raise ModelError(f"{e!r} has a negative part on the radical side")
-        if e[0] == 1 and _glt(a.inner, zero, e[1]):
+        if e[0] == 1 and g.lt(g.zero, e[1]):
             raise ModelError(f"{e!r} has a positive part on the co-radical side")
     elif isinstance(a, TwoMV):
-        if e not in (0, 1):
+        if e not in _BITS:
             raise ModelError(f"{e!r} is not a bit")
     else:
         raise ModelError(f"not a witness algebra: {a!r}")
 
 
 # ---------------------------------------------------------------------------
-# Group arithmetic (scalar values or nested lex pairs)
+# Ordered-group arithmetic: every witness algebra is read off one of these
 
 
-def _gzero(a):
+@dataclass(frozen=True, eq=False)
+class _Group:
+    """A totally ordered Abelian group: zero, u + v, -u, u < v and k u."""
+
+    zero: object
+    add: Callable
+    neg: Callable
+    lt: Callable
+    scale: Callable
+
+    def join(self, u, v):
+        return v if self.lt(u, v) else u
+
+    def meet(self, u, v):
+        return u if self.lt(u, v) else v
+
+
+_RATIONAL = _Group(Fraction(0), operator.add, operator.neg, operator.lt, operator.mul)
+_INTEGER = _Group(0, operator.add, operator.neg, operator.lt, operator.mul)
+
+
+def _lex(left: _Group, right: _Group) -> _Group:
+    """left x_lex right, ordered by the left coordinate first."""
+    zero = (left.zero, right.zero)
+    if left in (_RATIONAL, _INTEGER) and right in (_RATIONAL, _INTEGER):
+        return _Group(
+            zero,
+            lambda u, v: (u[0] + v[0], u[1] + v[1]),
+            lambda u: (-u[0], -u[1]),
+            lambda u, v: u[0] < v[0] or (u[0] == v[0] and u[1] < v[1]),
+            lambda k, u: (k * u[0], k * u[1]),
+        )
+    ladd, radd, lneg, rneg = left.add, right.add, left.neg, right.neg
+    llt, rlt, lscale, rscale = left.lt, right.lt, left.scale, right.scale
+    return _Group(
+        zero,
+        lambda u, v: (ladd(u[0], v[0]), radd(u[1], v[1])),
+        lambda u: (lneg(u[0]), rneg(u[1])),
+        lambda u, v: llt(u[0], v[0]) or (u[0] == v[0] and rlt(u[1], v[1])),
+        lambda k, u: (lscale(k, u[0]), rscale(k, u[1])),
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _group(a) -> _Group:
+    """The group G of a group model: scalars, or nested lex pairs of them."""
     if isinstance(a, LexProduct):
-        return (_gzero(a.left), _gzero(a.right))
-    return Fraction(0)
-
-
-def _gadd(a, u, v):
-    if isinstance(a, LexProduct):
-        return (_gadd(a.left, u[0], v[0]), _gadd(a.right, u[1], v[1]))
-    return u + v
-
-
-def _gneg(a, u):
-    if isinstance(a, LexProduct):
-        return (_gneg(a.left, u[0]), _gneg(a.right, u[1]))
-    return -u
-
-
-def _glt(a, u, v) -> bool:
-    if isinstance(a, LexProduct):
-        if _glt(a.left, u[0], v[0]):
-            return True
-        if _glt(a.left, v[0], u[0]):
-            return False
-        return _glt(a.right, u[1], v[1])
-    return u < v
-
-
-def _gmax(a, u, v):
-    return v if _glt(a, u, v) else u
-
-
-def _gmin(a, u, v):
-    return u if _glt(a, u, v) else v
-
-
-def _gscale(a, k: int, u):
-    if isinstance(a, LexProduct):
-        return (_gscale(a.left, k, u[0]), _gscale(a.right, k, u[1]))
-    return k * u
-
-
-# ---------------------------------------------------------------------------
-# MV arithmetic on Gamma models: elements (i, q) of Gamma(Z lex inner, (1,0))
+        return _lex(_group(a.left), _group(a.right))
+    if isinstance(a, (IntegerGroup, RationalGroup, LocalizedRationals)):
+        return _RATIONAL
+    raise ModelError(f"not an ordered group: {a!r}")
 
 
 def gamma_unit(a: GammaPerfect):
-    return (1, _gzero(a.inner))
-
-
-def _lex_le(a: GammaPerfect, u, v) -> bool:
-    return u[0] < v[0] or (u[0] == v[0] and not _glt(a.inner, v[1], u[1]))
-
-
-def _gamma_clamp(a: GammaPerfect, i: int, q):
-    zero = (0, _gzero(a.inner))
-    unit = gamma_unit(a)
-    cand = (i, q)
-    if _lex_le(a, unit, cand):
-        return unit
-    if _lex_le(a, cand, zero):
-        return zero
-    return cand
-
-
-def _gamma_add(a: GammaPerfect, u, v):
-    return _gamma_clamp(a, u[0] + v[0], _gadd(a.inner, u[1], v[1]))
-
-
-def _gamma_neg(a: GammaPerfect, u):
-    return (1 - u[0], _gneg(a.inner, u[1]))
-
-
-def _gamma_monus(a: GammaPerfect, u, v):
-    # u -. v = (u - v) \/ 0 inside the unit interval
-    return _gamma_clamp(a, u[0] - v[0], _gadd(a.inner, u[1], _gneg(a.inner, v[1])))
-
-
-def _gamma_scale(a: GammaPerfect, k: int, u):
-    # k u = min(1, k u) for k >= 0: the partial sums of u >= 0 only grow
-    return _gamma_clamp(a, k * u[0], _gscale(a.inner, k, u[1]))
+    return (1, _group(a.inner).zero)
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +266,95 @@ def _gamma_scale(a: GammaPerfect, k: int, u):
 
 def eval_term(a: WitnessAlgebra, t: Term, assignment: dict) -> object:
     """Exact evaluation of t in a under a total assignment keyed by Var."""
-    sp = species(a)
-    if sp is Signature.GROUP:
-        return _eval_group(a, t, assignment)
-    if sp is Signature.HOOP:
-        return _eval_hoop(a, t, assignment)
+    return _evaluator(a)(t, assignment)
+
+
+@functools.lru_cache(maxsize=64)
+def _evaluator(a: WitnessAlgebra):
+    """The term walker of a, built once per algebra value.  A group model is
+    its group G, cone(G) is the positive cone of G, and an MV model is
+    Gamma(G, u): TwoMV is Gamma(Z, 1), GammaPerfect is Gamma(Z lex inner, (1, 0))."""
+    if isinstance(a, PositiveCone):
+        g = _group(a.inner)
+        return _walker("a hoop model", g, {
+            Plus: g.add,
+            Diff: _monus(g),
+            Scalar: _nonnegative(g.scale, "negative scalar in a hoop term"),
+        })
     if isinstance(a, TwoMV):
-        return _eval_two(t, assignment)
-    return _eval_gamma(a, t, assignment)
+        return _walker("TwoMV", _INTEGER, _gamma_ops(_INTEGER, 1))
+    if isinstance(a, GammaPerfect):
+        g = _lex(_INTEGER, _group(a.inner))
+        return _walker("a Gamma model", g, _gamma_ops(g, gamma_unit(a)))
+    g = _group(a)
+    return _walker("a group model", g, {Plus: g.add, Neg: g.neg, Scalar: g.scale})
+
+
+def _monus(g: _Group) -> Callable:
+    """u -. v = (u - v) \\/ 0, in the positive cone of G and in Gamma(G, u)."""
+    add, neg, join, zero = g.add, g.neg, g.join, g.zero
+    return lambda u, v: join(add(u, neg(v)), zero)
+
+
+def _gamma_ops(g: _Group, unit) -> dict:
+    """Gamma(G, u) on [0, u]: x + y and k x are cut at u, ~x = u - x and
+    x^k = ~(k ~x)."""
+    add, neg, lt = g.add, g.neg, g.lt
+
+    def cap(x):
+        return x if lt(x, unit) else unit
+
+    def mvneg(x):
+        return add(unit, neg(x))
+
+    scale = _nonnegative(lambda k, u: cap(g.scale(k, u)), "negative scalar in an MV term")
+    return {
+        Plus: lambda u, v: cap(add(u, v)),
+        Diff: _monus(g),
+        MVNeg: mvneg,
+        Scalar: scale,
+        Power: lambda k, u: mvneg(scale(k, mvneg(u))),
+    }
+
+
+def _nonnegative(scale: Callable, message: str) -> Callable:
+    def checked(k, u):
+        if k < 0:
+            raise ModelError(message)
+        return scale(k, u)
+
+    return checked
+
+
+def _walker(label: str, g: _Group, ops: dict) -> Callable:
+    """The recursive evaluator over one algebra's node operations, keyed by
+    node type: (left, right) for Plus and Diff, arg for Neg and MVNeg,
+    (k, arg) for Scalar and Power.  Join and meet come from the order of g."""
+
+    def walk(t, env):
+        node = nodes.get(type(t))
+        if node is None:
+            raise ModelError(f"{type(t).__name__} not evaluable in {label}")
+        return node(t, env)
+
+    def binary(f):
+        return lambda t, env: f(walk(t.left, env), walk(t.right, env))
+
+    def unary(f):
+        return lambda t, env: f(walk(t.arg, env))
+
+    def scaled(f):
+        return lambda t, env: f(t.k, walk(t.arg, env))
+
+    shapes = {
+        Plus: binary, Diff: binary, Neg: unary, MVNeg: unary, Scalar: scaled, Power: scaled
+    }
+    nodes = {kind: shapes[kind](f) for kind, f in ops.items()}
+    nodes[Var] = _lookup
+    nodes[Zero] = lambda t, env: g.zero
+    nodes[Join] = binary(g.join)
+    nodes[Meet] = binary(g.meet)
+    return walk
 
 
 def _lookup(t: Var, assignment: dict):
@@ -290,107 +364,10 @@ def _lookup(t: Var, assignment: dict):
         raise ModelError(f"assignment missing {t.kind}{t.index}") from None
 
 
-def _eval_group(a, t, env):
-    if isinstance(t, Var):
-        return _lookup(t, env)
-    if isinstance(t, Zero):
-        return _gzero(a)
-    if isinstance(t, Plus):
-        return _gadd(a, _eval_group(a, t.left, env), _eval_group(a, t.right, env))
-    if isinstance(t, Neg):
-        return _gneg(a, _eval_group(a, t.arg, env))
-    if isinstance(t, Join):
-        return _gmax(a, _eval_group(a, t.left, env), _eval_group(a, t.right, env))
-    if isinstance(t, Meet):
-        return _gmin(a, _eval_group(a, t.left, env), _eval_group(a, t.right, env))
-    if isinstance(t, Scalar):
-        return _gscale(a, t.k, _eval_group(a, t.arg, env))
-    raise ModelError(f"{type(t).__name__} not evaluable in a group model")
-
-
-def _eval_hoop(a: PositiveCone, t, env):
-    g = a.inner
-    if isinstance(t, Var):
-        return _lookup(t, env)
-    if isinstance(t, Zero):
-        return _gzero(g)
-    if isinstance(t, Plus):
-        return _gadd(g, _eval_hoop(a, t.left, env), _eval_hoop(a, t.right, env))
-    if isinstance(t, Diff):
-        diff = _gadd(g, _eval_hoop(a, t.left, env), _gneg(g, _eval_hoop(a, t.right, env)))
-        return _gmax(g, diff, _gzero(g))
-    if isinstance(t, Scalar):
-        if t.k < 0:
-            raise ModelError("negative scalar in a hoop term")
-        return _gscale(g, t.k, _eval_hoop(a, t.arg, env))
-    if isinstance(t, Join):
-        return _gmax(g, _eval_hoop(a, t.left, env), _eval_hoop(a, t.right, env))
-    if isinstance(t, Meet):
-        return _gmin(g, _eval_hoop(a, t.left, env), _eval_hoop(a, t.right, env))
-    raise ModelError(f"{type(t).__name__} not evaluable in a hoop model")
-
-
-def _eval_two(t, env):
-    if isinstance(t, Var):
-        return _lookup(t, env)
-    if isinstance(t, Zero):
-        return 0
-    if isinstance(t, Plus):
-        return min(1, _eval_two(t.left, env) + _eval_two(t.right, env))
-    if isinstance(t, MVNeg):
-        return 1 - _eval_two(t.arg, env)
-    if isinstance(t, Join):
-        return max(_eval_two(t.left, env), _eval_two(t.right, env))
-    if isinstance(t, Meet):
-        return min(_eval_two(t.left, env), _eval_two(t.right, env))
-    if isinstance(t, Diff):
-        return max(0, _eval_two(t.left, env) - _eval_two(t.right, env))
-    if isinstance(t, Scalar):
-        if t.k < 0:
-            raise ModelError("negative scalar in an MV term")
-        return min(1, t.k * _eval_two(t.arg, env))
-    if isinstance(t, Power):
-        v = _eval_two(t.arg, env)
-        return v  # bits are idempotent under *
-    raise ModelError(f"{type(t).__name__} not evaluable in TwoMV")
-
-
-def _eval_gamma(a: GammaPerfect, t, env):
-    if isinstance(t, Var):
-        return _lookup(t, env)
-    if isinstance(t, Zero):
-        return (0, _gzero(a.inner))
-    if isinstance(t, Plus):
-        return _gamma_add(a, _eval_gamma(a, t.left, env), _eval_gamma(a, t.right, env))
-    if isinstance(t, MVNeg):
-        return _gamma_neg(a, _eval_gamma(a, t.arg, env))
-    if isinstance(t, Join):
-        u = _eval_gamma(a, t.left, env)
-        v = _eval_gamma(a, t.right, env)
-        return v if _lex_le(a, u, v) else u
-    if isinstance(t, Meet):
-        u = _eval_gamma(a, t.left, env)
-        v = _eval_gamma(a, t.right, env)
-        return u if _lex_le(a, u, v) else v
-    if isinstance(t, Diff):
-        return _gamma_monus(a, _eval_gamma(a, t.left, env), _eval_gamma(a, t.right, env))
-    if isinstance(t, Scalar):
-        if t.k < 0:
-            raise ModelError("negative scalar in an MV term")
-        return _gamma_scale(a, t.k, _eval_gamma(a, t.arg, env))
-    if isinstance(t, Power):
-        # x^k = ~(k ~x); the parser and validate_term keep k >= 1
-        v = _eval_gamma(a, t.arg, env)
-        return _gamma_neg(a, _gamma_scale(a, t.k, _gamma_neg(a, v)))
-    raise ModelError(f"{type(t).__name__} not evaluable in a Gamma model")
-
-
 def radical_member(a: GammaPerfect | TwoMV, e) -> bool:
     """e is in the radical iff e * e = 0."""
     check_element(a, e)
-    if isinstance(a, TwoMV):
-        return e == 0
-    return _gamma_scale(a, 2, _gamma_neg(a, e)) == gamma_unit(a)  # e * e = ~(2 ~e)
+    return eval_term(a, Power(2, xvar(1)), {xvar(1): e}) == eval_term(a, ZERO, {})
 
 
 def gamma_div(a: GammaPerfect, e, k: int):
@@ -399,13 +376,8 @@ def gamma_div(a: GammaPerfect, e, k: int):
     check_element(a, e)
     if not isinstance(a.inner, _GROUPS) or isinstance(a.inner, LexProduct):
         raise ModelError("gamma_div supports scalar inner groups only")
-    q = Fraction(e[1]) / k
-    cand = (e[0], q)
-    try:
-        check_element(a, cand)
-    except ModelError:
-        return None
-    return cand
+    cand = (e[0], Fraction(e[1]) / k)
+    return cand if _element_ok(a, cand) else None
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +425,15 @@ def _sample_one(a, rng: random.Random, cap: int):
         return Fraction(rng.randint(-cap, cap), den)
     if isinstance(a, LexProduct):
         return (_sample_one(a.left, rng, cap), _sample_one(a.right, rng, cap))
-    if isinstance(a, PositiveCone):
+    if isinstance(a, (PositiveCone, GammaPerfect)):
+        g = _group(a.inner)
         v = _sample_one(a.inner, rng, cap)
-        return _gmax(a.inner, v, _gneg(a.inner, v))
-    if isinstance(a, GammaPerfect):
-        v = _sample_one(a.inner, rng, cap)
-        mag = _gmax(a.inner, v, _gneg(a.inner, v))
+        mag = g.join(v, g.neg(v))
+        if isinstance(a, PositiveCone):
+            return mag
         if rng.random() < 0.5:
             return (0, mag)
-        return (1, _gneg(a.inner, mag))
+        return (1, g.neg(mag))
     if isinstance(a, TwoMV):
         return rng.randint(0, 1)
     raise ModelError(f"not a witness algebra: {a!r}")
@@ -493,50 +465,50 @@ def _linear_part(a, t: Term, env: dict):
     Returns (coeffs: dict[int,int], constant) or None when a z-variable
     sits under a lattice or negation-incompatible operation.
     """
-    if isinstance(t, Var):
-        if t.kind == "z":
-            return ({t.index: 1}, _gzero(a))
-        return ({}, _lookup(t, env))
-    if isinstance(t, Zero):
-        return ({}, _gzero(a))
-    if isinstance(t, Plus):
-        lp = _linear_part(a, t.left, env)
-        rp = _linear_part(a, t.right, env)
-        if lp is None or rp is None:
-            return None
-        coeffs = dict(lp[0])
-        for j, c in rp[0].items():
-            coeffs[j] = coeffs.get(j, 0) + c
-        return (coeffs, _gadd(a, lp[1], rp[1]))
-    if isinstance(t, Neg):
-        p = _linear_part(a, t.arg, env)
-        if p is None:
-            return None
-        return ({j: -c for j, c in p[0].items()}, _gneg(a, p[1]))
-    if isinstance(t, Scalar):
-        p = _linear_part(a, t.arg, env)
-        if p is None:
-            return None
-        return ({j: t.k * c for j, c in p[0].items()}, _gscale(a, t.k, p[1]))
-    if isinstance(t, (Join, Meet)):
-        if any(v.kind == "z" for v in free_vars(t)):
-            return None
-        return ({}, _eval_group(a, t, env))
-    return None
+    g = _group(a)
+
+    def walk(t):
+        if isinstance(t, Var):
+            if t.kind == "z":
+                return ({t.index: 1}, g.zero)
+            return ({}, _lookup(t, env))
+        if isinstance(t, Zero):
+            return ({}, g.zero)
+        if isinstance(t, Plus):
+            lp, rp = walk(t.left), walk(t.right)
+            if lp is None or rp is None:
+                return None
+            coeffs = dict(lp[0])
+            for j, c in rp[0].items():
+                coeffs[j] = coeffs.get(j, 0) + c
+            return (coeffs, g.add(lp[1], rp[1]))
+        if isinstance(t, (Neg, Scalar)):
+            p = walk(t.arg)
+            if p is None:
+                return None
+            k = -1 if isinstance(t, Neg) else t.k
+            return ({j: k * c for j, c in p[0].items()}, g.scale(k, p[1]))
+        if isinstance(t, (Join, Meet)):
+            if any(v.kind == "z" for v in free_vars(t)):
+                return None
+            return ({}, eval_term(a, t, env))
+        return None
+
+    return walk(t)
 
 
 def _solve_linear_single(a, rows: list[tuple[dict, object]]):
     """Solve the stacked one-variable system {c * z + b = 0}; returns
     ("unique", z) / ("none", None) / ("all", None)."""
-    zero = _gzero(a)
+    g = _group(a)
     candidate = None
     for coeffs, const in rows:
         c = coeffs.get(1, 0)
         if c == 0:
-            if const != zero:
+            if const != g.zero:
                 return ("none", None)
             continue
-        z = _gdiv_exact(a, _gneg(a, const), c)
+        z = _gdiv_exact(a, g.neg(const), c)
         if z is None:
             return ("none", None)
         if candidate is None:
@@ -557,11 +529,7 @@ def _gdiv_exact(a, value, c: int):
             return None
         return (left, right)
     q = Fraction(value) / c
-    try:
-        check_element(a, q)
-    except ModelError:
-        return None
-    return q
+    return q if _element_ok(a, q) else None
 
 
 def candidate_pool(a, xvals: list, cap: int = 12) -> list:
@@ -569,7 +537,7 @@ def candidate_pool(a, xvals: list, cap: int = 12) -> list:
     values, their small integer divisions, and MV negations where defined."""
     out = []
     if isinstance(a, TwoMV):
-        return [0, 1]
+        return list(_BITS)
     if isinstance(a, GammaPerfect):
         rationals = {Fraction(0)}
         for (_, q) in xvals:
@@ -577,21 +545,18 @@ def candidate_pool(a, xvals: list, cap: int = 12) -> list:
                 rationals.add(abs(Fraction(q)) / d)
         for q in sorted(rationals):
             for e in ((0, q), (1, -q)):
-                try:
-                    check_element(a, e)
-                except ModelError:
-                    continue
-                if e not in out:
+                if e not in out and _element_ok(a, e):
                     out.append(e)
         return out
-    values = {_gzero(a if not isinstance(a, PositiveCone) else a.inner)}
     inner = a.inner if isinstance(a, PositiveCone) else a
+    g = _group(inner)
+    values = {g.zero}
     for v in xvals:
         for d in range(1, cap + 1):
             w = _gdiv_exact(inner, v, d)
             if w is not None:
                 values.add(w)
-                values.add(_gneg(inner, w))
+                values.add(g.neg(w))
     out = [v for v in sorted(values) if _element_ok(a, v)]
     return out
 
@@ -612,16 +577,8 @@ def solutions_for_assignment(
     Returns (solutions, exact): exact is True when the answer is complete
     (exhaustive domain or exact linear solve), False for candidate search.
     """
-    if isinstance(a, TwoMV):
-        sols = []
-        for bits in _tuples((0, 1), phi.m):
-            env = dict(xassign)
-            for j, b in enumerate(bits, start=1):
-                env[Var("z", j)] = b
-            if _holds_all(a, phi, env):
-                sols.append(bits)
-        return sols, True
     if species(a) is Signature.GROUP and phi.m == 1:
+        g = _group(a)
         rows = []
         linear = True
         for lhs, rhs in phi.equations:
@@ -633,7 +590,7 @@ def solutions_for_assignment(
             coeffs = dict(lp[0])
             for j, c in rp[0].items():
                 coeffs[j] = coeffs.get(j, 0) - c
-            rows.append((coeffs, _gadd(a, lp[1], _gneg(a, rp[1]))))
+            rows.append((coeffs, g.add(lp[1], g.neg(rp[1]))))
         if linear:
             status, zval = _solve_linear_single(a, rows)
             if status == "unique":
@@ -641,7 +598,7 @@ def solutions_for_assignment(
             if status == "none":
                 return [], True
             # every z solves: report two witnesses of non-uniqueness
-            one = _gdiv_exact(a, _gzero(a), 1)
+            one = _gdiv_exact(a, g.zero, 1)
             two = None
             for cand in candidate_pool(a, list(xassign.values()), cap):
                 if cand != one:
@@ -649,34 +606,23 @@ def solutions_for_assignment(
                     break
             sols = [(one,)] + ([(two,)] if two is not None else [])
             return sols, True
-    # bounded structured candidate search
-    pool = candidate_pool(a, list(xassign.values()), cap)
+    # bounded structured candidate search, exhaustive on the two-element model
+    exhaustive = isinstance(a, TwoMV)
+    pool = _BITS if exhaustive else candidate_pool(a, list(xassign.values()), cap)
     sols = []
-    for zs in _tuples(pool, phi.m):
+    for zs in itertools.product(pool, repeat=phi.m):
         env = dict(xassign)
         for j, zv in enumerate(zs, start=1):
             env[Var("z", j)] = zv
-        if _holds_all(a, phi, env):
+        if _holds_all(a, phi.equations, env):
             sols.append(zs)
             if len(sols) >= max_solutions:
                 break
-    return sols, False
+    return sols, exhaustive
 
 
-def _tuples(pool, m):
-    if m == 1:
-        for v in pool:
-            yield (v,)
-        return
-    import itertools
-
-    yield from itertools.product(pool, repeat=m)
-
-
-def _holds_all(a, phi, env) -> bool:
-    return all(
-        eval_term(a, lhs, env) == eval_term(a, rhs, env) for lhs, rhs in phi.equations
-    )
+def _holds_all(a, equations, env) -> bool:
+    return all(eval_term(a, lhs, env) == eval_term(a, rhs, env) for lhs, rhs in equations)
 
 
 def _structured_x(a, n: int) -> list[dict]:
@@ -689,7 +635,7 @@ def _structured_x(a, n: int) -> list[dict]:
     elif isinstance(a, GammaPerfect):
         basics = [(0, Fraction(0)), (0, Fraction(1)), (1, Fraction(-1)), (1, Fraction(0))]
     elif isinstance(a, TwoMV):
-        basics = [0, 1]
+        basics = _BITS
     out = []
     for v in basics:
         if _element_ok(a, v):
@@ -737,7 +683,7 @@ def check_efd_exhaustive(a: TwoMV, phi: EFDSentence) -> bool:
     """Exact truth of phi in the two-element model."""
     if not isinstance(a, TwoMV):
         raise ModelError("exhaustive checking requires the finite TwoMV model")
-    for xs in _tuples((0, 1), phi.n) if phi.n else [()]:
+    for xs in itertools.product(_BITS, repeat=phi.n):
         env = {Var("x", i): b for i, b in enumerate(xs, start=1)}
         sols, _ = solutions_for_assignment(a, phi, env, max_solutions=4)
         if len(sols) != 1:
@@ -750,14 +696,14 @@ def check_uniqueness_exhaustive(a: TwoMV, rule: UniquenessRule) -> bool:
     if not isinstance(a, TwoMV):
         raise ModelError("exhaustive checking requires the finite TwoMV model")
     total = rule.n + 2 * rule.m
-    for bits in _tuples((0, 1), total) if total else [()]:
+    for bits in itertools.product(_BITS, repeat=total):
         env = {}
         for i in range(1, rule.n + 1):
             env[Var("x", i)] = bits[i - 1]
         for j in range(1, 2 * rule.m + 1):
             env[Var("z", j)] = bits[rule.n + j - 1]
-        if all(_eval_two(l, env) == _eval_two(r, env) for l, r in rule.premises):
-            if not all(_eval_two(l, env) == _eval_two(r, env) for l, r in rule.conclusions):
+        if _holds_all(a, rule.premises, env):
+            if not _holds_all(a, rule.conclusions, env):
                 return False
     return True
 

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import geometry, models, terms, translate
+from . import geometry, terms, translate
 from .canonical import DeltaKT, CapExceeded, piecewise_canonical, reduce_delta_kt
 from .gen import random_rational_point, random_term
 from .geometry import IneqSystem, is_full_dimensional
@@ -47,6 +47,7 @@ from .models import (
     solutions_for_assignment,
 )
 from .terms import (
+    MVNeg,
     Plus,
     Signature,
     build_epsilon_k,
@@ -429,7 +430,7 @@ def _sign_pattern(model: GammaPerfect, values: list) -> tuple[int, ...]:
 def _negate_by(model: GammaPerfect, values: list, ebar) -> list:
     out = []
     for v, e in zip(values, ebar):
-        out.append(models._gamma_neg(model, v) if e else v)
+        out.append(eval_term(model, MVNeg(xvar(1)), {xvar(1): v}) if e else v)
     return out
 
 

@@ -8,13 +8,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canonical import (
+    ABSURD,
     DeltaKT,
     FragmentError,
     classify_group_sentences,
     DEFAULT_FORM_CAP,
 )
 from .lattice import AEClass, boolean_p, meet as class_meet, trivial_p
-from .models import TwoMV, eval_term
+from .models import TwoMV, solutions_for_assignment
 from .terms import (
     Diff,
     EFDSentence,
@@ -32,6 +33,7 @@ from .terms import (
     ZERO,
     Zero,
     is_boolean_marker,
+    max_index,
     scalar,
     xvar,
     zvar,
@@ -50,10 +52,7 @@ __all__ = [
     "simplify_hoop_term",
     "hoop_sentence_to_delta_kt",
     "classify_mv_sentences",
-    "ABSURD_MV",
 ]
-
-ABSURD_MV = "absurd"
 
 _TWO_BOUND = 20  # exhaustive 2^(n+m) bound for check_in_two
 
@@ -135,14 +134,7 @@ def check_in_two(phi: EFDSentence) -> TwoCheck:
     table = {}
     for ebar in _bits(phi.n):
         env = {xvar(i): b for i, b in enumerate(ebar, start=1)}
-        solutions = []
-        for eprime in _bits(phi.m):
-            env.update({zvar(j): b for j, b in enumerate(eprime, start=1)})
-            if all(
-                eval_term(two, lhs, env) == eval_term(two, rhs, env)
-                for lhs, rhs in phi.equations
-            ):
-                solutions.append(eprime)
+        solutions, _ = solutions_for_assignment(two, phi, env)
         if len(solutions) != 1:
             return TwoCheck(False, None, ebar)
         table[ebar] = solutions[0]
@@ -406,7 +398,7 @@ def hoop_sentence_to_delta_kt(phi: EFDSentence) -> tuple[int, Term]:
             lhs, rhs = a.left, a.right
     for u, v in ((lhs, rhs), (rhs, lhs)):
         k = _kz1(u)
-        if k is not None and not _mentions_z(v):
+        if k is not None and max_index(v, "z") == 0:
             return (k, v)
     raise FragmentError(f"not a delta_{{k,t}} shape: {phi.equations[0]!r}")
 
@@ -426,16 +418,6 @@ def _kz1(t: Term) -> int | None:
     return None
 
 
-def _mentions_z(t: Term) -> bool:
-    if isinstance(t, Var):
-        return t.kind == "z"
-    if isinstance(t, Zero):
-        return False
-    if isinstance(t, (Plus, Join, Meet, Diff)):
-        return _mentions_z(t.left) or _mentions_z(t.right)
-    return _mentions_z(t.arg)
-
-
 @dataclass(frozen=True)
 class MVClassification:
     ae_class: AEClass
@@ -452,7 +434,7 @@ def classify_mv_sentences(
     deltas: list[DeltaKT] = []
     boolean = False
     for item in sentences:
-        if item == ABSURD_MV:
+        if item == ABSURD:
             return MVClassification(trivial_p(), ("absurd marker",))
         if isinstance(item, Identity):
             if is_boolean_marker(item):

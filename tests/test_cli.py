@@ -217,6 +217,34 @@ class TestExitCodes:
         assert code == 0
         assert payload["meet"] == {"family": "G", "class": "divisible", "primes": [2, 3]}
 
+    @pytest.mark.parametrize(
+        "argv,budget",
+        [
+            (("parse", "--sig", "group", "--term", "x1"), "0"),
+            (("canon", "x1"), "-1"),
+            (("reduce", "--k", "2", "--term", "x1"), "0"),
+            (("classify", "--sig", "group", "--sentence", "delta 2"), "0"),
+            (("translate", "--direction", "star", "--term", "x1"), "0"),
+            (("decompose", "--sentence", "epsilon 2"), "0"),
+            (("fulldim", "--rows", "1,0;0,1"), "0"),
+            (("eval", "--model", "q", "--term", "x1", "--assign", "x1=1"), "0"),
+            (("check", "--model", "q", "--sentence", "delta 2"), "0"),
+            (("check", "--model", "gamma(q)", "--sentence", "epsilon 2",
+              "--no-shortcut"), "-5"),
+            (("lattice", "--op", "meet", "--left", "trivial", "--right", "trivial"), "0"),
+            (("axioms", "--base", "lp", "--primes", "2"), "0"),
+            (("selftest", "piecewise"), "0"),
+            (("selftest", "piecewise"), "-3"),
+        ],
+    )
+    def test_budget_below_one_is_2(self, capsys, argv, budget):
+        code = run([*argv, "--budget", budget])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--budget must be >= 1" in captured.err
+        assert run([*argv, "--budget", "1"]) == 0  # the same argv is valid otherwise
+
     def test_zero_denominator_is_2(self, capsys):
         code = run(["eval", "--model", "q", "--term", "x1", "--assign", "x1=1/0"])
         captured = capsys.readouterr()

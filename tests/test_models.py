@@ -33,7 +33,12 @@ from efdkit.models import (
     species,
 )
 from efdkit.terms import (
+    Diff,
+    Join,
+    Meet,
     MVNeg,
+    Neg,
+    Plus,
     Power,
     Scalar,
     Signature,
@@ -61,6 +66,89 @@ def _ev(model, text, sig, **vals):
 
         env[Var(kind, idx)] = v
     return eval_term(model, t, env)
+
+
+_X1, _X2 = xvar(1), xvar(2)
+
+# one term per species, using every node type its evaluator admits
+_EVERY_NODE = {
+    # (2 x1 + -x2 \/ x1 /\ 0) + -3 (x2 /\ -x1)
+    Signature.GROUP: Plus(
+        Join(Plus(Scalar(2, _X1), Neg(_X2)), Meet(_X1, ZERO)),
+        Scalar(-3, Meet(_X2, Neg(_X1))),
+    ),
+    # (2 x1 -. x2 \/ x1 /\ x2) + (0 -. x1 + 3 (x2 -. x1))
+    Signature.HOOP: Plus(
+        Join(Diff(Scalar(2, _X1), _X2), Meet(_X1, _X2)),
+        Plus(Diff(ZERO, _X1), Scalar(3, Diff(_X2, _X1))),
+    ),
+    # 2 x1 + 0 /\ ~x2 \/ x2^2 -. x1
+    Signature.MV: Join(
+        Meet(Plus(Scalar(2, _X1), ZERO), MVNeg(_X2)), Diff(Power(2, _X2), _X1)
+    ),
+}
+
+
+class TestEveryNodeEveryModel:
+    """Exact values, with their Python types, of the per-species term in each
+    kind of witness algebra."""
+
+    @pytest.mark.parametrize(
+        "descriptor,x1,x2,expected",
+        [
+            ("z", "3", "-5", "Fraction(26, 1)"),
+            ("z", "-2", "4", "Fraction(-8, 1)"),
+            ("q", "3/2", "-5/3", "Fraction(29, 3)"),
+            ("q", "-1/2", "1/4", "Fraction(-5, 4)"),
+            ("qs:2,3", "5/6", "-7/4", "Fraction(26, 3)"),
+            ("qs:2,3", "-1/9", "1/8", "Fraction(-4, 9)"),
+            ("lex(z,qs:2)", "(1, -1/2)", "(1, 3/4)", "(Fraction(4, 1), Fraction(-13, 4))"),
+            ("lex(z,qs:2)", "(-1, 5)", "(0, -1/4)", "(Fraction(-1, 1), Fraction(23, 4))"),
+            ("cone(q)", "3/2", "1/3", "Fraction(8, 3)"),
+            ("cone(q)", "1/4", "7/2", "Fraction(10, 1)"),
+            ("gamma(qs:2,3)", "(0, 1/6)", "(1, -1/4)", "(1, Fraction(-2, 3))"),
+            ("gamma(qs:2,3)", "(1, -1/2)", "(0, 3/8)", "(1, Fraction(-3, 8))"),
+            ("gamma(qs:2,3)", "(0, 1/8)", "(0, 1/9)", "(0, Fraction(1, 4))"),
+            ("gamma(qs:2,3)", "(1, -1/6)", "(1, -1/3)", "(0, Fraction(1, 3))"),
+            ("gamma(qs:2,3)", "(0, 0)", "(1, -1/12)", "(1, Fraction(-1, 6))"),
+            ("gamma(qs:2,3)", "(1, -1/3)", "(1, -1/2)", "(0, Fraction(1, 2))"),
+            ("gamma(qs:2,3)", "(1, -2)", "(1, -1/4)", "(0, Fraction(3, 2))"),
+            ("gamma(qs:2,3)", "(0, 1/2)", "(1, -2)", "(1, Fraction(-9, 2))"),
+            ("two", "0", "1", "1"),
+            ("two", "1", "0", "1"),
+            ("two", "0", "0", "0"),
+            ("two", "1", "1", "0"),
+        ],
+    )
+    def test_pinned_value(self, descriptor, x1, x2, expected):
+        a = parse_model(descriptor)
+        env = {_X1: parse_element(a, x1), _X2: parse_element(a, x2)}
+        assert repr(eval_term(a, _EVERY_NODE[species(a)], env)) == expected
+
+    @pytest.mark.parametrize(
+        "descriptor,term",
+        [
+            ("z", MVNeg(_X1)),
+            ("q", Diff(_X1, _X1)),
+            ("lex(z,qs:2)", Power(2, _X1)),
+            ("cone(q)", Neg(_X1)),
+            ("cone(q)", MVNeg(_X1)),
+            ("gamma(q)", Neg(_X1)),
+            ("two", Neg(_X1)),
+        ],
+    )
+    def test_node_outside_the_species_is_a_model_error(self, descriptor, term):
+        a = parse_model(descriptor)
+        env = {_X1: sample_elements(a, 1, seed=0)[0]}
+        with pytest.raises(ModelError):
+            eval_term(a, term, env)
+
+    @pytest.mark.parametrize("descriptor", ["cone(q)", "gamma(q)", "two"])
+    def test_negative_scalar_is_a_model_error(self, descriptor):
+        a = parse_model(descriptor)
+        env = {_X1: sample_elements(a, 1, seed=0)[0]}
+        with pytest.raises(ModelError):
+            eval_term(a, Scalar(-2, _X1), env)
 
 
 class TestLocalizedRationals:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from efdkit.canonical import DeltaKT, FragmentError
+from efdkit.canonical import ABSURD, DeltaKT, FragmentError
 from efdkit.gen import random_term
 from efdkit.lattice import PrimeSet, boolean_p, divisible_p, trivial_p
 from efdkit.models import (
@@ -31,7 +31,6 @@ from efdkit.terms import (
     zvar,
 )
 from efdkit.translate import (
-    ABSURD_MV,
     RadBasicSentence,
     check_in_two,
     classify_mv_sentences,
@@ -182,7 +181,7 @@ class TestMVClassification:
         assert result.ae_class == boolean_p()
 
     def test_absurd_marker(self):
-        result = classify_mv_sentences([ABSURD_MV])
+        result = classify_mv_sentences([ABSURD])
         assert result.ae_class == trivial_p()
 
     def test_empty_set_is_top(self):
