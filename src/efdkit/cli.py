@@ -521,14 +521,12 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    names = list(selftest_mod.SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in selftest_mod.SUITES:
-            raise ValueError(f"unknown suite {name!r}")
-    reports = [
-        selftest_mod.run_suite(name, seed=args.seed, budget=args.budget)
-        for name in names
-    ]
+    if args.suite == "all":
+        reports = selftest_mod.run_all(seed=args.seed, budget=args.budget)
+    elif args.suite in selftest_mod.SUITES:
+        reports = [selftest_mod.run_suite(args.suite, seed=args.seed, budget=args.budget)]
+    else:
+        raise ValueError(f"unknown suite {args.suite!r}")
     _emit(
         args,
         "selftest",
@@ -558,10 +556,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sig=False, sentences=False, cap=False):
+    def common(p, sig=False, sentences=False, cap=False, budget_help=None):
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--budget", type=int, default=None, help=budget_help)
         if sig:
             p.add_argument("--sig", choices=tuple(_SIGS), required=True)
         if sentences:
@@ -627,7 +625,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", required=True, help='e.g. "2,3"')
 
     p = sub.add_parser("selftest", help="run the property suites")
-    common(p)
+    common(
+        p,
+        budget_help="samples for a sampled suite; with 'all' it applies to the "
+        "sampled suites only, and a suite that is exhaustive over a fixed set "
+        "rejects it",
+    )
     p.add_argument("suite", nargs="?", default="all")
 
     return parser

@@ -534,31 +534,37 @@ def _gdiv_exact(a, value, c: int):
 
 def candidate_pool(a, xvals: list, cap: int = 12) -> list:
     """Structured z-candidates derived from an x-assignment: zero, the x
-    values, their small integer divisions, and MV negations where defined."""
-    out = []
+    values, their small integer divisions, and MV negations where defined.
+    Sorted, without repeats, and every candidate is an element of a."""
     if isinstance(a, TwoMV):
         return list(_BITS)
     if isinstance(a, GammaPerfect):
         rationals = {Fraction(0)}
         for (_, q) in xvals:
-            for d in range(1, cap + 1):
-                rationals.add(abs(Fraction(q)) / d)
+            q = abs(Fraction(q))
+            rationals.update(q / d for d in range(1, cap + 1))
+        # q >= 0, so (0, q) and (1, -q) lie in Gamma iff q lies in the inner group
+        out = []
         for q in sorted(rationals):
-            for e in ((0, q), (1, -q)):
-                if e not in out and _element_ok(a, e):
-                    out.append(e)
+            if _element_ok(a.inner, q):
+                out.append((0, q))
+                out.append((1, -q))
         return out
-    inner = a.inner if isinstance(a, PositiveCone) else a
+    cone = isinstance(a, PositiveCone)
+    inner = a.inner if cone else a
     g = _group(inner)
     values = {g.zero}
     for v in xvals:
         for d in range(1, cap + 1):
-            w = _gdiv_exact(inner, v, d)
-            if w is not None:
+            w = _gdiv_exact(inner, v, d)  # in the inner group, and so is -w
+            if w is None:
+                continue
+            if cone:
+                values.add(g.join(w, g.neg(w)))
+            else:
                 values.add(w)
                 values.add(g.neg(w))
-    out = [v for v in sorted(values) if _element_ok(a, v)]
-    return out
+    return sorted(values)
 
 
 def _element_ok(a, e) -> bool:
@@ -569,6 +575,14 @@ def _element_ok(a, e) -> bool:
     return True
 
 
+def _nonzero(a):
+    """A fixed nonzero element of the group model a: 1 in a scalar group,
+    and in a lex product that of the left factor paired with zero."""
+    if isinstance(a, LexProduct):
+        return (_nonzero(a.left), _group(a.right).zero)
+    return Fraction(1)
+
+
 def solutions_for_assignment(
     a, phi: EFDSentence, xassign: dict, cap: int = 12, max_solutions: int = 2
 ):
@@ -577,48 +591,109 @@ def solutions_for_assignment(
     Returns (solutions, exact): exact is True when the answer is complete
     (exhaustive domain or exact linear solve), False for candidate search.
     """
-    if species(a) is Signature.GROUP and phi.m == 1:
+    return _Solver(a, phi, cap, max_solutions).solve(xassign)
+
+
+_MISSING = object()
+
+
+class _Side:
+    """One equation side and its memo: x-values of its free variables ->
+    z-values of its free variables -> the side's value."""
+
+    __slots__ = ("term", "xvars", "zkey", "memo")
+
+    def __init__(self, term: Term):
+        fv = free_vars(term)
+        self.term = term
+        self.xvars = tuple(sorted((v for v in fv if v.kind == "x"), key=lambda v: v.index))
+        zpos = sorted(v.index - 1 for v in fv if v.kind == "z")
+        self.zkey = operator.itemgetter(*zpos) if zpos else (lambda zs: ())
+        self.memo = {}
+
+
+class _Solver:
+    """solutions_for_assignment for one sentence in one algebra, one
+    x-assignment after another.  A check builds one and drops it when it
+    returns, so the memo of each equation side lives for that check only:
+    the side is evaluated once per distinct tuple of values of its own free
+    variables (t_k(z1) once per z1, x1 once per assignment), in the order of
+    the plain search, so an evaluation error surfaces at the same point."""
+
+    def __init__(self, a, phi: EFDSentence, cap: int = 12, max_solutions: int = 2):
+        self.a, self.phi, self.cap, self.max_solutions = a, phi, cap, max_solutions
+        self.linear = species(a) is Signature.GROUP and phi.m == 1
+        self.exhaustive = isinstance(a, TwoMV)
+        self.zvars = tuple(Var("z", j) for j in range(1, phi.m + 1))
+        self.sides = [(_Side(lhs), _Side(rhs)) for lhs, rhs in phi.equations]
+
+    def solve(self, xassign: dict):
+        if self.linear:
+            found = self._solve_linear(xassign)
+            if found is not None:
+                return found
+        # bounded structured candidate search, exhaustive on the two-element model
+        if self.exhaustive:
+            pool = _BITS
+        else:
+            pool = candidate_pool(self.a, list(xassign.values()), self.cap)
+        return self._search(xassign, pool), self.exhaustive
+
+    def _solve_linear(self, xassign: dict):
+        """The exact solve of group equations linear in z1, or None when a
+        z-variable sits under a lattice operation."""
+        a = self.a
         g = _group(a)
         rows = []
-        linear = True
-        for lhs, rhs in phi.equations:
+        for lhs, rhs in self.phi.equations:
             lp = _linear_part(a, lhs, xassign)
             rp = _linear_part(a, rhs, xassign)
             if lp is None or rp is None:
-                linear = False
-                break
+                return None
             coeffs = dict(lp[0])
             for j, c in rp[0].items():
                 coeffs[j] = coeffs.get(j, 0) - c
             rows.append((coeffs, g.add(lp[1], g.neg(rp[1]))))
-        if linear:
-            status, zval = _solve_linear_single(a, rows)
-            if status == "unique":
-                return [(zval,)], True
-            if status == "none":
-                return [], True
-            # every z solves: report two witnesses of non-uniqueness
-            one = _gdiv_exact(a, g.zero, 1)
-            two = None
-            for cand in candidate_pool(a, list(xassign.values()), cap):
-                if cand != one:
-                    two = cand
+        status, zval = _solve_linear_single(a, rows)
+        if status == "unique":
+            return [(zval,)], True
+        if status == "none":
+            return [], True
+        # every z solves: report two witnesses of non-uniqueness
+        pool = candidate_pool(a, list(xassign.values()), self.cap)
+        other = next((z for z in pool if z != g.zero), None)
+        if other is None:  # the pool is {0}: every x is zero, or there is none
+            other = _nonzero(a)
+        return [(g.zero,), (other,)], True
+
+    def _search(self, xassign: dict, pool) -> list:
+        a, zvars = self.a, self.zvars
+        # per side: (term, z-key, the memo table of this assignment's x-values)
+        tables = [
+            tuple(
+                (s.term, s.zkey, s.memo.setdefault(tuple(map(xassign.get, s.xvars)), {}))
+                for s in eq
+            )
+            for eq in self.sides
+        ]
+
+        def value(side, zs):
+            term, zkey, table = side
+            key = zkey(zs)
+            v = table.get(key, _MISSING)
+            if v is _MISSING:
+                env = dict(xassign)
+                env.update(zip(zvars, zs))
+                v = table[key] = eval_term(a, term, env)
+            return v
+
+        sols = []
+        for zs in itertools.product(pool, repeat=self.phi.m):
+            if all(value(lhs, zs) == value(rhs, zs) for lhs, rhs in tables):
+                sols.append(zs)
+                if len(sols) >= self.max_solutions:
                     break
-            sols = [(one,)] + ([(two,)] if two is not None else [])
-            return sols, True
-    # bounded structured candidate search, exhaustive on the two-element model
-    exhaustive = isinstance(a, TwoMV)
-    pool = _BITS if exhaustive else candidate_pool(a, list(xassign.values()), cap)
-    sols = []
-    for zs in itertools.product(pool, repeat=phi.m):
-        env = dict(xassign)
-        for j, zv in enumerate(zs, start=1):
-            env[Var("z", j)] = zv
-        if _holds_all(a, phi.equations, env):
-            sols.append(zs)
-            if len(sols) >= max_solutions:
-                break
-    return sols, exhaustive
+        return sols
 
 
 def _holds_all(a, equations, env) -> bool:
@@ -643,6 +718,25 @@ def _structured_x(a, n: int) -> list[dict]:
     return out
 
 
+def _sampled_x(a, n: int, seed: int):
+    """Random x-assignments, drawn one at a time from one seeded stream."""
+    rng = random.Random(seed)
+    while True:
+        yield {Var("x", i): _sample_one(a, rng, 12) for i in range(1, n + 1)}
+
+
+def _distinct(assignments):
+    """The assignments whose x-values did not occur before.  A check stops
+    at its first failing assignment, so a repeat was already decided, and
+    passed, at its first occurrence."""
+    seen = set()
+    for env in assignments:
+        key = tuple(env.values())
+        if key not in seen:
+            seen.add(key)
+            yield env
+
+
 def check_sentence_sampled(
     a, phi: EFDSentence, budget: int = 500, seed: int = 0
 ) -> Verdict:
@@ -650,21 +744,19 @@ def check_sentence_sampled(
     x-assignments.  Exact per-sample solving is used where the equations are
     group-linear in the z-block or the model is finite; otherwise a bounded
     structured candidate set is searched and the verdict is tagged sampled.
+    The structured assignments come first, then random ones, up to budget;
+    each distinct assignment is solved once.
     """
     if species(a) is not phi.signature:
         raise ModelError(
             f"signature mismatch: {phi.signature.value} sentence on a "
             f"{species(a).value} model"
         )
-    rng = random.Random(seed)
-    assignments = _structured_x(a, phi.n)
-    while len(assignments) < max(budget, 1):
-        assignments.append(
-            {Var("x", i): _sample_one(a, rng, 12) for i in range(1, phi.n + 1)}
-        )
+    solver = _Solver(a, phi)
+    assignments = itertools.chain(_structured_x(a, phi.n), _sampled_x(a, phi.n, seed))
     all_exact = True
-    for env in assignments[: max(budget, 1)]:
-        sols, exact = solutions_for_assignment(a, phi, env)
+    for env in _distinct(itertools.islice(assignments, max(budget, 1))):
+        sols, exact = solver.solve(env)
         all_exact = all_exact and exact
         if len(sols) >= 2:
             return Verdict(
@@ -683,9 +775,9 @@ def check_efd_exhaustive(a: TwoMV, phi: EFDSentence) -> bool:
     """Exact truth of phi in the two-element model."""
     if not isinstance(a, TwoMV):
         raise ModelError("exhaustive checking requires the finite TwoMV model")
+    solver = _Solver(a, phi, max_solutions=4)
     for xs in itertools.product(_BITS, repeat=phi.n):
-        env = {Var("x", i): b for i, b in enumerate(xs, start=1)}
-        sols, _ = solutions_for_assignment(a, phi, env, max_solutions=4)
+        sols, _ = solver.solve({Var("x", i): b for i, b in enumerate(xs, start=1)})
         if len(sols) != 1:
             return False
     return True
@@ -711,11 +803,11 @@ def check_uniqueness_exhaustive(a: TwoMV, rule: UniquenessRule) -> bool:
 def check_uniqueness_sampled(
     a, phi: EFDSentence, budget: int = 500, seed: int = 0
 ) -> Verdict:
-    """Sampled check that phi admits at most one z-solution per x-assignment."""
-    rng = random.Random(seed)
-    for _ in range(budget):
-        env = {Var("x", i): _sample_one(a, rng, 12) for i in range(1, phi.n + 1)}
-        sols, exact = solutions_for_assignment(a, phi, env)
+    """Sampled check that phi admits at most one z-solution per x-assignment;
+    each distinct sampled assignment is solved once."""
+    solver = _Solver(a, phi)
+    for env in _distinct(itertools.islice(_sampled_x(a, phi.n, seed), budget)):
+        sols, exact = solver.solve(env)
         if len(sols) >= 2:
             return Verdict("falsified", exact, (env, sols[:2]), "uniqueness violated")
     return Verdict("consistent-on-sample", False)

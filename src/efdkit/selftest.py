@@ -5,6 +5,7 @@ and a counterexample on failure.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
@@ -159,7 +160,7 @@ def _delta_kt_on_qs_sampled(k: int, t, n: int, S: frozenset[int]) -> bool:
     return True
 
 
-def suite_reduction_oracle(seed: int = DEFAULT_SEED, budget: int = 0) -> SuiteReport:
+def suite_reduction_oracle(seed: int = DEFAULT_SEED) -> SuiteReport:
     """delta_{k,t} ~ delta_{k'}: the Q_S oracle agrees with primes(k')
     membership for every instance and every S in 2^{2,3,5}."""
     report = SuiteReport("reduction-oracle")
@@ -396,7 +397,7 @@ def suite_star_transfer(seed: int = DEFAULT_SEED, budget: int = 100) -> SuiteRep
 # 6. MV classification
 
 
-def suite_mv_classification(seed: int = DEFAULT_SEED, budget: int = 0) -> SuiteReport:
+def suite_mv_classification(seed: int = DEFAULT_SEED) -> SuiteReport:
     report = SuiteReport("mv-classification")
     for k in range(1, 13):
         result = translate.classify_mv_sentences([build_epsilon_k(k)])
@@ -633,14 +634,26 @@ SUITES = {
 }
 
 
+def _sampled(fn) -> bool:
+    """A suite that takes a budget samples; the others are exhaustive over
+    fixed sets."""
+    return "budget" in inspect.signature(fn).parameters
+
+
 def run_suite(name: str, seed: int = DEFAULT_SEED, budget: int | None = None) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     fn = SUITES[name]
     if budget is None:
         return fn(seed=seed)
+    if not _sampled(fn):
+        raise ValueError(f"suite {name!r} is exhaustive over a fixed set and takes no budget")
     return fn(seed=seed, budget=budget)
 
 
-def run_all(seed: int = DEFAULT_SEED) -> list[SuiteReport]:
-    return [run_suite(name, seed=seed) for name in SUITES]
+def run_all(seed: int = DEFAULT_SEED, budget: int | None = None) -> list[SuiteReport]:
+    """Every suite; a budget applies to the sampled suites only."""
+    return [
+        run_suite(name, seed=seed, budget=budget if _sampled(fn) else None)
+        for name, fn in SUITES.items()
+    ]

@@ -15,7 +15,7 @@ from .canonical import (
     DEFAULT_FORM_CAP,
 )
 from .lattice import AEClass, boolean_p, meet as class_meet, trivial_p
-from .models import TwoMV, solutions_for_assignment
+from .models import TwoMV, _Solver
 from .terms import (
     Diff,
     EFDSentence,
@@ -130,11 +130,10 @@ def check_in_two(phi: EFDSentence) -> TwoCheck:
         raise FragmentError("check_in_two expects an MV sentence")
     if phi.n + phi.m > _TWO_BOUND:
         raise FragmentError(f"exhaustive bound n + m <= {_TWO_BOUND} exceeded")
-    two = TwoMV()
+    solver = _Solver(TwoMV(), phi)
     table = {}
     for ebar in _bits(phi.n):
-        env = {xvar(i): b for i, b in enumerate(ebar, start=1)}
-        solutions, _ = solutions_for_assignment(two, phi, env)
+        solutions, _ = solver.solve({xvar(i): b for i, b in enumerate(ebar, start=1)})
         if len(solutions) != 1:
             return TwoCheck(False, None, ebar)
         table[ebar] = solutions[0]

@@ -245,12 +245,56 @@ class TestExitCodes:
         assert "--budget must be >= 1" in captured.err
         assert run([*argv, "--budget", "1"]) == 0  # the same argv is valid otherwise
 
+    @pytest.mark.parametrize("suite", ["reduction-oracle", "mv-classification"])
+    def test_budget_on_an_exhaustive_suite_is_2(self, capsys, suite):
+        code = run(["selftest", suite, "--budget", "50"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"suite {suite!r} is exhaustive" in captured.err
+
+    def test_selftest_all_budget_goes_to_the_sampled_suites(self, capsys, monkeypatch):
+        from efdkit import selftest
+
+        calls = []
+
+        def sampled(seed, budget=10):
+            calls.append(("sampled", budget))
+            return selftest.SuiteReport("sampled")
+
+        def exhaustive(seed):
+            calls.append(("exhaustive", None))
+            return selftest.SuiteReport("exhaustive")
+
+        monkeypatch.setattr(selftest, "SUITES", {"sampled": sampled, "exhaustive": exhaustive})
+        code, payload = invoke_json(capsys, "selftest", "all", "--budget", "3")
+        assert code == 0
+        assert [s["suite"] for s in payload["suites"]] == ["sampled", "exhaustive"]
+        assert calls == [("sampled", 3), ("exhaustive", None)]
+
     def test_zero_denominator_is_2(self, capsys):
         code = run(["eval", "--model", "q", "--term", "x1", "--assign", "x1=1/0"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert "zero denominator" in captured.err
+
+
+class TestEverySolutionCounts:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--sentence", "exists! z1 : z1 + -z1 = 0"),
+            ("--sentence", "forall x1 exists! z1 : z1 + -z1 = 0", "--budget", "1"),
+        ],
+    )
+    def test_every_z_solving_is_falsified(self, capsys, argv):
+        code, payload = invoke_json(capsys, "check", "--model", "q", *argv)
+        assert code == 4
+        verdict = payload["verdict"]
+        assert verdict["status"] == "falsified"
+        assert verdict["confidence"] == "exact"
+        assert verdict["detail"] == "two distinct z-solutions"
 
 
 class TestDeterminism:

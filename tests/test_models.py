@@ -1,8 +1,11 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import efdkit.models as models
 from efdkit.gen import random_term
 from efdkit.models import (
     GammaPerfect,
@@ -13,6 +16,8 @@ from efdkit.models import (
     PositiveCone,
     RationalGroup,
     TwoMV,
+    Verdict,
+    candidate_pool,
     check_efd_exhaustive,
     check_element,
     check_sentence_sampled,
@@ -369,6 +374,21 @@ class TestSentenceChecking:
         assert verdict.status == "falsified"
         assert "two distinct" in verdict.detail
 
+    @pytest.mark.parametrize("descriptor", ["z", "q", "qs:3", "lex(z,q)", "lex(lex(z,q),qs:2)"])
+    @pytest.mark.parametrize(
+        "text", ["exists! z1 : z1 + -z1 = 0", "forall x1 exists! z1 : z1 + -z1 = 0"]
+    )
+    def test_every_z_solves_with_a_zero_pool(self, descriptor, text):
+        """Two distinct member solutions even when every x is zero."""
+        a = parse_model(descriptor)
+        phi = parse_sentence(text, Signature.GROUP)
+        env = {xvar(i): eval_term(a, ZERO, {}) for i in range(1, phi.n + 1)}
+        sols, exact = solutions_for_assignment(a, phi, env)
+        assert exact
+        assert len(sols) == 2 and sols[0] != sols[1]
+        for (z,) in sols:
+            check_element(a, z)
+
     def test_epsilon_solutions_on_gamma(self):
         sols, _ = solutions_for_assignment(
             GQ, build_epsilon_k(2), {xvar(1): (0, Fraction(1))}
@@ -424,3 +444,198 @@ class TestDescriptors:
             a = parse_model(text)
             for e in sample_elements(a, 30, seed=1):
                 check_element(a, e)
+
+
+# ---------------------------------------------------------------------------
+# The plain search: every x-assignment drawn up front and solved from
+# scratch, a candidate pool filtered element by element, and every equation
+# evaluated in full for every candidate.  It is the reference for the
+# per-sentence solver behind check_sentence_sampled.
+
+
+def _member(a, e) -> bool:
+    try:
+        check_element(a, e)
+    except ModelError:
+        return False
+    return True
+
+
+def _plain_pool(a, xvals, cap=12):
+    out = []
+    if isinstance(a, TwoMV):
+        return [0, 1]
+    if isinstance(a, GammaPerfect):
+        rationals = {Fraction(0)}
+        for (_, q) in xvals:
+            for d in range(1, cap + 1):
+                rationals.add(abs(Fraction(q)) / d)
+        for q in sorted(rationals):
+            for e in ((0, q), (1, -q)):
+                if e not in out and _member(a, e):
+                    out.append(e)
+        return out
+    inner = a.inner if isinstance(a, PositiveCone) else a
+    g = models._group(inner)
+    values = {g.zero}
+    for v in xvals:
+        for d in range(1, cap + 1):
+            w = models._gdiv_exact(inner, v, d)
+            if w is not None:
+                values.add(w)
+                values.add(g.neg(w))
+    return [v for v in sorted(values) if _member(a, v)]
+
+
+def _plain_solutions(a, phi, xassign, cap=12, max_solutions=2):
+    if species(a) is Signature.GROUP and phi.m == 1:
+        g = models._group(a)
+        rows = []
+        linear = True
+        for lhs, rhs in phi.equations:
+            lp = models._linear_part(a, lhs, xassign)
+            rp = models._linear_part(a, rhs, xassign)
+            if lp is None or rp is None:
+                linear = False
+                break
+            coeffs = dict(lp[0])
+            for j, c in rp[0].items():
+                coeffs[j] = coeffs.get(j, 0) - c
+            rows.append((coeffs, g.add(lp[1], g.neg(rp[1]))))
+        if linear:
+            status, zval = models._solve_linear_single(a, rows)
+            if status == "unique":
+                return [(zval,)], True
+            if status == "none":
+                return [], True
+            raise AssertionError("the reference sentences have no free z")
+    exhaustive = isinstance(a, TwoMV)
+    pool = [0, 1] if exhaustive else _plain_pool(a, list(xassign.values()), cap)
+    sols = []
+    for zs in itertools.product(pool, repeat=phi.m):
+        env = dict(xassign)
+        for j, zv in enumerate(zs, start=1):
+            env[Var("z", j)] = zv
+        if all(eval_term(a, lhs, env) == eval_term(a, rhs, env) for lhs, rhs in phi.equations):
+            sols.append(zs)
+            if len(sols) >= max_solutions:
+                break
+    return sols, exhaustive
+
+
+def _plain_check(a, phi, budget, seed):
+    rng = random.Random(seed)
+    assignments = models._structured_x(a, phi.n)
+    while len(assignments) < max(budget, 1):
+        assignments.append(
+            {Var("x", i): models._sample_one(a, rng, 12) for i in range(1, phi.n + 1)}
+        )
+    all_exact = True
+    for env in assignments[: max(budget, 1)]:
+        sols, exact = _plain_solutions(a, phi, env)
+        all_exact = all_exact and exact
+        if len(sols) >= 2:
+            return Verdict("falsified", exact, (dict(env), sols[:2]), "two distinct z-solutions")
+        if not sols:
+            if exact:
+                return Verdict("falsified", all_exact, dict(env), "no z-solution")
+            return Verdict("falsified", False, dict(env), "no z-solution among candidates")
+    return Verdict("consistent-on-sample", all_exact)
+
+
+_REFERENCE_SENTENCES = {
+    Signature.MV: [
+        "epsilon 2",
+        "epsilon 3",
+        "forall x1 exists! z1 z2 : z1 + z2 = x1 & z1 -. z2 = z2 -. z1",
+        "forall x1 exists! z1 : z1 + z1 = x1 & z1 -. x1 = 0",
+        "forall x1 exists! z1 z2 : z1 + z2 = x1",
+    ],
+    Signature.GROUP: [
+        "delta 2",
+        "delta 3",
+        "forall x1 x2 exists! z1 z2 : z1 + z2 = x1 & z1 + -z2 = x2",
+        r"forall x1 exists! z1 : 2 z1 = x1 & (z1 \/ 0) + (z1 /\ 0) = z1",
+        r"forall x1 exists! z1 : z1 \/ 0 = x1 \/ 0",
+    ],
+    Signature.HOOP: [
+        "delta 2",
+        "delta 3",
+        "forall x1 exists! z1 z2 : z1 + z2 = x1 & z1 -. z2 = z2 -. z1",
+        "forall x1 exists! z1 : 2 z1 = x1 & z1 -. x1 = 0",
+        "forall x1 exists! z1 : z1 -. x1 = 0",
+    ],
+}
+_REFERENCE_MODELS = [
+    "gamma(q)", "gamma(qs:2,3)", "gamma(z)", "cone(q)", "cone(qs:2)", "q", "lex(z,q)", "two"
+]
+
+
+def _reference_sentence(text, sig):
+    head, _, k = text.partition(" ")
+    if head == "epsilon":
+        return build_epsilon_k(int(k))
+    if head == "delta":
+        return build_delta_k(int(k), sig)
+    return parse_sentence(text, sig)
+
+
+class TestSolverAgainstPlainSearch:
+    @pytest.mark.parametrize("descriptor", _REFERENCE_MODELS)
+    @pytest.mark.parametrize("budget", [1, 7, 50])
+    def test_same_verdict(self, descriptor, budget):
+        a = parse_model(descriptor)
+        sig = species(a)
+        for text in _REFERENCE_SENTENCES[sig]:
+            phi = _reference_sentence(text, sig)
+            for seed in (0, 3, 17):
+                expected = _plain_check(a, phi, budget, seed)
+                got = check_sentence_sampled(a, phi, budget=budget, seed=seed)
+                assert got == expected, (text, seed)
+                assert repr(got) == repr(expected), (text, seed)
+
+    @pytest.mark.parametrize("descriptor", _REFERENCE_MODELS + ["lex(z,qs:2)", "cone(lex(z,q))"])
+    def test_candidate_pool_is_the_filtered_pool(self, descriptor):
+        a = parse_model(descriptor)
+        rng = random.Random(descriptor)
+        for trial in range(40):
+            xvals = sample_elements(a, rng.randint(1, 3), seed=trial)
+            cap = rng.randint(1, 12)
+            assert repr(candidate_pool(a, xvals, cap)) == repr(_plain_pool(a, xvals, cap))
+
+
+class TestSolverWork:
+    """Deterministic work counts of one sampled check; the parent search made
+    100 pool calls and 4,864 evaluations here, and drew all 192 samples
+    before the first solve."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+        for name in ("candidate_pool", "eval_term", "_sample_one"):
+            original = getattr(models, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(models, name, counted)
+        return counts
+
+    def test_each_distinct_assignment_is_solved_once(self, counts):
+        verdict = check_sentence_sampled(GQ, build_epsilon_k(3), budget=100, seed=0)
+        assert verdict.status == "consistent-on-sample"
+        assert counts["candidate_pool"] == 67
+        assert counts["eval_term"] == 625
+        # 96 sampled pairs, each drawing its inner rational
+        assert counts["_sample_one"] == 192
+        structured = [(0, 0), (0, 1), (1, -1), (1, 0)]
+        assert len(set(structured + sample_elements(GQ, 96, seed=0))) == 67
+
+    def test_sampling_is_lazy(self, counts):
+        phi = parse_sentence("forall x1 exists! z1 : z1 -. z1 = x1", Signature.MV)
+        verdict = check_sentence_sampled(GQ, phi, budget=100, seed=0)
+        assert verdict.status == "falsified"
+        assert verdict.witness[0] == {_X1: (0, Fraction(0))}
+        assert counts["_sample_one"] == 0
+        assert counts["candidate_pool"] == 1
