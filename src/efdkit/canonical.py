@@ -12,8 +12,8 @@ from typing import Union
 from .geometry import (
     IneqSystem,
     LinearForm,
+    feasible_point,
     gcd_all,
-    is_full_dimensional,
     normalize_row,
 )
 from .lattice import AEClass, PrimeSet, divisible_g, prime_factors, trivial_g
@@ -197,12 +197,22 @@ def collect_forms(lt: LatticeTerm) -> list[LinearForm]:
 def piecewise_canonical(
     t: Term, n: int | None = None, cap: int = DEFAULT_FORM_CAP
 ) -> PiecewiseLinear:
-    """Enumerate the full-dimensional chain orderings of the distinct linear
-    forms of t and resolve the lattice structure inside each chain.
+    """Cells of t, refined bottom-up over its lattice normal form.
 
-    Chains whose ordering constraints already fail full-dimensionality are
-    pruned before extension; within a chain, meet picks the earlier form and
-    join the later one.
+    A leaf is one cell, the whole space with its form.  A join or meet
+    intersects every cell of its left child with every cell of its right
+    child and keeps the full-dimensional intersections; where the two forms
+    f and g differ, the row r = f - g splits the intersection into r >= 0
+    and -r >= 0, each half taking the larger form under a join and the
+    smaller under a meet.  Every cell is a full-dimensional cone on which t
+    is the cell's form, and the cells cover Q^n.
+
+    Each full-dimensionality verdict is one LP, the joint interior probe of
+    is_full_dimensional (cell rows are never zero), memoised on the row set
+    for this call.  No LP is spent where the answer is known: a row set
+    that contains the other child's is already a cell, a half whose row is
+    already present is the whole intersection, and a half holding both r
+    and -r is a hyperplane.
     """
     if n is None:
         n = max_index(t, "x")
@@ -210,47 +220,44 @@ def piecewise_canonical(
     forms = collect_forms(lt)
     if len(forms) > cap:
         raise CapExceeded(f"{len(forms)} distinct linear forms exceed the cap {cap}")
-    if len(forms) == 1:
-        return PiecewiseLinear(n, ((IneqSystem(n, ()), forms[0]),))
 
-    pieces: list[tuple[IneqSystem, LinearForm]] = []
-    fulldim_cache: dict[frozenset, bool] = {}
+    verdicts: dict[frozenset, bool] = {}
 
     def full_dim(rows: tuple[LinearForm, ...]) -> bool:
         key = frozenset(rows)
-        if key not in fulldim_cache:
-            fulldim_cache[key] = is_full_dimensional(IneqSystem(n, rows)).full_dimensional
-        return fulldim_cache[key]
+        if key not in verdicts:
+            verdicts[key] = feasible_point(rows, [1] * len(rows), n) is not None
+        return verdicts[key]
 
-    def extend(chain: list[int], rows: tuple[LinearForm, ...]):
-        if len(chain) == len(forms):
-            rank = {idx: pos for pos, idx in enumerate(chain)}
-            form = forms[_resolve(lt, forms, rank)]
-            pieces.append((IneqSystem(n, rows), form))
-            return
-        for idx in range(len(forms)):
-            if idx in chain:
-                continue
-            row = normalize_row(
-                tuple(a - b for a, b in zip(forms[idx], forms[chain[-1]]))
-            )
-            new_rows = rows + (row,)
-            if full_dim(new_rows):
-                extend(chain + [idx], new_rows)
+    def cells(node: LatticeTerm) -> list[tuple[tuple[LinearForm, ...], LinearForm]]:
+        if isinstance(node, LatLeaf):
+            return [((), node.form)]
+        join = isinstance(node, LatJoin)
+        out = []
+        right = cells(node.right)
+        for rows1, f in cells(node.left):
+            for rows2, g in right:
+                rows = rows1 + tuple(r for r in rows2 if r not in rows1)
+                # unless one row set contains the other, the union is new
+                if len(rows) not in (len(rows1), len(rows2)) and not full_dim(rows):
+                    continue
+                if f == g:
+                    out.append((rows, f))
+                    continue
+                r = normalize_row(tuple(a - b for a, b in zip(f, g)))
+                neg = tuple(-c for c in r)
+                # on r >= 0, f >= g
+                halves = ((r, neg, f if join else g), (neg, r, g if join else f))
+                for row, opposite, form in halves:
+                    if row in rows:
+                        out.append((rows, form))
+                    elif opposite not in rows and full_dim(rows + (row,)):
+                        out.append((rows + (row,), form))
+        return out
 
-    for first in range(len(forms)):
-        extend([first], ())
-    return PiecewiseLinear(n, tuple(pieces))
-
-
-def _resolve(node: LatticeTerm, forms: list[LinearForm], rank: dict[int, int]) -> int:
-    if isinstance(node, LatLeaf):
-        return forms.index(node.form)
-    left = _resolve(node.left, forms, rank)
-    right = _resolve(node.right, forms, rank)
-    if isinstance(node, LatJoin):
-        return left if rank[left] >= rank[right] else right
-    return left if rank[left] <= rank[right] else right
+    return PiecewiseLinear(
+        n, tuple((IneqSystem(n, rows), form) for rows, form in cells(lt))
+    )
 
 
 def evaluate_piecewise(pw: PiecewiseLinear, point) -> object:

@@ -266,8 +266,14 @@ def _render_text(obj, indent: int = 0) -> str:
     return f"{pad}{obj}"
 
 
+# A command's schema version rises when its output for the same argv changes;
+# every command not named here is at version 1.
+_SCHEMA_VERSIONS = {"canon": 2}  # canon/2: cells refined over the lattice normal form
+
+
 def _emit(args, command: str, payload: dict) -> None:
-    payload = {"schema": f"efdkit/{command}/1", **payload}
+    version = _SCHEMA_VERSIONS.get(command, 1)
+    payload = {"schema": f"efdkit/{command}/{version}", **payload}
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:

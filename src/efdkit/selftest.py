@@ -38,6 +38,8 @@ from .models import (
     LocalizedRationals,
     PositiveCone,
     RationalGroup,
+    _Solver,
+    _structured_x,
     eval_term,
     gamma_div,
     holds_delta_exact,
@@ -45,7 +47,6 @@ from .models import (
     qs_member,
     radical_member,
     sample_elements,
-    solutions_for_assignment,
 )
 from .terms import (
     MVNeg,
@@ -437,8 +438,9 @@ def _negate_by(model: GammaPerfect, values: list, ebar) -> list:
 
 def suite_decomposition(seed: int = DEFAULT_SEED, budget: int = 500) -> SuiteReport:
     """Sentence-level agreement of the decomposition conjunction with the
-    input over sampled assignments, the pointwise correspondence through
-    sign patterns, and radical preservation (condition (i))."""
+    input over the structured assignments and budget sampled ones, the
+    pointwise correspondence through sign patterns, and radical
+    preservation (condition (i))."""
     report = SuiteReport("decomposition")
     configs = [
         (GammaPerfect(RationalGroup()), "gamma(q)"),
@@ -448,28 +450,29 @@ def suite_decomposition(seed: int = DEFAULT_SEED, budget: int = 500) -> SuiteRep
         for k in (2, 3):
             eps = build_epsilon_k(k)
             parts = phi_rad_decompose(eps)
-            by_sign = {p.sign_vector: p for p in parts}
             report.record(f"{label} eps_{k} branch count", len(parts) == 2)
+            # one solver per sentence for the whole sample, so each keeps its memo
+            solve_in = _Solver(model, eps, cap=9).solve
+            by_sign = {p.sign_vector: _Solver(model, p.sentence, cap=9).solve for p in parts}
             input_ok = True
             branches_ok = True
             pointwise = True
             radical_pres = True
             witness = None
-            for x in sample_elements(model, budget, seed + k, cap=9):
+            # the structured values first: a small sample may miss every failing x
+            structured = [env[xvar(1)] for env in _structured_x(model, 1)]
+            for x in structured + sample_elements(model, budget, seed + k, cap=9):
                 env = {xvar(1): x}
-                sols_in, _ = solutions_for_assignment(model, eps, env, cap=9)
+                sols_in, _ = solve_in(env)
                 input_ok = input_ok and len(sols_in) == 1
                 ebar = _sign_pattern(model, [x])
                 xr = _negate_by(model, [x], ebar)[0]
-                env_r = {xvar(1): xr}
-                sols_br, _ = solutions_for_assignment(
-                    model, by_sign[ebar].sentence, env_r, cap=9
-                )
+                sols_br, _ = by_sign[ebar]({xvar(1): xr})
                 if min(len(sols_in), 2) != min(len(sols_br), 2):
                     pointwise = False
                     witness = (label, k, x, len(sols_in), len(sols_br))
-                for p in parts:
-                    s, _ = solutions_for_assignment(model, p.sentence, env, cap=9)
+                for solve in by_sign.values():
+                    s, _ = solve(env)
                     if len(s) != 1:
                         branches_ok = False
                 if ebar == (0,):

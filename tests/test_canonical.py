@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from efdkit.canonical import (
     sentence_to_delta_kt,
 )
 from efdkit.gen import random_rational_point, random_term
+from efdkit.geometry import IneqSystem, is_full_dimensional, normalize_row
 from efdkit.lattice import PrimeSet, divisible_g, trivial_g
 from efdkit.models import RationalGroup, eval_term
 from efdkit.terms import Signature, parse_sentence, parse_term, xvar
@@ -29,6 +31,62 @@ from efdkit.terms import Signature, parse_sentence, parse_term, xvar
 
 def _term(text):
     return parse_term(text, Signature.GROUP)
+
+
+# Six forms in three variables, alternately joined and met; pinned in
+# tests/test_geometry.py and cross-checked against the chain walk below.
+SIX_FORMS = (
+    r"((((((-2 x1 + x2 + 3 x3) \/ (3 x1 + 3 x2 + -3 x3)) /\ (-x1 + -3 x2))"
+    r" \/ (3 x1)) /\ (2 x1 + 3 x3)) \/ (-2 x1 + -3 x2))"
+)
+
+
+def _chain_pieces(t, n):
+    """Reference canonical form by the chain walk: every ordering of the
+    distinct forms whose cone f_1 <= f_2 <= ... is full-dimensional, with
+    the lattice term resolved inside it (a meet takes the earlier form, a
+    join the later).  Its cost grows like m!, so m <= 6 only."""
+    lt = distribute_to_lattice_normal(t, n)
+    forms = collect_forms(lt)
+    assert len(forms) <= 6
+
+    def resolve(node, rank):
+        if isinstance(node, LatLeaf):
+            return node.form
+        left, right = resolve(node.left, rank), resolve(node.right, rank)
+        later = rank[left] >= rank[right]
+        if isinstance(node, LatJoin):
+            return left if later else right
+        return right if later else left
+
+    pieces = []
+    for chain in itertools.permutations(forms):
+        rows = tuple(
+            normalize_row(tuple(a - b for a, b in zip(hi, lo)))
+            for lo, hi in zip(chain, chain[1:])
+        )
+        region = IneqSystem(n, rows)
+        if is_full_dimensional(region).full_dimensional:
+            rank = {form: pos for pos, form in enumerate(chain)}
+            pieces.append((region, resolve(lt, rank)))
+    return pieces
+
+
+def _assert_agrees_with_chain_walk(t, n, rng, points=40):
+    pw = piecewise_canonical(t, n=n)
+    chain = _chain_pieces(t, n)
+    assert {form for _, form in pw.pieces} == {form for _, form in chain}
+    for _ in range(points):
+        point = random_rational_point(rng, n)
+        value = next(
+            sum(c * p for c, p in zip(form, point))
+            for region, form in chain
+            if region.contains(point)
+        )
+        hits = [form for region, form in pw.pieces if region.contains(point)]
+        assert hits
+        for form in hits:
+            assert sum(c * p for c, p in zip(form, point)) == value
 
 
 class TestLatticeNormalForm:
@@ -99,6 +157,21 @@ class TestPiecewise:
             point = random_rational_point(rng, n)
             env = {xvar(i): v for i, v in enumerate(point, start=1)}
             assert evaluate_piecewise(pw, point) == eval_term(q, t, env)
+
+
+class TestAgainstChainWalk:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_terms(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        t = random_term(rng, Signature.GROUP, n, rng.randint(1, 5), coeff=5)
+        if len(collect_forms(distribute_to_lattice_normal(t, n))) > 6:
+            return
+        _assert_agrees_with_chain_walk(t, n, rng)
+
+    def test_six_forms(self):
+        _assert_agrees_with_chain_walk(_term(SIX_FORMS), 3, random.Random(6), 200)
 
 
 class TestReduction:

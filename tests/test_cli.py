@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,20 @@ from pathlib import Path
 import pytest
 
 import efdkit.cli as cli
+from efdkit import canonical, geometry
 from efdkit.cli import run
+from efdkit.gen import random_rational_point
+from efdkit.models import RationalGroup, eval_term
+from efdkit.terms import Signature, parse_term, xvar
+
+# Twelve forms in three variables, alternately joined and met; the CI
+# console-script step runs it too.
+TWELVE_FORMS = (
+    r"((((((((((((-2 x1 + x2 + 3 x3) \/ (3 x1 + 3 x2 + -3 x3)) /\ (-x1 + -3 x2))"
+    r" \/ (3 x1)) /\ (2 x1 + 3 x3)) \/ (-2 x1 + -3 x2)) /\ (-3 x1 + 3 x2))"
+    r" \/ (x2 + 3 x3)) /\ (3 x1 + -3 x2 + 2 x3)) \/ (-x2 + 2 x3))"
+    r" /\ (3 x1 + -2 x2 + x3)) \/ (-3 x1 + -x2 + -3 x3))"
+)
 
 
 def invoke(capsys, *argv):
@@ -25,16 +39,45 @@ class TestExamples:
     def test_canon(self, capsys):
         code, payload = invoke_json(capsys, "canon", "--sig", "group", r"2 x1 \/ 6 x1")
         assert code == 0
-        assert payload["schema"] == "efdkit/canon/1"
+        assert payload["schema"] == "efdkit/canon/2"
         assert len(payload["piecewise"]["pieces"]) == 2
         forms = {tuple(p["form"]) for p in payload["piecewise"]["pieces"]}
         assert forms == {(2,), (6,)}
+
+    def test_canon_twelve_forms(self, capsys, monkeypatch):
+        calls = 0
+        inner = geometry.feasible_point
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return inner(*args)
+
+        monkeypatch.setattr(geometry, "feasible_point", counting)
+        monkeypatch.setattr(canonical, "feasible_point", counting)
+        code, payload = invoke_json(capsys, "canon", "--cap", "12", TWELVE_FORMS)
+        assert code == 0
+        pieces = payload["piecewise"]["pieces"]
+        assert (calls, len(pieces)) == (724, 122)
+        t = parse_term(TWELVE_FORMS, Signature.GROUP)
+        rng = random.Random(12)
+        for _ in range(100):
+            point = random_rational_point(rng, 3)
+            value = eval_term(RationalGroup(), t, {xvar(i + 1): v for i, v in enumerate(point)})
+            hits = [
+                p["form"] for p in pieces
+                if all(sum(c * x for c, x in zip(row, point)) >= 0 for row in p["region"])
+            ]
+            assert hits
+            for form in hits:
+                assert sum(c * x for c, x in zip(form, point)) == value
 
     def test_reduce(self, capsys):
         code, payload = invoke_json(
             capsys, "reduce", "--k", "4", "--term", r"2 x1 \/ 6 x1"
         )
         assert code == 0
+        assert payload["schema"] == "efdkit/reduce/1"
         assert payload["k_prime"] == 2
 
     def test_classify_epsilon(self, capsys):
@@ -139,6 +182,13 @@ class TestExamples:
 
     def test_selftest_single_suite(self, capsys):
         code, payload = invoke_json(capsys, "selftest", "lattice-laws")
+        assert code == 0
+        assert payload["passed"] is True
+
+    @pytest.mark.parametrize("budget", ["1", "2"])
+    def test_decomposition_passes_at_small_budgets(self, capsys, budget):
+        # gamma(qs:2) fails eps_3; a structured x refutes it before any sample
+        code, payload = invoke_json(capsys, "selftest", "decomposition", "--budget", budget)
         assert code == 0
         assert payload["passed"] is True
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from efdkit import geometry
+from efdkit import canonical, geometry
 from efdkit.canonical import piecewise_canonical
 from efdkit.cli import run
 from efdkit.geometry import (
@@ -20,6 +20,8 @@ from efdkit.geometry import (
     sample_solutions,
 )
 from efdkit.terms import Signature, parse_term
+
+from test_canonical import SIX_FORMS
 
 
 class TestRowUtilities:
@@ -145,9 +147,14 @@ class TestPinnedSimplex:
         assert found > 250
 
     @pytest.mark.parametrize(
-        "text,calls", [(r"2 x1 \/ 6 x1", 2), (r"(x1 /\ x2) \/ (2 x1 - x2) \/ -x2", 49)]
+        "text,calls,cells",
+        [
+            (r"2 x1 \/ 6 x1", 2, 2),
+            (r"(x1 /\ x2) \/ (2 x1 - x2) \/ -x2", 6, 4),
+            (SIX_FORMS, 58, 22),
+        ],
     )
-    def test_lp_call_count_is_pinned(self, monkeypatch, text, calls):
+    def test_lp_call_count_is_pinned(self, monkeypatch, text, calls, cells):
         count = 0
         inner = geometry.feasible_point
 
@@ -156,9 +163,11 @@ class TestPinnedSimplex:
             count += 1
             return inner(*args)
 
+        # every binding the canonicaliser can reach
         monkeypatch.setattr(geometry, "feasible_point", counting)
-        piecewise_canonical(parse_term(text, Signature.GROUP))
-        assert count == calls
+        monkeypatch.setattr(canonical, "feasible_point", counting)
+        pw = piecewise_canonical(parse_term(text, Signature.GROUP))
+        assert (count, len(pw.pieces)) == (calls, cells)
 
 
 class TestFullDimensionality:
