@@ -48,7 +48,6 @@ from .models import (
     eval_term,
     radical_member,
     holds_delta_exact,
-    holds_epsilon_exact,
     check_sentence_sampled,
     parse_model,
 )

@@ -23,6 +23,7 @@ from .canonical import (
     classify_group_sentences,
     piecewise_canonical,
     reduce_delta_kt,
+    sentence_to_delta_kt,
 )
 from .geometry import DEFAULT_SEED, IneqSystem, is_full_dimensional
 from .lattice import (
@@ -43,15 +44,13 @@ from .lattice import (
 )
 from .models import (
     GammaPerfect,
-    IntegerGroup,
-    LocalizedRationals,
     ModelError,
-    RationalGroup,
+    TwoMV,
     check_sentence_sampled,
     eval_term,
+    format_assignment,
     format_element,
     holds_delta_exact,
-    holds_epsilon_exact,
     model_name,
     parse_element,
     parse_model,
@@ -74,10 +73,13 @@ from .terms import (
     scalar,
     sentence_to_json,
     term_to_json,
+    xvar,
     zvar,
 )
 from .translate import (
     RadBasicSentence,
+    branch_deltas,
+    check_in_two,
     mv_to_hoop,
     phi_rad_decompose,
     star_sentence,
@@ -268,7 +270,9 @@ def _render_text(obj, indent: int = 0) -> str:
 
 # A command's schema version rises when its output for the same argv changes;
 # every command not named here is at version 1.
-_SCHEMA_VERSIONS = {"canon": 2}  # canon/2: cells refined over the lattice normal form
+# canon/2: cells refined over the lattice normal form; check/2: status
+# "holds" for an exact pass, structured witnesses, the procedure in detail
+_SCHEMA_VERSIONS = {"canon": 2, "check": 2}
 
 
 def _emit(args, command: str, payload: dict) -> None:
@@ -422,42 +426,48 @@ def _cmd_eval(args) -> int:
         {
             "model": model_name(a),
             "term": print_term(t),
-            "assignment": {
-                f"{v.kind}{v.index}": format_element(e) for v, e in sorted(
-                    env.items(), key=lambda kv: (kv[0].kind, kv[0].index)
-                )
-            },
+            "assignment": format_assignment(env),
             "value": format_element(value),
         },
     )
     return 0
 
 
-def _exact_check(a, spec: str) -> Verdict | None:
-    """Exact decisions for the delta/epsilon shorthands on models where a
-    closed-form criterion exists."""
-    head = spec.strip().split()
-    if len(head) != 2 or not head[1].isdigit():
+def _exact_check(a, phi: EFDSentence) -> Verdict | None:
+    """Decide phi in a exactly, or None to leave it to sampling.  The
+    two-element model is checked exhaustively.  In a group or Gamma model,
+    phi holds iff the model is k'-divisible for the delta_{k'} that each
+    delta_{k,t} of phi reduces to (the paper's classification).  Cones, and
+    sentences outside the classifier's fragment, are left to sampling."""
+    try:
+        if isinstance(a, TwoMV):
+            two = check_in_two(phi)
+            detail = f"exhaustive over {{0,1}}^{phi.n}"
+            if two.holds:
+                return Verdict("holds", True, None, detail)
+            ebar = {xvar(i): b for i, b in enumerate(two.failing, start=1)}
+            return Verdict("falsified", True, (ebar, []), f"{detail}: no unique z-solution")
+        if isinstance(a, GammaPerfect):
+            deltas = branch_deltas(phi)
+        elif species(a) is Signature.GROUP:
+            deltas = [sentence_to_delta_kt(phi)]
+        else:
+            return None
+        kprimes = sorted({reduce_delta_kt(d) for d in deltas})
+    except (FragmentError, CapExceeded):
         return None
-    k = int(head[1])
-    if head[0] == "delta" and isinstance(
-        a, (IntegerGroup, RationalGroup, LocalizedRationals)
-    ):
-        ok = holds_delta_exact(a, k)
-        return Verdict("consistent-on-sample" if ok else "falsified", True)
-    if head[0] == "epsilon" and isinstance(a, GammaPerfect):
-        ok = holds_epsilon_exact(a, k)
-        return Verdict("consistent-on-sample" if ok else "falsified", True)
-    return None
+    holds = all(holds_delta_exact(a, k) for k in kprimes)
+    detail = "classification: " + ", ".join(f"delta_{k}" for k in kprimes)
+    return Verdict("holds" if holds else "falsified", True, None, detail)
 
 
 def _cmd_check(args) -> int:
     spec = _sentence_specs(args)[0]
     a = parse_model(args.model)
-    verdict = None if args.no_shortcut else _exact_check(a, spec)
     phi = parse_sentence_spec(spec, species(a))
     if not isinstance(phi, EFDSentence):
         raise FragmentError("check expects an EFD-sentence")
+    verdict = None if args.no_shortcut else _exact_check(a, phi)
     if verdict is None:
         budget = 500 if args.budget is None else args.budget
         verdict = check_sentence_sampled(a, phi, budget=budget, seed=args.seed)
@@ -615,7 +625,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-shortcut",
         action="store_true",
-        help="force sampling even when a closed-form criterion applies",
+        help="force the sampled checker even where the classification or "
+        "the exhaustive two-element check decides the sentence",
     )
 
     p = sub.add_parser("lattice", help="AE-class lattice operations")

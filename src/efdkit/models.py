@@ -27,7 +27,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import PrimeSet, is_prime, prime_factors
+from .lattice import is_prime
 from .terms import (
     Diff,
     EFDSentence,
@@ -65,20 +65,19 @@ __all__ = [
     "gamma_unit",
     "gamma_div",
     "holds_delta_exact",
-    "holds_epsilon_exact",
     "qs_member",
     "sample_elements",
     "Verdict",
     "check_sentence_sampled",
     "solutions_for_assignment",
     "candidate_pool",
-    "check_efd_exhaustive",
     "check_uniqueness_exhaustive",
     "check_uniqueness_sampled",
     "parse_model",
     "model_name",
     "parse_element",
     "format_element",
+    "format_assignment",
 ]
 
 
@@ -385,7 +384,8 @@ def gamma_div(a: GammaPerfect, e, k: int):
 
 
 def holds_delta_exact(a, k: int) -> bool:
-    """delta_k: Q always, Z only for k = 1, Q_S iff primes(k) lie in S."""
+    """Whether a is k-divisible: Q always, Z only for k = 1, Q_S iff 1/k lies
+    in Q_S, lex(A, B) iff A and B are, Gamma(Z lex G) iff G is."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if isinstance(a, RationalGroup):
@@ -393,15 +393,12 @@ def holds_delta_exact(a, k: int) -> bool:
     if isinstance(a, IntegerGroup):
         return k == 1
     if isinstance(a, LocalizedRationals):
-        return prime_factors(k) <= a.primes
+        return qs_member(Fraction(1, k), a.primes)
+    if isinstance(a, LexProduct):
+        return holds_delta_exact(a.left, k) and holds_delta_exact(a.right, k)
+    if isinstance(a, GammaPerfect):
+        return holds_delta_exact(a.inner, k)
     raise ModelError(f"no exact delta_k decision for {a!r}")
-
-
-def holds_epsilon_exact(a: GammaPerfect, k: int) -> bool:
-    """epsilon_k on a Gamma model reduces to delta_k on the inner group."""
-    if not isinstance(a, GammaPerfect):
-        raise ModelError("holds_epsilon_exact expects a Gamma model")
-    return holds_delta_exact(a.inner, k)
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +442,22 @@ def _sample_one(a, rng: random.Random, cap: int):
 
 @dataclass(frozen=True)
 class Verdict:
-    status: str  # "consistent-on-sample" or "falsified"
-    exact: bool  # True when every per-sample decision used the exact solver
-    witness: object = None
-    detail: str = ""
+    status: str  # "holds", "consistent-on-sample" or "falsified"
+    exact: bool  # False for a sampled pass and for a refutation by candidate search
+    witness: tuple | None = None  # (x-assignment, z-solutions found there)
+    detail: str = ""  # the deciding procedure, then the reason for a refutation
 
     def to_json(self):
+        witness = None
+        if self.witness is not None:
+            env, sols = self.witness
+            witness = {"x": format_assignment(env)}
+            if sols:
+                witness["solutions"] = [[format_element(z) for z in zs] for zs in sols]
         return {
             "status": self.status,
             "confidence": "exact" if self.exact else "sampled",
-            "witness": repr(self.witness) if self.witness is not None else None,
+            "witness": witness,
             "detail": self.detail,
         }
 
@@ -743,7 +746,8 @@ def check_sentence_sampled(
     """Search for existence or uniqueness violations of phi over sampled
     x-assignments.  Exact per-sample solving is used where the equations are
     group-linear in the z-block or the model is finite; otherwise a bounded
-    structured candidate set is searched and the verdict is tagged sampled.
+    structured candidate set is searched.  A pass is labelled sampled, and a
+    refutation exact when the failing assignment was solved exactly.
     The structured assignments come first, then random ones, up to budget;
     each distinct assignment is solved once.
     """
@@ -754,33 +758,16 @@ def check_sentence_sampled(
         )
     solver = _Solver(a, phi)
     assignments = itertools.chain(_structured_x(a, phi.n), _sampled_x(a, phi.n, seed))
-    all_exact = True
-    for env in _distinct(itertools.islice(assignments, max(budget, 1))):
+    for count, env in enumerate(_distinct(itertools.islice(assignments, max(budget, 1))), 1):
         sols, exact = solver.solve(env)
-        all_exact = all_exact and exact
         if len(sols) >= 2:
             return Verdict(
-                "falsified", exact, (dict(env), sols[:2]), "two distinct z-solutions"
+                "falsified", exact, (dict(env), sols[:2]), "sampled: two distinct z-solutions"
             )
         if not sols:
-            if exact:
-                return Verdict("falsified", all_exact, dict(env), "no z-solution")
-            return Verdict(
-                "falsified", False, dict(env), "no z-solution among candidates"
-            )
-    return Verdict("consistent-on-sample", all_exact)
-
-
-def check_efd_exhaustive(a: TwoMV, phi: EFDSentence) -> bool:
-    """Exact truth of phi in the two-element model."""
-    if not isinstance(a, TwoMV):
-        raise ModelError("exhaustive checking requires the finite TwoMV model")
-    solver = _Solver(a, phi, max_solutions=4)
-    for xs in itertools.product(_BITS, repeat=phi.n):
-        sols, _ = solver.solve({Var("x", i): b for i, b in enumerate(xs, start=1)})
-        if len(sols) != 1:
-            return False
-    return True
+            reason = "no z-solution" if exact else "no z-solution among candidates"
+            return Verdict("falsified", exact, (dict(env), []), f"sampled: {reason}")
+    return Verdict("consistent-on-sample", False, None, f"sampled: {count} distinct x-assignments")
 
 
 def check_uniqueness_exhaustive(a: TwoMV, rule: UniquenessRule) -> bool:
@@ -911,3 +898,11 @@ def format_element(e) -> str:
     if isinstance(e, tuple):
         return "(" + ", ".join(format_element(v) for v in e) + ")"
     return str(e)
+
+
+def format_assignment(env: dict) -> dict:
+    """Variable name -> formatted element, x-variables first, by index."""
+    return {
+        f"{v.kind}{v.index}": format_element(e)
+        for v, e in sorted(env.items(), key=lambda kv: (kv[0].kind, kv[0].index))
+    }

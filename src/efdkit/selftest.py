@@ -43,7 +43,6 @@ from .models import (
     eval_term,
     gamma_div,
     holds_delta_exact,
-    holds_epsilon_exact,
     qs_member,
     radical_member,
     sample_elements,
@@ -415,7 +414,7 @@ def suite_mv_classification(seed: int = DEFAULT_SEED) -> SuiteReport:
             for p in primes:
                 report.record(
                     f"epsilon_{p} on S={list(S)}",
-                    holds_epsilon_exact(model, p) == (p in S),
+                    holds_delta_exact(model, p) == (p in S),
                     (p, S),
                 )
     return report
@@ -480,7 +479,7 @@ def suite_decomposition(seed: int = DEFAULT_SEED, budget: int = 500) -> SuiteRep
                         if not radical_member(model, zv):
                             radical_pres = False
                             witness = (label, k, x, zv)
-            exact = holds_epsilon_exact(model, k)
+            exact = holds_delta_exact(model, k)
             report.record(
                 f"{label} eps_{k} aggregate agreement",
                 (input_ok == branches_ok) and (input_ok == exact),

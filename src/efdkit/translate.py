@@ -51,6 +51,7 @@ __all__ = [
     "mv_to_hoop",
     "simplify_hoop_term",
     "hoop_sentence_to_delta_kt",
+    "branch_deltas",
     "classify_mv_sentences",
 ]
 
@@ -417,6 +418,17 @@ def _kz1(t: Term) -> int | None:
     return None
 
 
+def branch_deltas(phi: EFDSentence) -> list[DeltaKT]:
+    """The delta_{k,t} of each Phi_rad branch of an MV sentence: decompose,
+    translate to hoops, recognize the shape, star the term.  Raises
+    FragmentError outside that fragment, _NoUniqueSolution included."""
+    deltas = []
+    for rb in phi_rad_decompose(phi):
+        k, t_hoop = hoop_sentence_to_delta_kt(mv_to_hoop(rb))
+        deltas.append(DeltaKT(k, star_term(t_hoop)))
+    return deltas
+
+
 @dataclass(frozen=True)
 class MVClassification:
     ae_class: AEClass
@@ -443,16 +455,12 @@ def classify_mv_sentences(
         if not isinstance(item, EFDSentence) or item.signature is not Signature.MV:
             raise FragmentError(f"unsupported classification input {item!r}")
         try:
-            branches = phi_rad_decompose(item)
+            deltas.extend(branch_deltas(item))
         except _NoUniqueSolution as exc:
             return MVClassification(
                 trivial_p(),
                 (f"per-paper-scope: no unique two-element solution at {exc.failing}",),
             )
-        for rb in branches:
-            hoop = mv_to_hoop(rb)
-            k, t_hoop = hoop_sentence_to_delta_kt(hoop)
-            deltas.append(DeltaKT(k, star_term(t_hoop)))
     group_class = classify_group_sentences(deltas, cap=cap)
     result = AEClass("P", group_class.kind, group_class.primes)
     if boolean:

@@ -10,9 +10,18 @@ import pytest
 import efdkit.cli as cli
 from efdkit import canonical, geometry
 from efdkit.cli import run
-from efdkit.gen import random_rational_point
-from efdkit.models import RationalGroup, eval_term
-from efdkit.terms import Signature, parse_term, xvar
+from efdkit.gen import random_rational_point, random_term
+from efdkit.models import RationalGroup, check_sentence_sampled, eval_term, parse_model
+from efdkit.terms import (
+    EFDSentence,
+    Signature,
+    build_epsilon_k,
+    max_index,
+    parse_term,
+    scalar,
+    xvar,
+    zvar,
+)
 
 # Twelve forms in three variables, alternately joined and met; the CI
 # console-script step runs it too.
@@ -22,6 +31,14 @@ TWELVE_FORMS = (
     r" \/ (x2 + 3 x3)) /\ (3 x1 + -3 x2 + 2 x3)) \/ (-x2 + 2 x3))"
     r" /\ (3 x1 + -2 x2 + x3)) \/ (-3 x1 + -x2 + -3 x3))"
 )
+
+# Fails in the two-element model only at x = (1, 0, 1, 0, 1, 0, 1, 0, 1, 0);
+# the CI console-script step runs it too.
+TWO_ONE_FAILURE = (
+    r"forall x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 exists! z1 : z1 = ~z1 /\ "
+    r"(x1 /\ ~x2 /\ x3 /\ ~x4 /\ x5 /\ ~x6 /\ x7 /\ ~x8 /\ x9 /\ ~x10)"
+)
+BIG_PRIME = "1000000000000000003"
 
 
 def invoke(capsys, *argv):
@@ -156,8 +173,13 @@ class TestExamples:
             capsys, "check", "--model", "qs:2,3", "--sentence", "delta 6"
         )
         assert code == 0
-        assert payload["verdict"]["status"] == "consistent-on-sample"
-        assert payload["verdict"]["confidence"] == "exact"
+        assert payload["schema"] == "efdkit/check/2"
+        assert payload["verdict"] == {
+            "status": "holds",
+            "confidence": "exact",
+            "witness": None,
+            "detail": "classification: delta_6",
+        }
 
     def test_lattice_meet(self, capsys):
         code, payload = invoke_json(
@@ -330,6 +352,85 @@ class TestExitCodes:
         assert "zero denominator" in captured.err
 
 
+class TestExactCheck:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_two_element_model_is_checked_exhaustively(self, capsys, seed):
+        code, payload = invoke_json(
+            capsys, "check", "--model", "two", "--seed", str(seed), "--sentence", TWO_ONE_FAILURE
+        )
+        assert code == 4
+        assert payload["verdict"] == {
+            "status": "falsified",
+            "confidence": "exact",
+            "witness": {"x": {f"x{i}": str(i % 2) for i in range(1, 11)}},
+            "detail": "exhaustive over {0,1}^10: no unique z-solution",
+        }
+
+    def test_big_k_is_decided_without_factoring(self, capsys, monkeypatch):
+        def refuse(k):
+            raise AssertionError(f"prime_factors({k}) called")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("efdkit") and hasattr(module, "prime_factors"):
+                monkeypatch.setattr(module, "prime_factors", refuse)
+        code, payload = invoke_json(
+            capsys, "check", "--model", "qs:2", "--sentence", f"delta {BIG_PRIME}"
+        )
+        assert code == 4
+        assert payload["verdict"]["detail"] == f"classification: delta_{BIG_PRIME}"
+
+    def test_no_shortcut_samples(self, capsys):
+        code, payload = invoke_json(
+            capsys, "check", "--model", "two", "--sentence", "epsilon 3", "--no-shortcut"
+        )
+        assert code == 0
+        assert payload["verdict"]["status"] == "consistent-on-sample"
+        assert payload["verdict"]["confidence"] == "sampled"
+
+
+_GROUP_MODELS = ["z", "q", "qs:2", "qs:3", "qs:2,3", "lex(z,q)", "lex(q,qs:2)", "lex(qs:3,q)"]
+_GAMMA_MODELS = ["gamma(z)", "gamma(q)", "gamma(qs:2)", "gamma(qs:3)", "gamma(qs:2,3)"]
+
+
+def _random_check_pair(rng, i):
+    """A group model with a random delta_{k,t}, or a Gamma model with
+    epsilon_k or a random single-equation MV sentence in z1."""
+    if i % 2 == 0:
+        a = parse_model(rng.choice(_GROUP_MODELS))
+        t = random_term(rng, Signature.GROUP, rng.randint(1, 2), rng.randint(1, 3), coeff=4)
+        lhs = scalar(rng.randint(1, 12), zvar(1))
+        return a, EFDSentence(Signature.GROUP, max(1, max_index(t, "x")), 1, ((lhs, t),))
+    a = parse_model(rng.choice(_GAMMA_MODELS))
+    if rng.random() < 0.5:
+        return a, build_epsilon_k(rng.randint(1, 12))
+    n = rng.randint(1, 2)
+    lhs = random_term(rng, Signature.MV, n, rng.randint(1, 3), coeff=4, kinds=("x", "z"), m=1)
+    rhs = random_term(rng, Signature.MV, n, rng.randint(0, 2), coeff=4)
+    n = max(1, max_index(lhs, "x"), max_index(rhs, "x"))
+    return a, EFDSentence(Signature.MV, n, 1, ((lhs, rhs),))
+
+
+class TestExactAgainstSampled:
+    def test_sampling_never_contradicts_the_exact_verdict(self):
+        rng = random.Random(7)
+        decided = {"holds": 0, "falsified": 0}
+        for i in range(200):
+            a, phi = _random_check_pair(rng, i)
+            exact = cli._exact_check(a, phi)
+            if exact is None:
+                continue
+            decided[exact.status] += 1
+            sampled = check_sentence_sampled(a, phi, budget=60, seed=i)
+            if exact.status == "holds":
+                # only a candidate search that finds no solution may miss one
+                assert sampled.status != "falsified" or sampled.detail == (
+                    "sampled: no z-solution among candidates"
+                ), (a, phi, sampled)
+            else:
+                assert sampled.status == "falsified", (a, phi)
+        assert min(decided.values()) >= 50, decided
+
+
 class TestEverySolutionCounts:
     @pytest.mark.parametrize(
         "argv",
@@ -344,7 +445,8 @@ class TestEverySolutionCounts:
         verdict = payload["verdict"]
         assert verdict["status"] == "falsified"
         assert verdict["confidence"] == "exact"
-        assert verdict["detail"] == "two distinct z-solutions"
+        assert verdict["detail"] == "sampled: two distinct z-solutions"
+        assert len(verdict["witness"]["solutions"]) == 2
 
 
 class TestDeterminism:

@@ -18,7 +18,6 @@ from efdkit.models import (
     TwoMV,
     Verdict,
     candidate_pool,
-    check_efd_exhaustive,
     check_element,
     check_sentence_sampled,
     check_uniqueness_exhaustive,
@@ -27,7 +26,6 @@ from efdkit.models import (
     format_element,
     gamma_div,
     holds_delta_exact,
-    holds_epsilon_exact,
     model_name,
     parse_element,
     parse_model,
@@ -58,6 +56,7 @@ from efdkit.terms import (
     xvar,
     zvar,
 )
+from efdkit.translate import check_in_two
 
 GQ = GammaPerfect(RationalGroup())
 
@@ -315,7 +314,7 @@ class TestTwoElementModel:
         assert _ev(two, "x1^2", Signature.MV, x1=1) == 1
 
     def test_epsilon_1_exhaustive(self):
-        assert check_efd_exhaustive(TwoMV(), build_epsilon_k(1))
+        assert check_in_two(build_epsilon_k(1)).holds
 
     def test_uniqueness_rule_exhaustive(self):
         rule = uniqueness_quasiidentity(build_epsilon_k(2))
@@ -349,7 +348,7 @@ class TestExactCriteria:
     )
     def test_epsilon(self, primes, k, expected):
         model = GammaPerfect(LocalizedRationals(frozenset(primes)))
-        assert holds_epsilon_exact(model, k) is expected
+        assert holds_delta_exact(model, k) is expected
 
 
 class TestSentenceChecking:
@@ -357,14 +356,13 @@ class TestSentenceChecking:
         verdict = check_sentence_sampled(IntegerGroup(), build_delta_k(2), budget=50)
         assert verdict.status == "falsified"
         assert verdict.exact
-        assert Fraction(1) in verdict.witness.values() or 1 in [
-            int(v) for v in verdict.witness.values()
-        ]
+        env, sols = verdict.witness
+        assert Fraction(1) in env.values() and sols == []
 
     def test_delta_2_holds_on_rationals(self):
         verdict = check_sentence_sampled(RationalGroup(), build_delta_k(2), budget=50)
         assert verdict.status == "consistent-on-sample"
-        assert verdict.exact
+        assert not verdict.exact  # a pass on a sample is never exact
 
     def test_non_uniqueness_detected(self):
         phi = parse_sentence(
@@ -530,17 +528,17 @@ def _plain_check(a, phi, budget, seed):
         assignments.append(
             {Var("x", i): models._sample_one(a, rng, 12) for i in range(1, phi.n + 1)}
         )
-    all_exact = True
     for env in assignments[: max(budget, 1)]:
         sols, exact = _plain_solutions(a, phi, env)
-        all_exact = all_exact and exact
         if len(sols) >= 2:
-            return Verdict("falsified", exact, (dict(env), sols[:2]), "two distinct z-solutions")
+            return Verdict(
+                "falsified", exact, (dict(env), sols[:2]), "sampled: two distinct z-solutions"
+            )
         if not sols:
-            if exact:
-                return Verdict("falsified", all_exact, dict(env), "no z-solution")
-            return Verdict("falsified", False, dict(env), "no z-solution among candidates")
-    return Verdict("consistent-on-sample", all_exact)
+            reason = "no z-solution" if exact else "no z-solution among candidates"
+            return Verdict("falsified", exact, (dict(env), []), f"sampled: {reason}")
+    distinct = len({tuple(env.values()) for env in assignments[: max(budget, 1)]})
+    return Verdict("consistent-on-sample", False, None, f"sampled: {distinct} distinct x-assignments")
 
 
 _REFERENCE_SENTENCES = {
