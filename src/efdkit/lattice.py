@@ -35,29 +35,50 @@ class LatticeError(ValueError):
     pass
 
 
+# Miller-Rabin with the first thirteen primes as bases is exact below this
+# bound (Sorenson and Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError at or above _MR_BOUND unless a
+    base divides p."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    if p >= _MR_BOUND:
+        raise ValueError(f"primality of {p} is not decided at or above {_MR_BOUND}")
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s with d odd
+    for b in _MR_BASES:
+        x = pow(b, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 1
     return True
 
 
 def prime_factors(k: int) -> frozenset[int]:
+    """The primes dividing k, by trial division that stops at a prime
+    cofactor."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    factors = set()
-    d = 2
-    while d * d <= k:
+    factors, d = set(), 2
+    while k > 1:
+        if k < _MR_BOUND and is_prime(k):
+            d = k
+        while k % d:
+            d += 1
+        factors.add(d)
         while k % d == 0:
-            factors.add(d)
             k //= d
-        d += 1
-    if k > 1:
-        factors.add(k)
     return frozenset(factors)
 
 

@@ -379,6 +379,19 @@ class TestExactCheck:
         assert code == 4
         assert payload["verdict"]["detail"] == f"classification: delta_{BIG_PRIME}"
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (("axioms", "--base", "lp", "--primes", BIG_PRIME), 0),
+            (("check", "--model", f"qs:{BIG_PRIME}", "--sentence", "delta 2"), 4),
+            (("classify", "--sig", "group", "--sentence", f"delta {BIG_PRIME}"), 0),
+        ],
+    )
+    def test_large_primes_are_decided_at_once(self, capsys, argv, expected):
+        code, out = invoke(capsys, *argv)
+        assert code == expected
+        assert BIG_PRIME in out
+
     def test_no_shortcut_samples(self, capsys):
         code, payload = invoke_json(
             capsys, "check", "--model", "two", "--sentence", "epsilon 3", "--no-shortcut"

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +38,30 @@ class TestPrimes:
         assert prime_factors(12) == frozenset({2, 3})
         assert prime_factors(1) == frozenset()
         assert prime_factors(49) == frozenset({7})
+
+    def test_is_prime_agrees_with_trial_division(self):
+        def trial(p):
+            return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+        assert all(is_prime(p) == trial(p) for p in range(-2, 10**5))
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # the least strong pseudoprimes to the bases 2..31 and 2..37
+        assert not is_prime(3825123056546413051)
+        assert not is_prime(318665857834031151167461)
+
+    def test_large_prime_is_decided_at_once(self):
+        p = 1000000000000000003
+        assert is_prime(p)
+        assert prime_factors(p) == frozenset({p})
+        assert prime_factors(2**90 * 9 * p) == frozenset({2, 3, p})
+
+    def test_undecided_above_the_bound(self):
+        # the least strong pseudoprime to the bases 2..41 is the bound itself
+        with pytest.raises(ValueError):
+            is_prime(3317044064679887385961981)
+        assert not is_prime(2 * 3317044064679887385961981)
+        assert prime_factors(2**100) == frozenset({2})
 
 
 prime_sets = st.builds(
