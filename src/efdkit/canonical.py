@@ -283,14 +283,14 @@ def reduce_delta_kt(d: DeltaKT, cap: int = DEFAULT_FORM_CAP) -> int:
 
 def sentence_to_delta_kt(phi: EFDSentence) -> DeltaKT:
     """Recognize a group sentence of the shape forall x-bar exists! z1 with
-    k z1 = t(x-bar)."""
+    k z1 = t(x-bar), k z1 possibly spelled as a sum of multiples of z1."""
     if phi.signature is not Signature.GROUP:
         raise FragmentError("delta_{k,t} recognition expects a group sentence")
     if phi.m != 1 or len(phi.equations) != 1:
         raise FragmentError("supported fragment: single equation, single z-variable")
     lhs, rhs = phi.equations[0]
     for a, b in ((lhs, rhs), (rhs, lhs)):
-        k = _kz_shape(a)
+        k = _kz1(a)
         if k is not None and max_index(b, "z") == 0:
             return DeltaKT(k, b)
     raise FragmentError(
@@ -298,17 +298,18 @@ def sentence_to_delta_kt(phi: EFDSentence) -> DeltaKT:
     )
 
 
-def _kz_shape(t: Term) -> int | None:
+def _kz1(t: Term) -> int | None:
+    """Multiplicity when t is z1, k z1, or a sum of such."""
     if isinstance(t, Var) and t.kind == "z" and t.index == 1:
         return 1
-    if (
-        isinstance(t, Scalar)
-        and t.k >= 1
-        and isinstance(t.arg, Var)
-        and t.arg.kind == "z"
-        and t.arg.index == 1
-    ):
-        return t.k
+    if isinstance(t, Scalar) and t.k >= 1:
+        inner = _kz1(t.arg)
+        return t.k * inner if inner is not None else None
+    if isinstance(t, Plus):
+        left = _kz1(t.left)
+        right = _kz1(t.right)
+        if left is not None and right is not None:
+            return left + right
     return None
 
 

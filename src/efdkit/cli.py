@@ -434,11 +434,10 @@ def _cmd_eval(args) -> int:
 
 
 def _exact_check(a, phi: EFDSentence) -> Verdict | None:
-    """Decide phi in a exactly, or None to leave it to sampling.  The
-    two-element model is checked exhaustively.  In a group or Gamma model,
-    phi holds iff the model is k'-divisible for the delta_{k'} that each
-    delta_{k,t} of phi reduces to (the paper's classification).  Cones, and
-    sentences outside the classifier's fragment, are left to sampling."""
+    """Decide phi in a exactly, or None for the sampled checker (cones, and
+    sentences outside the classifier's fragment).  The two-element model is
+    checked exhaustively; a group or Gamma model satisfies phi iff it is
+    k'-divisible for the k' of every delta_{k,t} of phi (the classification)."""
     try:
         if isinstance(a, TwoMV):
             two = check_in_two(phi)

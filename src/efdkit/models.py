@@ -72,7 +72,6 @@ __all__ = [
     "solutions_for_assignment",
     "candidate_pool",
     "check_uniqueness_exhaustive",
-    "check_uniqueness_sampled",
     "parse_model",
     "model_name",
     "parse_element",
@@ -451,9 +450,8 @@ class Verdict:
         witness = None
         if self.witness is not None:
             env, sols = self.witness
-            witness = {"x": format_assignment(env)}
-            if sols:
-                witness["solutions"] = [[format_element(z) for z in zs] for zs in sols]
+            solutions = [[format_element(z) for z in zs] for zs in sols]
+            witness = {"x": format_assignment(env), "solutions": solutions}
         return {
             "status": self.status,
             "confidence": "exact" if self.exact else "sampled",
@@ -760,13 +758,12 @@ def check_sentence_sampled(
     assignments = itertools.chain(_structured_x(a, phi.n), _sampled_x(a, phi.n, seed))
     for count, env in enumerate(_distinct(itertools.islice(assignments, max(budget, 1))), 1):
         sols, exact = solver.solve(env)
-        if len(sols) >= 2:
-            return Verdict(
-                "falsified", exact, (dict(env), sols[:2]), "sampled: two distinct z-solutions"
-            )
-        if not sols:
-            reason = "no z-solution" if exact else "no z-solution among candidates"
-            return Verdict("falsified", exact, (dict(env), []), f"sampled: {reason}")
+        if len(sols) != 1:
+            if sols:
+                reason = "two distinct z-solutions"
+            else:
+                reason = "no z-solution" if exact else "no z-solution among candidates"
+            return Verdict("falsified", exact, (dict(env), sols[:2]), f"sampled: {reason}")
     return Verdict("consistent-on-sample", False, None, f"sampled: {count} distinct x-assignments")
 
 
@@ -774,30 +771,13 @@ def check_uniqueness_exhaustive(a: TwoMV, rule: UniquenessRule) -> bool:
     """Exact truth of U(phi) in the two-element model."""
     if not isinstance(a, TwoMV):
         raise ModelError("exhaustive checking requires the finite TwoMV model")
-    total = rule.n + 2 * rule.m
-    for bits in itertools.product(_BITS, repeat=total):
-        env = {}
-        for i in range(1, rule.n + 1):
-            env[Var("x", i)] = bits[i - 1]
-        for j in range(1, 2 * rule.m + 1):
-            env[Var("z", j)] = bits[rule.n + j - 1]
-        if _holds_all(a, rule.premises, env):
-            if not _holds_all(a, rule.conclusions, env):
-                return False
+    names = [Var("x", i) for i in range(1, rule.n + 1)]
+    names += [Var("z", j) for j in range(1, 2 * rule.m + 1)]
+    for bits in itertools.product(_BITS, repeat=len(names)):
+        env = dict(zip(names, bits))
+        if _holds_all(a, rule.premises, env) and not _holds_all(a, rule.conclusions, env):
+            return False
     return True
-
-
-def check_uniqueness_sampled(
-    a, phi: EFDSentence, budget: int = 500, seed: int = 0
-) -> Verdict:
-    """Sampled check that phi admits at most one z-solution per x-assignment;
-    each distinct sampled assignment is solved once."""
-    solver = _Solver(a, phi)
-    for env in _distinct(itertools.islice(_sampled_x(a, phi.n, seed), budget)):
-        sols, exact = solver.solve(env)
-        if len(sols) >= 2:
-            return Verdict("falsified", exact, (env, sols[:2]), "uniqueness violated")
-    return Verdict("consistent-on-sample", False)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from .canonical import (
     ABSURD,
     DeltaKT,
     FragmentError,
+    _kz1,
     classify_group_sentences,
     DEFAULT_FORM_CAP,
 )
@@ -401,21 +402,6 @@ def hoop_sentence_to_delta_kt(phi: EFDSentence) -> tuple[int, Term]:
         if k is not None and max_index(v, "z") == 0:
             return (k, v)
     raise FragmentError(f"not a delta_{{k,t}} shape: {phi.equations[0]!r}")
-
-
-def _kz1(t: Term) -> int | None:
-    """Multiplicity when t is z1, k z1, or a sum of such."""
-    if isinstance(t, Var) and t.kind == "z" and t.index == 1:
-        return 1
-    if isinstance(t, Scalar) and t.k >= 1:
-        inner = _kz1(t.arg)
-        return t.k * inner if inner is not None else None
-    if isinstance(t, Plus):
-        left = _kz1(t.left)
-        right = _kz1(t.right)
-        if left is not None and right is not None:
-            return left + right
-    return None
 
 
 def branch_deltas(phi: EFDSentence) -> list[DeltaKT]:

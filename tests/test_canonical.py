@@ -229,6 +229,10 @@ class TestSentenceRecognition:
         d = sentence_to_delta_kt(phi)
         assert d.k == 3 and d.t == xvar(1)
 
+    def test_recognizes_sums_of_z1(self):
+        phi = parse_sentence("forall x1 exists! z1 : z1 + 2 z1 = x1", Signature.GROUP)
+        assert sentence_to_delta_kt(phi).k == 3
+
     def test_rejects_nonlinear_z(self):
         phi = parse_sentence(
             r"forall x1 exists! z1 : z1 \/ 0 = x1", Signature.GROUP

@@ -362,7 +362,7 @@ class TestExactCheck:
         assert payload["verdict"] == {
             "status": "falsified",
             "confidence": "exact",
-            "witness": {"x": {f"x{i}": str(i % 2) for i in range(1, 11)}},
+            "witness": {"x": {f"x{i}": str(i % 2) for i in range(1, 11)}, "solutions": []},
             "detail": "exhaustive over {0,1}^10: no unique z-solution",
         }
 

@@ -21,7 +21,6 @@ from efdkit.models import (
     check_element,
     check_sentence_sampled,
     check_uniqueness_exhaustive,
-    check_uniqueness_sampled,
     eval_term,
     format_element,
     gamma_div,
@@ -394,7 +393,7 @@ class TestSentenceChecking:
         assert sols == [((0, Fraction(1, 2)),)]
 
     def test_uniqueness_sampled(self):
-        verdict = check_uniqueness_sampled(GQ, build_epsilon_k(3), budget=30)
+        verdict = check_sentence_sampled(GQ, build_epsilon_k(3), budget=30)
         assert verdict.status == "consistent-on-sample"
 
     def test_signature_mismatch_rejected(self):
