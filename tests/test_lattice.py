@@ -49,6 +49,10 @@ class TestPrimes:
         # the least strong pseudoprimes to the bases 2..31 and 2..37
         assert not is_prime(3825123056546413051)
         assert not is_prime(318665857834031151167461)
+        # a Carmichael number without a factor among the bases: every base
+        # reaches 1 through a square root of 1 other than -1
+        assert not is_prime(211 * 421 * 631)
+        assert prime_factors(211 * 421 * 631) == frozenset({211, 421, 631})
 
     def test_large_prime_is_decided_at_once(self):
         p = 1000000000000000003
