@@ -23,7 +23,6 @@ from .geometry import IneqSystem, is_full_dimensional, sample_solutions, gcd_all
 from .canonical import (
     PiecewiseLinear,
     DeltaKT,
-    distribute_to_lattice_normal,
     piecewise_canonical,
     reduce_delta_kt,
     classify_group_sentences,

@@ -6,8 +6,8 @@ into canonical AE-classes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Union
 
 from .geometry import (
     IneqSystem,
@@ -30,6 +30,7 @@ from .terms import (
     Term,
     Var,
     Zero,
+    fold,
     max_index,
 )
 
@@ -39,12 +40,6 @@ __all__ = [
     "PiecewiseLinear",
     "DeltaKT",
     "ABSURD",
-    "LatLeaf",
-    "LatJoin",
-    "LatMeet",
-    "LatticeTerm",
-    "distribute_to_lattice_normal",
-    "collect_forms",
     "piecewise_canonical",
     "evaluate_piecewise",
     "reduce_delta_kt",
@@ -96,116 +91,65 @@ class DeltaKT:
             raise FragmentError("delta_{k,t} requires t over x-variables only")
 
 
-@dataclass(frozen=True)
-class LatLeaf:
-    form: LinearForm
-
-
-@dataclass(frozen=True)
-class LatJoin:
-    left: "LatticeTerm"
-    right: "LatticeTerm"
-
-
-@dataclass(frozen=True)
-class LatMeet:
-    left: "LatticeTerm"
-    right: "LatticeTerm"
-
-
-LatticeTerm = Union[LatLeaf, LatJoin, LatMeet]
-
-
 # ---------------------------------------------------------------------------
-# Lattice normal form: push +, -, scalars through \/ and /\
+# Piecewise canonical form
 
 
-def distribute_to_lattice_normal(t: Term, n: int | None = None) -> LatticeTerm:
-    """Rewrite a group term over x-variables as a pure join/meet term whose
-    leaves are integer linear forms."""
-    if n is None:
-        n = max_index(t, "x")
-    return _normal(t, n)
-
-
-def _normal(t: Term, n: int) -> LatticeTerm:
+def _leaf_form(t: Term, n: int) -> LinearForm:
+    """The linear form of a variable or 0; every other leaf is rejected."""
     if isinstance(t, Var):
         if t.kind != "x":
             raise SignatureError("canonical forms take terms over x-variables only")
-        return LatLeaf(tuple(1 if i == t.index else 0 for i in range(1, n + 1)))
+        i = t.index  # a variable past a given n has the zero form
+        return (0,) * (i - 1) + (1,) + (0,) * (n - i) if i <= n else (0,) * n
     if isinstance(t, Zero):
-        return LatLeaf((0,) * n)
-    if isinstance(t, Plus):
-        return _lat_add(_normal(t.left, n), _normal(t.right, n))
-    if isinstance(t, Neg):
-        return _lat_neg(_normal(t.arg, n))
-    if isinstance(t, Join):
-        return LatJoin(_normal(t.left, n), _normal(t.right, n))
-    if isinstance(t, Meet):
-        return LatMeet(_normal(t.left, n), _normal(t.right, n))
-    if isinstance(t, Scalar):
-        return _lat_scale(_normal(t.arg, n), t.k, n)
+        return (0,) * n
     if isinstance(t, Diff):
         raise SignatureError("monus is not a group operation")
     raise SignatureError(f"{type(t).__name__} not admitted in group terms")
 
 
-def _lat_add(a: LatticeTerm, b: LatticeTerm) -> LatticeTerm:
-    # addition distributes over join and meet in l-groups
-    if isinstance(a, LatLeaf) and isinstance(b, LatLeaf):
-        return LatLeaf(tuple(x + y for x, y in zip(a.form, b.form)))
-    if isinstance(a, (LatJoin, LatMeet)):
-        return type(a)(_lat_add(a.left, b), _lat_add(a.right, b))
-    return type(b)(_lat_add(a, b.left), _lat_add(a, b.right))
+def _add(f: LinearForm, g: LinearForm) -> LinearForm:
+    return tuple(map(operator.add, f, g))
 
 
-def _lat_neg(a: LatticeTerm) -> LatticeTerm:
-    if isinstance(a, LatLeaf):
-        return LatLeaf(tuple(-c for c in a.form))
-    swapped = LatMeet if isinstance(a, LatJoin) else LatJoin
-    return swapped(_lat_neg(a.left), _lat_neg(a.right))
+def _scale(k: int, f: LinearForm) -> LinearForm:
+    return tuple(map(k.__mul__, f))
 
 
-def _lat_scale(a: LatticeTerm, k: int, n: int) -> LatticeTerm:
-    if k == 0:
-        return LatLeaf((0,) * n)
-    if k < 0:
-        return _lat_neg(_lat_scale(a, -k, n))
-    if isinstance(a, LatLeaf):
-        return LatLeaf(tuple(k * c for c in a.form))
-    return type(a)(_lat_scale(a.left, k, n), _lat_scale(a.right, k, n))
+def _leaf_forms(t: Term, n: int) -> set:
+    """The distinct linear forms at the leaves of t once +, - and scalars are
+    pushed through \\/ and /\\: sums of forms, one from each summand."""
 
+    def forms(node, *kids):
+        kind = type(node)
+        if kind is Plus:
+            return {_add(f, g) for f in kids[0] for g in kids[1]}
+        if kind is Join or kind is Meet:
+            return kids[0] | kids[1]
+        if kind is Neg or kind is Scalar:
+            k = -1 if kind is Neg else node.k
+            return {_scale(k, f) for f in kids[0]}
+        return {_leaf_form(node, n)}
 
-def collect_forms(lt: LatticeTerm) -> list[LinearForm]:
-    """Distinct leaf forms in first-occurrence order."""
-    forms: list[LinearForm] = []
-    def walk(node):
-        if isinstance(node, LatLeaf):
-            if node.form not in forms:
-                forms.append(node.form)
-        else:
-            walk(node.left)
-            walk(node.right)
-    walk(lt)
-    return forms
-
-
-# ---------------------------------------------------------------------------
-# Piecewise canonical form
+    return fold(t, forms)
 
 
 def piecewise_canonical(
     t: Term, n: int | None = None, cap: int = DEFAULT_FORM_CAP
 ) -> PiecewiseLinear:
-    """Cells of t, refined bottom-up over its lattice normal form.
+    """Cells of t, refined bottom-up over the term.
 
-    A leaf is one cell, the whole space with its form.  A join or meet
-    intersects every cell of its left child with every cell of its right
-    child and keeps the full-dimensional intersections; where the two forms
-    f and g differ, the row r = f - g splits the intersection into r >= 0
-    and -r >= 0, each half taking the larger form under a join and the
-    smaller under a meet.  Every cell is a full-dimensional cone on which t
-    is the cell's form, and the cells cover Q^n.
+    A cell is a row set, the cone where every row is >= 0, with the linear
+    form t takes there.  A variable or 0 is one cell, the whole space.  A
+    negation or scalar maps the forms of its argument's cells.  A sum, join
+    or meet intersects every cell of one child with every cell of the other
+    and keeps the full-dimensional intersections: a sum adds the two forms;
+    a join or meet, where the forms f and g differ, splits the intersection
+    by the row r = f - g into r >= 0 and -r >= 0, each half taking the
+    larger form under a join and the smaller under a meet.  Every cell is a
+    full-dimensional cone on which t is the cell's form, and the cells cover
+    Q^n.
 
     Each full-dimensionality verdict is one LP, the joint interior probe of
     is_full_dimensional (cell rows are never zero), memoised on the row set
@@ -213,13 +157,15 @@ def piecewise_canonical(
     that contains the other child's is already a cell, a half whose row is
     already present is the whole intersection, and a half holding both r
     and -r is a hyperplane.
+
+    The cap bounds the distinct leaf forms of t with +, - and scalars pushed
+    through the lattice operations (CapExceeded).
     """
     if n is None:
         n = max_index(t, "x")
-    lt = distribute_to_lattice_normal(t, n)
-    forms = collect_forms(lt)
-    if len(forms) > cap:
-        raise CapExceeded(f"{len(forms)} distinct linear forms exceed the cap {cap}")
+    count = len(_leaf_forms(t, n))
+    if count > cap:
+        raise CapExceeded(f"{count} distinct linear forms exceed the cap {cap}")
 
     verdicts: dict[frozenset, bool] = {}
 
@@ -229,34 +175,51 @@ def piecewise_canonical(
             verdicts[key] = feasible_point(rows, [1] * len(rows), n) is not None
         return verdicts[key]
 
-    def cells(node: LatticeTerm) -> list[tuple[tuple[LinearForm, ...], LinearForm]]:
-        if isinstance(node, LatLeaf):
-            return [((), node.form)]
-        join = isinstance(node, LatJoin)
-        out = []
-        right = cells(node.right)
-        for rows1, f in cells(node.left):
-            for rows2, g in right:
+    def meets(outer, inner):
+        """(rows, f, g) for each full-dimensional intersection of a cell of
+        outer (form f) with a cell of inner (form g), outer rows first."""
+        for rows1, f in outer:
+            for rows2, g in inner:
+                if not rows2:  # the whole space: the intersection is rows1
+                    yield rows1, f, g
+                    continue
                 rows = rows1 + tuple(r for r in rows2 if r not in rows1)
                 # unless one row set contains the other, the union is new
-                if len(rows) not in (len(rows1), len(rows2)) and not full_dim(rows):
-                    continue
-                if f == g:
-                    out.append((rows, f))
-                    continue
-                r = normalize_row(tuple(a - b for a, b in zip(f, g)))
-                neg = tuple(-c for c in r)
-                # on r >= 0, f >= g
-                halves = ((r, neg, f if join else g), (neg, r, g if join else f))
-                for row, opposite, form in halves:
-                    if row in rows:
-                        out.append((rows, form))
-                    elif opposite not in rows and full_dim(rows + (row,)):
-                        out.append((rows + (row,), form))
+                if len(rows) in (len(rows1), len(rows2)) or full_dim(rows):
+                    yield rows, f, g
+
+    # _leaf_forms has rejected every node outside the group signature
+    def cells(node, *kids):
+        kind = type(node)
+        if kind is Plus:
+            # the right summand's cells outermost, its rows first
+            return [(rows, _add(f, g)) for rows, g, f in meets(kids[1], kids[0])]
+        if kind is Neg or kind is Scalar:
+            k = -1 if kind is Neg else node.k
+            if k == 0:
+                return [((), (0,) * n)]
+            return [(rows, _scale(k, f)) for rows, f in kids[0]]
+        if kind is not Join and kind is not Meet:
+            return [((), _leaf_form(node, n))]
+        join = kind is Join
+        out = []
+        for rows, f, g in meets(kids[0], kids[1]):
+            if f == g:
+                out.append((rows, f))
+                continue
+            r = normalize_row(tuple(a - b for a, b in zip(f, g)))
+            neg = tuple(-c for c in r)
+            # on r >= 0, f >= g
+            halves = ((r, neg, f if join else g), (neg, r, g if join else f))
+            for row, opposite, form in halves:
+                if row in rows:
+                    out.append((rows, form))
+                elif opposite not in rows and full_dim(rows + (row,)):
+                    out.append((rows + (row,), form))
         return out
 
     return PiecewiseLinear(
-        n, tuple((IneqSystem(n, rows), form) for rows, form in cells(lt))
+        n, tuple((IneqSystem(n, rows), form) for rows, form in fold(t, cells))
     )
 
 
@@ -300,17 +263,19 @@ def sentence_to_delta_kt(phi: EFDSentence) -> DeltaKT:
 
 def _kz1(t: Term) -> int | None:
     """Multiplicity when t is z1, k z1, or a sum of such."""
-    if isinstance(t, Var) and t.kind == "z" and t.index == 1:
-        return 1
-    if isinstance(t, Scalar) and t.k >= 1:
-        inner = _kz1(t.arg)
-        return t.k * inner if inner is not None else None
-    if isinstance(t, Plus):
-        left = _kz1(t.left)
-        right = _kz1(t.right)
-        if left is not None and right is not None:
-            return left + right
-    return None
+
+    def multiplicity(node, *kids):
+        if isinstance(node, Var):
+            return 1 if node.kind == "z" and node.index == 1 else None
+        if not kids or None in kids:
+            return None
+        if isinstance(node, Plus):
+            return kids[0] + kids[1]
+        if isinstance(node, Scalar) and node.k >= 1:
+            return node.k * kids[0]
+        return None
+
+    return fold(t, multiplicity)
 
 
 def classify_group_sentences(

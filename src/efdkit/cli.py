@@ -270,9 +270,11 @@ def _render_text(obj, indent: int = 0) -> str:
 
 # A command's schema version rises when its output for the same argv changes;
 # every command not named here is at version 1.
-# canon/2: cells refined over the lattice normal form; check/2: status
-# "holds" for an exact pass, structured witnesses, the procedure in detail
-_SCHEMA_VERSIONS = {"canon": 2, "check": 2}
+# canon/3: cells refined over the term itself, so a negation above a join
+# or meet lists the same pieces in another order; check/2: status "holds"
+# for an exact pass, structured witnesses, the procedure in detail;
+# translate/2: a co-radical power x^k translates to k h, not h + ... + h
+_SCHEMA_VERSIONS = {"canon": 3, "check": 2, "translate": 2}
 
 
 def _emit(args, command: str, payload: dict) -> None:

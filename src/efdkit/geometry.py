@@ -27,7 +27,6 @@ __all__ = [
     "is_full_dimensional",
     "sample_solutions",
     "gcd_all",
-    "rank_of",
     "DEFAULT_SEED",
 ]
 
@@ -86,27 +85,6 @@ def gcd_all(values: Sequence[int]) -> int:
     if not values or not any(values):
         raise ValueError("gcd_all requires at least one nonzero value")
     return math.gcd(*(abs(v) for v in values))
-
-
-def rank_of(vectors: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q by Gaussian elimination."""
-    rows = [list(map(Fraction, v)) for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / prow[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------

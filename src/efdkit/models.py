@@ -44,6 +44,7 @@ from .terms import (
     Var,
     ZERO,
     Zero,
+    fold,
     free_vars,
     xvar,
 )
@@ -464,38 +465,38 @@ def _linear_part(a, t: Term, env: dict):
     """Read t as sum(coeff_j * z_j) + constant for the fixed x-assignment.
 
     Returns (coeffs: dict[int,int], constant) or None when a z-variable
-    sits under a lattice or negation-incompatible operation.
+    sits under a lattice or negation-incompatible operation.  A z-free join
+    or meet is read off its children's constants.
     """
     g = _group(a)
 
-    def walk(t):
-        if isinstance(t, Var):
-            if t.kind == "z":
-                return ({t.index: 1}, g.zero)
-            return ({}, _lookup(t, env))
-        if isinstance(t, Zero):
+    def part(node, *kids):
+        if isinstance(node, Var):
+            if node.kind == "z":
+                return ({node.index: 1}, g.zero)
+            return ({}, _lookup(node, env))
+        if isinstance(node, Zero):
             return ({}, g.zero)
-        if isinstance(t, Plus):
-            lp, rp = walk(t.left), walk(t.right)
-            if lp is None or rp is None:
-                return None
-            coeffs = dict(lp[0])
-            for j, c in rp[0].items():
+        if None in kids:
+            return None
+        if isinstance(node, Plus):
+            (lc, lv), (rc, rv) = kids
+            coeffs = dict(lc)
+            for j, c in rc.items():
                 coeffs[j] = coeffs.get(j, 0) + c
-            return (coeffs, g.add(lp[1], rp[1]))
-        if isinstance(t, (Neg, Scalar)):
-            p = walk(t.arg)
-            if p is None:
+            return (coeffs, g.add(lv, rv))
+        if isinstance(node, (Neg, Scalar)):
+            ((coeffs, v),) = kids
+            k = -1 if isinstance(node, Neg) else node.k
+            return ({j: k * c for j, c in coeffs.items()}, g.scale(k, v))
+        if isinstance(node, (Join, Meet)):
+            (lc, lv), (rc, rv) = kids
+            if lc or rc:  # a z-variable occurs, with a zero coefficient or not
                 return None
-            k = -1 if isinstance(t, Neg) else t.k
-            return ({j: k * c for j, c in p[0].items()}, g.scale(k, p[1]))
-        if isinstance(t, (Join, Meet)):
-            if any(v.kind == "z" for v in free_vars(t)):
-                return None
-            return ({}, eval_term(a, t, env))
+            return ({}, (g.join if isinstance(node, Join) else g.meet)(lv, rv))
         return None
 
-    return walk(t)
+    return fold(t, part)
 
 
 def _solve_linear_single(a, rows: list[tuple[dict, object]]):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 __all__ = [
     "Signature",
@@ -35,6 +35,7 @@ __all__ = [
     "Identity",
     "UniquenessRule",
     "ParseError",
+    "MAX_DEPTH",
     "SignatureError",
     "ZERO",
     "xvar",
@@ -160,6 +161,39 @@ def power(k: int, t: Term) -> Term:
     return t if k == 1 else Power(k, t)
 
 
+# Number of children of each node type: (left, right) for binary nodes, arg
+# for the unary and scaled ones.
+_ARITY = {Var: 0, Zero: 0, Plus: 2, Join: 2, Meet: 2, Diff: 2, Neg: 1, MVNeg: 1, Scalar: 1, Power: 1}
+
+
+def fold(t: Term, f: Callable):
+    """Bottom-up fold: f(node, *child_values), left child first.
+
+    Every walk over a term goes through here (the evaluator in models
+    excepted); a term's depth is bounded by the parser (MAX_DEPTH)."""
+    try:
+        arity = _ARITY[type(t)]
+    except KeyError:
+        raise TypeError(f"not a term: {t!r}") from None
+    if arity == 2:
+        return f(t, fold(t.left, f), fold(t.right, f))
+    if arity == 1:
+        return f(t, fold(t.arg, f))
+    return f(t)
+
+
+def _rebuild(t: Term, children) -> Term:
+    """A node of t's type and parameters over new children."""
+    if isinstance(t, (Scalar, Power)):
+        return type(t)(t.k, *children)
+    return type(t)(*children) if children else t
+
+
+def substitute(t: Term, sub: Callable[[Var], Term]) -> Term:
+    """t with every variable v replaced by sub(v)."""
+    return fold(t, lambda node, *kids: sub(node) if isinstance(node, Var) else _rebuild(node, kids))
+
+
 # operations admitted per signature; Scalar/Power constraints checked separately
 _ALLOWED = {
     Signature.GROUP: (Var, Zero, Plus, Neg, Join, Meet, Scalar),
@@ -168,40 +202,53 @@ _ALLOWED = {
 }
 
 
-def validate_term(t: Term, sig: Signature) -> None:
-    """Raise SignatureError unless every node of t is admitted by sig."""
-    if not isinstance(t, _ALLOWED[sig]):
-        raise SignatureError(f"{type(t).__name__} not admitted in {sig.value} terms")
-    if isinstance(t, Scalar):
-        if sig is not Signature.GROUP and t.k < 0:
-            raise SignatureError(f"negative scalar {t.k} only admitted in group terms")
-        validate_term(t.arg, sig)
-    elif isinstance(t, Power):
-        if t.k < 1:
-            raise SignatureError("power exponent must be >= 1")
-        validate_term(t.arg, sig)
-    elif isinstance(t, (Plus, Join, Meet, Diff)):
-        validate_term(t.left, sig)
-        validate_term(t.right, sig)
-    elif isinstance(t, (Neg, MVNeg)):
-        validate_term(t.arg, sig)
-    elif isinstance(t, Var):
-        if t.kind not in ("x", "z") or t.index < 1:
-            raise SignatureError(f"bad variable {t!r}")
+_NO_VARS: frozenset = frozenset()
+
+
+def _vars(node, *kids) -> frozenset:
+    if len(kids) == 2:
+        return kids[0] | kids[1]
+    if kids:
+        return kids[0]
+    return frozenset((node,)) if type(node) is Var else _NO_VARS
 
 
 def free_vars(t: Term) -> frozenset[Var]:
-    if isinstance(t, Var):
-        return frozenset((t,))
-    if isinstance(t, Zero):
-        return frozenset()
-    if isinstance(t, (Plus, Join, Meet, Diff)):
-        return free_vars(t.left) | free_vars(t.right)
-    return free_vars(t.arg)
+    return fold(t, _vars)
+
+
+def _validated_vars(t: Term, sig: Signature) -> frozenset[Var]:
+    """free_vars(t), raising SignatureError unless every node of t is
+    admitted by sig."""
+    allowed = _ALLOWED[sig]
+
+    def check(node, *kids):
+        kind = type(node)
+        if kind not in allowed:
+            raise SignatureError(f"{kind.__name__} not admitted in {sig.value} terms")
+        if kind is Var and (node.kind not in ("x", "z") or node.index < 1):
+            raise SignatureError(f"bad variable {node!r}")
+        if kind is Scalar and sig is not Signature.GROUP and node.k < 0:
+            raise SignatureError(f"negative scalar {node.k} only admitted in group terms")
+        if kind is Power and node.k < 1:
+            raise SignatureError("power exponent must be >= 1")
+        return _vars(node, *kids)
+
+    return fold(t, check)
+
+
+def validate_term(t: Term, sig: Signature) -> None:
+    """Raise SignatureError unless every node of t is admitted by sig."""
+    _validated_vars(t, sig)
 
 
 def max_index(t: Term, kind: str) -> int:
-    return max((v.index for v in free_vars(t) if v.kind == kind), default=0)
+    def top(node, *kids):
+        if kids:
+            return max(kids)
+        return node.index if type(node) is Var and node.kind == kind else 0
+
+    return fold(t, top)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +260,11 @@ def _mv_star(a: Term, b: Term) -> Term:
     return MVNeg(Plus(MVNeg(a), MVNeg(b)))
 
 
+def _mv_join(a: Term, b: Term) -> Term:
+    # x \/ y := ~(~x + y) + y
+    return Plus(MVNeg(Plus(MVNeg(a), b)), b)
+
+
 def expand_macros(t: Term, sig: Signature) -> Term:
     """Rewrite t using only the primitive operations of sig.
 
@@ -220,56 +272,42 @@ def expand_macros(t: Term, sig: Signature) -> Term:
     Hoop: Scalar expands to repeated sums.
     MV: Join, Meet, Diff, Scalar, Power expand through the ~/+ definitions.
     """
-    if isinstance(t, (Var, Zero)):
-        return t
-    if isinstance(t, Scalar):
-        arg = expand_macros(t.arg, sig)
-        k = t.k
-        if k == 0:
-            return ZERO
-        if k < 0:
-            if sig is not Signature.GROUP:
-                raise SignatureError("negative scalar outside group signature")
-            return Neg(_fold_sum(arg, -k))
-        return _fold_sum(arg, k)
-    if isinstance(t, Plus):
-        return Plus(expand_macros(t.left, sig), expand_macros(t.right, sig))
-    if isinstance(t, Neg):
-        return Neg(expand_macros(t.arg, sig))
-    if isinstance(t, MVNeg):
-        return MVNeg(expand_macros(t.arg, sig))
-    if sig is Signature.MV:
-        if isinstance(t, Join):
-            a = expand_macros(t.left, sig)
-            b = expand_macros(t.right, sig)
-            # x \/ y := ~(~x + y) + y
-            return Plus(MVNeg(Plus(MVNeg(a), b)), b)
-        if isinstance(t, Meet):
-            a = expand_macros(t.left, sig)
-            b = expand_macros(t.right, sig)
-            # x /\ y := ~(~x \/ ~y)
-            return MVNeg(expand_macros(Join(MVNeg(a), MVNeg(b)), sig))
-        if isinstance(t, Diff):
-            a = expand_macros(t.left, sig)
-            b = expand_macros(t.right, sig)
-            # x -. y := ~(~x + y)
-            return MVNeg(Plus(MVNeg(a), b))
-        if isinstance(t, Power):
-            arg = expand_macros(t.arg, sig)
-            acc = arg
-            for _ in range(t.k - 1):
-                acc = _mv_star(acc, arg)
-            return acc
-    if isinstance(t, (Join, Meet)):
-        if sig is Signature.GROUP:
-            ctor = type(t)
-            return ctor(expand_macros(t.left, sig), expand_macros(t.right, sig))
-        raise SignatureError(f"{type(t).__name__} not admitted in {sig.value} terms")
-    if isinstance(t, Diff):
-        if sig is Signature.HOOP:
-            return Diff(expand_macros(t.left, sig), expand_macros(t.right, sig))
-        raise SignatureError(f"Diff not admitted in {sig.value} terms")
-    raise SignatureError(f"{type(t).__name__} not admitted in {sig.value} terms")
+
+    def expand(node, *kids):
+        if isinstance(node, Scalar):
+            (arg,) = kids
+            if node.k == 0:
+                return ZERO
+            if node.k < 0:
+                if sig is not Signature.GROUP:
+                    raise SignatureError("negative scalar outside group signature")
+                return Neg(_fold_sum(arg, -node.k))
+            return _fold_sum(arg, node.k)
+        if isinstance(node, (Var, Zero, Plus, Neg, MVNeg)):
+            return _rebuild(node, kids)
+        if sig is Signature.MV:
+            if isinstance(node, Join):
+                return _mv_join(*kids)
+            if isinstance(node, Meet):
+                # x /\ y := ~(~x \/ ~y)
+                a, b = kids
+                return MVNeg(_mv_join(MVNeg(a), MVNeg(b)))
+            if isinstance(node, Diff):
+                # x -. y := ~(~x + y)
+                a, b = kids
+                return MVNeg(Plus(MVNeg(a), b))
+            if isinstance(node, Power):
+                (arg,) = kids
+                acc = arg
+                for _ in range(node.k - 1):
+                    acc = _mv_star(acc, arg)
+                return acc
+        # lattice operations are primitive in groups, monus in hoops
+        if isinstance(node, (Join, Meet) if sig is Signature.GROUP else Diff):
+            return _rebuild(node, kids)
+        raise SignatureError(f"{type(node).__name__} not admitted in {sig.value} terms")
+
+    return fold(t, expand)
 
 
 def _fold_sum(t: Term, k: int) -> Term:
@@ -299,8 +337,7 @@ class EFDSentence:
             raise SignatureError("EFD-sentence requires at least one equation")
         for lhs, rhs in self.equations:
             for t in (lhs, rhs):
-                validate_term(t, self.signature)
-                for v in free_vars(t):
+                for v in _validated_vars(t, self.signature):
                     bound = self.n if v.kind == "x" else self.m
                     if v.index > bound:
                         raise SignatureError(f"variable {v.kind}{v.index} out of range")
@@ -316,8 +353,7 @@ class Identity:
 
     def __post_init__(self):
         for t in self.equation:
-            validate_term(t, self.signature)
-            for v in free_vars(t):
+            for v in _validated_vars(t, self.signature):
                 if v.kind != "x" or v.index > self.n:
                     raise SignatureError(f"variable {v.kind}{v.index} out of range")
 
@@ -335,15 +371,7 @@ class UniquenessRule:
 
 
 def _shift_z(t: Term, offset: int) -> Term:
-    if isinstance(t, Var):
-        return Var("z", t.index + offset) if t.kind == "z" else t
-    if isinstance(t, Zero):
-        return t
-    if isinstance(t, (Plus, Join, Meet, Diff)):
-        return type(t)(_shift_z(t.left, offset), _shift_z(t.right, offset))
-    if isinstance(t, (Neg, MVNeg)):
-        return type(t)(_shift_z(t.arg, offset))
-    return type(t)(t.k, _shift_z(t.arg, offset))
+    return substitute(t, lambda v: Var("z", v.index + offset) if v.kind == "z" else v)
 
 
 def uniqueness_quasiidentity(phi: EFDSentence) -> UniquenessRule:
@@ -404,6 +432,28 @@ def is_boolean_marker(ident: Identity) -> bool:
 # ---------------------------------------------------------------------------
 # Parsing
 
+# The deepest term the parser builds, and the most equations a sentence
+# holds.  Depth counts every node and every pair of parentheses; each walk
+# over a term recurses once per level (fold), so this bounds their stack.
+MAX_DEPTH = 200
+
+# precedence levels, loosest first; the printer parenthesises by them too
+_JOIN_LVL, _MEET_LVL, _SUM_LVL, _PREFIX_LVL, _POWER_LVL, _ATOM_LVL = range(1, 7)
+
+# binary operator tokens: (level, node); binary - builds t + -u
+_BINARY_OPS = {
+    "\\/": (_JOIN_LVL, Join),
+    "/\\": (_MEET_LVL, Meet),
+    "+": (_SUM_LVL, Plus),
+    "-": (_SUM_LVL, Neg),
+    "-.": (_SUM_LVL, Diff),
+}
+
+
+def _too_deep(pos: int) -> ParseError:
+    return ParseError(f"term nested deeper than {MAX_DEPTH} levels", pos)
+
+
 _TOKEN_RE = re.compile(
     r"""\s*(?:
         (?P<forall>forall\b)
@@ -439,6 +489,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.sig = sig
         self.i = 0
+        self.open = 0  # parentheses and prefix operators open at this point
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, None)
@@ -459,62 +510,65 @@ class _Parser:
     def at_end(self) -> bool:
         return self.i >= len(self.tokens)
 
-    # term ::= join ; precedence \/ < /\ < (+ - -.) < prefix < ^ < atom
-    def term(self) -> Term:
-        return self.join()
+    def nest(self, pos: int) -> None:
+        """Open one more parenthesis or prefix operator: the term under it
+        is at least one level deeper."""
+        self.open += 1
+        if self.open >= MAX_DEPTH:
+            raise _too_deep(pos)
 
-    def join(self) -> Term:
-        t = self.meet()
-        while self.peek()[0] == "join":
-            self.next()
-            t = Join(t, self.meet())
-        return t
+    # Each parse method returns the term and its depth: 1 for a variable or
+    # 0, one more than the deepest child for a node, one more than the
+    # contents for a parenthesised term.
 
-    def meet(self) -> Term:
-        t = self.sum()
-        while self.peek()[0] == "meet":
-            self.next()
-            t = Meet(t, self.sum())
-        return t
-
-    def sum(self) -> Term:
-        t = self.prefix()
+    # term ::= binary operators by precedence \/ < /\ < (+ - -.), each left
+    # associative, over prefix < ^ < atom
+    def term(self, min_level: int = _JOIN_LVL) -> tuple[Term, int]:
+        t, d = self.prefix()
         while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "+":
-                self.next()
-                t = Plus(t, self.prefix())
-            elif kind == "op" and value == "-":
-                if self.sig is not Signature.GROUP:
-                    raise ParseError("binary - only admitted in group terms", pos)
-                self.next()
-                t = Plus(t, Neg(self.prefix()))
-            elif kind == "monus":
-                self.next()
-                t = Diff(t, self.prefix())
-            else:
-                return t
+            _, value, pos = self.peek()
+            op = _BINARY_OPS.get(value)
+            if op is None:
+                return t, d
+            level, ctor = op
+            if ctor is Neg and self.sig is not Signature.GROUP:
+                raise ParseError("binary - only admitted in group terms", pos)
+            if level < min_level:
+                return t, d
+            self.i += 1
+            u, e = self.term(level + 1)
+            if ctor is Neg:  # t - u is t + -u
+                u, e, ctor = Neg(u), e + 1, Plus
+            d = (d if d > e else e) + 1
+            if d > MAX_DEPTH:
+                raise _too_deep(pos)
+            t = ctor(t, u)
 
-    def prefix(self) -> Term:
+    def prefix(self) -> tuple[Term, int]:
         kind, value, pos = self.peek()
-        if kind == "op" and value == "-":
-            if self.sig is not Signature.GROUP:
+        if kind == "op" and (value == "-" or value == "~"):
+            if value == "-" and self.sig is not Signature.GROUP:
                 raise ParseError("unary - only admitted in group terms", pos)
-            self.next()
-            return Neg(self.prefix())
-        if kind == "op" and value == "~":
-            if self.sig is not Signature.MV:
+            if value == "~" and self.sig is not Signature.MV:
                 raise ParseError("~ only admitted in MV terms", pos)
-            self.next()
-            return MVNeg(self.prefix())
-        if kind == "int" and value != "0":
-            self.next()
-            return Scalar(int(value), self.postfix())
-        return self.postfix()
+            self.i += 1
+            self.nest(pos)
+            t, d = self.prefix()
+            self.open -= 1
+            t = Neg(t) if value == "-" else MVNeg(t)
+        elif kind == "int" and value != "0":
+            self.i += 1
+            t, d = self.postfix()
+            t = Scalar(int(value), t)
+        else:
+            return self.postfix()
+        if d >= MAX_DEPTH:
+            raise _too_deep(pos)
+        return t, d + 1
 
-    def postfix(self) -> Term:
-        t = self.atom()
-        while self.peek()[0] == "op" and self.peek()[1] == "^":
+    def postfix(self) -> tuple[Term, int]:
+        t, d = self.atom()
+        while self.peek()[1] == "^":
             _, _, pos = self.next()
             if self.sig is not Signature.MV:
                 raise ParseError("^ only admitted in MV terms", pos)
@@ -522,25 +576,31 @@ class _Parser:
             k = int(ktok[1])
             if k < 1:
                 raise ParseError("power exponent must be >= 1", ktok[2])
-            t = Power(k, t)
-        return t
+            if d >= MAX_DEPTH:
+                raise _too_deep(pos)
+            t, d = Power(k, t), d + 1
+        return t, d
 
-    def atom(self) -> Term:
+    def atom(self) -> tuple[Term, int]:
         kind, value, pos = self.next()
         if kind == "int" and value == "0":
-            return ZERO
+            return ZERO, 1
         if kind == "var":
-            return Var(value[0], int(value[1:]))
+            return Var(value[0], int(value[1:])), 1
         if kind == "op" and value == "(":
-            t = self.term()
+            self.nest(pos)
+            t, d = self.term()
             self.expect("op", ")")
-            return t
+            self.open -= 1
+            if d >= MAX_DEPTH:
+                raise _too_deep(pos)
+            return t, d + 1
         raise ParseError(f"unexpected token {value!r}", pos)
 
     def equation(self) -> tuple[Term, Term]:
-        lhs = self.term()
+        lhs, _ = self.term()
         self.expect("op", "=")
-        rhs = self.term()
+        rhs, _ = self.term()
         return (lhs, rhs)
 
     def var_block(self, kind: str) -> int:
@@ -554,7 +614,7 @@ class _Parser:
 
 def parse_term(text: str, sig: Signature) -> Term:
     p = _Parser(text, sig)
-    t = p.term()
+    t, _ = p.term()
     if not p.at_end():
         raise ParseError(f"trailing input {p.peek()[1]!r}", p.peek()[2])
     validate_term(t, sig)
@@ -581,7 +641,9 @@ def parse_sentence(text: str, sig: Signature) -> EFDSentence | Identity:
     p.expect("op", ":")
     equations = [p.equation()]
     while p.peek()[0] == "op" and p.peek()[1] == "&":
-        p.next()
+        _, _, pos = p.next()
+        if len(equations) == MAX_DEPTH:
+            raise ParseError(f"more than {MAX_DEPTH} equations", pos)
         equations.append(p.equation())
     if not p.at_end():
         raise ParseError(f"trailing input {p.peek()[1]!r}", p.peek()[2])
@@ -595,49 +657,45 @@ def parse_sentence(text: str, sig: Signature) -> EFDSentence | Identity:
 # ---------------------------------------------------------------------------
 # Printing
 
-_JOIN_LVL, _MEET_LVL, _SUM_LVL, _PREFIX_LVL, _POWER_LVL, _ATOM_LVL = range(1, 7)
+# binary operators: their text, their level, and the least level at which
+# the left and the right child print without parentheses
+_INFIX = {
+    Join: (" \\/ ", _JOIN_LVL, _JOIN_LVL, _MEET_LVL),
+    Meet: (" /\\ ", _MEET_LVL, _MEET_LVL, _SUM_LVL),
+    Plus: (" + ", _SUM_LVL, _SUM_LVL, _PREFIX_LVL),
+    Diff: (" -. ", _SUM_LVL, _SUM_LVL, _PREFIX_LVL),
+}
 
 
-def _print(t: Term, min_level: int) -> str:
-    if isinstance(t, Var):
-        return f"{t.kind}{t.index}"
-    if isinstance(t, Zero):
-        return "0"
-    if isinstance(t, Join):
-        s = f"{_print(t.left, _JOIN_LVL)} \\/ {_print(t.right, _MEET_LVL)}"
-        level = _JOIN_LVL
-    elif isinstance(t, Meet):
-        s = f"{_print(t.left, _MEET_LVL)} /\\ {_print(t.right, _SUM_LVL)}"
-        level = _MEET_LVL
-    elif isinstance(t, Plus):
-        s = f"{_print(t.left, _SUM_LVL)} + {_print(t.right, _PREFIX_LVL)}"
-        level = _SUM_LVL
-    elif isinstance(t, Diff):
-        s = f"{_print(t.left, _SUM_LVL)} -. {_print(t.right, _PREFIX_LVL)}"
-        level = _SUM_LVL
-    elif isinstance(t, Neg):
-        s = f"-{_print(t.arg, _PREFIX_LVL)}"
-        level = _PREFIX_LVL
-    elif isinstance(t, MVNeg):
-        s = f"~{_print(t.arg, _PREFIX_LVL)}"
-        level = _PREFIX_LVL
-    elif isinstance(t, Scalar):
-        if t.k < 0:
-            # negative scalars have no literal syntax; print as negated positive
-            s = f"-{_print(Scalar(-t.k, t.arg), _PREFIX_LVL)}"
-        else:
-            s = f"{t.k} {_print(t.arg, _POWER_LVL)}"
-        level = _PREFIX_LVL
-    elif isinstance(t, Power):
-        s = f"{_print(t.arg, _ATOM_LVL)}^{t.k}"
-        level = _POWER_LVL
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    return f"({s})" if level < min_level else s
+def _printed(t: Term, *kids: tuple[str, int]) -> tuple[str, int]:
+    """The text of t and the precedence level of its top operator."""
+    kind = type(t)
+    infix = _INFIX.get(kind)
+    if infix is not None:
+        op, level, left_least, right_least = infix
+        (a, a_level), (b, b_level) = kids
+        if a_level < left_least:
+            a = f"({a})"
+        if b_level < right_least:
+            b = f"({b})"
+        return a + op + b, level
+    if kind is Var:
+        return f"{t.kind}{t.index}", _ATOM_LVL
+    if kind is Zero:
+        return "0", _ATOM_LVL
+    ((a, a_level),) = kids
+    if kind is Power:
+        return f"{f'({a})' if a_level < _ATOM_LVL else a}^{t.k}", _POWER_LVL
+    if kind is Scalar:
+        # negative scalars have no literal syntax; print as negated positive
+        sign = "-" if t.k < 0 else ""
+        return f"{sign}{abs(t.k)} {f'({a})' if a_level < _POWER_LVL else a}", _PREFIX_LVL
+    sign = "-" if kind is Neg else "~"
+    return f"{sign}{f'({a})' if a_level < _PREFIX_LVL else a}", _PREFIX_LVL
 
 
 def print_term(t: Term) -> str:
-    return _print(t, _JOIN_LVL)
+    return fold(t, _printed)[0]
 
 
 def print_sentence(phi: EFDSentence | Identity) -> str:
@@ -661,21 +719,24 @@ _UNARY = {"neg": Neg, "mvneg": MVNeg}
 _SCALED = {"scalar": Scalar, "power": Power}
 
 
-def term_to_json(t: Term) -> dict:
+_TAGS = {ctor: name for table in (_BINARY, _UNARY, _SCALED) for name, ctor in table.items()}
+
+
+def _json_node(t: Term, *kids: dict) -> dict:
     if isinstance(t, Var):
         return {"op": "var", "kind": t.kind, "index": t.index}
     if isinstance(t, Zero):
         return {"op": "zero"}
-    for name, ctor in _BINARY.items():
-        if isinstance(t, ctor):
-            return {"op": name, "left": term_to_json(t.left), "right": term_to_json(t.right)}
-    for name, ctor in _UNARY.items():
-        if isinstance(t, ctor):
-            return {"op": name, "arg": term_to_json(t.arg)}
-    for name, ctor in _SCALED.items():
-        if isinstance(t, ctor):
-            return {"op": name, "k": t.k, "arg": term_to_json(t.arg)}
-    raise TypeError(f"not a term: {t!r}")
+    tag = _TAGS[type(t)]
+    if len(kids) == 2:
+        return {"op": tag, "left": kids[0], "right": kids[1]}
+    if isinstance(t, (Scalar, Power)):
+        return {"op": tag, "k": t.k, "arg": kids[0]}
+    return {"op": tag, "arg": kids[0]}
+
+
+def term_to_json(t: Term) -> dict:
+    return fold(t, _json_node)
 
 
 def term_from_json(obj: dict) -> Term:

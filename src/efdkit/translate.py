@@ -33,9 +33,12 @@ from .terms import (
     Var,
     ZERO,
     Zero,
+    fold,
     is_boolean_marker,
     max_index,
+    print_term,
     scalar,
+    substitute,
     xvar,
     zvar,
 )
@@ -87,24 +90,27 @@ class TwoCheck:
 # Star translation (hoop -> group)
 
 
+def _star(node, *kids):
+    if isinstance(node, Var):
+        return Join(node, Neg(node)) if node.kind == "x" else node
+    if isinstance(node, Zero):
+        return node
+    if isinstance(node, Plus):
+        return Plus(*kids)
+    if isinstance(node, Diff):
+        a, b = kids
+        return Join(Plus(a, Neg(b)), ZERO)
+    if isinstance(node, Scalar):
+        if node.k < 0:
+            raise FragmentError("negative scalar in a hoop term")
+        return Scalar(node.k, *kids)
+    raise FragmentError(f"{type(node).__name__} is not a hoop operation")
+
+
 def star_term(t: Term) -> Term:
     """x_i maps to x_i \\/ -x_i, z_j to itself, monus to truncated group
     subtraction."""
-    if isinstance(t, Var):
-        if t.kind == "x":
-            return Join(t, Neg(t))
-        return t
-    if isinstance(t, Zero):
-        return t
-    if isinstance(t, Plus):
-        return Plus(star_term(t.left), star_term(t.right))
-    if isinstance(t, Diff):
-        return Join(Plus(star_term(t.left), Neg(star_term(t.right))), ZERO)
-    if isinstance(t, Scalar):
-        if t.k < 0:
-            raise FragmentError("negative scalar in a hoop term")
-        return Scalar(t.k, star_term(t.arg))
-    raise FragmentError(f"{type(t).__name__} is not a hoop operation")
+    return fold(t, _star)
 
 
 def star_sentence(phi: EFDSentence) -> StarResult:
@@ -160,15 +166,7 @@ class _NoUniqueSolution(FragmentError):
 
 def _subst_signs(t: Term, esub: dict[Var, bool]) -> Term:
     """Negate the variables flagged in esub."""
-    if isinstance(t, Var):
-        return MVNeg(t) if esub.get(t) else t
-    if isinstance(t, Zero):
-        return t
-    if isinstance(t, (Plus, Join, Meet, Diff)):
-        return type(t)(_subst_signs(t.left, esub), _subst_signs(t.right, esub))
-    if isinstance(t, MVNeg):
-        return MVNeg(_subst_signs(t.arg, esub))
-    return type(t)(t.k, _subst_signs(t.arg, esub))
+    return substitute(t, lambda v: MVNeg(v) if esub.get(v) else v)
 
 
 def _dist(a: Term, b: Term) -> Term:
@@ -290,11 +288,9 @@ def _v_meet(va, vb):
     return va if ta == _RAD else vb
 
 
-def _v_star(va, vb):
-    return _v_neg(_v_plus(_v_neg(va), _v_neg(vb)))
-
-
 def _v_scalar(k: int, v):
+    if k < 0:
+        raise FragmentError("negative scalar in an MV term")
     if k == 0:
         return (_RAD, ZERO)
     tag, h = v
@@ -303,50 +299,37 @@ def _v_scalar(k: int, v):
     return (_CO, h) if k == 1 else (_CO, ZERO)
 
 
-def _polarity_value(t: Term):
-    if isinstance(t, Var):
-        return (_RAD, t)
-    if isinstance(t, Zero):
-        return (_RAD, ZERO)
-    if isinstance(t, Plus):
-        return _v_plus(_polarity_value(t.left), _polarity_value(t.right))
-    if isinstance(t, MVNeg):
-        return _v_neg(_polarity_value(t.arg))
-    if isinstance(t, Join):
-        return _v_join(_polarity_value(t.left), _polarity_value(t.right))
-    if isinstance(t, Meet):
-        return _v_meet(_polarity_value(t.left), _polarity_value(t.right))
-    if isinstance(t, Diff):
-        return _v_diff(_polarity_value(t.left), _polarity_value(t.right))
-    if isinstance(t, Scalar):
-        if t.k < 0:
-            raise FragmentError("negative scalar in an MV term")
-        return _v_scalar(t.k, _polarity_value(t.arg))
-    if isinstance(t, Power):
-        v = _polarity_value(t.arg)
-        acc = v
-        for _ in range(t.k - 1):
-            acc = _v_star(acc, v)
-        return acc
-    raise FragmentError(f"{type(t).__name__} is not an MV operation")
+def _v_power(k: int, v):
+    # x^k = ~(k ~x): a radical value squares to 0, and k ~(neg h) = k h
+    return _v_neg(_v_scalar(k, _v_neg(v)))
 
 
-def simplify_hoop_term(t: Term) -> Term:
-    """Normalize with identities of cancellative hoops: unit laws for 0,
-    x -. x = 0, (x + y) -. y = x."""
-    if isinstance(t, (Var, Zero)):
-        return t
-    if isinstance(t, Plus):
-        a = simplify_hoop_term(t.left)
-        b = simplify_hoop_term(t.right)
+_V_OPS = {Plus: _v_plus, MVNeg: _v_neg, Join: _v_join, Meet: _v_meet, Diff: _v_diff}
+
+
+def _polarity(node, *kids):
+    op = _V_OPS.get(type(node))
+    if op is not None:
+        return op(*kids)
+    if isinstance(node, (Scalar, Power)):
+        return (_v_scalar if isinstance(node, Scalar) else _v_power)(node.k, *kids)
+    if isinstance(node, (Var, Zero)):
+        return (_RAD, node)
+    raise FragmentError(f"{type(node).__name__} is not an MV operation")
+
+
+def _simplify(node, *kids):
+    if isinstance(node, (Var, Zero)):
+        return node
+    if isinstance(node, Plus):
+        a, b = kids
         if a == ZERO:
             return b
         if b == ZERO:
             return a
         return Plus(a, b)
-    if isinstance(t, Diff):
-        a = simplify_hoop_term(t.left)
-        b = simplify_hoop_term(t.right)
+    if isinstance(node, Diff):
+        a, b = kids
         if b == ZERO:
             return a
         if a == ZERO or a == b:
@@ -357,12 +340,18 @@ def simplify_hoop_term(t: Term) -> Term:
             if a.right == b:
                 return a.left
         return Diff(a, b)
-    if isinstance(t, Scalar):
-        a = simplify_hoop_term(t.arg)
-        if t.k == 0 or a == ZERO:
+    if isinstance(node, Scalar):
+        (a,) = kids
+        if node.k == 0 or a == ZERO:
             return ZERO
-        return scalar(t.k, a)
-    raise FragmentError(f"{type(t).__name__} is not a hoop operation")
+        return scalar(node.k, a)
+    raise FragmentError(f"{type(node).__name__} is not a hoop operation")
+
+
+def simplify_hoop_term(t: Term) -> Term:
+    """Normalize with identities of cancellative hoops: unit laws for 0,
+    x -. x = 0, (x + y) -. y = x."""
+    return fold(t, _simplify)
 
 
 def mv_to_hoop(rb: RadBasicSentence) -> EFDSentence:
@@ -371,12 +360,12 @@ def mv_to_hoop(rb: RadBasicSentence) -> EFDSentence:
     phi = rb.sentence
     equations = []
     for lhs, rhs in phi.equations:
-        (tl, hl) = _polarity_value(lhs)
-        (tr, hr) = _polarity_value(rhs)
+        (tl, hl) = fold(lhs, _polarity)
+        (tr, hr) = fold(rhs, _polarity)
         if tl != tr:
             raise FragmentError(
                 "equation forces a radical value against a co-radical one: "
-                f"{lhs!r} = {rhs!r}"
+                f"{print_term(lhs)} = {print_term(rhs)}"
             )
         equations.append((simplify_hoop_term(hl), simplify_hoop_term(hr)))
     return EFDSentence(Signature.HOOP, phi.n, phi.m, tuple(equations))
@@ -401,7 +390,8 @@ def hoop_sentence_to_delta_kt(phi: EFDSentence) -> tuple[int, Term]:
         k = _kz1(u)
         if k is not None and max_index(v, "z") == 0:
             return (k, v)
-    raise FragmentError(f"not a delta_{{k,t}} shape: {phi.equations[0]!r}")
+    shape = " = ".join(map(print_term, phi.equations[0]))
+    raise FragmentError(f"not a delta_{{k,t}} shape: {shape}")
 
 
 def branch_deltas(phi: EFDSentence) -> list[DeltaKT]:

@@ -10,20 +10,17 @@ from efdkit.canonical import (
     CapExceeded,
     DeltaKT,
     FragmentError,
-    LatJoin,
-    LatLeaf,
-    LatMeet,
+    _leaf_forms,
     classify_group_sentences,
-    collect_forms,
     delta_equivalent,
-    distribute_to_lattice_normal,
     evaluate_piecewise,
     piecewise_canonical,
     reduce_delta_kt,
     sentence_to_delta_kt,
 )
 from efdkit.gen import random_rational_point, random_term
-from efdkit.geometry import IneqSystem, is_full_dimensional, normalize_row
+from efdkit import canonical, geometry
+from efdkit.geometry import IneqSystem, feasible_point, normalize_row
 from efdkit.lattice import PrimeSet, divisible_g, trivial_g
 from efdkit.models import RationalGroup, eval_term
 from efdkit.terms import Signature, parse_sentence, parse_term, xvar
@@ -43,32 +40,25 @@ SIX_FORMS = (
 
 def _chain_pieces(t, n):
     """Reference canonical form by the chain walk: every ordering of the
-    distinct forms whose cone f_1 <= f_2 <= ... is full-dimensional, with
-    the lattice term resolved inside it (a meet takes the earlier form, a
-    join the later).  Its cost grows like m!, so m <= 6 only."""
-    lt = distribute_to_lattice_normal(t, n)
-    forms = collect_forms(lt)
+    distinct leaf forms whose cone f_1 <= f_2 <= ... is full-dimensional,
+    with t's value there read by eval_term at an interior point of the cone
+    and matched to the one form taking it (the forms differ strictly
+    inside).  Its cost grows like m!, so m <= 6 only."""
+    forms = sorted(_leaf_forms(t, n))
     assert len(forms) <= 6
-
-    def resolve(node, rank):
-        if isinstance(node, LatLeaf):
-            return node.form
-        left, right = resolve(node.left, rank), resolve(node.right, rank)
-        later = rank[left] >= rank[right]
-        if isinstance(node, LatJoin):
-            return left if later else right
-        return right if later else left
-
+    q = RationalGroup()
     pieces = []
     for chain in itertools.permutations(forms):
         rows = tuple(
             normalize_row(tuple(a - b for a, b in zip(hi, lo)))
             for lo, hi in zip(chain, chain[1:])
         )
-        region = IneqSystem(n, rows)
-        if is_full_dimensional(region).full_dimensional:
-            rank = {form: pos for pos, form in enumerate(chain)}
-            pieces.append((region, resolve(lt, rank)))
+        point = feasible_point(rows, [1] * len(rows), n)
+        if point is None:
+            continue
+        value = eval_term(q, t, {xvar(i): v for i, v in enumerate(point, start=1)})
+        (form,) = [f for f in chain if sum(c * p for c, p in zip(f, point)) == value]
+        pieces.append((IneqSystem(n, rows), form))
     return pieces
 
 
@@ -87,30 +77,6 @@ def _assert_agrees_with_chain_walk(t, n, rng, points=40):
         assert hits
         for form in hits:
             assert sum(c * p for c, p in zip(form, point)) == value
-
-
-class TestLatticeNormalForm:
-    def test_plus_distributes_over_join(self):
-        lt = distribute_to_lattice_normal(_term(r"x1 + (x1 \/ x2)"), 2)
-        assert lt == LatJoin(LatLeaf((2, 0)), LatLeaf((1, 1)))
-
-    def test_negation_swaps_join_meet(self):
-        lt = distribute_to_lattice_normal(_term(r"-(x1 \/ x2)"), 2)
-        assert lt == LatMeet(LatLeaf((-1, 0)), LatLeaf((0, -1)))
-
-    def test_negative_scalar(self):
-        lt = distribute_to_lattice_normal(_term(r"-2 (x1 /\ x2)"), 2)
-        assert lt == LatJoin(LatLeaf((-2, 0)), LatLeaf((0, -2)))
-
-    def test_zero_scalar_collapses(self):
-        lt = distribute_to_lattice_normal(_term(r"0 \/ x1 + -x1"), 1)
-        assert collect_forms(lt) == [(0,)]
-
-    def test_collect_forms_dedups_in_order(self):
-        lt = distribute_to_lattice_normal(_term(r"(x1 \/ x2) + (x1 \/ x2)"), 2)
-        forms = collect_forms(lt)
-        assert forms[0] == (2, 0)
-        assert len(forms) == len(set(forms))
 
 
 class TestPiecewise:
@@ -136,6 +102,29 @@ class TestPiecewise:
         text = r" \/ ".join(f"{k} x1 + {k + 1} x2" for k in range(1, 11))
         with pytest.raises(CapExceeded):
             piecewise_canonical(_term(text), cap=8)
+
+    def test_cap_counts_forms_pushed_through_the_lattice(self):
+        # x1 \/ -x1 summed N times has the N + 1 forms N x1, (N - 2) x1, ...
+        text = r" + ".join([r"(x1 \/ -x1)"] * 21)
+        with pytest.raises(CapExceeded, match="22 distinct linear forms exceed the cap 8"):
+            piecewise_canonical(_term(text))
+
+    def test_long_sum_is_pinned(self, monkeypatch):
+        count = 0
+        inner = geometry.feasible_point
+
+        def counting(*args):
+            nonlocal count
+            count += 1
+            return inner(*args)
+
+        monkeypatch.setattr(geometry, "feasible_point", counting)
+        monkeypatch.setattr(canonical, "feasible_point", counting)
+        pw = piecewise_canonical(_term(r" + ".join([r"(x1 \/ -x1)"] * 16)), cap=100)
+        assert {(region.rows, form) for region, form in pw.pieces} == {
+            (((1,),), (16,)), (((-1,),), (-16,))
+        }
+        assert (count, len(pw.pieces)) == (3, 2)
 
     def test_degenerate_chains_pruned(self):
         # x1 /\ x1 has one distinct form; no spurious pieces
@@ -166,12 +155,26 @@ class TestAgainstChainWalk:
         rng = random.Random(seed)
         n = rng.randint(1, 3)
         t = random_term(rng, Signature.GROUP, n, rng.randint(1, 5), coeff=5)
-        if len(collect_forms(distribute_to_lattice_normal(t, n))) > 6:
+        if len(_leaf_forms(t, n)) > 6:
             return
         _assert_agrees_with_chain_walk(t, n, rng)
 
     def test_six_forms(self):
         _assert_agrees_with_chain_walk(_term(SIX_FORMS), 3, random.Random(6), 200)
+
+    # sums, negations and scalars above the lattice operations
+    @pytest.mark.parametrize(
+        "text,n",
+        [
+            (r"x1 + (x1 \/ x2)", 2),
+            (r"-(x1 \/ x2)", 2),
+            (r"-2 (x1 /\ x2)", 2),
+            (r"0 \/ x1 + -x1", 1),
+            (r"(x1 \/ x2) + (x1 \/ x2)", 2),
+        ],
+    )
+    def test_operations_above_the_lattice(self, text, n):
+        _assert_agrees_with_chain_walk(_term(text), n, random.Random(text), 100)
 
 
 class TestReduction:

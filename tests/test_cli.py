@@ -13,6 +13,7 @@ from efdkit.cli import run
 from efdkit.gen import random_rational_point, random_term
 from efdkit.models import RationalGroup, check_sentence_sampled, eval_term, parse_model
 from efdkit.terms import (
+    MAX_DEPTH,
     EFDSentence,
     Signature,
     build_epsilon_k,
@@ -56,7 +57,7 @@ class TestExamples:
     def test_canon(self, capsys):
         code, payload = invoke_json(capsys, "canon", "--sig", "group", r"2 x1 \/ 6 x1")
         assert code == 0
-        assert payload["schema"] == "efdkit/canon/2"
+        assert payload["schema"] == "efdkit/canon/3"
         assert len(payload["piecewise"]["pieces"]) == 2
         forms = {tuple(p["form"]) for p in payload["piecewise"]["pieces"]}
         assert forms == {(2,), (6,)}
@@ -350,6 +351,76 @@ class TestExitCodes:
         assert code == 2
         assert captured.out == ""
         assert "zero denominator" in captured.err
+
+
+def _parens(depth):
+    return "(" * (depth - 1) + "x1" + ")" * (depth - 1)
+
+
+def _sum(count):
+    return " + ".join(["x1"] * count)
+
+
+def _equations(count):
+    return "forall x1 exists! z1 : " + " & ".join(["z1 = x1"] * count)
+
+
+class TestBoundedWork:
+    """Inputs that used to end in a RecursionError traceback (exit 1) or
+    run for minutes: each now gets exit 0, 2 or 3."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["canon", _parens(1201)],
+            ["canon", _sum(2000)],
+            ["decompose", "--sentence", _equations(1200)],
+            ["parse", "--sig", "group", "--term=" + "-" * 1200 + "x1"],
+            ["parse", "--sig", "mv", "--sentence", _equations(MAX_DEPTH + 1)],
+        ],
+    )
+    def test_past_the_bound_is_2(self, capsys, argv):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and str(MAX_DEPTH) in err
+
+    def test_every_subcommand_finishes_at_the_bound(self, capsys):
+        for name, text in (("parens", _parens(MAX_DEPTH)), ("sum", _sum(MAX_DEPTH))):
+            mv = f"forall x1 exists! z1 : z1 = {text}"
+            for argv in (
+                ["parse", "--sig", "group", "--term", text],
+                ["canon", "--cap", "1000", text],
+                ["reduce", "--k", "6", "--cap", "1000", "--term", text],
+                ["classify", "--sig", "group", "--sentence", f"delta 4 : {text}"],
+                ["classify", "--sig", "mv", "--sentence", mv],
+                ["translate", "--direction", "star", "--term", text],
+                ["translate", "--direction", "mv-hoop", "--sentence", mv],
+                ["decompose", "--format", "text", "--sentence", mv],
+                ["eval", "--model", "gamma(q)", "--term", text, "--assign", "x1=(0, 1/2)"],
+                ["check", "--model", "gamma(q)", "--no-shortcut", "--budget", "3", "--sentence", mv],
+                ["check", "--model", "q", "--no-shortcut", "--budget", "3", "--sentence", mv],
+            ):
+                assert run(argv) in (0, 3, 4), (name, argv[0])
+        for argv in (
+            ["decompose", "--sentence", _equations(MAX_DEPTH)],
+            ["classify", "--sig", "mv", "--sentence", _equations(MAX_DEPTH)],
+            ["check", "--model", "two", "--sentence", _equations(MAX_DEPTH)],
+        ):
+            assert run(argv) in (0, 3), argv[0]
+        capsys.readouterr()
+
+    def test_long_mv_sum_hits_the_cap(self, capsys):
+        # the radical branch stars to 21 copies of x1 \/ -x1: the forms k x1, k odd
+        code = run(["classify", "--sig", "mv", "--sentence", f"forall x1 exists! z1 : z1 = {_sum(21)}"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: 22 distinct linear forms exceed the cap 8\n"
+
+    @pytest.mark.parametrize("k", ["2000", "1000000"])
+    def test_epsilon_of_large_k(self, capsys, k):
+        code, payload = invoke_json(capsys, "classify", "--sig", "mv", "--sentence", f"epsilon {k}")
+        assert code == 0
+        assert (payload["class"], payload["primes"]) == ("divisible", [2, 5])
 
 
 class TestExactCheck:

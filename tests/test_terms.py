@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from efdkit.gen import random_term
 from efdkit.models import TwoMV, eval_term
 from efdkit.terms import (
+    MAX_DEPTH,
     Diff,
     EFDSentence,
     Identity,
@@ -26,6 +27,7 @@ from efdkit.terms import (
     build_epsilon_k,
     build_t_k,
     expand_macros,
+    fold,
     free_vars,
     is_boolean_marker,
     max_index,
@@ -213,6 +215,55 @@ class TestValidation:
         assert free_vars(t) == frozenset({xvar(1), xvar(3), zvar(1)})
         assert max_index(t, "x") == 3
         assert max_index(t, "z") == 1
+
+
+def _depth(t):
+    return fold(t, lambda node, *kids: 1 + max(kids, default=0))
+
+
+class TestDepthBound:
+    """MAX_DEPTH bounds the nesting the parser accepts: each node and each
+    pair of parentheses is a level, and a sentence holds at most MAX_DEPTH
+    equations.  Tested at the bound and one past it."""
+
+    @pytest.mark.parametrize(
+        "make,sig",
+        [
+            (lambda d: "(" * (d - 1) + "x1" + ")" * (d - 1), Signature.GROUP),
+            (lambda d: " + ".join(["x1"] * d), Signature.HOOP),
+            (lambda d: "-" * (d - 1) + "x1", Signature.GROUP),
+            (lambda d: "~" * (d - 1) + "x1", Signature.MV),
+            (lambda d: r"x1 /\ x2" + r" \/ x1" * (d - 2), Signature.GROUP),
+            (lambda d: "(x1 + " * ((d - 1) // 2) + "x1" + ")" * ((d - 1) // 2), Signature.MV),
+        ],
+    )
+    def test_term_depth(self, make, sig):
+        t = parse_term(make(MAX_DEPTH), sig)
+        assert _depth(t) <= MAX_DEPTH
+        assert parse_term(print_term(t), sig) == t
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse_term(make(MAX_DEPTH + 1), sig)
+
+    def test_equation_count(self):
+        def text(count):
+            return "forall x1 exists! z1 : " + " & ".join(["z1 = x1"] * count)
+
+        phi = parse_sentence(text(MAX_DEPTH), Signature.MV)
+        assert len(phi.equations) == MAX_DEPTH
+        with pytest.raises(ParseError, match=f"more than {MAX_DEPTH} equations"):
+            parse_sentence(text(MAX_DEPTH + 1), Signature.MV)
+
+
+class TestFold:
+    def test_children_left_first(self):
+        t = parse_term(r"x1 -. 2 x2 + x3", Signature.HOOP)
+        seen = []
+        fold(t, lambda node, *kids: seen.append(type(node).__name__))
+        assert seen == ["Var", "Var", "Scalar", "Diff", "Var", "Plus"]
+
+    def test_rejects_a_non_term(self):
+        with pytest.raises(TypeError):
+            fold(3, lambda node, *kids: node)
 
 
 class TestUniquenessRule:

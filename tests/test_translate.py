@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from efdkit import translate
 from efdkit.canonical import ABSURD, DeltaKT, FragmentError
 from efdkit.gen import random_term
 from efdkit.lattice import PrimeSet, boolean_p, divisible_p, trivial_p
@@ -22,6 +23,7 @@ from efdkit.terms import (
     boolean_marker,
     build_delta_k,
     build_epsilon_k,
+    fold,
     parse_sentence,
     parse_term,
     print_term,
@@ -158,8 +160,25 @@ class TestHoopTranslation:
     def test_polarity_mismatch_rejected(self):
         # ~z = z equates a co-radical with a radical value
         phi = parse_sentence("exists! z1 : ~z1 = z1", Signature.MV)
-        with pytest.raises(FragmentError):
+        with pytest.raises(FragmentError, match="~z1 = z1"):
             mv_to_hoop(RadBasicSentence(phi, ()))
+
+    def test_co_radical_power_is_a_scalar(self):
+        phi = parse_sentence("forall x1 exists! z1 : (~z1)^3 = ~x1", Signature.MV)
+        hoop = mv_to_hoop(RadBasicSentence(phi, (0,)))
+        assert hoop.equations == ((parse_term("3 z1", Signature.HOOP), xvar(1)),)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 10**6])
+    @pytest.mark.parametrize("text", ["z1^{k}", "(~z1)^{k}", "(z1 + ~x1)^{k}", "(~z1 /\\ ~x1)^{k}"])
+    def test_powers_agree_with_gamma(self, text, k):
+        # a radical value (0, h) has image ("rad", h), a co-radical (1, -h) ("co", h)
+        t = parse_term(text.format(k=k), Signature.MV)
+        tag, hoop = fold(t, translate._polarity)
+        cone = PositiveCone(RationalGroup())
+        for h1, h2 in [(0, 0), (Fraction(1, 3), 2), (5, Fraction(1, 7))]:
+            value = eval_term(GQ, t, {xvar(1): (0, Fraction(h1)), zvar(1): (0, Fraction(h2))})
+            image = eval_term(cone, hoop, {xvar(1): Fraction(h1), zvar(1): Fraction(h2)})
+            assert value == ((0, image) if tag == "rad" else (1, -image))
 
 
 class TestMVClassification:
@@ -178,6 +197,12 @@ class TestMVClassification:
     def test_boolean_marker_dominates_epsilon(self):
         result = classify_mv_sentences([boolean_marker(), build_epsilon_k(2)])
         assert result.ae_class == boolean_p()
+
+    @pytest.mark.parametrize("k", [2000, 10**6])
+    def test_epsilon_of_large_k(self, k):
+        # 2000 = 2^4 5^3; the powers z1^k translate in closed form
+        c = classify_mv_sentences([build_epsilon_k(k)])
+        assert c.ae_class == divisible_p(PrimeSet.finite({2, 5}))
 
     def test_absurd_marker(self):
         result = classify_mv_sentences([ABSURD])
