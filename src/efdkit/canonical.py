@@ -9,6 +9,7 @@ import math
 import operator
 from dataclasses import dataclass
 
+from .errors import FragmentError
 from .geometry import (
     IneqSystem,
     LinearForm,
@@ -55,10 +56,6 @@ ABSURD = "absurd"  # explicit marker producing the Trivial class
 
 
 class CapExceeded(ValueError):
-    pass
-
-
-class FragmentError(ValueError):
     pass
 
 

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 
-from . import selftest as selftest_mod
 from .canonical import (
     ABSURD,
     CapExceeded,
@@ -45,6 +44,7 @@ from .lattice import (
 from .models import (
     GammaPerfect,
     ModelError,
+    PositiveCone,
     TwoMV,
     check_sentence_sampled,
     eval_term,
@@ -80,6 +80,7 @@ from .translate import (
     RadBasicSentence,
     branch_deltas,
     check_in_two,
+    hoop_delta_star,
     mv_to_hoop,
     phi_rad_decompose,
     star_sentence,
@@ -272,9 +273,11 @@ def _render_text(obj, indent: int = 0) -> str:
 # every command not named here is at version 1.
 # canon/3: cells refined over the term itself, so a negation above a join
 # or meet lists the same pieces in another order; check/2: status "holds"
-# for an exact pass, structured witnesses, the procedure in detail;
-# translate/2: a co-radical power x^k translates to k h, not h + ... + h
-_SCHEMA_VERSIONS = {"canon": 3, "check": 2, "translate": 2}
+# for an exact pass, structured witnesses, the procedure in detail; check/3:
+# a cone is decided by the classification of the star image of its hoop
+# delta_{k,t} instead of sampled; translate/2: a co-radical power x^k
+# translates to k h, not h + ... + h
+_SCHEMA_VERSIONS = {"canon": 3, "check": 3, "translate": 2}
 
 
 def _emit(args, command: str, payload: dict) -> None:
@@ -436,10 +439,11 @@ def _cmd_eval(args) -> int:
 
 
 def _exact_check(a, phi: EFDSentence) -> Verdict | None:
-    """Decide phi in a exactly, or None for the sampled checker (cones, and
-    sentences outside the classifier's fragment).  The two-element model is
-    checked exhaustively; a group or Gamma model satisfies phi iff it is
-    k'-divisible for the k' of every delta_{k,t} of phi (the classification)."""
+    """Decide phi in a exactly, or None for the sampled checker (sentences
+    outside the classifier's fragment).  The two-element model is checked
+    exhaustively; a group, cone or Gamma model satisfies phi iff it is
+    k'-divisible for the k' of every delta_{k,t} of phi (the classification;
+    a hoop sentence on a cone through its star image)."""
     try:
         if isinstance(a, TwoMV):
             two = check_in_two(phi)
@@ -450,10 +454,10 @@ def _exact_check(a, phi: EFDSentence) -> Verdict | None:
             return Verdict("falsified", True, (ebar, []), f"{detail}: no unique z-solution")
         if isinstance(a, GammaPerfect):
             deltas = branch_deltas(phi)
-        elif species(a) is Signature.GROUP:
-            deltas = [sentence_to_delta_kt(phi)]
+        elif isinstance(a, PositiveCone):
+            deltas = [hoop_delta_star(phi)]
         else:
-            return None
+            deltas = [sentence_to_delta_kt(phi)]
         kprimes = sorted({reduce_delta_kt(d) for d in deltas})
     except (FragmentError, CapExceeded):
         return None
@@ -538,6 +542,8 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest as selftest_mod  # loads selftest and gen for this command only
+
     if args.suite == "all":
         reports = selftest_mod.run_all(seed=args.seed, budget=args.budget)
     elif args.suite in selftest_mod.SUITES:

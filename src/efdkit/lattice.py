@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import BudgetExceeded
+
 __all__ = [
     "LatticeError",
     "is_prime",
@@ -65,20 +67,30 @@ def is_prime(p: int) -> bool:
     return True
 
 
+# Trial division tries no divisor above this bound.
+_TRIAL_BOUND = 10**6
+
+
 def prime_factors(k: int) -> frozenset[int]:
-    """The primes dividing k, by trial division that stops at a prime
-    cofactor."""
+    """The primes dividing k, by trial division up to _TRIAL_BOUND that stops
+    at a prime cofactor; BudgetExceeded when a cofactor is left that has no
+    divisor up to the bound and is not provably prime."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    factors, d = set(), 2
-    while k > 1:
-        if k < _MR_BOUND and is_prime(k):
-            d = k
-        while k % d:
-            d += 1
+    factors, d, rest = set(), 2, k
+    while rest > 1:
+        if rest < _MR_BOUND and is_prime(rest):
+            d = rest
+        else:
+            d = next((e for e in range(d, _TRIAL_BOUND + 1) if rest % e == 0), None)
+            if d is None:
+                raise BudgetExceeded(
+                    f"factoring k = {k}: the cofactor {rest} has no divisor up to "
+                    f"{_TRIAL_BOUND} and is not provably prime"
+                )
         factors.add(d)
-        while k % d == 0:
-            k //= d
+        while rest % d == 0:
+            rest //= d
     return frozenset(factors)
 
 

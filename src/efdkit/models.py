@@ -385,7 +385,7 @@ def gamma_div(a: GammaPerfect, e, k: int):
 
 def holds_delta_exact(a, k: int) -> bool:
     """Whether a is k-divisible: Q always, Z only for k = 1, Q_S iff 1/k lies
-    in Q_S, lex(A, B) iff A and B are, Gamma(Z lex G) iff G is."""
+    in Q_S, lex(A, B) iff A and B are, cone(G) and Gamma(Z lex G) iff G is."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if isinstance(a, RationalGroup):
@@ -396,7 +396,7 @@ def holds_delta_exact(a, k: int) -> bool:
         return qs_member(Fraction(1, k), a.primes)
     if isinstance(a, LexProduct):
         return holds_delta_exact(a.left, k) and holds_delta_exact(a.right, k)
-    if isinstance(a, GammaPerfect):
+    if isinstance(a, (PositiveCone, GammaPerfect)):
         return holds_delta_exact(a.inner, k)
     raise ModelError(f"no exact delta_k decision for {a!r}")
 
@@ -535,9 +535,10 @@ def _gdiv_exact(a, value, c: int):
 
 
 def candidate_pool(a, xvals: list, cap: int = 12) -> list:
-    """Structured z-candidates derived from an x-assignment: zero, the x
-    values, their small integer divisions, and MV negations where defined.
-    Sorted, without repeats, and every candidate is an element of a."""
+    """Structured z-candidates derived from the values of an x-assignment
+    (and of the z-free equation sides there): zero, the values, their small
+    integer divisions, and MV negations where defined.  Sorted, without
+    repeats, and every candidate is an element of a."""
     if isinstance(a, TwoMV):
         return list(_BITS)
     if isinstance(a, GammaPerfect):
@@ -599,6 +600,11 @@ def solutions_for_assignment(
 _MISSING = object()
 
 
+def _no_z(zs) -> tuple:
+    """The z-key of a side without z-variables."""
+    return ()
+
+
 class _Side:
     """One equation side and its memo: x-values of its free variables ->
     z-values of its free variables -> the side's value."""
@@ -610,7 +616,7 @@ class _Side:
         self.term = term
         self.xvars = tuple(sorted((v for v in fv if v.kind == "x"), key=lambda v: v.index))
         zpos = sorted(v.index - 1 for v in fv if v.kind == "z")
-        self.zkey = operator.itemgetter(*zpos) if zpos else (lambda zs: ())
+        self.zkey = operator.itemgetter(*zpos) if zpos else _no_z
         self.memo = {}
 
 
@@ -619,8 +625,9 @@ class _Solver:
     x-assignment after another.  A check builds one and drops it when it
     returns, so the memo of each equation side lives for that check only:
     the side is evaluated once per distinct tuple of values of its own free
-    variables (t_k(z1) once per z1, x1 once per assignment), in the order of
-    the plain search, so an evaluation error surfaces at the same point."""
+    variables (t_k(z1) once per z1, x1 once per assignment).  A side without
+    z-variables is evaluated first, since its value seeds the candidate pool;
+    the others in the order of the plain search."""
 
     def __init__(self, a, phi: EFDSentence, cap: int = 12, max_solutions: int = 2):
         self.a, self.phi, self.cap, self.max_solutions = a, phi, cap, max_solutions
@@ -635,11 +642,7 @@ class _Solver:
             if found is not None:
                 return found
         # bounded structured candidate search, exhaustive on the two-element model
-        if self.exhaustive:
-            pool = _BITS
-        else:
-            pool = candidate_pool(self.a, list(xassign.values()), self.cap)
-        return self._search(xassign, pool), self.exhaustive
+        return self._search(xassign), self.exhaustive
 
     def _solve_linear(self, xassign: dict):
         """The exact solve of group equations linear in z1, or None when a
@@ -668,7 +671,7 @@ class _Solver:
             other = _nonzero(a)
         return [(g.zero,), (other,)], True
 
-    def _search(self, xassign: dict, pool) -> list:
+    def _search(self, xassign: dict) -> list:
         a, zvars = self.a, self.zvars
         # per side: (term, z-key, the memo table of this assignment's x-values)
         tables = [
@@ -689,6 +692,18 @@ class _Solver:
                 v = table[key] = eval_term(a, term, env)
             return v
 
+        if self.exhaustive:
+            pool = _BITS
+        else:
+            # the value of a z-free side joins the x-values, so that the pool
+            # holds the solution of z = t(x) and its small divisions
+            seeds = list(xassign.values())
+            for side in itertools.chain.from_iterable(tables):
+                if side[1] is _no_z:
+                    v = value(side, ())
+                    if v not in seeds:
+                        seeds.append(v)
+            pool = candidate_pool(a, seeds, self.cap)
         sols = []
         for zs in itertools.product(pool, repeat=self.phi.m):
             if all(value(lhs, zs) == value(rhs, zs) for lhs, rhs in tables):

@@ -55,6 +55,7 @@ __all__ = [
     "mv_to_hoop",
     "simplify_hoop_term",
     "hoop_sentence_to_delta_kt",
+    "hoop_delta_star",
     "branch_deltas",
     "classify_mv_sentences",
 ]
@@ -394,15 +395,18 @@ def hoop_sentence_to_delta_kt(phi: EFDSentence) -> tuple[int, Term]:
     raise FragmentError(f"not a delta_{{k,t}} shape: {shape}")
 
 
+def hoop_delta_star(phi: EFDSentence) -> DeltaKT:
+    """The group delta_{k,t*} of a hoop delta_{k,t}: recognize the shape,
+    then star the term.  cone(G) satisfies phi iff G satisfies the image."""
+    k, t = hoop_sentence_to_delta_kt(phi)
+    return DeltaKT(k, star_term(t))
+
+
 def branch_deltas(phi: EFDSentence) -> list[DeltaKT]:
     """The delta_{k,t} of each Phi_rad branch of an MV sentence: decompose,
-    translate to hoops, recognize the shape, star the term.  Raises
-    FragmentError outside that fragment, _NoUniqueSolution included."""
-    deltas = []
-    for rb in phi_rad_decompose(phi):
-        k, t_hoop = hoop_sentence_to_delta_kt(mv_to_hoop(rb))
-        deltas.append(DeltaKT(k, star_term(t_hoop)))
-    return deltas
+    translate to hoops, then hoop_delta_star.  Raises FragmentError outside
+    that fragment, _NoUniqueSolution included."""
+    return [hoop_delta_star(mv_to_hoop(rb)) for rb in phi_rad_decompose(phi)]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,15 @@ import efdkit.cli as cli
 from efdkit import canonical, geometry
 from efdkit.cli import run
 from efdkit.gen import random_rational_point, random_term
-from efdkit.models import RationalGroup, check_sentence_sampled, eval_term, parse_model
+from efdkit.models import (
+    GammaPerfect,
+    PositiveCone,
+    RationalGroup,
+    check_sentence_sampled,
+    eval_term,
+    parse_model,
+)
+from efdkit.translate import hoop_delta_star
 from efdkit.terms import (
     MAX_DEPTH,
     EFDSentence,
@@ -174,7 +182,7 @@ class TestExamples:
             capsys, "check", "--model", "qs:2,3", "--sentence", "delta 6"
         )
         assert code == 0
-        assert payload["schema"] == "efdkit/check/2"
+        assert payload["schema"] == "efdkit/check/3"
         assert payload["verdict"] == {
             "status": "holds",
             "confidence": "exact",
@@ -416,6 +424,13 @@ class TestBoundedWork:
         assert code == 3
         assert capsys.readouterr().err == "error: 22 distinct linear forms exceed the cap 8\n"
 
+    def test_factoring_past_the_trial_bound_is_3(self, capsys):
+        # two prime factors near 1.3 * 10^12, both above the trial bound
+        code = run(["classify", "--sig", "group", "--sentence", "delta 3317044064679887385961981"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: factoring k = 3317044064679887385961981:")
+
     @pytest.mark.parametrize("k", ["2000", "1000000"])
     def test_epsilon_of_large_k(self, capsys, k):
         code, payload = invoke_json(capsys, "classify", "--sig", "mv", "--sentence", f"epsilon {k}")
@@ -463,6 +478,25 @@ class TestExactCheck:
         assert code == expected
         assert BIG_PRIME in out
 
+    @pytest.mark.parametrize(
+        "model,sentence,expected",
+        [
+            ("cone(qs:2)", "delta 6", ("falsified", "delta_6")),
+            ("cone(lex(q,qs:3))", "delta 9", ("holds", "delta_9")),
+            ("cone(z)", "forall x1 exists! z1 : 2 z1 = x1 + x1", ("holds", "delta_1")),
+        ],
+    )
+    def test_cone_is_classified(self, capsys, model, sentence, expected):
+        code, payload = invoke_json(capsys, "check", "--model", model, "--sentence", sentence)
+        status, kprime = expected
+        assert code == (0 if status == "holds" else 4)
+        assert payload["verdict"] == {
+            "status": status,
+            "confidence": "exact",
+            "witness": None,
+            "detail": f"classification: {kprime}",
+        }
+
     def test_no_shortcut_samples(self, capsys):
         code, payload = invoke_json(
             capsys, "check", "--model", "two", "--sentence", "epsilon 3", "--no-shortcut"
@@ -473,17 +507,21 @@ class TestExactCheck:
 
 
 _GROUP_MODELS = ["z", "q", "qs:2", "qs:3", "qs:2,3", "lex(z,q)", "lex(q,qs:2)", "lex(qs:3,q)"]
+_CONE_MODELS = ["cone(z)", "cone(q)", "cone(qs:2)", "cone(qs:2,3)", "cone(lex(z,q))",
+                "cone(lex(q,qs:3))"]
 _GAMMA_MODELS = ["gamma(z)", "gamma(q)", "gamma(qs:2)", "gamma(qs:3)", "gamma(qs:2,3)"]
 
 
 def _random_check_pair(rng, i):
-    """A group model with a random delta_{k,t}, or a Gamma model with
-    epsilon_k or a random single-equation MV sentence in z1."""
-    if i % 2 == 0:
-        a = parse_model(rng.choice(_GROUP_MODELS))
-        t = random_term(rng, Signature.GROUP, rng.randint(1, 2), rng.randint(1, 3), coeff=4)
+    """A group model with a random delta_{k,t}, a cone with a random hoop
+    k z1 = t, or a Gamma model with epsilon_k or a random single-equation
+    MV sentence in z1."""
+    if i % 3 < 2:
+        sig, models = ((Signature.GROUP, _GROUP_MODELS), (Signature.HOOP, _CONE_MODELS))[i % 3]
+        a = parse_model(rng.choice(models))
+        t = random_term(rng, sig, rng.randint(1, 2), rng.randint(1, 3), coeff=4)
         lhs = scalar(rng.randint(1, 12), zvar(1))
-        return a, EFDSentence(Signature.GROUP, max(1, max_index(t, "x")), 1, ((lhs, t),))
+        return a, EFDSentence(sig, max(1, max_index(t, "x")), 1, ((lhs, t),))
     a = parse_model(rng.choice(_GAMMA_MODELS))
     if rng.random() < 0.5:
         return a, build_epsilon_k(rng.randint(1, 12))
@@ -498,21 +536,53 @@ class TestExactAgainstSampled:
     def test_sampling_never_contradicts_the_exact_verdict(self):
         rng = random.Random(7)
         decided = {"holds": 0, "falsified": 0}
-        for i in range(200):
+        cones = 0
+        for i in range(300):
             a, phi = _random_check_pair(rng, i)
             exact = cli._exact_check(a, phi)
+            if isinstance(a, PositiveCone):
+                # every hoop k z1 = t is classified, unless its star image
+                # has more distinct forms than the cap
+                if exact is None:
+                    with pytest.raises(canonical.CapExceeded):
+                        canonical.reduce_delta_kt(hoop_delta_star(phi))
+                    continue
+                cones += 1
             if exact is None:
                 continue
             decided[exact.status] += 1
             sampled = check_sentence_sampled(a, phi, budget=60, seed=i)
             if exact.status == "holds":
-                # only a candidate search that finds no solution may miss one
-                assert sampled.status != "falsified" or sampled.detail == (
-                    "sampled: no z-solution among candidates"
+                # on a Gamma model a candidate search may miss a solution that
+                # no pool value leads to; on a cone the pool holds t / k
+                assert sampled.status != "falsified" or (
+                    isinstance(a, GammaPerfect)
+                    and sampled.detail == "sampled: no z-solution among candidates"
                 ), (a, phi, sampled)
             else:
                 assert sampled.status == "falsified", (a, phi)
-        assert min(decided.values()) >= 50, decided
+        assert min(decided.values()) >= 100 and cones >= 80, (decided, cones)
+
+
+class TestCandidatePool:
+    """z1 = t(x) holds in each model below, though no x-value divided by at
+    most 12 is its solution: a cone classifies it, and under --no-shortcut
+    the value of t(x) seeds the candidate pool."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--model", "cone(q)", "--sentence", "forall x1 exists! z1 : z1 = 3 x1"),
+            ("--model", "cone(q)", "--sentence", "forall x1 exists! z1 : z1 = 3 x1",
+             "--no-shortcut"),
+            ("--model", "gamma(q)", "--sentence", "forall x1 exists! z1 : z1 = x1^2",
+             "--no-shortcut"),
+        ],
+    )
+    def test_the_value_of_the_z_free_side_is_a_candidate(self, capsys, argv):
+        code, payload = invoke_json(capsys, "check", *argv)
+        assert code == 0
+        assert payload["verdict"]["status"] in ("holds", "consistent-on-sample")
 
 
 class TestEverySolutionCounts:

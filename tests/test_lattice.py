@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from efdkit.errors import BudgetExceeded
 from efdkit.lattice import (
     ALL_PRIMES,
     AEClass,
@@ -66,6 +67,14 @@ class TestPrimes:
             is_prime(3317044064679887385961981)
         assert not is_prime(2 * 3317044064679887385961981)
         assert prime_factors(2**100) == frozenset({2})
+
+    def test_factoring_stops_at_the_trial_bound(self):
+        # 999983 is the largest prime below the bound, 1000003 the least above it
+        assert prime_factors(999983 * 1000003) == frozenset({999983, 1000003})
+        assert prime_factors(3825123056546413051) == frozenset({149491, 747451, 34233211})
+        for k in (1000003 * 1000033, 318665857834031151167461, 3317044064679887385961981):
+            with pytest.raises(BudgetExceeded, match=f"k = {k}:"):
+                prime_factors(k)
 
 
 prime_sets = st.builds(
