@@ -14,13 +14,17 @@ its arithmetic (zero, +, -, <, k-fold multiple):
   and q <= 0 when i = 1.
 
 eval_term is the one term evaluator; it walks a term through a table of
-node operations built once per algebra from that arithmetic.
+node operations built once per algebra from that arithmetic, on integers:
+the assigned values are scaled by the common denominator D of their
+rational coordinates, and the value is divided by D again.  The candidate
+pool of the sampled checker is formed on integers in the same way.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 from collections.abc import Callable
@@ -246,12 +250,14 @@ def _lex(left: _Group, right: _Group) -> _Group:
 
 
 @functools.lru_cache(maxsize=64)
-def _group(a) -> _Group:
-    """The group G of a group model: scalars, or nested lex pairs of them."""
+def _group(a, scalar: _Group = _RATIONAL) -> _Group:
+    """The group G of a group model: scalars, or nested lex pairs of them.
+    With scalar=_INTEGER every scalar coordinate is an integer: G scaled by
+    a common denominator, as the evaluator runs it."""
     if isinstance(a, LexProduct):
-        return _lex(_group(a.left), _group(a.right))
+        return _lex(_group(a.left, scalar), _group(a.right, scalar))
     if isinstance(a, (IntegerGroup, RationalGroup, LocalizedRationals)):
-        return _RATIONAL
+        return scalar
     raise ModelError(f"not an ordered group: {a!r}")
 
 
@@ -260,33 +266,84 @@ def gamma_unit(a: GammaPerfect):
 
 
 # ---------------------------------------------------------------------------
+# Scaling to integers: (den, up, down) per element shape
+#
+# den(e) is the lcm of the denominators of e's rational coordinates; up(e, D)
+# multiplies each of them by D (a multiple of den(e)), down(u, D) divides
+# them by D again.  x -> D x maps (1/D)Z onto Z preserving +, -, k x and <,
+# so it commutes with every node operation, cut at the unit included.  The
+# first coordinate of a Gamma pair and a bit of TwoMV are integers already.
+
+_RATIONAL_LEAF = (
+    operator.attrgetter("denominator"),
+    lambda e, d: e.numerator * (d // e.denominator),
+    Fraction,
+)
+_INTEGER_LEAF = (lambda e: 1, lambda e, d: e, lambda u, d: u)
+
+
+def _pair_codec(left: tuple, right: tuple) -> tuple:
+    (lden, lup, ldown), (rden, rup, rdown) = left, right
+    return (
+        lambda e: math.lcm(lden(e[0]), rden(e[1])),
+        lambda e, d: (lup(e[0], d), rup(e[1], d)),
+        lambda u, d: (ldown(u[0], d), rdown(u[1], d)),
+    )
+
+
+def _codec(a: WitnessAlgebra) -> tuple:
+    """(den, up, down) for the elements of a."""
+    if isinstance(a, (IntegerGroup, RationalGroup, LocalizedRationals)):
+        return _RATIONAL_LEAF
+    if isinstance(a, LexProduct):
+        return _pair_codec(_codec(a.left), _codec(a.right))
+    if isinstance(a, PositiveCone):
+        return _codec(a.inner)
+    if isinstance(a, GammaPerfect):
+        return _pair_codec(_INTEGER_LEAF, _codec(a.inner))
+    if isinstance(a, TwoMV):
+        return _INTEGER_LEAF
+    raise ModelError(f"not a witness algebra: {a!r}")
+
+
+# ---------------------------------------------------------------------------
 # Term evaluation
 
 
 def eval_term(a: WitnessAlgebra, t: Term, assignment: dict) -> object:
-    """Exact evaluation of t in a under a total assignment keyed by Var."""
-    return _evaluator(a)(t, assignment)
+    """Exact evaluation of t in a under a total assignment keyed by Var.
+
+    The walk runs on integers: the assigned values are scaled by the lcm D
+    of the denominators of their rational coordinates, and the value is
+    divided by D again."""
+    walk, (den, up, down) = _evaluator(a)
+    d = math.lcm(*map(den, assignment.values()))
+    return down(walk(t, {v: up(e, d) for v, e in assignment.items()}), d)
 
 
 @functools.lru_cache(maxsize=64)
 def _evaluator(a: WitnessAlgebra):
-    """The term walker of a, built once per algebra value.  A group model is
-    its group G, cone(G) is the positive cone of G, and an MV model is
-    Gamma(G, u): TwoMV is Gamma(Z, 1), GammaPerfect is Gamma(Z lex inner, (1, 0))."""
+    """The term walker of a over integer coordinates, with the scaling of
+    its elements, built once per algebra value.  A group model is its group
+    G, cone(G) is the positive cone of G, and an MV model is Gamma(G, u):
+    TwoMV is Gamma(Z, 1), GammaPerfect is Gamma(Z lex inner, (1, 0))."""
     if isinstance(a, PositiveCone):
-        g = _group(a.inner)
-        return _walker("a hoop model", g, {
+        g = _group(a.inner, _INTEGER)
+        walk = _walker("a hoop model", g, {
             Plus: g.add,
             Diff: _monus(g),
             Scalar: _nonnegative(g.scale, "negative scalar in a hoop term"),
         })
-    if isinstance(a, TwoMV):
-        return _walker("TwoMV", _INTEGER, _gamma_ops(_INTEGER, 1))
-    if isinstance(a, GammaPerfect):
-        g = _lex(_INTEGER, _group(a.inner))
-        return _walker("a Gamma model", g, _gamma_ops(g, gamma_unit(a)))
-    g = _group(a)
-    return _walker("a group model", g, {Plus: g.add, Neg: g.neg, Scalar: g.scale})
+    elif isinstance(a, TwoMV):
+        walk = _walker("TwoMV", _INTEGER, _gamma_ops(_INTEGER, 1))
+    elif isinstance(a, GammaPerfect):
+        inner = _group(a.inner, _INTEGER)
+        g = _lex(_INTEGER, inner)
+        walk = _walker("a Gamma model", g, _gamma_ops(g, (1, inner.zero)))
+    else:
+        g = _group(a, _INTEGER)
+        walk = _walker("a group model", g, {Plus: g.add, Neg: g.neg, Scalar: g.scale})
+    return walk, _codec(a)
 
 
 def _monus(g: _Group) -> Callable:
@@ -542,32 +599,35 @@ def candidate_pool(a, xvals: list, cap: int = 12) -> list:
     if isinstance(a, TwoMV):
         return list(_BITS)
     if isinstance(a, GammaPerfect):
-        rationals = {Fraction(0)}
-        for (_, q) in xvals:
-            q = abs(Fraction(q))
-            rationals.update(q / d for d in range(1, cap + 1))
         # q >= 0, so (0, q) and (1, -q) lie in Gamma iff q lies in the inner group
         out = []
-        for q in sorted(rationals):
-            if _element_ok(a.inner, q):
-                out.append((0, q))
-                out.append((1, -q))
+        for q in _divisions(a.inner, [e[1] for e in xvals], cap, True):
+            out.append((0, q))
+            out.append((1, -q))
         return out
     cone = isinstance(a, PositiveCone)
-    inner = a.inner if cone else a
-    g = _group(inner)
-    values = {g.zero}
-    for v in xvals:
+    return _divisions(a.inner if cone else a, xvals, cap, cone)
+
+
+def _divisions(a, values: list, cap: int, cone: bool) -> list:
+    """Zero and each v / d (d <= cap) with its negative, or with cone its
+    absolute value, that lie in the group model a; sorted, without repeats.
+    They are formed on integers over m = D lcm(1..cap), D the common
+    denominator of the values, so v / d scales to up(v, m // d)."""
+    g = _group(a, _INTEGER)
+    den, up, down = _codec(a)
+    m = math.lcm(*map(den, values)) * math.lcm(*range(1, cap + 1))
+    scaled = {g.zero}
+    for v in values:
         for d in range(1, cap + 1):
-            w = _gdiv_exact(inner, v, d)  # in the inner group, and so is -w
-            if w is None:
-                continue
+            w = up(v, m // d)
             if cone:
-                values.add(g.join(w, g.neg(w)))
+                scaled.add(g.join(w, g.neg(w)))
             else:
-                values.add(w)
-                values.add(g.neg(w))
-    return sorted(values)
+                scaled.add(w)
+                scaled.add(g.neg(w))
+    candidates = (down(w, m) for w in sorted(scaled))
+    return [e for e in candidates if _element_ok(a, e)]
 
 
 def _element_ok(a, e) -> bool:
@@ -864,11 +924,7 @@ def parse_element(a: WitnessAlgebra, text: str):
     """Element literals: 3, -5/2, (0, 1/2), (1, -3/4)."""
     text = text.strip()
     if isinstance(a, (GammaPerfect, LexProduct)):
-        if not (text.startswith("(") and text.endswith(")")):
-            raise ModelError(f"pair literal expected, got {text!r}")
-        parts = text[1:-1].split(",")
-        if len(parts) != 2:
-            raise ModelError(f"pair literal expected, got {text!r}")
+        parts = _pair_halves(text)
         if isinstance(a, GammaPerfect):
             e = (int(parts[0]), _parse_rational(parts[1]))
         else:
@@ -881,6 +937,21 @@ def parse_element(a: WitnessAlgebra, text: str):
         e = _parse_rational(text)
     check_element(a, e)
     return e
+
+
+def _pair_halves(text: str) -> tuple[str, str]:
+    """The two halves of a pair literal (u, v), split at its one comma
+    outside nested parentheses, so that u and v may be pairs themselves."""
+    if text.startswith("(") and text.endswith(")"):
+        inner, depth, commas = text[1:-1], 0, []
+        for i, ch in enumerate(inner):
+            depth += (ch == "(") - (ch == ")")
+            if ch == "," and depth == 0:
+                commas.append(i)
+        if len(commas) == 1:
+            (i,) = commas
+            return inner[:i], inner[i + 1 :]
+    raise ModelError(f"pair literal expected, got {text!r}")
 
 
 def _parse_rational(text: str) -> Fraction:

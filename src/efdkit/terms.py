@@ -166,20 +166,35 @@ def power(k: int, t: Term) -> Term:
 _ARITY = {Var: 0, Zero: 0, Plus: 2, Join: 2, Meet: 2, Diff: 2, Neg: 1, MVNeg: 1, Scalar: 1, Power: 1}
 
 
-def fold(t: Term, f: Callable):
+_UNSEEN = object()
+
+
+def fold(t: Term, f: Callable, memo: dict | None = None):
     """Bottom-up fold: f(node, *child_values), left child first.
 
     Every walk over a term goes through here (the evaluator in models
-    excepted); a term's depth is bounded by the parser (MAX_DEPTH)."""
+    excepted); a term's depth is bounded by the parser (MAX_DEPTH).  With a
+    memo dict, each node object is folded once: a term that shares subterms
+    costs its number of distinct node objects, not its size as a tree.  The
+    memo is keyed by id, so it serves one fold only, while t keeps every
+    node under it alive."""
+    if memo is not None:
+        value = memo.get(id(t), _UNSEEN)
+        if value is not _UNSEEN:
+            return value
     try:
         arity = _ARITY[type(t)]
     except KeyError:
         raise TypeError(f"not a term: {t!r}") from None
     if arity == 2:
-        return f(t, fold(t.left, f), fold(t.right, f))
-    if arity == 1:
-        return f(t, fold(t.arg, f))
-    return f(t)
+        value = f(t, fold(t.left, f, memo), fold(t.right, f, memo))
+    elif arity == 1:
+        value = f(t, fold(t.arg, f, memo))
+    else:
+        value = f(t)
+    if memo is not None:
+        memo[id(t)] = value
+    return value
 
 
 def _rebuild(t: Term, children) -> Term:

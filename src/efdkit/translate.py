@@ -351,8 +351,9 @@ def _simplify(node, *kids):
 
 def simplify_hoop_term(t: Term) -> Term:
     """Normalize with identities of cancellative hoops: unit laws for 0,
-    x -. x = 0, (x + y) -. y = x."""
-    return fold(t, _simplify)
+    x -. x = 0, (x + y) -. y = x.  A subterm shared by several nodes, as
+    p in the image p + (q -. p) of an MV join, is simplified once."""
+    return fold(t, _simplify, {})
 
 
 def mv_to_hoop(rb: RadBasicSentence) -> EFDSentence:

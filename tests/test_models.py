@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -152,6 +153,80 @@ class TestEveryNodeEveryModel:
         env = {_X1: sample_elements(a, 1, seed=0)[0]}
         with pytest.raises(ModelError):
             eval_term(a, Scalar(-2, _X1), env)
+
+
+# ---------------------------------------------------------------------------
+# eval_term walks integers over one common denominator.  The reference is the
+# evaluator it replaced: the same walker over the Fraction groups, unscaled.
+
+
+def _fraction_eval(a, t, env):
+    return _fraction_walker(a)(t, env)
+
+
+@functools.lru_cache(maxsize=None)
+def _fraction_walker(a):
+    if isinstance(a, PositiveCone):
+        g = models._group(a.inner)
+        return models._walker("a hoop model", g, {
+            Plus: g.add,
+            Diff: models._monus(g),
+            Scalar: models._nonnegative(g.scale, "negative scalar in a hoop term"),
+        })
+    if isinstance(a, TwoMV):
+        return models._walker("TwoMV", models._INTEGER, models._gamma_ops(models._INTEGER, 1))
+    if isinstance(a, GammaPerfect):
+        g = models._lex(models._INTEGER, models._group(a.inner))
+        return models._walker("a Gamma model", g, models._gamma_ops(g, models.gamma_unit(a)))
+    g = models._group(a)
+    return models._walker("a group model", g, {Plus: g.add, Neg: g.neg, Scalar: g.scale})
+
+
+def _outcome(evaluate, a, t, env):
+    """repr of the value, or the type and message of the error raised."""
+    try:
+        return repr(evaluate(a, t, env))
+    except Exception as exc:  # compared, not swallowed
+        return (type(exc).__name__, str(exc))
+
+
+class TestIntegerEvaluation:
+    MODELS = [
+        "z", "q", "qs:2,3", "lex(z,q)", "lex(q,lex(z,qs:2))", "cone(q)", "cone(lex(z,q))",
+        "gamma(z)", "gamma(q)", "gamma(qs:5)", "two",
+    ]
+
+    @pytest.mark.parametrize("descriptor", MODELS)
+    def test_agrees_with_the_fraction_walker(self, descriptor):
+        """Random terms of every signature (so nodes outside the species
+        occur), now and then under a negative scalar, on sampled elements
+        with x2 now and then missing: the same value with the same repr, or
+        the same error with the same message."""
+        a = parse_model(descriptor)
+        rng = random.Random(descriptor)
+        errors = Counter()
+        for trial in range(300):
+            sig = species(a) if rng.random() < 0.7 else rng.choice(list(Signature))
+            t = random_term(rng, sig, 2, rng.randint(0, 5))
+            if rng.random() < 0.1:
+                t = Scalar(-rng.randint(1, 4), t)
+            env = dict(zip((_X1, _X2), sample_elements(a, 2, seed=trial)))
+            if rng.random() < 0.15:
+                del env[_X2]
+            got = _outcome(eval_term, a, t, env)
+            assert got == _outcome(_fraction_eval, a, t, env), (t, env)
+            if isinstance(got, tuple):
+                errors[got[0]] += 1
+        assert set(errors) == {"ModelError"}, errors
+
+    def test_value_is_divided_back(self):
+        """Denominators 4 and 6 walk as integers over 12; the value is
+        reduced again, and the Gamma coordinate i stays an int."""
+        env = {_X1: (0, Fraction(1, 4)), _X2: (0, Fraction(1, 6))}
+        value = eval_term(GQ, Plus(_X1, _X2), env)
+        assert repr(value) == "(0, Fraction(5, 12))"
+        assert repr(eval_term(GQ, Scalar(2, _X1), env)) == "(0, Fraction(1, 2))"
+        assert repr(eval_term(GQ, ZERO, {})) == "(0, Fraction(0, 1))"
 
 
 class TestLocalizedRationals:
@@ -430,6 +505,27 @@ class TestDescriptors:
         assert format_element((1, Fraction(-1, 3))) == "(1, -1/3)"
         q = parse_model("q")
         assert parse_element(q, "-7/2") == Fraction(-7, 2)
+
+    @pytest.mark.parametrize(
+        "descriptor,text,value",
+        [
+            ("lex(z,lex(z,q))", "(1, (2, 3))", (1, (2, 3))),
+            ("lex(z,lex(z,q))", "(-1,(0, -5/2))", (-1, (0, Fraction(-5, 2)))),
+            ("lex(lex(z,q),z)", "((1, 1/2), 4)", ((1, Fraction(1, 2)), 4)),
+        ],
+    )
+    def test_nested_lex_literal_roundtrips(self, descriptor, text, value):
+        a = parse_model(descriptor)
+        e = parse_element(a, text)
+        assert e == value
+        assert parse_element(a, format_element(e)) == e
+
+    @pytest.mark.parametrize(
+        "text", ["(1, 2, 3)", "(1, (2, 3)", "(1), (2)", "(1, (2, 3), 4)", "()", "1, (2, 3)"]
+    )
+    def test_malformed_pair_literal_is_rejected(self, text):
+        with pytest.raises(ModelError, match="pair literal expected"):
+            parse_element(parse_model("lex(z,lex(z,q))"), text)
 
     def test_species(self):
         assert species(parse_model("q")) is Signature.GROUP

@@ -157,6 +157,31 @@ class TestHoopTranslation:
         t = parse_term("(x1 + 0) -. x1", Signature.HOOP)
         assert simplify_hoop_term(t) == parse_term("0", Signature.HOOP)
 
+    def test_join_chain_is_simplified_once_per_node(self, monkeypatch):
+        """p \\/ q = p + (q -. p) shares p, so the image of 40 joins is a tree
+        of about 2^40 nodes; each of its 3n + 1 node objects (41 leaves, two
+        nodes per join), and z1, is simplified once."""
+        calls = []
+
+        def counted(*args, _simplify=translate._simplify):
+            calls.append(args[0])
+            if len(calls) > 1000:  # a tree walk would take about 2^40 calls
+                raise AssertionError("shared subterms simplified again")
+            return _simplify(*args)
+
+        monkeypatch.setattr(translate, "_simplify", counted)
+        text = "forall x1 exists! z1 : z1 = " + r" \/ ".join(["x1"] * 41)
+        hoop = mv_to_hoop(RadBasicSentence(parse_sentence(text, Signature.MV), (0,)))
+        assert hoop.equations == ((zvar(1), xvar(1)),)
+        assert len(calls) == 3 * 40 + 2
+
+    def test_shared_simplification_is_the_tree_fold(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            t = random_term(rng, Signature.MV, 2, rng.randint(1, 5))
+            _, h = fold(t, translate._polarity)
+            assert simplify_hoop_term(h) == fold(h, translate._simplify), t
+
     def test_polarity_mismatch_rejected(self):
         # ~z = z equates a co-radical with a radical value
         phi = parse_sentence("exists! z1 : ~z1 = z1", Signature.MV)
