@@ -7,7 +7,6 @@ from .terms import (
     Term,
     EFDSentence,
     Identity,
-    UniquenessRule,
     parse_term,
     parse_sentence,
     print_term,
@@ -17,16 +16,14 @@ from .terms import (
     build_delta_k,
     build_epsilon_k,
     boolean_marker,
-    uniqueness_quasiidentity,
 )
-from .geometry import IneqSystem, is_full_dimensional, sample_solutions, gcd_all
+from .geometry import IneqSystem, is_full_dimensional, gcd_all
 from .canonical import (
     PiecewiseLinear,
     DeltaKT,
     piecewise_canonical,
     reduce_delta_kt,
     classify_group_sentences,
-    delta_equivalent,
 )
 from .translate import (
     star_term,

@@ -30,6 +30,7 @@ from .terms import (
     SignatureError,
     Term,
     Var,
+    ZERO,
     Zero,
     fold,
     max_index,
@@ -46,7 +47,6 @@ __all__ = [
     "reduce_delta_kt",
     "classify_group_sentences",
     "sentence_to_delta_kt",
-    "delta_equivalent",
     "DEFAULT_FORM_CAP",
 ]
 
@@ -242,13 +242,19 @@ def reduce_delta_kt(d: DeltaKT, cap: int = DEFAULT_FORM_CAP) -> int:
 
 
 def sentence_to_delta_kt(phi: EFDSentence) -> DeltaKT:
-    """Recognize a group sentence of the shape forall x-bar exists! z1 with
-    k z1 = t(x-bar), k z1 possibly spelled as a sum of multiples of z1."""
-    if phi.signature is not Signature.GROUP:
-        raise FragmentError("delta_{k,t} recognition expects a group sentence")
+    """Recognize a group or hoop sentence of the shape forall x-bar exists!
+    z1 with k z1 = t(x-bar), k z1 possibly spelled as a sum of multiples of
+    z1.  A hoop equation may also be spelled (k z1 -. t) + (t -. k z1) = 0,
+    as in the hoop image of a decomposition branch."""
+    if phi.signature is Signature.MV:
+        raise FragmentError("delta_{k,t} recognition expects a group or hoop sentence")
     if phi.m != 1 or len(phi.equations) != 1:
         raise FragmentError("supported fragment: single equation, single z-variable")
     lhs, rhs = phi.equations[0]
+    if rhs == ZERO and isinstance(lhs, Plus):
+        a, b = lhs.left, lhs.right
+        if isinstance(a, Diff) and isinstance(b, Diff) and a.left == b.right and a.right == b.left:
+            lhs, rhs = a.left, a.right
     for a, b in ((lhs, rhs), (rhs, lhs)):
         k = _kz1(a)
         if k is not None and max_index(b, "z") == 0:
@@ -289,17 +295,10 @@ def classify_group_sentences(
     for item in sentences:
         if item == ABSURD:
             return trivial_g()
-        if isinstance(item, EFDSentence):
+        if isinstance(item, EFDSentence) and item.signature is Signature.GROUP:
             item = sentence_to_delta_kt(item)
         if not isinstance(item, DeltaKT):
             raise FragmentError(f"unsupported classification input {item!r}")
         primes |= prime_factors(reduce_delta_kt(item, cap=cap))
     return divisible_g(PrimeSet.finite(primes))
 
-
-def delta_equivalent(k1: int, k2: int) -> bool:
-    """delta_{k1} and delta_{k2} axiomatize the same class iff the prime
-    supports coincide."""
-    if k1 < 1 or k2 < 1:
-        raise ValueError("k must be >= 1")
-    return prime_factors(k1) == prime_factors(k2)

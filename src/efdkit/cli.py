@@ -17,6 +17,7 @@ import sys
 from .canonical import (
     ABSURD,
     CapExceeded,
+    DEFAULT_FORM_CAP,
     DeltaKT,
     FragmentError,
     classify_group_sentences,
@@ -62,6 +63,7 @@ from .terms import (
     ParseError,
     Signature,
     SignatureError,
+    Var,
     boolean_marker,
     build_delta_k,
     build_epsilon_k,
@@ -80,6 +82,7 @@ from .translate import (
     RadBasicSentence,
     branch_deltas,
     check_in_two,
+    classify_mv_sentences,
     hoop_delta_star,
     mv_to_hoop,
     phi_rad_decompose,
@@ -128,6 +131,8 @@ def parse_sentence_spec(text: str, sig: Signature):
     if head and head[0] == "epsilon":
         if sig is not Signature.MV:
             raise FragmentError("epsilon K is an MV shorthand")
+        if len(head) < 2:
+            raise ValueError(f"epsilon K needs an integer K, got {s!r}")
         return build_epsilon_k(int(head[1]))
     if s == "boolean":
         if sig is not Signature.MV:
@@ -186,11 +191,11 @@ def _parse_assignment(a, text: str) -> dict:
             continue
         name, _, value = item.partition("=")
         name = name.strip()
+        if not name:
+            raise ValueError(f"assignment {item!r} names no variable")
         kind, index = name[0], name[1:]
         if kind not in ("x", "z") or not index.isdigit():
             raise ValueError(f"bad variable name {name!r}")
-        from .terms import Var
-
         env[Var(kind, int(index))] = parse_element(a, value.strip())
     return env
 
@@ -329,8 +334,6 @@ def _cmd_classify(args) -> int:
         _emit(args, "classify", _class_json(result))
         return 0
     if sig is Signature.MV:
-        from .translate import classify_mv_sentences
-
         mv = classify_mv_sentences(items, cap=args.cap)
         payload = _class_json(mv.ae_class)
         payload["notes"] = list(mv.notes)
@@ -356,14 +359,13 @@ def _cmd_translate(args) -> int:
             )
             return 0
         phi = parse_sentence_spec(_sentence_specs(args)[0], Signature.HOOP)
-        res = star_sentence(phi)
         _emit(
             args,
             "translate",
             {
                 "direction": "star",
                 "input": print_sentence(phi),
-                "sentence": _sentence_json(res.sentence),
+                "sentence": _sentence_json(star_sentence(phi)),
             },
         )
         return 0
@@ -589,7 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--sentence", action="append")
             p.add_argument("--file")
         if cap:
-            p.add_argument("--cap", type=int, default=8)
+            p.add_argument("--cap", type=int, default=DEFAULT_FORM_CAP)
 
     p = sub.add_parser("parse", help="parse a term or sentences and echo ASTs")
     common(p, sig=True, sentences=True)

@@ -1,5 +1,5 @@
 """Exact linear algebra over the rationals: homogeneous inequality systems,
-full-dimensionality of solution cones, deterministic solution sampling.
+full-dimensionality of solution cones.
 
 Arithmetic is exact and never uses floating point.  The simplex pivots
 integer rows over one common positive determinant and divides exactly;
@@ -8,10 +8,8 @@ points and basis vectors are returned as fractions.Fraction.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,7 +23,6 @@ __all__ = [
     "normalize_row",
     "feasible_point",
     "is_full_dimensional",
-    "sample_solutions",
     "gcd_all",
     "DEFAULT_SEED",
 ]
@@ -56,13 +53,6 @@ class IneqSystem:
         if len(point) != self.n:
             raise DimensionMismatch(f"point has length {len(point)}, expected {self.n}")
         return all(_dot(row, point) >= 0 for row in self.rows)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "rows": [list(r) for r in self.rows]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "IneqSystem":
-        return IneqSystem(obj["n"], tuple(tuple(int(c) for c in r) for r in obj["rows"]))
 
 
 @dataclass(frozen=True)
@@ -242,37 +232,3 @@ def _basis_around(point: list[Fraction], rows, n: int) -> tuple[RationalVector, 
         for j in range(n)
         if j != last
     )
-
-
-# ---------------------------------------------------------------------------
-# Deterministic sampling
-
-
-def sample_solutions(
-    s: IneqSystem, budget: int, seed: int = DEFAULT_SEED
-) -> list[RationalVector]:
-    """Up to budget distinct exact solutions of s.
-
-    Enumerates integer points of boxes with radius 1, 2, 4, ... in an order
-    shuffled by the given seed, keeping points that satisfy the system.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    rng = random.Random(seed)
-    found: list[RationalVector] = []
-    seen: set[RationalVector] = set()
-    radius = 1
-    while len(found) < budget and radius <= 64:
-        points = [
-            tuple(map(Fraction, p))
-            for p in itertools.product(range(-radius, radius + 1), repeat=s.n)
-        ]
-        rng.shuffle(points)
-        for p in points:
-            if p not in seen and s.contains(p):
-                seen.add(p)
-                found.append(p)
-                if len(found) == budget:
-                    break
-        radius *= 2
-    return found

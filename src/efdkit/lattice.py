@@ -147,17 +147,6 @@ class PrimeSet:
             return False  # a cofinite set is infinite
         return b.primes <= a.primes
 
-    def to_json(self):
-        return {self.kind: sorted(self.primes)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "PrimeSet":
-        if "finite" in obj:
-            return PrimeSet.finite(obj["finite"])
-        if "cofinite" in obj:
-            return PrimeSet.cofinite(obj["cofinite"])
-        raise LatticeError(f"bad PrimeSet JSON {obj!r}")
-
 
 EMPTY_PRIMES = PrimeSet.finite(())
 ALL_PRIMES = PrimeSet.cofinite(())

@@ -44,7 +44,6 @@ from .terms import (
     Scalar,
     Signature,
     Term,
-    UniquenessRule,
     Var,
     ZERO,
     Zero,
@@ -67,7 +66,6 @@ __all__ = [
     "check_element",
     "eval_term",
     "radical_member",
-    "gamma_unit",
     "gamma_div",
     "holds_delta_exact",
     "qs_member",
@@ -76,7 +74,6 @@ __all__ = [
     "check_sentence_sampled",
     "solutions_for_assignment",
     "candidate_pool",
-    "check_uniqueness_exhaustive",
     "parse_model",
     "model_name",
     "parse_element",
@@ -259,10 +256,6 @@ def _group(a, scalar: _Group = _RATIONAL) -> _Group:
     if isinstance(a, (IntegerGroup, RationalGroup, LocalizedRationals)):
         return scalar
     raise ModelError(f"not an ordered group: {a!r}")
-
-
-def gamma_unit(a: GammaPerfect):
-    return (1, _group(a.inner).zero)
 
 
 # ---------------------------------------------------------------------------
@@ -773,10 +766,6 @@ class _Solver:
         return sols
 
 
-def _holds_all(a, equations, env) -> bool:
-    return all(eval_term(a, lhs, env) == eval_term(a, rhs, env) for lhs, rhs in equations)
-
-
 def _structured_x(a, n: int) -> list[dict]:
     """Canonical x-assignments checked before random sampling."""
     basics = []
@@ -843,19 +832,6 @@ def check_sentence_sampled(
     return Verdict("consistent-on-sample", False, None, f"sampled: {count} distinct x-assignments")
 
 
-def check_uniqueness_exhaustive(a: TwoMV, rule: UniquenessRule) -> bool:
-    """Exact truth of U(phi) in the two-element model."""
-    if not isinstance(a, TwoMV):
-        raise ModelError("exhaustive checking requires the finite TwoMV model")
-    names = [Var("x", i) for i in range(1, rule.n + 1)]
-    names += [Var("z", j) for j in range(1, 2 * rule.m + 1)]
-    for bits in itertools.product(_BITS, repeat=len(names)):
-        env = dict(zip(names, bits))
-        if _holds_all(a, rule.premises, env) and not _holds_all(a, rule.conclusions, env):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # CLI model descriptors
 
@@ -877,15 +853,24 @@ def parse_model(text: str) -> WitnessAlgebra:
         return LocalizedRationals(primes)
     if text.startswith("lex(") and text.endswith(")"):
         left, right = _split_args(text[4:-1])
-        return LexProduct(parse_model(left), parse_model(right))
+        return LexProduct(_group_model("lex", left), _group_model("lex", right))
     if text.startswith("cone(") and text.endswith(")"):
-        return PositiveCone(parse_model(text[5:-1]))
+        return PositiveCone(_group_model("cone", text[5:-1]))
     if text.startswith("gamma(") and text.endswith(")"):
         inner = text[6:-1]
         if inner.startswith("qs:") or inner in ("z", "q"):
             return GammaPerfect(parse_model(inner))
         raise ModelError(f"gamma expects a scalar group descriptor, got {inner!r}")
     raise ModelError(f"unknown model descriptor {text!r}")
+
+
+def _group_model(form: str, text: str) -> WitnessAlgebra:
+    """The ordered group named inside cone(...) or lex(...): z, q, qs:...
+    or lex(...)."""
+    a = parse_model(text)
+    if not isinstance(a, (IntegerGroup, RationalGroup, LocalizedRationals, LexProduct)):
+        raise ModelError(f"{form} expects an ordered group descriptor, got {text.strip()!r}")
+    return a
 
 
 def _split_args(text: str) -> tuple[str, str]:

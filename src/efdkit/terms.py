@@ -33,7 +33,6 @@ __all__ = [
     "Term",
     "EFDSentence",
     "Identity",
-    "UniquenessRule",
     "ParseError",
     "MAX_DEPTH",
     "SignatureError",
@@ -55,11 +54,8 @@ __all__ = [
     "build_epsilon_k",
     "boolean_marker",
     "is_boolean_marker",
-    "uniqueness_quasiidentity",
     "term_to_json",
-    "term_from_json",
     "sentence_to_json",
-    "sentence_from_json",
 ]
 
 
@@ -371,32 +367,6 @@ class Identity:
             for v in _validated_vars(t, self.signature):
                 if v.kind != "x" or v.index > self.n:
                     raise SignatureError(f"variable {v.kind}{v.index} out of range")
-
-
-@dataclass(frozen=True)
-class UniquenessRule:
-    """U(phi): premises use z1..zm and a duplicate block z(m+1)..z(2m);
-    conclusions equate the two blocks."""
-
-    signature: Signature
-    n: int
-    m: int
-    premises: tuple[tuple[Term, Term], ...]
-    conclusions: tuple[tuple[Term, Term], ...]
-
-
-def _shift_z(t: Term, offset: int) -> Term:
-    return substitute(t, lambda v: Var("z", v.index + offset) if v.kind == "z" else v)
-
-
-def uniqueness_quasiidentity(phi: EFDSentence) -> UniquenessRule:
-    """U(phi): if the equations hold for two z-blocks, the blocks coincide."""
-    first = phi.equations
-    second = tuple(
-        (_shift_z(lhs, phi.m), _shift_z(rhs, phi.m)) for lhs, rhs in phi.equations
-    )
-    conclusions = tuple((zvar(j), zvar(phi.m + j)) for j in range(1, phi.m + 1))
-    return UniquenessRule(phi.signature, phi.n, phi.m, first + second, conclusions)
 
 
 # ---------------------------------------------------------------------------
@@ -729,12 +699,8 @@ def print_sentence(phi: EFDSentence | Identity) -> str:
 # ---------------------------------------------------------------------------
 # JSON serialization (node-tagged objects)
 
-_BINARY = {"plus": Plus, "join": Join, "meet": Meet, "diff": Diff}
-_UNARY = {"neg": Neg, "mvneg": MVNeg}
-_SCALED = {"scalar": Scalar, "power": Power}
-
-
-_TAGS = {ctor: name for table in (_BINARY, _UNARY, _SCALED) for name, ctor in table.items()}
+_TAGS = {Plus: "plus", Join: "join", Meet: "meet", Diff: "diff",
+         Neg: "neg", MVNeg: "mvneg", Scalar: "scalar", Power: "power"}
 
 
 def _json_node(t: Term, *kids: dict) -> dict:
@@ -752,21 +718,6 @@ def _json_node(t: Term, *kids: dict) -> dict:
 
 def term_to_json(t: Term) -> dict:
     return fold(t, _json_node)
-
-
-def term_from_json(obj: dict) -> Term:
-    op = obj["op"]
-    if op == "var":
-        return Var(obj["kind"], obj["index"])
-    if op == "zero":
-        return ZERO
-    if op in _BINARY:
-        return _BINARY[op](term_from_json(obj["left"]), term_from_json(obj["right"]))
-    if op in _UNARY:
-        return _UNARY[op](term_from_json(obj["arg"]))
-    if op in _SCALED:
-        return _SCALED[op](obj["k"], term_from_json(obj["arg"]))
-    raise ParseError(f"unknown AST node tag {op!r}")
 
 
 def sentence_to_json(phi: EFDSentence | Identity) -> dict:
@@ -787,14 +738,3 @@ def sentence_to_json(phi: EFDSentence | Identity) -> dict:
             {"lhs": term_to_json(a), "rhs": term_to_json(b)} for a, b in phi.equations
         ],
     }
-
-
-def sentence_from_json(obj: dict) -> EFDSentence | Identity:
-    sig = Signature(obj["signature"])
-    if obj["kind"] == "identity":
-        eq = obj["equation"]
-        return Identity(sig, obj["n"], (term_from_json(eq["lhs"]), term_from_json(eq["rhs"])))
-    eqs = tuple(
-        (term_from_json(e["lhs"]), term_from_json(e["rhs"])) for e in obj["equations"]
-    )
-    return EFDSentence(sig, obj["n"], obj["m"], eqs)

@@ -11,8 +11,8 @@ from .canonical import (
     ABSURD,
     DeltaKT,
     FragmentError,
-    _kz1,
     classify_group_sentences,
+    sentence_to_delta_kt,
     DEFAULT_FORM_CAP,
 )
 from .lattice import AEClass, boolean_p, meet as class_meet, trivial_p
@@ -35,7 +35,6 @@ from .terms import (
     Zero,
     fold,
     is_boolean_marker,
-    max_index,
     print_term,
     scalar,
     substitute,
@@ -44,7 +43,6 @@ from .terms import (
 )
 
 __all__ = [
-    "StarResult",
     "RadBasicSentence",
     "TwoCheck",
     "MVClassification",
@@ -54,21 +52,12 @@ __all__ = [
     "phi_rad_decompose",
     "mv_to_hoop",
     "simplify_hoop_term",
-    "hoop_sentence_to_delta_kt",
     "hoop_delta_star",
     "branch_deltas",
     "classify_mv_sentences",
 ]
 
 _TWO_BOUND = 20  # exhaustive 2^(n+m) bound for check_in_two
-
-
-@dataclass(frozen=True)
-class StarResult:
-    """Group image of a hoop sentence, with one z_j \\/ 0 = z_j conjunct per
-    z-variable."""
-
-    sentence: EFDSentence
 
 
 @dataclass(frozen=True)
@@ -114,13 +103,15 @@ def star_term(t: Term) -> Term:
     return fold(t, _star)
 
 
-def star_sentence(phi: EFDSentence) -> StarResult:
+def star_sentence(phi: EFDSentence) -> EFDSentence:
+    """Group image of a hoop sentence, with one z_j \\/ 0 = z_j conjunct per
+    z-variable."""
     if phi.signature is not Signature.HOOP:
         raise FragmentError("star translation expects a hoop sentence")
     equations = [(star_term(a), star_term(b)) for a, b in phi.equations]
     for j in range(1, phi.m + 1):
         equations.append((Join(zvar(j), ZERO), zvar(j)))
-    return StarResult(EFDSentence(Signature.GROUP, phi.n, phi.m, tuple(equations)))
+    return EFDSentence(Signature.GROUP, phi.n, phi.m, tuple(equations))
 
 
 # ---------------------------------------------------------------------------
@@ -377,30 +368,11 @@ def mv_to_hoop(rb: RadBasicSentence) -> EFDSentence:
 # Classification pipeline
 
 
-def hoop_sentence_to_delta_kt(phi: EFDSentence) -> tuple[int, Term]:
-    """Recognize the hoop image of a decomposition branch as delta_{k,t}:
-    a single equation (k z1 -. t) + (t -. k z1) = 0 or k z1 = t with t over
-    x-variables."""
-    if phi.signature is not Signature.HOOP or phi.m != 1 or len(phi.equations) != 1:
-        raise FragmentError("supported fragment: single-equation, single-z hoop sentence")
-    lhs, rhs = phi.equations[0]
-    if rhs == ZERO and isinstance(lhs, Plus):
-        a, b = lhs.left, lhs.right
-        if isinstance(a, Diff) and isinstance(b, Diff) and a.left == b.right and a.right == b.left:
-            lhs, rhs = a.left, a.right
-    for u, v in ((lhs, rhs), (rhs, lhs)):
-        k = _kz1(u)
-        if k is not None and max_index(v, "z") == 0:
-            return (k, v)
-    shape = " = ".join(map(print_term, phi.equations[0]))
-    raise FragmentError(f"not a delta_{{k,t}} shape: {shape}")
-
-
 def hoop_delta_star(phi: EFDSentence) -> DeltaKT:
     """The group delta_{k,t*} of a hoop delta_{k,t}: recognize the shape,
     then star the term.  cone(G) satisfies phi iff G satisfies the image."""
-    k, t = hoop_sentence_to_delta_kt(phi)
-    return DeltaKT(k, star_term(t))
+    d = sentence_to_delta_kt(phi)
+    return DeltaKT(d.k, star_term(d.t))
 
 
 def branch_deltas(phi: EFDSentence) -> list[DeltaKT]:

@@ -12,7 +12,6 @@ from efdkit.canonical import (
     FragmentError,
     _leaf_forms,
     classify_group_sentences,
-    delta_equivalent,
     evaluate_piecewise,
     piecewise_canonical,
     reduce_delta_kt,
@@ -249,13 +248,3 @@ class TestSentenceRecognition:
         )
         with pytest.raises(FragmentError):
             sentence_to_delta_kt(phi)
-
-
-class TestDeltaEquivalence:
-    @pytest.mark.parametrize("k1,k2,eq", [(2, 4, True), (6, 12, True), (2, 3, False), (1, 1, True), (1, 2, False), (6, 10, False)])
-    def test_prime_support_rule(self, k1, k2, eq):
-        assert delta_equivalent(k1, k2) is eq
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            delta_equivalent(0, 2)

@@ -16,7 +16,6 @@ from efdkit.geometry import (
     gcd_all,
     is_full_dimensional,
     normalize_row,
-    sample_solutions,
 )
 from efdkit.selftest import _cleared, _integer_rank
 from efdkit.terms import Signature, parse_term
@@ -231,26 +230,3 @@ class TestFullDimensionality:
             assert any(res.certificate)
             for p in sols:
                 assert sum(c * q for c, q in zip(res.certificate, p)) == 0
-
-    def test_json_roundtrip(self):
-        system = IneqSystem(2, ((1, -1), (0, 1)))
-        assert IneqSystem.from_json(system.to_json()) == system
-
-
-class TestSampling:
-    def test_samples_satisfy_system(self):
-        system = IneqSystem(2, ((1, 1), (1, -1)))
-        sols = sample_solutions(system, 50)
-        assert sols
-        assert all(system.contains(p) for p in sols)
-
-    def test_deterministic_for_seed(self):
-        system = IneqSystem(2, ((1, 0),))
-        assert sample_solutions(system, 25, seed=5) == sample_solutions(
-            system, 25, seed=5
-        )
-
-    def test_distinct(self):
-        system = IneqSystem(1, ())
-        sols = sample_solutions(system, 30)
-        assert len(set(sols)) == len(sols)

@@ -119,10 +119,6 @@ class TestPrimeSet:
             for p in PRIMES + (13, 17):
                 assert not a.contains(p) or b.contains(p)
 
-    def test_json_roundtrip(self):
-        for s in (PrimeSet.finite({2, 5}), PrimeSet.cofinite({3})):
-            assert PrimeSet.from_json(s.to_json()) == s
-
 
 def classes(family):
     base = [st.just(AEClass(family, "trivial"))]

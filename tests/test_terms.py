@@ -35,11 +35,6 @@ from efdkit.terms import (
     parse_term,
     print_sentence,
     print_term,
-    sentence_from_json,
-    sentence_to_json,
-    term_from_json,
-    term_to_json,
-    uniqueness_quasiidentity,
     validate_term,
     xvar,
     zvar,
@@ -138,11 +133,6 @@ class TestPrintParseRoundtrip:
     def test_mv(self, t):
         assert parse_term(print_term(t), Signature.MV) == t
 
-    @settings(max_examples=200, deadline=None)
-    @given(terms_of(Signature.MV))
-    def test_json(self, t):
-        assert term_from_json(term_to_json(t)) == t
-
 
 class TestMacros:
     @settings(max_examples=300, deadline=None)
@@ -191,7 +181,6 @@ class TestBuilders:
     def test_boolean_marker_roundtrip(self):
         m = boolean_marker()
         assert is_boolean_marker(m)
-        assert sentence_from_json(sentence_to_json(m)) == m
 
     def test_scalar_one_collapses(self):
         assert build_t_k(1) == parse_term(r"(z1 /\ ~2 z1^2) \/ z1", Signature.MV)
@@ -265,12 +254,3 @@ class TestFold:
         with pytest.raises(TypeError):
             fold(3, lambda node, *kids: node)
 
-
-class TestUniquenessRule:
-    def test_duplicated_block_indices(self):
-        phi = build_delta_k(2)
-        rule = uniqueness_quasiidentity(phi)
-        assert len(rule.premises) == 2 * len(phi.equations)
-        zs = {v.index for p in rule.premises for v in free_vars(p[0]) if v.kind == "z"}
-        assert zs == {1, 2}
-        assert rule.conclusions == ((zvar(1), zvar(2)),)

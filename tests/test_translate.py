@@ -4,15 +4,13 @@ from fractions import Fraction
 import pytest
 
 from efdkit import translate
-from efdkit.canonical import ABSURD, DeltaKT, FragmentError
+from efdkit.canonical import ABSURD, DeltaKT, FragmentError, sentence_to_delta_kt
 from efdkit.gen import random_term
 from efdkit.lattice import PrimeSet, boolean_p, divisible_p, trivial_p
 from efdkit.models import (
     GammaPerfect,
     PositiveCone,
     RationalGroup,
-    TwoMV,
-    check_uniqueness_exhaustive,
     eval_term,
     radical_member,
     sample_elements,
@@ -27,7 +25,6 @@ from efdkit.terms import (
     parse_sentence,
     parse_term,
     print_term,
-    uniqueness_quasiidentity,
     xvar,
     zvar,
 )
@@ -35,7 +32,6 @@ from efdkit.translate import (
     RadBasicSentence,
     check_in_two,
     classify_mv_sentences,
-    hoop_sentence_to_delta_kt,
     mv_to_hoop,
     phi_rad_decompose,
     simplify_hoop_term,
@@ -59,10 +55,10 @@ class TestStarTranslation:
 
     def test_sentence_appends_nonnegativity(self):
         phi = build_delta_k(3, Signature.HOOP)
-        res = star_sentence(phi)
-        assert res.sentence.signature is Signature.GROUP
-        assert len(res.sentence.equations) == 2
-        extra = res.sentence.equations[-1]
+        image = star_sentence(phi)
+        assert image.signature is Signature.GROUP
+        assert len(image.equations) == 2
+        extra = image.equations[-1]
         assert print_term(extra[0]) == r"z1 \/ 0" and extra[1] == zvar(1)
 
     def test_rejects_group_input(self):
@@ -133,10 +129,6 @@ class TestDecomposition:
         for p in phi_rad_decompose(build_epsilon_k(2)):
             assert check_in_two(p.sentence).holds
 
-    def test_uniqueness_rule_of_input_in_two(self):
-        rule = uniqueness_quasiidentity(build_epsilon_k(2))
-        assert check_uniqueness_exhaustive(TwoMV(), rule)
-
     def test_precondition_failure_raises(self):
         phi = parse_sentence("forall x1 exists! z1 : z1 + ~z1 = x1", Signature.MV)
         with pytest.raises(FragmentError):
@@ -150,8 +142,8 @@ class TestHoopTranslation:
         )
         hoop = mv_to_hoop(branch)
         assert hoop.signature is Signature.HOOP
-        k, t = hoop_sentence_to_delta_kt(hoop)
-        assert k == 3 and t == xvar(1)
+        d = sentence_to_delta_kt(hoop)
+        assert d.k == 3 and d.t == xvar(1)
 
     def test_simplify_units(self):
         t = parse_term("(x1 + 0) -. x1", Signature.HOOP)
