@@ -285,11 +285,65 @@ def _render_text(obj, indent: int = 0) -> str:
 _SCHEMA_VERSIONS = {"canon": 3, "check": 3, "translate": 2}
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(value, out: list, pad: str) -> None:
+    """Append value's JSON text to out, byte for byte what
+    ``json.dumps(value, sort_keys=True, indent=2)`` writes at indentation
+    pad, in one pass: with indent set, json runs its pure-Python generator
+    encoder.  Keys are str and values str, None, bool, int, list, tuple or
+    dict, all that efdkit's exact output holds; anything else, a float
+    included, raises TypeError."""
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            out.append(sep)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _write_json(value[key], out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(value) -> str:
+    out: list[str] = []
+    _write_json(value, out, "")
+    return "".join(out)
+
+
 def _emit(args, command: str, payload: dict) -> None:
     version = _SCHEMA_VERSIONS.get(command, 1)
     payload = {"schema": f"efdkit/{command}/{version}", **payload}
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json_text(payload))
     else:
         print(_render_text(payload))
 
@@ -359,6 +413,8 @@ def _cmd_translate(args) -> int:
             )
             return 0
         phi = parse_sentence_spec(_sentence_specs(args)[0], Signature.HOOP)
+        if not isinstance(phi, EFDSentence):
+            raise FragmentError("star translation expects a hoop EFD-sentence")
         _emit(
             args,
             "translate",

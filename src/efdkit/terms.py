@@ -35,6 +35,7 @@ __all__ = [
     "Identity",
     "ParseError",
     "MAX_DEPTH",
+    "MAX_INDEX",
     "SignatureError",
     "ZERO",
     "xvar",
@@ -422,6 +423,10 @@ def is_boolean_marker(ident: Identity) -> bool:
 # over a term recurses once per level (fold), so this bounds their stack.
 MAX_DEPTH = 200
 
+# The largest variable index the parser accepts.  A sentence over x1..xN
+# prints and checks all N variables, so this bounds that work too.
+MAX_INDEX = 100
+
 # precedence levels, loosest first; the printer parenthesises by them too
 _JOIN_LVL, _MEET_LVL, _SUM_LVL, _PREFIX_LVL, _POWER_LVL, _ATOM_LVL = range(1, 7)
 
@@ -437,6 +442,14 @@ _BINARY_OPS = {
 
 def _too_deep(pos: int) -> ParseError:
     return ParseError(f"term nested deeper than {MAX_DEPTH} levels", pos)
+
+
+def _var(token: str, pos: int) -> Var:
+    """The variable a token such as x12 names; its index is at most MAX_INDEX."""
+    digits = token[1:].lstrip("0") or "0"
+    if len(digits) > len(str(MAX_INDEX)) or int(digits) > MAX_INDEX:
+        raise ParseError(f"variable index above {MAX_INDEX}", pos)
+    return Var(token[0], int(digits))
 
 
 _TOKEN_RE = re.compile(
@@ -571,7 +584,7 @@ class _Parser:
         if kind == "int" and value == "0":
             return ZERO, 1
         if kind == "var":
-            return Var(value[0], int(value[1:])), 1
+            return _var(value, pos), 1
         if kind == "op" and value == "(":
             self.nest(pos)
             t, d = self.term()
@@ -591,7 +604,8 @@ class _Parser:
     def var_block(self, kind: str) -> int:
         indices = []
         while self.peek()[0] == "var" and self.peek()[1][0] == kind:
-            indices.append(int(self.next()[1][1:]))
+            _, value, pos = self.next()
+            indices.append(_var(value, pos).index)
         if indices != list(range(1, len(indices) + 1)):
             raise ParseError(f"{kind}-variables must be listed as {kind}1 {kind}2 ...")
         return len(indices)

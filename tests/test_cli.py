@@ -3,9 +3,11 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import efdkit.cli as cli
 from efdkit import canonical, geometry
@@ -653,3 +655,58 @@ class TestDeterminism:
         )
         assert code == 0
         assert "k_prime: 2" in out
+
+
+# JSON values as efdkit's payloads hold them, and the strings and integers
+# json escapes or prints specially: control and non-ASCII characters, astral
+# code points, negative and big integers.
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.text()
+    | st.text(st.characters(min_codepoint=0, max_codepoint=0x2030))
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """The CLI's JSON writer is byte-identical to json.dumps(sort_keys=True,
+    indent=2), which it replaces."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_rejects_what_json_rejects(self):
+        for value in (Fraction(1, 2), {1}, [object()]):
+            with pytest.raises(TypeError):
+                json.dumps(value)
+            with pytest.raises(TypeError):
+                cli._json_text(value)
+
+    def test_rejects_floats_and_non_string_keys(self):
+        # output is exact, so a float in a payload is a defect, not a value
+        for value in (0.5, {1: "a"}):
+            with pytest.raises(TypeError):
+                cli._json_text(value)
+
+    def test_term_at_the_depth_bound(self, capsys):
+        # the writer recurses once per level: MAX_DEPTH term nodes stay far
+        # below the interpreter's recursion limit
+        code, out = invoke(capsys, "parse", "--sig", "group", "--term=" + "-" * (MAX_DEPTH - 1) + "x1")
+        assert code == 0
+        payload = json.loads(out)
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        node, depth = payload["term"], 1
+        while "arg" in node:
+            node, depth = node["arg"], depth + 1
+        assert depth == MAX_DEPTH

@@ -7,6 +7,7 @@ from efdkit.gen import random_term
 from efdkit.models import TwoMV, eval_term
 from efdkit.terms import (
     MAX_DEPTH,
+    MAX_INDEX,
     Diff,
     EFDSentence,
     Identity,
@@ -241,6 +242,36 @@ class TestDepthBound:
         assert len(phi.equations) == MAX_DEPTH
         with pytest.raises(ParseError, match=f"more than {MAX_DEPTH} equations"):
             parse_sentence(text(MAX_DEPTH + 1), Signature.MV)
+
+
+class TestIndexBound:
+    """MAX_INDEX bounds the variable indices the parser accepts, in terms
+    and in the forall and exists! blocks of a sentence."""
+
+    def test_term_variables(self):
+        for kind in "xz":
+            assert parse_term(f"{kind}{MAX_INDEX}", Signature.GROUP) == Var(kind, MAX_INDEX)
+            with pytest.raises(ParseError, match=f"variable index above {MAX_INDEX}"):
+                parse_term(f"x1 + {kind}{MAX_INDEX + 1}", Signature.GROUP)
+        with pytest.raises(ParseError, match=f"variable index above {MAX_INDEX}"):
+            parse_term("x" + "9" * 5000, Signature.GROUP)
+        assert parse_term("x0007", Signature.GROUP) == Var("x", 7)
+
+    def test_sentence_blocks(self):
+        def block(kind, count):
+            return " ".join(f"{kind}{i}" for i in range(1, count + 1))
+
+        phi = parse_sentence(
+            f"forall {block('x', MAX_INDEX)} exists! {block('z', MAX_INDEX)} : z1 = x1",
+            Signature.MV,
+        )
+        assert (phi.n, phi.m) == (MAX_INDEX, MAX_INDEX)
+        for text in (
+            f"forall {block('x', MAX_INDEX + 1)} exists! z1 : z1 = x1",
+            f"forall x1 exists! {block('z', MAX_INDEX + 1)} : z1 = x1",
+        ):
+            with pytest.raises(ParseError, match=f"variable index above {MAX_INDEX}"):
+                parse_sentence(text, Signature.MV)
 
 
 class TestFold:
