@@ -9,7 +9,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import FragmentError
+from .errors import BudgetExceeded, FragmentError
 from .geometry import (
     IneqSystem,
     LinearForm,
@@ -37,7 +37,6 @@ from .terms import (
 )
 
 __all__ = [
-    "CapExceeded",
     "FragmentError",
     "PiecewiseLinear",
     "DeltaKT",
@@ -47,16 +46,12 @@ __all__ = [
     "reduce_delta_kt",
     "classify_group_sentences",
     "sentence_to_delta_kt",
-    "DEFAULT_FORM_CAP",
+    "DEFAULT_CELL_BUDGET",
 ]
 
-DEFAULT_FORM_CAP = 8
+DEFAULT_CELL_BUDGET = 1000  # full-dimensionality tests per canonical form
 
 ABSURD = "absurd"  # explicit marker producing the Trivial class
-
-
-class CapExceeded(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -114,26 +109,8 @@ def _scale(k: int, f: LinearForm) -> LinearForm:
     return tuple(map(k.__mul__, f))
 
 
-def _leaf_forms(t: Term, n: int) -> set:
-    """The distinct linear forms at the leaves of t once +, - and scalars are
-    pushed through \\/ and /\\: sums of forms, one from each summand."""
-
-    def forms(node, *kids):
-        kind = type(node)
-        if kind is Plus:
-            return {_add(f, g) for f in kids[0] for g in kids[1]}
-        if kind is Join or kind is Meet:
-            return kids[0] | kids[1]
-        if kind is Neg or kind is Scalar:
-            k = -1 if kind is Neg else node.k
-            return {_scale(k, f) for f in kids[0]}
-        return {_leaf_form(node, n)}
-
-    return fold(t, forms)
-
-
 def piecewise_canonical(
-    t: Term, n: int | None = None, cap: int = DEFAULT_FORM_CAP
+    t: Term, n: int | None = None, cap: int = DEFAULT_CELL_BUDGET
 ) -> PiecewiseLinear:
     """Cells of t, refined bottom-up over the term.
 
@@ -155,20 +132,19 @@ def piecewise_canonical(
     already present is the whole intersection, and a half holding both r
     and -r is a hyperplane.
 
-    The cap bounds the distinct leaf forms of t with +, - and scalars pushed
-    through the lattice operations (CapExceeded).
+    The cap bounds those LPs: the call raises BudgetExceeded before it would
+    run LP number cap + 1.
     """
     if n is None:
         n = max_index(t, "x")
-    count = len(_leaf_forms(t, n))
-    if count > cap:
-        raise CapExceeded(f"{count} distinct linear forms exceed the cap {cap}")
 
     verdicts: dict[frozenset, bool] = {}
 
     def full_dim(rows: tuple[LinearForm, ...]) -> bool:
         key = frozenset(rows)
         if key not in verdicts:
+            if len(verdicts) == cap:
+                raise BudgetExceeded(f"the canonical form needs more than {cap} cell tests")
             verdicts[key] = feasible_point(rows, [1] * len(rows), n) is not None
         return verdicts[key]
 
@@ -185,7 +161,6 @@ def piecewise_canonical(
                 if len(rows) in (len(rows1), len(rows2)) or full_dim(rows):
                     yield rows, f, g
 
-    # _leaf_forms has rejected every node outside the group signature
     def cells(node, *kids):
         kind = type(node)
         if kind is Plus:
@@ -232,7 +207,7 @@ def evaluate_piecewise(pw: PiecewiseLinear, point) -> object:
 # Reduction and classification
 
 
-def reduce_delta_kt(d: DeltaKT, cap: int = DEFAULT_FORM_CAP) -> int:
+def reduce_delta_kt(d: DeltaKT, cap: int = DEFAULT_CELL_BUDGET) -> int:
     """k' with delta_{k,t} equivalent to delta_{k'} over l-groups:
     divide k by gcd({k} union all piece coefficients)."""
     pw = piecewise_canonical(d.t, cap=cap)
@@ -282,7 +257,7 @@ def _kz1(t: Term) -> int | None:
 
 
 def classify_group_sentences(
-    sentences, cap: int = DEFAULT_FORM_CAP
+    sentences, cap: int = DEFAULT_CELL_BUDGET
 ) -> AEClass:
     """Combine delta_{k,t} inputs into the canonical AE-class of l-groups.
 

@@ -16,8 +16,7 @@ import sys
 
 from .canonical import (
     ABSURD,
-    CapExceeded,
-    DEFAULT_FORM_CAP,
+    DEFAULT_CELL_BUDGET,
     DeltaKT,
     FragmentError,
     classify_group_sentences,
@@ -196,7 +195,10 @@ def _parse_assignment(a, text: str) -> dict:
         kind, index = name[0], name[1:]
         if kind not in ("x", "z") or not index.isdigit():
             raise ValueError(f"bad variable name {name!r}")
-        env[Var(kind, int(index))] = parse_element(a, value.strip())
+        var = Var(kind, int(index))
+        if var in env:
+            raise ValueError(f"variable {name} is assigned more than once")
+        env[var] = parse_element(a, value.strip())
     return env
 
 
@@ -280,9 +282,11 @@ def _render_text(obj, indent: int = 0) -> str:
 # or meet lists the same pieces in another order; check/2: status "holds"
 # for an exact pass, structured witnesses, the procedure in detail; check/3:
 # a cone is decided by the classification of the star image of its hoop
-# delta_{k,t} instead of sampled; translate/2: a co-radical power x^k
-# translates to k h, not h + ... + h
-_SCHEMA_VERSIONS = {"canon": 3, "check": 3, "translate": 2}
+# delta_{k,t} instead of sampled; check/4: a budget on cell tests replaces
+# the cap on leaf forms, so sentences the cap sent to sampling are decided
+# exactly; translate/2: a co-radical power x^k translates to k h, not
+# h + ... + h
+_SCHEMA_VERSIONS = {"canon": 3, "check": 4, "translate": 2}
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -517,7 +521,7 @@ def _exact_check(a, phi: EFDSentence) -> Verdict | None:
         else:
             deltas = [sentence_to_delta_kt(phi)]
         kprimes = sorted({reduce_delta_kt(d) for d in deltas})
-    except (FragmentError, CapExceeded):
+    except FragmentError:
         return None
     holds = all(holds_delta_exact(a, k) for k in kprimes)
     detail = "classification: " + ", ".join(f"delta_{k}" for k in kprimes)
@@ -647,7 +651,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--sentence", action="append")
             p.add_argument("--file")
         if cap:
-            p.add_argument("--cap", type=int, default=DEFAULT_FORM_CAP)
+            p.add_argument("--cap", type=int, default=DEFAULT_CELL_BUDGET)
 
     p = sub.add_parser("parse", help="parse a term or sentences and echo ASTs")
     common(p, sig=True, sentences=True)
@@ -741,8 +745,10 @@ def run(argv=None) -> int:
             args.seed = _seed_from_env()
         if args.budget is not None and args.budget < 1:
             raise ValueError(f"--budget must be >= 1, got {args.budget}")
+        if getattr(args, "cap", 1) < 1:
+            raise ValueError(f"--cap must be >= 1, got {args.cap}")
         return _DISPATCH[args.command](args)
-    except (FragmentError, CapExceeded) as exc:
+    except FragmentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except PropertyFailure as exc:

@@ -13,7 +13,7 @@ from .canonical import (
     FragmentError,
     classify_group_sentences,
     sentence_to_delta_kt,
-    DEFAULT_FORM_CAP,
+    DEFAULT_CELL_BUDGET,
 )
 from .lattice import AEClass, boolean_p, meet as class_meet, trivial_p
 from .models import TwoMV, _Solver
@@ -389,7 +389,7 @@ class MVClassification:
 
 
 def classify_mv_sentences(
-    sentences, cap: int = DEFAULT_FORM_CAP
+    sentences, cap: int = DEFAULT_CELL_BUDGET
 ) -> MVClassification:
     """Classify MV sentences into the canonical AE-class of perfect
     algebras: check_in_two, Phi_rad decomposition, MV-to-hoop, star, then

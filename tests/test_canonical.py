@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from efdkit.canonical import (
     ABSURD,
-    CapExceeded,
     DeltaKT,
     FragmentError,
-    _leaf_forms,
+    _add,
+    _leaf_form,
+    _scale,
     classify_group_sentences,
     evaluate_piecewise,
     piecewise_canonical,
@@ -19,10 +20,22 @@ from efdkit.canonical import (
 )
 from efdkit.gen import random_rational_point, random_term
 from efdkit import canonical, geometry
+from efdkit.errors import BudgetExceeded
 from efdkit.geometry import IneqSystem, feasible_point, normalize_row
 from efdkit.lattice import PrimeSet, divisible_g, trivial_g
 from efdkit.models import RationalGroup, eval_term
-from efdkit.terms import Signature, parse_sentence, parse_term, xvar
+from efdkit.terms import (
+    Join,
+    Meet,
+    Neg,
+    Plus,
+    Scalar,
+    Signature,
+    fold,
+    parse_sentence,
+    parse_term,
+    xvar,
+)
 
 
 def _term(text):
@@ -35,6 +48,48 @@ SIX_FORMS = (
     r"((((((-2 x1 + x2 + 3 x3) \/ (3 x1 + 3 x2 + -3 x3)) /\ (-x1 + -3 x2))"
     r" \/ (3 x1)) /\ (2 x1 + 3 x3)) \/ (-2 x1 + -3 x2))"
 )
+
+# Twelve forms in three variables, SIX_FORMS continued; the CI
+# console-script step runs it too.
+TWELVE_FORMS = (
+    r"((((((((((((-2 x1 + x2 + 3 x3) \/ (3 x1 + 3 x2 + -3 x3)) /\ (-x1 + -3 x2))"
+    r" \/ (3 x1)) /\ (2 x1 + 3 x3)) \/ (-2 x1 + -3 x2)) /\ (-3 x1 + 3 x2))"
+    r" \/ (x2 + 3 x3)) /\ (3 x1 + -3 x2 + 2 x3)) \/ (-x2 + 2 x3))"
+    r" /\ (3 x1 + -2 x2 + x3)) \/ (-3 x1 + -x2 + -3 x3))"
+)
+
+
+def count_lp_calls(monkeypatch) -> list:
+    """Count the LPs of every feasible_point binding the canonicaliser can
+    reach: the returned list gains one entry per call."""
+    calls = []
+    inner = geometry.feasible_point
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(geometry, "feasible_point", counting)
+    monkeypatch.setattr(canonical, "feasible_point", counting)
+    return calls
+
+
+def _leaf_forms(t, n):
+    """The distinct linear forms at the leaves of t once +, - and scalars are
+    pushed through \\/ and /\\: sums of forms, one from each summand."""
+
+    def forms(node, *kids):
+        kind = type(node)
+        if kind is Plus:
+            return {_add(f, g) for f in kids[0] for g in kids[1]}
+        if kind is Join or kind is Meet:
+            return kids[0] | kids[1]
+        if kind is Neg or kind is Scalar:
+            k = -1 if kind is Neg else node.k
+            return {_scale(k, f) for f in kids[0]}
+        return {_leaf_form(node, n)}
+
+    return fold(t, forms)
 
 
 def _chain_pieces(t, n):
@@ -97,33 +152,24 @@ class TestPiecewise:
         assert evaluate_piecewise(pw, (Fraction(5),)) == 5
         assert evaluate_piecewise(pw, (Fraction(0),)) == 0
 
-    def test_cap_exceeded(self):
-        text = r" \/ ".join(f"{k} x1 + {k + 1} x2" for k in range(1, 11))
-        with pytest.raises(CapExceeded):
-            piecewise_canonical(_term(text), cap=8)
-
-    def test_cap_counts_forms_pushed_through_the_lattice(self):
-        # x1 \/ -x1 summed N times has the N + 1 forms N x1, (N - 2) x1, ...
-        text = r" + ".join([r"(x1 \/ -x1)"] * 21)
-        with pytest.raises(CapExceeded, match="22 distinct linear forms exceed the cap 8"):
-            piecewise_canonical(_term(text))
+    def test_cap_exceeded(self, monkeypatch):
+        # the twelve forms take 724 cell tests; the cap stops the call at 50
+        calls = count_lp_calls(monkeypatch)
+        with pytest.raises(BudgetExceeded, match="more than 50 cell tests"):
+            piecewise_canonical(_term(TWELVE_FORMS), cap=50)
+        assert len(calls) == 50
 
     def test_long_sum_is_pinned(self, monkeypatch):
-        count = 0
-        inner = geometry.feasible_point
-
-        def counting(*args):
-            nonlocal count
-            count += 1
-            return inner(*args)
-
-        monkeypatch.setattr(geometry, "feasible_point", counting)
-        monkeypatch.setattr(canonical, "feasible_point", counting)
-        pw = piecewise_canonical(_term(r" + ".join([r"(x1 \/ -x1)"] * 16)), cap=100)
-        assert {(region.rows, form) for region, form in pw.pieces} == {
-            (((1,),), (16,)), (((-1,),), (-16,))
-        }
-        assert (count, len(pw.pieces)) == (3, 2)
+        # x1 \/ -x1 summed N times has N + 1 leaf forms N x1, (N - 2) x1, ...
+        # but two cells, whatever N
+        calls = count_lp_calls(monkeypatch)
+        for copies in (16, 21):
+            calls.clear()
+            pw = piecewise_canonical(_term(r" + ".join([r"(x1 \/ -x1)"] * copies)))
+            assert {(region.rows, form) for region, form in pw.pieces} == {
+                (((1,),), (copies,)), (((-1,),), (-copies,))
+            }
+            assert (len(calls), len(pw.pieces)) == (3, 2)
 
     def test_degenerate_chains_pruned(self):
         # x1 /\ x1 has one distinct form; no spurious pieces
@@ -136,10 +182,7 @@ class TestPiecewise:
         rng = random.Random(seed)
         n = rng.randint(1, 3)
         t = random_term(rng, Signature.GROUP, n, rng.randint(1, 4), coeff=5)
-        try:
-            pw = piecewise_canonical(t, n=n)
-        except CapExceeded:
-            return
+        pw = piecewise_canonical(t, n=n)
         q = RationalGroup()
         for _ in range(40):
             point = random_rational_point(rng, n)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import efdkit.cli as cli
-from efdkit import canonical, geometry
 from efdkit.cli import run
 from efdkit.gen import random_rational_point, random_term
 from efdkit.models import (
@@ -21,7 +20,6 @@ from efdkit.models import (
     eval_term,
     parse_model,
 )
-from efdkit.translate import hoop_delta_star
 from efdkit.terms import (
     MAX_DEPTH,
     EFDSentence,
@@ -34,14 +32,7 @@ from efdkit.terms import (
     zvar,
 )
 
-# Twelve forms in three variables, alternately joined and met; the CI
-# console-script step runs it too.
-TWELVE_FORMS = (
-    r"((((((((((((-2 x1 + x2 + 3 x3) \/ (3 x1 + 3 x2 + -3 x3)) /\ (-x1 + -3 x2))"
-    r" \/ (3 x1)) /\ (2 x1 + 3 x3)) \/ (-2 x1 + -3 x2)) /\ (-3 x1 + 3 x2))"
-    r" \/ (x2 + 3 x3)) /\ (3 x1 + -3 x2 + 2 x3)) \/ (-x2 + 2 x3))"
-    r" /\ (3 x1 + -2 x2 + x3)) \/ (-3 x1 + -x2 + -3 x3))"
-)
+from test_canonical import TWELVE_FORMS, count_lp_calls
 
 # Fails in the two-element model only at x = (1, 0, 1, 0, 1, 0, 1, 0, 1, 0);
 # the CI console-script step runs it too.
@@ -73,20 +64,11 @@ class TestExamples:
         assert forms == {(2,), (6,)}
 
     def test_canon_twelve_forms(self, capsys, monkeypatch):
-        calls = 0
-        inner = geometry.feasible_point
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return inner(*args)
-
-        monkeypatch.setattr(geometry, "feasible_point", counting)
-        monkeypatch.setattr(canonical, "feasible_point", counting)
-        code, payload = invoke_json(capsys, "canon", "--cap", "12", TWELVE_FORMS)
+        calls = count_lp_calls(monkeypatch)
+        code, payload = invoke_json(capsys, "canon", TWELVE_FORMS)
         assert code == 0
         pieces = payload["piecewise"]["pieces"]
-        assert (calls, len(pieces)) == (724, 122)
+        assert (len(calls), len(pieces)) == (724, 122)
         t = parse_term(TWELVE_FORMS, Signature.GROUP)
         rng = random.Random(12)
         for _ in range(100):
@@ -184,7 +166,7 @@ class TestExamples:
             capsys, "check", "--model", "qs:2,3", "--sentence", "delta 6"
         )
         assert code == 0
-        assert payload["schema"] == "efdkit/check/3"
+        assert payload["schema"] == "efdkit/check/4"
         assert payload["verdict"] == {
             "status": "holds",
             "confidence": "exact",
@@ -239,10 +221,13 @@ class TestExitCodes:
         code, _ = invoke(capsys, "canon", "--sig", "hoop", "x1 -. x2")
         assert code == 3
 
-    def test_cap_exceeded_is_3(self, capsys):
-        term = r" \/ ".join(f"{k} x1 + {k + 1} x2" for k in range(1, 11))
-        code, _ = invoke(capsys, "canon", term)
-        assert code == 3
+    def test_cap_exceeded_is_3(self, capsys, monkeypatch):
+        calls = count_lp_calls(monkeypatch)
+        code = run(["canon", "--cap", "50", TWELVE_FORMS])
+        captured = capsys.readouterr()
+        assert (code, len(calls)) == (3, 50)
+        assert captured.out == ""
+        assert captured.err == "error: the canonical form needs more than 50 cell tests\n"
 
     def test_property_failure_is_4(self, capsys):
         code, payload = invoke_json(
@@ -375,6 +360,13 @@ def _equations(count):
     return "forall x1 exists! z1 : " + " & ".join(["z1 = x1"] * count)
 
 
+def _meet_chain(n):
+    """z1 = x1 /\\ ... /\\ xn; the star image of one of its radical branches
+    has 2^n orthant copies of every piece."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    return f"forall {' '.join(xs)} exists! z1 : z1 = " + r" /\ ".join(xs)
+
+
 class TestBoundedWork:
     """Inputs that used to end in a RecursionError traceback (exit 1) or
     run for minutes: each now gets exit 0, 2 or 3."""
@@ -421,10 +413,20 @@ class TestBoundedWork:
         capsys.readouterr()
 
     def test_long_mv_sum_hits_the_cap(self, capsys):
-        # the radical branch stars to 21 copies of x1 \/ -x1: the forms k x1, k odd
-        code = run(["classify", "--sig", "mv", "--sentence", f"forall x1 exists! z1 : z1 = {_sum(21)}"])
-        assert code == 3
-        assert capsys.readouterr().err == "error: 22 distinct linear forms exceed the cap 8\n"
+        # the radical branch stars to 21 copies of x1 \/ -x1: 22 leaf forms,
+        # but two cells
+        code, payload = invoke_json(
+            capsys, "classify", "--sig", "mv", "--sentence", f"forall x1 exists! z1 : z1 = {_sum(21)}"
+        )
+        assert code == 0
+        assert (payload["class"], payload["primes"]) == ("divisible", [])
+
+    def test_meet_chain_hits_the_cap(self, capsys, monkeypatch):
+        calls = count_lp_calls(monkeypatch)
+        code = run(["classify", "--sig", "mv", "--sentence", _meet_chain(6)])
+        captured = capsys.readouterr()
+        assert (code, len(calls)) == (3, 1000)
+        assert captured.err == "error: the canonical form needs more than 1000 cell tests\n"
 
     def test_factoring_past_the_trial_bound_is_3(self, capsys):
         # two prime factors near 1.3 * 10^12, both above the trial bound
@@ -543,12 +545,8 @@ class TestExactAgainstSampled:
             a, phi = _random_check_pair(rng, i)
             exact = cli._exact_check(a, phi)
             if isinstance(a, PositiveCone):
-                # every hoop k z1 = t is classified, unless its star image
-                # has more distinct forms than the cap
-                if exact is None:
-                    with pytest.raises(canonical.CapExceeded):
-                        canonical.reduce_delta_kt(hoop_delta_star(phi))
-                    continue
+                # every hoop k z1 = t is classified
+                assert exact is not None, (a, phi)
                 cones += 1
             if exact is None:
                 continue
@@ -563,7 +561,7 @@ class TestExactAgainstSampled:
                 ), (a, phi, sampled)
             else:
                 assert sampled.status == "falsified", (a, phi)
-        assert min(decided.values()) >= 100 and cones >= 80, (decided, cones)
+        assert min(decided.values()) >= 100 and cones == 100, (decided, cones)
 
 
 class TestCandidatePool:

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from efdkit import canonical, geometry
 from efdkit.canonical import piecewise_canonical
 from efdkit.cli import run
 from efdkit.geometry import (
@@ -20,7 +19,7 @@ from efdkit.geometry import (
 from efdkit.selftest import _cleared, _integer_rank
 from efdkit.terms import Signature, parse_term
 
-from test_canonical import SIX_FORMS
+from test_canonical import SIX_FORMS, count_lp_calls
 
 
 def _rank(vectors, n):
@@ -159,19 +158,9 @@ class TestPinnedSimplex:
         ],
     )
     def test_lp_call_count_is_pinned(self, monkeypatch, text, calls, cells):
-        count = 0
-        inner = geometry.feasible_point
-
-        def counting(*args):
-            nonlocal count
-            count += 1
-            return inner(*args)
-
-        # every binding the canonicaliser can reach
-        monkeypatch.setattr(geometry, "feasible_point", counting)
-        monkeypatch.setattr(canonical, "feasible_point", counting)
+        lps = count_lp_calls(monkeypatch)
         pw = piecewise_canonical(parse_term(text, Signature.GROUP))
-        assert (count, len(pw.pieces)) == (calls, cells)
+        assert (len(lps), len(pw.pieces)) == (calls, cells)
 
 
 class TestFullDimensionality:
