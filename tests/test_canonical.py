@@ -159,6 +159,18 @@ class TestPiecewise:
             piecewise_canonical(_term(TWELVE_FORMS), cap=50)
         assert len(calls) == 50
 
+    def test_cap_counts_forms_pushed_through_the_lattice(self, monkeypatch):
+        # the 22 leaf forms of 21 copies of x1 \/ -x1 cost nothing: the cap
+        # counts the 3 cell tests, so it answers at 3 and stops at 2
+        calls = count_lp_calls(monkeypatch)
+        text = r" + ".join([r"(x1 \/ -x1)"] * 21)
+        assert len(piecewise_canonical(_term(text), cap=3).pieces) == 2
+        assert len(calls) == 3
+        calls.clear()
+        with pytest.raises(BudgetExceeded, match="more than 2 cell tests"):
+            piecewise_canonical(_term(text), cap=2)
+        assert len(calls) == 2
+
     def test_long_sum_is_pinned(self, monkeypatch):
         # x1 \/ -x1 summed N times has N + 1 leaf forms N x1, (N - 2) x1, ...
         # but two cells, whatever N
