@@ -22,7 +22,6 @@ from .canonical import (
     classify_group_sentences,
     piecewise_canonical,
     reduce_delta_kt,
-    sentence_to_delta_kt,
 )
 from .geometry import DEFAULT_SEED, IneqSystem, is_full_dimensional
 from .lattice import (
@@ -42,9 +41,7 @@ from .lattice import (
     trivial_p,
 )
 from .models import (
-    GammaPerfect,
     ModelError,
-    PositiveCone,
     TwoMV,
     check_sentence_sampled,
     eval_term,
@@ -78,13 +75,12 @@ from .terms import (
     zvar,
 )
 from .translate import (
-    RadBasicSentence,
-    branch_deltas,
+    _NoUniqueSolution,
     check_in_two,
     classify_mv_sentences,
-    hoop_delta_star,
     mv_to_hoop,
     phi_rad_decompose,
+    sentence_deltas,
     star_sentence,
     star_term,
 )
@@ -284,9 +280,10 @@ def _render_text(obj, indent: int = 0) -> str:
 # a cone is decided by the classification of the star image of its hoop
 # delta_{k,t} instead of sampled; check/4: a budget on cell tests replaces
 # the cap on leaf forms, so sentences the cap sent to sampling are decided
-# exactly; translate/2: a co-radical power x^k translates to k h, not
+# exactly; check/5: the trivial class is decided on Gamma models, not
+# sampled; translate/2: a co-radical power x^k translates to k h, not
 # h + ... + h
-_SCHEMA_VERSIONS = {"canon": 3, "check": 4, "translate": 2}
+_SCHEMA_VERSIONS = {"canon": 3, "check": 5, "translate": 2}
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -432,7 +429,7 @@ def _cmd_translate(args) -> int:
     phi = parse_sentence_spec(_sentence_specs(args)[0], Signature.MV)
     if not isinstance(phi, EFDSentence):
         raise FragmentError("mv-hoop translation expects an MV EFD-sentence")
-    hoop = mv_to_hoop(RadBasicSentence(phi, (0,) * phi.n))
+    hoop = mv_to_hoop(phi)
     _emit(
         args,
         "translate",
@@ -505,7 +502,8 @@ def _exact_check(a, phi: EFDSentence) -> Verdict | None:
     outside the classifier's fragment).  The two-element model is checked
     exhaustively; a group, cone or Gamma model satisfies phi iff it is
     k'-divisible for the k' of every delta_{k,t} of phi (the classification;
-    a hoop sentence on a cone through its star image)."""
+    a hoop sentence on a cone through its star image, and no Gamma model
+    satisfies an MV sentence in the trivial class)."""
     try:
         if isinstance(a, TwoMV):
             two = check_in_two(phi)
@@ -514,13 +512,10 @@ def _exact_check(a, phi: EFDSentence) -> Verdict | None:
                 return Verdict("holds", True, None, detail)
             ebar = {xvar(i): b for i, b in enumerate(two.failing, start=1)}
             return Verdict("falsified", True, (ebar, []), f"{detail}: no unique z-solution")
-        if isinstance(a, GammaPerfect):
-            deltas = branch_deltas(phi)
-        elif isinstance(a, PositiveCone):
-            deltas = [hoop_delta_star(phi)]
-        else:
-            deltas = [sentence_to_delta_kt(phi)]
-        kprimes = sorted({reduce_delta_kt(d) for d in deltas})
+        kprimes = sorted({reduce_delta_kt(d) for d in sentence_deltas(phi)})
+    except _NoUniqueSolution as exc:
+        detail = f"classification: trivial, no unique two-element solution at e-bar = {exc.failing}"
+        return Verdict("falsified", True, None, detail)
     except FragmentError:
         return None
     holds = all(holds_delta_exact(a, k) for k in kprimes)
@@ -641,10 +636,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sig=False, sentences=False, cap=False, budget_help=None):
+    def common(p, sig=False, sentences=False, cap=False, sampled=False, budget_help=None):
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--budget", type=int, default=None, help=budget_help)
+        if sampled:
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--budget", type=int, default=None, help=budget_help)
         if sig:
             p.add_argument("--sig", choices=tuple(_SIGS), required=True)
         if sentences:
@@ -689,7 +685,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assign", help='e.g. "x1=1/2;x2=(1, -1/3)"')
 
     p = sub.add_parser("check", help="check a sentence in a witness model")
-    common(p, sentences=True)
+    common(p, sentences=True, sampled=True)
     p.add_argument("--model", required=True)
     p.add_argument(
         "--no-shortcut",
@@ -713,6 +709,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the property suites")
     common(
         p,
+        sampled=True,
         budget_help="samples for a sampled suite; with 'all' it applies to the "
         "sampled suites only, and a suite that is exhaustive over a fixed set "
         "rejects it",
@@ -741,9 +738,9 @@ _DISPATCH = {
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.seed is None:
+        if getattr(args, "seed", 0) is None:
             args.seed = _seed_from_env()
-        if args.budget is not None and args.budget < 1:
+        if getattr(args, "budget", None) is not None and args.budget < 1:
             raise ValueError(f"--budget must be >= 1, got {args.budget}")
         if getattr(args, "cap", 1) < 1:
             raise ValueError(f"--cap must be >= 1, got {args.cap}")

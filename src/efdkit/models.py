@@ -639,15 +639,14 @@ def _nonzero(a):
     return Fraction(1)
 
 
-def solutions_for_assignment(
-    a, phi: EFDSentence, xassign: dict, cap: int = 12, max_solutions: int = 2
-):
-    """Solutions z-bar of phi's equations at a fixed x-assignment.
+def solutions_for_assignment(a, phi: EFDSentence, xassign: dict, cap: int = 12):
+    """Solutions z-bar of phi's equations at a fixed x-assignment, at most
+    two: a second one already refutes uniqueness.
 
     Returns (solutions, exact): exact is True when the answer is complete
     (exhaustive domain or exact linear solve), False for candidate search.
     """
-    return _Solver(a, phi, cap, max_solutions).solve(xassign)
+    return _Solver(a, phi, cap).solve(xassign)
 
 
 _MISSING = object()
@@ -682,8 +681,8 @@ class _Solver:
     z-variables is evaluated first, since its value seeds the candidate pool;
     the others in the order of the plain search."""
 
-    def __init__(self, a, phi: EFDSentence, cap: int = 12, max_solutions: int = 2):
-        self.a, self.phi, self.cap, self.max_solutions = a, phi, cap, max_solutions
+    def __init__(self, a, phi: EFDSentence, cap: int = 12):
+        self.a, self.phi, self.cap = a, phi, cap
         self.linear = species(a) is Signature.GROUP and phi.m == 1
         self.exhaustive = isinstance(a, TwoMV)
         self.zvars = tuple(Var("z", j) for j in range(1, phi.m + 1))
@@ -761,7 +760,7 @@ class _Solver:
         for zs in itertools.product(pool, repeat=self.phi.m):
             if all(value(lhs, zs) == value(rhs, zs) for lhs, rhs in tables):
                 sols.append(zs)
-                if len(sols) >= self.max_solutions:
+                if len(sols) == 2:
                     break
         return sols
 

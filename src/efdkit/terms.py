@@ -158,40 +158,40 @@ def power(k: int, t: Term) -> Term:
     return t if k == 1 else Power(k, t)
 
 
-# Number of children of each node type: (left, right) for binary nodes, arg
-# for the unary and scaled ones.
-_ARITY = {Var: 0, Zero: 0, Plus: 2, Join: 2, Meet: 2, Diff: 2, Neg: 1, MVNeg: 1, Scalar: 1, Power: 1}
-
+# The node types with children (left, right), and those with one child, arg
+_BINARY = frozenset((Plus, Join, Meet, Diff))
+_UNARY = frozenset((Neg, MVNeg, Scalar, Power))
 
 _UNSEEN = object()
 
 
-def fold(t: Term, f: Callable, memo: dict | None = None):
+def fold(t: Term, f: Callable):
     """Bottom-up fold: f(node, *child_values), left child first.
 
     Every walk over a term goes through here (the evaluator in models
-    excepted); a term's depth is bounded by the parser (MAX_DEPTH).  With a
-    memo dict, each node object is folded once: a term that shares subterms
-    costs its number of distinct node objects, not its size as a tree.  The
-    memo is keyed by id, so it serves one fold only, while t keeps every
-    node under it alive."""
-    if memo is not None:
-        value = memo.get(id(t), _UNSEEN)
-        if value is not _UNSEEN:
-            return value
-    try:
-        arity = _ARITY[type(t)]
-    except KeyError:
-        raise TypeError(f"not a term: {t!r}") from None
-    if arity == 2:
-        value = f(t, fold(t.left, f, memo), fold(t.right, f, memo))
-    elif arity == 1:
-        value = f(t, fold(t.arg, f, memo))
-    else:
-        value = f(t)
-    if memo is not None:
-        memo[id(t)] = value
-    return value
+    excepted); a term's depth is bounded by the parser (MAX_DEPTH).  Terms
+    may share subterms, as p in the hoop image p + (q -. p) of an MV join,
+    so each binary node object is folded once per call: a walk costs about
+    the number of distinct nodes, not the size of the term as a tree.
+    Leaves and unary nodes, cheap and no source of blow-up alone, are
+    folded once per reference."""
+    return _walk(t, f, {})
+
+
+def _walk(t: Term, f: Callable, memo: dict):
+    # memo: id -> value of each binary node folded so far (t keeps them alive)
+    kind = type(t)
+    if kind in _BINARY:
+        key = id(t)
+        value = memo.get(key, _UNSEEN)
+        if value is _UNSEEN:
+            value = memo[key] = f(t, _walk(t.left, f, memo), _walk(t.right, f, memo))
+        return value
+    if kind in _UNARY:
+        return f(t, _walk(t.arg, f, memo))
+    if kind is Var or kind is Zero:
+        return f(t)
+    raise TypeError(f"not a term: {t!r}")
 
 
 def _rebuild(t: Term, children) -> Term:

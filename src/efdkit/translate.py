@@ -53,7 +53,7 @@ __all__ = [
     "mv_to_hoop",
     "simplify_hoop_term",
     "hoop_delta_star",
-    "branch_deltas",
+    "sentence_deltas",
     "classify_mv_sentences",
 ]
 
@@ -342,15 +342,13 @@ def _simplify(node, *kids):
 
 def simplify_hoop_term(t: Term) -> Term:
     """Normalize with identities of cancellative hoops: unit laws for 0,
-    x -. x = 0, (x + y) -. y = x.  A subterm shared by several nodes, as
-    p in the image p + (q -. p) of an MV join, is simplified once."""
-    return fold(t, _simplify, {})
+    x -. x = 0, (x + y) -. y = x."""
+    return fold(t, _simplify)
 
 
-def mv_to_hoop(rb: RadBasicSentence) -> EFDSentence:
+def mv_to_hoop(phi: EFDSentence) -> EFDSentence:
     """phi^H: each equation translated so that, on radical assignments,
     hoop satisfaction in rad A coincides with MV satisfaction in A."""
-    phi = rb.sentence
     equations = []
     for lhs, rhs in phi.equations:
         (tl, hl) = fold(lhs, _polarity)
@@ -375,11 +373,16 @@ def hoop_delta_star(phi: EFDSentence) -> DeltaKT:
     return DeltaKT(d.k, star_term(d.t))
 
 
-def branch_deltas(phi: EFDSentence) -> list[DeltaKT]:
-    """The delta_{k,t} of each Phi_rad branch of an MV sentence: decompose,
-    translate to hoops, then hoop_delta_star.  Raises FragmentError outside
-    that fragment, _NoUniqueSolution included."""
-    return [hoop_delta_star(mv_to_hoop(rb)) for rb in phi_rad_decompose(phi)]
+def sentence_deltas(phi: EFDSentence) -> list[DeltaKT]:
+    """The delta_{k,t} of phi by its signature: a group sentence's shape,
+    hoop_delta_star of a hoop sentence, or that of each Phi_rad branch of an
+    MV sentence.  Raises FragmentError outside that fragment, and
+    _NoUniqueSolution where check_in_two fails."""
+    if phi.signature is Signature.GROUP:
+        return [sentence_to_delta_kt(phi)]
+    if phi.signature is Signature.HOOP:
+        return [hoop_delta_star(phi)]
+    return [hoop_delta_star(mv_to_hoop(rb.sentence)) for rb in phi_rad_decompose(phi)]
 
 
 @dataclass(frozen=True)
@@ -408,7 +411,7 @@ def classify_mv_sentences(
         if not isinstance(item, EFDSentence) or item.signature is not Signature.MV:
             raise FragmentError(f"unsupported classification input {item!r}")
         try:
-            deltas.extend(branch_deltas(item))
+            deltas.extend(sentence_deltas(item))
         except _NoUniqueSolution as exc:
             return MVClassification(
                 trivial_p(),

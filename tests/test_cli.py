@@ -166,7 +166,7 @@ class TestExamples:
             capsys, "check", "--model", "qs:2,3", "--sentence", "delta 6"
         )
         assert code == 0
-        assert payload["schema"] == "efdkit/check/4"
+        assert payload["schema"] == "efdkit/check/5"
         assert payload["verdict"] == {
             "status": "holds",
             "confidence": "exact",
@@ -269,8 +269,7 @@ class TestExitCodes:
 
     def test_invalid_env_seed_is_2(self, capsys, monkeypatch):
         monkeypatch.setenv("EFDKIT_SEED", "abc")
-        code = run(["lattice", "--op", "meet", "--left", "divisible:2",
-                    "--right", "divisible:3"])
+        code = run(["check", "--model", "q", "--sentence", "delta 2"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -279,11 +278,21 @@ class TestExitCodes:
     def test_invalid_env_seed_unused_with_seed_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("EFDKIT_SEED", "abc")
         code, payload = invoke_json(
-            capsys, "lattice", "--op", "meet", "--left", "divisible:2",
-            "--right", "divisible:3", "--seed", "3",
+            capsys, "check", "--model", "q", "--sentence", "delta 2", "--seed", "3"
         )
         assert code == 0
-        assert payload["meet"] == {"family": "G", "class": "divisible", "primes": [2, 3]}
+        assert payload["verdict"]["status"] == "holds"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("canon", "x1"),
+            ("lattice", "--op", "meet", "--left", "divisible:2", "--right", "divisible:3"),
+        ],
+    )
+    def test_env_seed_is_read_by_the_sampling_commands_only(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("EFDKIT_SEED", "abc")
+        assert invoke(capsys, *argv)[0] == 0
 
     @pytest.mark.parametrize(
         "argv,budget",
@@ -306,12 +315,27 @@ class TestExitCodes:
         ],
     )
     def test_budget_below_one_is_2(self, capsys, argv, budget):
+        """check and selftest reject the value; the commands that do not
+        sample reject the option itself, as an argparse error."""
+        if argv[0] not in ("check", "selftest"):
+            with pytest.raises(SystemExit) as exc:
+                run([*argv, "--budget", budget])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --budget" in capsys.readouterr().err
+            return
         code = run([*argv, "--budget", budget])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert "--budget must be >= 1" in captured.err
         assert run([*argv, "--budget", "1"]) == 0  # the same argv is valid otherwise
+
+    @pytest.mark.parametrize("option", ["--budget", "--seed"])
+    def test_sampling_options_outside_check_and_selftest_are_2(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            run(["canon", "x1", option, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite", ["reduction-oracle", "mv-classification"])
     def test_budget_on_an_exhaustive_suite_is_2(self, capsys, suite):
@@ -499,6 +523,21 @@ class TestExactCheck:
             "confidence": "exact",
             "witness": None,
             "detail": f"classification: {kprime}",
+        }
+
+    @pytest.mark.parametrize("model", ["gamma(q)", "gamma(z)"])
+    def test_gamma_trivial_class_is_exact(self, capsys, model):
+        # at x1 = 1 in the two-element model, z1 = ~z1 /\ 1 has no solution
+        code, payload = invoke_json(
+            capsys, "check", "--model", model, "--sentence",
+            r"forall x1 exists! z1 : z1 = ~z1 /\ x1",
+        )
+        assert code == 4
+        assert payload["verdict"] == {
+            "status": "falsified",
+            "confidence": "exact",
+            "witness": None,
+            "detail": "classification: trivial, no unique two-element solution at e-bar = (1,)",
         }
 
     def test_no_shortcut_samples(self, capsys):

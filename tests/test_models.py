@@ -574,7 +574,7 @@ def _plain_pool(a, xvals, cap=12):
     return [v for v in sorted(values) if _member(a, v)]
 
 
-def _plain_solutions(a, phi, xassign, cap=12, max_solutions=2):
+def _plain_solutions(a, phi, xassign, cap=12):
     if species(a) is Signature.GROUP and phi.m == 1:
         g = models._group(a)
         rows = []
@@ -605,7 +605,7 @@ def _plain_solutions(a, phi, xassign, cap=12, max_solutions=2):
             env[Var("z", j)] = zv
         if all(eval_term(a, lhs, env) == eval_term(a, rhs, env) for lhs, rhs in phi.equations):
             sols.append(zs)
-            if len(sols) >= max_solutions:
+            if len(sols) == 2:
                 break
     return sols, exhaustive
 

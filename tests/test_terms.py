@@ -285,3 +285,21 @@ class TestFold:
         with pytest.raises(TypeError):
             fold(3, lambda node, *kids: node)
 
+    def test_shared_binary_nodes_are_folded_once(self):
+        """p = p + p, 60 times over, is a tree of 2^61 - 1 nodes and 61 node
+        objects.  Each Plus is folded once, and the leaf x1 once per
+        reference: twice."""
+        p = xvar(1)
+        for _ in range(60):
+            p = Plus(p, p)
+        calls = []
+
+        def size(node, *kids):
+            calls.append(node)
+            if len(calls) > 1000:  # a tree walk would take 2^61 - 1 calls
+                raise AssertionError("a shared node was folded again")
+            return 1 + sum(kids)
+
+        assert fold(p, size) == 2**61 - 1
+        assert len(calls) == 62
+

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from efdkit import translate
+from efdkit import canonical, terms, translate
 from efdkit.canonical import ABSURD, DeltaKT, FragmentError, sentence_to_delta_kt
 from efdkit.gen import random_term
 from efdkit.lattice import PrimeSet, boolean_p, divisible_p, trivial_p
@@ -17,6 +17,9 @@ from efdkit.models import (
     solutions_for_assignment,
 )
 from efdkit.terms import (
+    Diff,
+    Plus,
+    Scalar,
     Signature,
     boolean_marker,
     build_delta_k,
@@ -29,7 +32,6 @@ from efdkit.terms import (
     zvar,
 )
 from efdkit.translate import (
-    RadBasicSentence,
     check_in_two,
     classify_mv_sentences,
     mv_to_hoop,
@@ -140,7 +142,7 @@ class TestHoopTranslation:
         branch = next(
             p for p in phi_rad_decompose(build_epsilon_k(3)) if p.sign_vector == (0,)
         )
-        hoop = mv_to_hoop(branch)
+        hoop = mv_to_hoop(branch.sentence)
         assert hoop.signature is Signature.HOOP
         d = sentence_to_delta_kt(hoop)
         assert d.k == 3 and d.t == xvar(1)
@@ -151,8 +153,10 @@ class TestHoopTranslation:
 
     def test_join_chain_is_simplified_once_per_node(self, monkeypatch):
         """p \\/ q = p + (q -. p) shares p, so the image of 40 joins is a tree
-        of about 2^40 nodes; each of its 3n + 1 node objects (41 leaves, two
-        nodes per join), and z1, is simplified once."""
+        of about 2^40 nodes.  Each of its 80 binary node objects (two per
+        join) is simplified once, and each leaf once per binary node that
+        names it: the 40 right operands once, the first x1 twice (it is p in
+        both nodes of the first join), and z1 once: 123 calls."""
         calls = []
 
         def counted(*args, _simplify=translate._simplify):
@@ -163,26 +167,33 @@ class TestHoopTranslation:
 
         monkeypatch.setattr(translate, "_simplify", counted)
         text = "forall x1 exists! z1 : z1 = " + r" \/ ".join(["x1"] * 41)
-        hoop = mv_to_hoop(RadBasicSentence(parse_sentence(text, Signature.MV), (0,)))
+        hoop = mv_to_hoop(parse_sentence(text, Signature.MV))
         assert hoop.equations == ((zvar(1), xvar(1)),)
-        assert len(calls) == 3 * 40 + 2
+        assert len(calls) == 123
 
     def test_shared_simplification_is_the_tree_fold(self):
+        def tree_fold(t, f):  # every node once per reference, shared or not
+            if isinstance(t, (Plus, Diff)):
+                return f(t, tree_fold(t.left, f), tree_fold(t.right, f))
+            if isinstance(t, Scalar):
+                return f(t, tree_fold(t.arg, f))
+            return f(t)
+
         rng = random.Random(11)
         for _ in range(300):
             t = random_term(rng, Signature.MV, 2, rng.randint(1, 5))
             _, h = fold(t, translate._polarity)
-            assert simplify_hoop_term(h) == fold(h, translate._simplify), t
+            assert simplify_hoop_term(h) == tree_fold(h, translate._simplify), t
 
     def test_polarity_mismatch_rejected(self):
         # ~z = z equates a co-radical with a radical value
         phi = parse_sentence("exists! z1 : ~z1 = z1", Signature.MV)
         with pytest.raises(FragmentError, match="~z1 = z1"):
-            mv_to_hoop(RadBasicSentence(phi, ()))
+            mv_to_hoop(phi)
 
     def test_co_radical_power_is_a_scalar(self):
         phi = parse_sentence("forall x1 exists! z1 : (~z1)^3 = ~x1", Signature.MV)
-        hoop = mv_to_hoop(RadBasicSentence(phi, (0,)))
+        hoop = mv_to_hoop(phi)
         assert hoop.equations == ((parse_term("3 z1", Signature.HOOP), xvar(1)),)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 10**6])
@@ -199,6 +210,30 @@ class TestHoopTranslation:
 
 
 class TestMVClassification:
+    def test_join_chain_is_walked_once_per_node(self, monkeypatch):
+        """The hoop image of x1 \\/ 2 x1 \\/ ... \\/ 40 x1 shares each partial
+        join, so it is a tree of about 2^40 nodes; the validation of each
+        sentence built on the way (terms._vars), the star image and the
+        canonical form walk its distinct nodes only."""
+
+        def guarded(module, name):
+            original, calls = getattr(module, name), []
+
+            def counted(*args):
+                calls.append(args)
+                if len(calls) > 1000:  # a tree walk would take about 2^40 calls
+                    raise AssertionError(f"{name} walked shared subterms again")
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        guarded(terms, "_vars")
+        guarded(translate, "_star")
+        guarded(canonical, "_leaf_form")
+        chain = r" \/ ".join(["x1"] + [f"{k} x1" for k in range(2, 41)])
+        phi = parse_sentence(f"forall x1 exists! z1 : z1 = {chain}", Signature.MV)
+        assert classify_mv_sentences([phi]).ae_class == divisible_p(PrimeSet.finite(()))
+
     def test_epsilon_prime_support(self):
         result = classify_mv_sentences([build_epsilon_k(12)])
         assert result.ae_class == divisible_p(PrimeSet.finite({2, 3}))
