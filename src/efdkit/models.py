@@ -13,11 +13,12 @@ its arithmetic (zero, +, -, <, k-fold multiple):
   Lettieri): pairs (i, q) with i in {0, 1}, q >= 0 when i = 0 (the radical)
   and q <= 0 when i = 1.
 
-eval_term is the one term evaluator; it walks a term through a table of
-node operations built once per algebra from that arithmetic, on integers:
-the assigned values are scaled by the common denominator D of their
-rational coordinates, and the value is divided by D again.  The candidate
-pool of the sampled checker is formed on integers in the same way.
+Terms are walked on integer codes, the rational coordinates of elements
+times a scale M that clears their denominators (_codec), through one table
+of node operations per algebra (_evaluator).  eval_term scales by the
+common denominator of one assignment and divides the value by it again;
+the sampled checker keeps one M for a whole check, forms its candidate
+pool at M, and when an assignment needs a larger M multiplies its memo up.
 """
 
 from __future__ import annotations
@@ -588,28 +589,28 @@ def candidate_pool(a, xvals: list, cap: int = 12) -> list:
     """Structured z-candidates derived from the values of an x-assignment
     (and of the z-free equation sides there): zero, the values, their small
     integer divisions, and MV negations where defined.  Sorted, without
-    repeats, and every candidate is an element of a."""
+    repeats, and every candidate is an element of a.  It is the decoded
+    view of _pool at m = D lcm(1..cap), D the common denominator of xvals."""
     if isinstance(a, TwoMV):
         return list(_BITS)
-    if isinstance(a, GammaPerfect):
-        # q >= 0, so (0, q) and (1, -q) lie in Gamma iff q lies in the inner group
-        out = []
-        for q in _divisions(a.inner, [e[1] for e in xvals], cap, True):
-            out.append((0, q))
-            out.append((1, -q))
-        return out
-    cone = isinstance(a, PositiveCone)
-    return _divisions(a.inner if cone else a, xvals, cap, cone)
+    den, _, down = _codec(a)
+    m = math.lcm(*map(den, xvals)) * math.lcm(*range(1, cap + 1))
+    return [down(w, m) for w in _pool(a, xvals, m, cap)]
 
 
-def _divisions(a, values: list, cap: int, cone: bool) -> list:
-    """Zero and each v / d (d <= cap) with its negative, or with cone its
-    absolute value, that lie in the group model a; sorted, without repeats.
-    They are formed on integers over m = D lcm(1..cap), D the common
-    denominator of the values, so v / d scales to up(v, m // d)."""
-    g = _group(a, _INTEGER)
-    den, up, down = _codec(a)
-    m = math.lcm(*map(den, values)) * math.lcm(*range(1, cap + 1))
+def _pool(a, values: list, m: int, cap: int) -> list:
+    """The candidate pool of the values as codes at scale m, a multiple of
+    D lcm(1..cap) for their common denominator D: zero and each v / d
+    (d <= cap) with its negative, or in a cone and in Gamma its absolute
+    value, that lie in a; sorted, without repeats.  v / d scales to
+    up(v, m // d), and Gamma pairs those q >= 0 as (0, q) and (1, -q)."""
+    gamma = isinstance(a, GammaPerfect)
+    if gamma:
+        values = [e[1] for e in values]
+    cone = gamma or isinstance(a, PositiveCone)
+    group = a.inner if cone else a
+    g = _group(group, _INTEGER)
+    up = _codec(group)[1]
     scaled = {g.zero}
     for v in values:
         for d in range(1, cap + 1):
@@ -619,8 +620,26 @@ def _divisions(a, values: list, cap: int, cone: bool) -> list:
             else:
                 scaled.add(w)
                 scaled.add(g.neg(w))
-    candidates = (down(w, m) for w in sorted(scaled))
-    return [e for e in candidates if _element_ok(a, e)]
+    member = _in_group(group, m)
+    pool = [w for w in sorted(scaled) if member(w)]
+    if gamma:
+        # q >= 0, so (0, q) and (1, -q) lie in Gamma iff q lies in the inner group
+        return [e for q in pool for e in ((0, q), (1, -q))]
+    return pool
+
+
+def _in_group(a, m: int) -> Callable:
+    """Membership in the group model a of a code at scale m: w / m lies in
+    Q_S iff w is divisible by the part of m coprime to S (Z: all of m, Q: 1),
+    and a lex pair lies in a lex product coordinate by coordinate."""
+    if isinstance(a, LexProduct):
+        left, right = _in_group(a.left, m), _in_group(a.right, m)
+        return lambda w: left(w[0]) and right(w[1])
+    k = 1 if isinstance(a, RationalGroup) else m
+    for p in getattr(a, "primes", ()):
+        while k % p == 0:
+            k //= p
+    return lambda w: w % k == 0
 
 
 def _element_ok(a, e) -> bool:
@@ -639,14 +658,14 @@ def _nonzero(a):
     return Fraction(1)
 
 
-def solutions_for_assignment(a, phi: EFDSentence, xassign: dict, cap: int = 12):
+def solutions_for_assignment(a, phi: EFDSentence, xassign: dict):
     """Solutions z-bar of phi's equations at a fixed x-assignment, at most
     two: a second one already refutes uniqueness.
 
     Returns (solutions, exact): exact is True when the answer is complete
     (exhaustive domain or exact linear solve), False for candidate search.
     """
-    return _Solver(a, phi, cap).solve(xassign)
+    return _Solver(a, phi).solve(xassign)
 
 
 _MISSING = object()
@@ -658,8 +677,9 @@ def _no_z(zs) -> tuple:
 
 
 class _Side:
-    """One equation side and its memo: x-values of its free variables ->
-    z-values of its free variables -> the side's value."""
+    """One equation side and its memo: codes of the x-values of its free
+    variables -> codes of the z-values of its free variables -> the code of
+    the side's value."""
 
     __slots__ = ("term", "xvars", "zkey", "memo")
 
@@ -668,7 +688,9 @@ class _Side:
         self.term = term
         self.xvars = tuple(sorted((v for v in fv if v.kind == "x"), key=lambda v: v.index))
         zpos = sorted(v.index - 1 for v in fv if v.kind == "z")
-        self.zkey = operator.itemgetter(*zpos) if zpos else _no_z
+        self.zkey = operator.itemgetter(*zpos) if len(zpos) > 1 else _no_z
+        if len(zpos) == 1:  # a one-tuple, as every other z-key
+            self.zkey = operator.itemgetter(slice(zpos[0], zpos[0] + 1))
         self.memo = {}
 
 
@@ -679,7 +701,14 @@ class _Solver:
     the side is evaluated once per distinct tuple of values of its own free
     variables (t_k(z1) once per z1, x1 once per assignment).  A side without
     z-variables is evaluated first, since its value seeds the candidate pool;
-    the others in the order of the plain search."""
+    the others in the order of the plain search.
+
+    The candidate search runs on integer codes at one scale M for the whole
+    check: M only grows, to lcm(M, D lcm(1..cap)) before an assignment whose
+    x-values have the common denominator D, and when it grows by r every
+    memo key and value is multiplied by r, so no memo entry is lost.  Codes
+    are decoded only for the z-free seeds and the reported solutions; the
+    bits of the two-element model are their own codes and are not scaled."""
 
     def __init__(self, a, phi: EFDSentence, cap: int = 12):
         self.a, self.phi, self.cap = a, phi, cap
@@ -687,6 +716,8 @@ class _Solver:
         self.exhaustive = isinstance(a, TwoMV)
         self.zvars = tuple(Var("z", j) for j in range(1, phi.m + 1))
         self.sides = [(_Side(lhs), _Side(rhs)) for lhs, rhs in phi.equations]
+        self.walk, (self.den, self.up, self.down) = _evaluator(a)
+        self.scale, self.unit = 1, math.lcm(*range(1, cap + 1))
 
     def solve(self, xassign: dict):
         if self.linear:
@@ -723,12 +754,31 @@ class _Solver:
             other = _nonzero(a)
         return [(g.zero,), (other,)], True
 
+    def _rescale(self, m: int) -> None:
+        """Move every memo key and value from scale self.scale to m."""
+        up, r = self.up, m // self.scale
+        for side in itertools.chain.from_iterable(self.sides):
+            side.memo = {
+                tuple(up(x, r) for x in xs): {
+                    tuple(up(z, r) for z in zs): up(v, r) for zs, v in table.items()
+                }
+                for xs, table in side.memo.items()
+            }
+        self.scale = m
+
     def _search(self, xassign: dict) -> list:
-        a, zvars = self.a, self.zvars
-        # per side: (term, z-key, the memo table of this assignment's x-values)
+        walk, zvars, down = self.walk, self.zvars, self.down
+        if self.exhaustive:  # the bits are their own codes
+            m, env = 1, xassign
+        else:
+            m = math.lcm(self.scale, math.lcm(*map(self.den, xassign.values())) * self.unit)
+            if m != self.scale:
+                self._rescale(m)
+            env = {v: self.up(e, m) for v, e in xassign.items()}
+        # per side: (term, z-key, the memo table of this assignment's x-codes)
         tables = [
             tuple(
-                (s.term, s.zkey, s.memo.setdefault(tuple(map(xassign.get, s.xvars)), {}))
+                (s.term, s.zkey, s.memo.setdefault(tuple(map(env.get, s.xvars)), {}))
                 for s in eq
             )
             for eq in self.sides
@@ -739,9 +789,9 @@ class _Solver:
             key = zkey(zs)
             v = table.get(key, _MISSING)
             if v is _MISSING:
-                env = dict(xassign)
-                env.update(zip(zvars, zs))
-                v = table[key] = eval_term(a, term, env)
+                codes = dict(env)
+                codes.update(zip(zvars, zs))
+                v = table[key] = walk(term, codes)
             return v
 
         if self.exhaustive:
@@ -752,17 +802,17 @@ class _Solver:
             seeds = list(xassign.values())
             for side in itertools.chain.from_iterable(tables):
                 if side[1] is _no_z:
-                    v = value(side, ())
+                    v = down(value(side, ()), m)
                     if v not in seeds:
                         seeds.append(v)
-            pool = candidate_pool(a, seeds, self.cap)
+            pool = _pool(self.a, seeds, m, self.cap)
         sols = []
         for zs in itertools.product(pool, repeat=self.phi.m):
             if all(value(lhs, zs) == value(rhs, zs) for lhs, rhs in tables):
                 sols.append(zs)
                 if len(sols) == 2:
                     break
-        return sols
+        return sols if self.exhaustive else [tuple(down(z, m) for z in zs) for zs in sols]
 
 
 def _structured_x(a, n: int) -> list[dict]:

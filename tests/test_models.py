@@ -692,14 +692,15 @@ class TestSolverAgainstPlainSearch:
 
 
 class TestSolverWork:
-    """Deterministic work counts of one sampled check; the parent search made
-    100 pool calls and 4,864 evaluations here, and drew all 192 samples
+    """Deterministic work counts of one sampled check: pool builds, walks of
+    the integer evaluator and sample draws.  The parent search made 100 pool
+    calls and 4,864 evaluations on the first case, and drew all 192 samples
     before the first solve."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = Counter()
-        for name in ("candidate_pool", "eval_term", "_sample_one"):
+        for name in ("_pool", "_sample_one"):
             original = getattr(models, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
@@ -707,17 +708,48 @@ class TestSolverWork:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(models, name, counted)
+        evaluator = models._evaluator
+
+        def counted_evaluator(a):
+            walk, codec = evaluator(a)
+
+            def counted_walk(t, env):
+                counts["walk"] += 1
+                return walk(t, env)
+
+            return counted_walk, codec
+
+        monkeypatch.setattr(models, "_evaluator", counted_evaluator)
+        rescale = models._Solver._rescale
+
+        def counted_rescale(solver, m):
+            counts["rescale"] += 1
+            return rescale(solver, m)
+
+        monkeypatch.setattr(models._Solver, "_rescale", counted_rescale)
         return counts
 
     def test_each_distinct_assignment_is_solved_once(self, counts):
         verdict = check_sentence_sampled(GQ, build_epsilon_k(3), budget=100, seed=0)
         assert verdict.status == "consistent-on-sample"
-        assert counts["candidate_pool"] == 67
-        assert counts["eval_term"] == 625
+        assert counts["_pool"] == 67
+        assert counts["walk"] == 625
         # 96 sampled pairs, each drawing its inner rational
         assert counts["_sample_one"] == 192
         structured = [(0, 0), (0, 1), (1, -1), (1, 0)]
         assert len(set(structured + sample_elements(GQ, 96, seed=0))) == 67
+
+    def test_rescaling_keeps_every_memo_hit(self, counts):
+        # denominators 2^a 3^b make the check-wide scale grow three times
+        # after the first assignment; the search that evaluated from
+        # Fractions made the same 308 evaluations here
+        a = parse_model("gamma(qs:2,3)")
+        verdict = check_sentence_sampled(a, build_epsilon_k(6), budget=100, seed=0)
+        assert verdict.status == "consistent-on-sample"
+        assert counts["rescale"] == 4
+        assert counts["_pool"] == 58
+        assert counts["walk"] == 308
+        assert counts["_sample_one"] == 192
 
     def test_sampling_is_lazy(self, counts):
         phi = parse_sentence("forall x1 exists! z1 : z1 -. z1 = x1", Signature.MV)
@@ -725,4 +757,9 @@ class TestSolverWork:
         assert verdict.status == "falsified"
         assert verdict.witness[0] == {_X1: (0, Fraction(0))}
         assert counts["_sample_one"] == 0
-        assert counts["candidate_pool"] == 1
+        assert counts["_pool"] == 1
+
+    def test_the_two_element_model_is_not_scaled(self, counts):
+        assert check_in_two(build_epsilon_k(3)).holds
+        assert counts["rescale"] == 0
+        assert counts["_pool"] == 0
