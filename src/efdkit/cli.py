@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -23,6 +24,7 @@ from .canonical import (
     piecewise_canonical,
     reduce_delta_kt,
 )
+from .errors import BudgetExceeded
 from .geometry import DEFAULT_SEED, IneqSystem, is_full_dimensional
 from .lattice import (
     AEClass,
@@ -281,9 +283,10 @@ def _render_text(obj, indent: int = 0) -> str:
 # delta_{k,t} instead of sampled; check/4: a budget on cell tests replaces
 # the cap on leaf forms, so sentences the cap sent to sampling are decided
 # exactly; check/5: the trivial class is decided on Gamma models, not
-# sampled; translate/2: a co-radical power x^k translates to k h, not
+# sampled; check/6: a sentence that a classification budget sent to
+# sampling says so in detail; translate/2: a co-radical power x^k translates to k h, not
 # h + ... + h
-_SCHEMA_VERSIONS = {"canon": 3, "check": 5, "translate": 2}
+_SCHEMA_VERSIONS = {"canon": 3, "check": 6, "translate": 2}
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -499,8 +502,9 @@ def _cmd_eval(args) -> int:
 
 def _exact_check(a, phi: EFDSentence) -> Verdict | None:
     """Decide phi in a exactly, or None for the sampled checker (sentences
-    outside the classifier's fragment).  The two-element model is checked
-    exhaustively; a group, cone or Gamma model satisfies phi iff it is
+    outside the classifier's fragment; a BudgetExceeded of the classifier
+    propagates, so that the caller can name the budget).  The two-element
+    model is checked exhaustively; a group, cone or Gamma model satisfies phi iff it is
     k'-divisible for the k' of every delta_{k,t} of phi (the classification;
     a hoop sentence on a cone through its star image, and no Gamma model
     satisfies an MV sentence in the trivial class)."""
@@ -516,6 +520,8 @@ def _exact_check(a, phi: EFDSentence) -> Verdict | None:
     except _NoUniqueSolution as exc:
         detail = f"classification: trivial, no unique two-element solution at e-bar = {exc.failing}"
         return Verdict("falsified", True, None, detail)
+    except BudgetExceeded:
+        raise
     except FragmentError:
         return None
     holds = all(holds_delta_exact(a, k) for k in kprimes)
@@ -529,10 +535,18 @@ def _cmd_check(args) -> int:
     phi = parse_sentence_spec(spec, species(a))
     if not isinstance(phi, EFDSentence):
         raise FragmentError("check expects an EFD-sentence")
-    verdict = None if args.no_shortcut else _exact_check(a, phi)
+    verdict = over_budget = None
+    if not args.no_shortcut:
+        try:
+            verdict = _exact_check(a, phi)
+        except BudgetExceeded as exc:
+            over_budget = exc
     if verdict is None:
         budget = 500 if args.budget is None else args.budget
         verdict = check_sentence_sampled(a, phi, budget=budget, seed=args.seed)
+    if over_budget is not None:
+        detail = f"{verdict.detail} (classification over budget: {over_budget})"
+        verdict = dataclasses.replace(verdict, detail=detail)
     _emit(
         args,
         "check",

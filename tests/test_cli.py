@@ -166,7 +166,7 @@ class TestExamples:
             capsys, "check", "--model", "qs:2,3", "--sentence", "delta 6"
         )
         assert code == 0
-        assert payload["schema"] == "efdkit/check/5"
+        assert payload["schema"] == "efdkit/check/6"
         assert payload["verdict"] == {
             "status": "holds",
             "confidence": "exact",
@@ -451,6 +451,20 @@ class TestBoundedWork:
         captured = capsys.readouterr()
         assert (code, len(calls)) == (3, 1000)
         assert captured.err == "error: the canonical form needs more than 1000 cell tests\n"
+
+    def test_check_names_the_budget_that_sent_it_to_sampling(self, capsys):
+        code, payload = invoke_json(
+            capsys, "check", "--model", "gamma(q)", "--budget", "3", "--sentence", _meet_chain(6)
+        )
+        assert code == 0
+        assert payload["verdict"]["detail"] == (
+            "sampled: 3 distinct x-assignments (classification over budget: "
+            "the canonical form needs more than 1000 cell tests)"
+        )
+        code, payload = invoke_json(
+            capsys, "check", "--model", "gamma(q)", "--budget", "3", "--sentence", _meet_chain(2)
+        )
+        assert (code, payload["verdict"]["detail"]) == (0, "classification: delta_1")
 
     def test_factoring_past_the_trial_bound_is_3(self, capsys):
         # two prime factors near 1.3 * 10^12, both above the trial bound
