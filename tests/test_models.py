@@ -36,6 +36,7 @@ from efdkit.models import (
 )
 from efdkit.terms import (
     Diff,
+    EFDSentence,
     Join,
     Meet,
     MVNeg,
@@ -49,6 +50,8 @@ from efdkit.terms import (
     build_delta_k,
     build_epsilon_k,
     build_t_k,
+    free_vars,
+    max_index,
     parse_sentence,
     parse_term,
     xvar,
@@ -595,9 +598,16 @@ def _plain_solutions(a, phi, xassign, cap=12):
                 return [(zval,)], True
             if status == "none":
                 return [], True
-            raise AssertionError("the reference sentences have no free z")
+            # every z solves: zero and the first other candidate
+            others = [z for z in _plain_pool(a, list(xassign.values()), cap) if z != g.zero]
+            return [(g.zero,), (others[0] if others else models._nonzero(a),)], True
     exhaustive = isinstance(a, TwoMV)
-    pool = [0, 1] if exhaustive else _plain_pool(a, list(xassign.values()), cap)
+    # the values of the z-free sides join the x-values as seeds of the pool
+    seeds = list(xassign.values())
+    for side in itertools.chain.from_iterable(phi.equations):
+        if not any(v.kind == "z" for v in free_vars(side)):
+            seeds.append(eval_term(a, side, xassign))
+    pool = [0, 1] if exhaustive else _plain_pool(a, seeds, cap)
     sols = []
     for zs in itertools.product(pool, repeat=phi.m):
         env = dict(xassign)
@@ -689,6 +699,26 @@ class TestSolverAgainstPlainSearch:
             xvals = sample_elements(a, rng.randint(1, 3), seed=trial)
             cap = rng.randint(1, 12)
             assert repr(candidate_pool(a, xvals, cap)) == repr(_plain_pool(a, xvals, cap))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize(
+        "descriptor", _REFERENCE_MODELS + ["gamma(qs:5)", "lex(z,qs:2)", "cone(lex(z,q))"]
+    )
+    def test_random_sentences(self, descriptor, m):
+        # the witnesses must be the same Fractions in the same order
+        a = parse_model(descriptor)
+        sig = species(a)
+        rng = random.Random(f"{descriptor} {m}")
+        for seed in range(8):
+            n = rng.randint(1, 2)
+            sides = tuple(
+                random_term(rng, sig, n, rng.randint(0, 3), coeff=4, kinds=("x", "z"), m=m)
+                for _ in range(2)
+            )
+            n = max(1, *(max_index(t, "x") for t in sides))
+            phi = EFDSentence(sig, n, m, (sides,))
+            expected = _plain_check(a, phi, 12, seed)
+            assert repr(check_sentence_sampled(a, phi, budget=12, seed=seed)) == repr(expected), phi
 
 
 class TestSolverWork:
