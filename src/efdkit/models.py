@@ -512,14 +512,13 @@ class Verdict:
         }
 
 
-def _linear_part(a, t: Term, env: dict):
-    """Read t as sum(coeff_j * z_j) + constant for the fixed x-assignment.
+def _linear_part(g: _Group, t: Term, env: dict):
+    """Read t as sum(coeff_j * z_j) + constant in g for the fixed x-assignment.
 
     Returns (coeffs: dict[int,int], constant) or None when a z-variable
     sits under a lattice or negation-incompatible operation.  A z-free join
     or meet is read off its children's constants.
     """
-    g = _group(a)
 
     def part(node, *kids):
         if isinstance(node, Var):
@@ -548,41 +547,6 @@ def _linear_part(a, t: Term, env: dict):
         return None
 
     return fold(t, part)
-
-
-def _solve_linear_single(a, rows: list[tuple[dict, object]]):
-    """Solve the stacked one-variable system {c * z + b = 0}; returns
-    ("unique", z) / ("none", None) / ("all", None)."""
-    g = _group(a)
-    candidate = None
-    for coeffs, const in rows:
-        c = coeffs.get(1, 0)
-        if c == 0:
-            if const != g.zero:
-                return ("none", None)
-            continue
-        z = _gdiv_exact(a, g.neg(const), c)
-        if z is None:
-            return ("none", None)
-        if candidate is None:
-            candidate = z
-        elif candidate != z:
-            return ("none", None)
-    if candidate is None:
-        return ("all", None)
-    return ("unique", candidate)
-
-
-def _gdiv_exact(a, value, c: int):
-    """value / c inside the group, or None when it leaves the universe."""
-    if isinstance(a, LexProduct):
-        left = _gdiv_exact(a.left, value[0], c)
-        right = _gdiv_exact(a.right, value[1], c)
-        if left is None or right is None:
-            return None
-        return (left, right)
-    q = Fraction(value) / c
-    return q if _element_ok(a, q) else None
 
 
 def candidate_pool(a, xvals: list, cap: int = 12) -> list:
@@ -729,30 +693,32 @@ class _Solver:
 
     def _solve_linear(self, xassign: dict):
         """The exact solve of group equations linear in z1, or None when a
-        z-variable sits under a lattice operation."""
-        a = self.a
-        g = _group(a)
+        z-variable sits under a lattice operation.  Each row c z1 + b = 0 is
+        read on codes at the scale d of the assignment, and z1 = -b / c is
+        formed at d times the lcm of the coefficients."""
+        a, g = self.a, _group(self.a, _INTEGER)
+        d = math.lcm(*map(self.den, xassign.values()))
+        env = {v: self.up(e, d) for v, e in xassign.items()}
         rows = []
         for lhs, rhs in self.phi.equations:
-            lp = _linear_part(a, lhs, xassign)
-            rp = _linear_part(a, rhs, xassign)
+            lp, rp = _linear_part(g, lhs, env), _linear_part(g, rhs, env)
             if lp is None or rp is None:
                 return None
-            coeffs = dict(lp[0])
-            for j, c in rp[0].items():
-                coeffs[j] = coeffs.get(j, 0) - c
-            rows.append((coeffs, g.add(lp[1], g.neg(rp[1]))))
-        status, zval = _solve_linear_single(a, rows)
-        if status == "unique":
-            return [(zval,)], True
-        if status == "none":
+            rows.append((lp[0].get(1, 0) - rp[0].get(1, 0), g.add(lp[1], g.neg(rp[1]))))
+        lcm = math.lcm(*(c for c, _ in rows if c))
+        zs = {g.scale(-(lcm // c), b) for c, b in rows if c}
+        if any(c == 0 and b != g.zero for c, b in rows) or len(zs) > 1:
             return [], True
+        if zs:
+            (z,) = zs
+            return ([(self.down(z, d * lcm),)] if _in_group(a, d * lcm)(z) else []), True
         # every z solves: report two witnesses of non-uniqueness
+        zero = _group(a).zero
         pool = candidate_pool(a, list(xassign.values()), self.cap)
-        other = next((z for z in pool if z != g.zero), None)
+        other = next((z for z in pool if z != zero), None)
         if other is None:  # the pool is {0}: every x is zero, or there is none
             other = _nonzero(a)
-        return [(g.zero,), (other,)], True
+        return [(zero,), (other,)], True
 
     def _rescale(self, m: int) -> None:
         """Move every memo key and value from scale self.scale to m."""

@@ -551,6 +551,15 @@ def _member(a, e) -> bool:
     return True
 
 
+def _div(a, v, d):
+    """v / d in the group model a, or None when it leaves a."""
+    if isinstance(a, LexProduct):
+        q = (_div(a.left, v[0], d), _div(a.right, v[1], d))
+        return None if None in q else q
+    q = Fraction(v) / d
+    return q if _member(a, q) else None
+
+
 def _plain_pool(a, xvals, cap=12):
     out = []
     if isinstance(a, TwoMV):
@@ -570,11 +579,29 @@ def _plain_pool(a, xvals, cap=12):
     values = {g.zero}
     for v in xvals:
         for d in range(1, cap + 1):
-            w = models._gdiv_exact(inner, v, d)
+            w = _div(inner, v, d)
             if w is not None:
                 values.add(w)
                 values.add(g.neg(w))
     return [v for v in sorted(values) if _member(a, v)]
+
+
+def _plain_linear(a, rows):
+    """The stacked one-variable system {c z + b = 0} over Fractions:
+    ("unique", z), ("none", None) or ("all", None)."""
+    g = models._group(a)
+    candidate = None
+    for coeffs, const in rows:
+        c = coeffs.get(1, 0)
+        if c == 0:
+            if const != g.zero:
+                return ("none", None)
+            continue
+        z = _div(a, g.neg(const), c)
+        if z is None or candidate not in (None, z):
+            return ("none", None)
+        candidate = z
+    return ("all", None) if candidate is None else ("unique", candidate)
 
 
 def _plain_solutions(a, phi, xassign, cap=12):
@@ -583,8 +610,8 @@ def _plain_solutions(a, phi, xassign, cap=12):
         rows = []
         linear = True
         for lhs, rhs in phi.equations:
-            lp = models._linear_part(a, lhs, xassign)
-            rp = models._linear_part(a, rhs, xassign)
+            lp = models._linear_part(g, lhs, xassign)
+            rp = models._linear_part(g, rhs, xassign)
             if lp is None or rp is None:
                 linear = False
                 break
@@ -593,7 +620,7 @@ def _plain_solutions(a, phi, xassign, cap=12):
                 coeffs[j] = coeffs.get(j, 0) - c
             rows.append((coeffs, g.add(lp[1], g.neg(rp[1]))))
         if linear:
-            status, zval = models._solve_linear_single(a, rows)
+            status, zval = _plain_linear(a, rows)
             if status == "unique":
                 return [(zval,)], True
             if status == "none":
@@ -677,6 +704,23 @@ def _reference_sentence(text, sig):
     return parse_sentence(text, sig)
 
 
+_RANDOM_MODELS = _REFERENCE_MODELS + ["gamma(qs:5)", "lex(z,qs:2)", "cone(lex(z,q))"]
+
+
+def _random_sentence(rng, sig, m):
+    """One or two random equations over x1, x2 and z1..zm."""
+    n = rng.randint(1, 2)
+    equations = tuple(
+        tuple(
+            random_term(rng, sig, n, rng.randint(0, 3), coeff=4, kinds=("x", "z"), m=m)
+            for _ in range(2)
+        )
+        for _ in range(rng.randint(1, 2))
+    )
+    n = max(1, *(max_index(t, "x") for t in itertools.chain.from_iterable(equations)))
+    return EFDSentence(sig, n, m, equations)
+
+
 class TestSolverAgainstPlainSearch:
     @pytest.mark.parametrize("descriptor", _REFERENCE_MODELS)
     @pytest.mark.parametrize("budget", [1, 7, 50])
@@ -701,24 +745,28 @@ class TestSolverAgainstPlainSearch:
             assert repr(candidate_pool(a, xvals, cap)) == repr(_plain_pool(a, xvals, cap))
 
     @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize(
-        "descriptor", _REFERENCE_MODELS + ["gamma(qs:5)", "lex(z,qs:2)", "cone(lex(z,q))"]
-    )
+    @pytest.mark.parametrize("descriptor", _RANDOM_MODELS)
     def test_random_sentences(self, descriptor, m):
         # the witnesses must be the same Fractions in the same order
         a = parse_model(descriptor)
-        sig = species(a)
         rng = random.Random(f"{descriptor} {m}")
         for seed in range(8):
-            n = rng.randint(1, 2)
-            sides = tuple(
-                random_term(rng, sig, n, rng.randint(0, 3), coeff=4, kinds=("x", "z"), m=m)
-                for _ in range(2)
-            )
-            n = max(1, *(max_index(t, "x") for t in sides))
-            phi = EFDSentence(sig, n, m, (sides,))
+            phi = _random_sentence(rng, species(a), m)
             expected = _plain_check(a, phi, 12, seed)
             assert repr(check_sentence_sampled(a, phi, budget=12, seed=seed)) == repr(expected), phi
+
+    @pytest.mark.parametrize("descriptor", _RANDOM_MODELS)
+    def test_random_assignments(self, descriptor):
+        # every solution is reported, a unique one included
+        a = parse_model(descriptor)
+        rng = random.Random(descriptor)
+        for seed in range(16):
+            phi = _random_sentence(rng, species(a), 1 + seed % 2)
+            xs = sample_elements(a, 4 * phi.n, seed)
+            for j in range(0, len(xs), phi.n):
+                env = {xvar(i): x for i, x in enumerate(xs[j : j + phi.n], start=1)}
+                expected = _plain_solutions(a, phi, env)
+                assert repr(solutions_for_assignment(a, phi, env)) == repr(expected), (phi, env)
 
 
 class TestSolverWork:
