@@ -792,11 +792,7 @@ def _structured_x(a, n: int) -> list[dict]:
         basics = [(0, Fraction(0)), (0, Fraction(1)), (1, Fraction(-1)), (1, Fraction(0))]
     elif isinstance(a, TwoMV):
         basics = _BITS
-    out = []
-    for v in basics:
-        if _element_ok(a, v):
-            out.append({Var("x", i): v for i in range(1, n + 1)})
-    return out
+    return [{Var("x", i): v for i in range(1, n + 1)} for v in basics if _element_ok(a, v)]
 
 
 def _sampled_x(a, n: int, seed: int):
