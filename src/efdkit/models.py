@@ -681,7 +681,7 @@ class _Solver:
         self.zvars = tuple(Var("z", j) for j in range(1, phi.m + 1))
         self.sides = [(_Side(lhs), _Side(rhs)) for lhs, rhs in phi.equations]
         self.walk, (self.den, self.up, self.down) = _evaluator(a)
-        self.scale, self.unit = 1, math.lcm(*range(1, cap + 1))
+        self.scale, self.lcm_cap = 1, math.lcm(*range(1, cap + 1))
 
     def solve(self, xassign: dict):
         if self.linear:
@@ -737,7 +737,7 @@ class _Solver:
         if self.exhaustive:  # the bits are their own codes
             m, env = 1, xassign
         else:
-            m = math.lcm(self.scale, math.lcm(*map(self.den, xassign.values())) * self.unit)
+            m = math.lcm(self.scale, math.lcm(*map(self.den, xassign.values())) * self.lcm_cap)
             if m != self.scale:
                 self._rescale(m)
             env = {v: self.up(e, m) for v, e in xassign.items()}
