@@ -11,7 +11,6 @@ from .terms import (
     parse_sentence,
     print_term,
     print_sentence,
-    expand_macros,
     build_t_k,
     build_delta_k,
     build_epsilon_k,

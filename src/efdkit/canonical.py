@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import BudgetExceeded, FragmentError
 from .geometry import (
@@ -18,6 +17,7 @@ from .geometry import (
     normalize_row,
 )
 from .lattice import AEClass, PrimeSet, divisible_g, prime_factors, trivial_g
+from .record import Record
 from .terms import (
     Diff,
     EFDSentence,
@@ -42,7 +42,6 @@ __all__ = [
     "DeltaKT",
     "ABSURD",
     "piecewise_canonical",
-    "evaluate_piecewise",
     "reduce_delta_kt",
     "classify_group_sentences",
     "sentence_to_delta_kt",
@@ -54,8 +53,7 @@ DEFAULT_CELL_BUDGET = 1000  # full-dimensionality tests per canonical form
 ABSURD = "absurd"  # explicit marker producing the Trivial class
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
+class PiecewiseLinear(Record):
     n: int
     pieces: tuple[tuple[IneqSystem, LinearForm], ...]
 
@@ -69,8 +67,7 @@ class PiecewiseLinear:
         }
 
 
-@dataclass(frozen=True)
-class DeltaKT:
+class DeltaKT(Record):
     """delta_{k,t}: forall x-bar exists! z with k z = t(x-bar)."""
 
     k: int
@@ -193,14 +190,6 @@ def piecewise_canonical(
     return PiecewiseLinear(
         n, tuple((IneqSystem(n, rows), form) for rows, form in fold(t, cells))
     )
-
-
-def evaluate_piecewise(pw: PiecewiseLinear, point) -> object:
-    """Value of the first piece whose region contains the point."""
-    for region, form in pw.pieces:
-        if region.contains(point):
-            return sum(c * p for c, p in zip(form, point))
-    raise ValueError(f"no piece covers {point!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -546,7 +545,7 @@ def _cmd_check(args) -> int:
         verdict = check_sentence_sampled(a, phi, budget=budget, seed=args.seed)
     if over_budget is not None:
         detail = f"{verdict.detail} (classification over budget: {over_budget})"
-        verdict = dataclasses.replace(verdict, detail=detail)
+        verdict = Verdict(verdict.status, verdict.exact, verdict.witness, detail)
     _emit(
         args,
         "check",

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+from .record import Record, _set
 
 __all__ = [
     "LinearForm",
@@ -37,17 +38,19 @@ class DimensionMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IneqSystem:
+class IneqSystem(Record):
     """Conjunction of rows read as row . x >= 0; the empty system is Q^n."""
 
+    __slots__ = ("n", "rows")
     n: int
     rows: tuple[LinearForm, ...]
 
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != self.n:
-                raise DimensionMismatch(f"row {row} has length {len(row)}, expected {self.n}")
+    def __init__(self, n: int, rows: tuple[LinearForm, ...]):
+        for row in rows:
+            if len(row) != n:
+                raise DimensionMismatch(f"row {row} has length {len(row)}, expected {n}")
+        _set(self, "n", n)
+        _set(self, "rows", rows)
 
     def contains(self, point: Sequence[Fraction]) -> bool:
         if len(point) != self.n:
@@ -55,8 +58,7 @@ class IneqSystem:
         return all(_dot(row, point) >= 0 for row in self.rows)
 
 
-@dataclass(frozen=True)
-class FullDimResult:
+class FullDimResult(Record):
     full_dimensional: bool
     basis: tuple[RationalVector, ...] | None  # n independent solutions when true
     certificate: LinearForm | None  # nonzero form vanishing on the cone when false

@@ -7,9 +7,8 @@ computable top chain element (all primes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import BudgetExceeded
+from .record import Record
 
 __all__ = [
     "LatticeError",
@@ -94,8 +93,7 @@ def prime_factors(k: int) -> frozenset[int]:
     return frozenset(factors)
 
 
-@dataclass(frozen=True)
-class PrimeSet:
+class PrimeSet(Record):
     """Either a finite set of primes or the complement of one."""
 
     kind: str  # "finite" or "cofinite"
@@ -157,8 +155,7 @@ ALL_PRIMES = PrimeSet.cofinite(())
 # family "P" (perfect MV) adds Boolean between them.
 
 
-@dataclass(frozen=True)
-class AEClass:
+class AEClass(Record):
     family: str  # "G" or "P"
     kind: str  # "trivial", "boolean", "divisible"
     primes: PrimeSet | None = None
@@ -233,10 +230,9 @@ def join(c1: AEClass, c2: AEClass) -> AEClass:
 # Logic expansions: Bal^S over the G classes, L_P^S over the P classes.
 
 
-@dataclass(frozen=True)
-class LogicExpansion:
+class LogicExpansion(Record):
     base: str  # "bal" or "lp"
-    primes: PrimeSet = field(default_factory=lambda: EMPTY_PRIMES)
+    primes: PrimeSet = EMPTY_PRIMES
     special: str | None = None  # None, "inconsistent", "classical"
 
     def __post_init__(self):
@@ -248,8 +244,7 @@ class LogicExpansion:
             raise LatticeError("the classical expansion exists only over lp")
 
 
-@dataclass(frozen=True)
-class AxiomSchema:
+class AxiomSchema(Record):
     name: str
     formula: str
     fresh_symbols: tuple[str, ...]

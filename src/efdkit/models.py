@@ -29,10 +29,10 @@ import math
 import operator
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import is_prime
+from .record import Record
 from .terms import (
     Diff,
     EFDSentence,
@@ -87,18 +87,15 @@ class ModelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IntegerGroup:
+class IntegerGroup(Record):
     pass
 
 
-@dataclass(frozen=True)
-class RationalGroup:
+class RationalGroup(Record):
     pass
 
 
-@dataclass(frozen=True)
-class LocalizedRationals:
+class LocalizedRationals(Record):
     primes: frozenset[int]
 
     def __post_init__(self):
@@ -107,26 +104,22 @@ class LocalizedRationals:
                 raise ModelError(f"{p} is not prime")
 
 
-@dataclass(frozen=True)
-class LexProduct:
+class LexProduct(Record):
     left: "WitnessAlgebra"
     right: "WitnessAlgebra"
 
 
-@dataclass(frozen=True)
-class PositiveCone:
+class PositiveCone(Record):
     inner: "WitnessAlgebra"
 
 
-@dataclass(frozen=True)
-class GammaPerfect:
+class GammaPerfect(Record):
     """Gamma of (Z lex inner) with unit (1, 0)."""
 
     inner: "WitnessAlgebra"
 
 
-@dataclass(frozen=True)
-class TwoMV:
+class TwoMV(Record):
     pass
 
 
@@ -167,35 +160,35 @@ def qs_member(q: Fraction, primes: frozenset[int]) -> bool:
 def check_element(a: WitnessAlgebra, e) -> None:
     if isinstance(a, IntegerGroup):
         if not (isinstance(e, int) or (isinstance(e, Fraction) and e.denominator == 1)):
-            raise ModelError(f"{e!r} is not an integer")
+            raise ModelError(f"{format_element(e)} is not an integer")
     elif isinstance(a, RationalGroup):
         if not isinstance(e, (int, Fraction)):
-            raise ModelError(f"{e!r} is not a rational")
+            raise ModelError(f"{format_element(e)} is not a rational")
     elif isinstance(a, LocalizedRationals):
         if not isinstance(e, (int, Fraction)) or not qs_member(Fraction(e), a.primes):
-            raise ModelError(f"{e!r} is not in Q_S for S={sorted(a.primes)}")
+            raise ModelError(f"{format_element(e)} is not in Q_S for S={sorted(a.primes)}")
     elif isinstance(a, LexProduct):
         if not (isinstance(e, tuple) and len(e) == 2):
-            raise ModelError(f"{e!r} is not a lex pair")
+            raise ModelError(f"{format_element(e)} is not a lex pair")
         check_element(a.left, e[0])
         check_element(a.right, e[1])
     elif isinstance(a, PositiveCone):
         check_element(a.inner, e)
         g = _group(a.inner)
         if g.lt(e, g.zero):
-            raise ModelError(f"{e!r} is negative")
+            raise ModelError(f"{format_element(e)} is negative")
     elif isinstance(a, GammaPerfect):
         if not (isinstance(e, tuple) and len(e) == 2 and e[0] in (0, 1)):
-            raise ModelError(f"{e!r} is not a Gamma pair")
+            raise ModelError(f"{format_element(e)} is not a Gamma pair")
         check_element(a.inner, e[1])
         g = _group(a.inner)
         if e[0] == 0 and g.lt(e[1], g.zero):
-            raise ModelError(f"{e!r} has a negative part on the radical side")
+            raise ModelError(f"{format_element(e)} has a negative part on the radical side")
         if e[0] == 1 and g.lt(g.zero, e[1]):
-            raise ModelError(f"{e!r} has a positive part on the co-radical side")
+            raise ModelError(f"{format_element(e)} has a positive part on the co-radical side")
     elif isinstance(a, TwoMV):
         if e not in _BITS:
-            raise ModelError(f"{e!r} is not a bit")
+            raise ModelError(f"{format_element(e)} is not a bit")
     else:
         raise ModelError(f"not a witness algebra: {a!r}")
 
@@ -204,15 +197,14 @@ def check_element(a: WitnessAlgebra, e) -> None:
 # Ordered-group arithmetic: every witness algebra is read off one of these
 
 
-@dataclass(frozen=True, eq=False)
 class _Group:
-    """A totally ordered Abelian group: zero, u + v, -u, u < v and k u."""
+    """A totally ordered Abelian group: zero, u + v, -u, u < v and k u.
+    Equal only to itself, as _RATIONAL and _INTEGER have equal fields."""
 
-    zero: object
-    add: Callable
-    neg: Callable
-    lt: Callable
-    scale: Callable
+    __slots__ = ("zero", "add", "neg", "lt", "scale")
+
+    def __init__(self, zero, add: Callable, neg: Callable, lt: Callable, scale: Callable):
+        self.zero, self.add, self.neg, self.lt, self.scale = zero, add, neg, lt, scale
 
     def join(self, u, v):
         return v if self.lt(u, v) else u
@@ -491,8 +483,7 @@ def _sample_one(a, rng: random.Random, cap: int):
 # Sentence checking
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     status: str  # "holds", "consistent-on-sample" or "falsified"
     exact: bool  # False for a sampled pass and for a refutation by candidate search
     witness: tuple | None = None  # (x-assignment, z-solutions found there)

@@ -9,7 +9,6 @@ import inspect
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import geometry, terms, translate
@@ -64,12 +63,12 @@ __all__ = ["SuiteReport", "SUITES", "run_suite", "run_all"]
 DEFAULT_SEED = geometry.DEFAULT_SEED
 
 
-@dataclass
 class SuiteReport:
-    name: str
-    passed: bool = True
-    checks: list = field(default_factory=list)
-    counterexample: object = None
+    def __init__(self, name: str):
+        self.name = name
+        self.passed = True
+        self.checks: list = []
+        self.counterexample = None
 
     def record(self, label: str, ok: bool, witness=None):
         self.checks.append({"check": label, "ok": bool(ok)})

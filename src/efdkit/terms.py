@@ -1,5 +1,5 @@
-"""Abstract syntax, parsing, printing, and macro expansion for terms and
-EFD-sentences over the three signatures.
+"""Abstract syntax, parsing and printing of terms and EFD-sentences over
+the three signatures.
 
 An EFD-sentence has the shape ``forall x1 .. xn exists! z1 .. zm : eq & ...``
 with every equation between terms of a single signature:
@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from typing import Callable, Union
+
+from .record import Record, _set
 
 __all__ = [
     "Signature",
@@ -45,7 +46,6 @@ __all__ = [
     "free_vars",
     "max_index",
     "validate_term",
-    "expand_macros",
     "parse_term",
     "parse_sentence",
     "print_term",
@@ -78,61 +78,86 @@ class SignatureError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
+    __slots__ = ("kind", "index")
     kind: str  # "x" or "z"
     index: int  # 1-based
 
+    def __init__(self, kind: str, index: int):
+        _set(self, "kind", kind)
+        _set(self, "index", index)
 
-@dataclass(frozen=True)
-class Zero:
+    def __eq__(self, other):
+        if other.__class__ is Var:
+            return self.kind == other.kind and self.index == other.index
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.index))
+
+
+class Zero(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Plus:
-    left: "Term"
-    right: "Term"
+class _Binary(Record):
+    __slots__ = ("left", "right")
+    left: Term
+    right: Term
+
+    def __init__(self, left: Term, right: Term):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Term"
+class _Unary(Record):
+    __slots__ = ("arg",)
+    arg: Term
+
+    def __init__(self, arg: Term):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Join:
-    left: "Term"
-    right: "Term"
-
-
-@dataclass(frozen=True)
-class Meet:
-    left: "Term"
-    right: "Term"
-
-
-@dataclass(frozen=True)
-class Diff:
-    left: "Term"
-    right: "Term"
-
-
-@dataclass(frozen=True)
-class MVNeg:
-    arg: "Term"
-
-
-@dataclass(frozen=True)
-class Scalar:
+class _Multiple(Record):
+    __slots__ = ("k", "arg")
     k: int
-    arg: "Term"
+    arg: Term
+
+    def __init__(self, k: int, arg: Term):
+        _set(self, "k", k)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Power:
-    k: int
-    arg: "Term"
+class Plus(_Binary):
+    __slots__ = ()
+
+
+class Neg(_Unary):
+    __slots__ = ()
+
+
+class Join(_Binary):
+    __slots__ = ()
+
+
+class Meet(_Binary):
+    __slots__ = ()
+
+
+class Diff(_Binary):
+    __slots__ = ()
+
+
+class MVNeg(_Unary):
+    __slots__ = ()
+
+
+class Scalar(_Multiple):
+    __slots__ = ()
+
+
+class Power(_Multiple):
+    __slots__ = ()
 
 
 Term = Union[Var, Zero, Plus, Neg, Join, Meet, Diff, MVNeg, Scalar, Power]
@@ -264,77 +289,10 @@ def max_index(t: Term, kind: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Macro expansion
-
-
-def _mv_star(a: Term, b: Term) -> Term:
-    # x * y := ~(~x + ~y)
-    return MVNeg(Plus(MVNeg(a), MVNeg(b)))
-
-
-def _mv_join(a: Term, b: Term) -> Term:
-    # x \/ y := ~(~x + y) + y
-    return Plus(MVNeg(Plus(MVNeg(a), b)), b)
-
-
-def expand_macros(t: Term, sig: Signature) -> Term:
-    """Rewrite t using only the primitive operations of sig.
-
-    Group: Scalar expands to (negated) repeated sums.
-    Hoop: Scalar expands to repeated sums.
-    MV: Join, Meet, Diff, Scalar, Power expand through the ~/+ definitions.
-    """
-
-    def expand(node, *kids):
-        if isinstance(node, Scalar):
-            (arg,) = kids
-            if node.k == 0:
-                return ZERO
-            if node.k < 0:
-                if sig is not Signature.GROUP:
-                    raise SignatureError("negative scalar outside group signature")
-                return Neg(_fold_sum(arg, -node.k))
-            return _fold_sum(arg, node.k)
-        if isinstance(node, (Var, Zero, Plus, Neg, MVNeg)):
-            return _rebuild(node, kids)
-        if sig is Signature.MV:
-            if isinstance(node, Join):
-                return _mv_join(*kids)
-            if isinstance(node, Meet):
-                # x /\ y := ~(~x \/ ~y)
-                a, b = kids
-                return MVNeg(_mv_join(MVNeg(a), MVNeg(b)))
-            if isinstance(node, Diff):
-                # x -. y := ~(~x + y)
-                a, b = kids
-                return MVNeg(Plus(MVNeg(a), b))
-            if isinstance(node, Power):
-                (arg,) = kids
-                acc = arg
-                for _ in range(node.k - 1):
-                    acc = _mv_star(acc, arg)
-                return acc
-        # lattice operations are primitive in groups, monus in hoops
-        if isinstance(node, (Join, Meet) if sig is Signature.GROUP else Diff):
-            return _rebuild(node, kids)
-        raise SignatureError(f"{type(node).__name__} not admitted in {sig.value} terms")
-
-    return fold(t, expand)
-
-
-def _fold_sum(t: Term, k: int) -> Term:
-    acc = t
-    for _ in range(k - 1):
-        acc = Plus(acc, t)
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # Sentences
 
 
-@dataclass(frozen=True)
-class EFDSentence:
+class EFDSentence(Record):
     """forall x1..xn exists! z1..zm : conjunction of equations (m >= 1)."""
 
     signature: Signature
@@ -355,8 +313,7 @@ class EFDSentence:
                         raise SignatureError(f"variable {v.kind}{v.index} out of range")
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Record):
     """forall x1..xn : lhs = rhs (the m = 0 axiomatic case)."""
 
     signature: Signature

@@ -5,8 +5,6 @@ classification pipeline built from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .canonical import (
     ABSURD,
     DeltaKT,
@@ -17,6 +15,7 @@ from .canonical import (
 )
 from .lattice import AEClass, boolean_p, meet as class_meet, trivial_p
 from .models import TwoMV, _Solver
+from .record import Record
 from .terms import (
     Diff,
     EFDSentence,
@@ -60,8 +59,7 @@ __all__ = [
 _TWO_BOUND = 20  # exhaustive 2^(n+m) bound for check_in_two
 
 
-@dataclass(frozen=True)
-class RadBasicSentence:
+class RadBasicSentence(Record):
     """A Phi_rad member produced by the decomposition, tagged with the
     generating sign vector."""
 
@@ -69,8 +67,7 @@ class RadBasicSentence:
     sign_vector: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TwoCheck:
+class TwoCheck(Record):
     holds: bool
     table: dict | None  # e-bar -> unique e'-bar on success
     failing: tuple | None  # first e-bar without a unique solution
@@ -385,8 +382,7 @@ def sentence_deltas(phi: EFDSentence) -> list[DeltaKT]:
     return [hoop_delta_star(mv_to_hoop(rb.sentence)) for rb in phi_rad_decompose(phi)]
 
 
-@dataclass(frozen=True)
-class MVClassification:
+class MVClassification(Record):
     ae_class: AEClass
     notes: tuple[str, ...] = ()
 

@@ -13,7 +13,6 @@ from efdkit.canonical import (
     _leaf_form,
     _scale,
     classify_group_sentences,
-    evaluate_piecewise,
     piecewise_canonical,
     reduce_delta_kt,
     sentence_to_delta_kt,
@@ -114,6 +113,14 @@ def _chain_pieces(t, n):
         (form,) = [f for f in chain if sum(c * p for c, p in zip(f, point)) == value]
         pieces.append((IneqSystem(n, rows), form))
     return pieces
+
+
+def evaluate_piecewise(pw, point):
+    """Value of the first piece whose region contains the point."""
+    for region, form in pw.pieces:
+        if region.contains(point):
+            return sum(c * p for c, p in zip(form, point))
+    raise ValueError(f"no piece covers {point!r}")
 
 
 def _assert_agrees_with_chain_walk(t, n, rng, points=40):
