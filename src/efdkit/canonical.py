@@ -12,6 +12,7 @@ from .errors import BudgetExceeded, FragmentError
 from .geometry import (
     IneqSystem,
     LinearForm,
+    _dot,
     feasible_point,
     gcd_all,
     normalize_row,
@@ -48,7 +49,7 @@ __all__ = [
     "DEFAULT_CELL_BUDGET",
 ]
 
-DEFAULT_CELL_BUDGET = 1000  # full-dimensionality tests per canonical form
+DEFAULT_CELL_BUDGET = 1000  # cell tests per canonical form, by point or by LP
 
 ABSURD = "absurd"  # explicit marker producing the Trivial class
 
@@ -122,59 +123,68 @@ def piecewise_canonical(
     full-dimensional cone on which t is the cell's form, and the cells cover
     Q^n.
 
-    Each full-dimensionality verdict is one LP, the joint interior probe of
-    is_full_dimensional (cell rows are never zero), memoised on the row set
-    for this call.  No LP is spent where the answer is known: a row set
-    that contains the other child's is already a cell, a half whose row is
-    already present is the whole intersection, and a half holding both r
-    and -r is a hyperplane.
+    Each cell keeps an integer point strictly inside it, 0 for the whole
+    space.  A cell test, memoised on the row set for this call, is decided
+    by a candidate q with row . q > 0 for every row (either cell's point
+    for an intersection, _lifts for a half), else by one LP, the joint
+    interior probe of is_full_dimensional (cell rows are never zero),
+    whose point is scaled to integers.  No test is spent where the answer
+    is known: a row set that contains the other child's is already a cell,
+    a half whose row is already present is the whole intersection, and a
+    half holding both r and -r is a hyperplane.
 
-    The cap bounds those LPs: the call raises BudgetExceeded before it would
-    run LP number cap + 1.
+    The cap bounds the cell tests, however each is decided: the call raises
+    BudgetExceeded before it would make test number cap + 1.
     """
     if n is None:
         n = max_index(t, "x")
 
-    verdicts: dict[frozenset, bool] = {}
+    zero = (0,) * n
+    points: dict[frozenset, LinearForm | None] = {frozenset(): zero}
 
-    def full_dim(rows: tuple[LinearForm, ...]) -> bool:
+    def interior(rows, candidates) -> LinearForm | None:
         key = frozenset(rows)
-        if key not in verdicts:
-            if len(verdicts) == cap:
+        if key not in points:
+            if len(points) > cap:
                 raise BudgetExceeded(f"the canonical form needs more than {cap} cell tests")
-            verdicts[key] = feasible_point(rows, [1] * len(rows), n) is not None
-        return verdicts[key]
+            q = next((q for q in candidates if all(_dot(r, q) > 0 for r in rows)), None)
+            if q is None and (x := feasible_point(rows, [1] * len(rows), n)) is not None:
+                m = math.lcm(*(c.denominator for c in x))
+                q = tuple(c.numerator * (m // c.denominator) for c in x)
+            points[key] = q
+        return points[key]
 
     def meets(outer, inner):
-        """(rows, f, g) for each full-dimensional intersection of a cell of
+        """(rows, f, g, p) for each full-dimensional intersection of a cell of
         outer (form f) with a cell of inner (form g), outer rows first."""
-        for rows1, f in outer:
-            for rows2, g in inner:
-                if not rows2:  # the whole space: the intersection is rows1
-                    yield rows1, f, g
-                    continue
+        for rows1, f, p1 in outer:
+            for rows2, g, p2 in inner:
                 rows = rows1 + tuple(r for r in rows2 if r not in rows1)
                 # unless one row set contains the other, the union is new
-                if len(rows) in (len(rows1), len(rows2)) or full_dim(rows):
-                    yield rows, f, g
+                if len(rows) in (len(rows1), len(rows2)):
+                    p = p1 if len(rows) == len(rows1) else p2
+                else:
+                    p = interior(rows, (p1, p2))
+                if p is not None:
+                    yield rows, f, g, p
 
     def cells(node, *kids):
         kind = type(node)
         if kind is Plus:
             # the right summand's cells outermost, its rows first
-            return [(rows, _add(f, g)) for rows, g, f in meets(kids[1], kids[0])]
+            return [(rows, _add(f, g), p) for rows, g, f, p in meets(kids[1], kids[0])]
         if kind is Neg or kind is Scalar:
             k = -1 if kind is Neg else node.k
             if k == 0:
-                return [((), (0,) * n)]
-            return [(rows, _scale(k, f)) for rows, f in kids[0]]
+                return [((), zero, zero)]
+            return [(rows, _scale(k, f), p) for rows, f, p in kids[0]]
         if kind is not Join and kind is not Meet:
-            return [((), _leaf_form(node, n))]
+            return [((), _leaf_form(node, n), zero)]
         join = kind is Join
         out = []
-        for rows, f, g in meets(kids[0], kids[1]):
+        for rows, f, g, p in meets(kids[0], kids[1]):
             if f == g:
-                out.append((rows, f))
+                out.append((rows, f, p))
                 continue
             r = normalize_row(tuple(a - b for a, b in zip(f, g)))
             neg = tuple(-c for c in r)
@@ -182,14 +192,22 @@ def piecewise_canonical(
             halves = ((r, neg, f if join else g), (neg, r, g if join else f))
             for row, opposite, form in halves:
                 if row in rows:
-                    out.append((rows, form))
-                elif opposite not in rows and full_dim(rows + (row,)):
-                    out.append((rows + (row,), form))
+                    out.append((rows, form, p))
+                elif opposite not in rows and (q := interior(rows + (row,), _lifts(p, rows, row))):
+                    out.append((rows + (row,), form, q))
         return out
 
     return PiecewiseLinear(
-        n, tuple((IneqSystem(n, rows), form) for rows, form in fold(t, cells))
+        n, tuple((IneqSystem(n, rows), form) for rows, form, _ in fold(t, cells))
     )
+
+
+def _lifts(p: LinearForm, rows, row: LinearForm):
+    """p, then N p + row with N = 1 + max |s . row| over the rows s: strictly
+    inside every s >= 0 as p is, and inside row >= 0 too when row . p >= 0."""
+    yield p
+    big = 1 + max((abs(_dot(s, row)) for s in rows), default=0)
+    yield tuple(big * a + b for a, b in zip(p, row))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +217,8 @@ def piecewise_canonical(
 def reduce_delta_kt(d: DeltaKT, cap: int = DEFAULT_CELL_BUDGET) -> int:
     """k' with delta_{k,t} equivalent to delta_{k'} over l-groups:
     divide k by gcd({k} union all piece coefficients)."""
+    if d.k == 1:  # k' divides k
+        return 1
     pw = piecewise_canonical(d.t, cap=cap)
     coeffs = [c for _, form in pw.pieces for c in form]
     g = gcd_all([d.k] + coeffs)

@@ -283,9 +283,9 @@ def _render_text(obj, indent: int = 0) -> str:
 # the cap on leaf forms, so sentences the cap sent to sampling are decided
 # exactly; check/5: the trivial class is decided on Gamma models, not
 # sampled; check/6: a sentence that a classification budget sent to
-# sampling says so in detail; translate/2: a co-radical power x^k translates to k h, not
-# h + ... + h
-_SCHEMA_VERSIONS = {"canon": 3, "check": 6, "translate": 2}
+# sampling says so in detail; check/7: delta_{1,t} reduces to delta_1 with
+# no cell tests; translate/2: co-radical x^k translates to k h, not h + ... + h
+_SCHEMA_VERSIONS = {"canon": 3, "check": 7, "translate": 2}
 
 
 _encode_str = json.encoder.encode_basestring_ascii

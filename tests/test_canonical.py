@@ -91,6 +91,57 @@ def _leaf_forms(t, n):
     return fold(t, forms)
 
 
+def _lp_pieces(t, n):
+    """Reference refinement: piecewise_canonical's cells, each cell test
+    decided by its own LP with no interior points kept, and no cap."""
+    verdicts = {}
+
+    def full_dim(rows):
+        key = frozenset(rows)
+        if key not in verdicts:
+            verdicts[key] = feasible_point(rows, [1] * len(rows), n) is not None
+        return verdicts[key]
+
+    def meets(outer, inner):
+        for rows1, f in outer:
+            for rows2, g in inner:
+                if not rows2:
+                    yield rows1, f, g
+                    continue
+                rows = rows1 + tuple(r for r in rows2 if r not in rows1)
+                if len(rows) in (len(rows1), len(rows2)) or full_dim(rows):
+                    yield rows, f, g
+
+    def cells(node, *kids):
+        kind = type(node)
+        if kind is Plus:
+            return [(rows, _add(f, g)) for rows, g, f in meets(kids[1], kids[0])]
+        if kind is Neg or kind is Scalar:
+            k = -1 if kind is Neg else node.k
+            if k == 0:
+                return [((), (0,) * n)]
+            return [(rows, _scale(k, f)) for rows, f in kids[0]]
+        if kind is not Join and kind is not Meet:
+            return [((), _leaf_form(node, n))]
+        join = kind is Join
+        out = []
+        for rows, f, g in meets(kids[0], kids[1]):
+            if f == g:
+                out.append((rows, f))
+                continue
+            r = normalize_row(tuple(a - b for a, b in zip(f, g)))
+            neg = tuple(-c for c in r)
+            halves = ((r, neg, f if join else g), (neg, r, g if join else f))
+            for row, opposite, form in halves:
+                if row in rows:
+                    out.append((rows, form))
+                elif opposite not in rows and full_dim(rows + (row,)):
+                    out.append((rows + (row,), form))
+        return out
+
+    return tuple((IneqSystem(n, rows), form) for rows, form in fold(t, cells))
+
+
 def _chain_pieces(t, n):
     """Reference canonical form by the chain walk: every ordering of the
     distinct leaf forms whose cone f_1 <= f_2 <= ... is full-dimensional,
@@ -160,23 +211,32 @@ class TestPiecewise:
         assert evaluate_piecewise(pw, (Fraction(0),)) == 0
 
     def test_cap_exceeded(self, monkeypatch):
-        # the twelve forms take 724 cell tests; the cap stops the call at 50
+        # the cap stops the twelve forms at 50 cell tests, 24 of them LPs
         calls = count_lp_calls(monkeypatch)
         with pytest.raises(BudgetExceeded, match="more than 50 cell tests"):
             piecewise_canonical(_term(TWELVE_FORMS), cap=50)
-        assert len(calls) == 50
+        assert len(calls) == 24
+
+    def test_cap_counts_cell_tests_not_lps(self, monkeypatch):
+        # the twelve forms take 724 cell tests, 354 of them LPs: the cap
+        # counts every test, however it is decided
+        calls = count_lp_calls(monkeypatch)
+        t = _term(TWELVE_FORMS)
+        assert len(piecewise_canonical(t, cap=724).pieces) == 122
+        assert len(calls) == 354
+        with pytest.raises(BudgetExceeded, match="more than 723 cell tests"):
+            piecewise_canonical(t, cap=723)
 
     def test_cap_counts_forms_pushed_through_the_lattice(self, monkeypatch):
         # the 22 leaf forms of 21 copies of x1 \/ -x1 cost nothing: the cap
-        # counts the 3 cell tests, so it answers at 3 and stops at 2
+        # counts the 3 cell tests (1 of them an LP), so it answers at 3 and
+        # stops at 2
         calls = count_lp_calls(monkeypatch)
         text = r" + ".join([r"(x1 \/ -x1)"] * 21)
         assert len(piecewise_canonical(_term(text), cap=3).pieces) == 2
-        assert len(calls) == 3
-        calls.clear()
+        assert len(calls) == 1
         with pytest.raises(BudgetExceeded, match="more than 2 cell tests"):
             piecewise_canonical(_term(text), cap=2)
-        assert len(calls) == 2
 
     def test_long_sum_is_pinned(self, monkeypatch):
         # x1 \/ -x1 summed N times has N + 1 leaf forms N x1, (N - 2) x1, ...
@@ -188,7 +248,7 @@ class TestPiecewise:
             assert {(region.rows, form) for region, form in pw.pieces} == {
                 (((1,),), (copies,)), (((-1,),), (-copies,))
             }
-            assert (len(calls), len(pw.pieces)) == (3, 2)
+            assert (len(calls), len(pw.pieces)) == (1, 2)
 
     def test_degenerate_chains_pruned(self):
         # x1 /\ x1 has one distinct form; no spurious pieces
@@ -207,6 +267,25 @@ class TestPiecewise:
             point = random_rational_point(rng, n)
             env = {xvar(i): v for i, v in enumerate(point, start=1)}
             assert evaluate_piecewise(pw, point) == eval_term(q, t, env)
+
+
+class TestAgainstLPRefinement:
+    """Interior points only replace LPs: the pieces, their rows and their
+    order are those of the LP-per-test refinement."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_terms(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        t = random_term(rng, Signature.GROUP, n, rng.randint(1, 5), coeff=5)
+        if len(_leaf_forms(t, n)) > 6:
+            return
+        assert piecewise_canonical(t, n=n).pieces == _lp_pieces(t, n)
+
+    @pytest.mark.parametrize("text", [SIX_FORMS, TWELVE_FORMS])
+    def test_pinned_forms(self, text):
+        assert piecewise_canonical(_term(text), n=3).pieces == _lp_pieces(_term(text), 3)
 
 
 class TestAgainstChainWalk:

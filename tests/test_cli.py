@@ -68,7 +68,7 @@ class TestExamples:
         code, payload = invoke_json(capsys, "canon", TWELVE_FORMS)
         assert code == 0
         pieces = payload["piecewise"]["pieces"]
-        assert (len(calls), len(pieces)) == (724, 122)
+        assert (len(calls), len(pieces)) == (354, 122)
         t = parse_term(TWELVE_FORMS, Signature.GROUP)
         rng = random.Random(12)
         for _ in range(100):
@@ -166,7 +166,7 @@ class TestExamples:
             capsys, "check", "--model", "qs:2,3", "--sentence", "delta 6"
         )
         assert code == 0
-        assert payload["schema"] == "efdkit/check/6"
+        assert payload["schema"] == "efdkit/check/7"
         assert payload["verdict"] == {
             "status": "holds",
             "confidence": "exact",
@@ -225,9 +225,27 @@ class TestExitCodes:
         calls = count_lp_calls(monkeypatch)
         code = run(["canon", "--cap", "50", TWELVE_FORMS])
         captured = capsys.readouterr()
-        assert (code, len(calls)) == (3, 50)
+        assert (code, len(calls)) == (3, 24)
         assert captured.out == ""
         assert captured.err == "error: the canonical form needs more than 50 cell tests\n"
+
+    @pytest.mark.parametrize(
+        "term,code,err",
+        [
+            ("x1 -. x2", 2, "error: Diff not admitted in group terms\n"),
+            ("~x1", 2, "error: ~ only admitted in MV terms (at position 0)\n"),
+            ("x1 +", 2, "error: unexpected end of input\n"),
+            ("z1", 3, "error: delta_{k,t} requires t over x-variables only\n"),
+        ],
+    )
+    def test_reduce_k_1_still_checks_the_term(self, capsys, term, code, err):
+        # k = 1 skips the canonical form, not the parser or DeltaKT
+        assert run(["reduce", "--k", "1", "--term", term]) == code
+        assert capsys.readouterr() == ("", err)
+
+    def test_reduce_k_1_needs_no_cell_test(self, capsys):
+        code, payload = invoke_json(capsys, "reduce", "--k", "1", "--cap", "1", "--term", TWELVE_FORMS)
+        assert (code, payload["k_prime"]) == (0, 1)
 
     def test_property_failure_is_4(self, capsys):
         code, payload = invoke_json(
@@ -446,15 +464,26 @@ class TestBoundedWork:
         assert (payload["class"], payload["primes"]) == ("divisible", [])
 
     def test_meet_chain_hits_the_cap(self, capsys, monkeypatch):
+        # every delta of the MV chain has k = 1, so it reduces to delta_1
+        # without a canonical form; 2 z1 = |x1| /\ ... /\ |x6|, whose form
+        # has an orthant copy of every piece, still needs more than 1000
+        # cell tests, 330 of them LPs
         calls = count_lp_calls(monkeypatch)
-        code = run(["classify", "--sig", "mv", "--sentence", _meet_chain(6)])
+        code, payload = invoke_json(capsys, "classify", "--sig", "mv", "--sentence", _meet_chain(6))
+        assert (code, len(calls), payload["class"], payload["primes"]) == (0, 0, "divisible", [])
+        xs = " ".join(f"x{i}" for i in range(1, 7))
+        absolutes = r" /\ ".join(f"(x{i} \\/ -x{i})" for i in range(1, 7))
+        code = run(["classify", "--sig", "group", "--sentence", f"forall {xs} exists! z1 : 2 z1 = {absolutes}"])
         captured = capsys.readouterr()
-        assert (code, len(calls)) == (3, 1000)
+        assert (code, len(calls)) == (3, 330)
         assert captured.err == "error: the canonical form needs more than 1000 cell tests\n"
 
     def test_check_names_the_budget_that_sent_it_to_sampling(self, capsys):
+        # 2 z1 = x1 + ... + x10 on cone(q) stars to 1024 orthant cells
+        sentence = "forall " + " ".join(f"x{i}" for i in range(1, 11)) + " exists! z1 : 2 z1 = "
+        sentence += " + ".join(f"x{i}" for i in range(1, 11))
         code, payload = invoke_json(
-            capsys, "check", "--model", "gamma(q)", "--budget", "3", "--sentence", _meet_chain(6)
+            capsys, "check", "--model", "cone(q)", "--budget", "3", "--sentence", sentence
         )
         assert code == 0
         assert payload["verdict"]["detail"] == (

@@ -152,9 +152,9 @@ class TestPinnedSimplex:
     @pytest.mark.parametrize(
         "text,calls,cells",
         [
-            (r"2 x1 \/ 6 x1", 2, 2),
-            (r"(x1 /\ x2) \/ (2 x1 - x2) \/ -x2", 6, 4),
-            (SIX_FORMS, 58, 22),
+            (r"2 x1 \/ 6 x1", 0, 2),
+            (r"(x1 /\ x2) \/ (2 x1 - x2) \/ -x2", 1, 4),
+            (SIX_FORMS, 28, 22),
         ],
     )
     def test_lp_call_count_is_pinned(self, monkeypatch, text, calls, cells):
