@@ -13,12 +13,12 @@ its arithmetic (zero, +, -, <, k-fold multiple):
   Lettieri): pairs (i, q) with i in {0, 1}, q >= 0 when i = 0 (the radical)
   and q <= 0 when i = 1.
 
-Terms are walked on integer codes, the rational coordinates of elements
-times a scale M that clears their denominators (_codec), through one table
-of node operations per algebra (_evaluator).  eval_term scales by the
-common denominator of one assignment and divides the value by it again;
-the sampled checker keeps one M for a whole check, forms its candidate
-pool at M, and when an assignment needs a larger M multiplies its memo up.
+Terms are compiled to closures over integer codes, the rational coordinates
+of elements times a scale M that clears their denominators (_codec), from
+one table of node operations per algebra (_evaluator).  eval_term scales by
+the common denominator of one assignment and divides the value by it again;
+the sampled checker compiles each equation side once, and fixes M when it
+starts at a multiple of every denominator its samples and pools can hold.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .lattice import is_prime
-from .record import Record
+from .record import Record, _set
 from .terms import (
     Diff,
     EFDSentence,
@@ -49,7 +49,6 @@ from .terms import (
     ZERO,
     Zero,
     fold,
-    free_vars,
     xvar,
 )
 
@@ -87,40 +86,60 @@ class ModelError(ValueError):
     pass
 
 
-class IntegerGroup(Record):
-    pass
+class _Atom(Record):
+    __slots__ = ()  # a witness algebra without parameters
+    __init__ = object.__init__  # no fields to set
 
 
-class RationalGroup(Record):
-    pass
+class IntegerGroup(_Atom):
+    __slots__ = ()
+
+
+class RationalGroup(_Atom):
+    __slots__ = ()
 
 
 class LocalizedRationals(Record):
+    __slots__ = ("primes",)
     primes: frozenset[int]
 
-    def __post_init__(self):
-        for p in self.primes:
+    def __init__(self, primes: frozenset[int]):
+        for p in primes:
             if not is_prime(p):
                 raise ModelError(f"{p} is not prime")
+        _set(self, "primes", primes)
 
 
 class LexProduct(Record):
+    __slots__ = ("left", "right")
     left: "WitnessAlgebra"
     right: "WitnessAlgebra"
 
+    def __init__(self, left: "WitnessAlgebra", right: "WitnessAlgebra"):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
-class PositiveCone(Record):
+
+class _Over(Record):
+    __slots__ = ("inner",)  # a witness algebra read off one inner group
     inner: "WitnessAlgebra"
 
+    def __init__(self, inner: "WitnessAlgebra"):
+        _set(self, "inner", inner)
 
-class GammaPerfect(Record):
+
+class PositiveCone(_Over):
+    __slots__ = ()
+
+
+class GammaPerfect(_Over):
     """Gamma of (Z lex inner) with unit (1, 0)."""
 
-    inner: "WitnessAlgebra"
+    __slots__ = ()
 
 
-class TwoMV(Record):
-    pass
+class TwoMV(_Atom):
+    __slots__ = ()
 
 
 WitnessAlgebra = (
@@ -299,37 +318,38 @@ def _codec(a: WitnessAlgebra) -> tuple:
 def eval_term(a: WitnessAlgebra, t: Term, assignment: dict) -> object:
     """Exact evaluation of t in a under a total assignment keyed by Var.
 
-    The walk runs on integers: the assigned values are scaled by the lcm D
-    of the denominators of their rational coordinates, and the value is
-    divided by D again."""
-    walk, (den, up, down) = _evaluator(a)
+    t is compiled and run on integers: the assigned values are scaled by
+    the lcm D of the denominators of their rational coordinates, and the
+    value is divided by D again."""
+    compile_, (den, up, down) = _evaluator(a)
     d = math.lcm(*map(den, assignment.values()))
-    return down(walk(t, {v: up(e, d) for v, e in assignment.items()}), d)
+    slots = {(v.kind, v.index): i for i, v in enumerate(assignment)}
+    return down(compile_(t, slots)[0]([up(e, d) for e in assignment.values()]), d)
 
 
 @functools.lru_cache(maxsize=64)
 def _evaluator(a: WitnessAlgebra):
-    """The term walker of a over integer coordinates, with the scaling of
+    """The term compiler of a over integer coordinates, with the scaling of
     its elements, built once per algebra value.  A group model is its group
     G, cone(G) is the positive cone of G, and an MV model is Gamma(G, u):
     TwoMV is Gamma(Z, 1), GammaPerfect is Gamma(Z lex inner, (1, 0))."""
     if isinstance(a, PositiveCone):
         g = _group(a.inner, _INTEGER)
-        walk = _walker("a hoop model", g, {
+        compile_ = _compiler("a hoop model", g, {
             Plus: g.add,
             Diff: _monus(g),
             Scalar: _nonnegative(g.scale, "negative scalar in a hoop term"),
         })
     elif isinstance(a, TwoMV):
-        walk = _walker("TwoMV", _INTEGER, _gamma_ops(_INTEGER, 1))
+        compile_ = _compiler("TwoMV", _INTEGER, _gamma_ops(_INTEGER, 1))
     elif isinstance(a, GammaPerfect):
         inner = _group(a.inner, _INTEGER)
         g = _lex(_INTEGER, inner)
-        walk = _walker("a Gamma model", g, _gamma_ops(g, (1, inner.zero)))
+        compile_ = _compiler("a Gamma model", g, _gamma_ops(g, (1, inner.zero)))
     else:
         g = _group(a, _INTEGER)
-        walk = _walker("a group model", g, {Plus: g.add, Neg: g.neg, Scalar: g.scale})
-    return walk, _codec(a)
+        compile_ = _compiler("a group model", g, {Plus: g.add, Neg: g.neg, Scalar: g.scale})
+    return compile_, _codec(a)
 
 
 def _monus(g: _Group) -> Callable:
@@ -368,35 +388,49 @@ def _nonnegative(scale: Callable, message: str) -> Callable:
     return checked
 
 
-def _walker(label: str, g: _Group, ops: dict) -> Callable:
-    """The recursive evaluator over one algebra's node operations, keyed by
+def _compiler(label: str, g: _Group, ops: dict) -> Callable:
+    """compile(t, slots): t as one closure per node over codes, v read at
+    codes[slots[v.kind, v.index]], and the slots read.  ops are keyed by
     node type: (left, right) for Plus and Diff, arg for Neg and MVNeg,
-    (k, arg) for Scalar and Power.  Join and meet come from the order of g."""
+    (k, arg) for Scalar and Power.  A node outside ops, a variable without
+    a slot and a negative k raise when evaluation reaches them, left first,
+    as a recursive walk."""
+    ops = {**ops, Join: g.join, Meet: g.meet}
 
-    def walk(t, env):
-        node = nodes.get(type(t))
-        if node is None:
-            raise ModelError(f"{type(t).__name__} not evaluable in {label}")
-        return node(t, env)
+    def compile_(t: Term, slots: dict) -> tuple:
+        done, reads = {}, set()  # done: id -> closure of a binary node
 
-    def binary(f):
-        return lambda t, env: f(walk(t.left, env), walk(t.right, env))
+        def node(t):
+            kind = type(t)
+            f = ops.get(kind)
+            if f is None:
+                if kind is Var:
+                    i = slots.get((t.kind, t.index))
+                    if i is None:
+                        return functools.partial(_fail, f"assignment missing {t.kind}{t.index}")
+                    reads.add(i)
+                    return operator.itemgetter(i)
+                if kind is Zero:
+                    return lambda codes: g.zero
+                return functools.partial(_fail, f"{kind.__name__} not evaluable in {label}")
+            # the closures bind f and the children as defaults: node() makes no cells
+            if kind is Scalar or kind is Power:
+                return lambda codes, f=f, k=t.k, arg=node(t.arg): f(k, arg(codes))
+            if kind is Neg or kind is MVNeg:
+                return lambda codes, f=f, arg=node(t.arg): f(arg(codes))
+            fn = done.get(id(t))  # each binary node object compiles once, as in terms.fold
+            if fn is None:
+                left, right = node(t.left), node(t.right)
+                fn = done[id(t)] = lambda codes, f=f, u=left, v=right: f(u(codes), v(codes))
+            return fn
 
-    def unary(f):
-        return lambda t, env: f(walk(t.arg, env))
+        return node(t), reads
 
-    def scaled(f):
-        return lambda t, env: f(t.k, walk(t.arg, env))
+    return compile_
 
-    shapes = {
-        Plus: binary, Diff: binary, Neg: unary, MVNeg: unary, Scalar: scaled, Power: scaled
-    }
-    nodes = {kind: shapes[kind](f) for kind, f in ops.items()}
-    nodes[Var] = _lookup
-    nodes[Zero] = lambda t, env: g.zero
-    nodes[Join] = binary(g.join)
-    nodes[Meet] = binary(g.meet)
-    return walk
+
+def _fail(message: str, codes):
+    raise ModelError(message)
 
 
 def _lookup(t: Var, assignment: dict):
@@ -477,6 +511,17 @@ def _sample_one(a, rng: random.Random, cap: int):
     if isinstance(a, TwoMV):
         return rng.randint(0, 1)
     raise ModelError(f"not a witness algebra: {a!r}")
+
+
+def _sample_den(a, cap: int) -> int:
+    """The lcm of every denominator that _sample_one(a, _, cap) can draw."""
+    if isinstance(a, LexProduct):
+        return math.lcm(_sample_den(a.left, cap), _sample_den(a.right, cap))
+    if isinstance(a, (PositiveCone, GammaPerfect)):
+        return _sample_den(a.inner, cap)
+    if isinstance(a, RationalGroup):
+        return math.lcm(*range(1, cap + 1))
+    return math.prod(p * p for p in getattr(a, "primes", ()))  # Q_S, Z and TwoMV
 
 
 # ---------------------------------------------------------------------------
@@ -626,26 +671,23 @@ def solutions_for_assignment(a, phi: EFDSentence, xassign: dict):
 _MISSING = object()
 
 
-def _no_z(zs) -> tuple:
-    """The z-key of a side without z-variables."""
+def _no_z(codes) -> tuple:
+    """The key of a side without z-variables."""
     return ()
 
 
 class _Side:
-    """One equation side and its memo: codes of the x-values of its free
-    variables -> codes of the z-values of its free variables -> the code of
-    the side's value."""
+    """One equation side, compiled, and its memo: codes of the x-values of
+    its free variables -> codes of the z-values of its free variables -> the
+    code of the side's value."""
 
-    __slots__ = ("term", "xvars", "zkey", "memo")
+    __slots__ = ("fn", "xkey", "zkey", "memo")
 
-    def __init__(self, term: Term):
-        fv = free_vars(term)
-        self.term = term
-        self.xvars = tuple(sorted((v for v in fv if v.kind == "x"), key=lambda v: v.index))
-        zpos = sorted(v.index - 1 for v in fv if v.kind == "z")
-        self.zkey = operator.itemgetter(*zpos) if len(zpos) > 1 else _no_z
-        if len(zpos) == 1:  # a one-tuple, as every other z-key
-            self.zkey = operator.itemgetter(slice(zpos[0], zpos[0] + 1))
+    def __init__(self, compiled: tuple, n: int):
+        self.fn, reads = compiled  # slots 0..n-1 hold x1..xn, and n.. z1..zm
+        xpos, zpos = sorted(i for i in reads if i < n), sorted(i - n for i in reads if i >= n)
+        self.xkey = operator.itemgetter(*xpos) if xpos else _no_z
+        self.zkey = operator.itemgetter(*zpos) if zpos else _no_z
         self.memo = {}
 
 
@@ -653,26 +695,29 @@ class _Solver:
     """solutions_for_assignment for one sentence in one algebra, one
     x-assignment after another.  A check builds one and drops it when it
     returns, so the memo of each equation side lives for that check only:
-    the side is evaluated once per distinct tuple of values of its own free
-    variables (t_k(z1) once per z1, x1 once per assignment).  A side without
-    z-variables is evaluated first, since its value seeds the candidate pool;
-    the others in the order of the plain search.
+    the side, compiled once, runs once per distinct tuple of values of its
+    own free variables (t_k(z1) once per z1, x1 once per assignment).  A
+    z-free side runs first, since its value seeds the candidate pool.
 
-    The candidate search runs on integer codes at one scale M for the whole
-    check: M only grows, to lcm(M, D lcm(1..cap)) before an assignment whose
-    x-values have the common denominator D, and when it grows by r every
-    memo key and value is multiplied by r, so no memo entry is lost.  Codes
-    are decoded only for the z-free seeds and the reported solutions; the
-    bits of the two-element model are their own codes and are not scaled."""
+    The search runs on codes at one scale M, fixed here: lcm(1..cap) times
+    every denominator _sample_one draws with that cap, so every sample and
+    its pool (v / d, d <= cap) are codes at M.  Other x-values of
+    denominator D raise M to lcm(M, D lcm(1..cap)); the memo stays, since a
+    compiled side maps codes to codes without reading M (x -> M x commutes
+    with every node operation).  Codes are decoded only for the z-free seeds
+    and the reported solutions; the bits of TwoMV are their own codes."""
 
     def __init__(self, a, phi: EFDSentence, cap: int = 12):
         self.a, self.phi, self.cap = a, phi, cap
         self.linear = species(a) is Signature.GROUP and phi.m == 1
         self.exhaustive = isinstance(a, TwoMV)
-        self.zvars = tuple(Var("z", j) for j in range(1, phi.m + 1))
-        self.sides = [(_Side(lhs), _Side(rhs)) for lhs, rhs in phi.equations]
-        self.walk, (self.den, self.up, self.down) = _evaluator(a)
-        self.scale, self.lcm_cap = 1, math.lcm(*range(1, cap + 1))
+        names = [("x", i) for i in range(1, phi.n + 1)] + [("z", j) for j in range(1, phi.m + 1)]
+        self.xvars = tuple(Var(*name) for name in names[: phi.n])
+        slots = {name: i for i, name in enumerate(names)}
+        compile_, (self.den, self.up, self.down) = _evaluator(a)
+        self.sides = [tuple(_Side(compile_(t, slots), phi.n) for t in eq) for eq in phi.equations]
+        self.lcm_cap = math.lcm(*range(1, cap + 1))
+        self.scale = self.lcm_cap * _sample_den(a, cap)
 
     def solve(self, xassign: dict):
         if self.linear:
@@ -711,44 +756,23 @@ class _Solver:
             other = _nonzero(a)
         return [(zero,), (other,)], True
 
-    def _rescale(self, m: int) -> None:
-        """Move every memo key and value from scale self.scale to m."""
-        up, r = self.up, m // self.scale
-        for side in itertools.chain.from_iterable(self.sides):
-            side.memo = {
-                tuple(up(x, r) for x in xs): {
-                    tuple(up(z, r) for z in zs): up(v, r) for zs, v in table.items()
-                }
-                for xs, table in side.memo.items()
-            }
-        self.scale = m
-
     def _search(self, xassign: dict) -> list:
-        walk, zvars, down = self.walk, self.zvars, self.down
-        if self.exhaustive:  # the bits are their own codes
-            m, env = 1, xassign
-        else:
-            m = math.lcm(self.scale, math.lcm(*map(self.den, xassign.values())) * self.lcm_cap)
-            if m != self.scale:
-                self._rescale(m)
-            env = {v: self.up(e, m) for v, e in xassign.items()}
-        # per side: (term, z-key, the memo table of this assignment's x-codes)
+        d = math.lcm(*map(self.den, xassign.values()))
+        m, down = math.lcm(self.scale, d * self.lcm_cap), self.down
+        self.scale = m  # grows only for x-values of denominators that no sample has
+        xcodes = tuple(self.up(_lookup(v, xassign), m) for v in self.xvars)
+        # per side: (compiled side, z-key, the memo table of this assignment's x-codes)
         tables = [
-            tuple(
-                (s.term, s.zkey, s.memo.setdefault(tuple(map(env.get, s.xvars)), {}))
-                for s in eq
-            )
+            tuple((s.fn, s.zkey, s.memo.setdefault(s.xkey(xcodes), {})) for s in eq)
             for eq in self.sides
         ]
 
         def value(side, zs):
-            term, zkey, table = side
+            fn, zkey, table = side
             key = zkey(zs)
             v = table.get(key, _MISSING)
             if v is _MISSING:
-                codes = dict(env)
-                codes.update(zip(zvars, zs))
-                v = table[key] = walk(term, codes)
+                v = table[key] = fn(xcodes + zs)
             return v
 
         if self.exhaustive:
@@ -769,7 +793,7 @@ class _Solver:
                 sols.append(zs)
                 if len(sols) == 2:
                     break
-        return sols if self.exhaustive else [tuple(down(z, m) for z in zs) for zs in sols]
+        return [tuple(down(z, m) for z in zs) for zs in sols]
 
 
 def _structured_x(a, n: int) -> list[dict]:

@@ -193,7 +193,7 @@ _UNSEEN = object()
 def fold(t: Term, f: Callable):
     """Bottom-up fold: f(node, *child_values), left child first.
 
-    Every walk over a term goes through here (the evaluator in models
+    Every walk over a term goes through here (the term compiler in models
     excepted); a term's depth is bounded by the parser (MAX_DEPTH).  Terms
     may share subterms, as p in the hoop image p + (q -. p) of an MV join,
     so each binary node object is folded once per call: a walk costs about

@@ -1,6 +1,8 @@
 import functools
 import itertools
+import operator
 import random
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -47,6 +49,7 @@ from efdkit.terms import (
     Signature,
     Var,
     ZERO,
+    Zero,
     build_delta_k,
     build_epsilon_k,
     build_t_k,
@@ -57,7 +60,7 @@ from efdkit.terms import (
     xvar,
     zvar,
 )
-from efdkit.translate import check_in_two
+from efdkit.translate import check_in_two, mv_to_hoop
 
 GQ = GammaPerfect(RationalGroup())
 
@@ -157,30 +160,82 @@ class TestEveryNodeEveryModel:
 
 
 # ---------------------------------------------------------------------------
-# eval_term walks integers over one common denominator.  The reference is the
-# evaluator it replaced: the same walker over the Fraction groups, unscaled.
+# eval_term compiles t into closures over integer codes at one common
+# denominator.  The reference is the evaluator it replaced: a recursive walk
+# that dispatches on the node type at every node, over the Fraction groups,
+# unscaled.
 
 
 def _fraction_eval(a, t, env):
     return _fraction_walker(a)(t, env)
 
 
+def _walker(label, g, ops):
+    """The recursive evaluator over one algebra's node operations, keyed by
+    node type: (left, right) for Plus and Diff, arg for Neg and MVNeg,
+    (k, arg) for Scalar and Power.  Join and meet come from the order of g."""
+
+    def walk(t, env):
+        node = nodes.get(type(t))
+        if node is None:
+            raise ModelError(f"{type(t).__name__} not evaluable in {label}")
+        return node(t, env)
+
+    def binary(f):
+        return lambda t, env: f(walk(t.left, env), walk(t.right, env))
+
+    def unary(f):
+        return lambda t, env: f(walk(t.arg, env))
+
+    def scaled(f):
+        return lambda t, env: f(t.k, walk(t.arg, env))
+
+    shapes = {
+        Plus: binary, Diff: binary, Neg: unary, MVNeg: unary, Scalar: scaled, Power: scaled
+    }
+    nodes = {kind: shapes[kind](f) for kind, f in ops.items()}
+    nodes[Var] = models._lookup
+    nodes[Zero] = lambda t, env: g.zero
+    nodes[Join] = binary(g.join)
+    nodes[Meet] = binary(g.meet)
+    return walk
+
+
 @functools.lru_cache(maxsize=None)
 def _fraction_walker(a):
     if isinstance(a, PositiveCone):
         g = models._group(a.inner)
-        return models._walker("a hoop model", g, {
+        return _walker("a hoop model", g, {
             Plus: g.add,
             Diff: models._monus(g),
             Scalar: models._nonnegative(g.scale, "negative scalar in a hoop term"),
         })
     if isinstance(a, TwoMV):
-        return models._walker("TwoMV", models._INTEGER, models._gamma_ops(models._INTEGER, 1))
+        return _walker("TwoMV", models._INTEGER, models._gamma_ops(models._INTEGER, 1))
     if isinstance(a, GammaPerfect):
         g = models._lex(models._INTEGER, models._group(a.inner))
-        return models._walker("a Gamma model", g, models._gamma_ops(g, (1, models._group(a.inner).zero)))
+        return _walker("a Gamma model", g, models._gamma_ops(g, (1, models._group(a.inner).zero)))
     g = models._group(a)
-    return models._walker("a group model", g, {Plus: g.add, Neg: g.neg, Scalar: g.scale})
+    return _walker("a group model", g, {Plus: g.add, Neg: g.neg, Scalar: g.scale})
+
+
+def _shared_terms(rng, sig):
+    """Terms whose binary node objects occur more than once: Plus(s, s) with
+    one s, and the hoop image of an MV join chain, p + (q -. p) with one p."""
+    s = random_term(rng, sig, 2, 3)
+    phi = parse_sentence(r"forall x1 x2 exists! z1 : z1 = x1 \/ 2 x2 \/ (x1 + x2) \/ x2", Signature.MV)
+    ((_, image),) = mv_to_hoop(phi).equations
+    return [Plus(s, s), image, Plus(image, Scalar(2, image))]
+
+
+# Terms with two faults each.  With x2 unassigned, the fault that a walk
+# reaches first decides the error: the left child before the right one, and
+# a scalar's argument before its k.
+_TWO_FAULTS = [
+    term
+    for fault in (Scalar(-2, _X1), MVNeg(_X1), Neg(_X1), Diff(_X1, _X1))
+    for term in (Plus(_X2, fault), Plus(fault, _X2), Scalar(-3, Plus(fault, _X2)))
+]
 
 
 def _outcome(evaluate, a, t, env):
@@ -201,8 +256,9 @@ class TestIntegerEvaluation:
     def test_agrees_with_the_fraction_walker(self, descriptor):
         """Random terms of every signature (so nodes outside the species
         occur), now and then under a negative scalar, on sampled elements
-        with x2 now and then missing: the same value with the same repr, or
-        the same error with the same message."""
+        with x2 now and then missing, then terms that share nodes and terms
+        with two faults: the same value with the same repr, or the same
+        error with the same message."""
         a = parse_model(descriptor)
         rng = random.Random(descriptor)
         errors = Counter()
@@ -218,7 +274,37 @@ class TestIntegerEvaluation:
             assert got == _outcome(_fraction_eval, a, t, env), (t, env)
             if isinstance(got, tuple):
                 errors[got[0]] += 1
+        for trial, sig in enumerate(list(Signature) * 4):
+            env = dict(zip((_X1, _X2), sample_elements(a, 2, seed=trial)))
+            for t in _shared_terms(rng, sig):
+                assert _outcome(eval_term, a, t, env) == _outcome(_fraction_eval, a, t, env), t
+        del env[_X2]
+        for t in _TWO_FAULTS:
+            got = _outcome(eval_term, a, t, env)
+            assert got == _outcome(_fraction_eval, a, t, env), t
+            errors[got[0]] += 1
         assert set(errors) == {"ModelError"}, errors
+
+    def test_shared_nodes_compile_once(self, monkeypatch):
+        """The hoop image of x1 \\/ 2 x1 \\/ ... \\/ 40 x1, p + (q -. p) per
+        join with one p, is a tree of about 2^39 nodes over 78 binary node
+        objects.  Each compiles once, so x1 is compiled 41 times: three times
+        in the first join, where p is x1, and once in each later q = k x1."""
+        compiled = []
+
+        def itemgetter(i):
+            compiled.append(i)
+            assert len(compiled) <= 1000  # a tree walk would compile about 2^40 reads
+            return operator.itemgetter(i)
+
+        monkeypatch.setattr(models, "operator", types.SimpleNamespace(itemgetter=itemgetter))
+        text = r" \/ ".join(["x1"] + [f"{k} x1" for k in range(2, 41)])
+        phi = parse_sentence(f"forall x1 exists! z1 : z1 = {text}", Signature.MV)
+        ((_, image),) = mv_to_hoop(phi).equations
+        compile_, _ = models._evaluator(PositiveCone(RationalGroup()))
+        _, reads = compile_(image, {("x", 1): 0})
+        assert reads == {0}
+        assert len(compiled) == 41
 
     def test_value_is_divided_back(self):
         """Denominators 4 and 6 walk as integers over 12; the value is
@@ -770,10 +856,10 @@ class TestSolverAgainstPlainSearch:
 
 
 class TestSolverWork:
-    """Deterministic work counts of one sampled check: pool builds, walks of
-    the integer evaluator and sample draws.  The parent search made 100 pool
-    calls and 4,864 evaluations on the first case, and drew all 192 samples
-    before the first solve."""
+    """Deterministic work counts of one sampled check: pool builds, calls of
+    compiled equation sides and sample draws.  The parent search made 100
+    pool calls and 4,864 evaluations on the first case, and drew all 192
+    samples before the first solve."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -789,22 +875,30 @@ class TestSolverWork:
         evaluator = models._evaluator
 
         def counted_evaluator(a):
-            walk, codec = evaluator(a)
+            compile_, codec = evaluator(a)
 
-            def counted_walk(t, env):
-                counts["walk"] += 1
-                return walk(t, env)
+            def counted_compile(t, slots):
+                fn, reads = compile_(t, slots)
 
-            return counted_walk, codec
+                def counted_fn(codes):
+                    counts["walk"] += 1
+                    return fn(codes)
+
+                return counted_fn, reads
+
+            return counted_compile, codec
 
         monkeypatch.setattr(models, "_evaluator", counted_evaluator)
-        rescale = models._Solver._rescale
+        scales = counts["scales"] = []
+        search = models._Solver._search
 
-        def counted_rescale(solver, m):
-            counts["rescale"] += 1
-            return rescale(solver, m)
+        def scale_noting_search(solver, xassign):
+            scales.append(solver.scale)
+            found = search(solver, xassign)
+            scales.append(solver.scale)
+            return found
 
-        monkeypatch.setattr(models._Solver, "_rescale", counted_rescale)
+        monkeypatch.setattr(models._Solver, "_search", scale_noting_search)
         return counts
 
     def test_each_distinct_assignment_is_solved_once(self, counts):
@@ -812,19 +906,21 @@ class TestSolverWork:
         assert verdict.status == "consistent-on-sample"
         assert counts["_pool"] == 67
         assert counts["walk"] == 625
+        # the scale is fixed before the first search: lcm(1..12) twice
+        assert set(counts["scales"]) == {27720**2}
         # 96 sampled pairs, each drawing its inner rational
         assert counts["_sample_one"] == 192
         structured = [(0, 0), (0, 1), (1, -1), (1, 0)]
         assert len(set(structured + sample_elements(GQ, 96, seed=0))) == 67
 
-    def test_rescaling_keeps_every_memo_hit(self, counts):
-        # denominators 2^a 3^b make the check-wide scale grow three times
-        # after the first assignment; the search that evaluated from
-        # Fractions made the same 308 evaluations here
+    def test_the_fixed_scale_keeps_every_memo_hit(self, counts):
+        # denominators 2^a 3^b, a, b <= 2, are in the scale from the start, so
+        # it never grows; the search that evaluated from Fractions made the
+        # same 308 evaluations here
         a = parse_model("gamma(qs:2,3)")
         verdict = check_sentence_sampled(a, build_epsilon_k(6), budget=100, seed=0)
         assert verdict.status == "consistent-on-sample"
-        assert counts["rescale"] == 4
+        assert set(counts["scales"]) == {27720 * 36}
         assert counts["_pool"] == 58
         assert counts["walk"] == 308
         assert counts["_sample_one"] == 192
@@ -839,5 +935,43 @@ class TestSolverWork:
 
     def test_the_two_element_model_is_not_scaled(self, counts):
         assert check_in_two(build_epsilon_k(3)).holds
-        assert counts["rescale"] == 0
         assert counts["_pool"] == 0
+
+
+class TestFixedScale:
+    @pytest.mark.parametrize(
+        "descriptor",
+        ["z", "q", "qs:2,3", "lex(q,lex(z,qs:2))", "lex(lex(qs:3,q),z)", "cone(lex(z,q))", "gamma(qs:5)"],
+    )
+    def test_every_sampled_denominator_divides_the_sample_den(self, descriptor):
+        a = parse_model(descriptor)
+        den = models._codec(a)[0]
+        for cap in range(1, 13):
+            sample_den = models._sample_den(a, cap)
+            for e in sample_elements(a, 200, seed=cap, cap=cap):
+                assert sample_den % den(e) == 0, (cap, e)
+
+    @pytest.mark.parametrize(
+        "descriptor, phi, outside, growth",
+        [
+            ("gamma(q)", build_epsilon_k(3), (0, Fraction(1, 13)), 13),
+            (
+                "qs:7",
+                parse_sentence(r"forall x1 exists! z1 : z1 \/ 2 z1 = x1", Signature.GROUP),
+                Fraction(1, 343),
+                7,
+            ),
+        ],
+    )
+    def test_values_outside_the_scale_raise_it(self, descriptor, phi, outside, growth):
+        """A caller's own x-value whose denominator no sample has raises the
+        scale.  The memo stays, as a compiled side maps codes to codes at
+        every scale: the answers stay those of the plain search, before and
+        after."""
+        a = parse_model(descriptor)
+        solver = models._Solver(a, phi)
+        scale = solver.scale
+        for x in sample_elements(a, 3, seed=1) + [outside] + sample_elements(a, 3, seed=2):
+            env = {_X1: x}
+            assert repr(solver.solve(env)) == repr(_plain_solutions(a, phi, env)), x
+        assert solver.scale == scale * growth

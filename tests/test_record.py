@@ -8,7 +8,20 @@ import pytest
 import efdkit
 from efdkit.geometry import IneqSystem
 from efdkit.lattice import EMPTY_PRIMES, AEClass, LogicExpansion
-from efdkit.models import _INTEGER, _RATIONAL, RationalGroup, Verdict, _group
+from efdkit.models import (
+    _INTEGER,
+    _RATIONAL,
+    GammaPerfect,
+    IntegerGroup,
+    LexProduct,
+    LocalizedRationals,
+    ModelError,
+    PositiveCone,
+    RationalGroup,
+    TwoMV,
+    Verdict,
+    _group,
+)
 from efdkit.record import Record
 from efdkit.terms import ZERO, Join, Neg, Plus, Var, xvar
 from efdkit.translate import MVClassification
@@ -20,6 +33,13 @@ def test_equality_needs_the_same_class():
     assert Plus(a, b) != Join(a, b)
     assert Var("x", 1) != Var("z", 1)
     assert Var("x", 1) != ("x", 1)
+    z, q = IntegerGroup(), RationalGroup()
+    assert z == IntegerGroup() != q != TwoMV()
+    assert LocalizedRationals(frozenset({2, 3})) == LocalizedRationals(frozenset({3, 2}))
+    assert LocalizedRationals(frozenset({2})) != LocalizedRationals(frozenset({3}))
+    assert LexProduct(z, q) == LexProduct(IntegerGroup(), RationalGroup()) != LexProduct(q, z)
+    assert PositiveCone(q) == PositiveCone(RationalGroup()) != GammaPerfect(q)
+    assert GammaPerfect(q) != GammaPerfect(z)
 
 
 def test_hash_is_the_hash_of_the_fields():
@@ -28,12 +48,43 @@ def test_hash_is_the_hash_of_the_fields():
     assert hash(Plus(a, b)) == hash((a, b))
     assert hash(Neg(a)) == hash((a,))
     assert hash(ZERO) == hash(())
-    assert hash(RationalGroup()) == hash(())
+    assert hash(RationalGroup()) == hash(IntegerGroup()) == hash(TwoMV()) == hash(())
+    z, q, primes = IntegerGroup(), RationalGroup(), frozenset({2, 3})
+    assert hash(LocalizedRationals(primes)) == hash((primes,))
+    assert hash(LexProduct(z, q)) == hash((z, q))
+    assert hash(PositiveCone(q)) == hash(GammaPerfect(q)) == hash((q,))
 
 
-@pytest.mark.parametrize("record", [Var("x", 1), IneqSystem(1, ((1,),)), Verdict("holds", True)])
+def test_witness_algebras_have_slots_and_their_own_init():
+    q = RationalGroup()
+    for a in (IntegerGroup(), q, LocalizedRationals(frozenset({2})), LexProduct(q, q),
+              PositiveCone(q), GammaPerfect(q), TwoMV()):
+        assert not hasattr(a, "__dict__") and type(a).__init__ is not Record.__init__
+    with pytest.raises(ModelError, match="4 is not prime"):
+        LocalizedRationals(frozenset({2, 4}))
+    with pytest.raises(TypeError):
+        IntegerGroup(1)
+    with pytest.raises(TypeError):
+        LexProduct(IntegerGroup())
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        Var("x", 1),
+        IneqSystem(1, ((1,),)),
+        Verdict("holds", True),
+        IntegerGroup(),
+        RationalGroup(),
+        LocalizedRationals(frozenset({2})),
+        LexProduct(IntegerGroup(), RationalGroup()),
+        PositiveCone(RationalGroup()),
+        GammaPerfect(RationalGroup()),
+        TwoMV(),
+    ],
+)
 def test_fields_are_frozen(record):
-    name = record._fields[0]
+    name = record._fields[0] if record._fields else "extra"
     with pytest.raises(AttributeError):
         setattr(record, name, None)
     with pytest.raises(AttributeError):
