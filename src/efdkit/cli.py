@@ -284,8 +284,11 @@ def _render_text(obj, indent: int = 0) -> str:
 # exactly; check/5: the trivial class is decided on Gamma models, not
 # sampled; check/6: a sentence that a classification budget sent to
 # sampling says so in detail; check/7: delta_{1,t} reduces to delta_1 with
-# no cell tests; translate/2: co-radical x^k translates to k h, not h + ... + h
-_SCHEMA_VERSIONS = {"canon": 3, "check": 7, "translate": 2}
+# no cell tests; check/8: one z is solved exactly at each sampled assignment,
+# so such a refutation is exact, and a candidate search with more z that
+# finds no solution is inconclusive (exit 3); translate/2: co-radical x^k
+# translates to k h, not h + ... + h
+_SCHEMA_VERSIONS = {"canon": 3, "check": 8, "translate": 2}
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -557,6 +560,10 @@ def _cmd_check(args) -> int:
     )
     if verdict.status == "falsified":
         raise PropertyFailure(f"{print_sentence(phi)} fails in {model_name(a)}")
+    if verdict.status == "inconclusive":
+        raise FragmentError(
+            f"{print_sentence(phi)} is undecided in {model_name(a)}: no candidate z-solution"
+        )
     return 0
 
 

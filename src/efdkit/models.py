@@ -17,8 +17,11 @@ Terms are compiled to closures over integer codes, the rational coordinates
 of elements times a scale M that clears their denominators (_codec), from
 one table of node operations per algebra (_evaluator).  eval_term scales by
 the common denominator of one assignment and divides the value by it again;
-the sampled checker compiles each equation side once, and fixes M when it
-starts at a multiple of every denominator its samples and pools can hold.
+the sampled checker compiles each equation side it runs once, and fixes M
+when it starts at a multiple of every denominator its samples and pools can
+hold.  With one z, outside two, it solves each sampled assignment exactly
+through efdkit.onez, which folds the sides with z into piecewise-linear
+functions of z1 instead; with more z it searches a candidate pool.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .terms import (
     Var,
     ZERO,
     Zero,
-    fold,
     xvar,
 )
 
@@ -529,8 +531,8 @@ def _sample_den(a, cap: int) -> int:
 
 
 class Verdict(Record):
-    status: str  # "holds", "consistent-on-sample" or "falsified"
-    exact: bool  # False for a sampled pass and for a refutation by candidate search
+    status: str  # "holds", "consistent-on-sample", "falsified" or "inconclusive"
+    exact: bool  # False for a sampled pass and for an inconclusive candidate search
     witness: tuple | None = None  # (x-assignment, z-solutions found there)
     detail: str = ""  # the deciding procedure, then the reason for a refutation
 
@@ -546,43 +548,6 @@ class Verdict(Record):
             "witness": witness,
             "detail": self.detail,
         }
-
-
-def _linear_part(g: _Group, t: Term, env: dict):
-    """Read t as sum(coeff_j * z_j) + constant in g for the fixed x-assignment.
-
-    Returns (coeffs: dict[int,int], constant) or None when a z-variable
-    sits under a lattice or negation-incompatible operation.  A z-free join
-    or meet is read off its children's constants.
-    """
-
-    def part(node, *kids):
-        if isinstance(node, Var):
-            if node.kind == "z":
-                return ({node.index: 1}, g.zero)
-            return ({}, _lookup(node, env))
-        if isinstance(node, Zero):
-            return ({}, g.zero)
-        if None in kids:
-            return None
-        if isinstance(node, Plus):
-            (lc, lv), (rc, rv) = kids
-            coeffs = dict(lc)
-            for j, c in rc.items():
-                coeffs[j] = coeffs.get(j, 0) + c
-            return (coeffs, g.add(lv, rv))
-        if isinstance(node, (Neg, Scalar)):
-            ((coeffs, v),) = kids
-            k = -1 if isinstance(node, Neg) else node.k
-            return ({j: k * c for j, c in coeffs.items()}, g.scale(k, v))
-        if isinstance(node, (Join, Meet)):
-            (lc, lv), (rc, rv) = kids
-            if lc or rc:  # a z-variable occurs, with a zero coefficient or not
-                return None
-            return ({}, (g.join if isinstance(node, Join) else g.meet)(lv, rv))
-        return None
-
-    return fold(t, part)
 
 
 def candidate_pool(a, xvals: list, cap: int = 12) -> list:
@@ -630,16 +595,24 @@ def _pool(a, values: list, m: int, cap: int) -> list:
 
 def _in_group(a, m: int) -> Callable:
     """Membership in the group model a of a code at scale m: w / m lies in
-    Q_S iff w is divisible by the part of m coprime to S (Z: all of m, Q: 1),
-    and a lex pair lies in a lex product coordinate by coordinate."""
+    a scalar group iff _prime_part(a, m) divides w, and a lex pair lies in a
+    lex product coordinate by coordinate."""
     if isinstance(a, LexProduct):
         left, right = _in_group(a.left, m), _in_group(a.right, m)
         return lambda w: left(w[0]) and right(w[1])
-    k = 1 if isinstance(a, RationalGroup) else m
+    k = _prime_part(a, m)
+    return lambda w: w % k == 0
+
+
+def _prime_part(a, k: int) -> int:
+    """The part of k prime to S for Q_S (Z: all of k, Q: 1): w / k lies in
+    the scalar group a iff it divides w."""
+    if isinstance(a, RationalGroup):
+        return 1
     for p in getattr(a, "primes", ()):
         while k % p == 0:
             k //= p
-    return lambda w: w % k == 0
+    return k
 
 
 def _element_ok(a, e) -> bool:
@@ -650,20 +623,13 @@ def _element_ok(a, e) -> bool:
     return True
 
 
-def _nonzero(a):
-    """A fixed nonzero element of the group model a: 1 in a scalar group,
-    and in a lex product that of the left factor paired with zero."""
-    if isinstance(a, LexProduct):
-        return (_nonzero(a.left), _group(a.right).zero)
-    return Fraction(1)
-
-
 def solutions_for_assignment(a, phi: EFDSentence, xassign: dict):
     """Solutions z-bar of phi's equations at a fixed x-assignment, at most
     two: a second one already refutes uniqueness.
 
-    Returns (solutions, exact): exact is True when the answer is complete
-    (exhaustive domain or exact linear solve), False for candidate search.
+    Returns (solutions, exact): exact is True when no solution is missing
+    (one z outside two, the exhaustive two, or two solutions found), False
+    for a candidate search that found fewer than two.
     """
     return _Solver(a, phi).solve(xassign)
 
@@ -677,90 +643,77 @@ def _no_z(codes) -> tuple:
 
 
 class _Side:
-    """One equation side, compiled, and its memo: codes of the x-values of
-    its free variables -> codes of the z-values of its free variables -> the
-    code of the side's value."""
+    """One equation side and its memo, keyed by the codes of the x-values
+    of its free variables: per z-key the code of the side's value in a
+    candidate search, and with one z its value (no z) or its pieces.  fn is
+    the compiled side, None for a side that onez folds instead."""
 
-    __slots__ = ("fn", "xkey", "zkey", "memo")
+    __slots__ = ("fn", "xkey", "zkey", "hasz", "memo")
 
-    def __init__(self, compiled: tuple, n: int):
-        self.fn, reads = compiled  # slots 0..n-1 hold x1..xn, and n.. z1..zm
-        xpos, zpos = sorted(i for i in reads if i < n), sorted(i - n for i in reads if i >= n)
+    def __init__(self, fn, free: frozenset):
+        xpos = sorted(v.index - 1 for v in free if v.kind == "x")
+        zpos = sorted(v.index - 1 for v in free if v.kind == "z")
+        self.fn = fn
         self.xkey = operator.itemgetter(*xpos) if xpos else _no_z
         self.zkey = operator.itemgetter(*zpos) if zpos else _no_z
+        self.hasz = bool(zpos)
         self.memo = {}
 
 
 class _Solver:
     """solutions_for_assignment for one sentence in one algebra, one
     x-assignment after another.  A check builds one and drops it when it
-    returns, so the memo of each equation side lives for that check only:
-    the side, compiled once, runs once per distinct tuple of values of its
-    own free variables (t_k(z1) once per z1, x1 once per assignment).  A
-    z-free side runs first, since its value seeds the candidate pool.
+    returns, so the memo of each equation side lives for that check only.
 
-    The search runs on codes at one scale M, fixed here: lcm(1..cap) times
-    every denominator _sample_one draws with that cap, so every sample and
-    its pool (v / d, d <= cap) are codes at M.  Other x-values of
-    denominator D raise M to lcm(M, D lcm(1..cap)); the memo stays, since a
-    compiled side maps codes to codes without reading M (x -> M x commutes
+    With one z, outside two, onez.OneZ solves each assignment exactly: an
+    x-free side such as t_k(z1) is folded into pieces once per check, and a
+    z-free side is a constant.  With more, a bounded candidate search runs
+    each side once per distinct tuple of values of its own free variables
+    (x1 once per assignment); the value of a z-free side seeds the pool.
+    Two is searched exhaustively.
+
+    Both run on codes at one scale M, fixed here: lcm(1..cap) times every
+    denominator _sample_one draws with that cap, so every sample and its
+    pool (v / d, d <= cap) are codes at M.  Other x-values of denominator D
+    raise M to lcm(M, D lcm(1..cap)); the memo stays, since a compiled or
+    folded side maps codes to codes without reading M (x -> M x commutes
     with every node operation).  Codes are decoded only for the z-free seeds
     and the reported solutions; the bits of TwoMV are their own codes."""
 
     def __init__(self, a, phi: EFDSentence, cap: int = 12):
         self.a, self.phi, self.cap = a, phi, cap
-        self.linear = species(a) is Signature.GROUP and phi.m == 1
         self.exhaustive = isinstance(a, TwoMV)
         names = [("x", i) for i in range(1, phi.n + 1)] + [("z", j) for j in range(1, phi.m + 1)]
         self.xvars = tuple(Var(*name) for name in names[: phi.n])
         slots = {name: i for i, name in enumerate(names)}
         compile_, (self.den, self.up, self.down) = _evaluator(a)
-        self.sides = [tuple(_Side(compile_(t, slots), phi.n) for t in eq) for eq in phi.equations]
+        self.folds = phi.m == 1 and not self.exhaustive  # one z: onez.OneZ solves
+
+        def side(t: Term, free: frozenset) -> _Side:
+            # OneZ folds a side with z, so its closure would never run
+            folded = self.folds and any(v.kind == "z" for v in free)
+            return _Side(None if folded else compile_(t, slots)[0], free)
+
+        self.sides = [tuple(map(side, eq, free)) for eq, free in zip(phi.equations, phi.side_vars)]
         self.lcm_cap = math.lcm(*range(1, cap + 1))
         self.scale = self.lcm_cap * _sample_den(a, cap)
+        self.onez = None
 
     def solve(self, xassign: dict):
-        if self.linear:
-            found = self._solve_linear(xassign)
-            if found is not None:
-                return found
-        # bounded structured candidate search, exhaustive on the two-element model
-        return self._search(xassign), self.exhaustive
-
-    def _solve_linear(self, xassign: dict):
-        """The exact solve of group equations linear in z1, or None when a
-        z-variable sits under a lattice operation.  Each row c z1 + b = 0 is
-        read on codes at the scale d of the assignment, and z1 = -b / c is
-        formed at d times the lcm of the coefficients."""
-        a, g = self.a, _group(self.a, _INTEGER)
         d = math.lcm(*map(self.den, xassign.values()))
-        env = {v: self.up(e, d) for v, e in xassign.items()}
-        rows = []
-        for lhs, rhs in self.phi.equations:
-            lp, rp = _linear_part(g, lhs, env), _linear_part(g, rhs, env)
-            if lp is None or rp is None:
-                return None
-            rows.append((lp[0].get(1, 0) - rp[0].get(1, 0), g.add(lp[1], g.neg(rp[1]))))
-        lcm = math.lcm(*(c for c, _ in rows if c))
-        zs = {g.scale(-(lcm // c), b) for c, b in rows if c}
-        if any(c == 0 and b != g.zero for c, b in rows) or len(zs) > 1:
-            return [], True
-        if zs:
-            (z,) = zs
-            return ([(self.down(z, d * lcm),)] if _in_group(a, d * lcm)(z) else []), True
-        # every z solves: report two witnesses of non-uniqueness
-        zero = _group(a).zero
-        pool = candidate_pool(a, list(xassign.values()), self.cap)
-        other = next((z for z in pool if z != zero), None)
-        if other is None:  # the pool is {0}: every x is zero, or there is none
-            other = _nonzero(a)
-        return [(zero,), (other,)], True
-
-    def _search(self, xassign: dict) -> list:
-        d = math.lcm(*map(self.den, xassign.values()))
-        m, down = math.lcm(self.scale, d * self.lcm_cap), self.down
-        self.scale = m  # grows only for x-values of denominators that no sample has
+        m = self.scale = math.lcm(self.scale, d * self.lcm_cap)  # grows only for new denominators
         xcodes = tuple(self.up(_lookup(v, xassign), m) for v in self.xvars)
+        if self.folds:
+            if self.onez is None:
+                from .onez import OneZ  # compiled at the first one-z solve, not by import efdkit
+
+                self.onez = OneZ(self.a, self.phi.equations, self.sides)
+            return [(z,) for z in self.onez.solve(xcodes, m)], True
+        sols = self._search(xassign, xcodes, m)
+        return sols, self.exhaustive or len(sols) == 2
+
+    def _search(self, xassign: dict, xcodes: tuple, m: int) -> list:
+        down = self.down
         # per side: (compiled side, z-key, the memo table of this assignment's x-codes)
         tables = [
             tuple((s.fn, s.zkey, s.memo.setdefault(s.xkey(xcodes), {})) for s in eq)
@@ -833,12 +786,12 @@ def check_sentence_sampled(
     a, phi: EFDSentence, budget: int = 500, seed: int = 0
 ) -> Verdict:
     """Search for existence or uniqueness violations of phi over sampled
-    x-assignments.  Exact per-sample solving is used where the equations are
-    group-linear in the z-block or the model is finite; otherwise a bounded
-    structured candidate set is searched.  A pass is labelled sampled, and a
-    refutation exact when the failing assignment was solved exactly.
-    The structured assignments come first, then random ones, up to budget;
-    each distinct assignment is solved once.
+    x-assignments.  Each assignment is solved exactly with one z (outside
+    two) and on two, and by a bounded candidate search otherwise.  A pass
+    is labelled sampled, and a refutation exact; a candidate search that
+    finds no solution is inconclusive.  The structured assignments come
+    first, then random ones, up to budget; each distinct assignment is
+    solved once.
     """
     if species(a) is not phi.signature:
         raise ModelError(
@@ -850,11 +803,11 @@ def check_sentence_sampled(
     for count, env in enumerate(_distinct(itertools.islice(assignments, max(budget, 1))), 1):
         sols, exact = solver.solve(env)
         if len(sols) != 1:
-            if sols:
-                reason = "two distinct z-solutions"
-            else:
-                reason = "no z-solution" if exact else "no z-solution among candidates"
-            return Verdict("falsified", exact, (dict(env), sols[:2]), f"sampled: {reason}")
+            if not exact:
+                reason = "no z-solution among candidates"
+                return Verdict("inconclusive", False, (dict(env), []), f"sampled: {reason}")
+            reason = "two distinct z-solutions" if sols else "no z-solution"
+            return Verdict("falsified", True, (dict(env), sols[:2]), f"sampled: {reason}")
     return Verdict("consistent-on-sample", False, None, f"sampled: {count} distinct x-assignments")
 
 

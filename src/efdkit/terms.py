@@ -293,7 +293,10 @@ def max_index(t: Term, kind: str) -> int:
 
 
 class EFDSentence(Record):
-    """forall x1..xn exists! z1..zm : conjunction of equations (m >= 1)."""
+    """forall x1..xn exists! z1..zm : conjunction of equations (m >= 1).
+
+    side_vars, not a field, holds the free variables of each side, per
+    equation, as the validation found them."""
 
     signature: Signature
     n: int
@@ -305,12 +308,17 @@ class EFDSentence(Record):
             raise SignatureError("EFD-sentence requires m >= 1 (use Identity for m = 0)")
         if not self.equations:
             raise SignatureError("EFD-sentence requires at least one equation")
+        side_vars = []
         for lhs, rhs in self.equations:
+            sides = []
             for t in (lhs, rhs):
-                for v in _validated_vars(t, self.signature):
+                sides.append(_validated_vars(t, self.signature))
+                for v in sides[-1]:
                     bound = self.n if v.kind == "x" else self.m
                     if v.index > bound:
                         raise SignatureError(f"variable {v.kind}{v.index} out of range")
+            side_vars.append(tuple(sides))
+        _set(self, "side_vars", tuple(side_vars))
 
 
 class Identity(Record):

@@ -13,7 +13,6 @@ import efdkit.cli as cli
 from efdkit.cli import run
 from efdkit.gen import random_rational_point, random_term
 from efdkit.models import (
-    GammaPerfect,
     PositiveCone,
     RationalGroup,
     check_sentence_sampled,
@@ -166,7 +165,7 @@ class TestExamples:
             capsys, "check", "--model", "qs:2,3", "--sentence", "delta 6"
         )
         assert code == 0
-        assert payload["schema"] == "efdkit/check/7"
+        assert payload["schema"] == "efdkit/check/8"
         assert payload["verdict"] == {
             "status": "holds",
             "confidence": "exact",
@@ -635,15 +634,49 @@ class TestExactAgainstSampled:
             decided[exact.status] += 1
             sampled = check_sentence_sampled(a, phi, budget=60, seed=i)
             if exact.status == "holds":
-                # on a Gamma model a candidate search may miss a solution that
-                # no pool value leads to; on a cone the pool holds t / k
-                assert sampled.status != "falsified" or (
-                    isinstance(a, GammaPerfect)
-                    and sampled.detail == "sampled: no z-solution among candidates"
-                ), (a, phi, sampled)
+                # one z is solved exactly at each sampled assignment
+                assert sampled.status == "consistent-on-sample", (a, phi, sampled)
             else:
                 assert sampled.status == "falsified", (a, phi)
         assert min(decided.values()) >= 100 and cones == 100, (decided, cones)
+
+
+class TestOneZSolve:
+    """Sampled one-z sentences whose solutions no candidate pool holds: the
+    exact solve finds them, and a refutation by two of them is exact."""
+
+    @pytest.mark.parametrize(
+        "sentence",
+        [
+            r"forall x1 exists! z1 : -z1 = (x1 \/ z1) + (z1 \/ x1)",
+            r"forall x1 x2 exists! z1 : -(x2 + z1) = z1 /\ x2",
+        ],
+    )
+    def test_true_sentences_pass(self, capsys, sentence):
+        code, payload = invoke_json(capsys, "check", "--model", "q", "--sentence", sentence)
+        assert code == 0
+        assert payload["verdict"]["status"] == "consistent-on-sample"
+
+    def test_two_roots_refute_exactly(self, capsys):
+        code, payload = invoke_json(
+            capsys, "check", "--model", "q", "--sentence",
+            r"forall x1 exists! z1 : -z1 \/ 4 z1 = (x1 \/ z1) + (x1 \/ z1)",
+        )
+        assert code == 4
+        verdict = payload["verdict"]
+        assert (verdict["status"], verdict["confidence"]) == ("falsified", "exact")
+        assert verdict["detail"] == "sampled: two distinct z-solutions"
+        assert verdict["witness"] == {"x": {"x1": "1"}, "solutions": [["-2"], ["1/2"]]}
+
+    def test_two_z_without_a_candidate_is_inconclusive(self, capsys):
+        code, payload = invoke_json(
+            capsys, "check", "--model", "q", "--sentence",
+            "forall x1 x2 exists! z1 z2 : z1 + z2 = x1 & z1 + -z2 = x2",
+        )
+        assert code == 3
+        verdict = payload["verdict"]
+        assert (verdict["status"], verdict["confidence"]) == ("inconclusive", "sampled")
+        assert verdict["detail"] == "sampled: no z-solution among candidates"
 
 
 class TestCandidatePool:

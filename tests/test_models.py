@@ -626,7 +626,9 @@ class TestDescriptors:
 # The plain search: every x-assignment drawn up front and solved from
 # scratch, a candidate pool filtered element by element, and every equation
 # evaluated in full for every candidate.  It is the reference for the
-# per-sentence solver behind check_sentence_sampled.
+# candidate search behind check_sentence_sampled (two z, and two).  With one
+# z, outside two, the solver is exact: every solution it reports solves the
+# equations, and it misses none that the plain search finds.
 
 
 def _member(a, e) -> bool:
@@ -672,48 +674,16 @@ def _plain_pool(a, xvals, cap=12):
     return [v for v in sorted(values) if _member(a, v)]
 
 
-def _plain_linear(a, rows):
-    """The stacked one-variable system {c z + b = 0} over Fractions:
-    ("unique", z), ("none", None) or ("all", None)."""
-    g = models._group(a)
-    candidate = None
-    for coeffs, const in rows:
-        c = coeffs.get(1, 0)
-        if c == 0:
-            if const != g.zero:
-                return ("none", None)
-            continue
-        z = _div(a, g.neg(const), c)
-        if z is None or candidate not in (None, z):
-            return ("none", None)
-        candidate = z
-    return ("all", None) if candidate is None else ("unique", candidate)
+def _solves(a, phi, xassign, zs) -> bool:
+    env = dict(xassign)
+    for j, zv in enumerate(zs, start=1):
+        env[Var("z", j)] = zv
+    return all(eval_term(a, lhs, env) == eval_term(a, rhs, env) for lhs, rhs in phi.equations)
 
 
 def _plain_solutions(a, phi, xassign, cap=12):
-    if species(a) is Signature.GROUP and phi.m == 1:
-        g = models._group(a)
-        rows = []
-        linear = True
-        for lhs, rhs in phi.equations:
-            lp = models._linear_part(g, lhs, xassign)
-            rp = models._linear_part(g, rhs, xassign)
-            if lp is None or rp is None:
-                linear = False
-                break
-            coeffs = dict(lp[0])
-            for j, c in rp[0].items():
-                coeffs[j] = coeffs.get(j, 0) - c
-            rows.append((coeffs, g.add(lp[1], g.neg(rp[1]))))
-        if linear:
-            status, zval = _plain_linear(a, rows)
-            if status == "unique":
-                return [(zval,)], True
-            if status == "none":
-                return [], True
-            # every z solves: zero and the first other candidate
-            others = [z for z in _plain_pool(a, list(xassign.values()), cap) if z != g.zero]
-            return [(g.zero,), (others[0] if others else models._nonzero(a),)], True
+    """(solutions, exact) of the candidate search: exact when it is
+    exhaustive (two) or finds two solutions."""
     exhaustive = isinstance(a, TwoMV)
     # the values of the z-free sides join the x-values as seeds of the pool
     seeds = list(xassign.values())
@@ -723,33 +693,65 @@ def _plain_solutions(a, phi, xassign, cap=12):
     pool = [0, 1] if exhaustive else _plain_pool(a, seeds, cap)
     sols = []
     for zs in itertools.product(pool, repeat=phi.m):
-        env = dict(xassign)
-        for j, zv in enumerate(zs, start=1):
-            env[Var("z", j)] = zv
-        if all(eval_term(a, lhs, env) == eval_term(a, rhs, env) for lhs, rhs in phi.equations):
+        if _solves(a, phi, xassign, zs):
             sols.append(zs)
             if len(sols) == 2:
                 break
-    return sols, exhaustive
+    return sols, exhaustive or len(sols) == 2
 
 
-def _plain_check(a, phi, budget, seed):
+def _one_z(a, phi) -> bool:
+    return phi.m == 1 and not isinstance(a, TwoMV)
+
+
+def _exact_solutions(a, phi, xassign):
+    """solutions_for_assignment with one z, checked against the plain
+    search and eval_term: every reported solution is an element of a that
+    solves the equations, they are distinct, and with fewer than two every
+    plain-search solution is among them."""
+    sols, exact = solutions_for_assignment(a, phi, xassign)
+    assert exact and len(sols) <= 2 and len(set(sols)) == len(sols), (phi, xassign, sols)
+    for zs in sols:
+        for z in zs:
+            check_element(a, z)
+        assert _solves(a, phi, xassign, zs), (phi, xassign, zs)
+    if len(sols) < 2:
+        plain, _ = _plain_solutions(a, phi, xassign)
+        assert set(plain) <= set(sols), (phi, xassign, plain, sols)
+    return sols, exact
+
+
+def _reference_solutions(a, phi, xassign):
+    if _one_z(a, phi):
+        return _exact_solutions(a, phi, xassign)
+    return _plain_solutions(a, phi, xassign)
+
+
+def _assignments(a, phi, budget, seed):
     rng = random.Random(seed)
     assignments = models._structured_x(a, phi.n)
     while len(assignments) < max(budget, 1):
         assignments.append(
             {Var("x", i): models._sample_one(a, rng, 12) for i in range(1, phi.n + 1)}
         )
-    for env in assignments[: max(budget, 1)]:
-        sols, exact = _plain_solutions(a, phi, env)
+    return assignments[: max(budget, 1)]
+
+
+def _plain_check(a, phi, budget, seed):
+    assignments = _assignments(a, phi, budget, seed)
+    for env in assignments:
+        sols, exact = _reference_solutions(a, phi, env)
+        if len(sols) != 1 and not exact:
+            return Verdict(
+                "inconclusive", False, (dict(env), []), "sampled: no z-solution among candidates"
+            )
         if len(sols) >= 2:
             return Verdict(
-                "falsified", exact, (dict(env), sols[:2]), "sampled: two distinct z-solutions"
+                "falsified", True, (dict(env), sols[:2]), "sampled: two distinct z-solutions"
             )
         if not sols:
-            reason = "no z-solution" if exact else "no z-solution among candidates"
-            return Verdict("falsified", exact, (dict(env), []), f"sampled: {reason}")
-    distinct = len({tuple(env.values()) for env in assignments[: max(budget, 1)]})
+            return Verdict("falsified", True, (dict(env), []), "sampled: no z-solution")
+    distinct = len({tuple(env.values()) for env in assignments})
     return Verdict("consistent-on-sample", False, None, f"sampled: {distinct} distinct x-assignments")
 
 
@@ -793,12 +795,12 @@ def _reference_sentence(text, sig):
 _RANDOM_MODELS = _REFERENCE_MODELS + ["gamma(qs:5)", "lex(z,qs:2)", "cone(lex(z,q))"]
 
 
-def _random_sentence(rng, sig, m):
+def _random_sentence(rng, sig, m, depth=3):
     """One or two random equations over x1, x2 and z1..zm."""
     n = rng.randint(1, 2)
     equations = tuple(
         tuple(
-            random_term(rng, sig, n, rng.randint(0, 3), coeff=4, kinds=("x", "z"), m=m)
+            random_term(rng, sig, n, rng.randint(0, depth), coeff=4, kinds=("x", "z"), m=m)
             for _ in range(2)
         )
         for _ in range(rng.randint(1, 2))
@@ -808,6 +810,10 @@ def _random_sentence(rng, sig, m):
 
 
 class TestSolverAgainstPlainSearch:
+    """The check's verdict is the one read off each assignment solved from
+    scratch; with two z and on two the search is the plain one, witnesses
+    included, and with one z every solve passes _exact_solutions."""
+
     @pytest.mark.parametrize("descriptor", _REFERENCE_MODELS)
     @pytest.mark.parametrize("budget", [1, 7, 50])
     def test_same_verdict(self, descriptor, budget):
@@ -851,27 +857,83 @@ class TestSolverAgainstPlainSearch:
             xs = sample_elements(a, 4 * phi.n, seed)
             for j in range(0, len(xs), phi.n):
                 env = {xvar(i): x for i, x in enumerate(xs[j : j + phi.n], start=1)}
-                expected = _plain_solutions(a, phi, env)
-                assert repr(solutions_for_assignment(a, phi, env)) == repr(expected), (phi, env)
+                if _one_z(a, phi):
+                    _exact_solutions(a, phi, env)
+                else:
+                    expected = _plain_solutions(a, phi, env)
+                    assert repr(solutions_for_assignment(a, phi, env)) == repr(expected), (phi, env)
+
+
+# scalar groups, cones and Gamma models, and lex models whose zero pieces are
+# counted coordinate by coordinate
+_ONE_Z_MODELS = [
+    "q", "z", "qs:2", "qs:2,3", "cone(q)", "cone(z)", "gamma(q)", "gamma(qs:2)",
+    "lex(z,q)", "lex(z,qs:2)", "cone(lex(z,q))",
+]
+
+
+class TestOneZExact:
+    @pytest.mark.parametrize("descriptor", _ONE_Z_MODELS)
+    def test_random_one_z_sentences(self, descriptor):
+        """Random one-z sentences (one or two equations, depth <= 4) on the
+        check's own assignments: each solve passes _exact_solutions, and each
+        sampled element that solves the equations is reported unless two
+        others are."""
+        a = parse_model(descriptor)
+        rng = random.Random(f"one-z {descriptor}")
+        probes = sample_elements(a, 24, seed=5)
+        for seed in range(30):
+            phi = _random_sentence(rng, species(a), 1, depth=4)
+            for env in _assignments(a, phi, 8, seed):
+                sols, _ = _exact_solutions(a, phi, env)
+                if len(sols) < 2:
+                    for z in probes:
+                        assert not _solves(a, phi, env, (z,)) or (z,) in sols, (phi, env, z)
+
+    @pytest.mark.parametrize(
+        "descriptor, text, expected",
+        [
+            # a segment of solutions: two elements of the zero piece
+            ("lex(z,q)", r"forall x1 exists! z1 : z1 /\ x1 = x1", 2),
+            ("lex(z,qs:2)", r"forall x1 exists! z1 : (z1 \/ x1) + -x1 = 0", 2),
+            ("cone(lex(z,q))", r"forall x1 exists! z1 : z1 -. x1 = 0", 2),
+            # z in [0, x1 / 2]: one integer at x1 = 1, two elements of Q and Q_3
+            ("z", r"forall x1 exists! z1 : (2 z1 \/ 0) /\ x1 = 2 z1", 1),
+            ("q", r"forall x1 exists! z1 : (2 z1 \/ 0) /\ x1 = 2 z1", 2),
+            ("qs:3", r"forall x1 exists! z1 : (2 z1 \/ 0) /\ x1 = 2 z1", 2),
+            # two crossings, one root on each side
+            ("q", r"forall x1 exists! z1 : -z1 \/ 4 z1 = (x1 \/ z1) + (x1 \/ z1)", 2),
+        ],
+    )
+    def test_zero_pieces_and_crossings(self, descriptor, text, expected):
+        a = parse_model(descriptor)
+        phi = parse_sentence(text, species(a))
+        x = Fraction(1) if descriptor in ("z", "q", "qs:3") else sample_elements(a, 1, seed=2)[0]
+        sols, _ = _exact_solutions(a, phi, {_X1: x})
+        assert len(sols) == expected, (sols, x)
 
 
 class TestSolverWork:
-    """Deterministic work counts of one sampled check: pool builds, calls of
-    compiled equation sides and sample draws.  The parent search made 100
-    pool calls and 4,864 evaluations on the first case, and drew all 192
-    samples before the first solve."""
+    """Deterministic work counts of one sampled check: folds of equation
+    sides, calls of compiled ones, pool builds and sample draws.  With one z
+    an x-free side such as t_k(z1) is folded once per check and each
+    assignment runs only its z-free side; the candidate search made 67 pool
+    builds and 625 evaluations on the first case, the search before it 100
+    and 4,864."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
+        import efdkit.onez as onez
+
         counts = Counter()
-        for name in ("_pool", "_sample_one"):
-            original = getattr(models, name)
+        for owner, name in ((models, "_pool"), (models, "_sample_one"), (onez._Hull, "fold")):
+            original = getattr(owner, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
                 counts[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(models, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         evaluator = models._evaluator
 
         def counted_evaluator(a):
@@ -890,23 +952,24 @@ class TestSolverWork:
 
         monkeypatch.setattr(models, "_evaluator", counted_evaluator)
         scales = counts["scales"] = []
-        search = models._Solver._search
+        solve = models._Solver.solve
 
-        def scale_noting_search(solver, xassign):
-            scales.append(solver.scale)
-            found = search(solver, xassign)
+        def scale_noting_solve(solver, xassign):
+            found = solve(solver, xassign)
             scales.append(solver.scale)
             return found
 
-        monkeypatch.setattr(models._Solver, "_search", scale_noting_search)
+        monkeypatch.setattr(models._Solver, "solve", scale_noting_solve)
         return counts
 
     def test_each_distinct_assignment_is_solved_once(self, counts):
         verdict = check_sentence_sampled(GQ, build_epsilon_k(3), budget=100, seed=0)
         assert verdict.status == "consistent-on-sample"
-        assert counts["_pool"] == 67
-        assert counts["walk"] == 625
-        # the scale is fixed before the first search: lcm(1..12) twice
+        assert counts["fold"] == 1
+        assert counts["_pool"] == 0
+        # x1, the z-free side, once per distinct assignment
+        assert counts["walk"] == 67
+        # the scale is fixed before the first solve: lcm(1..12) twice
         assert set(counts["scales"]) == {27720**2}
         # 96 sampled pairs, each drawing its inner rational
         assert counts["_sample_one"] == 192
@@ -915,27 +978,30 @@ class TestSolverWork:
 
     def test_the_fixed_scale_keeps_every_memo_hit(self, counts):
         # denominators 2^a 3^b, a, b <= 2, are in the scale from the start, so
-        # it never grows; the search that evaluated from Fractions made the
-        # same 308 evaluations here
+        # it never grows
         a = parse_model("gamma(qs:2,3)")
         verdict = check_sentence_sampled(a, build_epsilon_k(6), budget=100, seed=0)
         assert verdict.status == "consistent-on-sample"
         assert set(counts["scales"]) == {27720 * 36}
-        assert counts["_pool"] == 58
-        assert counts["walk"] == 308
+        assert counts["fold"] == 1
+        assert counts["_pool"] == 0
+        assert counts["walk"] == 58
         assert counts["_sample_one"] == 192
 
     def test_sampling_is_lazy(self, counts):
         phi = parse_sentence("forall x1 exists! z1 : z1 -. z1 = x1", Signature.MV)
         verdict = check_sentence_sampled(GQ, phi, budget=100, seed=0)
         assert verdict.status == "falsified"
+        assert verdict.exact
         assert verdict.witness[0] == {_X1: (0, Fraction(0))}
+        assert verdict.detail == "sampled: two distinct z-solutions"
         assert counts["_sample_one"] == 0
-        assert counts["_pool"] == 1
+        assert counts["fold"] == 1
 
     def test_the_two_element_model_is_not_scaled(self, counts):
         assert check_in_two(build_epsilon_k(3)).holds
         assert counts["_pool"] == 0
+        assert counts["fold"] == 0
 
 
 class TestFixedScale:
@@ -961,17 +1027,32 @@ class TestFixedScale:
                 Fraction(1, 343),
                 7,
             ),
+            (
+                "gamma(q)",
+                parse_sentence("forall x1 exists! z1 z2 : z1 + z2 = x1 & z1 = z2", Signature.MV),
+                (0, Fraction(1, 13)),
+                13,
+            ),
+            (
+                "qs:7",
+                parse_sentence(
+                    r"forall x1 exists! z1 z2 : z1 \/ 2 z2 = x1 & z1 = z2", Signature.GROUP
+                ),
+                Fraction(1, 343),
+                7,
+            ),
         ],
     )
     def test_values_outside_the_scale_raise_it(self, descriptor, phi, outside, growth):
         """A caller's own x-value whose denominator no sample has raises the
-        scale.  The memo stays, as a compiled side maps codes to codes at
-        every scale: the answers stay those of the plain search, before and
-        after."""
+        scale.  The memo stays, as a compiled or folded side maps codes to
+        codes at every scale, and solutions are decoded at the new one: one
+        solver answers as a fresh one, before and after (one z: checked
+        against eval_term and the plain search; two: the plain search)."""
         a = parse_model(descriptor)
         solver = models._Solver(a, phi)
         scale = solver.scale
         for x in sample_elements(a, 3, seed=1) + [outside] + sample_elements(a, 3, seed=2):
             env = {_X1: x}
-            assert repr(solver.solve(env)) == repr(_plain_solutions(a, phi, env)), x
+            assert repr(solver.solve(env)) == repr(_reference_solutions(a, phi, env)), x
         assert solver.scale == scale * growth
