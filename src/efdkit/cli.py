@@ -56,6 +56,7 @@ from .models import (
     Verdict,
 )
 from .terms import (
+    MAX_INDEX,
     EFDSentence,
     ParseError,
     Signature,
@@ -64,6 +65,7 @@ from .terms import (
     boolean_marker,
     build_delta_k,
     build_epsilon_k,
+    fold,
     max_index,
     parse_sentence,
     parse_term,
@@ -89,6 +91,11 @@ from .translate import (
 __all__ = ["main", "run"]
 
 SEED_ENV = "EFDKIT_SEED"
+
+# The hoop image of an MV join p \\/ q is p + (q -. p), a DAG that prints as a
+# tree twice as large per join: translate --direction mv-hoop prints at most
+# this many tree nodes, and exits 3 past it.
+MAX_PRINTED_NODES = 10_000
 
 _SIGS = {"group": Signature.GROUP, "hoop": Signature.HOOP, "mv": Signature.MV}
 
@@ -189,10 +196,12 @@ def _parse_assignment(a, text: str) -> dict:
         name = name.strip()
         if not name:
             raise ValueError(f"assignment {item!r} names no variable")
-        kind, index = name[0], name[1:]
-        if kind not in ("x", "z") or not index.isdigit():
+        # the names a term can hold: x or z, index 1..MAX_INDEX as terms._var reads it
+        kind, digits = name[0], name[1:].lstrip("0")
+        if not (kind in ("x", "z") and digits.isdecimal() and len(digits) <= len(str(MAX_INDEX))
+                and int(digits) <= MAX_INDEX):
             raise ValueError(f"bad variable name {name!r}")
-        var = Var(kind, int(index))
+        var = Var(kind, int(digits))
         if var in env:
             raise ValueError(f"variable {name} is assigned more than once")
         env[var] = parse_element(a, value.strip())
@@ -435,6 +444,11 @@ def _cmd_translate(args) -> int:
     if not isinstance(phi, EFDSentence):
         raise FragmentError("mv-hoop translation expects an MV EFD-sentence")
     hoop = mv_to_hoop(phi)
+    size = sum(fold(t, lambda node, *kids: 1 + sum(kids)) for eq in hoop.equations for t in eq)
+    if size > MAX_PRINTED_NODES:
+        raise BudgetExceeded(
+            f"the hoop image prints {size} term nodes, more than {MAX_PRINTED_NODES}"
+        )
     _emit(
         args,
         "translate",

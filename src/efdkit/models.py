@@ -1,8 +1,8 @@
 """Computable witness algebras with exact term evaluation and exact or
 sampled sentence checking.
 
-Every witness algebra is read off one totally ordered Abelian group G and
-its arithmetic (zero, +, -, <, k-fold multiple):
+Every witness algebra is read off one totally ordered Abelian group G, an
+l-group with zero, +, -, k-fold multiple, \\/ and /\\:
 
 - a group model is G itself: numbers, or (nested) lex pairs of numbers;
 - cone(G) is the positive cone of G, a cancellative hoop with
@@ -13,15 +13,17 @@ its arithmetic (zero, +, -, <, k-fold multiple):
   Lettieri): pairs (i, q) with i in {0, 1}, q >= 0 when i = 0 (the radical)
   and q <= 0 when i = 1.
 
-Terms are compiled to closures over integer codes, the rational coordinates
-of elements times a scale M that clears their denominators (_codec), from
-one table of node operations per algebra (_evaluator).  eval_term scales by
-the common denominator of one assignment and divides the value by it again;
-the sampled checker compiles each equation side it runs once, and fixes M
-when it starts at a multiple of every denominator its samples and pools can
-hold.  With one z, outside two, it solves each sampled assignment exactly
-through efdkit.onez, which folds the sides with z into piecewise-linear
-functions of z1 instead; with more z it searches a candidate pool.
+The node operations of each signature are written once, over any such
+l-group (_operations).  Terms are compiled to closures over integer codes,
+the rational coordinates of elements times a scale M that clears their
+denominators (_codec), from that table at the integer-code group
+(_evaluator).  eval_term scales by the common denominator of one
+assignment and divides the value by it again; the sampled checker compiles
+each equation side it runs once, and fixes M when it starts at a multiple
+of every denominator its samples and pools can hold.  With one z, outside
+two, it solves each sampled assignment exactly through efdkit.onez, which
+folds the sides with z into piecewise-linear functions of z1, an l-group
+pointwise, with the same table; with more z it searches a candidate pool.
 """
 
 from __future__ import annotations
@@ -195,17 +197,16 @@ def check_element(a: WitnessAlgebra, e) -> None:
         check_element(a.right, e[1])
     elif isinstance(a, PositiveCone):
         check_element(a.inner, e)
-        g = _group(a.inner)
-        if g.lt(e, g.zero):
+        if e < _group(a.inner).zero:
             raise ModelError(f"{format_element(e)} is negative")
     elif isinstance(a, GammaPerfect):
         if not (isinstance(e, tuple) and len(e) == 2 and e[0] in (0, 1)):
             raise ModelError(f"{format_element(e)} is not a Gamma pair")
         check_element(a.inner, e[1])
-        g = _group(a.inner)
-        if e[0] == 0 and g.lt(e[1], g.zero):
+        zero = _group(a.inner).zero
+        if e[0] == 0 and e[1] < zero:
             raise ModelError(f"{format_element(e)} has a negative part on the radical side")
-        if e[0] == 1 and g.lt(g.zero, e[1]):
+        if e[0] == 1 and e[1] > zero:
             raise ModelError(f"{format_element(e)} has a positive part on the co-radical side")
     elif isinstance(a, TwoMV):
         if e not in _BITS:
@@ -219,23 +220,20 @@ def check_element(a: WitnessAlgebra, e) -> None:
 
 
 class _Group:
-    """A totally ordered Abelian group: zero, u + v, -u, u < v and k u.
-    Equal only to itself, as _RATIONAL and _INTEGER have equal fields."""
+    """A totally ordered Abelian group: zero, u + v, u - v, -u, k u, and
+    u \\/ v and u /\\ v.  Python's order on numbers and on nested tuples of
+    them is the lex order, so join and meet are max and min.  Equal only to
+    itself, as _RATIONAL and _INTEGER have equal fields."""
 
-    __slots__ = ("zero", "add", "neg", "lt", "scale")
+    __slots__ = ("zero", "add", "sub", "neg", "scale")
+    join, meet = max, min
 
-    def __init__(self, zero, add: Callable, neg: Callable, lt: Callable, scale: Callable):
-        self.zero, self.add, self.neg, self.lt, self.scale = zero, add, neg, lt, scale
-
-    def join(self, u, v):
-        return v if self.lt(u, v) else u
-
-    def meet(self, u, v):
-        return u if self.lt(u, v) else v
+    def __init__(self, zero, add: Callable, sub: Callable, neg: Callable, scale: Callable):
+        self.zero, self.add, self.sub, self.neg, self.scale = zero, add, sub, neg, scale
 
 
-_RATIONAL = _Group(Fraction(0), operator.add, operator.neg, operator.lt, operator.mul)
-_INTEGER = _Group(0, operator.add, operator.neg, operator.lt, operator.mul)
+_RATIONAL = _Group(Fraction(0), operator.add, operator.sub, operator.neg, operator.mul)
+_INTEGER = _Group(0, operator.add, operator.sub, operator.neg, operator.mul)
 
 
 def _lex(left: _Group, right: _Group) -> _Group:
@@ -245,17 +243,17 @@ def _lex(left: _Group, right: _Group) -> _Group:
         return _Group(
             zero,
             lambda u, v: (u[0] + v[0], u[1] + v[1]),
+            lambda u, v: (u[0] - v[0], u[1] - v[1]),
             lambda u: (-u[0], -u[1]),
-            lambda u, v: u[0] < v[0] or (u[0] == v[0] and u[1] < v[1]),
             lambda k, u: (k * u[0], k * u[1]),
         )
-    ladd, radd, lneg, rneg = left.add, right.add, left.neg, right.neg
-    llt, rlt, lscale, rscale = left.lt, right.lt, left.scale, right.scale
+    ladd, radd, lsub, rsub = left.add, right.add, left.sub, right.sub
+    lneg, rneg, lscale, rscale = left.neg, right.neg, left.scale, right.scale
     return _Group(
         zero,
         lambda u, v: (ladd(u[0], v[0]), radd(u[1], v[1])),
+        lambda u, v: (lsub(u[0], v[0]), rsub(u[1], v[1])),
         lambda u: (lneg(u[0]), rneg(u[1])),
-        lambda u, v: llt(u[0], v[0]) or (u[0] == v[0] and rlt(u[1], v[1])),
         lambda k, u: (lscale(k, u[0]), rscale(k, u[1])),
     )
 
@@ -332,53 +330,45 @@ def eval_term(a: WitnessAlgebra, t: Term, assignment: dict) -> object:
 @functools.lru_cache(maxsize=64)
 def _evaluator(a: WitnessAlgebra):
     """The term compiler of a over integer coordinates, with the scaling of
-    its elements, built once per algebra value.  A group model is its group
-    G, cone(G) is the positive cone of G, and an MV model is Gamma(G, u):
-    TwoMV is Gamma(Z, 1), GammaPerfect is Gamma(Z lex inner, (1, 0))."""
-    if isinstance(a, PositiveCone):
-        g = _group(a.inner, _INTEGER)
-        compile_ = _compiler("a hoop model", g, {
-            Plus: g.add,
-            Diff: _monus(g),
-            Scalar: _nonnegative(g.scale, "negative scalar in a hoop term"),
-        })
-    elif isinstance(a, TwoMV):
-        compile_ = _compiler("TwoMV", _INTEGER, _gamma_ops(_INTEGER, 1))
+    its elements, built once per algebra value: _operations over the group
+    G of a scaled to integers.  A group model is G, cone(G) is the positive
+    cone of G, TwoMV is Gamma(Z, 1) and GammaPerfect is Gamma(Z lex inner,
+    (1, 0))."""
+    unit = None
+    if isinstance(a, TwoMV):
+        g, unit = _INTEGER, 1
     elif isinstance(a, GammaPerfect):
-        inner = _group(a.inner, _INTEGER)
-        g = _lex(_INTEGER, inner)
-        compile_ = _compiler("a Gamma model", g, _gamma_ops(g, (1, inner.zero)))
+        g = _lex(_INTEGER, _group(a.inner, _INTEGER))
+        unit = (1, g.zero[1])
     else:
-        g = _group(a, _INTEGER)
-        compile_ = _compiler("a group model", g, {Plus: g.add, Neg: g.neg, Scalar: g.scale})
-    return compile_, _codec(a)
+        g = _group(a.inner if isinstance(a, PositiveCone) else a, _INTEGER)
+    return _compiler(g.zero, *_operations(a, g, unit)), _codec(a)
 
 
-def _monus(g: _Group) -> Callable:
-    """u -. v = (u - v) \\/ 0, in the positive cone of G and in Gamma(G, u)."""
-    add, neg, join, zero = g.add, g.neg, g.join, g.zero
-    return lambda u, v: join(add(u, neg(v)), zero)
-
-
-def _gamma_ops(g: _Group, unit) -> dict:
-    """Gamma(G, u) on [0, u]: x + y and k x are cut at u, ~x = u - x and
-    x^k = ~(k ~x)."""
-    add, neg, lt = g.add, g.neg, g.lt
-
-    def cap(x):
-        return x if lt(x, unit) else unit
-
-    def mvneg(x):
-        return add(unit, neg(x))
-
-    scale = _nonnegative(lambda k, u: cap(g.scale(k, u)), "negative scalar in an MV term")
-    return {
-        Plus: lambda u, v: cap(add(u, v)),
-        Diff: _monus(g),
+def _operations(a: WitnessAlgebra, g, unit) -> tuple:
+    """(label, ops): the node operations of a's signature over an l-group g
+    (zero, add, sub, neg, scale, join, meet), keyed by node type: (left,
+    right) for the binary nodes, arg for Neg and MVNeg, (k, arg) for Scalar
+    and Power.  A group model is g; a cone is its positive cone, with
+    u -. v = (u - v) \\/ 0; an MV model is Gamma(g, unit), with x + y and k x
+    cut at unit, ~x = unit - x and x^k = ~(k ~x)."""
+    join, meet, add, sub, scale, zero = g.join, g.meet, g.add, g.sub, g.scale, g.zero
+    ops = {Plus: add, Join: join, Meet: meet}
+    if isinstance(a, _GROUPS):
+        return "a group model", {**ops, Neg: g.neg, Scalar: scale}
+    ops[Diff] = lambda u, v: join(sub(u, v), zero)
+    if isinstance(a, PositiveCone):
+        ops[Scalar] = _nonnegative(scale, "negative scalar in a hoop term")
+        return "a hoop model", ops
+    mvneg = functools.partial(sub, unit)
+    times = _nonnegative(lambda k, u: meet(scale(k, u), unit), "negative scalar in an MV term")
+    ops.update({
+        Plus: lambda u, v: meet(add(u, v), unit),
         MVNeg: mvneg,
-        Scalar: scale,
-        Power: lambda k, u: mvneg(scale(k, mvneg(u))),
-    }
+        Scalar: times,
+        Power: lambda k, u: mvneg(times(k, mvneg(u))),
+    })
+    return ("TwoMV" if isinstance(a, TwoMV) else "a Gamma model"), ops
 
 
 def _nonnegative(scale: Callable, message: str) -> Callable:
@@ -390,14 +380,12 @@ def _nonnegative(scale: Callable, message: str) -> Callable:
     return checked
 
 
-def _compiler(label: str, g: _Group, ops: dict) -> Callable:
+def _compiler(zero, label: str, ops: dict) -> Callable:
     """compile(t, slots): t as one closure per node over codes, v read at
-    codes[slots[v.kind, v.index]], and the slots read.  ops are keyed by
-    node type: (left, right) for Plus and Diff, arg for Neg and MVNeg,
-    (k, arg) for Scalar and Power.  A node outside ops, a variable without
-    a slot and a negative k raise when evaluation reaches them, left first,
-    as a recursive walk."""
-    ops = {**ops, Join: g.join, Meet: g.meet}
+    codes[slots[v.kind, v.index]], and the slots read.  ops are the node
+    operations of _operations, and zero the value of Zero.  A node outside
+    ops, a variable without a slot and a negative k raise when evaluation
+    reaches them, left first, as a recursive walk."""
 
     def compile_(t: Term, slots: dict) -> tuple:
         done, reads = {}, set()  # done: id -> closure of a binary node
@@ -413,7 +401,7 @@ def _compiler(label: str, g: _Group, ops: dict) -> Callable:
                     reads.add(i)
                     return operator.itemgetter(i)
                 if kind is Zero:
-                    return lambda codes: g.zero
+                    return lambda codes: zero
                 return functools.partial(_fail, f"{kind.__name__} not evaluable in {label}")
             # the closures bind f and the children as defaults: node() makes no cells
             if kind is Scalar or kind is Power:

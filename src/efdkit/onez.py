@@ -13,11 +13,12 @@ A term folds bottom-up into pieces (l, a, b): from the start l to the
 next piece's start (or the domain's end), it is a z + b, with a an integer
 and b a tuple of integers.  A start is None for -oo, or a point n / q of the
 hull kept as (n, q): n a tuple of integers and q >= 1 in lowest terms, so
-the fold runs on integers.  +, - and k x merge the starts; \\/ and /\\ add
-the crossing point -(b1 - b2) / (a1 - a2) where it falls inside an
-interval; the cut of Gamma is a meet with u, u -. v is (u - v) \\/ 0, and
-~x is u - x.  The domain is the hull for a group, [0, oo) for a cone and
-[0, u] for Gamma.
+the fold runs on integers.  These functions form an l-group pointwise:
++, - and k x merge the starts, and \\/ and /\\ add the crossing
+point -(b1 - b2) / (a1 - a2) where it falls inside an interval.  The node
+operations of each signature come from models._operations over it, as the
+term compiler's come over integer codes.  The domain is the hull for a
+group, [0, oo) for a cone and [0, u] for Gamma.
 
 The solutions of h(z) = c are the roots (c - b) / a of the pieces that
 reach c and lie in the model, and the model elements of each piece that is
@@ -40,10 +41,10 @@ from .models import (
     ModelError,
     PositiveCone,
     RationalGroup,
-    _nonnegative,
+    _operations,
     _prime_part,
 )
-from .terms import Diff, Join, Meet, MVNeg, Neg, Plus, Power, Scalar, Var, Zero, fold
+from .terms import Power, Scalar, Var, Zero, fold
 
 __all__ = ["OneZ"]
 
@@ -82,6 +83,43 @@ def _put(out: list, l, a: int, b: tuple) -> None:
         out.append((l, a, b))
 
 
+def _sum(out, l, r, p, q):
+    _put(out, l, p[1] + q[1], _add(p[2], q[2]))
+
+
+def _difference(out, l, r, p, q):
+    _put(out, l, p[1] - q[1], _sub(p[2], q[2]))
+
+
+def _lattice(join: bool):
+    """The _merge step of f \\/ g (join) or f /\\ g on one interval."""
+
+    def each(out, l, r, p, q):
+        (_, a1, b1), (_, a2, b2) = p, q
+        if a1 == a2:
+            _put(out, l, a1, (b1 if (b1 >= b2) == join else b2))
+            return
+        if a1 > a2:
+            a1, b1, a2, b2 = a2, b2, a1, b1
+        # a1 z + b1 exceeds a2 z + b2 below the crossing z = w / d, not above
+        w, d = _sub(b1, b2), a2 - a1
+        g = math.gcd(d, *w)
+        z = (w, d) if g == 1 else (tuple(x // g for x in w), d // g)
+        (a1, b1), (a2, b2) = ((a1, b1), (a2, b2)) if join else ((a2, b2), (a1, b1))
+        if l is not None and _le(z, l):
+            _put(out, l, a2, b2)
+        elif r is not None and _le(r, z):
+            _put(out, l, a1, b1)
+        else:
+            _put(out, l, a1, b1)
+            _put(out, z, a2, b2)
+
+    return each
+
+
+_larger, _smaller = _lattice(True), _lattice(False)
+
+
 def _layout(a) -> tuple:
     """(leaves, flat, shape) for the elements of a: per hull coordinate a
     leaf (group, scaled), the scalar group the coordinate ranges over and
@@ -111,41 +149,21 @@ def _same(c):
 
 class _Hull:
     """The piecewise-linear functions of z1 over the divisible hull of one
-    algebra, with the node operations of its signature."""
+    algebra: an l-group pointwise (zero, add, sub, neg, scale, join and
+    meet), at which models._operations builds the node operations of the
+    algebra's signature."""
 
     def __init__(self, a):
         self.leaves, self.flat, self.shape = _layout(a)
         self.origin = zero = (0,) * len(self.leaves)
         self.lo = (zero, 1) if isinstance(a, (PositiveCone, GammaPerfect)) else None
-        self.hi = None
+        self.hi = unit = None
         self.zero = [(self.lo, 0, zero)]
         self.identity = [(self.lo, 1, zero)]
         if isinstance(a, GammaPerfect):
-            self.unit = (1,) + zero[1:]
-            self.hi = (self.unit, 1)
-            self.label = "a Gamma model"
-            times = _nonnegative(
-                lambda k, f: self._cut(self.times(k, f)), "negative scalar in an MV term"
-            )
-            self.ops = {
-                Plus: lambda f, g: self._cut(self.plus(f, g)),
-                Diff: self.monus,
-                MVNeg: self.mvneg,
-                Scalar: times,
-                Power: lambda k, f: self.mvneg(times(k, self.mvneg(f))),
-            }
-        elif isinstance(a, PositiveCone):
-            self.label = "a hoop model"
-            self.ops = {
-                Plus: self.plus,
-                Diff: self.monus,
-                Scalar: _nonnegative(self.times, "negative scalar in a hoop term"),
-            }
-        else:
-            self.label = "a group model"
-            self.ops = {Plus: self.plus, Neg: self.neg, Scalar: self.times}
-        self.ops[Join] = lambda f, g: self.lattice(f, g, True)
-        self.ops[Meet] = lambda f, g: self.lattice(f, g, False)
+            self.hi = ((1,) + zero[1:], 1)
+            unit = [(self.lo, 0, self.hi[0])]
+        self.label, self.ops = _operations(a, self, unit)
 
     # -- folding -------------------------------------------------------------
 
@@ -194,51 +212,25 @@ class _Hull:
         each(out, l, self.hi, f[i], g[j])
         return out
 
-    def plus(self, f: list, g: list) -> list:
-        def each(out, l, r, p, q):
-            _put(out, l, p[1] + q[1], _add(p[2], q[2]))
+    def add(self, f: list, g: list) -> list:
+        return self._merge(f, g, _sum)
 
-        return self._merge(f, g, each)
+    def sub(self, f: list, g: list) -> list:
+        return self._merge(f, g, _difference)
 
     def neg(self, f: list) -> list:
         return [(l, -a, _scale(-1, b)) for l, a, b in f]
 
-    def times(self, k: int, f: list) -> list:
+    def scale(self, k: int, f: list) -> list:
         if k == 0:
             return self.zero
         return [(l, k * a, _scale(k, b)) for l, a, b in f]
 
-    def lattice(self, f: list, g: list, join: bool) -> list:
-        def each(out, l, r, p, q):
-            (_, a1, b1), (_, a2, b2) = p, q
-            if a1 == a2:
-                _put(out, l, a1, (b1 if (b1 >= b2) == join else b2))
-                return
-            if a1 > a2:
-                a1, b1, a2, b2 = a2, b2, a1, b1
-            # a1 z + b1 exceeds a2 z + b2 below the crossing z = w / d, not above
-            w, d = _sub(b1, b2), a2 - a1
-            g = math.gcd(d, *w)
-            z = (w, d) if g == 1 else (tuple(x // g for x in w), d // g)
-            (a1, b1), (a2, b2) = ((a1, b1), (a2, b2)) if join else ((a2, b2), (a1, b1))
-            if l is not None and _le(z, l):
-                _put(out, l, a2, b2)
-            elif r is not None and _le(r, z):
-                _put(out, l, a1, b1)
-            else:
-                _put(out, l, a1, b1)
-                _put(out, z, a2, b2)
+    def join(self, f: list, g: list) -> list:
+        return self._merge(f, g, _larger)
 
-        return self._merge(f, g, each)
-
-    def monus(self, f: list, g: list) -> list:
-        return self.lattice(self.plus(f, self.neg(g)), self.zero, True)
-
-    def _cut(self, f: list) -> list:
-        return self.lattice(f, [(self.lo, 0, self.unit)], False)
-
-    def mvneg(self, f: list) -> list:
-        return [(l, -a, _sub(self.unit, b)) for l, a, b in f]
+    def meet(self, f: list, g: list) -> list:
+        return self._merge(f, g, _smaller)
 
     # -- solving -------------------------------------------------------------
 
@@ -397,8 +389,8 @@ class OneZ:
                 else [(hull.lo, 0, self._value(s, xcodes))]
                 for t, s in eq
             )
-            d = hull.plus(lhs, hull.neg(rhs))
+            d = hull.sub(lhs, rhs)
             if len(self.equations) > 1:
-                d = hull.lattice(d, hull.neg(d), True)
-            h = d if h is None else hull.plus(h, d)
+                d = hull.join(d, hull.neg(d))
+            h = d if h is None else hull.add(h, d)
         return hull.solve(hull.table(h), hull.origin, m)

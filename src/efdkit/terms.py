@@ -264,7 +264,7 @@ def _validated_vars(t: Term, sig: Signature) -> frozenset[Var]:
         if kind not in allowed:
             raise SignatureError(f"{kind.__name__} not admitted in {sig.value} terms")
         if kind is Var and (node.kind not in ("x", "z") or node.index < 1):
-            raise SignatureError(f"bad variable {node!r}")
+            raise SignatureError(f"bad variable {node.kind}{node.index}")
         if kind is Scalar and sig is not Signature.GROUP and node.k < 0:
             raise SignatureError(f"negative scalar {node.k} only admitted in group terms")
         if kind is Power and node.k < 1:

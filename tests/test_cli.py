@@ -253,6 +253,26 @@ class TestExitCodes:
         assert code == 4
         assert payload["verdict"]["status"] == "falsified"
 
+    @pytest.mark.parametrize(
+        "name", ["x0", "z0", "x101", "y1", "x²", pytest.param("x" + "9" * 5000, id="x9...9")]
+    )
+    def test_assignment_to_a_variable_no_term_names_is_2(self, capsys, name):
+        # x0, z0 and indices above MAX_INDEX name no variable of any term
+        code = run(["eval", "--model", "q", "--term", "x1", "--assign", f"x1=1;{name}=2"])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: bad variable name {name!r}\n")
+
+    def test_assignment_up_to_the_largest_index_is_read(self, capsys):
+        code, payload = invoke_json(
+            capsys, "eval", "--model", "q", "--term", "x1", "--assign", "x01=1;x100=2"
+        )
+        assert (code, payload["assignment"]) == (0, {"x1": "1", "x100": "2"})
+
+    @pytest.mark.parametrize("term,name", [("x0", "x0"), ("x1 + z0", "z0")])
+    def test_term_over_index_0_names_the_variable(self, capsys, term, name):
+        assert run(["parse", "--sig", "group", "--term", term]) == 2
+        assert capsys.readouterr() == ("", f"error: bad variable {name}\n")
+
     def test_missing_file_is_2(self, capsys):
         code, _ = invoke(
             capsys, "classify", "--sig", "group", "--file", "/does/not/exist"
@@ -408,6 +428,10 @@ def _meet_chain(n):
     return f"forall {' '.join(xs)} exists! z1 : z1 = " + r" /\ ".join(xs)
 
 
+def _json_nodes(t: dict) -> int:
+    return 1 + sum(_json_nodes(t[k]) for k in ("left", "right", "arg") if k in t)
+
+
 class TestBoundedWork:
     """Inputs that used to end in a RecursionError traceback (exit 1) or
     run for minutes: each now gets exit 0, 2 or 3."""
@@ -452,6 +476,24 @@ class TestBoundedWork:
         ):
             assert run(argv) in (0, 3), argv[0]
         capsys.readouterr()
+
+    @pytest.mark.parametrize("n,tree", [(11, 5117), (12, 10237), (14, 40957)])
+    def test_mv_hoop_prints_a_bounded_tree(self, capsys, n, tree):
+        """The hoop image of z1 = x1 \\/ 2 x1 \\/ ... \\/ n x1 is a DAG that
+        prints as a tree of 10 2^(n - 2) - 3 nodes; past MAX_PRINTED_NODES
+        translate declines with exit 3 and prints nothing."""
+        chain = " \\/ ".join(["x1"] + [f"{k} x1" for k in range(2, n + 1)])
+        sentence = f"forall x1 exists! z1 : z1 = {chain}"
+        code = run(["translate", "--direction", "mv-hoop", "--sentence", sentence])
+        out, err = capsys.readouterr()
+        if tree <= cli.MAX_PRINTED_NODES:
+            assert code == 0
+            assert err == ""
+            image = json.loads(out)["sentence"]["ast"]["equations"][0]
+            assert sum(map(_json_nodes, image.values())) == tree
+        else:
+            assert (code, out) == (3, "")
+            assert err == f"error: the hoop image prints {tree} term nodes, more than 10000\n"
 
     def test_long_mv_sum_hits_the_cap(self, capsys):
         # the radical branch stars to 21 copies of x1 \/ -x1: 22 leaf forms,

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import operator
 import random
 import types
@@ -170,10 +171,10 @@ def _fraction_eval(a, t, env):
     return _fraction_walker(a)(t, env)
 
 
-def _walker(label, g, ops):
+def _walker(label, zero, ops):
     """The recursive evaluator over one algebra's node operations, keyed by
-    node type: (left, right) for Plus and Diff, arg for Neg and MVNeg,
-    (k, arg) for Scalar and Power.  Join and meet come from the order of g."""
+    node type: (left, right) for Plus, Diff, Join and Meet, arg for Neg and
+    MVNeg, (k, arg) for Scalar and Power."""
 
     def walk(t, env):
         node = nodes.get(type(t))
@@ -191,32 +192,101 @@ def _walker(label, g, ops):
         return lambda t, env: f(t.k, walk(t.arg, env))
 
     shapes = {
-        Plus: binary, Diff: binary, Neg: unary, MVNeg: unary, Scalar: scaled, Power: scaled
+        Plus: binary, Diff: binary, Join: binary, Meet: binary,
+        Neg: unary, MVNeg: unary, Scalar: scaled, Power: scaled,
     }
     nodes = {kind: shapes[kind](f) for kind, f in ops.items()}
-    nodes[Var] = models._lookup
-    nodes[Zero] = lambda t, env: g.zero
-    nodes[Join] = binary(g.join)
-    nodes[Meet] = binary(g.meet)
+    nodes[Var] = _lookup
+    nodes[Zero] = lambda t, env: zero
     return walk
+
+
+def _lookup(t, env):
+    if t not in env:
+        raise ModelError(f"assignment missing {t.kind}{t.index}")
+    return env[t]
+
+
+# Fractions and nested lex pairs of them, unscaled: the order is compared
+# with <, coordinate by coordinate.
+
+
+def _f_add(u, v):
+    return (_f_add(u[0], v[0]), _f_add(u[1], v[1])) if isinstance(u, tuple) else u + v
+
+
+def _f_neg(u):
+    return (_f_neg(u[0]), _f_neg(u[1])) if isinstance(u, tuple) else -u
+
+
+def _f_times(k, u):
+    return (_f_times(k, u[0]), _f_times(k, u[1])) if isinstance(u, tuple) else k * u
+
+
+def _f_less(u, v):
+    if isinstance(u, tuple):
+        return _f_less(u[0], v[0]) or (u[0] == v[0] and _f_less(u[1], v[1]))
+    return u < v
+
+
+def _f_join(u, v):
+    return v if _f_less(u, v) else u
+
+
+def _f_meet(u, v):
+    return u if _f_less(u, v) else v
+
+
+def _f_zero(a):
+    if isinstance(a, LexProduct):
+        return (_f_zero(a.left), _f_zero(a.right))
+    return Fraction(0)
+
+
+def _f_checked(times, message):
+    def checked(k, u):
+        if k < 0:
+            raise ModelError(message)
+        return times(k, u)
+
+    return checked
 
 
 @functools.lru_cache(maxsize=None)
 def _fraction_walker(a):
-    if isinstance(a, PositiveCone):
-        g = models._group(a.inner)
-        return _walker("a hoop model", g, {
-            Plus: g.add,
-            Diff: models._monus(g),
-            Scalar: models._nonnegative(g.scale, "negative scalar in a hoop term"),
+    lattice = {Join: _f_join, Meet: _f_meet}
+    if isinstance(a, (TwoMV, GammaPerfect)):
+        # Gamma(G, u): cut at u, ~x = u - x, x^k = ~(k ~x), u -. v = (u - v) \/ 0
+        if isinstance(a, TwoMV):
+            zero, unit = 0, 1
+        else:
+            zero, unit = (0, _f_zero(a.inner)), (1, _f_zero(a.inner))
+
+        def mvneg(u):
+            return _f_add(unit, _f_neg(u))
+
+        times = _f_checked(
+            lambda k, u: _f_meet(_f_times(k, u), unit), "negative scalar in an MV term"
+        )
+        return _walker("TwoMV" if isinstance(a, TwoMV) else "a Gamma model", zero, {
+            Plus: lambda u, v: _f_meet(_f_add(u, v), unit),
+            Diff: lambda u, v: _f_join(_f_add(u, _f_neg(v)), zero),
+            MVNeg: mvneg,
+            Scalar: times,
+            Power: lambda k, u: mvneg(times(k, mvneg(u))),
+            **lattice,
         })
-    if isinstance(a, TwoMV):
-        return _walker("TwoMV", models._INTEGER, models._gamma_ops(models._INTEGER, 1))
-    if isinstance(a, GammaPerfect):
-        g = models._lex(models._INTEGER, models._group(a.inner))
-        return _walker("a Gamma model", g, models._gamma_ops(g, (1, models._group(a.inner).zero)))
-    g = models._group(a)
-    return _walker("a group model", g, {Plus: g.add, Neg: g.neg, Scalar: g.scale})
+    if isinstance(a, PositiveCone):
+        zero = _f_zero(a.inner)
+        return _walker("a hoop model", zero, {
+            Plus: _f_add,
+            Diff: lambda u, v: _f_join(_f_add(u, _f_neg(v)), zero),
+            Scalar: _f_checked(_f_times, "negative scalar in a hoop term"),
+            **lattice,
+        })
+    return _walker("a group model", _f_zero(a), {
+        Plus: _f_add, Neg: _f_neg, Scalar: _f_times, **lattice
+    })
 
 
 def _shared_terms(rng, sig):
@@ -911,6 +981,57 @@ class TestOneZExact:
         x = Fraction(1) if descriptor in ("z", "q", "qs:3") else sample_elements(a, 1, seed=2)[0]
         sols, _ = _exact_solutions(a, phi, {_X1: x})
         assert len(sols) == expected, (sols, x)
+
+    @pytest.mark.parametrize("descriptor", _ONE_Z_MODELS)
+    def test_pieces_agree_with_eval_term(self, descriptor):
+        """The fold of random one-z terms (depth <= 4) at sampled x, read
+        pointwise: at sampled z and at each piece start that is an element,
+        the covering piece a z + b, decoded, is eval_term's value, and at a
+        start the piece before it reaches the same value."""
+        import efdkit.onez as onez
+
+        a = parse_model(descriptor)
+        hull = onez._Hull(a)
+        den, up, _ = models._codec(a)
+        rng = random.Random(f"pieces {descriptor}")
+        zs = sample_elements(a, 16, seed=11)
+        starts = 0
+        for trial in range(40):
+            t = random_term(rng, species(a), 2, rng.randint(1, 4), coeff=4, kinds=("x", "z"), m=1)
+            xs = sample_elements(a, 2, seed=trial)
+            m = math.lcm(*map(den, xs + zs))
+            pieces = hull.fold(t, tuple(up(x, m) for x in xs))
+            inner = [l for l, _, _ in pieces[1:]]
+            for p in [(hull.flat(up(z, m)), 1) for z in zs] + inner:
+                z = _hull_element(a, hull, p, m)
+                if z is None:
+                    continue
+                i = max(i for i, (l, _, _) in enumerate(pieces) if l is None or onez._le(l, p))
+                expected = eval_term(a, t, {_X1: xs[0], _X2: xs[1], Var("z", 1): z})
+                assert _piece_value(a, hull, pieces[i], p, m) == expected, (t, xs, z)
+                if i and pieces[i][0] == p:
+                    starts += 1
+                    assert _piece_value(a, hull, pieces[i - 1], p, m) == expected, (t, xs, z)
+        assert starts > 0
+
+
+def _hull_element(a, hull, p, m):
+    """The element at the hull point p = (n, q) at scale m, or None: the
+    first coordinate of a Gamma pair is n / q, every other one n / (q m)."""
+    n, q = p
+    values = [Fraction(x, q * m if scaled else q) for x, (_, scaled) in zip(n, hull.leaves)]
+    if any(v.denominator != 1 for v, (_, scaled) in zip(values, hull.leaves) if not scaled):
+        return None
+    e = hull.shape(iter(values))
+    return e if models._element_ok(a, e) else None
+
+
+def _piece_value(a, hull, piece, p, m):
+    """The element that the piece a z + b reaches at the hull point
+    p = (n, q): (a n + q b) / q, decoded."""
+    _, k, b = piece
+    n, q = p
+    return _hull_element(a, hull, (tuple(k * x + q * y for x, y in zip(n, b)), q), m)
 
 
 class TestSolverWork:
