@@ -1,8 +1,9 @@
 """Computable witness algebras with exact term evaluation and exact or
 sampled sentence checking.
 
-Every witness algebra is read off one totally ordered Abelian group G, an
-l-group with zero, +, -, k-fold multiple, \\/ and /\\:
+Every witness algebra is read off one totally ordered Abelian group G, a
+lex product of the scalar groups Z, Q and Q_S, and an l-group with zero, +,
+-, k-fold multiple, \\/ and /\\:
 
 - a group model is G itself: numbers, or (nested) lex pairs of numbers;
 - cone(G) is the positive cone of G, a cancellative hoop with
@@ -13,17 +14,19 @@ l-group with zero, +, -, k-fold multiple, \\/ and /\\:
   Lettieri): pairs (i, q) with i in {0, 1}, q >= 0 when i = 0 (the radical)
   and q <= 0 when i = 1.
 
-The node operations of each signature are written once, over any such
-l-group (_operations).  Terms are compiled to closures over integer codes,
-the rational coordinates of elements times a scale M that clears their
-denominators (_codec), from that table at the integer-code group
-(_evaluator).  eval_term scales by the common denominator of one
-assignment and divides the value by it again; the sampled checker compiles
-each equation side it runs once, and fixes M when it starts at a multiple
-of every denominator its samples and pools can hold.  With one z, outside
-two, it solves each sampled assignment exactly through efdkit.onez, which
-folds the sides with z into piecewise-linear functions of z1, an l-group
-pointwise, with the same table; with more z it searches a candidate pool.
+So an element is a flat tuple of scalar coordinates, led by a bit in an MV
+model, and _layout is the one reading of them off an algebra: it scales an
+element to its integer code (every rational coordinate times a scale M that
+clears its denominators: an int for one coordinate, else a flat tuple),
+runs codes in an integer l-group, draws random elements as codes and tests
+codes for membership.  The node operations of each signature are written
+once, over any such l-group (_operations), and terms compile to closures
+over codes (_evaluator).  The sampled checker fixes M when it starts, draws
+every x-assignment as codes at M, runs each equation side it compiles on
+them and decodes only a witness.  With one z, outside two, it solves each
+assignment exactly through efdkit.onez, which folds the sides with z into
+piecewise-linear functions of z1 with the same table; with more z it
+searches a candidate pool.
 """
 
 from __future__ import annotations
@@ -111,7 +114,9 @@ class LocalizedRationals(Record):
         for p in primes:
             if not is_prime(p):
                 raise ModelError(f"{p} is not prime")
-        _set(self, "primes", primes)
+        # built in ascending order, so that equal sets iterate alike: the
+        # sampler draws one power per prime in this order
+        _set(self, "primes", frozenset(sorted(primes)))
 
 
 class LexProduct(Record):
@@ -197,13 +202,13 @@ def check_element(a: WitnessAlgebra, e) -> None:
         check_element(a.right, e[1])
     elif isinstance(a, PositiveCone):
         check_element(a.inner, e)
-        if e < _group(a.inner).zero:
+        if e < _zero(a.inner):
             raise ModelError(f"{format_element(e)} is negative")
     elif isinstance(a, GammaPerfect):
         if not (isinstance(e, tuple) and len(e) == 2 and e[0] in (0, 1)):
             raise ModelError(f"{format_element(e)} is not a Gamma pair")
         check_element(a.inner, e[1])
-        zero = _group(a.inner).zero
+        zero = _zero(a.inner)
         if e[0] == 0 and e[1] < zero:
             raise ModelError(f"{format_element(e)} has a negative part on the radical side")
         if e[0] == 1 and e[1] > zero:
@@ -215,15 +220,20 @@ def check_element(a: WitnessAlgebra, e) -> None:
         raise ModelError(f"not a witness algebra: {a!r}")
 
 
+def _zero(a):
+    """The zero of the group model a, as an element."""
+    layout = _layout(a)
+    return layout.down(layout.group.zero, 1)
+
+
 # ---------------------------------------------------------------------------
-# Ordered-group arithmetic: every witness algebra is read off one of these
+# Coordinates: every element is a flat tuple of scalar coordinates
 
 
 class _Group:
     """A totally ordered Abelian group: zero, u + v, u - v, -u, k u, and
-    u \\/ v and u /\\ v.  Python's order on numbers and on nested tuples of
-    them is the lex order, so join and meet are max and min.  Equal only to
-    itself, as _RATIONAL and _INTEGER have equal fields."""
+    u \\/ v and u /\\ v.  Python's order on ints and on flat tuples of them
+    is the lex order, so join and meet are max and min."""
 
     __slots__ = ("zero", "add", "sub", "neg", "scale")
     join, meet = max, min
@@ -232,83 +242,179 @@ class _Group:
         self.zero, self.add, self.sub, self.neg, self.scale = zero, add, sub, neg, scale
 
 
-_RATIONAL = _Group(Fraction(0), operator.add, operator.sub, operator.neg, operator.mul)
-_INTEGER = _Group(0, operator.add, operator.sub, operator.neg, operator.mul)
-
-
-def _lex(left: _Group, right: _Group) -> _Group:
-    """left x_lex right, ordered by the left coordinate first."""
-    zero = (left.zero, right.zero)
-    if left in (_RATIONAL, _INTEGER) and right in (_RATIONAL, _INTEGER):
+def _codes(n: int) -> _Group:
+    """The integer group of codes with n coordinates: ints for one, pairs
+    unrolled, and map over longer tuples."""
+    if n == 1:
+        return _Group(0, operator.add, operator.sub, operator.neg, operator.mul)
+    if n == 2:
         return _Group(
-            zero,
+            (0, 0),
             lambda u, v: (u[0] + v[0], u[1] + v[1]),
             lambda u, v: (u[0] - v[0], u[1] - v[1]),
             lambda u: (-u[0], -u[1]),
             lambda k, u: (k * u[0], k * u[1]),
         )
-    ladd, radd, lsub, rsub = left.add, right.add, left.sub, right.sub
-    lneg, rneg, lscale, rscale = left.neg, right.neg, left.scale, right.scale
     return _Group(
-        zero,
-        lambda u, v: (ladd(u[0], v[0]), radd(u[1], v[1])),
-        lambda u, v: (lsub(u[0], v[0]), rsub(u[1], v[1])),
-        lambda u: (lneg(u[0]), rneg(u[1])),
-        lambda k, u: (lscale(k, u[0]), rscale(k, u[1])),
+        (0,) * n,
+        lambda u, v: tuple(map(operator.add, u, v)),
+        lambda u, v: tuple(map(operator.sub, u, v)),
+        lambda u: tuple(map(operator.neg, u)),
+        lambda k, u: tuple([k * x for x in u]),
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _group(a, scalar: _Group = _RATIONAL) -> _Group:
-    """The group G of a group model: scalars, or nested lex pairs of them.
-    With scalar=_INTEGER every scalar coordinate is an integer: G scaled by
-    a common denominator, as the evaluator runs it."""
-    if isinstance(a, LexProduct):
-        return _lex(_group(a.left, scalar), _group(a.right, scalar))
-    if isinstance(a, (IntegerGroup, RationalGroup, LocalizedRationals)):
-        return scalar
-    raise ModelError(f"not an ordered group: {a!r}")
-
-
-# ---------------------------------------------------------------------------
-# Scaling to integers: (den, up, down) per element shape
-#
-# den(e) is the lcm of the denominators of e's rational coordinates; up(e, D)
-# multiplies each of them by D (a multiple of den(e)), down(u, D) divides
-# them by D again.  x -> D x maps (1/D)Z onto Z preserving +, -, k x and <,
-# so it commutes with every node operation, cut at the unit included.  The
-# first coordinate of a Gamma pair and a bit of TwoMV are integers already.
-
-_RATIONAL_LEAF = (
+# (den, up, down) of one coordinate.  den(e) is the denominator of a rational
+# coordinate; up(e, D) multiplies it by D (a multiple of den(e)), down(w, D)
+# divides it by D again.  x -> D x maps (1/D)Z onto Z preserving +, -, k x
+# and <, so it commutes with every node operation, cut at the unit included.
+# The bit of a Gamma pair and of TwoMV is an integer already: it is unscaled.
+_SCALED = (
     operator.attrgetter("denominator"),
     lambda e, d: e.numerator * (d // e.denominator),
     Fraction,
 )
-_INTEGER_LEAF = (lambda e: 1, lambda e, d: e, lambda u, d: u)
+_UNSCALED = (lambda e: 1, lambda e, d: e, lambda w, d: w)
 
 
-def _pair_codec(left: tuple, right: tuple) -> tuple:
-    (lden, lup, ldown), (rden, rup, rdown) = left, right
-    return (
-        lambda e: math.lcm(lden(e[0]), rden(e[1])),
-        lambda e, d: (lup(e[0], d), rup(e[1], d)),
-        lambda u, d: (ldown(u[0], d), rdown(u[1], d)),
-    )
+class _Layout:
+    """The coordinates of the elements of one witness algebra, a lex product
+    of scalar groups or read off one: per flat coordinate a leaf (group,
+    scaled), scaled False only for the bit that leads a Gamma pair and the
+    bit of TwoMV.  flat(e) is the tuple of an element's coordinates, and
+    shape(it) the element, nested pairs, of an iterator over them.
+
+    A code is an element with every scaled coordinate times a scale M: an
+    int for one coordinate, otherwise a flat tuple of ints, in the integer
+    l-group group.  den(e) is the lcm of the denominators of e, up(e, M)
+    its code and down(w, M) the element of a code.  unit is the code of the
+    unit of an MV model, and cone is True when every element is >= 0."""
+
+    __slots__ = ("leaves", "shape", "flat", "unit", "cone", "group", "den", "up", "down", "_draws")
+
+    def __init__(self, leaves: list, shape: Callable, flat: Callable, unit=None, cone=False):
+        self.leaves, self.shape, self.flat, self.unit, self.cone = leaves, shape, flat, unit, cone
+        self.group = _codes(len(leaves))
+        self._draws = [_scalar_draw(group) for group, scaled in leaves if scaled]
+        codecs = [_SCALED if scaled else _UNSCALED for _, scaled in leaves]
+        if len(codecs) == 1:
+            self.den, self.up, self.down = codecs[0]
+        elif len(codecs) == 2:  # every Gamma model and lex(A, B) of scalars, unrolled
+            (lden, lup, ldown), (rden, rup, rdown) = codecs
+            self.den = lambda e: math.lcm(lden(e[0]), rden(e[1]))
+            self.up = lambda e, d: (lup(e[0], d), rup(e[1], d))
+            self.down = lambda w, d: (ldown(w[0], d), rdown(w[1], d))
+        else:
+            dens, ups, downs = zip(*codecs)
+            self.den = lambda e: math.lcm(*[f(x) for f, x in zip(dens, flat(e))])
+            self.up = lambda e, d: tuple([f(x, d) for f, x in zip(ups, flat(e))])
+            self.down = lambda w, d: shape(iter([f(x, d) for f, x in zip(downs, w)]))
+
+    def sample_den(self, cap: int) -> int:
+        """The lcm of every denominator that draw can give with that cap."""
+        return math.lcm(*[
+            math.lcm(*range(1, cap + 1)) if isinstance(group, RationalGroup)
+            else math.prod(p * p for p in getattr(group, "primes", ()))
+            for group, scaled in self.leaves if scaled
+        ])
+
+    def draw(self, rng: random.Random, cap: int, m: int):
+        """A random element as its code at m, a multiple of sample_den(cap):
+        per scaled coordinate a numerator in [-cap, cap] over a denominator
+        up to cap (Q), p^j, j <= 2, per p in S (Q_S) or 1 (Z); in a cone the
+        larger of v and -v, and in Gamma that one, |v|, as (0, |v|) or
+        (1, -|v|) with equal odds; in two a bit."""
+        if not self._draws:
+            return rng.randint(0, 1)
+        v = [f(rng, cap, m) for f in self._draws]
+        if self.cone:
+            v = max(v, [-x for x in v])  # lists compare in the lex order too
+            if self.unit is not None:
+                v = [0, *v] if rng.random() < 0.5 else [1, *[-x for x in v]]
+        return v[0] if len(v) == 1 else tuple(v)
+
+    def member(self, w, n: int, m: int) -> bool:
+        """Whether w / n is the code of an element at scale m: each scaled
+        coordinate x / (n m), and each unscaled x / n, lies in its scalar
+        group (iff the part of the divisor prime to S divides x), and it is
+        >= 0 in a cone and <= unit in an MV model."""
+        g = self.group
+        if (self.cone and w < g.zero) or (self.unit is not None and g.scale(n, self.unit) < w):
+            return False
+        coords = (w,) if len(self.leaves) == 1 else w
+        return all(
+            x % _prime_part(group, n * m if scaled else n) == 0
+            for x, (group, scaled) in zip(coords, self.leaves)
+        )
 
 
-def _codec(a: WitnessAlgebra) -> tuple:
-    """(den, up, down) for the elements of a."""
+def _scalar_draw(a) -> Callable:
+    """The draw of one coordinate in the scalar group a (_Layout.draw)."""
+    if isinstance(a, RationalGroup):
+
+        def draw(rng, cap, m):
+            n = rng.randint(-cap, cap)
+            return n * (m // rng.randint(1, cap))
+
+        return draw
+    primes = getattr(a, "primes", ())  # none for Z
+
+    def draw(rng, cap, m):
+        den = 1
+        for p in primes:
+            den *= p ** rng.randint(0, 2)
+        return rng.randint(-cap, cap) * (m // den)
+
+    return draw
+
+
+def _bit(it) -> int:
+    return int(next(it))
+
+
+def _single(e) -> tuple:
+    return (e,)
+
+
+_BIT = (IntegerGroup(), False)  # the unscaled leaf
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(a: WitnessAlgebra) -> _Layout:
+    """The coordinate layout of a: the only reading of an element's shape
+    off the algebra."""
     if isinstance(a, (IntegerGroup, RationalGroup, LocalizedRationals)):
-        return _RATIONAL_LEAF
+        return _Layout([(a, True)], next, _single)
     if isinstance(a, LexProduct):
-        return _pair_codec(_codec(a.left), _codec(a.right))
+        left, right = _layout(a.left), _layout(a.right)
+        lflat, rflat, lshape, rshape = left.flat, right.flat, left.shape, right.shape
+        return _Layout(
+            left.leaves + right.leaves,
+            lambda it: (lshape(it), rshape(it)),
+            lambda e: lflat(e[0]) + rflat(e[1]),
+        )
     if isinstance(a, PositiveCone):
-        return _codec(a.inner)
+        inner = _layout(a.inner)
+        return _Layout(inner.leaves, inner.shape, inner.flat, cone=True)
     if isinstance(a, GammaPerfect):
-        return _pair_codec(_INTEGER_LEAF, _codec(a.inner))
+        inner = _layout(a.inner)
+        ishape, iflat = inner.shape, inner.flat
+        return _Layout(
+            [_BIT] + inner.leaves,
+            lambda it: (_bit(it), ishape(it)),
+            lambda e: (e[0],) + iflat(e[1]),
+            unit=(1,) + (0,) * len(inner.leaves),
+            cone=True,
+        )
     if isinstance(a, TwoMV):
-        return _INTEGER_LEAF
+        return _Layout([_BIT], _bit, _single, unit=1, cone=True)
     raise ModelError(f"not a witness algebra: {a!r}")
+
+
+def sample_elements(a: WitnessAlgebra, count: int, seed: int, cap: int = 12) -> list:
+    layout = _layout(a)
+    rng, m = random.Random(seed), layout.sample_den(cap)
+    return [layout.down(layout.draw(rng, cap, m), m) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -321,28 +427,20 @@ def eval_term(a: WitnessAlgebra, t: Term, assignment: dict) -> object:
     t is compiled and run on integers: the assigned values are scaled by
     the lcm D of the denominators of their rational coordinates, and the
     value is divided by D again."""
-    compile_, (den, up, down) = _evaluator(a)
-    d = math.lcm(*map(den, assignment.values()))
+    compile_, layout = _evaluator(a)
+    up, d = layout.up, math.lcm(*map(layout.den, assignment.values()))
     slots = {(v.kind, v.index): i for i, v in enumerate(assignment)}
-    return down(compile_(t, slots)[0]([up(e, d) for e in assignment.values()]), d)
+    return layout.down(compile_(t, slots)[0]([up(e, d) for e in assignment.values()]), d)
 
 
 @functools.lru_cache(maxsize=64)
 def _evaluator(a: WitnessAlgebra):
-    """The term compiler of a over integer coordinates, with the scaling of
-    its elements, built once per algebra value: _operations over the group
-    G of a scaled to integers.  A group model is G, cone(G) is the positive
-    cone of G, TwoMV is Gamma(Z, 1) and GammaPerfect is Gamma(Z lex inner,
-    (1, 0))."""
-    unit = None
-    if isinstance(a, TwoMV):
-        g, unit = _INTEGER, 1
-    elif isinstance(a, GammaPerfect):
-        g = _lex(_INTEGER, _group(a.inner, _INTEGER))
-        unit = (1, g.zero[1])
-    else:
-        g = _group(a.inner if isinstance(a, PositiveCone) else a, _INTEGER)
-    return _compiler(g.zero, *_operations(a, g, unit)), _codec(a)
+    """(compile, layout): the term compiler of a over its codes, built once
+    per algebra value from _operations at the integer group of the codes
+    and the code of the unit, and the layout of its elements."""
+    layout = _layout(a)
+    g = layout.group
+    return _compiler(g.zero, *_operations(a, g, layout.unit)), layout
 
 
 def _operations(a: WitnessAlgebra, g, unit) -> tuple:
@@ -451,67 +549,15 @@ def gamma_div(a: GammaPerfect, e, k: int):
 
 
 def holds_delta_exact(a, k: int) -> bool:
-    """Whether a is k-divisible: Q always, Z only for k = 1, Q_S iff 1/k lies
-    in Q_S, lex(A, B) iff A and B are, cone(G) and Gamma(Z lex G) iff G is."""
+    """Whether a is k-divisible: iff 1/k lies in the scalar group of every
+    scaled coordinate (Q always, Z only for k = 1, Q_S iff k is a product of
+    primes of S), so lex(A, B) iff A and B are, cone(G) and Gamma(Z lex G)
+    iff G is."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if isinstance(a, RationalGroup):
-        return True
-    if isinstance(a, IntegerGroup):
-        return k == 1
-    if isinstance(a, LocalizedRationals):
-        return qs_member(Fraction(1, k), a.primes)
-    if isinstance(a, LexProduct):
-        return holds_delta_exact(a.left, k) and holds_delta_exact(a.right, k)
-    if isinstance(a, (PositiveCone, GammaPerfect)):
-        return holds_delta_exact(a.inner, k)
-    raise ModelError(f"no exact delta_k decision for {a!r}")
-
-
-# ---------------------------------------------------------------------------
-# Sampling
-
-
-def sample_elements(a: WitnessAlgebra, count: int, seed: int, cap: int = 12) -> list:
-    rng = random.Random(seed)
-    return [_sample_one(a, rng, cap) for _ in range(count)]
-
-
-def _sample_one(a, rng: random.Random, cap: int):
-    if isinstance(a, IntegerGroup):
-        return Fraction(rng.randint(-cap, cap))
-    if isinstance(a, RationalGroup):
-        return Fraction(rng.randint(-cap, cap), rng.randint(1, cap))
-    if isinstance(a, LocalizedRationals):
-        den = 1
-        for p in a.primes:
-            den *= p ** rng.randint(0, 2)
-        return Fraction(rng.randint(-cap, cap), den)
-    if isinstance(a, LexProduct):
-        return (_sample_one(a.left, rng, cap), _sample_one(a.right, rng, cap))
-    if isinstance(a, (PositiveCone, GammaPerfect)):
-        g = _group(a.inner)
-        v = _sample_one(a.inner, rng, cap)
-        mag = g.join(v, g.neg(v))
-        if isinstance(a, PositiveCone):
-            return mag
-        if rng.random() < 0.5:
-            return (0, mag)
-        return (1, g.neg(mag))
     if isinstance(a, TwoMV):
-        return rng.randint(0, 1)
-    raise ModelError(f"not a witness algebra: {a!r}")
-
-
-def _sample_den(a, cap: int) -> int:
-    """The lcm of every denominator that _sample_one(a, _, cap) can draw."""
-    if isinstance(a, LexProduct):
-        return math.lcm(_sample_den(a.left, cap), _sample_den(a.right, cap))
-    if isinstance(a, (PositiveCone, GammaPerfect)):
-        return _sample_den(a.inner, cap)
-    if isinstance(a, RationalGroup):
-        return math.lcm(*range(1, cap + 1))
-    return math.prod(p * p for p in getattr(a, "primes", ()))  # Q_S, Z and TwoMV
+        raise ModelError(f"no exact delta_k decision for {a!r}")
+    return all(_prime_part(group, k) == 1 for group, scaled in _layout(a).leaves if scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -546,50 +592,35 @@ def candidate_pool(a, xvals: list, cap: int = 12) -> list:
     view of _pool at m = D lcm(1..cap), D the common denominator of xvals."""
     if isinstance(a, TwoMV):
         return list(_BITS)
-    den, _, down = _codec(a)
-    m = math.lcm(*map(den, xvals)) * math.lcm(*range(1, cap + 1))
-    return [down(w, m) for w in _pool(a, xvals, m, cap)]
+    layout = _layout(a)
+    m = math.lcm(*map(layout.den, xvals)) * math.lcm(*range(1, cap + 1))
+    return [layout.down(w, m) for w in _pool(a, [layout.up(v, m) for v in xvals], m, cap)]
 
 
-def _pool(a, values: list, m: int, cap: int) -> list:
-    """The candidate pool of the values as codes at scale m, a multiple of
-    D lcm(1..cap) for their common denominator D: zero and each v / d
-    (d <= cap) with its negative, or in a cone and in Gamma its absolute
-    value, that lie in a; sorted, without repeats.  v / d scales to
-    up(v, m // d), and Gamma pairs those q >= 0 as (0, q) and (1, -q)."""
-    gamma = isinstance(a, GammaPerfect)
-    if gamma:
-        values = [e[1] for e in values]
-    cone = gamma or isinstance(a, PositiveCone)
-    group = a.inner if cone else a
-    g = _group(group, _INTEGER)
-    up = _codec(group)[1]
+def _pool(a, codes: list, m: int, cap: int) -> list:
+    """The candidate pool of values with these codes at scale m, a multiple
+    of D lcm(1..cap) for their common denominator D: zero and each v / d
+    (d <= cap), the code divided by d, with its negative, or in a cone its
+    absolute value, that lie in a; sorted, without repeats.  Gamma draws
+    (0, |q| / d) from (i, q) and pairs it with its negation (1, -|q| / d)."""
+    layout = _layout(a)
+    g, unit = layout.group, layout.unit
+    divide = operator.floordiv if len(layout.leaves) == 1 else lambda w, d: tuple([x // d for x in w])
     scaled = {g.zero}
-    for v in values:
+    for w in codes:
+        if unit is not None:
+            w = g.meet(w, g.sub(unit, w))  # (0, |q|) of (i, q)
+        elif layout.cone:
+            w = g.join(w, g.neg(w))
         for d in range(1, cap + 1):
-            w = up(v, m // d)
-            if cone:
-                scaled.add(g.join(w, g.neg(w)))
-            else:
-                scaled.add(w)
-                scaled.add(g.neg(w))
-    member = _in_group(group, m)
-    pool = [w for w in sorted(scaled) if member(w)]
-    if gamma:
-        # q >= 0, so (0, q) and (1, -q) lie in Gamma iff q lies in the inner group
-        return [e for q in pool for e in ((0, q), (1, -q))]
+            v = divide(w, d)
+            scaled.add(v)
+            if not layout.cone:
+                scaled.add(g.neg(v))
+    pool = [w for w in sorted(scaled) if layout.member(w, 1, m)]
+    if unit is not None:
+        return [e for p in pool for e in (p, g.sub(unit, p))]
     return pool
-
-
-def _in_group(a, m: int) -> Callable:
-    """Membership in the group model a of a code at scale m: w / m lies in
-    a scalar group iff _prime_part(a, m) divides w, and a lex pair lies in a
-    lex product coordinate by coordinate."""
-    if isinstance(a, LexProduct):
-        left, right = _in_group(a.left, m), _in_group(a.right, m)
-        return lambda w: left(w[0]) and right(w[1])
-    k = _prime_part(a, m)
-    return lambda w: w % k == 0
 
 
 def _prime_part(a, k: int) -> int:
@@ -661,12 +692,13 @@ class _Solver:
     Two is searched exhaustively.
 
     Both run on codes at one scale M, fixed here: lcm(1..cap) times every
-    denominator _sample_one draws with that cap, so every sample and its
-    pool (v / d, d <= cap) are codes at M.  Other x-values of denominator D
-    raise M to lcm(M, D lcm(1..cap)); the memo stays, since a compiled or
+    denominator _Layout.draw gives with that cap, so every sample and its
+    pool (v / d, d <= cap) are codes at M.  solve_codes takes x-codes at M;
+    solve scales x-values up, and other x-values of denominator D raise M
+    to lcm(M, D lcm(1..cap)) first.  The memo stays, since a compiled or
     folded side maps codes to codes without reading M (x -> M x commutes
-    with every node operation).  Codes are decoded only for the z-free seeds
-    and the reported solutions; the bits of TwoMV are their own codes."""
+    with every node operation).  Only the reported solutions are decoded;
+    the bits of TwoMV are their own codes."""
 
     def __init__(self, a, phi: EFDSentence, cap: int = 12):
         self.a, self.phi, self.cap = a, phi, cap
@@ -674,7 +706,7 @@ class _Solver:
         names = [("x", i) for i in range(1, phi.n + 1)] + [("z", j) for j in range(1, phi.m + 1)]
         self.xvars = tuple(Var(*name) for name in names[: phi.n])
         slots = {name: i for i, name in enumerate(names)}
-        compile_, (self.den, self.up, self.down) = _evaluator(a)
+        compile_, self.layout = _evaluator(a)
         self.folds = phi.m == 1 and not self.exhaustive  # one z: onez.OneZ solves
 
         def side(t: Term, free: frozenset) -> _Side:
@@ -684,24 +716,27 @@ class _Solver:
 
         self.sides = [tuple(map(side, eq, free)) for eq, free in zip(phi.equations, phi.side_vars)]
         self.lcm_cap = math.lcm(*range(1, cap + 1))
-        self.scale = self.lcm_cap * _sample_den(a, cap)
+        self.scale = self.lcm_cap * self.layout.sample_den(cap)
         self.onez = None
 
     def solve(self, xassign: dict):
-        d = math.lcm(*map(self.den, xassign.values()))
+        up, d = self.layout.up, math.lcm(*map(self.layout.den, xassign.values()))
         m = self.scale = math.lcm(self.scale, d * self.lcm_cap)  # grows only for new denominators
-        xcodes = tuple(self.up(_lookup(v, xassign), m) for v in self.xvars)
+        return self.solve_codes(tuple([up(_lookup(v, xassign), m) for v in self.xvars]))
+
+    def solve_codes(self, xcodes: tuple):
+        """solve at the x-assignment with these codes at the scale M."""
+        m = self.scale
         if self.folds:
             if self.onez is None:
                 from .onez import OneZ  # compiled at the first one-z solve, not by import efdkit
 
                 self.onez = OneZ(self.a, self.phi.equations, self.sides)
             return [(z,) for z in self.onez.solve(xcodes, m)], True
-        sols = self._search(xassign, xcodes, m)
+        sols = self._search(xcodes, m)
         return sols, self.exhaustive or len(sols) == 2
 
-    def _search(self, xassign: dict, xcodes: tuple, m: int) -> list:
-        down = self.down
+    def _search(self, xcodes: tuple, m: int) -> list:
         # per side: (compiled side, z-key, the memo table of this assignment's x-codes)
         tables = [
             tuple((s.fn, s.zkey, s.memo.setdefault(s.xkey(xcodes), {})) for s in eq)
@@ -721,12 +756,10 @@ class _Solver:
         else:
             # the value of a z-free side joins the x-values, so that the pool
             # holds the solution of z = t(x) and its small divisions
-            seeds = list(xassign.values())
+            seeds = list(xcodes)
             for side in itertools.chain.from_iterable(tables):
                 if side[1] is _no_z:
-                    v = down(value(side, ()), m)
-                    if v not in seeds:
-                        seeds.append(v)
+                    seeds.append(value(side, ()))
             pool = _pool(self.a, seeds, m, self.cap)
         sols = []
         for zs in itertools.product(pool, repeat=self.phi.m):
@@ -734,6 +767,7 @@ class _Solver:
                 sols.append(zs)
                 if len(sols) == 2:
                     break
+        down = self.layout.down
         return [tuple(down(z, m) for z in zs) for zs in sols]
 
 
@@ -751,23 +785,23 @@ def _structured_x(a, n: int) -> list[dict]:
     return [{Var("x", i): v for i in range(1, n + 1)} for v in basics if _element_ok(a, v)]
 
 
-def _sampled_x(a, n: int, seed: int):
-    """Random x-assignments, drawn one at a time from one seeded stream."""
+def _sampled_x(layout: _Layout, n: int, seed: int, m: int):
+    """Random x-assignments as codes at scale m, drawn one at a time from
+    one seeded stream."""
     rng = random.Random(seed)
     while True:
-        yield {Var("x", i): _sample_one(a, rng, 12) for i in range(1, n + 1)}
+        yield tuple([layout.draw(rng, 12, m) for _ in range(n)])
 
 
 def _distinct(assignments):
-    """The assignments whose x-values did not occur before.  A check stops
-    at its first failing assignment, so a repeat was already decided, and
-    passed, at its first occurrence."""
+    """The assignments that did not occur before.  A check stops at its
+    first failing assignment, so a repeat was already decided, and passed,
+    at its first occurrence."""
     seen = set()
-    for env in assignments:
-        key = tuple(env.values())
-        if key not in seen:
-            seen.add(key)
-            yield env
+    for xcodes in assignments:
+        if xcodes not in seen:
+            seen.add(xcodes)
+            yield xcodes
 
 
 def check_sentence_sampled(
@@ -787,15 +821,18 @@ def check_sentence_sampled(
             f"{species(a).value} model"
         )
     solver = _Solver(a, phi)
-    assignments = itertools.chain(_structured_x(a, phi.n), _sampled_x(a, phi.n, seed))
-    for count, env in enumerate(_distinct(itertools.islice(assignments, max(budget, 1))), 1):
-        sols, exact = solver.solve(env)
+    layout, m, xvars = solver.layout, solver.scale, solver.xvars
+    structured = [tuple([layout.up(env[v], m) for v in xvars]) for env in _structured_x(a, phi.n)]
+    assignments = itertools.chain(structured, _sampled_x(layout, phi.n, seed, m))
+    for count, xcodes in enumerate(_distinct(itertools.islice(assignments, max(budget, 1))), 1):
+        sols, exact = solver.solve_codes(xcodes)
         if len(sols) != 1:
+            env = {v: layout.down(w, m) for v, w in zip(xvars, xcodes)}
             if not exact:
                 reason = "no z-solution among candidates"
-                return Verdict("inconclusive", False, (dict(env), []), f"sampled: {reason}")
+                return Verdict("inconclusive", False, (env, []), f"sampled: {reason}")
             reason = "two distinct z-solutions" if sols else "no z-solution"
-            return Verdict("falsified", True, (dict(env), sols[:2]), f"sampled: {reason}")
+            return Verdict("falsified", True, (env, sols[:2]), f"sampled: {reason}")
     return Verdict("consistent-on-sample", False, None, f"sampled: {count} distinct x-assignments")
 
 

@@ -33,17 +33,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .models import (
-    GammaPerfect,
-    IntegerGroup,
-    LexProduct,
-    LocalizedRationals,
-    ModelError,
-    PositiveCone,
-    RationalGroup,
-    _operations,
-    _prime_part,
-)
+from .models import ModelError, RationalGroup, _layout, _operations, _prime_part, _single
 from .terms import Power, Scalar, Var, Zero, fold
 
 __all__ = ["OneZ"]
@@ -120,29 +110,6 @@ def _lattice(join: bool):
 _larger, _smaller = _lattice(True), _lattice(False)
 
 
-def _layout(a) -> tuple:
-    """(leaves, flat, shape) for the elements of a: per hull coordinate a
-    leaf (group, scaled), the scalar group the coordinate ranges over and
-    scaled False only for the first coordinate of a Gamma pair, an integer
-    code; flat maps a code to its hull tuple, and shape an iterator over an
-    element's coordinates to the element."""
-    if isinstance(a, PositiveCone):
-        return _layout(a.inner)
-    if isinstance(a, GammaPerfect):
-        leaves, _, inner = _layout(a.inner)  # a scalar inner group: its codes are (i, q)
-        return [(IntegerGroup(), False)] + leaves, _same, lambda it: (int(next(it)), inner(it))
-    if isinstance(a, LexProduct):
-        (lleaves, lflat, lshape), (rleaves, rflat, rshape) = _layout(a.left), _layout(a.right)
-        return (
-            lleaves + rleaves,
-            lambda c: lflat(c[0]) + rflat(c[1]),
-            lambda it: (lshape(it), rshape(it)),
-        )
-    if isinstance(a, (IntegerGroup, RationalGroup, LocalizedRationals)):
-        return [(a, True)], lambda c: (c,), next
-    raise ModelError(f"no one-z solve in {a!r}")
-
-
 def _same(c):
     return c
 
@@ -154,14 +121,18 @@ class _Hull:
     algebra's signature."""
 
     def __init__(self, a):
-        self.leaves, self.flat, self.shape = _layout(a)
+        layout = _layout(a)
+        self.leaves, self.shape, self.member = layout.leaves, layout.shape, layout.member
+        # flat maps a code to its hull tuple, code a hull tuple to its code
+        single = len(self.leaves) == 1
+        self.flat, self.code = (_single, operator.itemgetter(0)) if single else (_same, _same)
         self.origin = zero = (0,) * len(self.leaves)
-        self.lo = (zero, 1) if isinstance(a, (PositiveCone, GammaPerfect)) else None
+        self.lo = (zero, 1) if layout.cone else None
         self.hi = unit = None
         self.zero = [(self.lo, 0, zero)]
         self.identity = [(self.lo, 1, zero)]
-        if isinstance(a, GammaPerfect):
-            self.hi = ((1,) + zero[1:], 1)
+        if layout.unit is not None:
+            self.hi = (self.flat(layout.unit), 1)
             unit = [(self.lo, 0, self.hi[0])]
         self.label, self.ops = _operations(a, self, unit)
 
@@ -276,12 +247,11 @@ class _Hull:
         return found
 
     def _root(self, w: tuple, a: int, m: int) -> tuple:
-        """w / a as an element, if it is one: each coordinate x / (|a| s),
-        s its scale, lies in its group iff the prime part of |a| s divides x."""
-        n = abs(a)
-        for x, (group, scaled) in zip(w, self.leaves):
-            if x % _prime_part(group, n * m if scaled else n):
-                return ()
+        """w / a as an element, if it is one (_Layout.member)."""
+        if a < 0:
+            w, a = _scale(-1, w), -a
+        if not self.member(self.code(w), a, m):
+            return ()
         values = (
             Fraction(x, a * m) if scaled else x // a for x, (_, scaled) in zip(w, self.leaves)
         )

@@ -701,6 +701,32 @@ class TestDescriptors:
 # equations, and it misses none that the plain search finds.
 
 
+def _oracle_sample(a, rng, cap):
+    """One element as the sampler draws it, in Fractions: a numerator in
+    [-cap, cap] over a denominator in [1, cap] (Q), over p^j, j <= 2, per p
+    in S (Q_S), or over 1 (Z); a lex pair left first; in a cone the larger
+    of an inner draw v and -v, in Gamma that one, |v|, as (0, |v|) or
+    (1, -|v|) with equal odds; in two a bit."""
+    if isinstance(a, IntegerGroup):
+        return Fraction(rng.randint(-cap, cap))
+    if isinstance(a, RationalGroup):
+        return Fraction(rng.randint(-cap, cap), rng.randint(1, cap))
+    if isinstance(a, LocalizedRationals):
+        den = 1
+        for p in a.primes:
+            den *= p ** rng.randint(0, 2)
+        return Fraction(rng.randint(-cap, cap), den)
+    if isinstance(a, LexProduct):
+        return (_oracle_sample(a.left, rng, cap), _oracle_sample(a.right, rng, cap))
+    if isinstance(a, TwoMV):
+        return rng.randint(0, 1)
+    v = _oracle_sample(a.inner, rng, cap)
+    mag = _f_join(v, _f_neg(v))
+    if isinstance(a, PositiveCone):
+        return mag
+    return (0, mag) if rng.random() < 0.5 else (1, _f_neg(mag))
+
+
 def _member(a, e) -> bool:
     try:
         check_element(a, e)
@@ -733,14 +759,13 @@ def _plain_pool(a, xvals, cap=12):
                     out.append(e)
         return out
     inner = a.inner if isinstance(a, PositiveCone) else a
-    g = models._group(inner)
-    values = {g.zero}
+    values = {_f_zero(inner)}
     for v in xvals:
         for d in range(1, cap + 1):
             w = _div(inner, v, d)
             if w is not None:
                 values.add(w)
-                values.add(g.neg(w))
+                values.add(_f_neg(w))
     return [v for v in sorted(values) if _member(a, v)]
 
 
@@ -802,7 +827,7 @@ def _assignments(a, phi, budget, seed):
     assignments = models._structured_x(a, phi.n)
     while len(assignments) < max(budget, 1):
         assignments.append(
-            {Var("x", i): models._sample_one(a, rng, 12) for i in range(1, phi.n + 1)}
+            {Var("x", i): _oracle_sample(a, rng, 12) for i in range(1, phi.n + 1)}
         )
     return assignments[: max(budget, 1)]
 
@@ -992,7 +1017,7 @@ class TestOneZExact:
 
         a = parse_model(descriptor)
         hull = onez._Hull(a)
-        den, up, _ = models._codec(a)
+        den, up = models._layout(a).den, models._layout(a).up
         rng = random.Random(f"pieces {descriptor}")
         zs = sample_elements(a, 16, seed=11)
         starts = 0
@@ -1040,14 +1065,14 @@ class TestSolverWork:
     an x-free side such as t_k(z1) is folded once per check and each
     assignment runs only its z-free side; the candidate search made 67 pool
     builds and 625 evaluations on the first case, the search before it 100
-    and 4,864."""
+    and 4,864.  Each x-value is drawn by one _Layout.draw, as its code."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         import efdkit.onez as onez
 
         counts = Counter()
-        for owner, name in ((models, "_pool"), (models, "_sample_one"), (onez._Hull, "fold")):
+        for owner, name in ((models, "_pool"), (models._Layout, "draw"), (onez._Hull, "fold")):
             original = getattr(owner, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
@@ -1058,7 +1083,7 @@ class TestSolverWork:
         evaluator = models._evaluator
 
         def counted_evaluator(a):
-            compile_, codec = evaluator(a)
+            compile_, layout = evaluator(a)
 
             def counted_compile(t, slots):
                 fn, reads = compile_(t, slots)
@@ -1069,18 +1094,18 @@ class TestSolverWork:
 
                 return counted_fn, reads
 
-            return counted_compile, codec
+            return counted_compile, layout
 
         monkeypatch.setattr(models, "_evaluator", counted_evaluator)
         scales = counts["scales"] = []
-        solve = models._Solver.solve
+        solve_codes = models._Solver.solve_codes
 
-        def scale_noting_solve(solver, xassign):
-            found = solve(solver, xassign)
+        def scale_noting_solve(solver, xcodes):
+            found = solve_codes(solver, xcodes)
             scales.append(solver.scale)
             return found
 
-        monkeypatch.setattr(models._Solver, "solve", scale_noting_solve)
+        monkeypatch.setattr(models._Solver, "solve_codes", scale_noting_solve)
         return counts
 
     def test_each_distinct_assignment_is_solved_once(self, counts):
@@ -1092,8 +1117,8 @@ class TestSolverWork:
         assert counts["walk"] == 67
         # the scale is fixed before the first solve: lcm(1..12) twice
         assert set(counts["scales"]) == {27720**2}
-        # 96 sampled pairs, each drawing its inner rational
-        assert counts["_sample_one"] == 192
+        # 96 sampled pairs, each drawn once
+        assert counts["draw"] == 96
         structured = [(0, 0), (0, 1), (1, -1), (1, 0)]
         assert len(set(structured + sample_elements(GQ, 96, seed=0))) == 67
 
@@ -1107,7 +1132,7 @@ class TestSolverWork:
         assert counts["fold"] == 1
         assert counts["_pool"] == 0
         assert counts["walk"] == 58
-        assert counts["_sample_one"] == 192
+        assert counts["draw"] == 96
 
     def test_sampling_is_lazy(self, counts):
         phi = parse_sentence("forall x1 exists! z1 : z1 -. z1 = x1", Signature.MV)
@@ -1116,7 +1141,7 @@ class TestSolverWork:
         assert verdict.exact
         assert verdict.witness[0] == {_X1: (0, Fraction(0))}
         assert verdict.detail == "sampled: two distinct z-solutions"
-        assert counts["_sample_one"] == 0
+        assert counts["draw"] == 0
         assert counts["fold"] == 1
 
     def test_the_two_element_model_is_not_scaled(self, counts):
@@ -1132,9 +1157,10 @@ class TestFixedScale:
     )
     def test_every_sampled_denominator_divides_the_sample_den(self, descriptor):
         a = parse_model(descriptor)
-        den = models._codec(a)[0]
+        layout = models._layout(a)
+        den = layout.den
         for cap in range(1, 13):
-            sample_den = models._sample_den(a, cap)
+            sample_den = layout.sample_den(cap)
             for e in sample_elements(a, 200, seed=cap, cap=cap):
                 assert sample_den % den(e) == 0, (cap, e)
 

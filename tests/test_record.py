@@ -9,8 +9,6 @@ import efdkit
 from efdkit.geometry import IneqSystem
 from efdkit.lattice import EMPTY_PRIMES, AEClass, LogicExpansion
 from efdkit.models import (
-    _INTEGER,
-    _RATIONAL,
     GammaPerfect,
     IntegerGroup,
     LexProduct,
@@ -20,7 +18,6 @@ from efdkit.models import (
     RationalGroup,
     TwoMV,
     Verdict,
-    _group,
 )
 from efdkit.record import Record
 from efdkit.terms import ZERO, Join, Neg, Plus, Var, xvar
@@ -118,13 +115,6 @@ def test_fields_are_inherited_in_order():
 
     assert Child._fields == ("a", "b")
     assert Child(1) == Child(a=1, b=2) != Child(1, 3)
-
-
-def test_scalar_groups_stay_apart_as_cache_keys():
-    q = RationalGroup()
-    assert _RATIONAL != _INTEGER
-    assert _group(q, _INTEGER) is not _group(q)
-    assert _group(q, _INTEGER) is not _group(q, _RATIONAL)
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
