@@ -231,22 +231,23 @@ def _zero(a):
 
 
 class _Group:
-    """A totally ordered Abelian group: zero, u + v, u - v, -u, k u, and
-    u \\/ v and u /\\ v.  Python's order on ints and on flat tuples of them
-    is the lex order, so join and meet are max and min."""
+    """A totally ordered Abelian group of integer codes: zero, u + v, u - v,
+    -u, k u, u \\/ v and u /\\ v, and div(u, k), u / k for a k that divides
+    every coordinate.  Python's order on ints and on flat tuples of them is
+    the lex order, so join and meet are max and min."""
 
-    __slots__ = ("zero", "add", "sub", "neg", "scale")
+    __slots__ = ("zero", "add", "sub", "neg", "scale", "div")
     join, meet = max, min
 
-    def __init__(self, zero, add: Callable, sub: Callable, neg: Callable, scale: Callable):
-        self.zero, self.add, self.sub, self.neg, self.scale = zero, add, sub, neg, scale
+    def __init__(self, zero, *ops: Callable):
+        self.zero, (self.add, self.sub, self.neg, self.scale, self.div) = zero, ops
 
 
 def _codes(n: int) -> _Group:
-    """The integer group of codes with n coordinates: ints for one, pairs
-    unrolled, and map over longer tuples."""
+    """The group of codes with n coordinates: ints for one, pairs unrolled,
+    and map over longer tuples."""
     if n == 1:
-        return _Group(0, operator.add, operator.sub, operator.neg, operator.mul)
+        return _Group(0, operator.add, operator.sub, operator.neg, operator.mul, operator.floordiv)
     if n == 2:
         return _Group(
             (0, 0),
@@ -254,6 +255,7 @@ def _codes(n: int) -> _Group:
             lambda u, v: (u[0] - v[0], u[1] - v[1]),
             lambda u: (-u[0], -u[1]),
             lambda k, u: (k * u[0], k * u[1]),
+            lambda u, k: (u[0] // k, u[1] // k),
         )
     return _Group(
         (0,) * n,
@@ -261,6 +263,7 @@ def _codes(n: int) -> _Group:
         lambda u, v: tuple(map(operator.sub, u, v)),
         lambda u: tuple(map(operator.neg, u)),
         lambda k, u: tuple([k * x for x in u]),
+        lambda u, k: tuple([x // k for x in u]),
     )
 
 
@@ -290,11 +293,14 @@ class _Layout:
     its code and down(w, M) the element of a code.  unit is the code of the
     unit of an MV model, and cone is True when every element is >= 0."""
 
-    __slots__ = ("leaves", "shape", "flat", "unit", "cone", "group", "den", "up", "down", "_draws")
+    __slots__ = (
+        "leaves", "shape", "flat", "unit", "cone", "group", "coords", "den", "up", "down", "_draws"
+    )
 
     def __init__(self, leaves: list, shape: Callable, flat: Callable, unit=None, cone=False):
         self.leaves, self.shape, self.flat, self.unit, self.cone = leaves, shape, flat, unit, cone
         self.group = _codes(len(leaves))
+        self.coords = _single if len(leaves) == 1 else _same
         self._draws = [_scalar_draw(group) for group, scaled in leaves if scaled]
         codecs = [_SCALED if scaled else _UNSCALED for _, scaled in leaves]
         if len(codecs) == 1:
@@ -341,10 +347,9 @@ class _Layout:
         g = self.group
         if (self.cone and w < g.zero) or (self.unit is not None and g.scale(n, self.unit) < w):
             return False
-        coords = (w,) if len(self.leaves) == 1 else w
         return all(
             x % _prime_part(group, n * m if scaled else n) == 0
-            for x, (group, scaled) in zip(coords, self.leaves)
+            for x, (group, scaled) in zip(self.coords(w), self.leaves)
         )
 
 
@@ -374,6 +379,10 @@ def _bit(it) -> int:
 
 def _single(e) -> tuple:
     return (e,)
+
+
+def _same(e):
+    return e
 
 
 _BIT = (IntegerGroup(), False)  # the unscaled leaf
@@ -605,7 +614,6 @@ def _pool(a, codes: list, m: int, cap: int) -> list:
     (0, |q| / d) from (i, q) and pairs it with its negation (1, -|q| / d)."""
     layout = _layout(a)
     g, unit = layout.group, layout.unit
-    divide = operator.floordiv if len(layout.leaves) == 1 else lambda w, d: tuple([x // d for x in w])
     scaled = {g.zero}
     for w in codes:
         if unit is not None:
@@ -613,7 +621,7 @@ def _pool(a, codes: list, m: int, cap: int) -> list:
         elif layout.cone:
             w = g.join(w, g.neg(w))
         for d in range(1, cap + 1):
-            v = divide(w, d)
+            v = g.div(w, d)
             scaled.add(v)
             if not layout.cone:
                 scaled.add(g.neg(v))

@@ -30,124 +30,99 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from fractions import Fraction
 
-from .models import ModelError, RationalGroup, _layout, _operations, _prime_part, _single
+from .models import ModelError, RationalGroup, _layout, _operations, _prime_part
 from .terms import Power, Scalar, Var, Zero, fold
 
 __all__ = ["OneZ"]
 
 
-# u + v, u - v and k u on hull tuples.  A pair, the hull of every Gamma
-# model and of lex(A, B) over scalar groups, is unrolled: 0.12 us against
-# 0.5 us through map, about 6% more mv-check queries a second.
-def _add(u: tuple, v: tuple) -> tuple:
-    if len(u) == 2:
-        return (u[0] + v[0], u[1] + v[1])
-    return tuple(map(operator.add, u, v))
-
-
-def _sub(u: tuple, v: tuple) -> tuple:
-    if len(u) == 2:
-        return (u[0] - v[0], u[1] - v[1])
-    return tuple(map(operator.sub, u, v))
-
-
-def _scale(k: int, u: tuple) -> tuple:
-    if len(u) == 2:
-        return (k * u[0], k * u[1])
-    return tuple(k * x for x in u)
-
-
-def _le(p: tuple, r: tuple) -> bool:
-    """p <= r for two starts (n, q)."""
-    if p[1] == r[1]:
-        return p[0] <= r[0]
-    return _scale(r[1], p[0]) <= _scale(p[1], r[0])
-
-
-def _put(out: list, l, a: int, b: tuple) -> None:
+def _put(out: list, l, a: int, b) -> None:
     """Append the piece a z + b from l, or extend the last one if equal."""
     if not out or out[-1][1] != a or out[-1][2] != b:
         out.append((l, a, b))
 
 
-def _sum(out, l, r, p, q):
-    _put(out, l, p[1] + q[1], _add(p[2], q[2]))
+def _steps(g, coords) -> tuple:
+    """(le, sum, difference, larger, smaller) on codes in the integer group
+    g, coords(w) the coordinates of a code w: le(p, r) is p <= r for two
+    starts (n, q), and the others are the _merge steps of f + g, f - g,
+    f \\/ g and f /\\ g on one interval."""
+    add, sub, scale = g.add, g.sub, g.scale
 
+    def le(p, r):
+        if p[1] == r[1]:
+            return p[0] <= r[0]
+        return scale(r[1], p[0]) <= scale(p[1], r[0])
 
-def _difference(out, l, r, p, q):
-    _put(out, l, p[1] - q[1], _sub(p[2], q[2]))
+    def total(out, l, r, p, q):
+        _put(out, l, p[1] + q[1], add(p[2], q[2]))
 
+    def difference(out, l, r, p, q):
+        _put(out, l, p[1] - q[1], sub(p[2], q[2]))
 
-def _lattice(join: bool):
-    """The _merge step of f \\/ g (join) or f /\\ g on one interval."""
+    def lattice(join: bool):
+        def each(out, l, r, p, q):
+            (_, a1, b1), (_, a2, b2) = p, q
+            if a1 == a2:
+                _put(out, l, a1, (b1 if (b1 >= b2) == join else b2))
+                return
+            if a1 > a2:
+                a1, b1, a2, b2 = a2, b2, a1, b1
+            # a1 z + b1 exceeds a2 z + b2 below the crossing z = w / d, not above
+            w, d = sub(b1, b2), a2 - a1
+            k = math.gcd(d, *coords(w))
+            z = (w, d) if k == 1 else (g.div(w, k), d // k)
+            (a1, b1), (a2, b2) = ((a1, b1), (a2, b2)) if join else ((a2, b2), (a1, b1))
+            if l is not None and le(z, l):
+                _put(out, l, a2, b2)
+            elif r is not None and le(r, z):
+                _put(out, l, a1, b1)
+            else:
+                _put(out, l, a1, b1)
+                _put(out, z, a2, b2)
 
-    def each(out, l, r, p, q):
-        (_, a1, b1), (_, a2, b2) = p, q
-        if a1 == a2:
-            _put(out, l, a1, (b1 if (b1 >= b2) == join else b2))
-            return
-        if a1 > a2:
-            a1, b1, a2, b2 = a2, b2, a1, b1
-        # a1 z + b1 exceeds a2 z + b2 below the crossing z = w / d, not above
-        w, d = _sub(b1, b2), a2 - a1
-        g = math.gcd(d, *w)
-        z = (w, d) if g == 1 else (tuple(x // g for x in w), d // g)
-        (a1, b1), (a2, b2) = ((a1, b1), (a2, b2)) if join else ((a2, b2), (a1, b1))
-        if l is not None and _le(z, l):
-            _put(out, l, a2, b2)
-        elif r is not None and _le(r, z):
-            _put(out, l, a1, b1)
-        else:
-            _put(out, l, a1, b1)
-            _put(out, z, a2, b2)
+        return each
 
-    return each
-
-
-_larger, _smaller = _lattice(True), _lattice(False)
-
-
-def _same(c):
-    return c
+    return le, total, difference, lattice(True), lattice(False)
 
 
 class _Hull:
     """The piecewise-linear functions of z1 over the divisible hull of one
     algebra: an l-group pointwise (zero, add, sub, neg, scale, join and
     meet), at which models._operations builds the node operations of the
-    algebra's signature."""
+    algebra's signature.  codes is the integer group of the codes."""
 
     def __init__(self, a):
         layout = _layout(a)
-        self.leaves, self.shape, self.member = layout.leaves, layout.shape, layout.member
-        # flat maps a code to its hull tuple, code a hull tuple to its code
-        single = len(self.leaves) == 1
-        self.flat, self.code = (_single, operator.itemgetter(0)) if single else (_same, _same)
-        self.origin = zero = (0,) * len(self.leaves)
+        self.leaves, self.shape, self.coords = layout.leaves, layout.shape, layout.coords
+        self.member, self.codes = layout.member, layout.group
+        self.le, self._sum, self._difference, self._larger, self._smaller = _steps(
+            layout.group, layout.coords
+        )
+        self.origin = zero = layout.group.zero
         self.lo = (zero, 1) if layout.cone else None
         self.hi = unit = None
         self.zero = [(self.lo, 0, zero)]
         self.identity = [(self.lo, 1, zero)]
         if layout.unit is not None:
-            self.hi = (self.flat(layout.unit), 1)
-            unit = [(self.lo, 0, self.hi[0])]
+            self.hi = (layout.unit, 1)
+            unit = [(self.lo, 0, layout.unit)]
         self.label, self.ops = _operations(a, self, unit)
 
     # -- folding -------------------------------------------------------------
 
     def fold(self, t, xcodes: tuple) -> list:
         """The pieces of t at the x-assignment with these codes."""
-        ops, flat, lo = self.ops, self.flat, self.lo
+        ops, lo = self.ops, self.lo
 
         def node(n, *kids):
             kind = type(n)
             if kind is Var:
                 if n.kind == "z":
                     return self.identity
-                return [(lo, 0, flat(xcodes[n.index - 1]))]
+                return [(lo, 0, xcodes[n.index - 1])]
             if kind is Zero:
                 return self.zero
             op = ops.get(kind)
@@ -163,7 +138,7 @@ class _Hull:
         """each(out, l, r, p, q) over the common refinement of f and g: the
         intervals [l, r] (None at an infinite end) and the pieces p of f and
         q of g there."""
-        out, i, j, last_f, last_g = [], 0, 0, len(f) - 1, len(g) - 1
+        le, out, i, j, last_f, last_g = self.le, [], 0, 0, len(f) - 1, len(g) - 1
         l = f[0][0]
         while i < last_f or j < last_g:
             if j == last_g:
@@ -174,7 +149,7 @@ class _Hull:
                 r, rg = f[i + 1][0], g[j + 1][0]
                 if r == rg:
                     di = dj = 1
-                elif _le(r, rg):
+                elif le(r, rg):
                     di, dj = 1, 0
                 else:
                     r, di, dj = rg, 0, 1
@@ -184,24 +159,26 @@ class _Hull:
         return out
 
     def add(self, f: list, g: list) -> list:
-        return self._merge(f, g, _sum)
+        return self._merge(f, g, self._sum)
 
     def sub(self, f: list, g: list) -> list:
-        return self._merge(f, g, _difference)
+        return self._merge(f, g, self._difference)
 
     def neg(self, f: list) -> list:
-        return [(l, -a, _scale(-1, b)) for l, a, b in f]
+        neg = self.codes.neg
+        return [(l, -a, neg(b)) for l, a, b in f]
 
     def scale(self, k: int, f: list) -> list:
         if k == 0:
             return self.zero
-        return [(l, k * a, _scale(k, b)) for l, a, b in f]
+        scale = self.codes.scale
+        return [(l, k * a, scale(k, b)) for l, a, b in f]
 
     def join(self, f: list, g: list) -> list:
-        return self._merge(f, g, _larger)
+        return self._merge(f, g, self._larger)
 
     def meet(self, f: list, g: list) -> list:
-        return self._merge(f, g, _smaller)
+        return self._merge(f, g, self._smaller)
 
     # -- solving -------------------------------------------------------------
 
@@ -210,7 +187,7 @@ class _Hull:
         values on [l, r] times L (None at an infinite end), L the lcm of the
         denominators of the ends, so that a constant c meets a piece iff
         low <= L c <= high on integers."""
-        hi = self.hi
+        hi, add, scale = self.hi, self.codes.add, self.codes.scale
         rows, dens = [], set()
         for i, (l, a, b) in enumerate(f):
             r = f[i + 1][0] if i + 1 < len(f) else hi
@@ -218,8 +195,8 @@ class _Hull:
                 vl = vr = (b, 1)
             else:
                 # a n / q + b = (a n + q b) / q
-                vl = None if l is None else (_add(_scale(a, l[0]), _scale(l[1], b)), l[1])
-                vr = None if r is None else (_add(_scale(a, r[0]), _scale(r[1], b)), r[1])
+                vl = None if l is None else (add(scale(a, l[0]), scale(l[1], b)), l[1])
+                vr = None if r is None else (add(scale(a, r[0]), scale(r[1], b)), r[1])
                 if a < 0:
                     vl, vr = vr, vl
                 dens.update(v[1] for v in (vl, vr) if v is not None)
@@ -227,33 +204,34 @@ class _Hull:
         big = math.lcm(*dens)
 
         def up(v):
-            return None if v is None else (v[0] if v[1] == big else _scale(big // v[1], v[0]))
+            return None if v is None else (v[0] if v[1] == big else scale(big // v[1], v[0]))
 
         return big, [(up(vl), up(vr), a, b, l, r) for vl, vr, a, b, l, r in rows]
 
     def solve(self, table: tuple, c: tuple, m: int) -> list:
         """The elements z, up to two and ascending, with h(z) = c for the
-        tabled h, c a hull tuple of integers and m the scale of the codes."""
+        tabled h, c a code and m the scale of the codes."""
         big, rows = table
-        cl = c if big == 1 else _scale(big, c)
+        cl = c if big == 1 else self.codes.scale(big, c)
         found = []
         for low, high, a, b, l, r in rows:
             if (low is None or low <= cl) and (high is None or cl <= high):
-                for e in self._root(_sub(c, b), a, m) if a else self._points(l, r, m):
+                for e in self._root(self.codes.sub(c, b), a, m) if a else self._points(l, r, m):
                     if e not in found:
                         found.append(e)
                         if len(found) == 2:
                             return found
         return found
 
-    def _root(self, w: tuple, a: int, m: int) -> tuple:
+    def _root(self, w, a: int, m: int) -> tuple:
         """w / a as an element, if it is one (_Layout.member)."""
         if a < 0:
-            w, a = _scale(-1, w), -a
-        if not self.member(self.code(w), a, m):
+            w, a = self.codes.neg(w), -a
+        if not self.member(w, a, m):
             return ()
         values = (
-            Fraction(x, a * m) if scaled else x // a for x, (_, scaled) in zip(w, self.leaves)
+            Fraction(x, a * m) if scaled else x // a
+            for x, (_, scaled) in zip(self.coords(w), self.leaves)
         )
         return (self.shape(values),)
 
@@ -265,7 +243,8 @@ class _Hull:
                 return None
             n, q = v
             return tuple(
-                Fraction(x, q * m if scaled else q) for x, (_, scaled) in zip(n, self.leaves)
+                Fraction(x, q * m if scaled else q)
+                for x, (_, scaled) in zip(self.coords(n), self.leaves)
             )
 
         return [self.shape(iter(e)) for e in _lex_points(self.leaves, actual(l), actual(r), 2)]
@@ -342,8 +321,8 @@ class OneZ:
             v = side.memo[key] = make()
         return v
 
-    def _value(self, side, xcodes: tuple) -> tuple:
-        return self.hull.flat(self._memo(side, xcodes, lambda: side.fn(xcodes)))
+    def _value(self, side, xcodes: tuple):
+        return self._memo(side, xcodes, lambda: side.fn(xcodes))
 
     def solve(self, xcodes: tuple, m: int) -> list:
         hull = self.hull
