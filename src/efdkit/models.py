@@ -2,8 +2,8 @@
 sampled sentence checking.
 
 Every witness algebra is read off one totally ordered Abelian group G, a
-lex product of the scalar groups Z, Q and Q_S, and an l-group with zero, +,
--, k-fold multiple, \\/ and /\\:
+lex product of the scalar groups Z, Q and Q_S: an l-group with zero, +, -,
+k-fold multiple, \\/ and /\\:
 
 - a group model is G itself: numbers, or (nested) lex pairs of numbers;
 - cone(G) is the positive cone of G, a cancellative hoop with
@@ -281,11 +281,11 @@ _UNSCALED = (lambda e: 1, lambda e, d: e, lambda w, d: w)
 
 
 class _Layout:
-    """The coordinates of the elements of one witness algebra, a lex product
-    of scalar groups or read off one: per flat coordinate a leaf (group,
-    scaled), scaled False only for the bit that leads a Gamma pair and the
-    bit of TwoMV.  flat(e) is the tuple of an element's coordinates, and
-    shape(it) the element, nested pairs, of an iterator over them.
+    """The coordinates of the elements of one witness algebra: a flat tuple
+    with one coordinate per leaf (group, scaled), group the scalar group Z,
+    Q or Q_S it lies in, and scaled False only for the bit that leads a
+    Gamma pair and the bit of TwoMV.  flat(e) is the tuple of an element's
+    coordinates, and shape(it) the element, nested pairs, of an iterator.
 
     A code is an element with every scaled coordinate times a scale M: an
     int for one coordinate, otherwise a flat tuple of ints, in the integer
@@ -330,7 +330,7 @@ class _Layout:
         up to cap (Q), p^j, j <= 2, per p in S (Q_S) or 1 (Z); in a cone the
         larger of v and -v, and in Gamma that one, |v|, as (0, |v|) or
         (1, -|v|) with equal odds; in two a bit."""
-        if not self._draws:
+        if not self._draws:  # two
             return rng.randint(0, 1)
         v = [f(rng, cap, m) for f in self._draws]
         if self.cone:
@@ -821,7 +821,8 @@ def check_sentence_sampled(
     is labelled sampled, and a refutation exact; a candidate search that
     finds no solution is inconclusive.  The structured assignments come
     first, then random ones, up to budget; each distinct assignment is
-    solved once.
+    solved once, as codes at the solver's scale, and only a witness is
+    decoded.
     """
     if species(a) is not phi.signature:
         raise ModelError(

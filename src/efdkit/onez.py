@@ -5,15 +5,17 @@ algebra but two.
 At fixed x, every term is a continuous piecewise-linear function of z1 over
 the divisible hull of the model: Q for a scalar group and its cone, and Q^d
 in the lex order for a lex product and for Gamma(Z lex A, (1, 0)), d the
-number of scalar coordinates.  Python's tuple order is the lex order, so a
-hull element is a flat tuple, in the units of the codes of models._codec:
-every coordinate times the scale M, but the first one of a Gamma pair.
+number of scalar coordinates.  A point of the hull is a code of the
+model's layout (models._layout): an int for one coordinate, otherwise a
+flat tuple of ints, every coordinate times the scale M but the bit of a
+Gamma pair.  Codes add, subtract and scale in the layout's integer group,
+and Python's order on them is the lex order.
 
 A term folds bottom-up into pieces (l, a, b): from the start l to the
 next piece's start (or the domain's end), it is a z + b, with a an integer
-and b a tuple of integers.  A start is None for -oo, or a point n / q of the
-hull kept as (n, q): n a tuple of integers and q >= 1 in lowest terms, so
-the fold runs on integers.  These functions form an l-group pointwise:
+and b a code.  A start is None for -oo, or a point n / q of the hull kept
+as (n, q): n a code and q >= 1 in lowest terms, so the fold runs on
+integers.  These functions form an l-group pointwise:
 +, - and k x merge the starts, and \\/ and /\\ add the crossing
 point -(b1 - b2) / (a1 - a2) where it falls inside an interval.  The node
 operations of each signature come from models._operations over it, as the

@@ -130,7 +130,7 @@ def check_in_two(phi: EFDSentence) -> TwoCheck:
     solver = _Solver(TwoMV(), phi)
     table = {}
     for ebar in _bits(phi.n):
-        solutions, _ = solver.solve({xvar(i): b for i, b in enumerate(ebar, start=1)})
+        solutions, _ = solver.solve_codes(ebar)  # the bits are their own codes
         if len(solutions) != 1:
             return TwoCheck(False, None, ebar)
         table[ebar] = solutions[0]
