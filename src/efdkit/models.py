@@ -347,10 +347,10 @@ class _Layout:
         g = self.group
         if (self.cone and w < g.zero) or (self.unit is not None and g.scale(n, self.unit) < w):
             return False
-        return all(
-            x % _prime_part(group, n * m if scaled else n) == 0
-            for x, (group, scaled) in zip(self.coords(w), self.leaves)
-        )
+        for x, (group, scaled) in zip(self.coords(w), self.leaves):
+            if x % _prime_part(group, n * m if scaled else n):
+                return False
+        return True
 
 
 def _scalar_draw(a) -> Callable:
@@ -610,8 +610,8 @@ def _pool(a, codes: list, m: int, cap: int) -> list:
     """The candidate pool of values with these codes at scale m, a multiple
     of D lcm(1..cap) for their common denominator D: zero and each v / d
     (d <= cap), the code divided by d, with its negative, or in a cone its
-    absolute value, that lie in a; sorted, without repeats.  Gamma draws
-    (0, |q| / d) from (i, q) and pairs it with its negation (1, -|q| / d)."""
+    absolute value, that lie in a; sorted, without repeats.  In Gamma each
+    (i, q) gives (0, |q| / d), paired with its negation (1, -|q| / d)."""
     layout = _layout(a)
     g, unit = layout.group, layout.unit
     scaled = {g.zero}

@@ -103,7 +103,7 @@ class _Hull:
         self.le, self._sum, self._difference, self._larger, self._smaller = _steps(
             layout.group, layout.coords
         )
-        self.origin = zero = layout.group.zero
+        zero = layout.group.zero
         self.lo = (zero, 1) if layout.cone else None
         self.hi = unit = None
         self.zero = [(self.lo, 0, zero)]
@@ -344,4 +344,4 @@ class OneZ:
             if len(self.equations) > 1:
                 d = hull.join(d, hull.neg(d))
             h = d if h is None else hull.add(h, d)
-        return hull.solve(hull.table(h), hull.origin, m)
+        return hull.solve(hull.table(h), hull.codes.zero, m)

@@ -1017,7 +1017,8 @@ class TestOneZExact:
 
         a = parse_model(descriptor)
         hull = onez._Hull(a)
-        den, up = models._layout(a).den, models._layout(a).up
+        layout = models._layout(a)
+        den, up = layout.den, layout.up
         rng = random.Random(f"pieces {descriptor}")
         zs = sample_elements(a, 16, seed=11)
         starts = 0
@@ -1057,8 +1058,8 @@ def _piece_value(a, hull, piece, p, m):
     """The element that the piece a z + b reaches at the hull point
     p = (n, q): (a n + q b) / q, decoded."""
     _, k, b = piece
-    n, q = p
-    return _hull_element(a, hull, (hull.codes.add(hull.codes.scale(k, n), hull.codes.scale(q, b)), q), m)
+    n, q, codes = *p, hull.codes
+    return _hull_element(a, hull, (codes.add(codes.scale(k, n), codes.scale(q, b)), q), m)
 
 
 class TestSolverWork:
