@@ -221,9 +221,8 @@ def check_element(a: WitnessAlgebra, e) -> None:
 
 
 def _zero(a):
-    """The zero of the group model a, as an element."""
-    layout = _layout(a)
-    return layout.down(layout.group.zero, 1)
+    """The zero of the group model a, as an element of int coordinates."""
+    return _layout(a).shape(itertools.repeat(0))
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +565,10 @@ def holds_delta_exact(a, k: int) -> bool:
         raise ValueError("k must be >= 1")
     if isinstance(a, TwoMV):
         raise ModelError(f"no exact delta_k decision for {a!r}")
-    return all(_prime_part(group, k) == 1 for group, scaled in _layout(a).leaves if scaled)
+    for group, scaled in _layout(a).leaves:
+        if scaled and _prime_part(group, k) != 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
