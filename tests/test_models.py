@@ -1285,3 +1285,18 @@ class TestLayout:
         draws = [sample_elements(LocalizedRationals(s), 30, seed=2) for s in built]
         models._layout.cache_clear()
         assert sample_elements(LocalizedRationals(built[1]), 30, seed=2) == draws[0] == draws[1]
+
+    def test_gamma_over_a_lex_product_is_checked_on_flat_codes(self):
+        """Gamma(Z lex (Z lex Q)) has three coordinates, so its codes, hull
+        points and pool are flat triples.  epsilon_2 fails at an x whose Z
+        coordinate is odd, as no element doubles to it; epsilon_1 holds."""
+        a = GammaPerfect(LexProduct(IntegerGroup(), RationalGroup()))
+        refuted = check_sentence_sampled(a, build_epsilon_k(2), budget=50, seed=1)
+        assert (refuted.status, refuted.exact, refuted.detail) == (
+            "falsified", True, "sampled: no z-solution"
+        )
+        (x,) = refuted.witness[0].values()
+        check_element(a, x)
+        assert x[1][0] % 2 == 1
+        held = check_sentence_sampled(a, build_epsilon_k(1), budget=50, seed=1)
+        assert held.status == "consistent-on-sample"
