@@ -24,9 +24,10 @@ once, over any such l-group (_operations), and terms compile to closures
 over codes (_evaluator).  The sampled checker fixes M when it starts, draws
 every x-assignment as codes at M, runs each equation side it compiles on
 them and decodes only a witness.  With one z, outside two, it solves each
-assignment exactly through efdkit.onez, which folds the sides with z into
-piecewise-linear functions of z1 with the same table; with more z it
-searches a candidate pool.
+assignment exactly (_Solver): the same node operations fold the sides
+with z in efdkit.onez, the l-group of piecewise-linear functions of z1,
+and the roots and zero pieces of one table of pieces give every solution.
+With more z it searches a candidate pool.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .terms import (
     Var,
     ZERO,
     Zero,
+    fold,
     xvar,
 )
 
@@ -80,7 +82,6 @@ __all__ = [
     "Verdict",
     "check_sentence_sampled",
     "solutions_for_assignment",
-    "candidate_pool",
     "parse_model",
     "model_name",
     "parse_element",
@@ -487,16 +488,17 @@ def _nonnegative(scale: Callable, message: str) -> Callable:
 
 
 def _compiler(zero, label: str, ops: dict) -> Callable:
-    """compile(t, slots): t as one closure per node over codes, v read at
-    codes[slots[v.kind, v.index]], and the slots read.  ops are the node
-    operations of _operations, and zero the value of Zero.  A node outside
-    ops, a variable without a slot and a negative k raise when evaluation
-    reaches them, left first, as a recursive walk."""
+    """compile(t, slots): t as one closure per node over codes (terms.fold,
+    so a shared node compiles once), v read at codes[slots[v.kind,
+    v.index]], and the slots read.  ops are the node operations of
+    _operations, and zero the value of Zero.  A node outside ops, a
+    variable without a slot and a negative k raise when evaluation reaches
+    them, left first, as a recursive walk."""
 
     def compile_(t: Term, slots: dict) -> tuple:
-        done, reads = {}, set()  # done: id -> closure of a binary node
+        reads = set()
 
-        def node(t):
+        def node(t, *kids):
             kind = type(t)
             f = ops.get(kind)
             if f is None:
@@ -511,16 +513,12 @@ def _compiler(zero, label: str, ops: dict) -> Callable:
                 return functools.partial(_fail, f"{kind.__name__} not evaluable in {label}")
             # the closures bind f and the children as defaults: node() makes no cells
             if kind is Scalar or kind is Power:
-                return lambda codes, f=f, k=t.k, arg=node(t.arg): f(k, arg(codes))
-            if kind is Neg or kind is MVNeg:
-                return lambda codes, f=f, arg=node(t.arg): f(arg(codes))
-            fn = done.get(id(t))  # each binary node object compiles once, as in terms.fold
-            if fn is None:
-                left, right = node(t.left), node(t.right)
-                fn = done[id(t)] = lambda codes, f=f, u=left, v=right: f(u(codes), v(codes))
-            return fn
+                return lambda codes, f=f, k=t.k, arg=kids[0]: f(k, arg(codes))
+            if len(kids) == 1:
+                return lambda codes, f=f, arg=kids[0]: f(arg(codes))
+            return lambda codes, f=f, u=kids[0], v=kids[1]: f(u(codes), v(codes))
 
-        return node(t), reads
+        return fold(t, node), reads
 
     return compile_
 
@@ -595,19 +593,6 @@ class Verdict(Record):
         }
 
 
-def candidate_pool(a, xvals: list, cap: int = 12) -> list:
-    """Structured z-candidates derived from the values of an x-assignment
-    (and of the z-free equation sides there): zero, the values, their small
-    integer divisions, and MV negations where defined.  Sorted, without
-    repeats, and every candidate is an element of a.  It is the decoded
-    view of _pool at m = D lcm(1..cap), D the common denominator of xvals."""
-    if isinstance(a, TwoMV):
-        return list(_BITS)
-    layout = _layout(a)
-    m = math.lcm(*map(layout.den, xvals)) * math.lcm(*range(1, cap + 1))
-    return [layout.down(w, m) for w in _pool(a, [layout.up(v, m) for v in xvals], m, cap)]
-
-
 def _pool(a, codes: list, m: int, cap: int) -> list:
     """The candidate pool of values with these codes at scale m, a multiple
     of D lcm(1..cap) for their common denominator D: zero and each v / d
@@ -673,20 +658,28 @@ def _no_z(codes) -> tuple:
 
 class _Side:
     """One equation side and its memo, keyed by the codes of the x-values
-    of its free variables: per z-key the code of the side's value in a
-    candidate search, and with one z its value (no z) or its pieces.  fn is
-    the compiled side, None for a side that onez folds instead."""
+    of its free variables.  fn maps the codes of an assignment to the code
+    of the side's value; with one z, a side with z maps them to its pieces
+    (onez._Hull.fold), or to their table when _Solver compares it with a
+    constant.  A candidate search keeps per z-key the side's value in the
+    memo, and value keeps fn's value there."""
 
     __slots__ = ("fn", "xkey", "zkey", "hasz", "memo")
 
-    def __init__(self, fn, free: frozenset):
+    def __init__(self, free: frozenset):
         xpos = sorted(v.index - 1 for v in free if v.kind == "x")
         zpos = sorted(v.index - 1 for v in free if v.kind == "z")
-        self.fn = fn
         self.xkey = operator.itemgetter(*xpos) if xpos else _no_z
         self.zkey = operator.itemgetter(*zpos) if zpos else _no_z
         self.hasz = bool(zpos)
         self.memo = {}
+
+    def value(self, xcodes: tuple):
+        key = self.xkey(xcodes)
+        v = self.memo.get(key)
+        if v is None:
+            v = self.memo[key] = self.fn(xcodes)
+        return v
 
 
 class _Solver:
@@ -694,12 +687,17 @@ class _Solver:
     x-assignment after another.  A check builds one and drops it when it
     returns, so the memo of each equation side lives for that check only.
 
-    With one z, outside two, onez.OneZ solves each assignment exactly: an
-    x-free side such as t_k(z1) is folded into pieces once per check, and a
-    z-free side is a constant.  With more, a bounded candidate search runs
-    each side once per distinct tuple of values of its own free variables
-    (x1 once per assignment); the value of a z-free side seeds the pool.
-    Two is searched exhaustively.
+    With one z, outside two, each assignment is solved exactly on the hull
+    of onez, imported when such a solver is built: an x-free side such as
+    t_k(z1) is folded into pieces once per check, and a z-free side is a
+    constant.  One equation with a z-free side compares that constant with
+    the table of the other side's pieces, made once per x-key; otherwise
+    l - r, or with more equations the sum of their |l - r|, is tabled and
+    solved for zero.
+    With more z, a bounded candidate search runs each side once per
+    distinct tuple of values of its own free variables (x1 once per
+    assignment); the value of a z-free side seeds the pool.  Two is
+    searched exhaustively.
 
     Both run on codes at one scale M, fixed here: lcm(1..cap) times every
     denominator _Layout.draw gives with that cap, so every sample and its
@@ -717,17 +715,27 @@ class _Solver:
         self.xvars = tuple(Var(*name) for name in names[: phi.n])
         slots = {name: i for i, name in enumerate(names)}
         compile_, self.layout = _evaluator(a)
-        self.folds = phi.m == 1 and not self.exhaustive  # one z: onez.OneZ solves
+        self.hull = hull = None
+        if phi.m == 1 and not self.exhaustive:
+            from .onez import _hull  # compiled by the first one-z solver, not by import efdkit
+
+            self.hull = hull = _hull(a)
 
         def side(t: Term, free: frozenset) -> _Side:
-            # OneZ folds a side with z, so its closure would never run
-            folded = self.folds and any(v.kind == "z" for v in free)
-            return _Side(None if folded else compile_(t, slots)[0], free)
+            s = _Side(free)
+            s.fn = functools.partial(hull.fold, t) if hull and s.hasz else compile_(t, slots)[0]
+            return s
 
         self.sides = [tuple(map(side, eq, free)) for eq, free in zip(phi.equations, phi.side_vars)]
+        self.single = None
+        if hull is not None and len(self.sides) == 1:
+            lhs, rhs = self.sides[0]
+            if lhs.hasz != rhs.hasz:
+                pieces, const = (lhs, rhs) if lhs.hasz else (rhs, lhs)
+                pieces.fn = lambda xcodes, fold=pieces.fn: hull.table(fold(xcodes))
+                self.single = pieces, const
         self.lcm_cap = math.lcm(*range(1, cap + 1))
         self.scale = self.lcm_cap * self.layout.sample_den(cap)
-        self.onez = None
 
     def solve(self, xassign: dict):
         up, d = self.layout.up, math.lcm(*map(self.layout.den, xassign.values()))
@@ -736,15 +744,21 @@ class _Solver:
 
     def solve_codes(self, xcodes: tuple):
         """solve at the x-assignment with these codes at the scale M."""
-        m = self.scale
-        if self.folds:
-            if self.onez is None:
-                from .onez import OneZ  # compiled at the first one-z solve, not by import efdkit
-
-                self.onez = OneZ(self.a, self.phi.equations, self.sides)
-            return [(z,) for z in self.onez.solve(xcodes, m)], True
-        sols = self._search(xcodes, m)
-        return sols, self.exhaustive or len(sols) == 2
+        m, hull = self.scale, self.hull
+        if hull is None:
+            sols = self._search(xcodes, m)
+            return sols, self.exhaustive or len(sols) == 2
+        if self.single is not None:
+            table, const = self.single
+            return [(z,) for z in hull.solve(table.value(xcodes), const.value(xcodes), m)], True
+        h = None
+        for eq in self.sides:
+            lhs, rhs = (s.value(xcodes) if s.hasz else [(hull.lo, 0, s.value(xcodes))] for s in eq)
+            d = hull.sub(lhs, rhs)
+            if len(self.sides) > 1:
+                d = hull.join(d, hull.neg(d))
+            h = d if h is None else hull.add(h, d)
+        return [(z,) for z in hull.solve(hull.table(h), hull.codes.zero, m)], True
 
     def _search(self, xcodes: tuple, m: int) -> list:
         # per side: (compiled side, z-key, the memo table of this assignment's x-codes)

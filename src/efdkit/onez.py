@@ -1,6 +1,8 @@
-"""Exact one-z solving: every solution, up to two, of the equations of a
-sentence with one z-variable at a fixed x-assignment, in every witness
-algebra but two.
+"""The l-group of piecewise-linear functions of z1 on which models._Solver
+solves the equations of a sentence with one z-variable exactly at a fixed
+x-assignment, in every witness algebra but two: fold, merge, table, roots
+and the points of zero pieces.  models imports it when it builds such a
+solver, so import efdkit does not compile it.
 
 At fixed x, every term is a continuous piecewise-linear function of z1 over
 the divisible hull of the model: Q for a scalar group and its cone, and Q^d
@@ -23,9 +25,10 @@ term compiler's come over integer codes.  The domain is the hull for a
 group, [0, oo) for a cone and [0, u] for Gamma.
 
 The solutions of h(z) = c are the roots (c - b) / a of the pieces that
-reach c and lie in the model, and the model elements of each piece that is
-c throughout: the test points of linear quantifier elimination
-(Ferrante-Rackoff 1975; Loos-Weispfenning 1993), so the answer is complete.
+reach c, when each coordinate lies in its scalar group (the domain bounds
+them already), and the model elements of each piece that is c throughout:
+the test points of linear quantifier elimination (Ferrante-Rackoff 1975;
+Loos-Weispfenning 1993), so the answer is complete.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ from fractions import Fraction
 
 from .models import ModelError, RationalGroup, _layout, _operations, _prime_part
 from .terms import Power, Scalar, Var, Zero, fold
-
-__all__ = ["OneZ"]
 
 
 def _put(out: list, l, a: int, b) -> None:
@@ -99,7 +100,7 @@ class _Hull:
     def __init__(self, a):
         layout = _layout(a)
         self.leaves, self.shape, self.coords = layout.leaves, layout.shape, layout.coords
-        self.member, self.codes = layout.member, layout.group
+        self.codes = layout.group
         self.le, self._sum, self._difference, self._larger, self._smaller = _steps(
             layout.group, layout.coords
         )
@@ -226,16 +227,19 @@ class _Hull:
         return found
 
     def _root(self, w, a: int, m: int) -> tuple:
-        """w / a as an element, if it is one (_Layout.member)."""
+        """w / a as an element, if it is one.  The root lies in the domain,
+        so only a coordinate's scalar group can refuse it: x / (a m) for a
+        scaled one and the bit x / a (iff the part of the divisor prime to S
+        divides x)."""
         if a < 0:
             w, a = self.codes.neg(w), -a
-        if not self.member(w, a, m):
-            return ()
-        values = (
-            Fraction(x, a * m) if scaled else x // a
-            for x, (_, scaled) in zip(self.coords(w), self.leaves)
-        )
-        return (self.shape(values),)
+        values = []
+        for x, (group, scaled) in zip(self.coords(w), self.leaves):
+            n = a * m if scaled else a
+            if x % _prime_part(group, n):
+                return ()
+            values.append(Fraction(x, n) if scaled else x // n)
+        return (self.shape(iter(values)),)
 
     def _points(self, l, r, m: int) -> list:
         """Up to two elements in [l, r], l and r starts or None."""
@@ -296,52 +300,3 @@ def _leaf_points(group, l, r, count: int) -> list:
 @functools.lru_cache(maxsize=64)
 def _hull(a) -> _Hull:
     return _Hull(a)
-
-
-class OneZ:
-    """The one-z solve of one sentence in one algebra, one x-assignment
-    after another.  sides are the compiled equation sides of models._Solver,
-    whose memo maps the codes of a side's own x-values to its value when it
-    has no z, and to its pieces otherwise: so an x-free side such as t_k(z1)
-    is folded once per check, and a z-free one is a constant."""
-
-    def __init__(self, a, equations: tuple, sides: list):
-        self.hull = _hull(a)
-        self.equations = [tuple(zip(eq, eq_sides)) for eq, eq_sides in zip(equations, sides)]
-        # one equation with one z-free side: its value meets the other side's table
-        self.single = None
-        if len(self.equations) == 1:
-            (lt, ls), (rt, rs) = self.equations[0]
-            if ls.hasz != rs.hasz:
-                self.single = ((lt, ls), rs) if ls.hasz else ((rt, rs), ls)
-
-    @staticmethod
-    def _memo(side, xcodes: tuple, make):
-        key = side.xkey(xcodes)
-        v = side.memo.get(key)
-        if v is None:
-            v = side.memo[key] = make()
-        return v
-
-    def _value(self, side, xcodes: tuple):
-        return self._memo(side, xcodes, lambda: side.fn(xcodes))
-
-    def solve(self, xcodes: tuple, m: int) -> list:
-        hull = self.hull
-        if self.single is not None:
-            (t, side), const = self.single
-            table = self._memo(side, xcodes, lambda: hull.table(hull.fold(t, xcodes)))
-            return hull.solve(table, self._value(const, xcodes), m)
-        h = None
-        for eq in self.equations:
-            lhs, rhs = (
-                self._memo(s, xcodes, lambda: hull.fold(t, xcodes))
-                if s.hasz
-                else [(hull.lo, 0, self._value(s, xcodes))]
-                for t, s in eq
-            )
-            d = hull.sub(lhs, rhs)
-            if len(self.equations) > 1:
-                d = hull.join(d, hull.neg(d))
-            h = d if h is None else hull.add(h, d)
-        return hull.solve(hull.table(h), hull.codes.zero, m)

@@ -193,13 +193,12 @@ _UNSEEN = object()
 def fold(t: Term, f: Callable):
     """Bottom-up fold: f(node, *child_values), left child first.
 
-    Every walk over a term goes through here (the term compiler in models
-    excepted); a term's depth is bounded by the parser (MAX_DEPTH).  Terms
-    may share subterms, as p in the hoop image p + (q -. p) of an MV join,
-    so each binary node object is folded once per call: a walk costs about
-    the number of distinct nodes, not the size of the term as a tree.
-    Leaves and unary nodes, cheap and no source of blow-up alone, are
-    folded once per reference."""
+    Every walk over a term goes through here; a term's depth is bounded by
+    the parser (MAX_DEPTH).  Terms may share subterms, as p in the hoop
+    image p + (q -. p) of an MV join, so each binary node object is folded
+    once per call: a walk costs about the number of distinct nodes, not the
+    size of the term as a tree.  Leaves and unary nodes, cheap and no
+    source of blow-up alone, are folded once per reference."""
     return _walk(t, f, {})
 
 

@@ -710,6 +710,40 @@ class TestOneZSolve:
         assert verdict["detail"] == "sampled: two distinct z-solutions"
         assert verdict["witness"] == {"x": {"x1": "1"}, "solutions": [["-2"], ["1/2"]]}
 
+    def test_only_a_one_z_solver_loads_onez(self):
+        """efdkit.onez is imported when a one-z solver outside two is built:
+        checks on two, classify, decompose and each kind of cli-cold query
+        (lattice, axioms, fulldim, classify group, eval) leave it unloaded,
+        and a sampled check on gamma(q) loads it.  One interpreter runs them
+        in this order and reports, after each, its exit code and whether
+        the module is loaded."""
+        argvs = [
+            ["check", "--model", "two", "--sentence", "epsilon 3"],
+            ["check", "--no-shortcut", "--model", "two", "--sentence", "epsilon 3"],
+            ["classify", "--sig", "mv", "--sentence", "epsilon 3"],
+            ["decompose", "--sentence", "epsilon 2"],
+            ["lattice", "--op", "meet", "--left", "divisible:2", "--right", "divisible:3"],
+            ["axioms", "--base", "bal", "--primes", "2"],
+            ["fulldim", "--rows", "1,0;0,1"],
+            ["classify", "--sig", "group", "--sentence", r"delta 6 : 2 x1 \/ -3 x2"],
+            ["eval", "--model", "gamma(q)", "--term", "~x1", "--assign", "x1=(0, 1/2)"],
+            ["check", "--no-shortcut", "--model", "gamma(q)", "--sentence", "epsilon 3",
+             "--budget", "10"],
+        ]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "import efdkit.cli as cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        print(cli.run(argv), 'efdkit.onez' in sys.modules, file=sys.stderr)\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert done.stderr.splitlines() == ["0 False"] * (len(argvs) - 1) + ["0 True"]
+
     def test_two_z_without_a_candidate_is_inconclusive(self, capsys):
         code, payload = invoke_json(
             capsys, "check", "--model", "q", "--sentence",

@@ -21,7 +21,6 @@ from efdkit.models import (
     RationalGroup,
     TwoMV,
     Verdict,
-    candidate_pool,
     check_element,
     check_sentence_sampled,
     eval_term,
@@ -924,12 +923,17 @@ class TestSolverAgainstPlainSearch:
 
     @pytest.mark.parametrize("descriptor", _REFERENCE_MODELS + ["lex(z,qs:2)", "cone(lex(z,q))"])
     def test_candidate_pool_is_the_filtered_pool(self, descriptor):
+        """_pool on the codes of the x-values at m = D lcm(1..cap), D their
+        common denominator, decodes to the plain pool."""
         a = parse_model(descriptor)
+        layout = models._layout(a)
         rng = random.Random(descriptor)
         for trial in range(40):
             xvals = sample_elements(a, rng.randint(1, 3), seed=trial)
             cap = rng.randint(1, 12)
-            assert repr(candidate_pool(a, xvals, cap)) == repr(_plain_pool(a, xvals, cap))
+            m = math.lcm(*map(layout.den, xvals)) * math.lcm(*range(1, cap + 1))
+            pool = models._pool(a, [layout.up(v, m) for v in xvals], m, cap)
+            assert repr([layout.down(w, m) for w in pool]) == repr(_plain_pool(a, xvals, cap))
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("descriptor", _RANDOM_MODELS)
@@ -1064,18 +1068,26 @@ def _piece_value(a, hull, piece, p, m):
 
 class TestSolverWork:
     """Deterministic work counts of one sampled check: folds of equation
-    sides, calls of compiled ones, pool builds and sample draws.  With one z
-    an x-free side such as t_k(z1) is folded once per check and each
-    assignment runs only its z-free side; the candidate search made 67 pool
-    builds and 625 evaluations on the first case, the search before it 100
-    and 4,864.  Each x-value is drawn by one _Layout.draw, as its code."""
+    sides, calls of compiled ones, pool builds, sample draws and membership
+    tests.  With one z an x-free side such as t_k(z1) is folded once per
+    check and each assignment runs only its z-free side; the candidate
+    search made 67 pool builds and 625 evaluations on the first case, the
+    search before it 100 and 4,864.  Each x-value is drawn by one
+    _Layout.draw, as its code.  A root of the fold lies in the model's
+    domain already, so no _Layout.member test runs (127 and 174 when each
+    root was tested)."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         import efdkit.onez as onez
 
         counts = Counter()
-        for owner, name in ((models, "_pool"), (models._Layout, "draw"), (onez._Hull, "fold")):
+        for owner, name in (
+            (models, "_pool"),
+            (models._Layout, "draw"),
+            (models._Layout, "member"),
+            (onez._Hull, "fold"),
+        ):
             original = getattr(owner, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
@@ -1116,6 +1128,7 @@ class TestSolverWork:
         assert verdict.status == "consistent-on-sample"
         assert counts["fold"] == 1
         assert counts["_pool"] == 0
+        assert counts["member"] == 0
         # x1, the z-free side, once per distinct assignment
         assert counts["walk"] == 67
         # the scale is fixed before the first solve: lcm(1..12) twice
@@ -1134,6 +1147,7 @@ class TestSolverWork:
         assert set(counts["scales"]) == {27720 * 36}
         assert counts["fold"] == 1
         assert counts["_pool"] == 0
+        assert counts["member"] == 0
         assert counts["walk"] == 58
         assert counts["draw"] == 96
 
