@@ -40,6 +40,7 @@ import random
 from collections.abc import Callable
 from fractions import Fraction
 
+from .errors import BudgetExceeded
 from .lattice import is_prime
 from .record import Record, _set
 from .terms import (
@@ -648,37 +649,30 @@ def solutions_for_assignment(a, phi: EFDSentence, xassign: dict):
     return _Solver(a, phi).solve(xassign)
 
 
-_MISSING = object()
-
-
-def _no_z(codes) -> tuple:
-    """The key of a side without z-variables."""
-    return ()
+_SEARCH_BOUND = 1 << 21  # z-candidates per check; check_in_two tests fewer than 2^(n+m+1)
 
 
 class _Side:
-    """One equation side and its memo, keyed by the codes of the x-values
-    of its free variables.  fn maps the codes of an assignment to the code
-    of the side's value; with one z, a side with z maps them to its pieces
+    """One equation side and its memo, keyed by the codes of its own free
+    variables: its x-codes on the hull, its x-codes then z-codes in a
+    candidate search.  fn maps the codes of an assignment to the code of
+    the side's value; with one z, a side with z maps them to its pieces
     (onez._Hull.fold), or to their table when _Solver compares it with a
-    constant.  A candidate search keeps per z-key the side's value in the
-    memo, and value keeps fn's value there."""
+    constant.  zmax is the highest index of its z-variables, 0 for none."""
 
-    __slots__ = ("fn", "xkey", "zkey", "hasz", "memo")
+    __slots__ = ("fn", "key", "zmax", "memo")
 
-    def __init__(self, free: frozenset):
-        xpos = sorted(v.index - 1 for v in free if v.kind == "x")
-        zpos = sorted(v.index - 1 for v in free if v.kind == "z")
-        self.xkey = operator.itemgetter(*xpos) if xpos else _no_z
-        self.zkey = operator.itemgetter(*zpos) if zpos else _no_z
-        self.hasz = bool(zpos)
+    def __init__(self, free: frozenset, n: int, hull: bool):
+        self.zmax = max((v.index for v in free if v.kind == "z"), default=0)
+        pos = sorted(v.index - 1 + (v.kind == "z") * n for v in free if v.kind == "x" or not hull)
+        self.key = operator.itemgetter(*pos) if pos else lambda codes: ()
         self.memo = {}
 
-    def value(self, xcodes: tuple):
-        key = self.xkey(xcodes)
+    def value(self, codes: tuple):
+        key = self.key(codes)
         v = self.memo.get(key)
         if v is None:
-            v = self.memo[key] = self.fn(xcodes)
+            v = self.memo[key] = self.fn(codes)
         return v
 
 
@@ -694,10 +688,10 @@ class _Solver:
     the table of the other side's pieces, made once per x-key; otherwise
     l - r, or with more equations the sum of their |l - r|, is tabled and
     solved for zero.
-    With more z, a bounded candidate search runs each side once per
-    distinct tuple of values of its own free variables (x1 once per
-    assignment); the value of a z-free side seeds the pool.  Two is
-    searched exhaustively.
+    With more z, a candidate search sets z1, z2, ... in turn over a pool
+    seeded by the value of each z-free side, tests each equation once its
+    highest z is set and stops at two solutions, within _SEARCH_BOUND
+    candidates a check.  Two is searched exhaustively.
 
     Both run on codes at one scale M, fixed here: lcm(1..cap) times every
     denominator _Layout.draw gives with that cap, so every sample and its
@@ -722,16 +716,22 @@ class _Solver:
             self.hull = hull = _hull(a)
 
         def side(t: Term, free: frozenset) -> _Side:
-            s = _Side(free)
-            s.fn = functools.partial(hull.fold, t) if hull and s.hasz else compile_(t, slots)[0]
+            s = _Side(free, phi.n, hull is not None)
+            s.fn = functools.partial(hull.fold, t) if hull and s.zmax else compile_(t, slots)[0]
             return s
 
         self.sides = [tuple(map(side, eq, free)) for eq, free in zip(phi.equations, phi.side_vars)]
+        self.levels = [[] for _ in range(phi.m + 1)]  # the search's equations by their highest z
+        for eq, free in zip(self.sides, phi.side_vars):
+            j = max(s.zmax for s in eq)  # a side reading each x and z1 .. z_j never hits a memo
+            self.levels[j].append(tuple(s.fn if j and len(vs) == phi.n + j else s.value
+                                        for s, vs in zip(eq, free)))
+        self.tests = 0  # the z-candidates tested so far, at most _SEARCH_BOUND
         self.single = None
         if hull is not None and len(self.sides) == 1:
             lhs, rhs = self.sides[0]
-            if lhs.hasz != rhs.hasz:
-                pieces, const = (lhs, rhs) if lhs.hasz else (rhs, lhs)
+            if bool(lhs.zmax) != bool(rhs.zmax):
+                pieces, const = (lhs, rhs) if lhs.zmax else (rhs, lhs)
                 pieces.fn = lambda xcodes, fold=pieces.fn: hull.table(fold(xcodes))
                 self.single = pieces, const
         self.lcm_cap = math.lcm(*range(1, cap + 1))
@@ -753,7 +753,7 @@ class _Solver:
             return [(z,) for z in hull.solve(table.value(xcodes), const.value(xcodes), m)], True
         h = None
         for eq in self.sides:
-            lhs, rhs = (s.value(xcodes) if s.hasz else [(hull.lo, 0, s.value(xcodes))] for s in eq)
+            lhs, rhs = (s.value(xcodes) if s.zmax else [(hull.lo, 0, s.value(xcodes))] for s in eq)
             d = hull.sub(lhs, rhs)
             if len(self.sides) > 1:
                 d = hull.join(d, hull.neg(d))
@@ -761,38 +761,43 @@ class _Solver:
         return [(z,) for z in hull.solve(hull.table(h), hull.codes.zero, m)], True
 
     def _search(self, xcodes: tuple, m: int) -> list:
-        # per side: (compiled side, z-key, the memo table of this assignment's x-codes)
-        tables = [
-            tuple((s.fn, s.zkey, s.memo.setdefault(s.xkey(xcodes), {})) for s in eq)
-            for eq in self.sides
-        ]
-
-        def value(side, zs):
-            fn, zkey, table = side
-            key = zkey(zs)
-            v = table.get(key, _MISSING)
-            if v is _MISSING:
-                v = table[key] = fn(xcodes + zs)
-            return v
-
         if self.exhaustive:
             pool = _BITS
         else:
             # the value of a z-free side joins the x-values, so that the pool
             # holds the solution of z = t(x) and its small divisions
             seeds = list(xcodes)
-            for side in itertools.chain.from_iterable(tables):
-                if side[1] is _no_z:
-                    seeds.append(value(side, ()))
+            seeds.extend(s.value(xcodes) for eq in self.sides for s in eq if not s.zmax)
             pool = _pool(self.a, seeds, m, self.cap)
         sols = []
-        for zs in itertools.product(pool, repeat=self.phi.m):
-            if all(value(lhs, zs) == value(rhs, zs) for lhs, rhs in tables):
-                sols.append(zs)
-                if len(sols) == 2:
+        for lhs, rhs in self.levels[0]:
+            if lhs(xcodes) != rhs(xcodes):
+                break
+        else:
+            self._extend(xcodes, 1, pool, sols)
+        down, n = self.layout.down, self.phi.n
+        return [tuple(down(z, m) for z in codes[n:]) for codes in sols]
+
+    def _extend(self, codes: tuple, j: int, pool, sols: list) -> bool:
+        """Set z_j after codes (x-codes, then z_1 .. z_{j-1}) to each value of
+        the pool, in the order of itertools.product, and go on where the
+        equations whose highest z is z_j hold.  True once sols holds two."""
+        if j > self.phi.m:
+            sols.append(codes)
+            return len(sols) == 2
+        tests = self.levels[j]
+        self.tests += len(pool) if tests else 0
+        if self.tests > _SEARCH_BOUND:
+            raise BudgetExceeded(f"the candidate search tests more than {_SEARCH_BOUND} z-values")
+        for z in pool:
+            zs = codes + (z,)
+            for lhs, rhs in tests:
+                if lhs(zs) != rhs(zs):
                     break
-        down = self.layout.down
-        return [tuple(down(z, m) for z in zs) for zs in sols]
+            else:
+                if self._extend(zs, j + 1, pool, sols):
+                    return True
+        return False
 
 
 def _structured_x(a, n: int) -> list[dict]:

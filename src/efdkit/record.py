@@ -16,7 +16,8 @@ _set = object.__setattr__  # sets a field of a frozen record
 class Record:
     """A frozen record whose fields are the names annotated in its class
     body, after those of its Record bases.  Records of one class with equal
-    fields are equal; a record hashes as the tuple of its fields.  The
+    fields are equal; a record hashes as its class with the tuple of its
+    fields, so that records of two classes with equal fields hash apart.  The
     generic __init__ takes fields by position or keyword, a missing one
     from the class attribute of that name, then runs __post_init__.  A
     class built on every query declares __slots__ and its own __init__."""
@@ -60,7 +61,7 @@ class Record:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values(self))
+        return hash((self.__class__, self._values(self)))
 
     def __repr__(self):
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)

@@ -50,7 +50,6 @@ __all__ = [
     "check_in_two",
     "phi_rad_decompose",
     "mv_to_hoop",
-    "simplify_hoop_term",
     "hoop_delta_star",
     "sentence_deltas",
     "classify_mv_sentences",
@@ -220,19 +219,45 @@ def phi_rad_decompose(phi: EFDSentence) -> list[RadBasicSentence]:
 # neg h); both cases carry a hoop term h over the same variables.  The case
 # rules are the Gamma arithmetic of perfect algebras read symbolically, so
 # the translated term agrees with the original on all radical assignments.
+# Each hoop node is built by _plus or _diff, which apply identities of
+# cancellative hoops to children built the same way, so the image comes out
+# simplified from the one fold.
 
 _RAD = "rad"
 _CO = "co"
 
 
+def _plus(a: Term, b: Term) -> Term:
+    # 0 is the unit of +
+    if a == ZERO:
+        return b
+    if b == ZERO:
+        return a
+    return Plus(a, b)
+
+
+def _diff(a: Term, b: Term) -> Term:
+    # x -. 0 = x, 0 -. y = x -. x = 0, (x + y) -. y = x and (x + y) -. x = y
+    if b == ZERO:
+        return a
+    if a == ZERO or a == b:
+        return ZERO
+    if isinstance(a, Plus):
+        if a.left == b:
+            return a.right
+        if a.right == b:
+            return a.left
+    return Diff(a, b)
+
+
 def _hjoin(p: Term, q: Term) -> Term:
     # x \/ y = x + (y -. x) in hoops
-    return Plus(p, Diff(q, p))
+    return _plus(p, _diff(q, p))
 
 
 def _hmeet(p: Term, q: Term) -> Term:
     # x /\ y = x -. (x -. y) in hoops
-    return Diff(p, Diff(p, q))
+    return _diff(p, _diff(p, q))
 
 
 def _v_neg(v):
@@ -243,24 +268,24 @@ def _v_neg(v):
 def _v_plus(va, vb):
     (ta, a), (tb, b) = va, vb
     if ta == _RAD and tb == _RAD:
-        return (_RAD, Plus(a, b))
+        return (_RAD, _plus(a, b))
     if ta == _CO and tb == _CO:
         return (_CO, ZERO)  # co-radical sums saturate at the unit
     if ta == _RAD:
-        return (_CO, Diff(b, a))  # a + neg b = neg(b -. a)
-    return (_CO, Diff(a, b))
+        return (_CO, _diff(b, a))  # a + neg b = neg(b -. a)
+    return (_CO, _diff(a, b))
 
 
 def _v_diff(va, vb):
     # a -. b computed as a * neg b
     (ta, a), (tb, b) = va, vb
     if ta == _RAD and tb == _RAD:
-        return (_RAD, Diff(a, b))
+        return (_RAD, _diff(a, b))
     if ta == _RAD and tb == _CO:
         return (_RAD, ZERO)  # radical * radical vanishes
     if ta == _CO and tb == _RAD:
-        return (_CO, Plus(a, b))
-    return (_RAD, Diff(b, a))  # neg a -. neg b = b -. a
+        return (_CO, _plus(a, b))
+    return (_RAD, _diff(b, a))  # neg a -. neg b = b -. a
 
 
 def _v_join(va, vb):
@@ -284,7 +309,7 @@ def _v_scalar(k: int, v):
         return (_RAD, ZERO)
     tag, h = v
     if tag == _RAD:
-        return (_RAD, scalar(k, h))
+        return (_RAD, ZERO if h == ZERO else scalar(k, h))
     return (_CO, h) if k == 1 else (_CO, ZERO)
 
 
@@ -307,45 +332,10 @@ def _polarity(node, *kids):
     raise FragmentError(f"{type(node).__name__} is not an MV operation")
 
 
-def _simplify(node, *kids):
-    if isinstance(node, (Var, Zero)):
-        return node
-    if isinstance(node, Plus):
-        a, b = kids
-        if a == ZERO:
-            return b
-        if b == ZERO:
-            return a
-        return Plus(a, b)
-    if isinstance(node, Diff):
-        a, b = kids
-        if b == ZERO:
-            return a
-        if a == ZERO or a == b:
-            return ZERO
-        if isinstance(a, Plus):
-            if a.left == b:
-                return a.right
-            if a.right == b:
-                return a.left
-        return Diff(a, b)
-    if isinstance(node, Scalar):
-        (a,) = kids
-        if node.k == 0 or a == ZERO:
-            return ZERO
-        return scalar(node.k, a)
-    raise FragmentError(f"{type(node).__name__} is not a hoop operation")
-
-
-def simplify_hoop_term(t: Term) -> Term:
-    """Normalize with identities of cancellative hoops: unit laws for 0,
-    x -. x = 0, (x + y) -. y = x."""
-    return fold(t, _simplify)
-
-
 def mv_to_hoop(phi: EFDSentence) -> EFDSentence:
     """phi^H: each equation translated so that, on radical assignments,
-    hoop satisfaction in rad A coincides with MV satisfaction in A."""
+    hoop satisfaction in rad A coincides with MV satisfaction in A.  Each
+    side is folded once, into its simplified hoop image."""
     equations = []
     for lhs, rhs in phi.equations:
         (tl, hl) = fold(lhs, _polarity)
@@ -355,7 +345,7 @@ def mv_to_hoop(phi: EFDSentence) -> EFDSentence:
                 "equation forces a radical value against a co-radical one: "
                 f"{print_term(lhs)} = {print_term(rhs)}"
             )
-        equations.append((simplify_hoop_term(hl), simplify_hoop_term(hr)))
+        equations.append((hl, hr))
     return EFDSentence(Signature.HOOP, phi.n, phi.m, tuple(equations))
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import efdkit.cli as cli
+from efdkit import models
 from efdkit.cli import run
 from efdkit.gen import random_rational_point, random_term
 from efdkit.models import (
@@ -535,6 +536,22 @@ class TestBoundedWork:
             capsys, "check", "--model", "gamma(q)", "--budget", "3", "--sentence", _meet_chain(2)
         )
         assert (code, payload["verdict"]["detail"]) == (0, "classification: delta_1")
+
+    def test_candidate_search_past_the_bound_is_3(self, capsys, monkeypatch):
+        """z1 /\\ ... /\\ z12 = ~0 on two reads every z in one equation, so
+        the search tests z12 at each of the 2^11 settings of z1 .. z11: 4,096
+        candidates, the last of them the one solution."""
+        meet = r" /\ ".join(f"z{j}" for j in range(1, 13))
+        argv = ["check", "--no-shortcut", "--model", "two", "--sentence",
+                f"exists! {' '.join(f'z{j}' for j in range(1, 13))} : {meet} = ~0"]
+        monkeypatch.setattr(models, "_SEARCH_BOUND", 4096)
+        code, payload = invoke_json(capsys, *argv)
+        assert (code, payload["verdict"]["status"]) == (0, "consistent-on-sample")
+        monkeypatch.setattr(models, "_SEARCH_BOUND", 4095)
+        code = run(argv)
+        assert (code, capsys.readouterr().err) == (
+            3, "error: the candidate search tests more than 4095 z-values\n"
+        )
 
     def test_factoring_past_the_trial_bound_is_3(self, capsys):
         # two prime factors near 1.3 * 10^12, both above the trial bound

@@ -963,6 +963,37 @@ class TestSolverAgainstPlainSearch:
                     assert repr(solutions_for_assignment(a, phi, env)) == repr(expected), (phi, env)
 
 
+class TestSeveralZ:
+    def test_each_equation_is_tested_once_its_last_z_is_set(self, monkeypatch):
+        """z1, z2, z3 are set in turn, and z_j = x1 is tested at each value of
+        z_j, once per setting of z1 .. z_{j-1} that passed: 3 tests per pool
+        value at each assignment, not one per triple of pool values."""
+        tests, sizes = [], []
+
+        class Code(int):  # a pool code that notes each comparison with an x-code
+            __hash__ = int.__hash__
+
+            def __eq__(self, other):
+                if type(other) is int:
+                    tests.append(other)
+                return int.__eq__(self, other)
+
+            def __ne__(self, other):
+                return not self == other
+
+        def noted_pool(*args, _pool=models._pool):
+            pool = _pool(*args)
+            sizes.append(len(pool))
+            return [Code(w) for w in pool]
+
+        monkeypatch.setattr(models, "_pool", noted_pool)
+        text = "forall x1 exists! z1 z2 z3 : z1 = x1 & z2 = x1 & z3 = x1"
+        verdict = check_sentence_sampled(RationalGroup(), parse_sentence(text, Signature.GROUP), budget=5)
+        assert verdict.detail == "sampled: 4 distinct x-assignments"
+        assert len(sizes) == 4 and max(sizes) > 20
+        assert len(tests) == 3 * sum(sizes)
+
+
 # scalar groups, cones and Gamma models, and lex models whose zero pieces are
 # counted coordinate by coordinate
 _ONE_Z_MODELS = [

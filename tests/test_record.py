@@ -39,17 +39,23 @@ def test_equality_needs_the_same_class():
     assert GammaPerfect(q) != GammaPerfect(z)
 
 
-def test_hash_is_the_hash_of_the_fields():
+def test_equal_records_hash_alike_and_families_apart():
     a, b = xvar(1), xvar(2)
-    assert hash(Var("x", 1)) == hash(("x", 1))
-    assert hash(Plus(a, b)) == hash((a, b))
-    assert hash(Neg(a)) == hash((a,))
-    assert hash(ZERO) == hash(())
-    assert hash(RationalGroup()) == hash(IntegerGroup()) == hash(TwoMV()) == hash(())
+    assert hash(Plus(a, b)) == hash(Plus(Var("x", 1), Var("x", 2)))
+    assert hash(Var("x", 1)) == hash(xvar(1))
     z, q, primes = IntegerGroup(), RationalGroup(), frozenset({2, 3})
-    assert hash(LocalizedRationals(primes)) == hash((primes,))
-    assert hash(LexProduct(z, q)) == hash((z, q))
-    assert hash(PositiveCone(q)) == hash(GammaPerfect(q)) == hash((q,))
+    assert hash(LocalizedRationals(primes)) == hash(LocalizedRationals(frozenset({3, 2})))
+    assert hash(LexProduct(z, q)) == hash(LexProduct(IntegerGroup(), RationalGroup()))
+    assert hash(GammaPerfect(q)) == hash(GammaPerfect(RationalGroup()))
+    # records of one family: equal fields, or none, in different classes
+    families = [
+        [Plus(a, b), Join(a, b)],
+        [z, q, TwoMV(), ZERO],
+        [LexProduct(z, z), LexProduct(z, q), LexProduct(q, z), LexProduct(q, q)],
+        [PositiveCone(q), PositiveCone(z), GammaPerfect(q), GammaPerfect(z)],
+    ]
+    for family in families:
+        assert len(set(map(hash, family))) == len(family), family
 
 
 def test_witness_algebras_have_slots_and_their_own_init():

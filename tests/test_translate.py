@@ -19,6 +19,7 @@ from efdkit.models import (
 from efdkit.terms import (
     Diff,
     Plus,
+    ZERO,
     Scalar,
     Signature,
     boolean_marker,
@@ -36,7 +37,6 @@ from efdkit.translate import (
     classify_mv_sentences,
     mv_to_hoop,
     phi_rad_decompose,
-    simplify_hoop_term,
     star_sentence,
     star_term,
 )
@@ -148,31 +148,66 @@ class TestHoopTranslation:
         assert d.k == 3 and d.t == xvar(1)
 
     def test_simplify_units(self):
-        t = parse_term("(x1 + 0) -. x1", Signature.HOOP)
-        assert simplify_hoop_term(t) == parse_term("0", Signature.HOOP)
+        # 0 is the unit of +, x -. x = 0 and (x + y) -. x = y as the image is built
+        text = "forall x1 exists! z1 : z1 + ((x1 + 0) -. x1) = (x1 + z1) -. x1"
+        hoop = mv_to_hoop(parse_sentence(text, Signature.MV))
+        assert hoop.equations == ((zvar(1), zvar(1)),)
 
     def test_join_chain_is_simplified_once_per_node(self, monkeypatch):
         """p \\/ q = p + (q -. p) shares p, so the image of 40 joins is a tree
-        of about 2^40 nodes.  Each of its 80 binary node objects (two per
-        join) is simplified once, and each leaf once per binary node that
-        names it: the 40 right operands once, the first x1 twice (it is p in
-        both nodes of the first join), and z1 once: 123 calls."""
+        of about 2^40 nodes unless it collapses, as x1 \\/ x1 = x1 does.
+        Each join builds its two nodes once, through _diff and then _plus:
+        80 constructor calls for x1 \\/ x1 \\/ ... \\/ x1 and for
+        x1 \\/ 2 x1 \\/ ... \\/ 41 x1 alike."""
         calls = []
 
-        def counted(*args, _simplify=translate._simplify):
-            calls.append(args[0])
-            if len(calls) > 1000:  # a tree walk would take about 2^40 calls
-                raise AssertionError("shared subterms simplified again")
-            return _simplify(*args)
+        def counted(name):
+            original = getattr(translate, name)
 
-        monkeypatch.setattr(translate, "_simplify", counted)
-        text = "forall x1 exists! z1 : z1 = " + r" \/ ".join(["x1"] * 41)
-        hoop = mv_to_hoop(parse_sentence(text, Signature.MV))
-        assert hoop.equations == ((zvar(1), xvar(1)),)
-        assert len(calls) == 123
+            def constructor(a, b):
+                calls.append(name)
+                if len(calls) > 1000:  # a tree walk would take about 2^40 calls
+                    raise AssertionError("shared subterms built again")
+                return original(a, b)
+
+            monkeypatch.setattr(translate, name, constructor)
+
+        counted("_plus")
+        counted("_diff")
+
+        def image(operands):  # the hoop image of z1 = x1 \/ operand \/ ...
+            calls.clear()
+            chain = r" \/ ".join(["x1"] + operands)
+            hoop = mv_to_hoop(parse_sentence(f"forall x1 exists! z1 : z1 = {chain}", Signature.MV))
+            assert calls == ["_diff", "_plus"] * 40
+            return hoop.equations
+
+        assert image(["x1"] * 40) == ((zvar(1), xvar(1)),)
+        assert image([f"{i} x1" for i in range(2, 42)]) != ((zvar(1), xvar(1)),)
 
     def test_shared_simplification_is_the_tree_fold(self):
-        def tree_fold(t, f):  # every node once per reference, shared or not
+        """The image is simplified as it is built: a reference simplifier,
+        folded over it as a tree (every node once per reference), leaves it
+        unchanged."""
+
+        def simplify(node, *kids):
+            if isinstance(node, Plus):
+                a, b = kids
+                return b if a == ZERO else a if b == ZERO else Plus(a, b)
+            if isinstance(node, Diff):
+                a, b = kids
+                if b == ZERO:
+                    return a
+                if a == ZERO or a == b:
+                    return ZERO
+                if isinstance(a, Plus) and b in (a.left, a.right):
+                    return a.right if a.left == b else a.left
+                return Diff(a, b)
+            if isinstance(node, Scalar):
+                return ZERO if kids[0] == ZERO else Scalar(node.k, kids[0])
+            return node
+
+        def tree_fold(t, f):
             if isinstance(t, (Plus, Diff)):
                 return f(t, tree_fold(t.left, f), tree_fold(t.right, f))
             if isinstance(t, Scalar):
@@ -183,7 +218,7 @@ class TestHoopTranslation:
         for _ in range(300):
             t = random_term(rng, Signature.MV, 2, rng.randint(1, 5))
             _, h = fold(t, translate._polarity)
-            assert simplify_hoop_term(h) == tree_fold(h, translate._simplify), t
+            assert tree_fold(h, simplify) == h, t
 
     def test_polarity_mismatch_rejected(self):
         # ~z = z equates a co-radical with a radical value
