@@ -843,7 +843,7 @@ def check_sentence_sampled(
     finds no solution is inconclusive.  The structured assignments come
     first, then random ones, up to budget; each distinct assignment is
     solved once, as codes at the solver's scale, and only a witness is
-    decoded.
+    decoded.  Past _SEARCH_BOUND it passes on the assignments solved before.
     """
     if species(a) is not phi.signature:
         raise ModelError(
@@ -855,7 +855,13 @@ def check_sentence_sampled(
     structured = [tuple([layout.up(env[v], m) for v in xvars]) for env in _structured_x(a, phi.n)]
     assignments = itertools.chain(structured, _sampled_x(layout, phi.n, seed, m))
     for count, xcodes in enumerate(_distinct(itertools.islice(assignments, max(budget, 1))), 1):
-        sols, exact = solver.solve_codes(xcodes)
+        try:
+            sols, exact = solver.solve_codes(xcodes)
+        except BudgetExceeded:
+            if count == 1:
+                raise
+            detail = f"sampled: {count - 1} distinct x-assignments (search bound {_SEARCH_BOUND} reached)"
+            return Verdict("consistent-on-sample", False, None, detail)
         if len(sols) != 1:
             env = {v: layout.down(w, m) for v, w in zip(xvars, xcodes)}
             if not exact:

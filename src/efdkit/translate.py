@@ -5,6 +5,8 @@ classification pipeline built from them.
 
 from __future__ import annotations
 
+import functools
+
 from .canonical import (
     ABSURD,
     DeltaKT,
@@ -166,13 +168,6 @@ def _dist(a: Term, b: Term) -> Term:
     return Plus(Diff(a, b), Diff(b, a))
 
 
-def _fold_plus(terms: list[Term]) -> Term:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = Plus(acc, t)
-    return acc
-
-
 def phi_rad_decompose(phi: EFDSentence) -> list[RadBasicSentence]:
     """The 2^n sentences phi_e, each encoding
 
@@ -193,7 +188,7 @@ def phi_rad_decompose(phi: EFDSentence) -> list[RadBasicSentence]:
         left_terms = [Power(2, xvar(i)) for i in range(1, phi.n + 1)]
         for lhs, rhs in phi.equations:
             left_terms.append(_dist(_subst_signs(lhs, esub), _subst_signs(rhs, esub)))
-        u = _fold_plus(left_terms)
+        u = functools.reduce(Plus, left_terms)
         if phi.n == 0:
             equation = (u, ZERO)
         else:
@@ -203,7 +198,7 @@ def phi_rad_decompose(phi: EFDSentence) -> list[RadBasicSentence]:
                 neg_meet = Meet(neg_meet, MVNeg(xvar(i)))
             right_terms: list[Term] = [Power(2, neg_meet)]
             right_terms.extend(zvar(j) for j in range(1, phi.m + 1))
-            v = _fold_plus(right_terms)
+            v = functools.reduce(Plus, right_terms)
             equation = (Meet(u, v), ZERO)
         sentence = EFDSentence(Signature.MV, phi.n, phi.m, (equation,))
         out.append(RadBasicSentence(sentence, ebar))

@@ -553,6 +553,20 @@ class TestBoundedWork:
             3, "error: the candidate search tests more than 4095 z-values\n"
         )
 
+    @pytest.mark.parametrize("sentence, detail", [
+        ("forall x1 exists! z1 z2 : z1 + z2 = x1 & z1 = z2", "sampled: 155 distinct x-assignments"),
+        ("forall x1 x2 exists! z1 z2 : z1 + z2 = x1 + x2 & z1 + -z2 = x1 + -x2",
+         "sampled: 281 distinct x-assignments (search bound 2097152 reached)"),
+    ])
+    def test_coupled_two_z_at_the_default_budget(self, capsys, sentence, detail):
+        """Both equations read z2, so the search tests every pair of
+        candidates.  The second system, whose pools of up to about a hundred
+        values make about 7,500 tests an assignment on average, reaches the
+        bound after 281 of its 486 distinct assignments and passes on those."""
+        code, payload = invoke_json(capsys, "check", "--model", "q", "--sentence", sentence)
+        verdict = payload["verdict"]
+        assert (code, verdict["status"], verdict["detail"]) == (0, "consistent-on-sample", detail)
+
     def test_factoring_past_the_trial_bound_is_3(self, capsys):
         # two prime factors near 1.3 * 10^12, both above the trial bound
         code = run(["classify", "--sig", "group", "--sentence", "delta 3317044064679887385961981"])

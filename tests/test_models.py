@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import efdkit.models as models
+from efdkit.errors import BudgetExceeded
 from efdkit.gen import random_term
 from efdkit.models import (
     GammaPerfect,
@@ -992,6 +993,27 @@ class TestSeveralZ:
         assert verdict.detail == "sampled: 4 distinct x-assignments"
         assert len(sizes) == 4 and max(sizes) > 20
         assert len(tests) == 3 * sum(sizes)
+
+    def test_the_bound_ends_the_sample_after_the_solved_assignments(self, monkeypatch):
+        """Past _SEARCH_BOUND the check passes on the assignments whose
+        searches finished, and raises where the first one does not finish."""
+        solved = []
+
+        def noted_solve(self, xcodes, _solve=models._Solver.solve_codes):
+            result = _solve(self, xcodes)
+            solved.append(self.tests)
+            return result
+
+        monkeypatch.setattr(models._Solver, "solve_codes", noted_solve)
+        monkeypatch.setattr(models, "_SEARCH_BOUND", 50_000)
+        text = "forall x1 x2 exists! z1 z2 : z1 + z2 = x1 + x2 & z1 + -z2 = x1 + -x2"
+        verdict = check_sentence_sampled(RationalGroup(), parse_sentence(text, Signature.GROUP))
+        assert 1 < len(solved) < 100 and solved[-1] <= 50_000
+        detail = f"sampled: {len(solved)} distinct x-assignments (search bound 50000 reached)"
+        assert (verdict.status, verdict.detail) == ("consistent-on-sample", detail)
+        monkeypatch.setattr(models, "_SEARCH_BOUND", 3)
+        with pytest.raises(BudgetExceeded, match="more than 3 z-values"):
+            check_sentence_sampled(TwoMV(), parse_sentence(r"exists! z1 z2 : z1 /\ z2 = ~0", Signature.MV))
 
 
 # scalar groups, cones and Gamma models, and lex models whose zero pieces are
