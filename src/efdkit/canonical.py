@@ -124,14 +124,16 @@ def piecewise_canonical(
     Q^n.
 
     Each cell keeps an integer point strictly inside it, 0 for the whole
-    space.  A cell test, memoised on the row set for this call, is decided
-    by a candidate q with row . q > 0 for every row (either cell's point
-    for an intersection, _lifts for a half), else by one LP, the joint
-    interior probe of is_full_dimensional (cell rows are never zero),
-    whose point is scaled to integers.  No test is spent where the answer
-    is known: a row set that contains the other child's is already a cell,
-    a half whose row is already present is the whole intersection, and a
-    half holding both r and -r is a hyperplane.
+    space.  A cell test, memoised on the row set for this call, first
+    searches the line p + t d for a point with row . q > 0 for every row
+    (_line_search): through p1 with d = p2 - p1 for an intersection of cells
+    with points p1 and p2, through the cell's point p with d = r for a half
+    r >= 0.  Failing that, a row set holding both r and -r is a hyperplane;
+    else one LP decides, the joint interior probe of is_full_dimensional
+    (cell rows are never zero), whose point is scaled to integers.  No test
+    is spent where the answer is known: a row set that contains the other
+    child's is already a cell, a half whose row is already present is the
+    whole intersection, and a half holding both r and -r is a hyperplane.
 
     The cap bounds the cell tests, however each is decided: the call raises
     BudgetExceeded before it would make test number cap + 1.
@@ -142,16 +144,12 @@ def piecewise_canonical(
     zero = (0,) * n
     points: dict[frozenset, LinearForm | None] = {frozenset(): zero}
 
-    def interior(rows, candidates) -> LinearForm | None:
+    def interior(rows, p, d) -> LinearForm | None:
         key = frozenset(rows)
         if key not in points:
             if len(points) > cap:
                 raise BudgetExceeded(f"the canonical form needs more than {cap} cell tests")
-            q = next((q for q in candidates if all(_dot(r, q) > 0 for r in rows)), None)
-            if q is None and (x := feasible_point(rows, [1] * len(rows), n)) is not None:
-                m = math.lcm(*(c.denominator for c in x))
-                q = tuple(c.numerator * (m // c.denominator) for c in x)
-            points[key] = q
+            points[key] = _interior_point(rows, key, p, d)
         return points[key]
 
     def meets(outer, inner):
@@ -164,7 +162,7 @@ def piecewise_canonical(
                 if len(rows) in (len(rows1), len(rows2)):
                     p = p1 if len(rows) == len(rows1) else p2
                 else:
-                    p = interior(rows, (p1, p2))
+                    p = interior(rows, p1, tuple(map(operator.sub, p2, p1)))
                 if p is not None:
                     yield rows, f, g, p
 
@@ -193,7 +191,7 @@ def piecewise_canonical(
             for row, opposite, form in halves:
                 if row in rows:
                     out.append((rows, form, p))
-                elif opposite not in rows and (q := interior(rows + (row,), _lifts(p, rows, row))):
+                elif opposite not in rows and (q := interior(rows + (row,), p, row)):
                     out.append((rows + (row,), form, q))
         return out
 
@@ -202,12 +200,59 @@ def piecewise_canonical(
     )
 
 
-def _lifts(p: LinearForm, rows, row: LinearForm):
-    """p, then N p + row with N = 1 + max |s . row| over the rows s: strictly
-    inside every s >= 0 as p is, and inside row >= 0 too when row . p >= 0."""
-    yield p
-    big = 1 + max((abs(_dot(s, row)) for s in rows), default=0)
-    yield tuple(big * a + b for a, b in zip(p, row))
+def _interior_point(rows, key, p, d) -> LinearForm | None:
+    """An integer point strictly inside every row of the set key, or None
+    when the rows have no common interior: on the line p + t d if the line
+    meets the interior, else none on a hyperplane, else by one LP."""
+    q = _line_search(rows, p, d)
+    if q is None and not any(tuple(-c for c in r) in key for r in rows):
+        x = feasible_point(rows, [1] * len(rows), len(p))
+        if x is not None:
+            m = math.lcm(*(c.denominator for c in x))
+            q = tuple(c.numerator * (m // c.denominator) for c in x)
+    return q
+
+
+def _line_search(rows, p, d) -> LinearForm | None:
+    """The point p + t d, scaled to coprime integers, strictly inside every
+    row s, or None if there is none: p itself when t = 0 is allowed, else
+    the t of least denominator.  Each row bounds t on one side through
+    s . p + t (s . d) > 0; the bounds are fractions num / den, den >= 0,
+    with den = 0 for an infinite one."""
+    lo, lo_den, hi, hi_den = -1, 0, 1, 0
+    for s in rows:
+        a, b = _dot(s, p), _dot(s, d)
+        if b > 0:
+            if -a * lo_den > lo * b:
+                lo, lo_den = -a, b
+        elif b < 0:
+            if a * hi_den < -hi * b:
+                hi, hi_den = a, -b
+        elif a <= 0:
+            return None
+    if lo < 0 < hi:
+        return p
+    if lo * hi_den >= hi * lo_den:
+        return None
+    if lo >= 0:
+        num, den = _simplest(lo, lo_den, hi, hi_den)
+    else:
+        num, den = _simplest(-hi, hi_den, -lo, lo_den)
+        num = -num
+    q = [den * a + num * b for a, b in zip(p, d)]
+    g = math.gcd(*q)
+    return tuple(c // g for c in q)
+
+
+def _simplest(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(num, den), the rational of least denominator strictly between a / b
+    and c / d, for 0 <= a / b < c / d and b > 0; d = 0 reads c / d as
+    infinite.  The continued-fraction recursion of the Stern-Brocot tree."""
+    q = a // b
+    if (q + 1) * d < c:
+        return q + 1, 1
+    num, den = _simplest(d, c - q * d, b, a - q * b)
+    return q * num + den, num
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from efdkit.canonical import (
 from efdkit.gen import random_rational_point, random_term
 from efdkit import canonical, geometry
 from efdkit.errors import BudgetExceeded
-from efdkit.geometry import IneqSystem, feasible_point, normalize_row
+from efdkit.geometry import IneqSystem, _dot, feasible_point, normalize_row
 from efdkit.lattice import PrimeSet, divisible_g, trivial_g
 from efdkit.models import RationalGroup, eval_term
 from efdkit.terms import (
@@ -71,6 +72,20 @@ def count_lp_calls(monkeypatch) -> list:
     monkeypatch.setattr(geometry, "feasible_point", counting)
     monkeypatch.setattr(canonical, "feasible_point", counting)
     return calls
+
+
+def count_cell_tests(monkeypatch) -> list:
+    """Record the cell tests of piecewise_canonical, however each is decided:
+    the returned list gains the kept interior point, or None, per test."""
+    points = []
+    inner = canonical._interior_point
+
+    def recording(*args):
+        points.append(inner(*args))
+        return points[-1]
+
+    monkeypatch.setattr(canonical, "_interior_point", recording)
+    return points
 
 
 def _leaf_forms(t, n):
@@ -211,30 +226,33 @@ class TestPiecewise:
         assert evaluate_piecewise(pw, (Fraction(0),)) == 0
 
     def test_cap_exceeded(self, monkeypatch):
-        # the cap stops the twelve forms at 50 cell tests, 24 of them LPs
+        # the cap stops the twelve forms at 50 cell tests, 10 of them LPs
         calls = count_lp_calls(monkeypatch)
+        tests = count_cell_tests(monkeypatch)
         with pytest.raises(BudgetExceeded, match="more than 50 cell tests"):
             piecewise_canonical(_term(TWELVE_FORMS), cap=50)
-        assert len(calls) == 24
+        assert (len(calls), len(tests)) == (10, 50)
 
     def test_cap_counts_cell_tests_not_lps(self, monkeypatch):
-        # the twelve forms take 724 cell tests, 354 of them LPs: the cap
+        # the twelve forms take 724 cell tests, 280 of them LPs: the cap
         # counts every test, however it is decided
         calls = count_lp_calls(monkeypatch)
+        tests = count_cell_tests(monkeypatch)
         t = _term(TWELVE_FORMS)
         assert len(piecewise_canonical(t, cap=724).pieces) == 122
-        assert len(calls) == 354
+        assert (len(calls), len(tests)) == (280, 724)
         with pytest.raises(BudgetExceeded, match="more than 723 cell tests"):
             piecewise_canonical(t, cap=723)
 
     def test_cap_counts_forms_pushed_through_the_lattice(self, monkeypatch):
         # the 22 leaf forms of 21 copies of x1 \/ -x1 cost nothing: the cap
-        # counts the 3 cell tests (1 of them an LP), so it answers at 3 and
-        # stops at 2
+        # counts the 3 cell tests (none of them an LP), so it answers at 3
+        # and stops at 2
         calls = count_lp_calls(monkeypatch)
+        tests = count_cell_tests(monkeypatch)
         text = r" + ".join([r"(x1 \/ -x1)"] * 21)
         assert len(piecewise_canonical(_term(text), cap=3).pieces) == 2
-        assert len(calls) == 1
+        assert (len(calls), len(tests)) == (0, 3)
         with pytest.raises(BudgetExceeded, match="more than 2 cell tests"):
             piecewise_canonical(_term(text), cap=2)
 
@@ -242,13 +260,15 @@ class TestPiecewise:
         # x1 \/ -x1 summed N times has N + 1 leaf forms N x1, (N - 2) x1, ...
         # but two cells, whatever N
         calls = count_lp_calls(monkeypatch)
+        tests = count_cell_tests(monkeypatch)
         for copies in (16, 21):
             calls.clear()
+            tests.clear()
             pw = piecewise_canonical(_term(r" + ".join([r"(x1 \/ -x1)"] * copies)))
             assert {(region.rows, form) for region, form in pw.pieces} == {
                 (((1,),), (copies,)), (((-1,),), (-copies,))
             }
-            assert (len(calls), len(pw.pieces)) == (1, 2)
+            assert (len(calls), len(tests), len(pw.pieces)) == (0, 3, 2)
 
     def test_degenerate_chains_pruned(self):
         # x1 /\ x1 has one distinct form; no spurious pieces
@@ -286,6 +306,68 @@ class TestAgainstLPRefinement:
     @pytest.mark.parametrize("text", [SIX_FORMS, TWELVE_FORMS])
     def test_pinned_forms(self, text):
         assert piecewise_canonical(_term(text), n=3).pieces == _lp_pieces(_term(text), 3)
+
+
+class TestLineSearch:
+    """The exact line search that decides most cell tests before any LP."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_points_are_strictly_inside_and_on_the_line(self, data):
+        n = data.draw(st.integers(1, 4))
+        vec = st.tuples(*[st.integers(-5, 5)] * n)
+        rows = data.draw(st.lists(vec.filter(any), max_size=8))
+        p, d = data.draw(vec), data.draw(vec)
+        q = canonical._line_search(rows, p, d)
+        # of the grid points t = j / k with p + t d inside, the pick is the
+        # one of least denominator, then least |numerator|: the
+        # Stern-Brocot ancestor of every point of the interval
+        grid = {Fraction(j, k) for k in range(1, 6) for j in range(-30, 31)}
+        inside = [t for t in grid if all(_dot(r, p) + t * _dot(r, d) > 0 for r in rows)]
+        if q is None:
+            assert not inside
+            return
+        assert all(_dot(r, q) > 0 for r in rows)
+        if 0 in inside:
+            assert q == p
+        elif inside:
+            t = min(inside, key=lambda t: (t.denominator, abs(t.numerator)))
+            v = [t.denominator * a + t.numerator * b for a, b in zip(p, d)]
+            assert q == tuple(c // math.gcd(*v) for c in v)
+        else:
+            assert math.gcd(*q) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40), st.integers(1, 12), st.integers(1, 40), st.integers(0, 12))
+    def test_simplest_has_the_least_denominator(self, a, b, c, d):
+        if d and Fraction(c, d) <= Fraction(a, b):
+            return
+        num, den = canonical._simplest(a, b, c, d)
+        inside = lambda x: Fraction(a, b) < x and (not d or x < Fraction(c, d))
+        assert inside(Fraction(num, den))
+        # unless the pick is the integer q + 1, the interval lies in [q, q + 1]
+        q = a // b
+        assert not any(
+            inside(Fraction(j, k)) for k in range(1, den) for j in range(k * q, k * (q + 1) + 1)
+        )
+
+    def test_same_pieces_as_by_lp_alone(self, monkeypatch):
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(1, 3)
+            t = random_term(rng, Signature.GROUP, n, rng.randint(2, 6), coeff=5)
+            pieces = piecewise_canonical(t, n=n).pieces
+            with monkeypatch.context() as m:
+                m.setattr(canonical, "_line_search", lambda rows, p, d: None)
+                assert piecewise_canonical(t, n=n).pieces == pieces
+
+    @pytest.mark.parametrize("text", [SIX_FORMS, TWELVE_FORMS])
+    def test_kept_points_stay_small(self, monkeypatch, text):
+        # the least-denominator pick keeps every coordinate at most 54 and
+        # 156 on these terms; the intervals' midpoints reach 6.2e7 and 1.3e11
+        kept = count_cell_tests(monkeypatch)
+        piecewise_canonical(_term(text))
+        assert max(abs(c) for q in kept if q is not None for c in q) < 10**3
 
 
 class TestAgainstChainWalk:

@@ -32,7 +32,7 @@ from efdkit.terms import (
     zvar,
 )
 
-from test_canonical import TWELVE_FORMS, count_lp_calls
+from test_canonical import TWELVE_FORMS, count_cell_tests, count_lp_calls
 
 # Fails in the two-element model only at x = (1, 0, 1, 0, 1, 0, 1, 0, 1, 0);
 # the CI console-script step runs it too.
@@ -68,7 +68,7 @@ class TestExamples:
         code, payload = invoke_json(capsys, "canon", TWELVE_FORMS)
         assert code == 0
         pieces = payload["piecewise"]["pieces"]
-        assert (len(calls), len(pieces)) == (354, 122)
+        assert (len(calls), len(pieces)) == (280, 122)
         t = parse_term(TWELVE_FORMS, Signature.GROUP)
         rng = random.Random(12)
         for _ in range(100):
@@ -225,7 +225,7 @@ class TestExitCodes:
         calls = count_lp_calls(monkeypatch)
         code = run(["canon", "--cap", "50", TWELVE_FORMS])
         captured = capsys.readouterr()
-        assert (code, len(calls)) == (3, 24)
+        assert (code, len(calls)) == (3, 10)
         assert captured.out == ""
         assert captured.err == "error: the canonical form needs more than 50 cell tests\n"
 
@@ -509,15 +509,16 @@ class TestBoundedWork:
         # every delta of the MV chain has k = 1, so it reduces to delta_1
         # without a canonical form; 2 z1 = |x1| /\ ... /\ |x6|, whose form
         # has an orthant copy of every piece, still needs more than 1000
-        # cell tests, 330 of them LPs
+        # cell tests, none of them an LP
         calls = count_lp_calls(monkeypatch)
+        tests = count_cell_tests(monkeypatch)
         code, payload = invoke_json(capsys, "classify", "--sig", "mv", "--sentence", _meet_chain(6))
         assert (code, len(calls), payload["class"], payload["primes"]) == (0, 0, "divisible", [])
         xs = " ".join(f"x{i}" for i in range(1, 7))
         absolutes = r" /\ ".join(f"(x{i} \\/ -x{i})" for i in range(1, 7))
         code = run(["classify", "--sig", "group", "--sentence", f"forall {xs} exists! z1 : 2 z1 = {absolutes}"])
         captured = capsys.readouterr()
-        assert (code, len(calls)) == (3, 330)
+        assert (code, len(calls), len(tests)) == (3, 0, 1000)
         assert captured.err == "error: the canonical form needs more than 1000 cell tests\n"
 
     def test_check_names_the_budget_that_sent_it_to_sampling(self, capsys):

@@ -19,7 +19,7 @@ from efdkit.geometry import (
 from efdkit.selftest import _cleared, _integer_rank
 from efdkit.terms import Signature, parse_term
 
-from test_canonical import SIX_FORMS, count_lp_calls
+from test_canonical import SIX_FORMS, count_cell_tests, count_lp_calls
 
 
 def _rank(vectors, n):
@@ -149,18 +149,22 @@ class TestPinnedSimplex:
                 assert all(sum(c * x for c, x in zip(r, p)) >= b for r, b in zip(rows, rhs))
         assert found > 250
 
+    # the cell tests of each term below, however each is decided
+    CELL_TESTS = {r"2 x1 \/ 6 x1": 2, r"(x1 /\ x2) \/ (2 x1 - x2) \/ -x2": 6, SIX_FORMS: 58}
+
     @pytest.mark.parametrize(
         "text,calls,cells",
         [
             (r"2 x1 \/ 6 x1", 0, 2),
-            (r"(x1 /\ x2) \/ (2 x1 - x2) \/ -x2", 1, 4),
-            (SIX_FORMS, 28, 22),
+            (r"(x1 /\ x2) \/ (2 x1 - x2) \/ -x2", 0, 4),
+            (SIX_FORMS, 14, 22),
         ],
     )
     def test_lp_call_count_is_pinned(self, monkeypatch, text, calls, cells):
         lps = count_lp_calls(monkeypatch)
+        tests = count_cell_tests(monkeypatch)
         pw = piecewise_canonical(parse_term(text, Signature.GROUP))
-        assert (len(lps), len(pw.pieces)) == (calls, cells)
+        assert (len(lps), len(tests), len(pw.pieces)) == (calls, self.CELL_TESTS[text], cells)
 
 
 class TestFullDimensionality:
