@@ -8,11 +8,11 @@ failure.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+import types
 
 from .canonical import (
     ABSURD,
@@ -122,15 +122,16 @@ def parse_sentence_spec(text: str, sig: Signature):
     head = s.split(None, 1)
     if head and head[0] == "delta":
         rest = head[1] if len(head) > 1 else ""
-        if ":" in rest:
-            kpart, tpart = rest.split(":", 1)
-            k = int(kpart)
-            t = parse_term(tpart, sig)
-            if max_index(t, "z"):
-                raise FragmentError("delta K : TERM requires t over x-variables")
-            n = max_index(t, "x")
-            return EFDSentence(sig, n, 1, ((scalar(k, zvar(1)), t),))
-        return build_delta_k(int(rest), sig)
+        kpart, colon, tpart = rest.partition(":")
+        if not kpart.strip():
+            raise ValueError(f"delta K needs an integer K, got {s!r}")
+        k = int(kpart)
+        if not colon:
+            return build_delta_k(k, sig)
+        t = parse_term(tpart, sig)
+        if max_index(t, "z"):
+            raise FragmentError("delta K : TERM requires t over x-variables")
+        return EFDSentence(sig, max_index(t, "x"), 1, ((scalar(k, zvar(1)), t),))
     if head and head[0] == "epsilon":
         if sig is not Signature.MV:
             raise FragmentError("epsilon K is an MV shorthand")
@@ -204,7 +205,10 @@ def _parse_assignment(a, text: str) -> dict:
         var = Var(kind, int(digits))
         if var in env:
             raise ValueError(f"variable {name} is assigned more than once")
-        env[var] = parse_element(a, value.strip())
+        value = value.strip()
+        if not value:
+            raise ValueError(f"assignment {item!r} gives no value (expected NAME=VALUE)")
+        env[var] = parse_element(a, value)
     return env
 
 
@@ -659,118 +663,166 @@ def _cmd_selftest(args) -> int:
 # Argument parsing and dispatch
 
 
+def _opt(name, kind="str", choices=None, default=None, required=False, help=None):
+    """One option-table entry: (name, dest, kind, choices, default,
+    required, help).  kind is "str", "int", "flag" (store_true), "append",
+    "pos" (a positional) or "pos?" (an optional positional)."""
+    return (name, name.lstrip("-").replace("-", "_"), kind, choices, default, required, help)
+
+
+_FORMAT = _opt("--format", choices=("json", "text"), default="json")
+_SIG = _opt("--sig", choices=tuple(_SIGS), required=True)
+_SENTENCES = (_opt("--sentence", "append"), _opt("--file"))
+_CAP = _opt("--cap", "int", default=DEFAULT_CELL_BUDGET)
+_SEED = _opt("--seed", "int")
+
+# Each subcommand's handler, help line and options, in the order --help
+# lists them: the one declaration of the command line, read by both parsers
+# below and by run().
+_COMMANDS = {
+    "parse": (_cmd_parse, "parse a term or sentences and echo ASTs",
+              (_FORMAT, _SIG, *_SENTENCES, _opt("--term"))),
+    "canon": (_cmd_canon, "piecewise-linear canonical form",
+              (_FORMAT, _CAP, _opt("--sig", choices=tuple(_SIGS), default="group"),
+               _opt("term", "pos"))),
+    "reduce": (_cmd_reduce, "reduce delta_{k,t} to delta_{k'}",
+               (_FORMAT, _CAP, _opt("--k", "int", required=True), _opt("--term", required=True))),
+    "classify": (_cmd_classify, "canonical AE-class of a sentence set",
+                 (_FORMAT, _SIG, *_SENTENCES, _CAP)),
+    "translate": (_cmd_translate, "star or mv-to-hoop translation",
+                  (_FORMAT, *_SENTENCES,
+                   _opt("--direction", choices=("star", "mv-hoop"), required=True),
+                   _opt("--term"))),
+    "decompose": (_cmd_decompose, "radical decomposition of an MV sentence",
+                  (_FORMAT, *_SENTENCES)),
+    "fulldim": (_cmd_fulldim, "full-dimensionality of an inequality system",
+                (_FORMAT, _opt("--rows", required=True, help='e.g. "1,0;-1,2"'))),
+    "eval": (_cmd_eval, "evaluate a term in a witness model",
+             (_FORMAT, _opt("--model", required=True), _opt("--term", required=True),
+              _opt("--assign", help='e.g. "x1=1/2;x2=(1, -1/3)"'))),
+    "check": (_cmd_check, "check a sentence in a witness model",
+              (_FORMAT, _SEED, _opt("--budget", "int"), *_SENTENCES,
+               _opt("--model", required=True),
+               _opt("--no-shortcut", "flag", default=False,
+                    help="force the sampled checker even where the classification or "
+                    "the exhaustive two-element check decides the sentence"))),
+    "lattice": (_cmd_lattice, "AE-class lattice operations",
+                (_FORMAT, _opt("--family", choices=("G", "P"), default="G"),
+                 _opt("--op", choices=("includes", "meet", "join", "order"), required=True),
+                 _opt("--left", required=True), _opt("--right", required=True))),
+    "axioms": (_cmd_axioms, "axiom schemas of a logic expansion",
+               (_FORMAT, _opt("--base", choices=("bal", "lp"), required=True),
+                _opt("--primes", required=True, help='e.g. "2,3"'))),
+    "selftest": (_cmd_selftest, "run the property suites",
+                 (_FORMAT, _SEED,
+                  _opt("--budget", "int",
+                       help="samples for a sampled suite; with 'all' it applies to the "
+                       "sampled suites only, and a suite that is exhaustive over a fixed "
+                       "set rejects it"),
+                  _opt("suite", "pos?", default="all"))),
+}
+
+
+def _parse_argv(argv):
+    """The attributes that argparse's parse_args(argv) sets, read from the
+    option tables, or None where the tables decline argv; argparse then
+    parses it or reports the error.  They decline:
+    - argv[0] that is not exactly a subcommand;
+    - a token starting with "-" that is not exactly an option, a nonempty
+      "--option=value" or "--": -h, --help and abbreviations among them;
+    - a value or positional starting with "-", unless it is the last token
+      and follows "--";
+    - a value that int() or the choices reject;
+    - a missing required option or positional, or too many positionals."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    table = _COMMANDS[argv[0]][2]
+    args = {"command": argv[0]}
+    options, positionals = {}, []
+    for entry in table:
+        args[entry[1]] = entry[4]
+        if entry[0][0] == "-":
+            options[entry[0]] = entry
+        else:
+            positionals.append(entry)
+    given, words = [], []  # (entry, text) of each option in argv order; positionals
+    tokens = iter(argv)
+    next(tokens)
+    for token in tokens:
+        if token == "--":  # "-- WORD" may end argv, and WORD is a positional
+            word = next(tokens, "--")
+            if word == "--" or next(tokens, None) is not None:
+                return None
+            words.append(word)
+            break
+        if token[:1] != "-":
+            words.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        entry = options.get(name)
+        if entry is None or (eq and (entry[2] == "flag" or not value)):
+            return None
+        if entry[2] == "flag":
+            value = True
+        elif not eq:
+            value = next(tokens, "-")
+            if value[:1] == "-":
+                return None
+        given.append((entry, value))
+    if len(words) > len(positionals):
+        return None
+    given += zip(positionals, words)
+    for entry, value in given:
+        _, dest, kind, choices = entry[:4]
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        if kind == "append":
+            args[dest] = [*(args[dest] or ()), value]
+        else:
+            args[dest] = value
+    seen = {entry[0] for entry, _ in given}
+    if any((entry[5] or entry[2] == "pos") and entry[0] not in seen for entry in table):
+        return None
+    return types.SimpleNamespace(**args)
+
+
+# argparse's arguments for each kind of table entry but "str" and "pos"
+_ARGPARSE_KINDS = {"int": {"type": int}, "flag": {"action": "store_true"},
+                   "append": {"action": "append"}, "pos?": {"nargs": "?"}}
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every later
-    run() in the process; it holds no per-call state."""
+def _build_parser():
+    """argparse's parser of the same option tables, built on first use and
+    shared by every later run() in the process; it holds no per-call state.
+    It parses the argv that _parse_argv declines, and writes every usage,
+    --help and error text."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="efdkit",
         description="Canonicalize, translate, classify, and model-check "
         "EFD-sentences over l-groups, hoops, and perfect MV-algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, sig=False, sentences=False, cap=False, sampled=False, budget_help=None):
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        if sampled:
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--budget", type=int, default=None, help=budget_help)
-        if sig:
-            p.add_argument("--sig", choices=tuple(_SIGS), required=True)
-        if sentences:
-            p.add_argument("--sentence", action="append")
-            p.add_argument("--file")
-        if cap:
-            p.add_argument("--cap", type=int, default=DEFAULT_CELL_BUDGET)
-
-    p = sub.add_parser("parse", help="parse a term or sentences and echo ASTs")
-    common(p, sig=True, sentences=True)
-    p.add_argument("--term")
-
-    p = sub.add_parser("canon", help="piecewise-linear canonical form")
-    common(p, cap=True)
-    p.add_argument("--sig", choices=tuple(_SIGS), default="group")
-    p.add_argument("term")
-
-    p = sub.add_parser("reduce", help="reduce delta_{k,t} to delta_{k'}")
-    common(p, cap=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--term", required=True)
-
-    p = sub.add_parser("classify", help="canonical AE-class of a sentence set")
-    common(p, sig=True, sentences=True, cap=True)
-
-    p = sub.add_parser("translate", help="star or mv-to-hoop translation")
-    common(p, sentences=True)
-    p.add_argument("--direction", choices=("star", "mv-hoop"), required=True)
-    p.add_argument("--term")
-
-    p = sub.add_parser("decompose", help="radical decomposition of an MV sentence")
-    common(p, sentences=True)
-
-    p = sub.add_parser("fulldim", help="full-dimensionality of an inequality system")
-    common(p)
-    p.add_argument("--rows", required=True, help='e.g. "1,0;-1,2"')
-
-    p = sub.add_parser("eval", help="evaluate a term in a witness model")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--term", required=True)
-    p.add_argument("--assign", help='e.g. "x1=1/2;x2=(1, -1/3)"')
-
-    p = sub.add_parser("check", help="check a sentence in a witness model")
-    common(p, sentences=True, sampled=True)
-    p.add_argument("--model", required=True)
-    p.add_argument(
-        "--no-shortcut",
-        action="store_true",
-        help="force the sampled checker even where the classification or "
-        "the exhaustive two-element check decides the sentence",
-    )
-
-    p = sub.add_parser("lattice", help="AE-class lattice operations")
-    common(p)
-    p.add_argument("--family", choices=("G", "P"), default="G")
-    p.add_argument("--op", choices=("includes", "meet", "join", "order"), required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-
-    p = sub.add_parser("axioms", help="axiom schemas of a logic expansion")
-    common(p)
-    p.add_argument("--base", choices=("bal", "lp"), required=True)
-    p.add_argument("--primes", required=True, help='e.g. "2,3"')
-
-    p = sub.add_parser("selftest", help="run the property suites")
-    common(
-        p,
-        sampled=True,
-        budget_help="samples for a sampled suite; with 'all' it applies to the "
-        "sampled suites only, and a suite that is exhaustive over a fixed set "
-        "rejects it",
-    )
-    p.add_argument("suite", nargs="?", default="all")
-
+    for command, (_, summary, table) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, _, kind, choices, default, required, text in table:
+            extra = {"choices": choices, "default": default, "required": required or None,
+                     "help": text}
+            p.add_argument(name, **_ARGPARSE_KINDS.get(kind, {}),
+                           **{key: value for key, value in extra.items() if value is not None})
     return parser
 
 
-_DISPATCH = {
-    "parse": _cmd_parse,
-    "canon": _cmd_canon,
-    "reduce": _cmd_reduce,
-    "classify": _cmd_classify,
-    "translate": _cmd_translate,
-    "decompose": _cmd_decompose,
-    "fulldim": _cmd_fulldim,
-    "eval": _cmd_eval,
-    "check": _cmd_check,
-    "lattice": _cmd_lattice,
-    "axioms": _cmd_axioms,
-    "selftest": _cmd_selftest,
-}
-
-
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_argv(argv) or _build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", 0) is None:
             args.seed = _seed_from_env()
@@ -778,7 +830,7 @@ def run(argv=None) -> int:
             raise ValueError(f"--budget must be >= 1, got {args.budget}")
         if getattr(args, "cap", 1) < 1:
             raise ValueError(f"--cap must be >= 1, got {args.cap}")
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except FragmentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -931,3 +933,160 @@ class TestJsonWriter:
         while "arg" in node:
             node, depth = node["arg"], depth + 1
         assert depth == MAX_DEPTH
+
+
+# ---------------------------------------------------------------------------
+# argv parsing: the option tables against argparse, which parses every argv
+# that the tables decline
+
+_OPTION_NAMES = sorted({e[0] for *_, table in cli._COMMANDS.values() for e in table
+                        if e[0][0] == "-"})
+# literals the commands read, and tokens that the tables or argparse reject
+_LITERALS = ["x1", "all", "divisible:2", "trivial", "boolean", "lp:2", "bal:classical", "2,3",
+             "4", "1,0;-1,0", "1,0;0", "1,a", r"x1 \/ -x1", "~x1", "delta", "delta 2",
+             "delta : x1", "epsilon 2", "forall x1 exists! z1 : z1 = x1", "q", "gamma(q)", "two",
+             "nope", "x1=1", "x1=(0, 1/2)", "x1=1/0", "=1", "x1", "x2=3;x1=1", "", "x"]
+_ODD = ["-1", "-5", "07", " 3", "1_0", "-x1", "-", "--", "--cap", "-h", "x1 -1"]
+_CHEAP = ["lattice", "axioms", "fulldim", "parse", "eval"]
+
+
+@st.composite
+def _argv(draw, commands):
+    """A subcommand with its options in any order: --opt value and
+    --opt=value, repeated and missing options, foreign options,
+    abbreviations, -h, --help, "--", and values that fit the option or
+    not: choices, ints, literals and odd tokens."""
+    command = draw(st.sampled_from(commands))
+    table = cli._COMMANDS[command][2] if command in cli._COMMANDS else ()
+    own = [e for e in table if e[0][0] == "-"]
+    chosen = [e for e in own if e[5]] if draw(st.integers(0, 3)) else []
+    chosen += draw(st.lists(st.sampled_from(own), max_size=4)) if own else []
+    items = []
+    for name, _, kind, choices, *_ in chosen:
+        fits = list(choices or ()) or (["1", "2", "7"] if kind == "int" else _LITERALS)
+        value = draw(st.sampled_from(fits if draw(st.integers(0, 3)) else _ODD + _LITERALS))
+        shape = draw(st.sampled_from(["split", "split", "eq", "eq", "prefix"]))
+        if kind == "flag":
+            shape = draw(st.sampled_from(["bare"] * 5 + ["eq"]))
+        if shape == "prefix":
+            name = name[: draw(st.integers(3, max(3, len(name) - 1)))]
+            shape = "split"
+        items.append({"split": [name, value], "eq": [f"{name}={value}"], "bare": [name]}[shape])
+    positional = [e for e in table if e[0][0] != "-"]
+    if positional and draw(st.integers(0, 3)):
+        word = draw(st.sampled_from(_LITERALS + _ODD))
+        items.append(["--", word] if word[:1] == "-" else [word])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        other = draw(st.sampled_from(["word", "foreign", "special"]))
+        if other == "word":
+            items.append([draw(st.sampled_from(_LITERALS + _ODD))])
+        elif other == "foreign":
+            items.append([draw(st.sampled_from(_OPTION_NAMES)), draw(st.sampled_from(_LITERALS))])
+        else:
+            items.append([draw(st.sampled_from(["-h", "--help", "--nope", "-x", "--", "--=1"]))])
+    items = draw(st.permutations(items))
+    return [command] + [token for item in items for token in item]
+
+
+def _argparse_attrs(argv):
+    """vars() of argparse's Namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestArgvTables:
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(_argv([*cli._COMMANDS, "nope", "-h", "--help"]))
+    def test_tables_agree_with_argparse_or_decline(self, argv):
+        ours = cli._parse_argv(argv)
+        if ours is not None:
+            assert vars(ours) == _argparse_attrs(argv)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_argv(_CHEAP))
+    def test_cheap_commands_end_with_an_exit_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.run(argv)
+            except SystemExit as exc:  # argparse: -h, --help or a usage error
+                code = exc.code
+                assert code in (0, 2)
+        assert code in (0, 2, 3, 4)
+        if code == 2 and cli._parse_argv(argv) is not None:
+            assert err.getvalue().startswith("error: ")
+
+    def test_golden_argv_are_parsed_by_the_tables(self):
+        from test_golden import CASES
+
+        for argv in CASES.values():
+            ours = cli._parse_argv(argv)
+            assert ours is not None and vars(ours) == _argparse_attrs(argv), argv
+
+    @pytest.mark.parametrize(
+        "argv,attrs",
+        [
+            (["canon", "--cap=3", "--", "-x1"], {"cap": 3, "term": "-x1"}),
+            (["check", "--model", "q", "--sentence", "a", "--sentence=b", "--no-shortcut"],
+             {"sentence": ["a", "b"], "no_shortcut": True, "seed": None}),
+            (["selftest", "--seed", "4", "piecewise"], {"suite": "piecewise", "seed": 4}),
+            (["selftest"], {"suite": "all", "budget": None}),
+        ],
+    )
+    def test_tables_parse(self, argv, attrs):
+        parsed = vars(cli._parse_argv(argv))
+        assert parsed == _argparse_attrs(argv)
+        assert attrs.items() <= parsed.items()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--"],
+            ["-h"],
+            ["canon", "-h"],
+            ["canon", "--help"],
+            ["check", "--mod", "q", "--sentence", "delta 2"],  # an abbreviation
+            ["check", "--model", "q", "--sentence", "delta 2", "--seed", "-1"],
+            ["check", "--model", "q", "--sentence", "delta 2", "--budget", "-5"],
+            ["fulldim", "--rows", "1,0", "--"],
+            ["canon", "x1", "--", "x2"],
+            ["canon", "--", "--"],
+            ["canon", "--cap", "x", "x1"],
+            ["canon", "--format", "xml", "x1"],
+            ["check", "--no-shortcut=1", "--model", "q", "--sentence", "delta 2"],
+            ["eval", "--model", "q", "--term", "x1", "--assign="],
+            ["reduce", "--k", "2"],
+            ["selftest", "a", "b"],
+        ],
+    )
+    def test_tables_decline(self, argv):
+        assert cli._parse_argv(argv) is None
+
+    def test_accepted_argv_do_not_import_argparse(self):
+        """After argv that the tables parse, argparse is not loaded; an
+        abbreviation loads it, and parses as the full option does."""
+        code = (
+            "import contextlib, io, json, sys\n"
+            "import efdkit.cli as cli\n"
+            "def run(argv):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = cli.run(argv)\n"
+            "    print(json.dumps([code, out.getvalue(), 'argparse' in sys.modules]))\n"
+            "run(['fulldim', '--rows=1,0'])\n"
+            "run(['check', '--model', 'q', '--sentence', 'delta 2'])\n"
+            "run(['check', '--mod', 'q', '--sentence', 'delta 2'])\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        fulldim, full, abbreviated = map(json.loads, done.stdout.splitlines())
+        assert fulldim[0] == full[0] == 0
+        assert not fulldim[2] and not full[2]
+        assert abbreviated == [0, full[1], True]
