@@ -114,6 +114,17 @@ def _sig(name: str) -> Signature:
     return _SIGS[name]
 
 
+def _integer_k(text: str, shorthand: str, spec: str) -> int:
+    """The K of a delta or epsilon shorthand.  A literal past the
+    interpreter's digit limit keeps int's own text, which names the limit."""
+    try:
+        return int(text)
+    except ValueError as e:
+        if not str(e).startswith("invalid literal"):
+            raise
+        raise ValueError(f"{shorthand} K needs an integer K, got {spec!r}") from None
+
+
 def parse_sentence_spec(text: str, sig: Signature):
     """A sentence given either as a shorthand -- ``delta K``, ``delta K :
     TERM``, ``epsilon K``, ``boolean``, ``absurd`` -- or in full concrete
@@ -125,7 +136,7 @@ def parse_sentence_spec(text: str, sig: Signature):
         kpart, colon, tpart = rest.partition(":")
         if not kpart.strip():
             raise ValueError(f"delta K needs an integer K, got {s!r}")
-        k = int(kpart)
+        k = _integer_k(kpart, "delta", s)
         if not colon:
             return build_delta_k(k, sig)
         t = parse_term(tpart, sig)
@@ -137,7 +148,7 @@ def parse_sentence_spec(text: str, sig: Signature):
             raise FragmentError("epsilon K is an MV shorthand")
         if len(head) < 2:
             raise ValueError(f"epsilon K needs an integer K, got {s!r}")
-        return build_epsilon_k(int(head[1]))
+        return build_epsilon_k(_integer_k(head[1], "epsilon", s))
     if s == "boolean":
         if sig is not Signature.MV:
             raise FragmentError("the boolean marker is an MV shorthand")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from .errors import BudgetExceeded
 from .record import Record
+from .terms import Scalar, Term, Var, _json_node, build_t_k, fold, zvar
 
 __all__ = [
     "LatticeError",
@@ -284,6 +285,11 @@ def _dp(p: int) -> str:
     return f"d{p}"
 
 
+def _structured(t: Term, dx: dict) -> dict:
+    """The JSON tree of t, with its variable z1 standing for dx."""
+    return fold(t, lambda node, *kids: dx if type(node) is Var else _json_node(node, *kids))
+
+
 def emit_axioms(e: LogicExpansion) -> list[AxiomSchema]:
     """A_p axioms for Bal expansions, D_p axioms for lp expansions.
 
@@ -296,32 +302,17 @@ def emit_axioms(e: LogicExpansion) -> list[AxiomSchema]:
     if e.primes.kind != "finite":
         raise LatticeError("cofinite prime sets have no finite axiom list")
     note = "the corresponding uniqueness rule is derivable in the base logic"
+    x = {"op": "var", "name": "x"}
     schemas = []
     for p in sorted(e.primes.primes):
         d = _dp(p)
+        dx = {"op": "app", "symbol": d, "arg": x}
         if e.base == "bal":
             formula = f"x -> {p} {d}(x)"
-            structured = {
-                "connective": "->",
-                "left": {"op": "var", "name": "x"},
-                "right": {"op": "scalar", "k": p, "arg": {"op": "app", "symbol": d, "arg": {"op": "var", "name": "x"}}},
-            }
+            structured = {"connective": "->", "left": x, "right": _structured(Scalar(p, zvar(1)), dx)}
             schemas.append(AxiomSchema(f"A_{p}", formula, (d,), structured, note))
         else:
-            dx = {"op": "app", "symbol": d, "arg": {"op": "var", "name": "x"}}
             formula = f"(({p} {d}(x) /\\ ~2 {d}(x)^2) \\/ {d}(x)^{p}) <-> x"
-            structured = {
-                "connective": "<->",
-                "left": {
-                    "op": "join",
-                    "left": {
-                        "op": "meet",
-                        "left": {"op": "scalar", "k": p, "arg": dx},
-                        "right": {"op": "mvneg", "arg": {"op": "scalar", "k": 2, "arg": {"op": "power", "k": 2, "arg": dx}}},
-                    },
-                    "right": {"op": "power", "k": p, "arg": dx},
-                },
-                "right": {"op": "var", "name": "x"},
-            }
+            structured = {"connective": "<->", "left": _structured(build_t_k(p), dx), "right": x}
             schemas.append(AxiomSchema(f"D_{p}", formula, (d,), structured, note))
     return schemas

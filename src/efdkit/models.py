@@ -59,6 +59,7 @@ from .terms import (
     ZERO,
     Zero,
     fold,
+    free_vars,
     xvar,
 )
 
@@ -720,12 +721,15 @@ class _Solver:
             s.fn = functools.partial(hull.fold, t) if hull and s.zmax else compile_(t, slots)[0]
             return s
 
-        self.sides = [tuple(map(side, eq, free)) for eq, free in zip(phi.equations, phi.side_vars)]
+        side_vars = [tuple(map(free_vars, eq)) for eq in phi.equations]
+        self.sides = [tuple(map(side, eq, free)) for eq, free in zip(phi.equations, side_vars)]
         self.levels = [[] for _ in range(phi.m + 1)]  # the search's equations by their highest z
-        for eq, free in zip(self.sides, phi.side_vars):
+        for eq, free in zip(self.sides, side_vars):
             j = max(s.zmax for s in eq)  # a side reading each x and z1 .. z_j never hits a memo
             self.levels[j].append(tuple(s.fn if j and len(vs) == phi.n + j else s.value
                                         for s, vs in zip(eq, free)))
+        read = {v.index for free in side_vars for vs in free for v in vs if v.kind == "z"}
+        self.read = [j in read for j in range(phi.m + 1)]  # whether some equation reads z_j
         self.tests = 0  # the z-candidates tested so far, at most _SEARCH_BOUND
         self.single = None
         if hull is not None and len(self.sides) == 1:
@@ -781,10 +785,24 @@ class _Solver:
     def _extend(self, codes: tuple, j: int, pool, sols: list) -> bool:
         """Set z_j after codes (x-codes, then z_1 .. z_{j-1}) to each value of
         the pool, in the order of itertools.product, and go on where the
-        equations whose highest z is z_j hold.  True once sols holds two."""
+        equations whose highest z is z_j hold.  True once sols holds two.
+
+        A z_j that no equation reads leaves the same solutions past it at
+        every value, so it is set to the first candidate only: where that
+        adds one solution, the same tuple at the second candidate is the
+        second, as the product loop finds them."""
         if j > self.phi.m:
             sols.append(codes)
             return len(sols) == 2
+        if not self.read[j]:
+            found = len(sols)
+            if self._extend(codes + (pool[0],), j + 1, pool, sols):
+                return True
+            if len(sols) == found + 1 and len(pool) > 1:
+                at = len(codes)
+                sols.append(sols[-1][:at] + (pool[1],) + sols[-1][at + 1 :])
+                return True
+            return False
         tests = self.levels[j]
         self.tests += len(pool) if tests else 0
         if self.tests > _SEARCH_BOUND:

@@ -45,7 +45,6 @@ __all__ = [
     "power",
     "free_vars",
     "max_index",
-    "validate_term",
     "parse_term",
     "parse_sentence",
     "print_term",
@@ -232,9 +231,9 @@ def substitute(t: Term, sub: Callable[[Var], Term]) -> Term:
 
 # operations admitted per signature; Scalar/Power constraints checked separately
 _ALLOWED = {
-    Signature.GROUP: (Var, Zero, Plus, Neg, Join, Meet, Scalar),
-    Signature.HOOP: (Var, Zero, Plus, Diff, Scalar),
-    Signature.MV: (Var, Zero, Plus, MVNeg, Join, Meet, Diff, Scalar, Power),
+    Signature.GROUP: frozenset((Var, Zero, Plus, Neg, Join, Meet, Scalar)),
+    Signature.HOOP: frozenset((Var, Zero, Plus, Diff, Scalar)),
+    Signature.MV: frozenset((Var, Zero, Plus, MVNeg, Join, Meet, Diff, Scalar, Power)),
 }
 
 
@@ -253,29 +252,34 @@ def free_vars(t: Term) -> frozenset[Var]:
     return fold(t, _vars)
 
 
-def _validated_vars(t: Term, sig: Signature) -> frozenset[Var]:
-    """free_vars(t), raising SignatureError unless every node of t is
-    admitted by sig."""
+def _checked_var(v: Var, bounds: dict) -> Var:
+    """v, if it is an x- or z-variable with index in 1..bounds[v.kind]."""
+    bound = bounds.get(v.kind)
+    if bound is None or v.index < 1:
+        raise SignatureError(f"bad variable {v.kind}{v.index}")
+    if v.index > bound:
+        raise SignatureError(f"variable {v.kind}{v.index} out of range")
+    return v
+
+
+def _validate(t: Term, sig: Signature, n: int, m: int) -> None:
+    """Raise SignatureError at the leftmost node of t, in fold order, that
+    sig does not admit or that is a variable outside x1..xn, z1..zm."""
     allowed = _ALLOWED[sig]
+    bounds = {"x": n, "z": m}
 
     def check(node, *kids):
         kind = type(node)
-        if kind not in allowed:
+        if kind is Var:
+            _checked_var(node, bounds)
+        elif kind not in allowed:
             raise SignatureError(f"{kind.__name__} not admitted in {sig.value} terms")
-        if kind is Var and (node.kind not in ("x", "z") or node.index < 1):
-            raise SignatureError(f"bad variable {node.kind}{node.index}")
-        if kind is Scalar and sig is not Signature.GROUP and node.k < 0:
+        elif kind is Scalar and sig is not Signature.GROUP and node.k < 0:
             raise SignatureError(f"negative scalar {node.k} only admitted in group terms")
-        if kind is Power and node.k < 1:
+        elif kind is Power and node.k < 1:
             raise SignatureError("power exponent must be >= 1")
-        return _vars(node, *kids)
 
-    return fold(t, check)
-
-
-def validate_term(t: Term, sig: Signature) -> None:
-    """Raise SignatureError unless every node of t is admitted by sig."""
-    _validated_vars(t, sig)
+    fold(t, check)
 
 
 def max_index(t: Term, kind: str) -> int:
@@ -292,10 +296,7 @@ def max_index(t: Term, kind: str) -> int:
 
 
 class EFDSentence(Record):
-    """forall x1..xn exists! z1..zm : conjunction of equations (m >= 1).
-
-    side_vars, not a field, holds the free variables of each side, per
-    equation, as the validation found them."""
+    """forall x1..xn exists! z1..zm : conjunction of equations (m >= 1)."""
 
     signature: Signature
     n: int
@@ -307,17 +308,9 @@ class EFDSentence(Record):
             raise SignatureError("EFD-sentence requires m >= 1 (use Identity for m = 0)")
         if not self.equations:
             raise SignatureError("EFD-sentence requires at least one equation")
-        side_vars = []
         for lhs, rhs in self.equations:
-            sides = []
-            for t in (lhs, rhs):
-                sides.append(_validated_vars(t, self.signature))
-                for v in sides[-1]:
-                    bound = self.n if v.kind == "x" else self.m
-                    if v.index > bound:
-                        raise SignatureError(f"variable {v.kind}{v.index} out of range")
-            side_vars.append(tuple(sides))
-        _set(self, "side_vars", tuple(side_vars))
+            _validate(lhs, self.signature, self.n, self.m)
+            _validate(rhs, self.signature, self.n, self.m)
 
 
 class Identity(Record):
@@ -329,9 +322,7 @@ class Identity(Record):
 
     def __post_init__(self):
         for t in self.equation:
-            for v in _validated_vars(t, self.signature):
-                if v.kind != "x" or v.index > self.n:
-                    raise SignatureError(f"variable {v.kind}{v.index} out of range")
+            _validate(t, self.signature, self.n, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +441,8 @@ class _Parser:
     def __init__(self, text: str, sig: Signature):
         self.tokens = _tokenize(text)
         self.sig = sig
+        self.allowed = _ALLOWED[sig]
+        self.bounds = {"x": MAX_INDEX, "z": MAX_INDEX}  # a sentence's n and m, once read
         self.i = 0
         self.open = 0  # parentheses and prefix operators open at this point
 
@@ -493,8 +486,10 @@ class _Parser:
             if op is None:
                 return t, d
             level, ctor = op
-            if ctor is Neg and self.sig is not Signature.GROUP:
-                raise ParseError("binary - only admitted in group terms", pos)
+            if ctor not in self.allowed:
+                if ctor is Neg:
+                    raise ParseError("binary - only admitted in group terms", pos)
+                raise SignatureError(f"{ctor.__name__} not admitted in {self.sig.value} terms")
             if level < min_level:
                 return t, d
             self.i += 1
@@ -548,7 +543,7 @@ class _Parser:
         if kind == "int" and value == "0":
             return ZERO, 1
         if kind == "var":
-            return _var(value, pos), 1
+            return _checked_var(_var(value, pos), self.bounds), 1
         if kind == "op" and value == "(":
             self.nest(pos)
             t, d = self.term()
@@ -580,7 +575,6 @@ def parse_term(text: str, sig: Signature) -> Term:
     t, _ = p.term()
     if not p.at_end():
         raise ParseError(f"trailing input {p.peek()[1]!r}", p.peek()[2])
-    validate_term(t, sig)
     return t
 
 
@@ -602,6 +596,7 @@ def parse_sentence(text: str, sig: Signature) -> EFDSentence | Identity:
         if m == 0:
             raise ParseError("exists! block requires at least one z-variable")
     p.expect("op", ":")
+    p.bounds = {"x": n, "z": m}
     equations = [p.equation()]
     while p.peek()[0] == "op" and p.peek()[1] == "&":
         _, _, pos = p.next()

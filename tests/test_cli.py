@@ -249,6 +249,21 @@ class TestExitCodes:
         code, payload = invoke_json(capsys, "reduce", "--k", "1", "--cap", "1", "--term", TWELVE_FORMS)
         assert (code, payload["k_prime"]) == (0, 1)
 
+    @pytest.mark.parametrize("sig, spec", [
+        ("group", "delta x"), ("group", "delta 2x : x1"), ("mv", "epsilon x"), ("mv", "epsilon 2 3"),
+    ])
+    def test_a_k_that_is_no_integer_is_named(self, capsys, sig, spec):
+        assert run(["classify", "--sig", sig, "--sentence", spec]) == 2
+        shorthand = spec.split()[0]
+        assert capsys.readouterr().err == f"error: {shorthand} K needs an integer K, got {spec!r}\n"
+
+    def test_a_k_past_the_digit_limit_keeps_its_text(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter converts integer strings of any length")
+        assert run(["classify", "--sig", "group", "--sentence", "delta " + "7" * (limit + 1)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: Exceeds the limit ({limit} digits)")
+
     def test_property_failure_is_4(self, capsys):
         code, payload = invoke_json(
             capsys, "check", "--model", "qs:2", "--sentence", "delta 3"
@@ -556,6 +571,17 @@ class TestBoundedWork:
             3, "error: the candidate search tests more than 4095 z-values\n"
         )
 
+    def test_a_z_no_equation_reads_is_set_once(self, capsys):
+        """z1 .. z21 appear in no equation, so the search sets each to one
+        candidate and refutes z22 = ~z22 exactly, far below the bound that
+        walking their 2^21 settings reached."""
+        zs = " ".join(f"z{j}" for j in range(1, 23))
+        code, payload = invoke_json(
+            capsys, "check", "--no-shortcut", "--model", "two", "--sentence", f"exists! {zs} : z22 = ~z22"
+        )
+        assert code == 4
+        assert (payload["verdict"]["detail"], payload["verdict"]["confidence"]) == ("sampled: no z-solution", "exact")
+
     @pytest.mark.parametrize("sentence, detail", [
         ("forall x1 exists! z1 z2 : z1 + z2 = x1 & z1 = z2", "sampled: 155 distinct x-assignments"),
         ("forall x1 x2 exists! z1 z2 : z1 + z2 = x1 + x2 & z1 + -z2 = x1 + -x2",
@@ -854,6 +880,18 @@ class TestDeterminism:
         monkeypatch.delenv("EFDKIT_SEED")
         assert invoke(capsys, *argv)[0] == 0
         assert seeds == [99, 5, 99, 7, cli.DEFAULT_SEED]
+
+    def test_error_text_is_independent_of_the_hash_seed(self):
+        """The leftmost variable out of range is named, whatever order a
+        hash seed gives a set of variables."""
+        argv = ["check", "--model", "q", "--sentence", "forall x1 exists! z1 : z1 = x5 + x7 + x9 + x3"]
+        src = str(Path(cli.__file__).parents[1])
+        for seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-m", "efdkit.cli", *argv], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            )
+            assert (done.returncode, done.stderr) == (2, "error: variable x5 out of range\n"), seed
 
     def test_consecutive_runs_share_no_state(self, capsys):
         two = ("classify", "--sig", "mv", "--sentence", "epsilon 2",

@@ -857,6 +857,9 @@ _REFERENCE_SENTENCES = {
         "forall x1 exists! z1 z2 : z1 + z2 = x1 & z1 -. z2 = z2 -. z1",
         "forall x1 exists! z1 : z1 + z1 = x1 & z1 -. x1 = 0",
         "forall x1 exists! z1 z2 : z1 + z2 = x1",
+        # z1, z2 that no equation reads
+        "forall x1 exists! z1 z2 : z2 = x1",
+        "exists! z1 z2 : z2 = ~z2",
     ],
     Signature.GROUP: [
         "delta 2",
@@ -864,6 +867,8 @@ _REFERENCE_SENTENCES = {
         "forall x1 x2 exists! z1 z2 : z1 + z2 = x1 & z1 + -z2 = x2",
         r"forall x1 exists! z1 : 2 z1 = x1 & (z1 \/ 0) + (z1 /\ 0) = z1",
         r"forall x1 exists! z1 : z1 \/ 0 = x1 \/ 0",
+        "forall x1 exists! z1 z2 : z1 = x1",
+        "forall x1 exists! z1 z2 : 2 z2 = x1",
     ],
     Signature.HOOP: [
         "delta 2",
@@ -871,6 +876,8 @@ _REFERENCE_SENTENCES = {
         "forall x1 exists! z1 z2 : z1 + z2 = x1 & z1 -. z2 = z2 -. z1",
         "forall x1 exists! z1 : 2 z1 = x1 & z1 -. x1 = 0",
         "forall x1 exists! z1 : z1 -. x1 = 0",
+        "forall x1 exists! z1 z2 : z2 = x1",
+        "forall x1 exists! z1 z2 : 2 z1 = x1",
     ],
 }
 _REFERENCE_MODELS = [

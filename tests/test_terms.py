@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from efdkit import terms
 from efdkit.gen import random_term
 from efdkit.models import TwoMV, eval_term
 from efdkit.terms import (
@@ -36,7 +37,6 @@ from efdkit.terms import (
     parse_term,
     print_sentence,
     print_term,
-    validate_term,
     xvar,
     zvar,
 )
@@ -224,8 +224,37 @@ class TestValidation:
             EFDSentence(Signature.GROUP, 1, 1, ((xvar(5), zvar(1)),))
 
     def test_validate_term_signature(self):
-        with pytest.raises(SignatureError):
-            validate_term(Diff(xvar(1), xvar(2)), Signature.GROUP)
+        with pytest.raises(SignatureError, match="Diff not admitted in group terms"):
+            EFDSentence(Signature.GROUP, 2, 1, ((zvar(1), Diff(xvar(1), xvar(2))),))
+
+    def test_one_fold_per_side_and_none_in_the_parser(self, monkeypatch):
+        folded = []
+
+        def counted(t, f, fold=fold):
+            folded.append(t)
+            return fold(t, f)
+
+        monkeypatch.setattr(terms, "fold", counted)
+        lhs = parse_term(r"2 z1 \/ ~z1", Signature.MV)
+        rhs = parse_term("x1 -. x2", Signature.MV)
+        assert folded == []
+        EFDSentence(Signature.MV, 2, 1, ((lhs, rhs), (rhs, lhs)))
+        assert folded == [lhs, rhs, rhs, lhs]
+        folded.clear()
+        ident = boolean_marker()
+        assert folded == list(ident.equation)
+
+    def test_leftmost_fault_is_named(self):
+        with pytest.raises(SignatureError, match="^variable x5 out of range$"):
+            EFDSentence(Signature.GROUP, 1, 1, ((zvar(1), parse_term("x5 + x7 + x9 + x3", Signature.GROUP)),))
+        with pytest.raises(SignatureError, match="^Diff not admitted in group terms$"):
+            parse_term("x1 -. x2 +", Signature.GROUP)
+        with pytest.raises(SignatureError, match="^bad variable x0$"):
+            parse_term(r"x0 \/ x1", Signature.GROUP)
+        with pytest.raises(SignatureError, match="^Join not admitted in hoop terms$"):
+            parse_term(r"x1 \/ x2", Signature.HOOP)
+        with pytest.raises(SignatureError, match="^variable z3 out of range$"):
+            parse_sentence("forall x1 exists! z1 : z3 = x1 & z1 = x1 -. x1", Signature.GROUP)
 
     def test_free_vars_and_max_index(self):
         t = parse_term(r"x1 + 2 x3 \/ z1", Signature.GROUP)
