@@ -31,6 +31,7 @@ from .translate import (
     phi_rad_decompose,
     mv_to_hoop,
     classify_mv_sentences,
+    check_sentence,
 )
 from .models import (
     IntegerGroup,

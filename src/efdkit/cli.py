@@ -27,7 +27,6 @@ from .errors import BudgetExceeded
 from .geometry import DEFAULT_SEED, IneqSystem, is_full_dimensional
 from .lattice import (
     AEClass,
-    LatticeError,
     LogicExpansion,
     PrimeSet,
     boolean_p,
@@ -42,31 +41,25 @@ from .lattice import (
     trivial_p,
 )
 from .models import (
-    ModelError,
-    TwoMV,
-    check_sentence_sampled,
     eval_term,
     format_assignment,
     format_element,
-    holds_delta_exact,
     model_name,
     parse_element,
     parse_model,
     species,
-    Verdict,
 )
 from .terms import (
     MAX_INDEX,
     EFDSentence,
-    ParseError,
     Signature,
-    SignatureError,
     Var,
     boolean_marker,
     build_delta_k,
     build_epsilon_k,
     fold,
     max_index,
+    parse_integer,
     parse_sentence,
     parse_term,
     print_sentence,
@@ -74,16 +67,13 @@ from .terms import (
     scalar,
     sentence_to_json,
     term_to_json,
-    xvar,
     zvar,
 )
 from .translate import (
-    _NoUniqueSolution,
-    check_in_two,
+    check_sentence,
     classify_mv_sentences,
     mv_to_hoop,
     phi_rad_decompose,
-    sentence_deltas,
     star_sentence,
     star_term,
 )
@@ -108,23 +98,6 @@ class PropertyFailure(Exception):
 # Input helpers
 
 
-def _sig(name: str) -> Signature:
-    if name not in _SIGS:
-        raise ValueError(f"unknown signature {name!r}")
-    return _SIGS[name]
-
-
-def _integer_k(text: str, shorthand: str, spec: str) -> int:
-    """The K of a delta or epsilon shorthand.  A literal past the
-    interpreter's digit limit keeps int's own text, which names the limit."""
-    try:
-        return int(text)
-    except ValueError as e:
-        if not str(e).startswith("invalid literal"):
-            raise
-        raise ValueError(f"{shorthand} K needs an integer K, got {spec!r}") from None
-
-
 def parse_sentence_spec(text: str, sig: Signature):
     """A sentence given either as a shorthand -- ``delta K``, ``delta K :
     TERM``, ``epsilon K``, ``boolean``, ``absurd`` -- or in full concrete
@@ -134,9 +107,7 @@ def parse_sentence_spec(text: str, sig: Signature):
     if head and head[0] == "delta":
         rest = head[1] if len(head) > 1 else ""
         kpart, colon, tpart = rest.partition(":")
-        if not kpart.strip():
-            raise ValueError(f"delta K needs an integer K, got {s!r}")
-        k = _integer_k(kpart, "delta", s)
+        k = parse_integer(kpart, f"delta K needs an integer K, got {s!r}")
         if not colon:
             return build_delta_k(k, sig)
         t = parse_term(tpart, sig)
@@ -146,9 +117,8 @@ def parse_sentence_spec(text: str, sig: Signature):
     if head and head[0] == "epsilon":
         if sig is not Signature.MV:
             raise FragmentError("epsilon K is an MV shorthand")
-        if len(head) < 2:
-            raise ValueError(f"epsilon K needs an integer K, got {s!r}")
-        return build_epsilon_k(_integer_k(head[1], "epsilon", s))
+        kpart = head[1] if len(head) > 1 else ""
+        return build_epsilon_k(parse_integer(kpart, f"epsilon K needs an integer K, got {s!r}"))
     if s == "boolean":
         if sig is not Signature.MV:
             raise FragmentError("the boolean marker is an MV shorthand")
@@ -178,10 +148,7 @@ def _gather_sentences(args, sig: Signature) -> list:
 
 def _seed_from_env() -> int:
     text = os.environ.get(SEED_ENV, str(DEFAULT_SEED))
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV} must be an integer, got {text!r}") from None
+    return parse_integer(text, f"{SEED_ENV} must be an integer, got {text!r}")
 
 
 def _parse_rows(text: str) -> tuple[tuple[int, ...], ...]:
@@ -190,7 +157,8 @@ def _parse_rows(text: str) -> tuple[tuple[int, ...], ...]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        rows.append(tuple(int(c) for c in chunk.split(",")))
+        rows.append(tuple(parse_integer(c, f"row entry {c.strip()!r} is not an integer")
+                          for c in chunk.split(",")))
     if not rows:
         raise ValueError("no rows given")
     if len({len(r) for r in rows}) != 1:
@@ -243,7 +211,8 @@ def _parse_primes(text: str) -> frozenset[int]:
     text = text.strip()
     if not text:
         return frozenset()
-    return frozenset(int(p) for p in text.split(","))
+    return frozenset(parse_integer(p, f"prime {p.strip()!r} is not an integer")
+                     for p in text.split(","))
 
 
 def _expansion_spec(text: str) -> LogicExpansion:
@@ -383,7 +352,7 @@ def _emit(args, command: str, payload: dict) -> None:
 
 
 def _cmd_parse(args) -> int:
-    sig = _sig(args.sig)
+    sig = _SIGS[args.sig]
     if args.term is not None:
         t = parse_term(args.term, sig)
         _emit(args, "parse", {"term": term_to_json(t), "printed": print_term(t)})
@@ -394,7 +363,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    sig = _sig(args.sig)
+    sig = _SIGS[args.sig]
     if sig is not Signature.GROUP:
         raise FragmentError("piecewise canonical forms exist for group terms only")
     t = parse_term(args.term, sig)
@@ -411,7 +380,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    sig = _sig(args.sig)
+    sig = _SIGS[args.sig]
     items = _gather_sentences(args, sig)
     if sig is Signature.GROUP:
         result = classify_group_sentences(items, cap=args.cap)
@@ -531,53 +500,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _exact_check(a, phi: EFDSentence) -> Verdict | None:
-    """Decide phi in a exactly, or None for the sampled checker (sentences
-    outside the classifier's fragment; a BudgetExceeded of the classifier
-    propagates, so that the caller can name the budget).  The two-element
-    model is checked exhaustively; a group, cone or Gamma model satisfies phi iff it is
-    k'-divisible for the k' of every delta_{k,t} of phi (the classification;
-    a hoop sentence on a cone through its star image, and no Gamma model
-    satisfies an MV sentence in the trivial class)."""
-    try:
-        if isinstance(a, TwoMV):
-            two = check_in_two(phi)
-            detail = f"exhaustive over {{0,1}}^{phi.n}"
-            if two.holds:
-                return Verdict("holds", True, None, detail)
-            ebar = {xvar(i): b for i, b in enumerate(two.failing, start=1)}
-            return Verdict("falsified", True, (ebar, []), f"{detail}: no unique z-solution")
-        kprimes = sorted({reduce_delta_kt(d) for d in sentence_deltas(phi)})
-    except _NoUniqueSolution as exc:
-        detail = f"classification: trivial, no unique two-element solution at e-bar = {exc.failing}"
-        return Verdict("falsified", True, None, detail)
-    except BudgetExceeded:
-        raise
-    except FragmentError:
-        return None
-    holds = all(holds_delta_exact(a, k) for k in kprimes)
-    detail = "classification: " + ", ".join(f"delta_{k}" for k in kprimes)
-    return Verdict("holds" if holds else "falsified", True, None, detail)
-
-
 def _cmd_check(args) -> int:
     spec = _sentence_specs(args)[0]
     a = parse_model(args.model)
     phi = parse_sentence_spec(spec, species(a))
     if not isinstance(phi, EFDSentence):
         raise FragmentError("check expects an EFD-sentence")
-    verdict = over_budget = None
-    if not args.no_shortcut:
-        try:
-            verdict = _exact_check(a, phi)
-        except BudgetExceeded as exc:
-            over_budget = exc
-    if verdict is None:
-        budget = 500 if args.budget is None else args.budget
-        verdict = check_sentence_sampled(a, phi, budget=budget, seed=args.seed)
-    if over_budget is not None:
-        detail = f"{verdict.detail} (classification over budget: {over_budget})"
-        verdict = Verdict(verdict.status, verdict.exact, verdict.witness, detail)
+    verdict = check_sentence(a, phi, args.budget, args.seed, shortcut=not args.no_shortcut)
     _emit(
         args,
         "check",
@@ -712,7 +641,7 @@ _COMMANDS = {
              (_FORMAT, _opt("--model", required=True), _opt("--term", required=True),
               _opt("--assign", help='e.g. "x1=1/2;x2=(1, -1/3)"'))),
     "check": (_cmd_check, "check a sentence in a witness model",
-              (_FORMAT, _SEED, _opt("--budget", "int"), *_SENTENCES,
+              (_FORMAT, _SEED, _opt("--budget", "int", default=500), *_SENTENCES,
                _opt("--model", required=True),
                _opt("--no-shortcut", "flag", default=False,
                     help="force the sampled checker even where the classification or "
@@ -848,15 +777,8 @@ def run(argv=None) -> int:
     except PropertyFailure as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 4
-    except (
-        ParseError,
-        SignatureError,
-        ModelError,
-        LatticeError,
-        ValueError,
-        KeyError,
-        OSError,
-    ) as exc:
+    # ParseError, SignatureError, ModelError and LatticeError are ValueErrors
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

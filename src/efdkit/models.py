@@ -60,6 +60,7 @@ from .terms import (
     Zero,
     fold,
     free_vars,
+    parse_integer,
     xvar,
 )
 
@@ -904,10 +905,8 @@ def parse_model(text: str) -> WitnessAlgebra:
     if text == "two":
         return TwoMV()
     if text.startswith("qs:"):
-        try:
-            primes = frozenset(int(p) for p in text[3:].split(",") if p)
-        except ValueError:
-            raise ModelError(f"bad prime list in {text!r}") from None
+        message = f"bad prime list in {text!r}"
+        primes = frozenset(parse_integer(p, message) for p in text[3:].split(",") if p)
         return LocalizedRationals(primes)
     if text.startswith("lex(") and text.endswith(")"):
         left, right = _split_args(text[4:-1])
@@ -969,13 +968,14 @@ def parse_element(a: WitnessAlgebra, text: str):
     if isinstance(a, (GammaPerfect, LexProduct)):
         parts = _pair_halves(text)
         if isinstance(a, GammaPerfect):
-            e = (int(parts[0]), _parse_rational(parts[1]))
+            lead = parse_integer(parts[0], f"integer literal expected, got {parts[0].strip()!r}")
+            e = (lead, _parse_rational(parts[1]))
         else:
             e = (parse_element(a.left, parts[0]), parse_element(a.right, parts[1]))
         check_element(a, e)
         return e
     if isinstance(a, TwoMV):
-        e = int(text)
+        e = parse_integer(text, f"integer literal expected, got {text!r}")
     else:
         e = _parse_rational(text)
     check_element(a, e)
@@ -998,10 +998,14 @@ def _pair_halves(text: str) -> tuple[str, str]:
 
 
 def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ModelError(f"zero denominator in {text.strip()!r}") from None
+    """INT or INT/INT, each INT read by parse_integer."""
+    message = f"rational literal expected, got {text.strip()!r}"
+    num, slash, den = text.partition("/")
+    p = parse_integer(num, message)
+    q = parse_integer(den, message) if slash else 1
+    if q == 0:
+        raise ModelError(f"zero denominator in {text.strip()!r}")
+    return Fraction(p, q)
 
 
 def format_element(e) -> str:

@@ -45,6 +45,7 @@ __all__ = [
     "power",
     "free_vars",
     "max_index",
+    "parse_integer",
     "parse_term",
     "parse_sentence",
     "print_term",
@@ -420,6 +421,19 @@ _TOKEN_RE = re.compile(
     )""",
     re.VERBOSE,
 )
+
+
+_INTEGER_RE = re.compile(r"-?\d+")
+
+
+def parse_integer(text: str, message: str) -> int:
+    """The integer that text spells as the int token with an optional
+    leading -, between blanks, else ParseError(message).  Past the
+    interpreter's digit limit, int's own ValueError names the limit."""
+    s = text.strip()
+    if _INTEGER_RE.fullmatch(s) is None:
+        raise ParseError(message)
+    return int(s)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

@@ -12,11 +12,13 @@ from .canonical import (
     DeltaKT,
     FragmentError,
     classify_group_sentences,
+    reduce_delta_kt,
     sentence_to_delta_kt,
     DEFAULT_CELL_BUDGET,
 )
+from .errors import BudgetExceeded
 from .lattice import AEClass, boolean_p, meet as class_meet, trivial_p
-from .models import TwoMV, _Solver
+from .models import TwoMV, Verdict, _Solver, check_sentence_sampled, holds_delta_exact
 from .record import Record
 from .terms import (
     Diff,
@@ -45,7 +47,6 @@ from .terms import (
 
 __all__ = [
     "RadBasicSentence",
-    "TwoCheck",
     "MVClassification",
     "star_term",
     "star_sentence",
@@ -55,6 +56,7 @@ __all__ = [
     "hoop_delta_star",
     "sentence_deltas",
     "classify_mv_sentences",
+    "check_sentence",
 ]
 
 _TWO_BOUND = 20  # exhaustive 2^(n+m) bound for check_in_two
@@ -66,12 +68,6 @@ class RadBasicSentence(Record):
 
     sentence: EFDSentence
     sign_vector: tuple[int, ...]
-
-
-class TwoCheck(Record):
-    holds: bool
-    table: dict | None  # e-bar -> unique e'-bar on success
-    failing: tuple | None  # first e-bar without a unique solution
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +117,10 @@ def _bits(width: int):
         yield tuple((mask >> i) & 1 for i in range(width))
 
 
-def check_in_two(phi: EFDSentence) -> TwoCheck:
-    """For every e-bar in {0,1}^n, find the unique e'-bar solving the
-    equations in the two-element model."""
+def check_in_two(phi: EFDSentence) -> dict[tuple, tuple]:
+    """The unique e'-bar solving the equations in the two-element model at
+    each e-bar in {0,1}^n.  Raises _NoUniqueSolution at the first e-bar
+    without one."""
     if phi.signature is not Signature.MV:
         raise FragmentError("check_in_two expects an MV sentence")
     if phi.n + phi.m > _TWO_BOUND:
@@ -133,9 +130,9 @@ def check_in_two(phi: EFDSentence) -> TwoCheck:
     for ebar in _bits(phi.n):
         solutions, _ = solver.solve_codes(ebar)  # the bits are their own codes
         if len(solutions) != 1:
-            return TwoCheck(False, None, ebar)
+            raise _NoUniqueSolution(ebar)
         table[ebar] = solutions[0]
-    return TwoCheck(True, table, None)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +140,8 @@ def check_in_two(phi: EFDSentence) -> TwoCheck:
 
 
 class _NoUniqueSolution(FragmentError):
-    """check_in_two failed at e-bar ``failing``: the precondition of the
-    decomposition."""
+    """check_in_two found no unique e'-bar at e-bar ``failing``: phi fails
+    in the two-element model, and so does the decomposition's precondition."""
 
     def __init__(self, failing: tuple):
         super().__init__(
@@ -176,12 +173,9 @@ def phi_rad_decompose(phi: EFDSentence) -> list[RadBasicSentence]:
     as a single equation via the meet-of-distance-sums encoding of
     disjunction, which is faithful on totally ordered algebras.
     """
-    ct = check_in_two(phi)
-    if not ct.holds:
-        raise _NoUniqueSolution(ct.failing)
+    table = check_in_two(phi)
     out = []
-    for ebar in _bits(phi.n):
-        eprime = ct.table[ebar]
+    for ebar, eprime in table.items():
         esub: dict[Var, bool] = {xvar(i): bool(b) for i, b in enumerate(ebar, start=1)}
         esub.update({zvar(j): bool(b) for j, b in enumerate(eprime, start=1)})
         # radical disjunct: x_i^2 = 0 for each i, then the substituted alpha
@@ -403,3 +397,42 @@ def classify_mv_sentences(
     if boolean:
         result = class_meet(result, boolean_p())
     return MVClassification(result)
+
+
+# ---------------------------------------------------------------------------
+# Deciding a sentence in a witness model
+
+
+def check_sentence(a, phi: EFDSentence, budget: int = 500, seed: int = 0,
+                   shortcut: bool = True) -> Verdict:
+    """Decide phi in the witness model a: exhaustively on two, and on any
+    other model by the classification, since a satisfies phi iff it is
+    k'-divisible for the k' of every delta_{k,t} of phi (no Gamma model
+    satisfies an MV sentence in the trivial class).  Outside their reach,
+    or without the shortcut, phi is sampled; where the classification's
+    cell budget sent it there, the detail says so."""
+    over_budget = ""
+    if shortcut:
+        exhaustive = f"exhaustive over {{0,1}}^{phi.n}"
+        try:
+            if isinstance(a, TwoMV):
+                check_in_two(phi)
+                return Verdict("holds", True, None, exhaustive)
+            kprimes = sorted({reduce_delta_kt(d) for d in sentence_deltas(phi)})
+            holds = all(holds_delta_exact(a, k) for k in kprimes)
+            detail = "classification: " + ", ".join(f"delta_{k}" for k in kprimes)
+            return Verdict("holds" if holds else "falsified", True, None, detail)
+        except _NoUniqueSolution as exc:
+            if isinstance(a, TwoMV):
+                ebar = {xvar(i): b for i, b in enumerate(exc.failing, start=1)}
+                return Verdict("falsified", True, (ebar, []), f"{exhaustive}: no unique z-solution")
+            detail = f"classification: trivial, no unique two-element solution at e-bar = {exc.failing}"
+            return Verdict("falsified", True, None, detail)
+        except BudgetExceeded as exc:
+            over_budget = f" (classification over budget: {exc})"
+        except FragmentError:
+            pass
+    verdict = check_sentence_sampled(a, phi, budget=budget, seed=seed)
+    if over_budget:
+        verdict = Verdict(verdict.status, verdict.exact, verdict.witness, verdict.detail + over_budget)
+    return verdict

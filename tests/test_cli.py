@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import efdkit.cli as cli
-from efdkit import models
+from efdkit import models, translate
 from efdkit.cli import run
 from efdkit.gen import random_rational_point, random_term
 from efdkit.models import (
@@ -33,6 +33,7 @@ from efdkit.terms import (
     xvar,
     zvar,
 )
+from efdkit.translate import check_sentence
 
 from test_canonical import TWELVE_FORMS, count_cell_tests, count_lp_calls
 
@@ -726,12 +727,13 @@ class TestExactAgainstSampled:
         cones = 0
         for i in range(300):
             a, phi = _random_check_pair(rng, i)
-            exact = cli._exact_check(a, phi)
+            exact = check_sentence(a, phi, budget=1)
+            classified = exact.detail.startswith("classification: ")
             if isinstance(a, PositiveCone):
                 # every hoop k z1 = t is classified
-                assert exact is not None, (a, phi)
+                assert classified, (a, phi)
                 cones += 1
-            if exact is None:
+            if not classified:
                 continue
             decided[exact.status] += 1
             sampled = check_sentence_sampled(a, phi, budget=60, seed=i)
@@ -864,13 +866,13 @@ class TestDeterminism:
 
     def test_env_seed_override(self, capsys, monkeypatch):
         seeds = []
-        original = cli.check_sentence_sampled
+        original = translate.check_sentence_sampled
 
         def recording(a, phi, budget, seed):
             seeds.append(seed)
             return original(a, phi, budget=budget, seed=seed)
 
-        monkeypatch.setattr(cli, "check_sentence_sampled", recording)
+        monkeypatch.setattr(translate, "check_sentence_sampled", recording)
         argv = ("check", "--model", "gamma(q)", "--sentence", "epsilon 2",
                 "--no-shortcut", "--budget", "20")
         for value in ("99", "5", "99"):
@@ -983,9 +985,11 @@ _OPTION_NAMES = sorted({e[0] for *_, table in cli._COMMANDS.values() for e in ta
 _LITERALS = ["x1", "all", "divisible:2", "trivial", "boolean", "lp:2", "bal:classical", "2,3",
              "4", "1,0;-1,0", "1,0;0", "1,a", r"x1 \/ -x1", "~x1", "delta", "delta 2",
              "delta : x1", "epsilon 2", "forall x1 exists! z1 : z1 = x1", "q", "gamma(q)", "two",
-             "nope", "x1=1", "x1=(0, 1/2)", "x1=1/0", "=1", "x1", "x2=3;x1=1", "", "x"]
-_ODD = ["-1", "-5", "07", " 3", "1_0", "-x1", "-", "--", "--cap", "-h", "x1 -1"]
-_CHEAP = ["lattice", "axioms", "fulldim", "parse", "eval"]
+             "nope", "x1=1", "x1=(0, 1/2)", "x1=1/0", "=1", "x1", "x2=3;x1=1", "", "x",
+             "x1=1.5", "x1=(x, 1)", "\u0663", "9" * 5000]
+_ODD = ["-1", "-5", "07", " 3", "1_0", "+2", "1.5", "-x1", "-", "--", "--cap", "-h", "x1 -1"]
+# every subcommand but selftest, whose suites are not bounded by these options
+_TOTAL = [command for command in cli._COMMANDS if command != "selftest"]
 
 
 @st.composite
@@ -1044,8 +1048,11 @@ class TestArgvTables:
             assert vars(ours) == _argparse_attrs(argv)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_argv(_CHEAP))
-    def test_cheap_commands_end_with_an_exit_code(self, argv):
+    @given(_argv(_TOTAL))
+    def test_every_command_ends_with_an_exit_code(self, argv):
+        """Ints are drawn from 1, 2 and 7, so --budget, --cap and --k stay
+        small, and so do the sentences and terms of _LITERALS.  No literal
+        reaches the user as Python's own conversion error."""
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -1054,6 +1061,7 @@ class TestArgvTables:
                 code = exc.code
                 assert code in (0, 2)
         assert code in (0, 2, 3, 4)
+        assert "invalid literal" not in err.getvalue().lower(), err.getvalue()
         if code == 2 and cli._parse_argv(argv) is not None:
             assert err.getvalue().startswith("error: ")
 

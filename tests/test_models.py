@@ -545,7 +545,7 @@ class TestTwoElementModel:
         assert _ev(two, "x1^2", Signature.MV, x1=1) == 1
 
     def test_epsilon_1_exhaustive(self):
-        assert check_in_two(build_epsilon_k(1)).holds
+        assert check_in_two(build_epsilon_k(1)) == {(0,): (0,), (1,): (1,)}
 
 
 class TestExactCriteria:
@@ -1222,7 +1222,7 @@ class TestSolverWork:
         assert counts["fold"] == 1
 
     def test_the_two_element_model_is_not_scaled(self, counts):
-        assert check_in_two(build_epsilon_k(3)).holds
+        assert check_in_two(build_epsilon_k(3)) == {(0,): (0,), (1,): (1,)}
         assert counts["_pool"] == 0
         assert counts["fold"] == 0
 

@@ -33,6 +33,7 @@ from efdkit.terms import (
     zvar,
 )
 from efdkit.translate import (
+    _NoUniqueSolution,
     check_in_two,
     classify_mv_sentences,
     mv_to_hoop,
@@ -84,16 +85,14 @@ class TestStarTranslation:
 
 class TestTwoElementCheck:
     def test_epsilon_table(self):
-        ct = check_in_two(build_epsilon_k(2))
-        assert ct.holds
-        assert set(ct.table) == {(0,), (1,)}
+        assert check_in_two(build_epsilon_k(2)) == {(0,): (0,), (1,): (1,)}
 
     def test_failing_sentence_reports_vector(self):
         # z + ~z = x has no solution at x = 0 in the two-element algebra
         phi = parse_sentence("forall x1 exists! z1 : z1 + ~z1 = x1", Signature.MV)
-        ct = check_in_two(phi)
-        assert not ct.holds
-        assert ct.failing == (0,)
+        with pytest.raises(_NoUniqueSolution) as exc:
+            check_in_two(phi)
+        assert exc.value.failing == (0,)
 
     def test_bound_enforced(self):
         n = 25
@@ -129,7 +128,7 @@ class TestDecomposition:
 
     def test_branches_hold_in_two_element_model(self):
         for p in phi_rad_decompose(build_epsilon_k(2)):
-            assert check_in_two(p.sentence).holds
+            assert set(check_in_two(p.sentence)) == {(0,), (1,)}
 
     def test_precondition_failure_raises(self):
         phi = parse_sentence("forall x1 exists! z1 : z1 + ~z1 = x1", Signature.MV)
