@@ -279,9 +279,11 @@ def _render_text(obj, indent: int = 0) -> str:
 # sampling says so in detail; check/7: delta_{1,t} reduces to delta_1 with
 # no cell tests; check/8: one z is solved exactly at each sampled assignment,
 # so such a refutation is exact, and a candidate search with more z that
-# finds no solution is inconclusive (exit 3); translate/2: co-radical x^k
-# translates to k h, not h + ... + h
-_SCHEMA_VERSIONS = {"canon": 3, "check": 8, "translate": 2}
+# finds no solution is inconclusive (exit 3); check/9: lex products and
+# their cones get structured x-assignments (0, then +-e per coordinate) before
+# the random ones; translate/2: co-radical x^k translates to k h, not
+# h + ... + h
+_SCHEMA_VERSIONS = {"canon": 3, "check": 9, "translate": 2}
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -610,6 +612,13 @@ def _opt(name, kind="str", choices=None, default=None, required=False, help=None
     return (name, name.lstrip("-").replace("-", "_"), kind, choices, default, required, help)
 
 
+def _option_int(text: str) -> int:
+    """The value of an "int" option, read as every other integer literal."""
+    return parse_integer(text, f"invalid int value: {text!r}")
+
+
+_option_int.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+
 _FORMAT = _opt("--format", choices=("json", "text"), default="json")
 _SIG = _opt("--sig", choices=tuple(_SIGS), required=True)
 _SENTENCES = (_opt("--sentence", "append"), _opt("--file"))
@@ -672,7 +681,7 @@ def _parse_argv(argv):
       "--option=value" or "--": -h, --help and abbreviations among them;
     - a value or positional starting with "-", unless it is the last token
       and follows "--";
-    - a value that int() or the choices reject;
+    - a value that _option_int or the choices reject;
     - a missing required option or positional, or too many positionals."""
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -716,7 +725,7 @@ def _parse_argv(argv):
         _, dest, kind, choices = entry[:4]
         if kind == "int":
             try:
-                value = int(value)
+                value = _option_int(value)
             except ValueError:
                 return None
         if choices is not None and value not in choices:
@@ -732,7 +741,7 @@ def _parse_argv(argv):
 
 
 # argparse's arguments for each kind of table entry but "str" and "pos"
-_ARGPARSE_KINDS = {"int": {"type": int}, "flag": {"action": "store_true"},
+_ARGPARSE_KINDS = {"int": {"type": _option_int}, "flag": {"action": "store_true"},
                    "append": {"action": "append"}, "pos?": {"nargs": "?"}}
 
 

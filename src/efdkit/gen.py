@@ -6,20 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .terms import (
-    Diff,
-    Join,
-    Meet,
-    MVNeg,
-    Neg,
-    Plus,
-    Power,
-    Scalar,
-    Signature,
-    Term,
-    Var,
-    ZERO,
-)
+from .terms import _NODES, Neg, Power, Scalar, Signature, Term, Var, ZERO
 
 __all__ = ["random_term", "random_rational_point"]
 
@@ -46,40 +33,14 @@ def random_term(
     def sub():
         return random_term(rng, sig, n, depth - 1, coeff, kinds, m)
 
-    if sig is Signature.GROUP:
-        op = rng.choice(["plus", "neg", "join", "meet", "scalar"])
-        if op == "plus":
-            return Plus(sub(), sub())
-        if op == "neg":
-            return Neg(sub())
-        if op == "join":
-            return Join(sub(), sub())
-        if op == "meet":
-            return Meet(sub(), sub())
-        # negative multiples are spelled with an explicit negation
+    node = rng.choice(_NODES[sig])
+    if node is Scalar:
         t = Scalar(rng.randint(2, max(2, coeff)), sub())
-        return Neg(t) if rng.random() < 0.3 else t
-    if sig is Signature.HOOP:
-        op = rng.choice(["plus", "diff", "scalar"])
-        if op == "plus":
-            return Plus(sub(), sub())
-        if op == "diff":
-            return Diff(sub(), sub())
-        return Scalar(rng.randint(2, max(2, coeff)), sub())
-    op = rng.choice(["plus", "mvneg", "join", "meet", "diff", "scalar", "power"])
-    if op == "plus":
-        return Plus(sub(), sub())
-    if op == "mvneg":
-        return MVNeg(sub())
-    if op == "join":
-        return Join(sub(), sub())
-    if op == "meet":
-        return Meet(sub(), sub())
-    if op == "diff":
-        return Diff(sub(), sub())
-    if op == "scalar":
-        return Scalar(rng.randint(2, max(2, coeff)), sub())
-    return Power(rng.randint(2, max(2, coeff // 2)), sub())
+        # negative group multiples are spelled with an explicit negation
+        return Neg(t) if sig is Signature.GROUP and rng.random() < 0.3 else t
+    if node is Power:
+        return Power(rng.randint(2, max(2, coeff // 2)), sub())
+    return node(*[sub() for _ in node._fields])
 
 
 def random_rational_point(

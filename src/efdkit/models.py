@@ -342,6 +342,21 @@ class _Layout:
                 v = [0, *v] if rng.random() < 0.5 else [1, *[-x for x in v]]
         return v[0] if len(v) == 1 else tuple(v)
 
+    def structured(self, m: int) -> list:
+        """The codes at m of the x-values a sampled check tries first: 0,
+        then +e and -e for the unit e of each scaled coordinate in turn (only
+        +e in a cone), then in an MV model unit - b for each b so far, last
+        first."""
+        g, k = self.group, len(self.leaves)
+        codes = [g.zero]
+        for i, (_, scaled) in enumerate(self.leaves):
+            if scaled:
+                e = m if k == 1 else tuple([m if j == i else 0 for j in range(k)])
+                codes += [e] if self.cone else [e, g.neg(e)]
+        if self.unit is not None:
+            codes += [g.sub(self.unit, b) for b in reversed(codes)]
+        return codes
+
     def member(self, w, n: int, m: int) -> bool:
         """Whether w / n is the code of an element at scale m: each scaled
         coordinate x / (n m), and each unscaled x / n, lies in its scalar
@@ -819,28 +834,6 @@ class _Solver:
         return False
 
 
-def _structured_x(a, n: int) -> list[dict]:
-    """Canonical x-assignments checked before random sampling."""
-    basics = []
-    if isinstance(a, (IntegerGroup, RationalGroup, LocalizedRationals)):
-        basics = [Fraction(0), Fraction(1), Fraction(-1)]
-    elif isinstance(a, PositiveCone):
-        basics = [Fraction(0), Fraction(1)]
-    elif isinstance(a, GammaPerfect):
-        basics = [(0, Fraction(0)), (0, Fraction(1)), (1, Fraction(-1)), (1, Fraction(0))]
-    elif isinstance(a, TwoMV):
-        basics = _BITS
-    return [{Var("x", i): v for i in range(1, n + 1)} for v in basics if _element_ok(a, v)]
-
-
-def _sampled_x(layout: _Layout, n: int, seed: int, m: int):
-    """Random x-assignments as codes at scale m, drawn one at a time from
-    one seeded stream."""
-    rng = random.Random(seed)
-    while True:
-        yield tuple([layout.draw(rng, 12, m) for _ in range(n)])
-
-
 def _distinct(assignments):
     """The assignments that did not occur before.  A check stops at its
     first failing assignment, so a repeat was already decided, and passed,
@@ -860,9 +853,10 @@ def check_sentence_sampled(
     two) and on two, and by a bounded candidate search otherwise.  A pass
     is labelled sampled, and a refutation exact; a candidate search that
     finds no solution is inconclusive.  The structured assignments come
-    first, then random ones, up to budget; each distinct assignment is
-    solved once, as codes at the solver's scale, and only a witness is
-    decoded.  Past _SEARCH_BOUND it passes on the assignments solved before.
+    first, each x at one value of _Layout.structured, then random ones from
+    one seeded stream, up to budget; each distinct assignment is solved
+    once, as codes at the solver's scale, and only a witness is decoded.
+    Past _SEARCH_BOUND it passes on the assignments solved before.
     """
     if species(a) is not phi.signature:
         raise ModelError(
@@ -871,8 +865,11 @@ def check_sentence_sampled(
         )
     solver = _Solver(a, phi)
     layout, m, xvars = solver.layout, solver.scale, solver.xvars
-    structured = [tuple([layout.up(env[v], m) for v in xvars]) for env in _structured_x(a, phi.n)]
-    assignments = itertools.chain(structured, _sampled_x(layout, phi.n, seed, m))
+    rng, n = random.Random(seed), phi.n
+    assignments = itertools.chain(
+        [(w,) * n for w in layout.structured(m)],
+        iter(lambda: tuple([layout.draw(rng, 12, m) for _ in range(n)]), None),  # endless
+    )
     for count, xcodes in enumerate(_distinct(itertools.islice(assignments, max(budget, 1))), 1):
         try:
             sols, exact = solver.solve_codes(xcodes)

@@ -38,7 +38,7 @@ from .models import (
     PositiveCone,
     RationalGroup,
     _Solver,
-    _structured_x,
+    _layout,
     eval_term,
     gamma_div,
     holds_delta_exact,
@@ -440,6 +440,8 @@ def suite_decomposition(seed: int = DEFAULT_SEED, budget: int = 500) -> SuiteRep
         (GammaPerfect(LocalizedRationals(frozenset({2}))), "gamma(qs:2)"),
     ]
     for model, label in configs:
+        layout = _layout(model)
+        structured = [layout.down(w, 1) for w in layout.structured(1)]
         for k in (2, 3):
             eps = build_epsilon_k(k)
             parts = phi_rad_decompose(eps)
@@ -453,7 +455,6 @@ def suite_decomposition(seed: int = DEFAULT_SEED, budget: int = 500) -> SuiteRep
             radical_pres = True
             witness = None
             # the structured values first: a small sample may miss every failing x
-            structured = [env[xvar(1)] for env in _structured_x(model, 1)]
             for x in structured + sample_elements(model, budget, seed + k, cap=9):
                 env = {xvar(1): x}
                 sols_in, _ = solve_in(env)

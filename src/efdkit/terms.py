@@ -230,12 +230,14 @@ def substitute(t: Term, sub: Callable[[Var], Term]) -> Term:
     return fold(t, lambda node, *kids: sub(node) if isinstance(node, Var) else _rebuild(node, kids))
 
 
-# operations admitted per signature; Scalar/Power constraints checked separately
-_ALLOWED = {
-    Signature.GROUP: frozenset((Var, Zero, Plus, Neg, Join, Meet, Scalar)),
-    Signature.HOOP: frozenset((Var, Zero, Plus, Diff, Scalar)),
-    Signature.MV: frozenset((Var, Zero, Plus, MVNeg, Join, Meet, Diff, Scalar, Power)),
+# the operation nodes of each signature, in the order gen.random_term draws them
+_NODES = {
+    Signature.GROUP: (Plus, Neg, Join, Meet, Scalar),
+    Signature.HOOP: (Plus, Diff, Scalar),
+    Signature.MV: (Plus, MVNeg, Join, Meet, Diff, Scalar, Power),
 }
+# nodes admitted per signature; Scalar/Power constraints checked separately
+_ALLOWED = {sig: frozenset((Var, Zero, *nodes)) for sig, nodes in _NODES.items()}
 
 
 _NO_VARS: frozenset = frozenset()
@@ -518,9 +520,9 @@ class _Parser:
     def prefix(self) -> tuple[Term, int]:
         kind, value, pos = self.peek()
         if kind == "op" and (value == "-" or value == "~"):
-            if value == "-" and self.sig is not Signature.GROUP:
+            if value == "-" and Neg not in self.allowed:
                 raise ParseError("unary - only admitted in group terms", pos)
-            if value == "~" and self.sig is not Signature.MV:
+            if value == "~" and MVNeg not in self.allowed:
                 raise ParseError("~ only admitted in MV terms", pos)
             self.i += 1
             self.nest(pos)
@@ -541,7 +543,7 @@ class _Parser:
         t, d = self.atom()
         while self.peek()[1] == "^":
             _, _, pos = self.next()
-            if self.sig is not Signature.MV:
+            if Power not in self.allowed:
                 raise ParseError("^ only admitted in MV terms", pos)
             ktok = self.expect("int")
             k = int(ktok[1])

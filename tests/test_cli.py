@@ -169,7 +169,7 @@ class TestExamples:
             capsys, "check", "--model", "qs:2,3", "--sentence", "delta 6"
         )
         assert code == 0
-        assert payload["schema"] == "efdkit/check/8"
+        assert payload["schema"] == "efdkit/check/9"
         assert payload["verdict"] == {
             "status": "holds",
             "confidence": "exact",
@@ -209,6 +209,19 @@ class TestExamples:
         code, payload = invoke_json(capsys, "selftest", "decomposition", "--budget", budget)
         assert code == 0
         assert payload["passed"] is True
+
+
+class TestStructuredAssignments:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lex_check_tries_each_coordinates_unit_first(self, capsys, seed):
+        """In Q lex Z, (0, 1) has no half, and it is the fourth structured
+        x-value, after 0, (1, 0) and (-1, 0): every seed refutes there."""
+        code, payload = invoke_json(
+            capsys, "check", "--no-shortcut", "--model", "lex(q,z)", "--sentence", "delta 2",
+            "--seed", str(seed),
+        )
+        assert code == 4
+        assert payload["verdict"]["witness"]["x"] == {"x1": "(0, 1)"}
 
 
 class TestExitCodes:
@@ -1080,6 +1093,8 @@ class TestArgvTables:
              {"sentence": ["a", "b"], "no_shortcut": True, "seed": None}),
             (["selftest", "--seed", "4", "piecewise"], {"suite": "piecewise", "seed": 4}),
             (["selftest"], {"suite": "all", "budget": None}),
+            (["canon", "--cap", " 3 ", "x1"], {"cap": 3}),
+            (["reduce", "--k", "\u0663", "--term", "x1"], {"k": 3}),
         ],
     )
     def test_tables_parse(self, argv, attrs):
@@ -1111,6 +1126,24 @@ class TestArgvTables:
     )
     def test_tables_decline(self, argv):
         assert cli._parse_argv(argv) is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "--k", "1_0", "--term", "2 x1"],
+            ["check", "--budget", "+3", "--model", "q", "--sentence", "delta 2"],
+            ["canon", "--cap", "1_0", "x1"],
+            ["canon", "--cap=+3", "x1"],
+        ],
+    )
+    def test_option_ints_are_integer_literals(self, capsys, argv):
+        """An int option is read as every other integer literal, so an
+        underscore or a plus sign is a usage error, in argparse's text."""
+        assert cli._parse_argv(argv) is None
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
 
     def test_accepted_argv_do_not_import_argparse(self):
         """After argv that the tables parse, argparse is not loaded; an

@@ -824,7 +824,10 @@ def _reference_solutions(a, phi, xassign):
 
 def _assignments(a, phi, budget, seed):
     rng = random.Random(seed)
-    assignments = models._structured_x(a, phi.n)
+    layout = models._layout(a)
+    assignments = [
+        {Var("x", i): layout.down(w, 1) for i in range(1, phi.n + 1)} for w in layout.structured(1)
+    ]
     while len(assignments) < max(budget, 1):
         assignments.append(
             {Var("x", i): _oracle_sample(a, rng, 12) for i in range(1, phi.n + 1)}
@@ -1359,6 +1362,55 @@ class TestLayout:
         draws = [sample_elements(LocalizedRationals(s), 30, seed=2) for s in built]
         models._layout.cache_clear()
         assert sample_elements(LocalizedRationals(built[1]), 30, seed=2) == draws[0] == draws[1]
+
+    # the x-values a sampled check tried first when they were listed per
+    # model class; the layout must give the same values in the same order
+    @pytest.mark.parametrize(
+        "descriptor,expected",
+        [
+            ("z", [0, 1, -1]),
+            ("q", [0, 1, -1]),
+            ("qs:2,3", [0, 1, -1]),
+            ("cone(q)", [0, 1]),
+            ("cone(qs:2)", [0, 1]),
+            ("gamma(z)", [(0, 0), (0, 1), (1, -1), (1, 0)]),
+            ("gamma(q)", [(0, 0), (0, 1), (1, -1), (1, 0)]),
+            ("gamma(qs:5)", [(0, 0), (0, 1), (1, -1), (1, 0)]),
+            ("two", [0, 1]),
+        ],
+    )
+    def test_structured_values_of_scalar_models(self, descriptor, expected):
+        layout = models._layout(parse_model(descriptor))
+        assert [layout.down(w, 1) for w in layout.structured(1)] == expected
+        for m in (6, 35):
+            assert layout.structured(m) == [layout.up(e, m) for e in expected]
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            parse_model("lex(z,q)"),
+            parse_model("lex(q,lex(z,qs:2))"),
+            parse_model("cone(lex(z,q))"),
+            GammaPerfect(LexProduct(IntegerGroup(), LexProduct(RationalGroup(), IntegerGroup()))),
+        ],
+        ids=model_name,
+    )
+    def test_structured_values_of_lex_models(self, a):
+        """0 first, then +e and -e for the unit e of each coordinate of the
+        group (+e only in a cone), and in Gamma the pairs (0, e) followed by
+        their complements (1, -e), last first."""
+        layout = models._layout(a)
+        values = [layout.down(w, 1) for w in layout.structured(1)]
+        for e in values:
+            check_element(a, e)
+        over = isinstance(a, (PositiveCone, GammaPerfect))
+        k = len(models._layout(a.inner if over else a).leaves)
+        signs = (1,) if over else (1, -1)
+        group = [(0,) * k] + [tuple(s * (i == j) for j in range(k)) for i in range(k) for s in signs]
+        if isinstance(a, GammaPerfect):
+            group = [(0, *g) for g in group]
+            group += [(1, *[-x for x in g[1:]]) for g in reversed(group)]
+        assert [layout.flat(e) for e in values] == group
 
     def test_gamma_over_a_lex_product_is_checked_on_flat_codes(self):
         """Gamma(Z lex (Z lex Q)) has three coordinates, so its codes, hull

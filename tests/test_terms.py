@@ -359,3 +359,37 @@ class TestFold:
         assert fold(p, size) == 2**61 - 1
         assert len(calls) == 62
 
+
+class TestRandomTerm:
+    # printed before random_term drew from terms._NODES, so the draw order
+    # of each signature's nodes cannot drift: every suite and test that
+    # draws terms keeps drawing the same ones
+    @pytest.mark.parametrize(
+        "sig,seed,printed",
+        [
+            (Signature.GROUP, 2, r"x2 + -3 (z1 /\ x2)"),
+            (Signature.GROUP, 3, r"3 (-5 ((x1 /\ 0) + 5 0))"),
+            (Signature.GROUP, 4, r"(x2 /\ (z1 + x2 \/ z1 + z1)) + (z1 \/ 0)"),
+            (Signature.GROUP, 5, r"2 (--z1) \/ (x2 /\ x1) + (x1 /\ x1) + -(x1 \/ x2)"),
+            (Signature.HOOP, 2, "x2 + (3 (5 z1) + (0 -. 0 + 3 x1))"),
+            (Signature.HOOP, 4, "x2 -. (z1 + x2 -. (z1 + z1)) + 4 z1"),
+            (Signature.MV, 3, "0 -. ((~z1)^3 + (~0)^2)"),
+            (Signature.MV, 4, r"(x2 /\ (z1^2 \/ x1^2)) + (~z1)^3"),
+            (Signature.MV, 5, "4 ((~z1)^2)^2"),
+        ],
+    )
+    def test_fixed_seeds_draw_fixed_terms(self, sig, seed, printed):
+        assert print_term(random_term(random.Random(seed), sig, 2, 4, 6, ("x", "z"), 1)) == printed
+
+    def test_every_node_is_admitted_and_parsed_where_admitted(self):
+        """_ALLOWED is _NODES with the leaves; the parser rejects unary -,
+        ~ and ^ outside the signatures that have Neg, MVNeg and Power."""
+        for sig, nodes in terms._NODES.items():
+            assert terms._ALLOWED[sig] == {Var, type(ZERO), *nodes}
+        for text, node, message in [("-x1", Neg, "unary -"), ("~x1", MVNeg, "~"), ("x1^2", Power, r"\^")]:
+            for sig in Signature:
+                if node in terms._NODES[sig]:
+                    assert type(parse_term(text, sig)) is node
+                else:
+                    with pytest.raises(ParseError, match=f"^{message} only admitted in"):
+                        parse_term(text, sig)
