@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .errors import BudgetExceeded, FragmentError
+from .errors import DEFAULT_CELL_BUDGET, BudgetExceeded, FragmentError
 from .geometry import (
     IneqSystem,
     LinearForm,
@@ -20,6 +20,7 @@ from .geometry import (
 from .lattice import AEClass, PrimeSet, divisible_g, prime_factors, trivial_g
 from .record import Record
 from .terms import (
+    ABSURD,
     Diff,
     EFDSentence,
     Join,
@@ -48,11 +49,6 @@ __all__ = [
     "sentence_to_delta_kt",
     "DEFAULT_CELL_BUDGET",
 ]
-
-DEFAULT_CELL_BUDGET = 1000  # cell tests per canonical form, by point or by LP
-
-ABSURD = "absurd"  # explicit marker producing the Trivial class
-
 
 class PiecewiseLinear(Record):
     n: int

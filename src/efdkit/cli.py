@@ -14,69 +14,11 @@ import os
 import sys
 import types
 
-from .canonical import (
-    ABSURD,
-    DEFAULT_CELL_BUDGET,
-    DeltaKT,
-    FragmentError,
-    classify_group_sentences,
-    piecewise_canonical,
-    reduce_delta_kt,
-)
-from .errors import BudgetExceeded
-from .geometry import DEFAULT_SEED, IneqSystem, is_full_dimensional
-from .lattice import (
-    AEClass,
-    LogicExpansion,
-    PrimeSet,
-    boolean_p,
-    divisible_g,
-    divisible_p,
-    emit_axioms,
-    expansion_order,
-    includes,
-    join,
-    meet,
-    trivial_g,
-    trivial_p,
-)
-from .models import (
-    eval_term,
-    format_assignment,
-    format_element,
-    model_name,
-    parse_element,
-    parse_model,
-    species,
-)
-from .terms import (
-    MAX_INDEX,
-    EFDSentence,
-    Signature,
-    Var,
-    boolean_marker,
-    build_delta_k,
-    build_epsilon_k,
-    fold,
-    max_index,
-    parse_integer,
-    parse_sentence,
-    parse_term,
-    print_sentence,
-    print_term,
-    scalar,
-    sentence_to_json,
-    term_to_json,
-    zvar,
-)
-from .translate import (
-    check_sentence,
-    classify_mv_sentences,
-    mv_to_hoop,
-    phi_rad_decompose,
-    star_sentence,
-    star_term,
-)
+# The layers are bound as modules and their members read at each call: the
+# package registers them lazily, so a query executes only the ones it runs,
+# and nothing at module level here reads a layer other than terms.
+from . import canonical, geometry, lattice, models, terms, translate
+from .errors import DEFAULT_CELL_BUDGET, DEFAULT_SEED, BudgetExceeded, FragmentError
 
 __all__ = ["main", "run"]
 
@@ -87,7 +29,7 @@ SEED_ENV = "EFDKIT_SEED"
 # this many tree nodes, and exits 3 past it.
 MAX_PRINTED_NODES = 10_000
 
-_SIGS = {"group": Signature.GROUP, "hoop": Signature.HOOP, "mv": Signature.MV}
+_SIGS = {"group": terms.Signature.GROUP, "hoop": terms.Signature.HOOP, "mv": terms.Signature.MV}
 
 
 class PropertyFailure(Exception):
@@ -98,7 +40,7 @@ class PropertyFailure(Exception):
 # Input helpers
 
 
-def parse_sentence_spec(text: str, sig: Signature):
+def parse_sentence_spec(text: str, sig: terms.Signature):
     """A sentence given either as a shorthand -- ``delta K``, ``delta K :
     TERM``, ``epsilon K``, ``boolean``, ``absurd`` -- or in full concrete
     syntax."""
@@ -107,25 +49,27 @@ def parse_sentence_spec(text: str, sig: Signature):
     if head and head[0] == "delta":
         rest = head[1] if len(head) > 1 else ""
         kpart, colon, tpart = rest.partition(":")
-        k = parse_integer(kpart, f"delta K needs an integer K, got {s!r}")
+        k = terms.parse_integer(kpart, f"delta K needs an integer K, got {s!r}")
         if not colon:
-            return build_delta_k(k, sig)
-        t = parse_term(tpart, sig)
-        if max_index(t, "z"):
+            return terms.build_delta_k(k, sig)
+        t = terms.parse_term(tpart, sig)
+        if terms.max_index(t, "z"):
             raise FragmentError("delta K : TERM requires t over x-variables")
-        return EFDSentence(sig, max_index(t, "x"), 1, ((scalar(k, zvar(1)), t),))
+        equation = (terms.scalar(k, terms.zvar(1)), t)
+        return terms.EFDSentence(sig, terms.max_index(t, "x"), 1, (equation,))
     if head and head[0] == "epsilon":
-        if sig is not Signature.MV:
+        if sig is not terms.Signature.MV:
             raise FragmentError("epsilon K is an MV shorthand")
         kpart = head[1] if len(head) > 1 else ""
-        return build_epsilon_k(parse_integer(kpart, f"epsilon K needs an integer K, got {s!r}"))
+        k = terms.parse_integer(kpart, f"epsilon K needs an integer K, got {s!r}")
+        return terms.build_epsilon_k(k)
     if s == "boolean":
-        if sig is not Signature.MV:
+        if sig is not terms.Signature.MV:
             raise FragmentError("the boolean marker is an MV shorthand")
-        return boolean_marker()
+        return terms.boolean_marker()
     if s == "absurd":
-        return ABSURD
-    return parse_sentence(s, sig)
+        return terms.ABSURD
+    return terms.parse_sentence(s, sig)
 
 
 def _sentence_specs(args) -> list[str]:
@@ -142,13 +86,13 @@ def _sentence_specs(args) -> list[str]:
     return specs
 
 
-def _gather_sentences(args, sig: Signature) -> list:
+def _gather_sentences(args, sig: terms.Signature) -> list:
     return [parse_sentence_spec(spec, sig) for spec in _sentence_specs(args)]
 
 
 def _seed_from_env() -> int:
     text = os.environ.get(SEED_ENV, str(DEFAULT_SEED))
-    return parse_integer(text, f"{SEED_ENV} must be an integer, got {text!r}")
+    return terms.parse_integer(text, f"{SEED_ENV} must be an integer, got {text!r}")
 
 
 def _parse_rows(text: str) -> tuple[tuple[int, ...], ...]:
@@ -157,7 +101,7 @@ def _parse_rows(text: str) -> tuple[tuple[int, ...], ...]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        rows.append(tuple(parse_integer(c, f"row entry {c.strip()!r} is not an integer")
+        rows.append(tuple(terms.parse_integer(c, f"row entry {c.strip()!r} is not an integer")
                           for c in chunk.split(",")))
     if not rows:
         raise ValueError("no rows given")
@@ -178,32 +122,33 @@ def _parse_assignment(a, text: str) -> dict:
             raise ValueError(f"assignment {item!r} names no variable")
         # the names a term can hold: x or z, index 1..MAX_INDEX as terms._var reads it
         kind, digits = name[0], name[1:].lstrip("0")
-        if not (kind in ("x", "z") and digits.isdecimal() and len(digits) <= len(str(MAX_INDEX))
-                and int(digits) <= MAX_INDEX):
+        bound = terms.MAX_INDEX
+        if not (kind in ("x", "z") and digits.isdecimal() and len(digits) <= len(str(bound))
+                and int(digits) <= bound):
             raise ValueError(f"bad variable name {name!r}")
-        var = Var(kind, int(digits))
+        var = terms.Var(kind, int(digits))
         if var in env:
             raise ValueError(f"variable {name} is assigned more than once")
         value = value.strip()
         if not value:
             raise ValueError(f"assignment {item!r} gives no value (expected NAME=VALUE)")
-        env[var] = parse_element(a, value)
+        env[var] = models.parse_element(a, value)
     return env
 
 
-def _class_spec(text: str, family: str) -> AEClass:
+def _class_spec(text: str, family: str) -> lattice.AEClass:
     s = text.strip()
     if s == "trivial":
-        return trivial_g() if family == "G" else trivial_p()
+        return lattice.trivial_g() if family == "G" else lattice.trivial_p()
     if s == "boolean":
-        return boolean_p()
+        return lattice.boolean_p()
     if s.startswith("divisible:"):
         body = s[len("divisible:") :]
         if body.startswith("co:"):
-            ps = PrimeSet.cofinite(_parse_primes(body[3:]))
+            ps = lattice.PrimeSet.cofinite(_parse_primes(body[3:]))
         else:
-            ps = PrimeSet.finite(_parse_primes(body))
-        return divisible_g(ps) if family == "G" else divisible_p(ps)
+            ps = lattice.PrimeSet.finite(_parse_primes(body))
+        return lattice.divisible_g(ps) if family == "G" else lattice.divisible_p(ps)
     raise ValueError(f"bad class spec {s!r}")
 
 
@@ -211,22 +156,22 @@ def _parse_primes(text: str) -> frozenset[int]:
     text = text.strip()
     if not text:
         return frozenset()
-    return frozenset(parse_integer(p, f"prime {p.strip()!r} is not an integer")
+    return frozenset(terms.parse_integer(p, f"prime {p.strip()!r} is not an integer")
                      for p in text.split(","))
 
 
-def _expansion_spec(text: str) -> LogicExpansion:
+def _expansion_spec(text: str) -> lattice.LogicExpansion:
     base, _, rest = text.strip().partition(":")
     if rest in ("inconsistent", "classical"):
-        return LogicExpansion(base, special=rest)
-    return LogicExpansion(base, PrimeSet.finite(_parse_primes(rest)))
+        return lattice.LogicExpansion(base, special=rest)
+    return lattice.LogicExpansion(base, lattice.PrimeSet.finite(_parse_primes(rest)))
 
 
 # ---------------------------------------------------------------------------
 # Output helpers
 
 
-def _class_json(c: AEClass) -> dict:
+def _class_json(c: lattice.AEClass) -> dict:
     body = {"family": c.family, "class": c.kind}
     if c.kind == "divisible":
         if c.primes.kind == "finite":
@@ -237,9 +182,9 @@ def _class_json(c: AEClass) -> dict:
 
 
 def _sentence_json(item) -> dict:
-    if item == ABSURD:
+    if item == terms.ABSURD:
         return {"marker": "absurd"}
-    return {"ast": sentence_to_json(item), "printed": print_sentence(item)}
+    return {"ast": terms.sentence_to_json(item), "printed": terms.print_sentence(item)}
 
 
 def _render_text(obj, indent: int = 0) -> str:
@@ -356,8 +301,8 @@ def _emit(args, command: str, payload: dict) -> None:
 def _cmd_parse(args) -> int:
     sig = _SIGS[args.sig]
     if args.term is not None:
-        t = parse_term(args.term, sig)
-        _emit(args, "parse", {"term": term_to_json(t), "printed": print_term(t)})
+        t = terms.parse_term(args.term, sig)
+        _emit(args, "parse", {"term": terms.term_to_json(t), "printed": terms.print_term(t)})
         return 0
     items = _gather_sentences(args, sig)
     _emit(args, "parse", {"sentences": [_sentence_json(s) for s in items]})
@@ -366,30 +311,30 @@ def _cmd_parse(args) -> int:
 
 def _cmd_canon(args) -> int:
     sig = _SIGS[args.sig]
-    if sig is not Signature.GROUP:
+    if sig is not terms.Signature.GROUP:
         raise FragmentError("piecewise canonical forms exist for group terms only")
-    t = parse_term(args.term, sig)
-    pw = piecewise_canonical(t, cap=args.cap)
-    _emit(args, "canon", {"term": print_term(t), "piecewise": pw.to_json()})
+    t = terms.parse_term(args.term, sig)
+    pw = canonical.piecewise_canonical(t, cap=args.cap)
+    _emit(args, "canon", {"term": terms.print_term(t), "piecewise": pw.to_json()})
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    t = parse_term(args.term, Signature.GROUP)
-    kprime = reduce_delta_kt(DeltaKT(args.k, t), cap=args.cap)
-    _emit(args, "reduce", {"k": args.k, "term": print_term(t), "k_prime": kprime})
+    t = terms.parse_term(args.term, terms.Signature.GROUP)
+    kprime = canonical.reduce_delta_kt(canonical.DeltaKT(args.k, t), cap=args.cap)
+    _emit(args, "reduce", {"k": args.k, "term": terms.print_term(t), "k_prime": kprime})
     return 0
 
 
 def _cmd_classify(args) -> int:
     sig = _SIGS[args.sig]
     items = _gather_sentences(args, sig)
-    if sig is Signature.GROUP:
-        result = classify_group_sentences(items, cap=args.cap)
+    if sig is terms.Signature.GROUP:
+        result = canonical.classify_group_sentences(items, cap=args.cap)
         _emit(args, "classify", _class_json(result))
         return 0
-    if sig is Signature.MV:
-        mv = classify_mv_sentences(items, cap=args.cap)
+    if sig is terms.Signature.MV:
+        mv = translate.classify_mv_sentences(items, cap=args.cap)
         payload = _class_json(mv.ae_class)
         payload["notes"] = list(mv.notes)
         _emit(args, "classify", payload)
@@ -400,37 +345,38 @@ def _cmd_classify(args) -> int:
 def _cmd_translate(args) -> int:
     if args.direction == "star":
         if args.term is not None:
-            t = parse_term(args.term, Signature.HOOP)
-            st = star_term(t)
+            t = terms.parse_term(args.term, terms.Signature.HOOP)
+            st = translate.star_term(t)
             _emit(
                 args,
                 "translate",
                 {
                     "direction": "star",
-                    "input": print_term(t),
-                    "term": term_to_json(st),
-                    "printed": print_term(st),
+                    "input": terms.print_term(t),
+                    "term": terms.term_to_json(st),
+                    "printed": terms.print_term(st),
                 },
             )
             return 0
-        phi = parse_sentence_spec(_sentence_specs(args)[0], Signature.HOOP)
-        if not isinstance(phi, EFDSentence):
+        phi = parse_sentence_spec(_sentence_specs(args)[0], terms.Signature.HOOP)
+        if not isinstance(phi, terms.EFDSentence):
             raise FragmentError("star translation expects a hoop EFD-sentence")
         _emit(
             args,
             "translate",
             {
                 "direction": "star",
-                "input": print_sentence(phi),
-                "sentence": _sentence_json(star_sentence(phi)),
+                "input": terms.print_sentence(phi),
+                "sentence": _sentence_json(translate.star_sentence(phi)),
             },
         )
         return 0
-    phi = parse_sentence_spec(_sentence_specs(args)[0], Signature.MV)
-    if not isinstance(phi, EFDSentence):
+    phi = parse_sentence_spec(_sentence_specs(args)[0], terms.Signature.MV)
+    if not isinstance(phi, terms.EFDSentence):
         raise FragmentError("mv-hoop translation expects an MV EFD-sentence")
-    hoop = mv_to_hoop(phi)
-    size = sum(fold(t, lambda node, *kids: 1 + sum(kids)) for eq in hoop.equations for t in eq)
+    hoop = translate.mv_to_hoop(phi)
+    size = sum(terms.fold(t, lambda node, *kids: 1 + sum(kids))
+               for eq in hoop.equations for t in eq)
     if size > MAX_PRINTED_NODES:
         raise BudgetExceeded(
             f"the hoop image prints {size} term nodes, more than {MAX_PRINTED_NODES}"
@@ -440,7 +386,7 @@ def _cmd_translate(args) -> int:
         "translate",
         {
             "direction": "mv-hoop",
-            "input": print_sentence(phi),
+            "input": terms.print_sentence(phi),
             "sentence": _sentence_json(hoop),
         },
     )
@@ -448,15 +394,15 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    phi = parse_sentence_spec(_sentence_specs(args)[0], Signature.MV)
-    if not isinstance(phi, EFDSentence):
+    phi = parse_sentence_spec(_sentence_specs(args)[0], terms.Signature.MV)
+    if not isinstance(phi, terms.EFDSentence):
         raise FragmentError("decomposition expects an MV EFD-sentence")
-    parts = phi_rad_decompose(phi)
+    parts = translate.phi_rad_decompose(phi)
     _emit(
         args,
         "decompose",
         {
-            "input": print_sentence(phi),
+            "input": terms.print_sentence(phi),
             "branches": [
                 {
                     "sign_vector": list(p.sign_vector),
@@ -471,13 +417,13 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_fulldim(args) -> int:
     rows = _parse_rows(args.rows)
-    system = IneqSystem(len(rows[0]), rows)
-    res = is_full_dimensional(system)
+    system = geometry.IneqSystem(len(rows[0]), rows)
+    res = geometry.is_full_dimensional(system)
     payload = {
         "n": system.n,
         "rows": [list(r) for r in system.rows],
         "full_dimensional": res.full_dimensional,
-        "basis": [[format_element(c) for c in v] for v in res.basis] if res.basis else None,
+        "basis": [[str(c) for c in v] for v in res.basis] if res.basis else None,
         "certificate": list(res.certificate) if res.certificate else None,
     }
     _emit(args, "fulldim", payload)
@@ -485,18 +431,18 @@ def _cmd_fulldim(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    a = parse_model(args.model)
-    t = parse_term(args.term, species(a))
+    a = models.parse_model(args.model)
+    t = terms.parse_term(args.term, models.species(a))
     env = _parse_assignment(a, args.assign or "")
-    value = eval_term(a, t, env)
+    value = models.eval_term(a, t, env)
     _emit(
         args,
         "eval",
         {
-            "model": model_name(a),
-            "term": print_term(t),
-            "assignment": format_assignment(env),
-            "value": format_element(value),
+            "model": models.model_name(a),
+            "term": terms.print_term(t),
+            "assignment": models.format_assignment(env),
+            "value": models.format_element(value),
         },
     )
     return 0
@@ -504,25 +450,27 @@ def _cmd_eval(args) -> int:
 
 def _cmd_check(args) -> int:
     spec = _sentence_specs(args)[0]
-    a = parse_model(args.model)
-    phi = parse_sentence_spec(spec, species(a))
-    if not isinstance(phi, EFDSentence):
+    a = models.parse_model(args.model)
+    phi = parse_sentence_spec(spec, models.species(a))
+    if not isinstance(phi, terms.EFDSentence):
         raise FragmentError("check expects an EFD-sentence")
-    verdict = check_sentence(a, phi, args.budget, args.seed, shortcut=not args.no_shortcut)
+    verdict = translate.check_sentence(a, phi, args.budget, args.seed,
+                                       shortcut=not args.no_shortcut)
     _emit(
         args,
         "check",
         {
-            "model": model_name(a),
-            "sentence": print_sentence(phi),
+            "model": models.model_name(a),
+            "sentence": terms.print_sentence(phi),
             "verdict": verdict.to_json(),
         },
     )
     if verdict.status == "falsified":
-        raise PropertyFailure(f"{print_sentence(phi)} fails in {model_name(a)}")
+        raise PropertyFailure(f"{terms.print_sentence(phi)} fails in {models.model_name(a)}")
     if verdict.status == "inconclusive":
         raise FragmentError(
-            f"{print_sentence(phi)} is undecided in {model_name(a)}: no candidate z-solution"
+            f"{terms.print_sentence(phi)} is undecided in {models.model_name(a)}: "
+            "no candidate z-solution"
         )
     return 0
 
@@ -535,17 +483,17 @@ def _cmd_lattice(args) -> int:
             args,
             "lattice",
             {"op": "order", "left": args.left, "right": args.right,
-             "relation": expansion_order(e1, e2)},
+             "relation": lattice.expansion_order(e1, e2)},
         )
         return 0
     c1 = _class_spec(args.left, args.family)
     c2 = _class_spec(args.right, args.family)
     if args.op == "includes":
-        result = {"includes": includes(c1, c2)}
+        result = {"includes": lattice.includes(c1, c2)}
     elif args.op == "meet":
-        result = {"meet": _class_json(meet(c1, c2))}
+        result = {"meet": _class_json(lattice.meet(c1, c2))}
     else:
-        result = {"join": _class_json(join(c1, c2))}
+        result = {"join": _class_json(lattice.join(c1, c2))}
     _emit(
         args,
         "lattice",
@@ -555,8 +503,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    e = LogicExpansion(args.base, PrimeSet.finite(_parse_primes(args.primes)))
-    schemas = emit_axioms(e)
+    e = lattice.LogicExpansion(args.base, lattice.PrimeSet.finite(_parse_primes(args.primes)))
+    schemas = lattice.emit_axioms(e)
     _emit(
         args,
         "axioms",
@@ -614,7 +562,7 @@ def _opt(name, kind="str", choices=None, default=None, required=False, help=None
 
 def _option_int(text: str) -> int:
     """The value of an "int" option, read as every other integer literal."""
-    return parse_integer(text, f"invalid int value: {text!r}")
+    return terms.parse_integer(text, f"invalid int value: {text!r}")
 
 
 _option_int.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"

@@ -1,10 +1,15 @@
 """The errors that every layer may raise for an input it declines (exit 3
-at the CLI); they live below every other module so that each can raise
-them."""
+at the CLI), the default bound on that work and the default seed of the
+sampled procedures; they live below every other module so that each can
+read them, and the CLI reads the defaults without executing any layer."""
 
 from __future__ import annotations
 
-__all__ = ["FragmentError", "BudgetExceeded"]
+__all__ = ["FragmentError", "BudgetExceeded", "DEFAULT_CELL_BUDGET", "DEFAULT_SEED"]
+
+DEFAULT_CELL_BUDGET = 1000  # cell tests per canonical form, by point or by LP
+
+DEFAULT_SEED = 20260823  # the sampled check's and the property suites' seed
 
 
 class FragmentError(ValueError):

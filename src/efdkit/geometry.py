@@ -25,13 +25,10 @@ __all__ = [
     "feasible_point",
     "is_full_dimensional",
     "gcd_all",
-    "DEFAULT_SEED",
 ]
 
 LinearForm = tuple[int, ...]
 RationalVector = tuple[Fraction, ...]
-
-DEFAULT_SEED = 20260823
 
 
 class DimensionMismatch(ValueError):

@@ -11,8 +11,9 @@ import math
 import random
 from fractions import Fraction
 
-from . import geometry, terms, translate
+from . import terms, translate
 from .canonical import DeltaKT, piecewise_canonical, reduce_delta_kt
+from .errors import DEFAULT_SEED
 from .gen import random_rational_point, random_term
 from .geometry import IneqSystem, is_full_dimensional
 from .lattice import (
@@ -59,8 +60,6 @@ from .terms import (
 from .translate import phi_rad_decompose, star_term
 
 __all__ = ["SuiteReport", "SUITES", "run_suite", "run_all"]
-
-DEFAULT_SEED = geometry.DEFAULT_SEED
 
 
 class SuiteReport:

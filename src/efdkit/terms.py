@@ -53,6 +53,7 @@ __all__ = [
     "build_t_k",
     "build_delta_k",
     "build_epsilon_k",
+    "ABSURD",
     "boolean_marker",
     "is_boolean_marker",
     "term_to_json",
@@ -354,6 +355,9 @@ def build_epsilon_k(k: int) -> EFDSentence:
     if k < 1:
         raise ValueError("k must be >= 1")
     return EFDSentence(Signature.MV, 1, 1, ((build_t_k(k), xvar(1)),))
+
+
+ABSURD = "absurd"  # explicit marker producing the Trivial class
 
 
 def boolean_marker() -> Identity:

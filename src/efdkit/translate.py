@@ -7,20 +7,13 @@ from __future__ import annotations
 
 import functools
 
-from .canonical import (
-    ABSURD,
-    DeltaKT,
-    FragmentError,
-    classify_group_sentences,
-    reduce_delta_kt,
-    sentence_to_delta_kt,
-    DEFAULT_CELL_BUDGET,
-)
-from .errors import BudgetExceeded
+from . import models
+from .canonical import DeltaKT, classify_group_sentences, reduce_delta_kt, sentence_to_delta_kt
+from .errors import DEFAULT_CELL_BUDGET, BudgetExceeded, FragmentError
 from .lattice import AEClass, boolean_p, meet as class_meet, trivial_p
-from .models import TwoMV, Verdict, _Solver, check_sentence_sampled, holds_delta_exact
 from .record import Record
 from .terms import (
+    ABSURD,
     Diff,
     EFDSentence,
     Identity,
@@ -125,7 +118,7 @@ def check_in_two(phi: EFDSentence) -> dict[tuple, tuple]:
         raise FragmentError("check_in_two expects an MV sentence")
     if phi.n + phi.m > _TWO_BOUND:
         raise FragmentError(f"exhaustive bound n + m <= {_TWO_BOUND} exceeded")
-    solver = _Solver(TwoMV(), phi)
+    solver = models._Solver(models.TwoMV(), phi)
     table = {}
     for ebar in _bits(phi.n):
         solutions, _ = solver.solve_codes(ebar)  # the bits are their own codes
@@ -404,7 +397,7 @@ def classify_mv_sentences(
 
 
 def check_sentence(a, phi: EFDSentence, budget: int = 500, seed: int = 0,
-                   shortcut: bool = True) -> Verdict:
+                   shortcut: bool = True) -> models.Verdict:
     """Decide phi in the witness model a: exhaustively on two, and on any
     other model by the classification, since a satisfies phi iff it is
     k'-divisible for the k' of every delta_{k,t} of phi (no Gamma model
@@ -415,24 +408,26 @@ def check_sentence(a, phi: EFDSentence, budget: int = 500, seed: int = 0,
     if shortcut:
         exhaustive = f"exhaustive over {{0,1}}^{phi.n}"
         try:
-            if isinstance(a, TwoMV):
+            if isinstance(a, models.TwoMV):
                 check_in_two(phi)
-                return Verdict("holds", True, None, exhaustive)
+                return models.Verdict("holds", True, None, exhaustive)
             kprimes = sorted({reduce_delta_kt(d) for d in sentence_deltas(phi)})
-            holds = all(holds_delta_exact(a, k) for k in kprimes)
+            holds = all(models.holds_delta_exact(a, k) for k in kprimes)
             detail = "classification: " + ", ".join(f"delta_{k}" for k in kprimes)
-            return Verdict("holds" if holds else "falsified", True, None, detail)
+            return models.Verdict("holds" if holds else "falsified", True, None, detail)
         except _NoUniqueSolution as exc:
-            if isinstance(a, TwoMV):
+            if isinstance(a, models.TwoMV):
                 ebar = {xvar(i): b for i, b in enumerate(exc.failing, start=1)}
-                return Verdict("falsified", True, (ebar, []), f"{exhaustive}: no unique z-solution")
+                return models.Verdict("falsified", True, (ebar, []),
+                                      f"{exhaustive}: no unique z-solution")
             detail = f"classification: trivial, no unique two-element solution at e-bar = {exc.failing}"
-            return Verdict("falsified", True, None, detail)
+            return models.Verdict("falsified", True, None, detail)
         except BudgetExceeded as exc:
             over_budget = f" (classification over budget: {exc})"
         except FragmentError:
             pass
-    verdict = check_sentence_sampled(a, phi, budget=budget, seed=seed)
+    verdict = models.check_sentence_sampled(a, phi, budget=budget, seed=seed)
     if over_budget:
-        verdict = Verdict(verdict.status, verdict.exact, verdict.witness, verdict.detail + over_budget)
+        verdict = models.Verdict(verdict.status, verdict.exact, verdict.witness,
+                                 verdict.detail + over_budget)
     return verdict

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import efdkit.cli as cli
-from efdkit import models, translate
+from efdkit import models
 from efdkit.cli import run
 from efdkit.gen import random_rational_point, random_term
 from efdkit.models import (
@@ -830,6 +830,67 @@ class TestOneZSolve:
         assert verdict["detail"] == "sampled: no z-solution among candidates"
 
 
+# The efdkit modules every CLI query executes: cli and what its module level reads.
+_CLI = ("cli", "errors", "record", "terms")
+_GROUP = (*_CLI, "canonical", "geometry", "lattice")
+
+
+class TestColdStart:
+    # (argv, or [] for "import efdkit.cli" alone and None for "import efdkit";
+    # the efdkit modules it executes)
+    EXECUTED = [
+        (None, ()),
+        ([], _CLI),
+        (["parse", "--sig", "mv", "--sentence", "absurd"], _CLI),
+        (["canon", r"x1 \/ x2"], _GROUP),
+        (["reduce", "--k", "2", "--term", "x1"], _GROUP),
+        (["classify", "--sig", "group", "--sentence", "delta 6"], _GROUP),
+        (["classify", "--sig", "mv", "--sentence", "epsilon 3"], (*_GROUP, "models", "translate")),
+        (["translate", "--direction", "star", "--sentence", "delta 2"], (*_GROUP, "translate")),
+        (["translate", "--direction", "mv-hoop", "--sentence", "epsilon 2"],
+         (*_GROUP, "translate")),
+        (["decompose", "--sentence", "epsilon 2"], (*_GROUP, "models", "translate")),
+        (["fulldim", "--rows", "1,0"], (*_CLI, "geometry")),
+        (["eval", "--model", "q", "--term", "x1", "--assign", "x1=1"],
+         (*_CLI, "lattice", "models")),
+        (["check", "--model", "two", "--sentence", "epsilon 3"],
+         (*_GROUP, "models", "translate")),
+        (["lattice", "--op", "meet", "--left", "trivial", "--right", "boolean", "--family", "P"],
+         (*_CLI, "lattice")),
+        (["axioms", "--base", "bal", "--primes", "2"], (*_CLI, "lattice")),
+        (["selftest", "lattice-laws", "--budget", "1"],
+         (*_GROUP, "gen", "models", "selftest", "translate")),
+    ]
+
+    def test_each_query_executes_only_the_modules_it_runs(self):
+        """The package registers its modules lazily and each runs on first
+        use, so a cold query compiles only what it runs.  One interpreter
+        takes each argv in turn: it drops every efdkit module, imports
+        efdkit.cli afresh (or efdkit alone), runs the argv and reports its exit code and the
+        efdkit modules executed.  A lazy module that has not run still has
+        LazyLoader's own subclass of ModuleType."""
+        code = (
+            "import contextlib, importlib, io, json, sys, types\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    for name in [n for n in sys.modules if n.split('.')[0] == 'efdkit']:\n"
+            "        del sys.modules[name]\n"
+            "    cli = importlib.import_module('efdkit' if argv is None else 'efdkit.cli')\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        status = cli.run(argv) if argv else 0\n"
+            "    print(status, *sorted(n for n, m in sys.modules.items()\n"
+            "                          if n.startswith('efdkit.') and type(m) is types.ModuleType))\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps([argv for argv, _ in self.EXECUTED])],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert done.stdout.splitlines() == [
+            " ".join(["0", *sorted(f"efdkit.{m}" for m in modules)])
+            for _, modules in self.EXECUTED
+        ]
+
+
 class TestCandidatePool:
     """z1 = t(x) holds in each model below, though no x-value divided by at
     most 12 is its solution: a cone classifies it, and under --no-shortcut
@@ -879,13 +940,13 @@ class TestDeterminism:
 
     def test_env_seed_override(self, capsys, monkeypatch):
         seeds = []
-        original = translate.check_sentence_sampled
+        original = models.check_sentence_sampled
 
         def recording(a, phi, budget, seed):
             seeds.append(seed)
             return original(a, phi, budget=budget, seed=seed)
 
-        monkeypatch.setattr(translate, "check_sentence_sampled", recording)
+        monkeypatch.setattr(models, "check_sentence_sampled", recording)
         argv = ("check", "--model", "gamma(q)", "--sentence", "epsilon 2",
                 "--no-shortcut", "--budget", "20")
         for value in ("99", "5", "99"):
