@@ -20,14 +20,15 @@ element to its integer code (every rational coordinate times a scale M that
 clears its denominators: an int for one coordinate, else a flat tuple),
 runs codes in an integer l-group, draws random elements as codes and tests
 codes for membership.  The node operations of each signature are written
-once, over any such l-group (_operations), and terms compile to closures
-over codes (_evaluator).  The sampled checker fixes M when it starts, draws
-every x-assignment as codes at M, runs each equation side it compiles on
-them and decodes only a witness.  With one z, outside two, it solves each
-assignment exactly (_Solver): the same node operations fold the sides
-with z in efdkit.onez, the l-group of piecewise-linear functions of z1,
-and the roots and zero pieces of one table of pieces give every solution.
-With more z it searches a candidate pool.
+once, over any such l-group (_operations), and one compiler (_compiler)
+makes closures of a term over any of them: over codes (_evaluator).  The
+sampled checker fixes M when it starts, draws every x-assignment as codes
+at M, runs each equation side it compiles on them and decodes only a
+witness.  With one z, outside two, it solves each assignment exactly
+(_Solver): the same compiler runs the sides with z in efdkit.onez, the
+l-group of piecewise-linear functions of z1, and the roots and zero
+pieces of one table of pieces give every solution.  With more z it
+searches a candidate pool.
 """
 
 from __future__ import annotations
@@ -357,16 +358,15 @@ class _Layout:
             codes += [g.sub(self.unit, b) for b in reversed(codes)]
         return codes
 
-    def member(self, w, n: int, m: int) -> bool:
-        """Whether w / n is the code of an element at scale m: each scaled
-        coordinate x / (n m), and each unscaled x / n, lies in its scalar
-        group (iff the part of the divisor prime to S divides x), and it is
-        >= 0 in a cone and <= unit in an MV model."""
-        g = self.group
-        if (self.cone and w < g.zero) or (self.unit is not None and g.scale(n, self.unit) < w):
+    def member(self, w, m: int) -> bool:
+        """Whether w is the code of an element at scale m: each scaled
+        coordinate x / m lies in its scalar group (iff the part of m prime
+        to S divides x), and w is >= 0 in a cone and <= unit in an MV
+        model."""
+        if (self.cone and w < self.group.zero) or (self.unit is not None and self.unit < w):
             return False
         for x, (group, scaled) in zip(self.coords(w), self.leaves):
-            if x % _prime_part(group, n * m if scaled else n):
+            if scaled and x % _prime_part(group, m):
                 return False
         return True
 
@@ -438,7 +438,11 @@ def _layout(a: WitnessAlgebra) -> _Layout:
     raise ModelError(f"not a witness algebra: {a!r}")
 
 
-def sample_elements(a: WitnessAlgebra, count: int, seed: int, cap: int = 12) -> list:
+_CAP = 12  # the cap of a sampled check's draws (_Layout.draw) and of its pool's divisors (_pool)
+_LCM_CAP = math.lcm(*range(1, _CAP + 1))
+
+
+def sample_elements(a: WitnessAlgebra, count: int, seed: int, cap: int = _CAP) -> list:
     layout = _layout(a)
     rng, m = random.Random(seed), layout.sample_den(cap)
     return [layout.down(layout.draw(rng, cap, m), m) for _ in range(count)]
@@ -506,10 +510,11 @@ def _nonnegative(scale: Callable, message: str) -> Callable:
 
 
 def _compiler(zero, label: str, ops: dict) -> Callable:
-    """compile(t, slots): t as one closure per node over codes (terms.fold,
-    so a shared node compiles once), v read at codes[slots[v.kind,
-    v.index]], and the slots read.  ops are the node operations of
-    _operations, and zero the value of Zero.  A node outside ops, a
+    """compile(t, slots): t as one closure per node over values (terms.fold,
+    so a shared node compiles once but runs once per reference), v read at
+    values[slots[v.kind, v.index]], and the slots read.  ops are the node
+    operations of _operations over the l-group of the values (codes, or
+    onez's pieces), and zero the value of Zero.  A node outside ops, a
     variable without a slot and a negative k raise when evaluation reaches
     them, left first, as a recursive walk."""
 
@@ -630,7 +635,7 @@ def _pool(a, codes: list, m: int, cap: int) -> list:
             scaled.add(v)
             if not layout.cone:
                 scaled.add(g.neg(v))
-    pool = [w for w in sorted(scaled) if layout.member(w, 1, m)]
+    pool = [w for w in sorted(scaled) if layout.member(w, m)]
     if unit is not None:
         return [e for p in pool for e in (p, g.sub(unit, p))]
     return pool
@@ -674,7 +679,7 @@ class _Side:
     variables: its x-codes on the hull, its x-codes then z-codes in a
     candidate search.  fn maps the codes of an assignment to the code of
     the side's value; with one z, a side with z maps them to its pieces
-    (onez._Hull.fold), or to their table when _Solver compares it with a
+    (onez._Hull.compile), or to their table when _Solver compares it with a
     constant.  zmax is the highest index of its z-variables, 0 for none."""
 
     __slots__ = ("fn", "key", "zmax", "memo")
@@ -699,8 +704,9 @@ class _Solver:
     returns, so the memo of each equation side lives for that check only.
 
     With one z, outside two, each assignment is solved exactly on the hull
-    of onez, imported when such a solver is built: an x-free side such as
-    t_k(z1) is folded into pieces once per check, and a z-free side is a
+    of onez, imported when such a solver is built: a side with z is
+    compiled over the hull (onez._Hull.compile), so an x-free one such as
+    t_k(z1) runs into pieces once per check, and a z-free side is a
     constant.  One equation with a z-free side compares that constant with
     the table of the other side's pieces, made once per x-key; otherwise
     l - r, or with more equations the sum of their |l - r|, is tabled and
@@ -710,17 +716,17 @@ class _Solver:
     highest z is set and stops at two solutions, within _SEARCH_BOUND
     candidates a check.  Two is searched exhaustively.
 
-    Both run on codes at one scale M, fixed here: lcm(1..cap) times every
-    denominator _Layout.draw gives with that cap, so every sample and its
-    pool (v / d, d <= cap) are codes at M.  solve_codes takes x-codes at M;
+    Both run on codes at one scale M, fixed here: lcm(1.._CAP) times every
+    denominator _Layout.draw gives with _CAP, so every sample and its pool
+    (v / d, d <= _CAP) are codes at M.  solve_codes takes x-codes at M;
     solve scales x-values up, and other x-values of denominator D raise M
-    to lcm(M, D lcm(1..cap)) first.  The memo stays, since a compiled or
-    folded side maps codes to codes without reading M (x -> M x commutes
-    with every node operation).  Only the reported solutions are decoded;
-    the bits of TwoMV are their own codes."""
+    to lcm(M, D lcm(1.._CAP)) first.  The memo stays, since a side
+    compiled on codes or on the hull maps codes to codes without reading M
+    (x -> M x commutes with every node operation).  Only the reported
+    solutions are decoded; the bits of TwoMV are their own codes."""
 
-    def __init__(self, a, phi: EFDSentence, cap: int = 12):
-        self.a, self.phi, self.cap = a, phi, cap
+    def __init__(self, a, phi: EFDSentence):
+        self.a, self.phi = a, phi
         self.exhaustive = isinstance(a, TwoMV)
         names = [("x", i) for i in range(1, phi.n + 1)] + [("z", j) for j in range(1, phi.m + 1)]
         self.xvars = tuple(Var(*name) for name in names[: phi.n])
@@ -734,7 +740,7 @@ class _Solver:
 
         def side(t: Term, free: frozenset) -> _Side:
             s = _Side(free, phi.n, hull is not None)
-            s.fn = functools.partial(hull.fold, t) if hull and s.zmax else compile_(t, slots)[0]
+            s.fn = (hull.compile if hull and s.zmax else compile_)(t, slots)[0]
             return s
 
         side_vars = [tuple(map(free_vars, eq)) for eq in phi.equations]
@@ -752,14 +758,13 @@ class _Solver:
             lhs, rhs = self.sides[0]
             if bool(lhs.zmax) != bool(rhs.zmax):
                 pieces, const = (lhs, rhs) if lhs.zmax else (rhs, lhs)
-                pieces.fn = lambda xcodes, fold=pieces.fn: hull.table(fold(xcodes))
+                pieces.fn = lambda xcodes, fn=pieces.fn: hull.table(fn(xcodes))
                 self.single = pieces, const
-        self.lcm_cap = math.lcm(*range(1, cap + 1))
-        self.scale = self.lcm_cap * self.layout.sample_den(cap)
+        self.scale = _LCM_CAP * self.layout.sample_den(_CAP)
 
     def solve(self, xassign: dict):
         up, d = self.layout.up, math.lcm(*map(self.layout.den, xassign.values()))
-        m = self.scale = math.lcm(self.scale, d * self.lcm_cap)  # grows only for new denominators
+        m = self.scale = math.lcm(self.scale, d * _LCM_CAP)  # grows only for new denominators
         return self.solve_codes(tuple([up(_lookup(v, xassign), m) for v in self.xvars]))
 
     def solve_codes(self, xcodes: tuple):
@@ -788,7 +793,7 @@ class _Solver:
             # holds the solution of z = t(x) and its small divisions
             seeds = list(xcodes)
             seeds.extend(s.value(xcodes) for eq in self.sides for s in eq if not s.zmax)
-            pool = _pool(self.a, seeds, m, self.cap)
+            pool = _pool(self.a, seeds, m, _CAP)
         sols = []
         for lhs, rhs in self.levels[0]:
             if lhs(xcodes) != rhs(xcodes):
@@ -868,7 +873,7 @@ def check_sentence_sampled(
     rng, n = random.Random(seed), phi.n
     assignments = itertools.chain(
         [(w,) * n for w in layout.structured(m)],
-        iter(lambda: tuple([layout.draw(rng, 12, m) for _ in range(n)]), None),  # endless
+        iter(lambda: tuple([layout.draw(rng, _CAP, m) for _ in range(n)]), None),  # endless
     )
     for count, xcodes in enumerate(_distinct(itertools.islice(assignments, max(budget, 1))), 1):
         try:

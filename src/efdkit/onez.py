@@ -1,8 +1,8 @@
 """The l-group of piecewise-linear functions of z1 on which models._Solver
 solves the equations of a sentence with one z-variable exactly at a fixed
-x-assignment, in every witness algebra but two: fold, merge, table, roots
-and the points of zero pieces.  models imports it when it builds such a
-solver, so import efdkit does not compile it.
+x-assignment, in every witness algebra but two: compile, merge, table,
+roots and the points of zero pieces.  models imports it when it builds
+such a solver, so import efdkit does not compile it.
 
 At fixed x, every term is a continuous piecewise-linear function of z1 over
 the divisible hull of the model: Q for a scalar group and its cone, and Q^d
@@ -13,16 +13,17 @@ flat tuple of ints, every coordinate times the scale M but the bit of a
 Gamma pair.  Codes add, subtract and scale in the layout's integer group,
 and Python's order on them is the lex order.
 
-A term folds bottom-up into pieces (l, a, b): from the start l to the
+A term's value is a list of pieces (l, a, b): from the start l to the
 next piece's start (or the domain's end), it is a z + b, with a an integer
 and b a code.  A start is None for -oo, or a point n / q of the hull kept
-as (n, q): n a code and q >= 1 in lowest terms, so the fold runs on
+as (n, q): n a code and q >= 1 in lowest terms, so the pieces are
 integers.  These functions form an l-group pointwise:
 +, - and k x merge the starts, and \\/ and /\\ add the crossing
 point -(b1 - b2) / (a1 - a2) where it falls inside an interval.  The node
-operations of each signature come from models._operations over it, as the
-term compiler's come over integer codes.  The domain is the hull for a
-group, [0, oo) for a cone and [0, u] for Gamma.
+operations of each signature come from models._operations over it, and
+models._compiler compiles a term to them, as it does over integer codes.
+The domain is the hull for a group, [0, oo) for a cone and [0, u] for
+Gamma.
 
 The solutions of h(z) = c are the roots (c - b) / a of the pieces that
 reach c, when each coordinate lies in its scalar group (the domain bounds
@@ -37,8 +38,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .models import ModelError, RationalGroup, _layout, _operations, _prime_part
-from .terms import Power, Scalar, Var, Zero, fold
+from .models import RationalGroup, _compiler, _layout, _operations, _prime_part
 
 
 def _put(out: list, l, a: int, b) -> None:
@@ -95,7 +95,8 @@ class _Hull:
     """The piecewise-linear functions of z1 over the divisible hull of one
     algebra: an l-group pointwise (zero, add, sub, neg, scale, join and
     meet), at which models._operations builds the node operations of the
-    algebra's signature.  codes is the integer group of the codes."""
+    algebra's signature, compiled once per hull.  codes is the integer
+    group of the codes."""
 
     def __init__(self, a):
         layout = _layout(a)
@@ -112,30 +113,15 @@ class _Hull:
         if layout.unit is not None:
             self.hi = (layout.unit, 1)
             unit = [(self.lo, 0, layout.unit)]
-        self.label, self.ops = _operations(a, self, unit)
+        self._compile = _compiler(self.zero, *_operations(a, self, unit))
 
-    # -- folding -------------------------------------------------------------
-
-    def fold(self, t, xcodes: tuple) -> list:
-        """The pieces of t at the x-assignment with these codes."""
-        ops, lo = self.ops, self.lo
-
-        def node(n, *kids):
-            kind = type(n)
-            if kind is Var:
-                if n.kind == "z":
-                    return self.identity
-                return [(lo, 0, xcodes[n.index - 1])]
-            if kind is Zero:
-                return self.zero
-            op = ops.get(kind)
-            if op is None:
-                raise ModelError(f"{kind.__name__} not evaluable in {self.label}")
-            if kind is Scalar or kind is Power:
-                return op(n.k, *kids)
-            return op(*kids)
-
-        return fold(t, node)
+    def compile(self, t, slots: dict) -> tuple:
+        """(fn, reads) as the code compiler gives them, with fn(xcodes) the
+        pieces of t at the x-assignment with these codes: slots put x1 .. xn
+        at 0 .. n - 1 and z1 at n."""
+        fn, reads = self._compile(t, slots)
+        lo, identity = self.lo, self.identity
+        return (lambda xcodes: fn([[(lo, 0, x)] for x in xcodes] + [identity])), reads
 
     def _merge(self, f: list, g: list, each) -> list:
         """each(out, l, r, p, q) over the common refinement of f and g: the

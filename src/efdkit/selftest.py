@@ -446,8 +446,8 @@ def suite_decomposition(seed: int = DEFAULT_SEED, budget: int = 500) -> SuiteRep
             parts = phi_rad_decompose(eps)
             report.record(f"{label} eps_{k} branch count", len(parts) == 2)
             # one solver per sentence for the whole sample, so each keeps its memo
-            solve_in = _Solver(model, eps, cap=9).solve
-            by_sign = {p.sign_vector: _Solver(model, p.sentence, cap=9).solve for p in parts}
+            solve_in = _Solver(model, eps).solve
+            by_sign = {p.sign_vector: _Solver(model, p.sentence).solve for p in parts}
             input_ok = True
             branches_ok = True
             pointwise = True

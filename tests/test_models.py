@@ -1076,10 +1076,11 @@ class TestOneZExact:
 
     @pytest.mark.parametrize("descriptor", _ONE_Z_MODELS)
     def test_pieces_agree_with_eval_term(self, descriptor):
-        """The fold of random one-z terms (depth <= 4) at sampled x, read
+        """The pieces of random one-z terms (depth <= 4) at sampled x, read
         pointwise: at sampled z and at each piece start that is an element,
         the covering piece a z + b, decoded, is eval_term's value, and at a
-        start the piece before it reaches the same value."""
+        start the piece before it reaches the same value.  Terms that share
+        a node object run it once per reference."""
         import efdkit.onez as onez
 
         a = parse_model(descriptor)
@@ -1088,12 +1089,17 @@ class TestOneZExact:
         den, up = layout.den, layout.up
         rng = random.Random(f"pieces {descriptor}")
         zs = sample_elements(a, 16, seed=11)
+        slots = {("x", 1): 0, ("x", 2): 1, ("z", 1): 2}
         starts = 0
         for trial in range(40):
             t = random_term(rng, species(a), 2, rng.randint(1, 4), coeff=4, kinds=("x", "z"), m=1)
+            if trial % 4 == 1:
+                t = Plus(t, t)
+            elif trial % 4 == 2:
+                t = Join(t, Meet(t, Var("z", 1)))
             xs = sample_elements(a, 2, seed=trial)
             m = math.lcm(*map(den, xs + zs))
-            pieces = hull.fold(t, tuple(up(x, m) for x in xs))
+            pieces = hull.compile(t, slots)[0](tuple(up(x, m) for x in xs))
             inner = [l for l, _, _ in pieces[1:]]
             for p in [(up(z, m), 1) for z in zs] + inner:
                 z = _hull_element(a, hull, p, m)
@@ -1130,15 +1136,15 @@ def _piece_value(a, hull, piece, p, m):
 
 
 class TestSolverWork:
-    """Deterministic work counts of one sampled check: folds of equation
-    sides, calls of compiled ones, pool builds, sample draws and membership
-    tests.  With one z an x-free side such as t_k(z1) is folded once per
-    check and each assignment runs only its z-free side; the candidate
-    search made 67 pool builds and 625 evaluations on the first case, the
-    search before it 100 and 4,864.  Each x-value is drawn by one
-    _Layout.draw, as its code.  A root of the fold lies in the model's
-    domain already, so no _Layout.member test runs (127 and 174 when each
-    root was tested)."""
+    """Deterministic work counts of one sampled check: runs of equation
+    sides compiled over the hull and over codes, pool builds, sample draws
+    and membership tests.  With one z an x-free side such as t_k(z1) runs
+    on the hull once per check and each assignment runs only its z-free
+    side; the candidate search made 67 pool builds and 625 evaluations on
+    the first case, the search before it 100 and 4,864.  Each x-value is
+    drawn by one _Layout.draw, as its code.  A root of the pieces lies in
+    the model's domain already, so no _Layout.member test runs (127 and 174
+    when each root was tested)."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -1149,7 +1155,6 @@ class TestSolverWork:
             (models, "_pool"),
             (models._Layout, "draw"),
             (models._Layout, "member"),
-            (onez._Hull, "fold"),
         ):
             original = getattr(owner, name)
 
@@ -1175,6 +1180,18 @@ class TestSolverWork:
             return counted_compile, layout
 
         monkeypatch.setattr(models, "_evaluator", counted_evaluator)
+        hull_compile = onez._Hull.compile
+
+        def counted_hull_compile(hull, t, slots):
+            fn, reads = hull_compile(hull, t, slots)
+
+            def counted_fn(xcodes):
+                counts["hull"] += 1
+                return fn(xcodes)
+
+            return counted_fn, reads
+
+        monkeypatch.setattr(onez._Hull, "compile", counted_hull_compile)
         scales = counts["scales"] = []
         solve_codes = models._Solver.solve_codes
 
@@ -1189,7 +1206,7 @@ class TestSolverWork:
     def test_each_distinct_assignment_is_solved_once(self, counts):
         verdict = check_sentence_sampled(GQ, build_epsilon_k(3), budget=100, seed=0)
         assert verdict.status == "consistent-on-sample"
-        assert counts["fold"] == 1
+        assert counts["hull"] == 1
         assert counts["_pool"] == 0
         assert counts["member"] == 0
         # x1, the z-free side, once per distinct assignment
@@ -1208,7 +1225,7 @@ class TestSolverWork:
         verdict = check_sentence_sampled(a, build_epsilon_k(6), budget=100, seed=0)
         assert verdict.status == "consistent-on-sample"
         assert set(counts["scales"]) == {27720 * 36}
-        assert counts["fold"] == 1
+        assert counts["hull"] == 1
         assert counts["_pool"] == 0
         assert counts["member"] == 0
         assert counts["walk"] == 58
@@ -1222,12 +1239,12 @@ class TestSolverWork:
         assert verdict.witness[0] == {_X1: (0, Fraction(0))}
         assert verdict.detail == "sampled: two distinct z-solutions"
         assert counts["draw"] == 0
-        assert counts["fold"] == 1
+        assert counts["hull"] == 1
 
     def test_the_two_element_model_is_not_scaled(self, counts):
         assert check_in_two(build_epsilon_k(3)) == {(0,): (0,), (1,): (1,)}
         assert counts["_pool"] == 0
-        assert counts["fold"] == 0
+        assert counts["hull"] == 0
 
 
 class TestFixedScale:
@@ -1318,9 +1335,8 @@ class TestLayout:
 
     @pytest.mark.parametrize("descriptor", _LAYOUT_MODELS)
     def test_coordinates_codes_and_membership(self, descriptor):
-        """flat and shape, and up and down, are inverse; member(w, 1, m)
-        agrees with check_element on down(w, m), for random integer codes
-        w, and member(n w, n, m) with member(w, 1, m)."""
+        """flat and shape, and up and down, are inverse; member(w, m) agrees
+        with check_element on down(w, m), for random integer codes w."""
         a = parse_model(descriptor)
         layout = models._layout(a)
         rng = random.Random(descriptor)
@@ -1336,10 +1352,8 @@ class TestLayout:
                 for _, scaled in layout.leaves
             ]
             w = coords[0] if len(coords) == 1 else tuple(coords)
-            member = layout.member(w, 1, m)
+            member = layout.member(w, m)
             assert member == models._element_ok(a, layout.down(w, m)), (w, m)
-            n = rng.randint(1, 6)
-            assert layout.member(layout.group.scale(n, w), n, m) == member, (w, n, m)
             accepted += member
         assert accepted > 0
 
