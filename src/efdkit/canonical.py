@@ -125,11 +125,12 @@ def piecewise_canonical(
     (_line_search): through p1 with d = p2 - p1 for an intersection of cells
     with points p1 and p2, through the cell's point p with d = r for a half
     r >= 0.  Failing that, a row set holding both r and -r is a hyperplane;
-    else one LP decides, the joint interior probe of is_full_dimensional
-    (cell rows are never zero), whose point is scaled to integers.  No test
-    is spent where the answer is known: a row set that contains the other
-    child's is already a cell, a half whose row is already present is the
-    whole intersection, and a half holding both r and -r is a hyperplane.
+    else one LP decides: feasible_point on rows . x >= 1, the one LP of
+    is_full_dimensional (cell rows are never zero), whose point is scaled
+    to integers.  No test is spent where the answer is known: a row set
+    that contains the other child's is already a cell, a half whose row is
+    already present is the whole intersection, and a half holding both r
+    and -r is a hyperplane.
 
     The cap bounds the cell tests, however each is decided: the call raises
     BudgetExceeded before it would make test number cap + 1.

@@ -227,8 +227,9 @@ def _render_text(obj, indent: int = 0) -> str:
 # finds no solution is inconclusive (exit 3); check/9: lex products and
 # their cones get structured x-assignments (0, then +-e per coordinate) before
 # the random ones; translate/2: co-radical x^k translates to k h, not
-# h + ... + h
-_SCHEMA_VERSIONS = {"canon": 3, "check": 9, "translate": 2}
+# h + ... + h; fulldim/2: the LP runs on the Farkas alternative, and the
+# basis is built around the interior point it reads off the multipliers
+_SCHEMA_VERSIONS = {"canon": 3, "check": 9, "translate": 2, "fulldim": 2}
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals: homogeneous inequality systems,
 full-dimensionality of solution cones.
 
-Arithmetic is exact and never uses floating point.  The simplex pivots
-integer rows over one common positive determinant and divides exactly;
-points and basis vectors are returned as fractions.Fraction.
+Arithmetic is exact and never uses floating point.  One LP, phase 1 of the
+simplex on the Farkas alternative of A x >= b, ends with a point x or with
+integer multipliers y >= 0, A^T y = 0, b . y > 0 that prove there is none;
+a cone's full-dimensionality takes one such LP.  The simplex pivots integer
+rows over one common positive determinant and divides exactly; points and
+basis vectors are returned as fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -77,87 +80,70 @@ def gcd_all(values: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact feasibility: phase-1 simplex with Bland's rule
+# Exact feasibility: phase 1 on the Farkas alternative, Bland's rule
 
 
 def feasible_point(
     rows: Sequence[Sequence[int]], rhs: Sequence[int], n: int
 ) -> list[Fraction] | None:
-    """Find x in Q^n with row . x >= b for every (row, b) pair, or None.
+    """Find x in Q^n with row . x >= b for every (row, b) pair, or None."""
+    if not rows:
+        return [Fraction(0)] * n
+    return _farkas(rows, rhs, n)[0]
 
-    Free variables are split x = u - v; each inequality gets a slack; phase-1
-    artificials are driven to zero with Bland's rule (guaranteed termination).
+
+def _farkas(rows, rhs, n) -> tuple[list[Fraction] | None, list[int] | None]:
+    """(x, None) with A x >= b, or (None, y) with integers y >= 0, A^T y = 0
+    and b . y > 0 (Farkas 1902; with b = 1, Gordan 1873), for m > 0 rows.
+
+    Phase 1 runs on the alternative {A^T y = 0, b . y = 1, y >= 0}: n + 1
+    rows (the columns of A, then b) over y_1..y_m, one artificial per row,
+    and the right-hand side.  Bland's rule enters the lowest y of negative
+    reduced cost and breaks ratio ties towards the lowest basic index, so
+    it terminates.  At optimum 0 the basic y solve the alternative.  Else
+    the simplex multipliers pi, read off the cost row at the artificials
+    (reduced cost 1 - pi_k), satisfy A pi_x + b pi_b <= 0 with pi_b equal to
+    the optimum, so x = -pi_x / pi_b.
 
     The tableau is pivoted fraction-free (Edmonds 1967, Bareiss 1968): every
     row is kept as integers over one common positive determinant ``det``, the
-    true tableau being the integer one divided by ``det``.  Each update
-    divides exactly, so the pivots are those of the rational simplex and the
-    point, returned as Fractions, is the same.
+    true tableau being the integer one divided by ``det``; each update
+    divides exactly.
     """
     m = len(rows)
-    if m == 0:
-        return [Fraction(0)] * n
-    # columns: u_1..u_n, v_1..v_n, s_1..s_m, a_1..a_m
-    num_cols = 2 * n + 2 * m
-    tableau: list[list[int]] = []
-    basis: list[int] = []
-    for i, (row, b) in enumerate(zip(rows, rhs)):
-        # row.(u - v) - s_i = b, flipped to keep the right-hand side >= 0
-        coeffs = [0] * (num_cols + 1)
-        sign = 1 if b >= 0 else -1
-        for j, c in enumerate(row):
-            coeffs[j] = sign * c
-            coeffs[n + j] = -sign * c
-        coeffs[2 * n + i] = -sign
-        coeffs[2 * n + m + i] = 1
-        coeffs[num_cols] = abs(b)
-        tableau.append(coeffs)
-        basis.append(2 * n + m + i)
-    # phase-1 objective: minimize the sum of artificials
-    cost = [-sum(col) for col in zip(*tableau)]
-    for j in range(2 * n + m, num_cols):
-        cost[j] = 0
-    in_basis = set(basis)
+    last = m + n + 1  # the right-hand side column
+    unit = [0] * (n + 1)
+    tableau = [[*col, *unit, 0] for col in zip(*rows)]
+    tableau.append([*rhs, *unit, 1])
+    for k, trow in enumerate(tableau):
+        trow[m + k] = 1
+    basis = list(range(m, last))
+    cost = [-sum(row) - b for row, b in zip(rows, rhs)] + unit + [-1]
     det = 1
-
-    while True:
-        entering = next(
-            (j for j in range(num_cols) if cost[j] < 0 and j not in in_basis), None
-        )
-        if entering is None:
-            break
-        # ratio test rhs_i / T[i][entering], cross-multiplied (both over det);
-        # Bland tie-break on the leaving basic variable
+    while (entering := next((j for j in range(m) if cost[j] < 0), None)) is not None:
+        # least ratio rhs_i / T[i][entering] over T[i][entering] > 0, cross-
+        # multiplied (both over det), ties to the lowest basic index; phase 1
+        # is bounded below by 0, so some row qualifies
         leaving = None
-        best_num = best_den = 0
         for i, trow in enumerate(tableau):
             den = trow[entering]
             if den > 0:
-                num = trow[num_cols]
-                if leaving is None:
-                    better = True
-                else:
-                    lhs, rhs_ = num * best_den, best_num * den
-                    better = lhs < rhs_ or (lhs == rhs_ and basis[i] < basis[leaving])
-                if better:
-                    best_num, best_den, leaving = num, den, i
-        if leaving is None:
-            # unbounded in phase 1 cannot happen (objective bounded below by 0)
-            raise RuntimeError("phase-1 simplex unbounded")
+                if leaving is not None:
+                    d = trow[last] * best_den - best_num * den
+                    if d > 0 or d == 0 and basis[i] > basis[leaving]:
+                        continue
+                leaving, best_num, best_den = i, trow[last], den
         det = _pivot(tableau, cost, leaving, entering, det)
-        in_basis.discard(basis[leaving])
-        in_basis.add(entering)
         basis[leaving] = entering
-
-    if any(tableau[i][num_cols] for i in range(m) if basis[i] >= 2 * n + m):
-        return None
-    point = [0] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            point[b] += tableau[i][num_cols]
-        elif b < 2 * n:
-            point[b - n] -= tableau[i][num_cols]
-    return [Fraction(v, det) for v in point]
+    if cost[last] == 0:
+        y = [0] * m
+        for i, b in enumerate(basis):
+            if b < m:
+                y[b] = tableau[i][last]
+        return None, y
+    # cost[m + k] = det (1 - pi_k), so x_k = -pi_k / pi_b with pi_b > 0
+    pi_b = det - cost[m + n]
+    return [Fraction(cost[m + k] - det, pi_b) for k in range(n)], None
 
 
 def _pivot(tableau, cost, leaving, entering, det) -> int:
@@ -190,26 +176,21 @@ def _pivot(tableau, cost, leaving, entering, det) -> int:
 def is_full_dimensional(s: IneqSystem) -> FullDimResult:
     """Decide whether the cone {x : rows.x >= 0} spans Q^n.
 
-    A row is an implicit equality iff {rows.x >= 0, row_i.x >= 1} is
-    infeasible (scale-invariance makes the >= 1 normalization sound); the
-    cone is full-dimensional iff no implicit equality exists.  The rows can
-    all be made strict jointly iff each can individually (sum the individual
-    witnesses), so one feasibility probe with every row at >= 1 decides it.
+    The rows can all be made strict jointly iff each can individually (sum
+    the individual witnesses), and by scale-invariance iff rows.x >= 1 is
+    feasible: one LP decides.  Its point is the basis's centre; when there
+    is none, its Gordan multipliers y >= 0, y^T rows = 0, make every row of
+    their support an implicit equality (y . rows x = 0 with rows x >= 0),
+    and the first such row is the certificate.
     """
     nonzero = [row for row in s.rows if any(row)]
     if not nonzero:
         basis = tuple(_unit(s.n, j) for j in range(s.n))
         return FullDimResult(True, basis, None)
-    point = feasible_point(nonzero, [1] * len(nonzero), s.n)
+    point, y = _farkas(nonzero, [1] * len(nonzero), s.n)
     if point is not None:
         return FullDimResult(True, _basis_around(point, nonzero, s.n), None)
-    # locate an implicit-equality row for the certificate
-    for i, row in enumerate(nonzero):
-        rhs = [0] * len(nonzero)
-        rhs[i] = 1
-        if feasible_point(nonzero, rhs, s.n) is None:
-            return FullDimResult(False, None, normalize_row(row))
-    raise RuntimeError("joint probe infeasible but no implicit-equality row found")
+    return FullDimResult(False, None, normalize_row(next(r for r, c in zip(nonzero, y) if c)))
 
 
 def _unit(n: int, j: int) -> RationalVector:

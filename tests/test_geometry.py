@@ -1,16 +1,19 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from efdkit import geometry
 from efdkit.canonical import piecewise_canonical
 from efdkit.cli import run
 from efdkit.geometry import (
     FullDimResult,
     IneqSystem,
+    _farkas,
     feasible_point,
     gcd_all,
     is_full_dimensional,
@@ -72,30 +75,88 @@ def _frac(text):
     return None if text is None else tuple(Fraction(c) for c in text)
 
 
-# Points returned by the rational-tableau simplex that the integer pivoting
-# replaced; identical pivots must give identical points.
+# Points of the phase-1 simplex on the Farkas alternative, read off its
+# multipliers: each row whose y ends basic is tight there, and a coordinate
+# whose artificial ends basic is -1 / optimum.  Cases 4, 5, 6, 8, 12 and 13
+# end elsewhere if ratio ties go to the higher basic index.
 FEASIBLE_CASES = [
     ([(1, 0), (0, 1)], [1, 1], 2, ("1", "1")),
     ([(1,), (-1,)], [1, 1], 1, None),
     ([(-1,)], [3], 1, ("-3",)),
     ([(3, -7), (-2, 5)], [1, 1], 2, ("12", "5")),
-    ([(2, 1), (1, 3)], [3, -2], 2, ("11/5", "-7/5")),
+    ([(2, 1), (1, 3)], [3, -2], 2, ("2", "-1")),
     ([(1, 1, 1), (-1, 2, 0), (0, -1, 3)], [1, 1, 1], 3, ("0", "1/2", "1/2")),
-    ([(4, -3, 2), (-1, 0, 1), (2, 2, -1)], [2, -1, 1], 3, ("8/15", "-4/15", "-7/15")),
+    ([(4, -3, 2), (-1, 0, 1), (2, 2, -1)], [2, -1, 1], 3, ("2", "-1", "1")),
     ([(1, -1), (-1, 1)], [0, 1], 2, None),
     (
         [(3, 1, 0, -2), (0, 2, -1, 1), (-1, 0, 4, 1), (1, 1, 1, 1)],
         [1, 2, -3, 1],
         4,
-        ("3/4", "1/4", "-3/4", "3/4"),
+        ("-2", "5", "-1", "-1"),
     ),
     ([(0, 0)], [1], 2, None),
-    ([(0, 0)], [-1], 2, ("0", "0")),
+    ([(0, 0)], [-1], 2, ("-1", "-1")),
     ([(5, -2, 0), (0, 3, -4), (-1, 0, 2), (2, -3, 1)], [1, 1, 1, 1], 3, ("7", "17/3", "4")),
-    ([(2, -1, 0, 1), (-2, 1, 0, -1)], [-1, -1], 4, ("1/2", "0", "0", "0")),
+    ([(2, -1, 0, 1), (-2, 1, 0, -1)], [-1, -1], 4, ("-1/2", "-1", "-1", "-1")),
     # a ratio-test tie that Bland's rule breaks towards the lower basic index
-    ([(-3, -2, 2), (-1, 0, 2), (1, 2, 2)], [1, 1, -2], 3, ("0", "-3/2", "1/2")),
+    ([(-3, -2, 2), (-1, 0, 2), (1, 2, 2)], [1, 1, -2], 3, ("-1", "-1", "1/2")),
 ]
+
+# (rows, full, basis, certificate) of `fulldim --rows`
+FULLDIM_CASES = [
+    ("1,0;-1,0", False, None, [1, 0]),
+    ("1", True, [["1"]], None),
+    ("1,-1;0,1", True, [["2", "1"], ["7", "3"]], None),
+    ("1,1,0;0,1,-1", True, [["1", "0", "-1"], ["4", "0", "-3"], ["3", "1", "-3"]], None),
+    ("1,0,0;0,1,0;-1,-1,0", False, None, [1, 0, 0]),
+    (
+        "1,2,0,-1;0,1,1,0;2,0,-1,1",
+        True,
+        [
+            ["1/2", "2", "-1", "-1"],
+            ["7/2", "10", "-5", "-5"],
+            ["5/2", "11", "-5", "-5"],
+            ["5/2", "10", "-4", "-5"],
+        ],
+        None,
+    ),
+    ("1,-1,0,0;-1,1,0,0;0,0,1,1", False, None, [1, -1, 0, 0]),
+    ("2,-3;-4,6", False, None, [2, -3]),
+    # the first row is no implicit equality; the certificate is the second
+    ("0,1;1,0;-1,0", False, None, [1, 0]),
+]
+
+
+# An integer checker of the LP's answers that shares no code with
+# efdkit.geometry: a point satisfies every row exactly, and a refusal's
+# multipliers y prove that no point does (Farkas): y >= 0, y^T A = 0 and
+# y . b > 0, since then 0 = y^T A x >= y . b > 0 for any such x.
+
+
+def _point_ok(rows, rhs, x):
+    den = math.lcm(*(c.denominator for c in x))
+    num = [c.numerator * (den // c.denominator) for c in x]
+    return all(sum(a * v for a, v in zip(row, num)) >= b * den for row, b in zip(rows, rhs))
+
+
+def _farkas_ok(rows, rhs, n, y):
+    return (
+        len(y) == len(rows)
+        and all(type(c) is int and c >= 0 for c in y)
+        and all(sum(c * row[k] for c, row in zip(y, rows)) == 0 for k in range(n))
+        and sum(c * b for c, b in zip(y, rhs)) > 0
+    )
+
+
+def _random_systems():
+    """500 seeded systems row . x >= b: n 1..4, m 1..6, entries -4..4,
+    right-hand sides -3..2."""
+    rng = random.Random(20260823)
+    for _ in range(500):
+        n, m = rng.randint(1, 4), rng.randint(1, 6)
+        rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)]
+        rhs = [rng.randint(-3, 2) for _ in range(m)]
+        yield rows, rhs, n
 
 
 class TestPinnedSimplex:
@@ -106,24 +167,7 @@ class TestPinnedSimplex:
         if p is not None:
             assert all(type(c) is Fraction for c in p)
 
-    @pytest.mark.parametrize(
-        "rows,full,basis,certificate",
-        [
-            ("1,0;-1,0", False, None, [1, 0]),
-            ("1", True, [["1"]], None),
-            ("1,-1;0,1", True, [["2", "1"], ["7", "3"]], None),
-            ("1,1,0;0,1,-1", True, [["0", "1", "0"], ["1", "3", "0"], ["0", "3", "1"]], None),
-            ("1,0,0;0,1,0;-1,-1,0", False, None, [1, 0, 0]),
-            (
-                "1,2,0,-1;0,1,1,0;2,0,-1,1",
-                True,
-                [["1", "0", "1", "0"], ["6", "0", "5", "0"], ["5", "1", "5", "0"], ["5", "0", "5", "1"]],
-                None,
-            ),
-            ("1,-1,0,0;-1,1,0,0;0,0,1,1", False, None, [1, -1, 0, 0]),
-            ("2,-3;-4,6", False, None, [2, -3]),
-        ],
-    )
+    @pytest.mark.parametrize("rows,full,basis,certificate", FULLDIM_CASES)
     def test_fulldim_json_is_pinned(self, capsys, rows, full, basis, certificate):
         assert run(["fulldim", "--rows", rows]) == 0
         parsed = [[int(c) for c in r.split(",")] for r in rows.split(";")]
@@ -133,21 +177,45 @@ class TestPinnedSimplex:
             "full_dimensional": full,
             "n": len(parsed[0]),
             "rows": parsed,
-            "schema": "efdkit/fulldim/1",
+            "schema": "efdkit/fulldim/2",
         }
 
+    @pytest.mark.parametrize("rows", [case[0] for case in FULLDIM_CASES])
+    def test_fulldim_makes_one_lp(self, monkeypatch, rows):
+        calls = []
+        inner = geometry._farkas
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(geometry, "_farkas", counting)
+        assert run(["fulldim", "--rows", rows]) == 0
+        assert len(calls) == 1
+
     def test_returned_points_satisfy_rows_exactly(self):
-        rng = random.Random(20260823)
         found = 0
-        for _ in range(500):
-            n, m = rng.randint(1, 4), rng.randint(1, 6)
-            rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)]
-            rhs = [rng.randint(-3, 2) for _ in range(m)]
+        for rows, rhs, n in _random_systems():
             p = feasible_point(rows, rhs, n)
             if p is not None:
                 found += 1
-                assert all(sum(c * x for c, x in zip(r, p)) >= b for r, b in zip(rows, rhs))
+                assert _point_ok(rows, rhs, p)
         assert found > 250
+
+    def test_refusals_carry_farkas_certificates(self):
+        refused = 0
+        for rows, rhs, n in _random_systems():
+            x, y = _farkas(rows, rhs, n)
+            if x is not None:
+                continue
+            refused += 1
+            assert _farkas_ok(rows, rhs, n, y)
+            # one multiplier changed: made negative, or grown on a nonzero row
+            for i, row in enumerate(rows):
+                assert not _farkas_ok(rows, rhs, n, y[:i] + [-1 - y[i]] + y[i + 1 :])
+                if any(row):
+                    assert not _farkas_ok(rows, rhs, n, y[:i] + [y[i] + 1] + y[i + 1 :])
+        assert refused == 88
 
     # each term's LP calls, cell tests (however each is decided) and pieces;
     # the term alone names the test, so a re-pin keeps its id
