@@ -144,27 +144,17 @@ def _class_spec(text: str, family: str) -> lattice.AEClass:
         return lattice.boolean_p()
     if s.startswith("divisible:"):
         body = s[len("divisible:") :]
-        if body.startswith("co:"):
-            ps = lattice.PrimeSet.cofinite(_parse_primes(body[3:]))
-        else:
-            ps = lattice.PrimeSet.finite(_parse_primes(body))
+        kind, body = ("cofinite", body[3:]) if body.startswith("co:") else ("finite", body)
+        ps = lattice.PrimeSet(kind, lattice.parse_primes(body))
         return lattice.divisible_g(ps) if family == "G" else lattice.divisible_p(ps)
     raise ValueError(f"bad class spec {s!r}")
-
-
-def _parse_primes(text: str) -> frozenset[int]:
-    text = text.strip()
-    if not text:
-        return frozenset()
-    return frozenset(terms.parse_integer(p, f"prime {p.strip()!r} is not an integer")
-                     for p in text.split(","))
 
 
 def _expansion_spec(text: str) -> lattice.LogicExpansion:
     base, _, rest = text.strip().partition(":")
     if rest in ("inconsistent", "classical"):
         return lattice.LogicExpansion(base, special=rest)
-    return lattice.LogicExpansion(base, lattice.PrimeSet.finite(_parse_primes(rest)))
+    return lattice.LogicExpansion(base, lattice.PrimeSet.finite(lattice.parse_primes(rest)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +216,11 @@ def _render_text(obj, indent: int = 0) -> str:
 # so such a refutation is exact, and a candidate search with more z that
 # finds no solution is inconclusive (exit 3); check/9: lex products and
 # their cones get structured x-assignments (0, then +-e per coordinate) before
-# the random ones; translate/2: co-radical x^k translates to k h, not
-# h + ... + h; fulldim/2: the LP runs on the Farkas alternative, and the
+# the random ones; check/10: an exhaustive refutation on two names its
+# z-solutions, none or two; translate/2: co-radical x^k translates to k h,
+# not h + ... + h; fulldim/2: the LP runs on the Farkas alternative, and the
 # basis is built around the interior point it reads off the multipliers
-_SCHEMA_VERSIONS = {"canon": 3, "check": 9, "translate": 2, "fulldim": 2}
+_SCHEMA_VERSIONS = {"canon": 3, "check": 10, "translate": 2, "fulldim": 2}
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -504,7 +495,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    e = lattice.LogicExpansion(args.base, lattice.PrimeSet.finite(_parse_primes(args.primes)))
+    e = lattice.LogicExpansion(args.base, lattice.PrimeSet.finite(lattice.parse_primes(args.primes)))
     schemas = lattice.emit_axioms(e)
     _emit(
         args,

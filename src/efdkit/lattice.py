@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from .errors import BudgetExceeded
 from .record import Record
-from .terms import Scalar, Term, Var, _json_node, build_t_k, fold, zvar
+from .terms import Scalar, Term, Var, _json_node, build_t_k, fold, parse_integer, zvar
 
 __all__ = [
     "LatticeError",
     "is_prime",
     "prime_factors",
     "PrimeSet",
+    "parse_primes",
     "AEClass",
     "trivial_g",
     "divisible_g",
@@ -118,14 +119,8 @@ class PrimeSet(Record):
     def contains(self, p: int) -> bool:
         return (p in self.primes) == (self.kind == "finite")
 
-    def union(self, other: "PrimeSet") -> "PrimeSet":
-        a, b = self, other
-        if a.kind == "finite" and b.kind == "finite":
-            return PrimeSet.finite(a.primes | b.primes)
-        if a.kind == "cofinite" and b.kind == "cofinite":
-            return PrimeSet.cofinite(a.primes & b.primes)
-        fin, cof = (a, b) if a.kind == "finite" else (b, a)
-        return PrimeSet.cofinite(cof.primes - fin.primes)
+    def complement(self) -> "PrimeSet":
+        return PrimeSet("cofinite" if self.kind == "finite" else "finite", self.primes)
 
     def intersection(self, other: "PrimeSet") -> "PrimeSet":
         a, b = self, other
@@ -136,19 +131,25 @@ class PrimeSet(Record):
         fin, cof = (a, b) if a.kind == "finite" else (b, a)
         return PrimeSet.finite(fin.primes - cof.primes)
 
+    def union(self, other: "PrimeSet") -> "PrimeSet":
+        return self.complement().intersection(other.complement()).complement()
+
     def issubset(self, other: "PrimeSet") -> bool:
-        a, b = self, other
-        if a.kind == "finite" and b.kind == "finite":
-            return a.primes <= b.primes
-        if a.kind == "finite":
-            return not (a.primes & b.primes)
-        if b.kind == "finite":
-            return False  # a cofinite set is infinite
-        return b.primes <= a.primes
+        # a finite set and a cofinite one are never equal, so each set has one spelling
+        return self.intersection(other.complement()) == EMPTY_PRIMES
 
 
 EMPTY_PRIMES = PrimeSet.finite(())
 ALL_PRIMES = PrimeSet.cofinite(())
+
+
+def parse_primes(text: str) -> frozenset[int]:
+    """The integers of a comma-separated prime list (--primes, class and
+    expansion specs, qs:), each checked to be prime where it is used."""
+    if not text.strip():
+        return frozenset()
+    return frozenset(parse_integer(p, f"prime {p.strip()!r} is not an integer")
+                     for p in text.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -197,34 +198,28 @@ def divisible_p(primes: PrimeSet) -> AEClass:
 _RANK = {"trivial": 0, "boolean": 1, "divisible": 2}
 
 
-def _check_family(c1: AEClass, c2: AEClass) -> None:
+def _bound(c1: AEClass, c2: AEClass, combine, pick) -> AEClass:
+    """The divisible class of the two classes' prime sets combined, else
+    the class that pick (min or max) takes by rank."""
     if c1.family != c2.family:
         raise LatticeError(f"family mismatch: {c1.family} vs {c2.family}")
+    if c1.kind == "divisible" and c2.kind == "divisible":
+        return AEClass(c1.family, "divisible", combine(c1.primes, c2.primes))
+    return pick(c1, c2, key=lambda c: _RANK[c.kind])
+
+
+def meet(c1: AEClass, c2: AEClass) -> AEClass:
+    return _bound(c1, c2, PrimeSet.union, min)
+
+
+def join(c1: AEClass, c2: AEClass) -> AEClass:
+    return _bound(c1, c2, PrimeSet.intersection, max)
 
 
 def includes(c1: AEClass, c2: AEClass) -> bool:
     """c1 is a subclass of c2: Trivial below all, Boolean (P) below every
     Divisible, Divisible(S1) below Divisible(S2) iff S2 is a subset of S1."""
-    _check_family(c1, c2)
-    if c1.kind != "divisible" or c2.kind != "divisible":
-        return _RANK[c1.kind] <= _RANK[c2.kind] or c1 == c2
-    return c2.primes.issubset(c1.primes)
-
-
-def meet(c1: AEClass, c2: AEClass) -> AEClass:
-    _check_family(c1, c2)
-    if c1.kind == "divisible" and c2.kind == "divisible":
-        return AEClass(c1.family, "divisible", c1.primes.union(c2.primes))
-    low = c1 if _RANK[c1.kind] <= _RANK[c2.kind] else c2
-    return low
-
-
-def join(c1: AEClass, c2: AEClass) -> AEClass:
-    _check_family(c1, c2)
-    if c1.kind == "divisible" and c2.kind == "divisible":
-        return AEClass(c1.family, "divisible", c1.primes.intersection(c2.primes))
-    high = c1 if _RANK[c1.kind] >= _RANK[c2.kind] else c2
-    return high
+    return meet(c1, c2) == c1
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from .errors import BudgetExceeded
-from .lattice import is_prime
+from .lattice import is_prime, parse_primes
 from .record import Record, _set
 from .terms import (
     Diff,
@@ -250,6 +250,9 @@ class _Group:
 def _codes(n: int) -> _Group:
     """The group of codes with n coordinates: ints for one, pairs unrolled,
     and map over longer tuples."""
+    # ints and unrolled pairs, as measured on mv-check (Python 3.11, 2 cores):
+    # mapped pairs ran 8.5% fewer queries/s at a 13% higher p95, and 1-tuples
+    # 1.7% fewer (2.3% on classify-pipeline)
     if n == 1:
         return _Group(0, operator.add, operator.sub, operator.neg, operator.mul, operator.floordiv)
     if n == 2:
@@ -309,7 +312,7 @@ class _Layout:
         codecs = [_SCALED if scaled else _UNSCALED for _, scaled in leaves]
         if len(codecs) == 1:
             self.den, self.up, self.down = codecs[0]
-        elif len(codecs) == 2:  # every Gamma model and lex(A, B) of scalars, unrolled
+        elif len(codecs) == 2:  # Gamma and lex(A, B) of scalars, unrolled as in _codes
             (lden, lup, ldown), (rden, rup, rdown) = codecs
             self.den = lambda e: math.lcm(lden(e[0]), rden(e[1]))
             self.up = lambda e, d: (lup(e[0], d), rup(e[1], d))
@@ -753,6 +756,8 @@ class _Solver:
         read = {v.index for free in side_vars for vs in free for v in vs if v.kind == "z"}
         self.read = [j in read for j in range(phi.m + 1)]  # whether some equation reads z_j
         self.tests = 0  # the z-candidates tested so far, at most _SEARCH_BOUND
+        # one z-free side is compared with the other's table, not l - r tabled:
+        # without this, mv-check ran 31% fewer queries/s at twice the p95
         self.single = None
         if hull is not None and len(self.sides) == 1:
             lhs, rhs = self.sides[0]
@@ -850,6 +855,12 @@ def _distinct(assignments):
             yield xcodes
 
 
+def _refutation(env: dict, sols: list, procedure: str) -> Verdict:
+    """The exact refutation at the x-assignment env, whose z-solutions are sols: none or two."""
+    reason = "two distinct z-solutions" if sols else "no z-solution"
+    return Verdict("falsified", True, (env, sols[:2]), f"{procedure}: {reason}")
+
+
 def check_sentence_sampled(
     a, phi: EFDSentence, budget: int = 500, seed: int = 0
 ) -> Verdict:
@@ -888,8 +899,7 @@ def check_sentence_sampled(
             if not exact:
                 reason = "no z-solution among candidates"
                 return Verdict("inconclusive", False, (env, []), f"sampled: {reason}")
-            reason = "two distinct z-solutions" if sols else "no z-solution"
-            return Verdict("falsified", True, (env, sols[:2]), f"sampled: {reason}")
+            return _refutation(env, sols, "sampled")
     return Verdict("consistent-on-sample", False, None, f"sampled: {count} distinct x-assignments")
 
 
@@ -907,9 +917,7 @@ def parse_model(text: str) -> WitnessAlgebra:
     if text == "two":
         return TwoMV()
     if text.startswith("qs:"):
-        message = f"bad prime list in {text!r}"
-        primes = frozenset(parse_integer(p, message) for p in text[3:].split(",") if p)
-        return LocalizedRationals(primes)
+        return LocalizedRationals(parse_primes(text[3:]))
     if text.startswith("lex(") and text.endswith(")"):
         left, right = _split_args(text[4:-1])
         return LexProduct(_group_model("lex", left), _group_model("lex", right))

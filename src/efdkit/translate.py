@@ -123,7 +123,7 @@ def check_in_two(phi: EFDSentence) -> dict[tuple, tuple]:
     for ebar in _bits(phi.n):
         solutions, _ = solver.solve_codes(ebar)  # the bits are their own codes
         if len(solutions) != 1:
-            raise _NoUniqueSolution(ebar)
+            raise _NoUniqueSolution(ebar, solutions)
         table[ebar] = solutions[0]
     return table
 
@@ -133,15 +133,15 @@ def check_in_two(phi: EFDSentence) -> dict[tuple, tuple]:
 
 
 class _NoUniqueSolution(FragmentError):
-    """check_in_two found no unique e'-bar at e-bar ``failing``: phi fails
-    in the two-element model, and so does the decomposition's precondition."""
+    """check_in_two found the e'-bars ``solutions``, none or two, at e-bar
+    ``failing``: phi fails in two, and so does the decomposition's precondition."""
 
-    def __init__(self, failing: tuple):
+    def __init__(self, failing: tuple, solutions: list):
         super().__init__(
             f"decomposition precondition failed in the two-element model at "
             f"e-bar = {failing}"
         )
-        self.failing = failing
+        self.failing, self.solutions = failing, solutions
 
 
 def _subst_signs(t: Term, esub: dict[Var, bool]) -> Term:
@@ -418,8 +418,7 @@ def check_sentence(a, phi: EFDSentence, budget: int = 500, seed: int = 0,
         except _NoUniqueSolution as exc:
             if isinstance(a, models.TwoMV):
                 ebar = {xvar(i): b for i, b in enumerate(exc.failing, start=1)}
-                return models.Verdict("falsified", True, (ebar, []),
-                                      f"{exhaustive}: no unique z-solution")
+                return models._refutation(ebar, exc.solutions, exhaustive)
             detail = f"classification: trivial, no unique two-element solution at e-bar = {exc.failing}"
             return models.Verdict("falsified", True, None, detail)
         except BudgetExceeded as exc:

@@ -169,7 +169,7 @@ class TestExamples:
             capsys, "check", "--model", "qs:2,3", "--sentence", "delta 6"
         )
         assert code == 0
-        assert payload["schema"] == "efdkit/check/9"
+        assert payload["schema"] == "efdkit/check/10"
         assert payload["verdict"] == {
             "status": "holds",
             "confidence": "exact",
@@ -277,6 +277,18 @@ class TestExitCodes:
             pytest.skip("this interpreter converts integer strings of any length")
         assert run(["classify", "--sig", "group", "--sentence", "delta " + "7" * (limit + 1)]) == 2
         assert capsys.readouterr().err.startswith(f"error: Exceeds the limit ({limit} digits)")
+
+    @pytest.mark.parametrize("primes,entry", [("2,,3", ""), (",", ""), ("1_1", "1_1")])
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--model", "qs:{}", "--term", "x1", "--assign", "x1=1"),
+        ("axioms", "--base", "bal", "--primes", "{}"),
+        ("lattice", "--op", "meet", "--left", "divisible:{}", "--right", "trivial"),
+        ("lattice", "--op", "order", "--left", "bal:{}", "--right", "bal:2"),
+    ])
+    def test_a_prime_list_is_read_by_one_reader(self, capsys, argv, primes, entry):
+        argv = [a.format(primes) for a in argv]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: prime {entry!r} is not an integer\n")
 
     def test_property_failure_is_4(self, capsys):
         code, payload = invoke_json(
@@ -635,8 +647,27 @@ class TestExactCheck:
             "status": "falsified",
             "confidence": "exact",
             "witness": {"x": {f"x{i}": str(i % 2) for i in range(1, 11)}, "solutions": []},
-            "detail": "exhaustive over {0,1}^10: no unique z-solution",
+            "detail": "exhaustive over {0,1}^10: no z-solution",
         }
+
+    def test_two_element_refutation_names_both_solutions(self, capsys):
+        # at x1 = 0, z1 = 0 and z1 = 1 both solve z1 /\ x1 = 0; the sampler names the same two
+        sentence = r"forall x1 exists! z1 : z1 /\ x1 = 0"
+        verdicts = []
+        for flag in ((), ("--no-shortcut",)):
+            code, payload = invoke_json(capsys, "check", "--model", "two", "--sentence", sentence,
+                                        *flag)
+            assert code == 4
+            verdicts.append(payload["verdict"])
+        exhaustive, sampled = verdicts
+        assert exhaustive == {
+            "status": "falsified",
+            "confidence": "exact",
+            "witness": {"x": {"x1": "0"}, "solutions": [["0"], ["1"]]},
+            "detail": "exhaustive over {0,1}^1: two distinct z-solutions",
+        }
+        assert sampled["witness"] == exhaustive["witness"]
+        assert sampled["detail"] == "sampled: two distinct z-solutions"
 
     def test_big_k_is_decided_without_factoring(self, capsys, monkeypatch):
         def refuse(k):
