@@ -14,7 +14,6 @@ from .geometry import (
     LinearForm,
     _dot,
     feasible_point,
-    gcd_all,
     normalize_row,
 )
 from .lattice import AEClass, PrimeSet, divisible_g, prime_factors, trivial_g
@@ -258,13 +257,57 @@ def _simplest(a: int, b: int, c: int, d: int) -> tuple[int, int]:
 
 def reduce_delta_kt(d: DeltaKT, cap: int = DEFAULT_CELL_BUDGET) -> int:
     """k' with delta_{k,t} equivalent to delta_{k'} over l-groups:
-    divide k by gcd({k} union all piece coefficients)."""
-    if d.k == 1:  # k' divides k
+    k / gcd(k, g), where g is the gcd of t's values on Z^n, that is of the
+    coefficients of all its pieces.
+
+    One fold bounds g from both sides before any cell test (_gcd_bounds): a
+    divisor L of every piece's coefficients and a multiple G, the gcd of t's
+    values at a few integer points.  L | g | G, so where gcd(k, L) =
+    gcd(k, G) both equal gcd(k, g); for n <= 1, t(1) and t(-1) are the
+    coefficients of the only pieces, so G = g.  Only where the bounds
+    disagree are the cells refined, and only there does the cap bound the
+    cell tests."""
+    k = d.k
+    if k == 1:  # k' divides k
         return 1
-    pw = piecewise_canonical(d.t, cap=cap)
-    coeffs = [c for _, form in pw.pieces for c in form]
-    g = gcd_all([d.k] + coeffs)
-    return d.k // math.gcd(d.k, g)
+    n = max_index(d.t, "x")
+    low, high = _gcd_bounds(d.t, n)
+    if n > 1 and math.gcd(k, low) != math.gcd(k, high):
+        pw = piecewise_canonical(d.t, n, cap=cap)
+        high = math.gcd(*(c for _, form in pw.pieces for c in form))
+    return k // math.gcd(k, high)
+
+
+def _gcd_bounds(t: Term, n: int) -> tuple[int, int]:
+    """(L, G) with L | g | G for the gcd g of t's values on Z^n.  L folds as
+    the cells do: a variable 1, 0 zero, a negation keeps it, a scalar k
+    multiplies it by |k|, and a sum, join or meet takes the gcd of its
+    children's.  G is the gcd of t's values at +-e_i for each i, (1, 2, ...,
+    n) and (2, -3, 4, ...), folded as one tuple of values per node."""
+    points = [tuple((i == j) * s for j in range(n)) for i in range(n) for s in (1, -1)]
+    points += [tuple(range(1, n + 1)), tuple((-1) ** j * (j + 2) for j in range(n))]
+    columns = tuple(zip(*points))  # per variable, its value at each point
+    zeros = (0,) * len(points)
+
+    def bounds(node, *kids):
+        kind = type(node)
+        if kind is Plus or kind is Join or kind is Meet:
+            (a, u), (b, v) = kids
+            op = operator.add if kind is Plus else max if kind is Join else min
+            return math.gcd(a, b), tuple(map(op, u, v))
+        if kind is Neg:
+            a, u = kids[0]
+            return a, tuple(map(operator.neg, u))
+        if kind is Scalar:
+            a, u = kids[0]
+            return abs(node.k) * a, tuple(map(node.k.__mul__, u))
+        if kind is Var and node.kind == "x":
+            return 1, columns[node.index - 1]
+        _leaf_form(node, n)  # 0 here; any node that is no group leaf raises
+        return 0, zeros
+
+    low, values = fold(t, bounds)
+    return low, math.gcd(*values)
 
 
 def sentence_to_delta_kt(phi: EFDSentence) -> DeltaKT:

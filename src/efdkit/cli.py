@@ -9,10 +9,14 @@ failure.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import sys
 import types
+
+try:  # the json package would import its decoder and scanner too
+    from _json import encode_basestring_ascii as _encode_str
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _encode_str
 
 # The layers are bound as modules and their members read at each call: the
 # package registers them lazily, so a query executes only the ones it runs,
@@ -217,13 +221,16 @@ def _render_text(obj, indent: int = 0) -> str:
 # finds no solution is inconclusive (exit 3); check/9: lex products and
 # their cones get structured x-assignments (0, then +-e per coordinate) before
 # the random ones; check/10: an exhaustive refutation on two names its
-# z-solutions, none or two; translate/2: co-radical x^k translates to k h,
-# not h + ... + h; fulldim/2: the LP runs on the Farkas alternative, and the
-# basis is built around the interior point it reads off the multipliers
-_SCHEMA_VERSIONS = {"canon": 3, "check": 10, "translate": 2, "fulldim": 2}
-
-
-_encode_str = json.encoder.encode_basestring_ascii
+# z-solutions, none or two; check/11, classify/2, reduce/2: k' is read off
+# a divisor and a multiple of the gcd of t's values, and the cells are
+# refined only where the two disagree, so an input whose cells the cap
+# stopped may now get its exact answer; translate/2: co-radical x^k
+# translates to k h, not h + ... + h; fulldim/2: the LP runs on the Farkas
+# alternative, and the basis is built around the interior point it reads
+# off the multipliers
+_SCHEMA_VERSIONS = {
+    "canon": 3, "check": 11, "classify": 2, "reduce": 2, "translate": 2, "fulldim": 2,
+}
 
 
 def _write_json(value, out: list, pad: str) -> None:
@@ -562,7 +569,9 @@ _option_int.__name__ = "int"  # argparse names the type in "invalid int value: '
 _FORMAT = _opt("--format", choices=("json", "text"), default="json")
 _SIG = _opt("--sig", choices=tuple(_SIGS), required=True)
 _SENTENCES = (_opt("--sentence", "append"), _opt("--file"))
-_CAP = _opt("--cap", "int", default=DEFAULT_CELL_BUDGET)
+_CAP = _opt("--cap", "int", default=DEFAULT_CELL_BUDGET,
+            help="bound on cell tests; reduce and classify refine cells only where "
+            "two bounds on the gcd of t's values disagree")
 _SEED = _opt("--seed", "int")
 
 # Each subcommand's handler, help line and options, in the order --help

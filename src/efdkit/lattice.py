@@ -120,16 +120,16 @@ class PrimeSet(Record):
         return (p in self.primes) == (self.kind == "finite")
 
     def complement(self) -> "PrimeSet":
-        return PrimeSet("cofinite" if self.kind == "finite" else "finite", self.primes)
+        return _derived("cofinite" if self.kind == "finite" else "finite", self.primes)
 
     def intersection(self, other: "PrimeSet") -> "PrimeSet":
         a, b = self, other
         if a.kind == "finite" and b.kind == "finite":
-            return PrimeSet.finite(a.primes & b.primes)
+            return _derived("finite", a.primes & b.primes)
         if a.kind == "cofinite" and b.kind == "cofinite":
-            return PrimeSet.cofinite(a.primes | b.primes)
+            return _derived("cofinite", a.primes | b.primes)
         fin, cof = (a, b) if a.kind == "finite" else (b, a)
-        return PrimeSet.finite(fin.primes - cof.primes)
+        return _derived("finite", fin.primes - cof.primes)
 
     def union(self, other: "PrimeSet") -> "PrimeSet":
         return self.complement().intersection(other.complement()).complement()
@@ -137,6 +137,15 @@ class PrimeSet(Record):
     def issubset(self, other: "PrimeSet") -> bool:
         # a finite set and a cofinite one are never equal, so each set has one spelling
         return self.intersection(other.complement()) == EMPTY_PRIMES
+
+
+def _derived(kind: str, primes: frozenset[int]) -> PrimeSet:
+    """A PrimeSet of primes drawn from sets already built, so already
+    tested: built without __post_init__'s Miller-Rabin test."""
+    s = object.__new__(PrimeSet)
+    object.__setattr__(s, "kind", kind)
+    object.__setattr__(s, "primes", primes)
+    return s
 
 
 EMPTY_PRIMES = PrimeSet.finite(())

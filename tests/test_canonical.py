@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +21,7 @@ from efdkit.canonical import (
     sentence_to_delta_kt,
 )
 from efdkit.gen import random_rational_point, random_term
-from efdkit import canonical, geometry
+from efdkit import canonical, cli, geometry
 from efdkit.errors import BudgetExceeded
 from efdkit.geometry import IneqSystem, _dot, feasible_point, normalize_row
 from efdkit.lattice import PrimeSet, divisible_g, trivial_g
@@ -34,8 +36,13 @@ from efdkit.terms import (
     fold,
     parse_sentence,
     parse_term,
+    print_term,
     xvar,
 )
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import corpus  # noqa: E402
 
 
 def _term(text):
@@ -72,6 +79,20 @@ def count_lp_calls(monkeypatch) -> list:
     monkeypatch.setattr(geometry, "feasible_point", counting)
     monkeypatch.setattr(canonical, "feasible_point", counting)
     return calls
+
+
+def count_refinements(monkeypatch) -> list:
+    """Record the terms piecewise_canonical refines, however it is reached:
+    the returned list gains one term per call."""
+    terms = []
+    inner = canonical.piecewise_canonical
+
+    def recording(t, *args, **kwargs):
+        terms.append(t)
+        return inner(t, *args, **kwargs)
+
+    monkeypatch.setattr(canonical, "piecewise_canonical", recording)
+    return terms
 
 
 def count_cell_tests(monkeypatch) -> list:
@@ -420,6 +441,34 @@ class TestReduction:
     def test_rejects_z_variables(self):
         with pytest.raises(FragmentError):
             DeltaKT(2, parse_term("z1", Signature.GROUP))
+
+    def test_gcd_bounds_agree_with_the_refinement(self, monkeypatch):
+        """k' read off the two gcd bounds is k / gcd(k, g), g the gcd of the
+        refined pieces' coefficients, on random terms and on every reduce
+        argv of the group-canon corpus at seeds 1-3, where the bounds alone
+        decide: no refinement is run for them."""
+        pairs = []
+        rng = random.Random(33)
+        for _ in range(400):
+            t = random_term(rng, Signature.GROUP, rng.randint(1, 3), rng.randint(2, 4))
+            pairs += [(k, t) for k in (2, 4, 6, 12, 30)]
+        corpus_pairs = []
+        for seed in (1, 2, 3):
+            for q in corpus.build("group-canon", seed):
+                if q.kind == "reduce":
+                    args = cli._parse_argv(list(q.argv))
+                    corpus_pairs.append((args.k, _term(args.term)))
+        refined = count_refinements(monkeypatch)
+        for k, t in corpus_pairs:
+            reduce_delta_kt(DeltaKT(k, t))
+        assert len(corpus_pairs) >= 500 and refined == []
+        wrong = []
+        for k, t in pairs + corpus_pairs:
+            pw = piecewise_canonical(t)
+            g = math.gcd(*(c for _, form in pw.pieces for c in form))
+            if reduce_delta_kt(DeltaKT(k, t)) != k // math.gcd(k, g):
+                wrong.append((k, print_term(t)))
+        assert wrong == []
 
 
 class TestClassification:

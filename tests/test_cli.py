@@ -35,7 +35,7 @@ from efdkit.terms import (
 )
 from efdkit.translate import check_sentence
 
-from test_canonical import TWELVE_FORMS, count_cell_tests, count_lp_calls
+from test_canonical import TWELVE_FORMS, count_cell_tests, count_lp_calls, count_refinements
 
 # Fails in the two-element model only at x = (1, 0, 1, 0, 1, 0, 1, 0, 1, 0);
 # the CI console-script step runs it too.
@@ -44,6 +44,18 @@ TWO_ONE_FAILURE = (
     r"(x1 /\ ~x2 /\ x3 /\ ~x4 /\ x5 /\ ~x6 /\ x7 /\ ~x8 /\ x9 /\ ~x10)"
 )
 BIG_PRIME = "1000000000000000003"
+
+_X6 = " ".join(f"x{i}" for i in range(1, 7))
+_ABSOLUTES = r" /\ ".join(f"(x{i} \\/ -x{i})" for i in range(1, 7))
+# 2 z1 = S + S, S = |x1| /\ ... /\ |x6|: the gcd bounds disagree (L = 1,
+# G = 2), so reduce_delta_kt refines its cells; the CI console-script step
+# runs it too
+DOUBLED_ABSOLUTES = f"forall {_X6} exists! z1 : 2 z1 = ({_ABSOLUTES}) + ({_ABSOLUTES})"
+_X10 = " ".join(f"x{i}" for i in range(1, 11))
+_SUM10 = " + ".join(f"x{i}" for i in range(1, 11))
+# the cone sum doubled: the bounds disagree on its star image, whose cells,
+# 1024 orthants, are more than the default cap allows
+DOUBLED_CONE_SUM = f"forall {_X10} exists! z1 : 2 z1 = ({_SUM10}) + ({_SUM10})"
 
 
 def invoke(capsys, *argv):
@@ -90,7 +102,7 @@ class TestExamples:
             capsys, "reduce", "--k", "4", "--term", r"2 x1 \/ 6 x1"
         )
         assert code == 0
-        assert payload["schema"] == "efdkit/reduce/1"
+        assert payload["schema"] == "efdkit/reduce/2"
         assert payload["k_prime"] == 2
 
     def test_classify_epsilon(self, capsys):
@@ -169,7 +181,7 @@ class TestExamples:
             capsys, "check", "--model", "qs:2,3", "--sentence", "delta 6"
         )
         assert code == 0
-        assert payload["schema"] == "efdkit/check/10"
+        assert payload["schema"] == "efdkit/check/11"
         assert payload["verdict"] == {
             "status": "holds",
             "confidence": "exact",
@@ -262,6 +274,22 @@ class TestExitCodes:
     def test_reduce_k_1_needs_no_cell_test(self, capsys):
         code, payload = invoke_json(capsys, "reduce", "--k", "1", "--cap", "1", "--term", TWELVE_FORMS)
         assert (code, payload["k_prime"]) == (0, 1)
+
+    @pytest.mark.parametrize("argv,code,refinements,answer", [
+        (["reduce", "--k", "4", "--term", r"2 x1 \/ 6 x1"], 0, 0, {"k_prime": 2}),
+        (["classify", "--sig", "group", "--sentence", r"delta 6 : 2 x1 \/ 4 x2"], 0, 0, {"primes": [3]}),
+        # L = 2 = G: no cell test, so the cap of 1 is never reached
+        (["reduce", "--k", "6", "--cap", "1", "--term", f"2 ({TWELVE_FORMS})"], 0, 0, {"k_prime": 3}),
+        (["classify", "--sig", "group", "--sentence", DOUBLED_ABSOLUTES], 3, 1, None),
+    ])
+    def test_cells_are_refined_only_where_the_gcd_bounds_disagree(
+        self, capsys, monkeypatch, argv, code, refinements, answer
+    ):
+        refined = count_refinements(monkeypatch)
+        got, payload = invoke_json(capsys, *argv)
+        assert (got, len(refined)) == (code, refinements)
+        if answer is not None:
+            assert {key: payload[key] for key in answer} == answer
 
     @pytest.mark.parametrize("sig, spec", [
         ("group", "delta x"), ("group", "delta 2x : x1"), ("mv", "epsilon x"), ("mv", "epsilon 2 3"),
@@ -550,26 +578,24 @@ class TestBoundedWork:
 
     def test_meet_chain_hits_the_cap(self, capsys, monkeypatch):
         # every delta of the MV chain has k = 1, so it reduces to delta_1
-        # without a canonical form; 2 z1 = |x1| /\ ... /\ |x6|, whose form
-        # has an orthant copy of every piece, still needs more than 1000
-        # cell tests, none of them an LP
+        # without a canonical form; 2 z1 = S + S, S = |x1| /\ ... /\ |x6|,
+        # is left open by the gcd bounds (L = 1, G = 2), and its form, with
+        # an orthant copy of every piece, needs more than 1000 cell tests,
+        # none of them an LP
         calls = count_lp_calls(monkeypatch)
         tests = count_cell_tests(monkeypatch)
         code, payload = invoke_json(capsys, "classify", "--sig", "mv", "--sentence", _meet_chain(6))
         assert (code, len(calls), payload["class"], payload["primes"]) == (0, 0, "divisible", [])
-        xs = " ".join(f"x{i}" for i in range(1, 7))
-        absolutes = r" /\ ".join(f"(x{i} \\/ -x{i})" for i in range(1, 7))
-        code = run(["classify", "--sig", "group", "--sentence", f"forall {xs} exists! z1 : 2 z1 = {absolutes}"])
+        code = run(["classify", "--sig", "group", "--sentence", DOUBLED_ABSOLUTES])
         captured = capsys.readouterr()
         assert (code, len(calls), len(tests)) == (3, 0, 1000)
         assert captured.err == "error: the canonical form needs more than 1000 cell tests\n"
 
     def test_check_names_the_budget_that_sent_it_to_sampling(self, capsys):
-        # 2 z1 = x1 + ... + x10 on cone(q) stars to 1024 orthant cells
-        sentence = "forall " + " ".join(f"x{i}" for i in range(1, 11)) + " exists! z1 : 2 z1 = "
-        sentence += " + ".join(f"x{i}" for i in range(1, 11))
+        # 2 z1 = s + s, s = x1 + ... + x10, on cone(q) stars to 1024 orthant
+        # cells; the star image's values are all even (G = 2), while L = 1
         code, payload = invoke_json(
-            capsys, "check", "--model", "cone(q)", "--budget", "3", "--sentence", sentence
+            capsys, "check", "--model", "cone(q)", "--budget", "3", "--sentence", DOUBLED_CONE_SUM
         )
         assert code == 0
         assert payload["verdict"]["detail"] == (

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from efdkit import lattice
 from efdkit.errors import BudgetExceeded
 from efdkit.lattice import (
     ALL_PRIMES,
@@ -110,6 +111,19 @@ class TestPrimeSet:
     def test_rejects_composite(self):
         with pytest.raises(LatticeError):
             PrimeSet.finite({4})
+
+    def test_derived_sets_are_not_tested_again(self, monkeypatch):
+        # the primes of a meet, join or inclusion test come from sets
+        # already built, so no Miller-Rabin test runs on them again
+        big = divisible_g(PrimeSet.finite({1000000000000000003}))
+        small = divisible_g(PrimeSet.finite({2}))
+        calls = []
+        monkeypatch.setattr(lattice, "is_prime", lambda p: calls.append(p) or True)
+        results = meet(big, small), join(big, small), includes(big, small), includes(small, big)
+        assert calls == []
+        monkeypatch.undo()
+        both = divisible_g(PrimeSet.finite({2, 1000000000000000003}))
+        assert results == (both, divisible_g(EMPTY_PRIMES), False, False)
 
     def test_mixed_union(self):
         s = PrimeSet.finite({2}).union(PrimeSet.cofinite({2, 3}))
