@@ -31,7 +31,7 @@ _EXPORTS = {
         "build_epsilon_k",
         "boolean_marker",
     ),
-    "geometry": ("IneqSystem", "is_full_dimensional", "gcd_all"),
+    "geometry": ("IneqSystem", "is_full_dimensional"),
     "lattice": (
         "PrimeSet",
         "AEClass",

@@ -22,6 +22,7 @@ from .terms import (
     ABSURD,
     Diff,
     EFDSentence,
+    Identity,
     Join,
     Meet,
     Neg,
@@ -35,6 +36,7 @@ from .terms import (
     Zero,
     fold,
     max_index,
+    print_sentence,
 )
 
 __all__ = [
@@ -280,10 +282,10 @@ def reduce_delta_kt(d: DeltaKT, cap: int = DEFAULT_CELL_BUDGET) -> int:
 
 def _gcd_bounds(t: Term, n: int) -> tuple[int, int]:
     """(L, G) with L | g | G for the gcd g of t's values on Z^n.  L folds as
-    the cells do: a variable 1, 0 zero, a negation keeps it, a scalar k
-    multiplies it by |k|, and a sum, join or meet takes the gcd of its
-    children's.  G is the gcd of t's values at +-e_i for each i, (1, 2, ...,
-    n) and (2, -3, 4, ...), folded as one tuple of values per node."""
+    the cells do: a variable 1, 0 zero, a scalar k multiplies it by |k|, a
+    negation being the scalar -1, and a sum, join or meet takes the gcd of
+    its children's.  G is the gcd of t's values at each +-e_i, (1, 2, ..., n)
+    and (2, -3, 4, ...), folded as one tuple of values per node."""
     points = [tuple((i == j) * s for j in range(n)) for i in range(n) for s in (1, -1)]
     points += [tuple(range(1, n + 1)), tuple((-1) ** j * (j + 2) for j in range(n))]
     columns = tuple(zip(*points))  # per variable, its value at each point
@@ -295,12 +297,10 @@ def _gcd_bounds(t: Term, n: int) -> tuple[int, int]:
             (a, u), (b, v) = kids
             op = operator.add if kind is Plus else max if kind is Join else min
             return math.gcd(a, b), tuple(map(op, u, v))
-        if kind is Neg:
+        if kind is Neg or kind is Scalar:
+            k = -1 if kind is Neg else node.k
             a, u = kids[0]
-            return a, tuple(map(operator.neg, u))
-        if kind is Scalar:
-            a, u = kids[0]
-            return abs(node.k) * a, tuple(map(node.k.__mul__, u))
+            return abs(k) * a, tuple(map(k.__mul__, u))
         if kind is Var and node.kind == "x":
             return 1, columns[node.index - 1]
         _leaf_form(node, n)  # 0 here; any node that is no group leaf raises
@@ -367,7 +367,9 @@ def classify_group_sentences(
         if isinstance(item, EFDSentence) and item.signature is Signature.GROUP:
             item = sentence_to_delta_kt(item)
         if not isinstance(item, DeltaKT):
-            raise FragmentError(f"unsupported classification input {item!r}")
+            sentence = isinstance(item, (EFDSentence, Identity))
+            text = print_sentence(item) if sentence else repr(item)
+            raise FragmentError(f"unsupported classification input {text}")
         primes |= prime_factors(reduce_delta_kt(item, cap=cap))
     return divisible_g(PrimeSet.finite(primes))
 

@@ -142,15 +142,13 @@ def _parse_assignment(a, text: str) -> dict:
 
 def _class_spec(text: str, family: str) -> lattice.AEClass:
     s = text.strip()
-    if s == "trivial":
-        return lattice.trivial_g() if family == "G" else lattice.trivial_p()
-    if s == "boolean":
-        return lattice.boolean_p()
+    if s in ("trivial", "boolean"):
+        return lattice.AEClass(family, s)
     if s.startswith("divisible:"):
         body = s[len("divisible:") :]
         kind, body = ("cofinite", body[3:]) if body.startswith("co:") else ("finite", body)
-        ps = lattice.PrimeSet(kind, lattice.parse_primes(body))
-        return lattice.divisible_g(ps) if family == "G" else lattice.divisible_p(ps)
+        primes = lattice.PrimeSet(kind, lattice.parse_primes(body))
+        return lattice.AEClass(family, "divisible", primes)
     raise ValueError(f"bad class spec {s!r}")
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "normalize_row",
     "feasible_point",
     "is_full_dimensional",
-    "gcd_all",
 ]
 
 LinearForm = tuple[int, ...]
@@ -71,12 +70,6 @@ def _dot(row: Sequence, point: Sequence) -> int | Fraction:
 def normalize_row(row: Sequence[int]) -> LinearForm:
     g = math.gcd(*(abs(c) for c in row)) if any(row) else 0
     return tuple(c // g for c in row) if g > 1 else tuple(row)
-
-
-def gcd_all(values: Sequence[int]) -> int:
-    if not values or not any(values):
-        raise ValueError("gcd_all requires at least one nonzero value")
-    return math.gcd(*(abs(v) for v in values))
 
 
 # ---------------------------------------------------------------------------

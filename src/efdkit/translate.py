@@ -31,6 +31,7 @@ from .terms import (
     Zero,
     fold,
     is_boolean_marker,
+    print_sentence,
     print_term,
     scalar,
     substitute,
@@ -198,12 +199,12 @@ def phi_rad_decompose(phi: EFDSentence) -> list[RadBasicSentence]:
 # Terms are translated by a polarity-tagged evaluation: with all variables
 # ranging over the radical of a totally ordered perfect algebra, every
 # subterm is either radical ("rad", value h) or co-radical ("co", value
-# neg h); both cases carry a hoop term h over the same variables.  The case
-# rules are the Gamma arithmetic of perfect algebras read symbolically, so
-# the translated term agrees with the original on all radical assignments.
-# Each hoop node is built by _plus or _diff, which apply identities of
-# cancellative hoops to children built the same way, so the image comes out
-# simplified from the one fold.
+# neg h); both cases carry a hoop term h over the same variables.  Only +,
+# ~, \/ and k. have case rules, the Gamma arithmetic of perfect algebras
+# read symbolically; -., /\ and x^k follow from their MV definitions.  So an
+# image agrees with its term on all radical assignments.  Each hoop node is
+# built by _plus or _diff, which apply identities of cancellative hoops to
+# children built the same way, so the one fold yields a simplified image.
 
 _RAD = "rad"
 _CO = "co"
@@ -232,16 +233,6 @@ def _diff(a: Term, b: Term) -> Term:
     return Diff(a, b)
 
 
-def _hjoin(p: Term, q: Term) -> Term:
-    # x \/ y = x + (y -. x) in hoops
-    return _plus(p, _diff(q, p))
-
-
-def _hmeet(p: Term, q: Term) -> Term:
-    # x /\ y = x -. (x -. y) in hoops
-    return _diff(p, _diff(p, q))
-
-
 def _v_neg(v):
     tag, h = v
     return (_CO if tag == _RAD else _RAD, h)
@@ -258,30 +249,12 @@ def _v_plus(va, vb):
     return (_CO, _diff(a, b))
 
 
-def _v_diff(va, vb):
-    # a -. b computed as a * neg b
-    (ta, a), (tb, b) = va, vb
-    if ta == _RAD and tb == _RAD:
-        return (_RAD, _diff(a, b))
-    if ta == _RAD and tb == _CO:
-        return (_RAD, ZERO)  # radical * radical vanishes
-    if ta == _CO and tb == _RAD:
-        return (_CO, _plus(a, b))
-    return (_RAD, _diff(b, a))  # neg a -. neg b = b -. a
-
-
 def _v_join(va, vb):
+    # in hoops x \/ y = x + (y -. x) and x /\ y = x -. (x -. y); neg a \/ neg b = neg(a /\ b)
     (ta, a), (tb, b) = va, vb
     if ta == tb:
-        return (ta, _hjoin(a, b) if ta == _RAD else _hmeet(a, b))
+        return (ta, _plus(a, _diff(b, a)) if ta == _RAD else _diff(a, _diff(a, b)))
     return va if ta == _CO else vb  # co-radical dominates radical
-
-
-def _v_meet(va, vb):
-    (ta, a), (tb, b) = va, vb
-    if ta == tb:
-        return (ta, _hmeet(a, b) if ta == _RAD else _hjoin(a, b))
-    return va if ta == _RAD else vb
 
 
 def _v_scalar(k: int, v):
@@ -298,6 +271,14 @@ def _v_scalar(k: int, v):
 def _v_power(k: int, v):
     # x^k = ~(k ~x): a radical value squares to 0, and k ~(neg h) = k h
     return _v_neg(_v_scalar(k, _v_neg(v)))
+
+
+def _v_diff(va, vb):
+    return _v_neg(_v_plus(_v_neg(va), vb))  # x -. y = ~(~x + y)
+
+
+def _v_meet(va, vb):
+    return _v_neg(_v_join(_v_neg(va), _v_neg(vb)))  # x /\ y = ~(~x \/ ~y)
 
 
 _V_OPS = {Plus: _v_plus, MVNeg: _v_neg, Join: _v_join, Meet: _v_meet, Diff: _v_diff}
@@ -377,7 +358,8 @@ def classify_mv_sentences(
                 continue
             raise FragmentError("the only supported identity is the Boolean marker")
         if not isinstance(item, EFDSentence) or item.signature is not Signature.MV:
-            raise FragmentError(f"unsupported classification input {item!r}")
+            text = print_sentence(item) if isinstance(item, EFDSentence) else repr(item)
+            raise FragmentError(f"unsupported classification input {text}")
         try:
             deltas.extend(sentence_deltas(item))
         except _NoUniqueSolution as exc:

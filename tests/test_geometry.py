@@ -15,7 +15,6 @@ from efdkit.geometry import (
     IneqSystem,
     _farkas,
     feasible_point,
-    gcd_all,
     is_full_dimensional,
     normalize_row,
 )
@@ -39,13 +38,6 @@ class TestRowUtilities:
 
     def test_normalize_zero_row(self):
         assert normalize_row((0, 0)) == (0, 0)
-
-    def test_gcd_all(self):
-        assert gcd_all([4, -6, 10]) == 2
-
-    def test_gcd_all_rejects_all_zero(self):
-        with pytest.raises(ValueError):
-            gcd_all([0, 0])
 
     def test_rank(self):
         assert _rank([(1, 0), (0, 1)], 2) == 2

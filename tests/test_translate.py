@@ -242,6 +242,25 @@ class TestHoopTranslation:
             image = eval_term(cone, hoop, {xvar(1): Fraction(h1), zvar(1): Fraction(h2)})
             assert value == ((0, image) if tag == "rad" else (1, -image))
 
+    def test_images_agree_with_gamma_on_random_terms(self):
+        """At a radical assignment q, a sign-substituted MV term takes the
+        value (0, h) in Gamma(Q) if its image is radical and (1, -h) if it is
+        co-radical, h the image's value at q in the cone of Q: the case rules
+        of +, ~, \\/ and k. and the derived -., /\\ and x^k all hold."""
+        rng = random.Random(34)
+        cone = PositiveCone(RationalGroup())
+        for _ in range(1000):
+            n, m = rng.randint(1, 3), rng.randint(1, 2)
+            t = random_term(rng, Signature.MV, n, rng.randint(1, 5), kinds=("x", "z"), m=m)
+            variables = [xvar(i) for i in range(1, n + 1)] + [zvar(j) for j in range(1, m + 1)]
+            t = translate._subst_signs(t, {v: rng.random() < 0.5 for v in variables})
+            tag, image = fold(t, translate._polarity)
+            for _ in range(3):
+                q = {v: Fraction(rng.randint(0, 9), rng.randint(1, 4)) for v in variables}
+                h = eval_term(cone, image, q)
+                value = eval_term(GQ, t, {v: (0, c) for v, c in q.items()})
+                assert value == ((0, h) if tag == "rad" else (1, -h))
+
 
 class TestMVClassification:
     def test_join_chain_is_walked_once_per_node(self, monkeypatch):
@@ -299,7 +318,7 @@ class TestMVClassification:
         assert result.ae_class == divisible_p(PrimeSet.finite(()))
 
     def test_rejects_group_sentence(self):
-        with pytest.raises(FragmentError):
+        with pytest.raises(FragmentError, match="input forall x1 exists! z1 : 2 z1 = x1$"):
             classify_mv_sentences([build_delta_k(2, Signature.GROUP)])
 
     def test_no_unique_two_element_solution_is_trivial(self):
