@@ -314,12 +314,15 @@ def sentence_to_delta_kt(phi: EFDSentence) -> DeltaKT:
     """Recognize a group or hoop sentence of the shape forall x-bar exists!
     z1 with k z1 = t(x-bar), k z1 possibly spelled as a sum of multiples of
     z1.  A hoop equation may also be spelled (k z1 -. t) + (t -. k z1) = 0,
-    as in the hoop image of a decomposition branch."""
+    as in the hoop image of a decomposition branch; either side may be the
+    k z1 or the 0."""
     if phi.signature is Signature.MV:
         raise FragmentError("delta_{k,t} recognition expects a group or hoop sentence")
     if phi.m != 1 or len(phi.equations) != 1:
         raise FragmentError("supported fragment: single equation, single z-variable")
     lhs, rhs = phi.equations[0]
+    if lhs == ZERO:
+        lhs, rhs = rhs, lhs
     if rhs == ZERO and isinstance(lhs, Plus):
         a, b = lhs.left, lhs.right
         if isinstance(a, Diff) and isinstance(b, Diff) and a.left == b.right and a.right == b.left:

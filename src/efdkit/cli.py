@@ -33,7 +33,7 @@ SEED_ENV = "EFDKIT_SEED"
 # this many tree nodes, and exits 3 past it.
 MAX_PRINTED_NODES = 10_000
 
-_SIGS = {"group": terms.Signature.GROUP, "hoop": terms.Signature.HOOP, "mv": terms.Signature.MV}
+_SIGS = {sig.value: sig for sig in terms.Signature}
 
 
 class PropertyFailure(Exception):
@@ -92,6 +92,22 @@ def _sentence_specs(args) -> list[str]:
 
 def _gather_sentences(args, sig: terms.Signature) -> list:
     return [parse_sentence_spec(spec, sig) for spec in _sentence_specs(args)]
+
+
+def _sentence_reader(args, message: str):
+    """The reader of a command's one sentence.  Its text, the first of
+    _sentence_specs, is taken now, so that a missing sentence is reported
+    before any later input error; the function returned parses it in a
+    signature and refuses with message anything but an EFD-sentence."""
+    spec = _sentence_specs(args)[0]
+
+    def read(sig: terms.Signature) -> terms.EFDSentence:
+        phi = parse_sentence_spec(spec, sig)
+        if not isinstance(phi, terms.EFDSentence):
+            raise FragmentError(message)
+        return phi
+
+    return read
 
 
 def _seed_from_env() -> int:
@@ -180,27 +196,25 @@ def _sentence_json(item) -> dict:
 
 
 def _render_text(obj, indent: int = 0) -> str:
+    """obj as indented text: a dict entry is headed "key:", a list item "-",
+    and a nested value follows its head one level deeper.  An empty list
+    prints as [], an empty dict as nothing."""
     pad = "  " * indent
     if isinstance(obj, dict):
-        lines = []
-        for key in obj:
-            value = obj[key]
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.append(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {value}")
-        return "\n".join(lines)
-    if isinstance(obj, list):
-        lines = []
-        for value in obj:
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.append(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {value}")
-        return "\n".join(lines) if lines else f"{pad}[]"
-    return f"{pad}{obj}"
+        items = [(f"{key}:", obj[key]) for key in obj]
+    elif isinstance(obj, list):
+        if not obj:
+            return f"{pad}[]"
+        items = [("-", value) for value in obj]
+    else:
+        return f"{pad}{obj}"
+    lines = []
+    for head, value in items:
+        if isinstance(value, (dict, list)):
+            lines += (pad + head, _render_text(value, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {value}")
+    return "\n".join(lines)
 
 
 # A command's schema version rises when its output for the same argv changes;
@@ -225,9 +239,12 @@ def _render_text(obj, indent: int = 0) -> str:
 # stopped may now get its exact answer; translate/2: co-radical x^k
 # translates to k h, not h + ... + h; fulldim/2: the LP runs on the Farkas
 # alternative, and the basis is built around the interior point it reads
-# off the multipliers
+# off the multipliers; classify/3: the Boolean marker reads either way
+# round, so x = 2 x and x = x + x give the Boolean class instead of exit 3;
+# check/12: the hoop distance spelling 0 = (k z1 -. t) + (t -. k z1) is
+# decided as delta_{k,t}, as with the 0 on the right, instead of sampled
 _SCHEMA_VERSIONS = {
-    "canon": 3, "check": 11, "classify": 2, "reduce": 2, "translate": 2, "fulldim": 2,
+    "canon": 3, "check": 12, "classify": 3, "reduce": 2, "translate": 2, "fulldim": 2,
 }
 
 
@@ -282,13 +299,11 @@ def _json_text(value) -> str:
     return "".join(out)
 
 
-def _emit(args, command: str, payload: dict) -> None:
-    version = _SCHEMA_VERSIONS.get(command, 1)
-    payload = {"schema": f"efdkit/{command}/{version}", **payload}
-    if args.format == "json":
-        print(_json_text(payload))
-    else:
-        print(_render_text(payload))
+def _emit(args, payload: dict) -> None:
+    """Print payload under the schema of args.command, in args.format."""
+    version = _SCHEMA_VERSIONS.get(args.command, 1)
+    payload = {"schema": f"efdkit/{args.command}/{version}", **payload}
+    print(_json_text(payload) if args.format == "json" else _render_text(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +314,10 @@ def _cmd_parse(args) -> int:
     sig = _SIGS[args.sig]
     if args.term is not None:
         t = terms.parse_term(args.term, sig)
-        _emit(args, "parse", {"term": terms.term_to_json(t), "printed": terms.print_term(t)})
-        return 0
-    items = _gather_sentences(args, sig)
-    _emit(args, "parse", {"sentences": [_sentence_json(s) for s in items]})
+        payload = {"term": terms.term_to_json(t), "printed": terms.print_term(t)}
+    else:
+        payload = {"sentences": [_sentence_json(s) for s in _gather_sentences(args, sig)]}
+    _emit(args, payload)
     return 0
 
 
@@ -312,14 +327,14 @@ def _cmd_canon(args) -> int:
         raise FragmentError("piecewise canonical forms exist for group terms only")
     t = terms.parse_term(args.term, sig)
     pw = canonical.piecewise_canonical(t, cap=args.cap)
-    _emit(args, "canon", {"term": terms.print_term(t), "piecewise": pw.to_json()})
+    _emit(args, {"term": terms.print_term(t), "piecewise": pw.to_json()})
     return 0
 
 
 def _cmd_reduce(args) -> int:
     t = terms.parse_term(args.term, terms.Signature.GROUP)
     kprime = canonical.reduce_delta_kt(canonical.DeltaKT(args.k, t), cap=args.cap)
-    _emit(args, "reduce", {"k": args.k, "term": terms.print_term(t), "k_prime": kprime})
+    _emit(args, {"k": args.k, "term": terms.print_term(t), "k_prime": kprime})
     return 0
 
 
@@ -327,88 +342,49 @@ def _cmd_classify(args) -> int:
     sig = _SIGS[args.sig]
     items = _gather_sentences(args, sig)
     if sig is terms.Signature.GROUP:
-        result = canonical.classify_group_sentences(items, cap=args.cap)
-        _emit(args, "classify", _class_json(result))
-        return 0
-    if sig is terms.Signature.MV:
+        payload = _class_json(canonical.classify_group_sentences(items, cap=args.cap))
+    elif sig is terms.Signature.MV:
         mv = translate.classify_mv_sentences(items, cap=args.cap)
-        payload = _class_json(mv.ae_class)
-        payload["notes"] = list(mv.notes)
-        _emit(args, "classify", payload)
-        return 0
-    raise FragmentError("classification is implemented for group and mv inputs")
+        payload = {**_class_json(mv.ae_class), "notes": list(mv.notes)}
+    else:
+        raise FragmentError("classification is implemented for group and mv inputs")
+    _emit(args, payload)
+    return 0
 
 
 def _cmd_translate(args) -> int:
-    if args.direction == "star":
-        if args.term is not None:
-            t = terms.parse_term(args.term, terms.Signature.HOOP)
-            st = translate.star_term(t)
-            _emit(
-                args,
-                "translate",
-                {
-                    "direction": "star",
-                    "input": terms.print_term(t),
-                    "term": terms.term_to_json(st),
-                    "printed": terms.print_term(st),
-                },
-            )
-            return 0
-        phi = parse_sentence_spec(_sentence_specs(args)[0], terms.Signature.HOOP)
-        if not isinstance(phi, terms.EFDSentence):
-            raise FragmentError("star translation expects a hoop EFD-sentence")
-        _emit(
-            args,
-            "translate",
-            {
-                "direction": "star",
-                "input": terms.print_sentence(phi),
-                "sentence": _sentence_json(translate.star_sentence(phi)),
-            },
-        )
-        return 0
-    phi = parse_sentence_spec(_sentence_specs(args)[0], terms.Signature.MV)
-    if not isinstance(phi, terms.EFDSentence):
-        raise FragmentError("mv-hoop translation expects an MV EFD-sentence")
-    hoop = translate.mv_to_hoop(phi)
-    size = sum(terms.fold(t, lambda node, *kids: 1 + sum(kids))
-               for eq in hoop.equations for t in eq)
-    if size > MAX_PRINTED_NODES:
-        raise BudgetExceeded(
-            f"the hoop image prints {size} term nodes, more than {MAX_PRINTED_NODES}"
-        )
-    _emit(
-        args,
-        "translate",
-        {
-            "direction": "mv-hoop",
-            "input": terms.print_sentence(phi),
-            "sentence": _sentence_json(hoop),
-        },
-    )
+    star = args.direction == "star"
+    if star and args.term is not None:
+        t = terms.parse_term(args.term, terms.Signature.HOOP)
+        st = translate.star_term(t)
+        payload = {"input": terms.print_term(t), "term": terms.term_to_json(st),
+                   "printed": terms.print_term(st)}
+    else:
+        if star:
+            read = _sentence_reader(args, "star translation expects a hoop EFD-sentence")
+            phi = read(terms.Signature.HOOP)
+            image = translate.star_sentence(phi)
+        else:
+            read = _sentence_reader(args, "mv-hoop translation expects an MV EFD-sentence")
+            phi = read(terms.Signature.MV)
+            image = translate.mv_to_hoop(phi)
+            size = sum(terms.fold(t, lambda node, *kids: 1 + sum(kids))
+                       for eq in image.equations for t in eq)
+            if size > MAX_PRINTED_NODES:
+                raise BudgetExceeded(
+                    f"the hoop image prints {size} term nodes, more than {MAX_PRINTED_NODES}"
+                )
+        payload = {"input": terms.print_sentence(phi), "sentence": _sentence_json(image)}
+    _emit(args, {"direction": args.direction, **payload})
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    phi = parse_sentence_spec(_sentence_specs(args)[0], terms.Signature.MV)
-    if not isinstance(phi, terms.EFDSentence):
-        raise FragmentError("decomposition expects an MV EFD-sentence")
+    phi = _sentence_reader(args, "decomposition expects an MV EFD-sentence")(terms.Signature.MV)
     parts = translate.phi_rad_decompose(phi)
-    _emit(
-        args,
-        "decompose",
-        {
-            "input": terms.print_sentence(phi),
-            "branches": [
-                {
-                    "sign_vector": list(p.sign_vector),
-                    "sentence": _sentence_json(p.sentence),
-                }
-                for p in parts
-            ],
-        },
-    )
+    branches = [{"sign_vector": list(p.sign_vector), "sentence": _sentence_json(p.sentence)}
+                for p in parts]
+    _emit(args, {"input": terms.print_sentence(phi), "branches": branches})
     return 0
 
 
@@ -416,14 +392,13 @@ def _cmd_fulldim(args) -> int:
     rows = _parse_rows(args.rows)
     system = geometry.IneqSystem(len(rows[0]), rows)
     res = geometry.is_full_dimensional(system)
-    payload = {
+    _emit(args, {
         "n": system.n,
         "rows": [list(r) for r in system.rows],
         "full_dimensional": res.full_dimensional,
         "basis": [[str(c) for c in v] for v in res.basis] if res.basis else None,
         "certificate": list(res.certificate) if res.certificate else None,
-    }
-    _emit(args, "fulldim", payload)
+    })
     return 0
 
 
@@ -432,36 +407,26 @@ def _cmd_eval(args) -> int:
     t = terms.parse_term(args.term, models.species(a))
     env = _parse_assignment(a, args.assign or "")
     value = models.eval_term(a, t, env)
-    _emit(
-        args,
-        "eval",
-        {
-            "model": models.model_name(a),
-            "term": terms.print_term(t),
-            "assignment": models.format_assignment(env),
-            "value": models.format_element(value),
-        },
-    )
+    _emit(args, {
+        "model": models.model_name(a),
+        "term": terms.print_term(t),
+        "assignment": models.format_assignment(env),
+        "value": models.format_element(value),
+    })
     return 0
 
 
 def _cmd_check(args) -> int:
-    spec = _sentence_specs(args)[0]
+    read = _sentence_reader(args, "check expects an EFD-sentence")
     a = models.parse_model(args.model)
-    phi = parse_sentence_spec(spec, models.species(a))
-    if not isinstance(phi, terms.EFDSentence):
-        raise FragmentError("check expects an EFD-sentence")
+    phi = read(models.species(a))
     verdict = translate.check_sentence(a, phi, args.budget, args.seed,
                                        shortcut=not args.no_shortcut)
-    _emit(
-        args,
-        "check",
-        {
-            "model": models.model_name(a),
-            "sentence": terms.print_sentence(phi),
-            "verdict": verdict.to_json(),
-        },
-    )
+    _emit(args, {
+        "model": models.model_name(a),
+        "sentence": terms.print_sentence(phi),
+        "verdict": verdict.to_json(),
+    })
     if verdict.status == "falsified":
         raise PropertyFailure(f"{terms.print_sentence(phi)} fails in {models.model_name(a)}")
     if verdict.status == "inconclusive":
@@ -474,52 +439,33 @@ def _cmd_check(args) -> int:
 
 def _cmd_lattice(args) -> int:
     if args.op == "order":
-        e1 = _expansion_spec(args.left)
-        e2 = _expansion_spec(args.right)
-        _emit(
-            args,
-            "lattice",
-            {"op": "order", "left": args.left, "right": args.right,
-             "relation": lattice.expansion_order(e1, e2)},
-        )
-        return 0
-    c1 = _class_spec(args.left, args.family)
-    c2 = _class_spec(args.right, args.family)
-    if args.op == "includes":
-        result = {"includes": lattice.includes(c1, c2)}
-    elif args.op == "meet":
-        result = {"meet": _class_json(lattice.meet(c1, c2))}
+        relation = lattice.expansion_order(_expansion_spec(args.left), _expansion_spec(args.right))
+        payload = {"left": args.left, "right": args.right, "relation": relation}
     else:
-        result = {"join": _class_json(lattice.join(c1, c2))}
-    _emit(
-        args,
-        "lattice",
-        {"op": args.op, "left": _class_json(c1), "right": _class_json(c2), **result},
-    )
+        c1 = _class_spec(args.left, args.family)
+        c2 = _class_spec(args.right, args.family)
+        if args.op == "includes":
+            result = lattice.includes(c1, c2)
+        else:
+            result = _class_json((lattice.meet if args.op == "meet" else lattice.join)(c1, c2))
+        payload = {"left": _class_json(c1), "right": _class_json(c2), args.op: result}
+    _emit(args, {"op": args.op, **payload})
     return 0
 
 
 def _cmd_axioms(args) -> int:
     e = lattice.LogicExpansion(args.base, lattice.PrimeSet.finite(lattice.parse_primes(args.primes)))
-    schemas = lattice.emit_axioms(e)
-    _emit(
-        args,
-        "axioms",
+    axioms = [
         {
-            "base": args.base,
-            "primes": sorted(e.primes.primes),
-            "axioms": [
-                {
-                    "name": s.name,
-                    "formula": s.formula,
-                    "fresh_symbols": list(s.fresh_symbols),
-                    "structured": s.structured,
-                    "note": s.note,
-                }
-                for s in schemas
-            ],
-        },
-    )
+            "name": s.name,
+            "formula": s.formula,
+            "fresh_symbols": list(s.fresh_symbols),
+            "structured": s.structured,
+            "note": s.note,
+        }
+        for s in lattice.emit_axioms(e)
+    ]
+    _emit(args, {"base": args.base, "primes": sorted(e.primes.primes), "axioms": axioms})
     return 0
 
 
@@ -532,15 +478,9 @@ def _cmd_selftest(args) -> int:
         reports = [selftest_mod.run_suite(args.suite, seed=args.seed, budget=args.budget)]
     else:
         raise ValueError(f"unknown suite {args.suite!r}")
-    _emit(
-        args,
-        "selftest",
-        {
-            "passed": all(r.passed for r in reports),
-            "suites": [r.to_json() for r in reports],
-        },
-    )
-    if not all(r.passed for r in reports):
+    passed = all(r.passed for r in reports)
+    _emit(args, {"passed": passed, "suites": [r.to_json() for r in reports]})
+    if not passed:
         failed = [r.name for r in reports if not r.passed]
         raise PropertyFailure(f"failing suites: {', '.join(failed)}")
     return 0

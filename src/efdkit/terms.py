@@ -366,14 +366,15 @@ def boolean_marker() -> Identity:
 
 
 def is_boolean_marker(ident: Identity) -> bool:
-    lhs, rhs = ident.equation
-    return (
-        isinstance(rhs, Var)
-        and rhs.kind == "x"
+    """Whether ident is 2 x = x, or x + x = x, either way round."""
+    return any(
+        isinstance(x, Var)
+        and x.kind == "x"
         and (
-            (isinstance(lhs, Scalar) and lhs.k == 2 and lhs.arg == rhs)
-            or (isinstance(lhs, Plus) and lhs.left == rhs and lhs.right == rhs)
+            (isinstance(double, Scalar) and double.k == 2 and double.arg == x)
+            or (isinstance(double, Plus) and double.left == x and double.right == x)
         )
+        for double, x in (ident.equation, ident.equation[::-1])
     )
 
 

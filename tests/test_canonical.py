@@ -502,6 +502,9 @@ class TestSentenceRecognition:
         phi = parse_sentence("forall x1 exists! z1 : x1 = 3 z1", Signature.GROUP)
         d = sentence_to_delta_kt(phi)
         assert d.k == 3 and d.t == xvar(1)
+        for text in ("(2 z1 -. x1) + (x1 -. 2 z1) = 0", "0 = (2 z1 -. x1) + (x1 -. 2 z1)"):
+            phi = parse_sentence(f"forall x1 exists! z1 : {text}", Signature.HOOP)
+            assert sentence_to_delta_kt(phi) == DeltaKT(2, xvar(1))
 
     def test_recognizes_sums_of_z1(self):
         phi = parse_sentence("forall x1 exists! z1 : z1 + 2 z1 = x1", Signature.GROUP)

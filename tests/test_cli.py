@@ -181,7 +181,7 @@ class TestExamples:
             capsys, "check", "--model", "qs:2,3", "--sentence", "delta 6"
         )
         assert code == 0
-        assert payload["schema"] == "efdkit/check/11"
+        assert payload["schema"] == "efdkit/check/12"
         assert payload["verdict"] == {
             "status": "holds",
             "confidence": "exact",

@@ -103,8 +103,12 @@ class TestParsing:
         assert (phi.n, phi.m) == (2, 1)
         assert parse_sentence(print_sentence(phi), Signature.GROUP) == phi
 
-    def test_identity_sentence(self):
-        ident = parse_sentence("forall x1 : 2 x1 = x1", Signature.MV)
+    @pytest.mark.parametrize("text", [
+        "forall x1 : 2 x1 = x1", "forall x1 : x1 = 2 x1",
+        "forall x1 : x1 + x1 = x1", "forall x1 : x1 = x1 + x1",
+    ], ids=["scalar-left", "scalar-right", "sum-left", "sum-right"])
+    def test_identity_sentence(self, text):
+        ident = parse_sentence(text, Signature.MV)
         assert isinstance(ident, Identity)
         assert is_boolean_marker(ident)
 
