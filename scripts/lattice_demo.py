@@ -9,15 +9,16 @@ schemas for the corresponding logic expansions.
 import itertools
 
 from efdkit import (
+    build_delta_k,
     build_epsilon_k,
+    classify_group_sentences,
     classify_mv_sentences,
     emit_axioms,
     expansion_order,
     includes,
 )
-from efdkit.canonical import DeltaKT, classify_group_sentences
 from efdkit.lattice import LogicExpansion, PrimeSet, divisible_g
-from efdkit.terms import Signature, parse_term
+from efdkit.terms import Signature, parse_sentence
 
 
 def show_class(label, ae):
@@ -31,12 +32,11 @@ def show_class(label, ae):
 
 def main() -> None:
     print("Group sentence sets (delta_{k,t} shapes):")
-    t = parse_term(r"2 x1 \/ 6 x1", Signature.GROUP)
-    show_class("delta_4 with t = 2x1 \\/ 6x1", classify_group_sentences([DeltaKT(4, t)]))
+    phi = parse_sentence(r"forall x1 exists! z1 : 4 z1 = 2 x1 \/ 6 x1", Signature.GROUP)
+    show_class("delta_4 with t = 2x1 \\/ 6x1", classify_group_sentences([phi]))
     show_class(
         "delta_6 and delta_10",
-        classify_group_sentences([DeltaKT(6, parse_term("x1", Signature.GROUP)),
-                                  DeltaKT(10, parse_term("x1", Signature.GROUP))]),
+        classify_group_sentences([build_delta_k(6), build_delta_k(10)]),
     )
 
     print("\nMV sentence sets (epsilon_k):")

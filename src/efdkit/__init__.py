@@ -47,7 +47,6 @@ _EXPORTS = {
         "DeltaKT",
         "piecewise_canonical",
         "reduce_delta_kt",
-        "classify_group_sentences",
     ),
     "models": (
         "IntegerGroup",
@@ -69,6 +68,7 @@ _EXPORTS = {
         "check_in_two",
         "phi_rad_decompose",
         "mv_to_hoop",
+        "classify_group_sentences",
         "classify_mv_sentences",
         "check_sentence",
     ),

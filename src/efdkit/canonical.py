@@ -1,6 +1,6 @@
-"""Piecewise-linear canonical forms of l-group terms, reduction of
-delta_{k,t} to delta_{k'}, and classification of supported sentence sets
-into canonical AE-classes.
+"""Piecewise-linear canonical forms of l-group terms, recognition of the
+delta_{k,t} shape in a group or hoop sentence, and reduction of delta_{k,t}
+to delta_{k'}.
 """
 
 from __future__ import annotations
@@ -16,13 +16,10 @@ from .geometry import (
     feasible_point,
     normalize_row,
 )
-from .lattice import AEClass, PrimeSet, divisible_g, prime_factors, trivial_g
 from .record import Record
 from .terms import (
-    ABSURD,
     Diff,
     EFDSentence,
-    Identity,
     Join,
     Meet,
     Neg,
@@ -36,17 +33,14 @@ from .terms import (
     Zero,
     fold,
     max_index,
-    print_sentence,
 )
 
 __all__ = [
     "FragmentError",
     "PiecewiseLinear",
     "DeltaKT",
-    "ABSURD",
     "piecewise_canonical",
     "reduce_delta_kt",
-    "classify_group_sentences",
     "sentence_to_delta_kt",
     "DEFAULT_CELL_BUDGET",
 ]
@@ -254,7 +248,7 @@ def _simplest(a: int, b: int, c: int, d: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Reduction and classification
+# Recognition and reduction of delta_{k,t}
 
 
 def reduce_delta_kt(d: DeltaKT, cap: int = DEFAULT_CELL_BUDGET) -> int:
@@ -351,28 +345,3 @@ def _kz1(t: Term) -> int | None:
         return None
 
     return fold(t, multiplicity)
-
-
-def classify_group_sentences(
-    sentences, cap: int = DEFAULT_CELL_BUDGET
-) -> AEClass:
-    """Combine delta_{k,t} inputs into the canonical AE-class of l-groups.
-
-    Inputs may be DeltaKT values, group EFD-sentences of that shape, or the
-    ABSURD marker (yielding the Trivial class).  A conjunction of delta_k's
-    is equivalent to delta of the product, and divisibility by k to
-    divisibility by the prime factors of k.
-    """
-    primes: set[int] = set()
-    for item in sentences:
-        if item == ABSURD:
-            return trivial_g()
-        if isinstance(item, EFDSentence) and item.signature is Signature.GROUP:
-            item = sentence_to_delta_kt(item)
-        if not isinstance(item, DeltaKT):
-            sentence = isinstance(item, (EFDSentence, Identity))
-            text = print_sentence(item) if sentence else repr(item)
-            raise FragmentError(f"unsupported classification input {text}")
-        primes |= prime_factors(reduce_delta_kt(item, cap=cap))
-    return divisible_g(PrimeSet.finite(primes))
-

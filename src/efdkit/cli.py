@@ -2,8 +2,8 @@
 canonicalization, translation, model-checking, and lattice APIs, plus the
 built-in property-suite runner.
 
-Exit codes: 0 success, 2 input error, 3 unsupported fragment, 4 property
-failure.
+Exit codes: 0 success, 1 standard output closed before the answer was
+written, 2 input error, 3 unsupported fragment, 4 property failure.
 """
 
 from __future__ import annotations
@@ -95,11 +95,13 @@ def _gather_sentences(args, sig: terms.Signature) -> list:
 
 
 def _sentence_reader(args, message: str):
-    """The reader of a command's one sentence.  Its text, the first of
-    _sentence_specs, is taken now, so that a missing sentence is reported
-    before any later input error; the function returned parses it in a
-    signature and refuses with message anything but an EFD-sentence."""
-    spec = _sentence_specs(args)[0]
+    """The reader of a command's one sentence.  Its text, the only one of
+    _sentence_specs, is taken now, so that a missing or second sentence is
+    reported before any later input error; the function returned parses it
+    in a signature and refuses with message anything but an EFD-sentence."""
+    spec, *rest = _sentence_specs(args)
+    if rest:
+        raise ValueError(f"{args.command} takes one sentence, got {1 + len(rest)}")
 
     def read(sig: terms.Signature) -> terms.EFDSentence:
         phi = parse_sentence_spec(spec, sig)
@@ -300,10 +302,11 @@ def _json_text(value) -> str:
 
 
 def _emit(args, payload: dict) -> None:
-    """Print payload under the schema of args.command, in args.format."""
+    """Print payload under the schema of args.command, in args.format, and
+    flush it, so that a closed stdout is met inside run."""
     version = _SCHEMA_VERSIONS.get(args.command, 1)
     payload = {"schema": f"efdkit/{args.command}/{version}", **payload}
-    print(_json_text(payload) if args.format == "json" else _render_text(payload))
+    print(_json_text(payload) if args.format == "json" else _render_text(payload), flush=True)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +345,7 @@ def _cmd_classify(args) -> int:
     sig = _SIGS[args.sig]
     items = _gather_sentences(args, sig)
     if sig is terms.Signature.GROUP:
-        payload = _class_json(canonical.classify_group_sentences(items, cap=args.cap))
+        payload = _class_json(translate.classify_group_sentences(items, cap=args.cap))
     elif sig is terms.Signature.MV:
         mv = translate.classify_mv_sentences(items, cap=args.cap)
         payload = {**_class_json(mv.ae_class), "notes": list(mv.notes)}
@@ -354,7 +357,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_translate(args) -> int:
     star = args.direction == "star"
-    if star and args.term is not None:
+    if args.term is not None:
+        if not star or args.sentence or args.file:
+            raise ValueError("translate takes --term only with --direction star and no sentence")
         t = terms.parse_term(args.term, terms.Signature.HOOP)
         st = translate.star_term(t)
         payload = {"input": terms.print_term(t), "term": terms.term_to_json(st),
@@ -673,6 +678,10 @@ def run(argv=None) -> int:
     except PropertyFailure as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # the reader of stdout has gone: the exit flush writes the rest to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     # ParseError, SignatureError, ModelError and LatticeError are ValueErrors
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Signature bridges: hoop-to-group star translation, the Phi_rad
-decomposition of MV sentences, MV-to-hoop translation, and the MV
-classification pipeline built from them.
+decomposition of MV sentences, MV-to-hoop translation, and the reduction of
+a group, hoop or MV sentence to its delta_{k,t} through them, which both
+classifiers and check_sentence read.
 """
 
 from __future__ import annotations
@@ -8,9 +9,10 @@ from __future__ import annotations
 import functools
 
 from . import models
-from .canonical import DeltaKT, classify_group_sentences, reduce_delta_kt, sentence_to_delta_kt
+from .canonical import DeltaKT, reduce_delta_kt, sentence_to_delta_kt
 from .errors import DEFAULT_CELL_BUDGET, BudgetExceeded, FragmentError
-from .lattice import AEClass, boolean_p, meet as class_meet, trivial_p
+from .lattice import AEClass, PrimeSet, boolean_p, divisible_g, divisible_p, prime_factors
+from .lattice import meet as class_meet, trivial_g, trivial_p
 from .record import Record
 from .terms import (
     ABSURD,
@@ -47,8 +49,8 @@ __all__ = [
     "check_in_two",
     "phi_rad_decompose",
     "mv_to_hoop",
-    "hoop_delta_star",
     "sentence_deltas",
+    "classify_group_sentences",
     "classify_mv_sentences",
     "check_sentence",
 ]
@@ -316,23 +318,36 @@ def mv_to_hoop(phi: EFDSentence) -> EFDSentence:
 # Classification pipeline
 
 
-def hoop_delta_star(phi: EFDSentence) -> DeltaKT:
-    """The group delta_{k,t*} of a hoop delta_{k,t}: recognize the shape,
-    then star the term.  cone(G) satisfies phi iff G satisfies the image."""
-    d = sentence_to_delta_kt(phi)
-    return DeltaKT(d.k, star_term(d.t))
-
-
 def sentence_deltas(phi: EFDSentence) -> list[DeltaKT]:
-    """The delta_{k,t} of phi by its signature: a group sentence's shape,
-    hoop_delta_star of a hoop sentence, or that of each Phi_rad branch of an
-    MV sentence.  Raises FragmentError outside that fragment, and
-    _NoUniqueSolution where check_in_two fails."""
+    """The group delta_{k,t} of phi by its signature: a group sentence's
+    shape, or the starred shape of a hoop sentence, or of each Phi_rad
+    branch's hoop image, branch by branch (cone(G) satisfies delta_{k,t} iff
+    G satisfies delta_{k,t*}).  Raises FragmentError outside that fragment,
+    and _NoUniqueSolution where check_in_two fails."""
     if phi.signature is Signature.GROUP:
         return [sentence_to_delta_kt(phi)]
-    if phi.signature is Signature.HOOP:
-        return [hoop_delta_star(phi)]
-    return [hoop_delta_star(mv_to_hoop(rb.sentence)) for rb in phi_rad_decompose(phi)]
+    hoops = [phi] if phi.signature is Signature.HOOP else (
+        mv_to_hoop(rb.sentence) for rb in phi_rad_decompose(phi))
+    return [DeltaKT(d.k, star_term(d.t)) for d in map(sentence_to_delta_kt, hoops)]
+
+
+def classify_group_sentences(sentences, cap: int = DEFAULT_CELL_BUDGET) -> AEClass:
+    """The canonical AE-class of l-groups of group sentences, each of the
+    delta_{k,t} shape, and the ABSURD marker (yielding the Trivial class).
+    A conjunction of delta_k's is equivalent to delta of the product, and
+    divisibility by k to divisibility by the prime factors of k; each
+    sentence is reduced as it is read."""
+    primes: set[int] = set()
+    for item in sentences:
+        if item == ABSURD:
+            return trivial_g()
+        if not isinstance(item, EFDSentence) or item.signature is not Signature.GROUP:
+            sentence = isinstance(item, (EFDSentence, Identity))
+            text = print_sentence(item) if sentence else repr(item)
+            raise FragmentError(f"unsupported classification input {text}")
+        for d in sentence_deltas(item):
+            primes |= prime_factors(reduce_delta_kt(d, cap=cap))
+    return divisible_g(PrimeSet.finite(primes))
 
 
 class MVClassification(Record):
@@ -344,8 +359,9 @@ def classify_mv_sentences(
     sentences, cap: int = DEFAULT_CELL_BUDGET
 ) -> MVClassification:
     """Classify MV sentences into the canonical AE-class of perfect
-    algebras: check_in_two, Phi_rad decomposition, MV-to-hoop, star, then
-    the group classifier; Boolean markers force the Boolean class and the
+    algebras: the k' of each delta_{k,t} of sentence_deltas (check_in_two,
+    Phi_rad decomposition, MV-to-hoop, star) is divided into its primes once
+    every input is read; Boolean markers force the Boolean class and the
     ABSURD marker the Trivial class."""
     deltas: list[DeltaKT] = []
     boolean = False
@@ -367,8 +383,10 @@ def classify_mv_sentences(
                 trivial_p(),
                 (f"per-paper-scope: no unique two-element solution at {exc.failing}",),
             )
-    group_class = classify_group_sentences(deltas, cap=cap)
-    result = AEClass("P", group_class.kind, group_class.primes)
+    primes: set[int] = set()
+    for d in deltas:
+        primes |= prime_factors(reduce_delta_kt(d, cap=cap))
+    result = divisible_p(PrimeSet.finite(primes))
     if boolean:
         result = class_meet(result, boolean_p())
     return MVClassification(result)

@@ -9,13 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from efdkit.canonical import (
-    ABSURD,
     DeltaKT,
     FragmentError,
     _add,
     _leaf_form,
     _scale,
-    classify_group_sentences,
     piecewise_canonical,
     reduce_delta_kt,
     sentence_to_delta_kt,
@@ -24,7 +22,6 @@ from efdkit.gen import random_rational_point, random_term
 from efdkit import canonical, cli, geometry
 from efdkit.errors import BudgetExceeded
 from efdkit.geometry import IneqSystem, _dot, feasible_point, normalize_row
-from efdkit.lattice import PrimeSet, divisible_g, trivial_g
 from efdkit.models import RationalGroup, eval_term
 from efdkit.terms import (
     Join,
@@ -469,32 +466,6 @@ class TestReduction:
             if reduce_delta_kt(DeltaKT(k, t)) != k // math.gcd(k, g):
                 wrong.append((k, print_term(t)))
         assert wrong == []
-
-
-class TestClassification:
-    def test_single_delta(self):
-        c = classify_group_sentences([DeltaKT(6, _term("x1"))])
-        assert c == divisible_g(PrimeSet.finite({2, 3}))
-
-    def test_conjunction_unions_primes(self):
-        c = classify_group_sentences(
-            [DeltaKT(4, _term("x1")), DeltaKT(5, _term("x1"))]
-        )
-        assert c == divisible_g(PrimeSet.finite({2, 5}))
-
-    def test_reduction_applies_before_primes(self):
-        c = classify_group_sentences([DeltaKT(4, _term(r"2 x1 \/ 6 x1"))])
-        assert c == divisible_g(PrimeSet.finite({2}))
-
-    def test_trivial_on_absurd(self):
-        assert classify_group_sentences([ABSURD]) == trivial_g()
-
-    def test_accepts_sentence_form(self):
-        phi = parse_sentence("forall x1 exists! z1 : 6 z1 = x1", Signature.GROUP)
-        assert classify_group_sentences([phi]) == divisible_g(PrimeSet.finite({2, 3}))
-
-    def test_empty_set_is_top_divisible(self):
-        assert classify_group_sentences([]) == divisible_g(PrimeSet.finite(()))
 
 
 class TestSentenceRecognition:

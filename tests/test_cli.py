@@ -236,6 +236,9 @@ class TestStructuredAssignments:
         assert payload["verdict"]["witness"]["x"] == {"x1": "(0, 1)"}
 
 
+_TERM_ONLY = "translate takes --term only with --direction star and no sentence"
+
+
 class TestExitCodes:
     def test_input_error_is_2(self, capsys):
         code, _ = invoke(capsys, "parse", "--sig", "group", "--term", "x1 +")
@@ -317,6 +320,44 @@ class TestExitCodes:
         argv = [a.format(primes) for a in argv]
         assert run(argv) == 2
         assert capsys.readouterr() == ("", f"error: prime {entry!r} is not an integer\n")
+
+    @pytest.mark.parametrize("argv,err", [
+        (["decompose", "--sentence", "epsilon 2", "--sentence", "absurd"], "decompose takes one sentence, got 2"),
+        (["decompose", "--sentence", "epsilon 2", "--file", "{two}"], "decompose takes one sentence, got 3"),
+        (["check", "--model", "q", "--sentence", "delta 2", "--sentence", "delta 3"], "check takes one sentence, got 2"),
+        (["translate", "--direction", "mv-hoop", "--file", "{two}"], "translate takes one sentence, got 2"),
+        (["translate", "--direction", "star", "--term", "x1", "--sentence", "delta 2"], _TERM_ONLY),
+        (["translate", "--direction", "star", "--term", "x1", "--file", "{two}"], _TERM_ONLY),
+        (["translate", "--direction", "mv-hoop", "--term", "x1"], _TERM_ONLY),
+    ], ids=["decompose", "decompose-file", "check", "translate-file", "translate-term", "translate-term-file",
+            "mv-hoop-term"])
+    def test_a_second_sentence_is_refused(self, capsys, tmp_path, argv, err):
+        """translate, decompose and check take one sentence, and translate
+        --direction star either it or --term."""
+        two = tmp_path / "two.txt"
+        two.write_text("epsilon 2\n# a comment\n\nepsilon 3\n", encoding="utf-8")
+        assert run([a.format(two=two) for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    @pytest.mark.parametrize("argv,read", [
+        (["decompose", "--sentence", f"forall {_X6} exists! z1 : z1 = " + r" /\ ".join(_X6.split())], 1),
+        (["lattice", "--op", "meet", "--left", "divisible:2", "--right", "divisible:3"], 0),
+    ], ids=["after-one-byte", "at-once"])
+    def test_a_closed_stdout_is_1(self, argv, read):
+        """The reader closes the pipe after one byte of an answer ten times
+        larger than a pipe holds, so that a write meets the closed pipe, or
+        before a short answer is written, which then waits in stdout's buffer
+        until the answer is flushed: the CLI exits 1 and writes nothing to
+        stderr, not even at its exit flush."""
+        src = str(Path(cli.__file__).parents[1])
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        with subprocess.Popen(
+            [sys.executable, "-m", "efdkit.cli", *argv], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env={**env, "PYTHONPATH": src},
+        ) as proc:
+            assert len(proc.stdout.read(read)) == read
+            proc.stdout.close()
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (1, b"")
 
     def test_property_failure_is_4(self, capsys):
         code, payload = invoke_json(
@@ -889,7 +930,8 @@ class TestOneZSolve:
 
 # The efdkit modules every CLI query executes: cli and what its module level reads.
 _CLI = ("cli", "errors", "record", "terms")
-_GROUP = (*_CLI, "canonical", "geometry", "lattice")
+_CANON = (*_CLI, "canonical", "geometry")
+_GROUP = (*_CANON, "lattice")
 
 
 class TestColdStart:
@@ -899,9 +941,9 @@ class TestColdStart:
         (None, ()),
         ([], _CLI),
         (["parse", "--sig", "mv", "--sentence", "absurd"], _CLI),
-        (["canon", r"x1 \/ x2"], _GROUP),
-        (["reduce", "--k", "2", "--term", "x1"], _GROUP),
-        (["classify", "--sig", "group", "--sentence", "delta 6"], _GROUP),
+        (["canon", r"x1 \/ x2"], _CANON),
+        (["reduce", "--k", "2", "--term", "x1"], _CANON),
+        (["classify", "--sig", "group", "--sentence", "delta 6"], (*_GROUP, "translate")),
         (["classify", "--sig", "mv", "--sentence", "epsilon 3"], (*_GROUP, "models", "translate")),
         (["translate", "--direction", "star", "--sentence", "delta 2"], (*_GROUP, "translate")),
         (["translate", "--direction", "mv-hoop", "--sentence", "epsilon 2"],

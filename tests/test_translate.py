@@ -1,12 +1,23 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from efdkit import canonical, terms, translate
-from efdkit.canonical import ABSURD, DeltaKT, FragmentError, sentence_to_delta_kt
+from efdkit.canonical import DeltaKT, FragmentError, sentence_to_delta_kt
 from efdkit.gen import random_term
-from efdkit.lattice import PrimeSet, boolean_p, divisible_p, trivial_p
+from efdkit.lattice import (
+    LogicExpansion,
+    PrimeSet,
+    associated_class,
+    boolean_p,
+    divisible_g,
+    divisible_p,
+    emit_axioms,
+    trivial_g,
+    trivial_p,
+)
 from efdkit.models import (
     GammaPerfect,
     PositiveCone,
@@ -17,6 +28,7 @@ from efdkit.models import (
     solutions_for_assignment,
 )
 from efdkit.terms import (
+    ABSURD,
     Diff,
     Plus,
     ZERO,
@@ -35,6 +47,7 @@ from efdkit.terms import (
 from efdkit.translate import (
     _NoUniqueSolution,
     check_in_two,
+    classify_group_sentences,
     classify_mv_sentences,
     mv_to_hoop,
     phi_rad_decompose,
@@ -343,3 +356,68 @@ class TestMVClassification:
         sentences = [build_epsilon_k(2), build_epsilon_k(5)]
         classify_mv_sentences(sentences)
         assert calls == sentences
+
+
+class TestClassification:
+    def test_single_delta(self):
+        c = classify_group_sentences([build_delta_k(6)])
+        assert c == divisible_g(PrimeSet.finite({2, 3}))
+
+    def test_conjunction_unions_primes(self):
+        c = classify_group_sentences([build_delta_k(4), build_delta_k(5)])
+        assert c == divisible_g(PrimeSet.finite({2, 5}))
+
+    def test_reduction_applies_before_primes(self):
+        phi = parse_sentence(r"forall x1 exists! z1 : 4 z1 = 2 x1 \/ 6 x1", Signature.GROUP)
+        c = classify_group_sentences([phi])
+        assert c == divisible_g(PrimeSet.finite({2}))
+
+    def test_trivial_on_absurd(self):
+        assert classify_group_sentences([ABSURD]) == trivial_g()
+
+    def test_accepts_sentence_form(self):
+        phi = parse_sentence("forall x1 exists! z1 : 6 z1 = x1", Signature.GROUP)
+        assert classify_group_sentences([phi]) == divisible_g(PrimeSet.finite({2, 3}))
+
+    def test_empty_set_is_top_divisible(self):
+        assert classify_group_sentences([]) == divisible_g(PrimeSet.finite(()))
+
+    @pytest.mark.parametrize("item", [
+        DeltaKT(2, xvar(1)), build_delta_k(2, Signature.HOOP), build_epsilon_k(2),
+    ], ids=["delta-kt", "hoop", "mv"])
+    def test_takes_group_sentences_only(self, item):
+        with pytest.raises(FragmentError, match="^unsupported classification input"):
+            classify_group_sentences([item])
+
+
+def _z1_as(tree: dict, dx: dict) -> dict:
+    """The JSON term tree with each z1 node replaced by dx."""
+    if tree == {"op": "var", "kind": "z", "index": 1}:
+        return dx
+    return {key: _z1_as(v, dx) if isinstance(v, dict) else v for key, v in tree.items()}
+
+
+class TestCorrespondence:
+    """The paper's correspondence between expansions and classes, end to end,
+    for every set P of the first six primes: the delta_p (epsilon_p) for p in
+    P classify into the class associated with the Bal (lp) expansion by P,
+    and that expansion's axiom for p is the sentence's z-side with z1
+    standing for d_p(x)."""
+
+    PRIMES = (2, 3, 5, 7, 11, 13)
+
+    def test_every_prime_set(self):
+        x = {"op": "var", "name": "x"}
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(self.PRIMES, r) for r in range(len(self.PRIMES) + 1))
+        for ps in subsets:
+            bal, lp = (LogicExpansion(base, PrimeSet.finite(ps)) for base in ("bal", "lp"))
+            assert classify_group_sentences([build_delta_k(p) for p in ps]) == associated_class(bal)
+            mv = classify_mv_sentences([build_epsilon_k(p) for p in ps])
+            assert mv.ae_class == associated_class(lp)
+            for p, a, d in zip(ps, emit_axioms(bal), emit_axioms(lp), strict=True):
+                dx = {"op": "app", "symbol": f"d{p}", "arg": x}
+                scaled = _z1_as(terms.term_to_json(build_delta_k(p).equations[0][0]), dx)
+                t_k = _z1_as(terms.term_to_json(build_epsilon_k(p).equations[0][0]), dx)
+                assert a.structured == {"connective": "->", "left": x, "right": scaled}
+                assert d.structured == {"connective": "<->", "left": t_k, "right": x}
