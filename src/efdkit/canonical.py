@@ -42,8 +42,12 @@ __all__ = [
     "piecewise_canonical",
     "reduce_delta_kt",
     "sentence_to_delta_kt",
+    "equation_to_delta_kt",
     "DEFAULT_CELL_BUDGET",
 ]
+
+ONE_EQUATION_ONE_Z = "supported fragment: single equation, single z-variable"
+
 
 class PiecewiseLinear(Record):
     n: int
@@ -306,15 +310,20 @@ def _gcd_bounds(t: Term, n: int) -> tuple[int, int]:
 
 def sentence_to_delta_kt(phi: EFDSentence) -> DeltaKT:
     """Recognize a group or hoop sentence of the shape forall x-bar exists!
-    z1 with k z1 = t(x-bar), k z1 possibly spelled as a sum of multiples of
-    z1.  A hoop equation may also be spelled (k z1 -. t) + (t -. k z1) = 0,
-    as in the hoop image of a decomposition branch; either side may be the
-    k z1 or the 0."""
+    z1 with k z1 = t(x-bar): one equation over one z, read by
+    equation_to_delta_kt."""
     if phi.signature is Signature.MV:
         raise FragmentError("delta_{k,t} recognition expects a group or hoop sentence")
     if phi.m != 1 or len(phi.equations) != 1:
-        raise FragmentError("supported fragment: single equation, single z-variable")
-    lhs, rhs = phi.equations[0]
+        raise FragmentError(ONE_EQUATION_ONE_Z)
+    return equation_to_delta_kt(*phi.equations[0])
+
+
+def equation_to_delta_kt(lhs: Term, rhs: Term) -> DeltaKT:
+    """Recognize a group or hoop equation k z1 = t(x-bar), k z1 possibly
+    spelled as a sum of multiples of z1.  A hoop equation may also be
+    spelled (k z1 -. t) + (t -. k z1) = 0, as in the hoop image of a
+    decomposition branch; either side may be the k z1 or the 0."""
     if lhs == ZERO:
         lhs, rhs = rhs, lhs
     if rhs == ZERO and isinstance(lhs, Plus):

@@ -725,8 +725,11 @@ class _Solver:
     solve scales x-values up, and other x-values of denominator D raise M
     to lcm(M, D lcm(1.._CAP)) first.  The memo stays, since a side
     compiled on codes or on the hull maps codes to codes without reading M
-    (x -> M x commutes with every node operation).  Only the reported
-    solutions are decoded; the bits of TwoMV are their own codes."""
+    (x -> M x commutes with every node operation).  Every assignment's
+    solutions are decoded, whether a verdict reports them or not: the
+    search scales its codes down, and the one-z hull builds the element of
+    each root it meets (onez._Hull._root), a repeated one included, before
+    it keeps two.  The bits of TwoMV are their own codes."""
 
     def __init__(self, a, phi: EFDSentence):
         self.a, self.phi = a, phi

@@ -9,7 +9,8 @@ from __future__ import annotations
 import functools
 
 from . import models
-from .canonical import DeltaKT, reduce_delta_kt, sentence_to_delta_kt
+from .canonical import ONE_EQUATION_ONE_Z, DeltaKT, equation_to_delta_kt
+from .canonical import reduce_delta_kt, sentence_to_delta_kt
 from .errors import DEFAULT_CELL_BUDGET, BudgetExceeded, FragmentError
 from .lattice import AEClass, PrimeSet, boolean_p, divisible_g, divisible_p, prime_factors
 from .lattice import meet as class_meet, trivial_g, trivial_p
@@ -297,6 +298,20 @@ def _polarity(node, *kids):
     raise FragmentError(f"{type(node).__name__} is not an MV operation")
 
 
+def _signed(ebar: tuple, eprime: tuple):
+    """_polarity reading x_i as co-radical where ebar has bit 1 at i, and
+    z_j where eprime has: the fold of a side with the signs _subst_signs
+    puts in at (e-bar, e'-bar), with no substituted term built."""
+
+    def read(node, *kids):
+        if type(node) is Var:
+            bits = ebar if node.kind == "x" else eprime
+            return (_CO if bits[node.index - 1] else _RAD, node)
+        return _polarity(node, *kids)
+
+    return read
+
+
 def mv_to_hoop(phi: EFDSentence) -> EFDSentence:
     """phi^H: each equation translated so that, on radical assignments,
     hoop satisfaction in rad A coincides with MV satisfaction in A.  Each
@@ -323,12 +338,36 @@ def sentence_deltas(phi: EFDSentence) -> list[DeltaKT]:
     shape, or the starred shape of a hoop sentence, or of each Phi_rad
     branch's hoop image, branch by branch (cone(G) satisfies delta_{k,t} iff
     G satisfies delta_{k,t*}).  Raises FragmentError outside that fragment,
-    and _NoUniqueSolution where check_in_two fails."""
+    and _NoUniqueSolution where check_in_two fails.  A branch's image is
+    read off phi itself (_branch_images): no branch or hoop sentence is
+    built."""
     if phi.signature is Signature.GROUP:
         return [sentence_to_delta_kt(phi)]
-    hoops = [phi] if phi.signature is Signature.HOOP else (
-        mv_to_hoop(rb.sentence) for rb in phi_rad_decompose(phi))
-    return [DeltaKT(d.k, star_term(d.t)) for d in map(sentence_to_delta_kt, hoops)]
+    if phi.signature is Signature.HOOP:
+        deltas = [sentence_to_delta_kt(phi)]
+    else:
+        deltas = (equation_to_delta_kt(h, ZERO) for h in _branch_images(phi))
+    return [DeltaKT(d.k, star_term(d.t)) for d in deltas]
+
+
+def _branch_images(phi: EFDSentence):
+    """Per Phi_rad branch, the h of its hoop image (h, 0), as mv_to_hoop
+    gives it.  The branch is u /\\ v = 0 (u = 0 for n = 0): u sums the x_i^2,
+    which fold to radical 0, and the distance (l -. r) + (r -. l) of each
+    equation signed by (e-bar, e'-bar), and v is co-radical.  u is radical,
+    since a tag is a value in two and check_in_two's e'-bar solves every
+    equation there, so it is its own meet with v: h sums the distances."""
+    table = check_in_two(phi)
+    if phi.m != 1:  # every branch has one equation, over phi's z-variables
+        raise FragmentError(ONE_EQUATION_ONE_Z)
+    for ebar, eprime in table.items():
+        read = _signed(ebar, eprime)
+        distances = []
+        for lhs, rhs in phi.equations:
+            left, right = fold(lhs, read), fold(rhs, read)
+            distances.append(_v_plus(_v_diff(left, right), _v_diff(right, left)))
+        _, h = functools.reduce(_v_plus, distances)
+        yield h
 
 
 def classify_group_sentences(sentences, cap: int = DEFAULT_CELL_BUDGET) -> AEClass:
@@ -360,9 +399,10 @@ def classify_mv_sentences(
 ) -> MVClassification:
     """Classify MV sentences into the canonical AE-class of perfect
     algebras: the k' of each delta_{k,t} of sentence_deltas (check_in_two,
-    Phi_rad decomposition, MV-to-hoop, star) is divided into its primes once
-    every input is read; Boolean markers force the Boolean class and the
-    ABSURD marker the Trivial class."""
+    then per Phi_rad branch the hoop image read off the sentence's own
+    sides, recognized and starred) is divided into its primes once every
+    input is read; Boolean markers force the Boolean class and the ABSURD
+    marker the Trivial class."""
     deltas: list[DeltaKT] = []
     boolean = False
     for item in sentences:

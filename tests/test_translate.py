@@ -23,6 +23,7 @@ from efdkit.models import (
     PositiveCone,
     RationalGroup,
     eval_term,
+    parse_model,
     radical_member,
     sample_elements,
     solutions_for_assignment,
@@ -40,6 +41,7 @@ from efdkit.terms import (
     fold,
     parse_sentence,
     parse_term,
+    print_sentence,
     print_term,
     xvar,
     zvar,
@@ -356,6 +358,84 @@ class TestMVClassification:
         sentences = [build_epsilon_k(2), build_epsilon_k(5)]
         classify_mv_sentences(sentences)
         assert calls == sentences
+
+
+def _chain(op: str, n: int):
+    xs = " ".join(f"x{i}" for i in range(1, n + 1))
+    body = f" {op} ".join(f"x{i}" for i in range(1, n + 1))
+    return parse_sentence(f"forall {xs} exists! z1 : z1 = {body}", Signature.MV)
+
+
+def _outcome(deltas, phi):
+    """(k, printed t) per delta of deltas(phi), or the class and message of
+    what it raised."""
+    try:
+        return [(d.k, print_term(d.t)) for d in deltas(phi)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _composed(phi):
+    """The branch deltas as the decomposition, the MV-to-hoop image, the
+    recognizer and the star image compose them."""
+    return [
+        DeltaKT(d.k, star_term(d.t))
+        for d in (sentence_to_delta_kt(mv_to_hoop(b.sentence)) for b in phi_rad_decompose(phi))
+    ]
+
+
+class TestBranchDeltas:
+    """sentence_deltas reads each branch's delta_{k,t} off phi itself."""
+
+    def test_random_sentences_agree_with_the_composition(self):
+        rng = random.Random(11)
+        kinds = {"decided": 0, "fragment": 0, "no-unique": 0}
+        for _ in range(2000):
+            n, m = rng.randint(0, 3), rng.randint(1, 2)
+            equations = tuple(
+                tuple(random_term(rng, Signature.MV, n, rng.randint(1, 3), kinds=("x", "z"), m=m)
+                      for _ in range(2))
+                for _ in range(rng.randint(1, 2))
+            )
+            phi = terms.EFDSentence(Signature.MV, n, m, equations)
+            outcome = _outcome(translate.sentence_deltas, phi)
+            assert outcome == _outcome(_composed, phi), print_sentence(phi)
+            kind = "decided" if isinstance(outcome, list) else (
+                "no-unique" if outcome[0] is _NoUniqueSolution else "fragment")
+            kinds[kind] += 1
+        assert min(kinds.values()) >= 100, kinds
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_epsilons_agree_with_the_composition(self, k):
+        phi = build_epsilon_k(k)
+        assert _outcome(translate.sentence_deltas, phi) == _outcome(_composed, phi)
+
+    @pytest.mark.parametrize("op", ["/\\", "\\/"])
+    def test_chains_agree_with_the_composition(self, op):
+        for n in range(1, 9):
+            phi = _chain(op, n)
+            outcome = _outcome(translate.sentence_deltas, phi)
+            assert outcome == _outcome(_composed, phi)
+            assert len(outcome) == 2 ** n
+
+    def test_no_branch_sentence_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the MV path built a branch sentence")
+
+        monkeypatch.setattr(translate, "phi_rad_decompose", refuse)
+        monkeypatch.setattr(translate, "mv_to_hoop", refuse)
+        chain, epsilons = _chain("/\\", 8), [build_epsilon_k(k) for k in range(2, 7)]
+        marker, models = boolean_marker(), [parse_model("gamma(q)"), parse_model("gamma(qs:2)")]
+        # every EFDSentence is validated when it is built
+        monkeypatch.setattr(terms, "_validate", refuse)
+        assert classify_mv_sentences(epsilons + [marker]).ae_class == boolean_p()
+        assert classify_mv_sentences([chain]).ae_class == divisible_p(PrimeSet.finite(()))
+        for model, status in zip(models, ("holds", "falsified")):
+            verdict = translate.check_sentence(model, epsilons[-1])
+            assert (verdict.status, verdict.exact, verdict.detail) == (
+                status, True, "classification: delta_6")
+        verdict = translate.check_sentence(models[1], chain)
+        assert (verdict.status, verdict.detail) == ("holds", "classification: delta_1")
 
 
 class TestClassification:
