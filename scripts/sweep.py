@@ -1,20 +1,17 @@
 #!/usr/bin/env python3
 """Byte-identity sweep: one digest of everything the CLI answers.
 
-Usage: python3 scripts/sweep.py [--seeds 1 2 3] [--each]
+Usage: python3 scripts/sweep.py
 
 Runs in-process, with EFDKIT_SEED unset, every argv of
-tests/golden/cases.json and of the four perfbench corpora at the given
-seeds (1-3 by default), each as given and with --format text appended;
-an argv met twice runs once.  Prints the SHA-256 digest of the
-(argv, exit code, stdout, stderr) of every run, in order, and the number
-of runs.  Two checkouts that print the same digest answer every run
-alike; with --each, one line per run (its own digest and argv) shows
-where two checkouts differ.  The corpora are read from perfbench/corpus.py,
-and nothing under perfbench/ is changed.
+tests/golden/cases.json and of the four perfbench corpora at seeds 1-3,
+each as given and with --format text appended; an argv met twice runs
+once.  Prints the SHA-256 digest of the (argv, exit code, stdout, stderr)
+of every run, in order, and the number of runs.  Two checkouts that print
+the same digest answer every run alike.  The corpora are read from
+perfbench/corpus.py, and nothing under perfbench/ is changed.
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -30,13 +27,15 @@ import corpus  # noqa: E402
 
 from efdkit.cli import SEED_ENV, run  # noqa: E402
 
+SEEDS = (1, 2, 3)
 
-def argvs(seeds):
+
+def argvs():
     """Every distinct argv of the sweep, in order."""
     cases = json.loads((ROOT / "tests" / "golden" / "cases.json").read_text(encoding="utf-8"))
     given = [tuple(argv) for argv in cases.values()]
     for workload in corpus.WORKLOADS:
-        for seed in seeds:
+        for seed in SEEDS:
             given += [tuple(q.argv) for q in corpus.build(workload, seed)]
     return list(dict.fromkeys(a for argv in given for a in (argv, argv + ("--format", "text"))))
 
@@ -52,17 +51,10 @@ def answer(argv) -> bytes:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--each", action="store_true", help="print one line per run")
-    args = parser.parse_args()
     os.environ.pop(SEED_ENV, None)
-    total, runs = hashlib.sha256(), argvs(args.seeds)
+    total, runs = hashlib.sha256(), argvs()
     for argv in runs:
-        record = answer(argv)
-        total.update(hashlib.sha256(record).digest())
-        if args.each:
-            print(hashlib.sha256(record).hexdigest()[:16], json.dumps(list(argv)))
+        total.update(hashlib.sha256(answer(argv)).digest())
     print(f"{total.hexdigest()}  {len(runs)} runs")
     return 0
 

@@ -42,12 +42,8 @@ __all__ = [
     "piecewise_canonical",
     "reduce_delta_kt",
     "sentence_to_delta_kt",
-    "equation_to_delta_kt",
     "DEFAULT_CELL_BUDGET",
 ]
-
-ONE_EQUATION_ONE_Z = "supported fragment: single equation, single z-variable"
-
 
 class PiecewiseLinear(Record):
     n: int
@@ -308,22 +304,28 @@ def _gcd_bounds(t: Term, n: int) -> tuple[int, int]:
     return low, math.gcd(*values)
 
 
+_ONE_EQUATION_ONE_Z = "supported fragment: single equation, single z-variable"
+
+
 def sentence_to_delta_kt(phi: EFDSentence) -> DeltaKT:
     """Recognize a group or hoop sentence of the shape forall x-bar exists!
     z1 with k z1 = t(x-bar): one equation over one z, read by
     equation_to_delta_kt."""
     if phi.signature is Signature.MV:
         raise FragmentError("delta_{k,t} recognition expects a group or hoop sentence")
-    if phi.m != 1 or len(phi.equations) != 1:
-        raise FragmentError(ONE_EQUATION_ONE_Z)
-    return equation_to_delta_kt(*phi.equations[0])
+    if len(phi.equations) != 1:
+        raise FragmentError(_ONE_EQUATION_ONE_Z)
+    return equation_to_delta_kt(*phi.equations[0], phi.m)
 
 
-def equation_to_delta_kt(lhs: Term, rhs: Term) -> DeltaKT:
-    """Recognize a group or hoop equation k z1 = t(x-bar), k z1 possibly
+def equation_to_delta_kt(lhs: Term, rhs: Term, m: int) -> DeltaKT:
+    """Recognize a group or hoop equation k z1 = t(x-bar) of a sentence
+    over m z-variables (only m = 1 is in the fragment), k z1 possibly
     spelled as a sum of multiples of z1.  A hoop equation may also be
     spelled (k z1 -. t) + (t -. k z1) = 0, as in the hoop image of a
     decomposition branch; either side may be the k z1 or the 0."""
+    if m != 1:
+        raise FragmentError(_ONE_EQUATION_ONE_Z)
     if lhs == ZERO:
         lhs, rhs = rhs, lhs
     if rhs == ZERO and isinstance(lhs, Plus):

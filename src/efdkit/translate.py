@@ -9,8 +9,7 @@ from __future__ import annotations
 import functools
 
 from . import models
-from .canonical import ONE_EQUATION_ONE_Z, DeltaKT, equation_to_delta_kt
-from .canonical import reduce_delta_kt, sentence_to_delta_kt
+from .canonical import DeltaKT, equation_to_delta_kt, reduce_delta_kt, sentence_to_delta_kt
 from .errors import DEFAULT_CELL_BUDGET, BudgetExceeded, FragmentError
 from .lattice import AEClass, PrimeSet, boolean_p, divisible_g, divisible_p, prime_factors
 from .lattice import meet as class_meet, trivial_g, trivial_p
@@ -346,7 +345,7 @@ def sentence_deltas(phi: EFDSentence) -> list[DeltaKT]:
     if phi.signature is Signature.HOOP:
         deltas = [sentence_to_delta_kt(phi)]
     else:
-        deltas = (equation_to_delta_kt(h, ZERO) for h in _branch_images(phi))
+        deltas = (equation_to_delta_kt(h, ZERO, phi.m) for h in _branch_images(phi))
     return [DeltaKT(d.k, star_term(d.t)) for d in deltas]
 
 
@@ -357,10 +356,7 @@ def _branch_images(phi: EFDSentence):
     equation signed by (e-bar, e'-bar), and v is co-radical.  u is radical,
     since a tag is a value in two and check_in_two's e'-bar solves every
     equation there, so it is its own meet with v: h sums the distances."""
-    table = check_in_two(phi)
-    if phi.m != 1:  # every branch has one equation, over phi's z-variables
-        raise FragmentError(ONE_EQUATION_ONE_Z)
-    for ebar, eprime in table.items():
+    for ebar, eprime in check_in_two(phi).items():
         read = _signed(ebar, eprime)
         distances = []
         for lhs, rhs in phi.equations:

@@ -418,6 +418,16 @@ class TestBranchDeltas:
             assert outcome == _outcome(_composed, phi)
             assert len(outcome) == 2 ** n
 
+    @pytest.mark.parametrize("sig,text", [
+        (Signature.MV, "forall x1 exists! z1 z2 : z1 = x1 & z2 = ~x1"),
+        (Signature.HOOP, "forall x1 exists! z1 z2 : z1 = x1 & z2 = x1"),
+        (Signature.GROUP, "forall x1 exists! z1 z2 : z1 = x1"),
+        (Signature.GROUP, "forall x1 exists! z1 : z1 = x1 & z1 = x1"),
+    ], ids=["mv-two-z", "hoop-two-z", "group-two-z", "group-two-equations"])
+    def test_one_equation_one_z(self, sig, text):
+        with pytest.raises(FragmentError, match="^supported fragment: single equation, single z"):
+            translate.sentence_deltas(parse_sentence(text, sig))
+
     def test_no_branch_sentence_is_built(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the MV path built a branch sentence")
