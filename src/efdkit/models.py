@@ -23,8 +23,8 @@ codes for membership.  The node operations of each signature are written
 once, over any such l-group (_operations), and one compiler (_compiler)
 makes closures of a term over any of them: over codes (_evaluator).  The
 sampled checker fixes M when it starts, draws every x-assignment as codes
-at M, runs each equation side it compiles on them and decodes only a
-witness.  With one z, outside two, it solves each assignment exactly
+at M, runs each equation side it compiles on them and decodes the
+solutions it finds.  With one z, outside two, it solves each assignment exactly
 (_Solver): the same compiler runs the sides with z in efdkit.onez, the
 l-group of piecewise-linear functions of z1, and the roots and zero
 pieces of one table of pieces give every solution.  With more z it
@@ -874,7 +874,7 @@ def check_sentence_sampled(
     finds no solution is inconclusive.  The structured assignments come
     first, each x at one value of _Layout.structured, then random ones from
     one seeded stream, up to budget; each distinct assignment is solved
-    once, as codes at the solver's scale, and only a witness is decoded.
+    once, as codes at the solver's scale, and its solutions are decoded.
     Past _SEARCH_BOUND it passes on the assignments solved before.
     """
     if species(a) is not phi.signature:
