@@ -60,7 +60,7 @@ from .terms import (
     ZERO,
     Zero,
     fold,
-    free_vars,
+    max_index,
     parse_integer,
     xvar,
 )
@@ -515,7 +515,8 @@ def _nonnegative(scale: Callable, message: str) -> Callable:
 def _compiler(zero, label: str, ops: dict) -> Callable:
     """compile(t, slots): t as one closure per node over values (terms.fold,
     so a shared node compiles once but runs once per reference), v read at
-    values[slots[v.kind, v.index]], and the slots read.  ops are the node
+    values[slots[v.kind, v.index]], and the set of slots read, from which
+    _Solver reads which variables each side has.  ops are the node
     operations of _operations over the l-group of the values (codes, or
     onez's pieces), and zero the value of Zero.  A node outside ops, a
     variable without a slot and a negative k raise when evaluation reaches
@@ -678,18 +679,20 @@ _SEARCH_BOUND = 1 << 21  # z-candidates per check; check_in_two tests fewer than
 
 
 class _Side:
-    """One equation side and its memo, keyed by the codes of its own free
-    variables: its x-codes on the hull, its x-codes then z-codes in a
-    candidate search.  fn maps the codes of an assignment to the code of
-    the side's value; with one z, a side with z maps them to its pieces
-    (onez._Hull.compile), or to their table when _Solver compares it with a
-    constant.  zmax is the highest index of its z-variables, 0 for none."""
+    """One equation side compiled, and its memo.  fn maps the codes of an
+    assignment to the code of the side's value; with one z, a side with z
+    maps them to its pieces (onez._Hull.compile), or to their table when
+    _Solver compares it with a constant.  reads are the slots the compile
+    read, x_i at i - 1 and z_j at n + j - 1; the memo is keyed by the codes
+    at them, but for z1 on the hull.  zmax is the highest index of its
+    z-variables, 0 for none."""
 
-    __slots__ = ("fn", "key", "zmax", "memo")
+    __slots__ = ("fn", "reads", "key", "zmax", "memo")
 
-    def __init__(self, free: frozenset, n: int, hull: bool):
-        self.zmax = max((v.index for v in free if v.kind == "z"), default=0)
-        pos = sorted(v.index - 1 + (v.kind == "z") * n for v in free if v.kind == "x" or not hull)
+    def __init__(self, fn: Callable, reads: set, n: int, hull: bool):
+        self.fn, self.reads = fn, reads
+        self.zmax = max(0, max(reads, default=-1) + 1 - n)
+        pos = sorted(i for i in reads if i < n or not hull)
         self.key = operator.itemgetter(*pos) if pos else lambda codes: ()
         self.memo = {}
 
@@ -706,14 +709,16 @@ class _Solver:
     x-assignment after another.  A check builds one and drops it when it
     returns, so the memo of each equation side lives for that check only.
 
-    With one z, outside two, each assignment is solved exactly on the hull
-    of onez, imported when such a solver is built: a side with z is
-    compiled over the hull (onez._Hull.compile), so an x-free one such as
-    t_k(z1) runs into pieces once per check, and a z-free side is a
-    constant.  One equation with a z-free side compares that constant with
-    the table of the other side's pieces, made once per x-key; otherwise
-    l - r, or with more equations the sum of their |l - r|, is tabled and
-    solved for zero.
+    A side is walked to compile it, and its variables are read off the
+    slots the compile reads (_Side); a one-z solver also takes its
+    max_index to choose the compiler.  With one z, outside two, each
+    assignment is solved exactly on the hull of onez, imported when such a
+    solver is built: a side with z is compiled over the hull
+    (onez._Hull.compile), so an x-free one such as t_k(z1) runs into
+    pieces once per check, and a z-free side is a constant.  One equation
+    with a z-free side compares that constant with the table of the other
+    side's pieces, made once per x-key; otherwise l - r, or with more
+    equations the sum of their |l - r|, is tabled and solved for zero.
     With more z, a candidate search sets z1, z2, ... in turn over a pool
     seeded by the value of each z-free side, tests each equation once its
     highest z is set and stops at two solutions, within _SEARCH_BOUND
@@ -744,19 +749,17 @@ class _Solver:
 
             self.hull = hull = _hull(a)
 
-        def side(t: Term, free: frozenset) -> _Side:
-            s = _Side(free, phi.n, hull is not None)
-            s.fn = (hull.compile if hull and s.zmax else compile_)(t, slots)[0]
-            return s
+        def side(t: Term) -> _Side:
+            compile_side = hull.compile if hull and max_index(t, "z") else compile_
+            return _Side(*compile_side(t, slots), phi.n, hull is not None)
 
-        side_vars = [tuple(map(free_vars, eq)) for eq in phi.equations]
-        self.sides = [tuple(map(side, eq, free)) for eq, free in zip(phi.equations, side_vars)]
+        self.sides = [tuple(map(side, eq)) for eq in phi.equations]
         self.levels = [[] for _ in range(phi.m + 1)]  # the search's equations by their highest z
-        for eq, free in zip(self.sides, side_vars):
+        for eq in self.sides:
             j = max(s.zmax for s in eq)  # a side reading each x and z1 .. z_j never hits a memo
-            self.levels[j].append(tuple(s.fn if j and len(vs) == phi.n + j else s.value
-                                        for s, vs in zip(eq, free)))
-        read = {v.index for free in side_vars for vs in free for v in vs if v.kind == "z"}
+            self.levels[j].append(tuple(s.fn if j and len(s.reads) == phi.n + j else s.value
+                                        for s in eq))
+        read = {i + 1 - phi.n for eq in self.sides for s in eq for i in s.reads if i >= phi.n}
         self.read = [j in read for j in range(phi.m + 1)]  # whether some equation reads z_j
         self.tests = 0  # the z-candidates tested so far, at most _SEARCH_BOUND
         # one z-free side is compared with the other's table, not l - r tabled:

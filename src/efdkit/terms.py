@@ -43,7 +43,6 @@ __all__ = [
     "zvar",
     "scalar",
     "power",
-    "free_vars",
     "max_index",
     "parse_integer",
     "parse_term",
@@ -239,21 +238,6 @@ _NODES = {
 }
 # nodes admitted per signature; Scalar/Power constraints checked separately
 _ALLOWED = {sig: frozenset((Var, Zero, *nodes)) for sig, nodes in _NODES.items()}
-
-
-_NO_VARS: frozenset = frozenset()
-
-
-def _vars(node, *kids) -> frozenset:
-    if len(kids) == 2:
-        return kids[0] | kids[1]
-    if kids:
-        return kids[0]
-    return frozenset((node,)) if type(node) is Var else _NO_VARS
-
-
-def free_vars(t: Term) -> frozenset[Var]:
-    return fold(t, _vars)
 
 
 def _checked_var(v: Var, bounds: dict) -> Var:

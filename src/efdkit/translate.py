@@ -147,9 +147,11 @@ class _NoUniqueSolution(FragmentError):
         self.failing, self.solutions = failing, solutions
 
 
-def _subst_signs(t: Term, esub: dict[Var, bool]) -> Term:
-    """Negate the variables flagged in esub."""
-    return substitute(t, lambda v: MVNeg(v) if esub.get(v) else v)
+def _subst_signs(t: Term, ebar: tuple, eprime: tuple) -> Term:
+    """t with x_i negated where ebar has bit 1 at i, and z_j where eprime has."""
+    return substitute(
+        t, lambda v: MVNeg(v) if (ebar if v.kind == "x" else eprime)[v.index - 1] else v
+    )
 
 
 def _dist(a: Term, b: Term) -> Term:
@@ -172,12 +174,11 @@ def phi_rad_decompose(phi: EFDSentence) -> list[RadBasicSentence]:
     table = check_in_two(phi)
     out = []
     for ebar, eprime in table.items():
-        esub: dict[Var, bool] = {xvar(i): bool(b) for i, b in enumerate(ebar, start=1)}
-        esub.update({zvar(j): bool(b) for j, b in enumerate(eprime, start=1)})
         # radical disjunct: x_i^2 = 0 for each i, then the substituted alpha
         left_terms = [Power(2, xvar(i)) for i in range(1, phi.n + 1)]
         for lhs, rhs in phi.equations:
-            left_terms.append(_dist(_subst_signs(lhs, esub), _subst_signs(rhs, esub)))
+            left, right = (_subst_signs(s, ebar, eprime) for s in (lhs, rhs))
+            left_terms.append(_dist(left, right))
         u = functools.reduce(Plus, left_terms)
         if phi.n == 0:
             equation = (u, ZERO)
@@ -299,8 +300,9 @@ def _polarity(node, *kids):
 
 def _signed(ebar: tuple, eprime: tuple):
     """_polarity reading x_i as co-radical where ebar has bit 1 at i, and
-    z_j where eprime has: the fold of a side with the signs _subst_signs
-    puts in at (e-bar, e'-bar), with no substituted term built."""
+    z_j where eprime has, by index as _subst_signs reads them: the fold of
+    a side with the signs _subst_signs puts in at (e-bar, e'-bar), with no
+    substituted term built."""
 
     def read(node, *kids):
         if type(node) is Var:

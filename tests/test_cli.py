@@ -26,6 +26,7 @@ from efdkit.terms import (
     MAX_DEPTH,
     EFDSentence,
     Signature,
+    Var,
     build_epsilon_k,
     max_index,
     parse_term,
@@ -701,6 +702,33 @@ class TestBoundedWork:
         code, payload = invoke_json(capsys, "classify", "--sig", "mv", "--sentence", f"epsilon {k}")
         assert code == 0
         assert (payload["class"], payload["primes"]) == ("divisible", [2, 5])
+
+
+class TestVariablesByPosition:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--sig", "mv", "--sentence", "epsilon 3"],
+            ["classify", "--sig", "mv", "--sentence", _meet_chain(6)],
+            ["decompose", "--sentence", "epsilon 2"],
+            ["check", "--model", "gamma(q)", "--sentence", "epsilon 3", "--no-shortcut",
+             "--budget", "100"],
+            ["check", "--model", "two", "--sentence", "epsilon 3"],
+            ["check", "--model", "qs:2,3", "--sentence", "delta 6", "--no-shortcut"],
+        ],
+    )
+    def test_no_variable_is_hashed_on_the_query_path(self, monkeypatch, capsys, argv):
+        """The solver, the Phi_rad branches and the classifiers read a
+        variable by its kind and index, never through a Var-keyed set or
+        dict.  A refutation's witness and a parsed --assign, keyed by Var at
+        the edges, are not met here."""
+
+        def refuse(v):
+            raise AssertionError(f"{v.kind}{v.index} hashed")
+
+        monkeypatch.setattr(Var, "__hash__", refuse)
+        assert run(argv) == 0, capsys.readouterr().err
+        capsys.readouterr()
 
 
 class TestExactCheck:

@@ -54,7 +54,6 @@ from efdkit.terms import (
     build_delta_k,
     build_epsilon_k,
     build_t_k,
-    free_vars,
     max_index,
     parse_sentence,
     parse_term,
@@ -783,7 +782,7 @@ def _plain_solutions(a, phi, xassign, cap=12):
     # the values of the z-free sides join the x-values as seeds of the pool
     seeds = list(xassign.values())
     for side in itertools.chain.from_iterable(phi.equations):
-        if not any(v.kind == "z" for v in free_vars(side)):
+        if max_index(side, "z") == 0:
             seeds.append(eval_term(a, side, xassign))
     pool = [0, 1] if exhaustive else _plain_pool(a, seeds, cap)
     sols = []
@@ -1245,6 +1244,22 @@ class TestSolverWork:
         assert check_in_two(build_epsilon_k(3)) == {(0,): (0,), (1,): (1,)}
         assert counts["_pool"] == 0
         assert counts["hull"] == 0
+
+    def test_a_build_walks_each_side_once(self, monkeypatch):
+        """A solver folds each equation side once, to compile it, and reads
+        the variables of the side off the slots the compile reads."""
+        import efdkit.terms as terms
+
+        phi, folds, fold = build_epsilon_k(3), [], terms.fold
+
+        def counted(t, f):
+            folds.append(f)
+            return fold(t, f)
+
+        monkeypatch.setattr(models, "fold", counted)
+        monkeypatch.setattr(terms, "fold", counted)
+        models._Solver(TwoMV(), phi)
+        assert len(folds) == 2
 
 
 class TestFixedScale:

@@ -268,7 +268,8 @@ class TestHoopTranslation:
             n, m = rng.randint(1, 3), rng.randint(1, 2)
             t = random_term(rng, Signature.MV, n, rng.randint(1, 5), kinds=("x", "z"), m=m)
             variables = [xvar(i) for i in range(1, n + 1)] + [zvar(j) for j in range(1, m + 1)]
-            t = translate._subst_signs(t, {v: rng.random() < 0.5 for v in variables})
+            ebar, eprime = (tuple(rng.randint(0, 1) for _ in range(k)) for k in (n, m))
+            t = translate._subst_signs(t, ebar, eprime)
             tag, image = fold(t, translate._polarity)
             for _ in range(3):
                 q = {v: Fraction(rng.randint(0, 9), rng.randint(1, 4)) for v in variables}
@@ -280,8 +281,8 @@ class TestHoopTranslation:
 class TestMVClassification:
     def test_join_chain_is_walked_once_per_node(self, monkeypatch):
         """The hoop image of x1 \\/ 2 x1 \\/ ... \\/ 40 x1 shares each partial
-        join, so it is a tree of about 2^40 nodes; the validation of each
-        sentence built on the way (terms._vars), the star image and the
+        join, so it is a tree of about 2^40 nodes; the polarity fold of each
+        Phi_rad branch (translate._polarity), the star image and the
         canonical form walk its distinct nodes only."""
 
         def guarded(module, name):
@@ -295,7 +296,7 @@ class TestMVClassification:
 
             monkeypatch.setattr(module, name, counted)
 
-        guarded(terms, "_vars")
+        guarded(translate, "_polarity")
         guarded(translate, "_star")
         guarded(canonical, "_leaf_form")
         chain = r" \/ ".join(["x1"] + [f"{k} x1" for k in range(2, 41)])
