@@ -23,12 +23,13 @@ codes for membership.  The node operations of each signature are written
 once, over any such l-group (_operations), and one compiler (_compiler)
 makes closures of a term over any of them: over codes (_evaluator).  The
 sampled checker fixes M when it starts, draws every x-assignment as codes
-at M, runs each equation side it compiles on them and decodes the
-solutions it finds.  With one z, outside two, it solves each assignment exactly
-(_Solver): the same compiler runs the sides with z in efdkit.onez, the
-l-group of piecewise-linear functions of z1, and the roots and zero
-pieces of one table of pieces give every solution.  With more z it
-searches a candidate pool.
+at M, runs each equation side it compiles on them and solves on codes: it
+decodes only the solutions of the assignment its verdict reports.  With
+one z, outside two, it solves each assignment exactly (_Solver): the same
+compiler runs the sides with z in efdkit.onez, the l-group of
+piecewise-linear functions of z1, and the roots and zero pieces of one
+table of pieces give every solution.  With more z it searches a
+candidate pool.
 """
 
 from __future__ import annotations
@@ -298,17 +299,29 @@ class _Layout:
     int for one coordinate, otherwise a flat tuple of ints, in the integer
     l-group group.  den(e) is the lcm of the denominators of e, up(e, M)
     its code and down(w, M) the element of a code.  unit is the code of the
-    unit of an MV model, and cone is True when every element is >= 0."""
+    unit of an MV model, and cone is True when every element is >= 0.
+
+    draw(rng, cap, m) is _draw, built once as one closure for a scalar
+    group, its cone and Gamma over it.  space is the number of elements
+    it draws with the cap _CAP, the structured ones among them."""
 
     __slots__ = (
-        "leaves", "shape", "flat", "unit", "cone", "group", "coords", "den", "up", "down", "_draws"
+        "leaves", "shape", "flat", "unit", "cone", "group", "coords", "den", "up", "down", "_draws",
+        "draw", "space",
     )
 
     def __init__(self, leaves: list, shape: Callable, flat: Callable, unit=None, cone=False):
         self.leaves, self.shape, self.flat, self.unit, self.cone = leaves, shape, flat, unit, cone
         self.group = _codes(len(leaves))
         self.coords = _single if len(leaves) == 1 else _same
-        self._draws = [_scalar_draw(group) for group, scaled in leaves if scaled]
+        scalars = [group for group, scaled in leaves if scaled]
+        self._draws = [_scalar_draw(group) for group in scalars]
+        self.draw = _one_draw(self._draws[0], cone, unit) if len(scalars) == 1 else self._draw
+        self.space = math.prod(len(_scalar_values(group, _CAP)) for group in scalars)
+        if cone:  # v and -v are drawn as one, for v != 0: the scalar draws are closed under negation
+            self.space = (self.space + 1) // 2
+        if unit is not None:  # as (0, |v|) and as (1, -|v|)
+            self.space *= 2
         codecs = [_SCALED if scaled else _UNSCALED for _, scaled in leaves]
         if len(codecs) == 1:
             self.den, self.up, self.down = codecs[0]
@@ -331,7 +344,7 @@ class _Layout:
             for group, scaled in self.leaves if scaled
         ])
 
-    def draw(self, rng: random.Random, cap: int, m: int):
+    def _draw(self, rng: random.Random, cap: int, m: int):
         """A random element as its code at m, a multiple of sample_den(cap):
         per scaled coordinate a numerator in [-cap, cap] over a denominator
         up to cap (Q), p^j, j <= 2, per p in S (Q_S) or 1 (Z); in a cone the
@@ -392,6 +405,31 @@ def _scalar_draw(a) -> Callable:
         return rng.randint(-cap, cap) * (m // den)
 
     return draw
+
+
+def _one_draw(f: Callable, cone: bool, unit) -> Callable:
+    """_Layout._draw of one scaled coordinate drawn by f, its cone or Gamma
+    over it, making the same calls of rng."""
+    if unit is None:
+        return (lambda rng, cap, m: abs(f(rng, cap, m))) if cone else f
+
+    def draw(rng, cap, m):
+        v = abs(f(rng, cap, m))
+        return (0, v) if rng.random() < 0.5 else (1, -v)
+
+    return draw
+
+
+def _scalar_values(a, cap: int) -> set:
+    """The values of one coordinate in the scalar group a that _scalar_draw
+    draws with that cap, as codes at the lcm of their denominators."""
+    primes = getattr(a, "primes", ())  # none for Z
+    dens = range(1, cap + 1) if isinstance(a, RationalGroup) else [
+        math.prod(p**j for p, j in zip(primes, js))
+        for js in itertools.product(range(3), repeat=len(primes))
+    ]
+    m = math.lcm(*dens)
+    return {n * (m // d) for d in dens for n in range(-cap, cap + 1)}
 
 
 def _bit(it) -> int:
@@ -730,11 +768,12 @@ class _Solver:
     solve scales x-values up, and other x-values of denominator D raise M
     to lcm(M, D lcm(1.._CAP)) first.  The memo stays, since a side
     compiled on codes or on the hull maps codes to codes without reading M
-    (x -> M x commutes with every node operation).  Every assignment's
-    solutions are decoded, whether a verdict reports them or not: the
-    search scales its codes down, and the one-z hull builds the element of
-    each root it meets (onez._Hull._root), a repeated one included, before
-    it keeps two.  The bits of TwoMV are their own codes."""
+    (x -> M x commutes with every node operation).  solve_codes returns
+    solutions undecoded: the search's z-codes, and the one-z hull's points
+    (w, q), whose root test reads the prime parts of the table's slopes and
+    of M (parts, taken with M).  decode makes their elements, which solve
+    does for each assignment and a sampled check for the one its verdict
+    reports.  The bits of TwoMV are their own codes."""
 
     def __init__(self, a, phi: EFDSentence):
         self.a, self.phi = a, phi
@@ -772,21 +811,27 @@ class _Solver:
                 pieces.fn = lambda xcodes, fn=pieces.fn: hull.table(fn(xcodes))
                 self.single = pieces, const
         self.scale = _LCM_CAP * self.layout.sample_den(_CAP)
+        self.parts = None if hull is None else hull.parts(self.scale)
 
     def solve(self, xassign: dict):
         up, d = self.layout.up, math.lcm(*map(self.layout.den, xassign.values()))
-        m = self.scale = math.lcm(self.scale, d * _LCM_CAP)  # grows only for new denominators
-        return self.solve_codes(tuple([up(_lookup(v, xassign), m) for v in self.xvars]))
+        m = math.lcm(self.scale, d * _LCM_CAP)  # grows only for new denominators
+        if m != self.scale:
+            self.scale, self.parts = m, None if self.hull is None else self.hull.parts(m)
+        sols, exact = self.solve_codes(tuple([up(_lookup(v, xassign), m) for v in self.xvars]))
+        return self.decode(sols), exact
 
     def solve_codes(self, xcodes: tuple):
-        """solve at the x-assignment with these codes at the scale M."""
+        """solve at the x-assignment with these codes at the scale M, its
+        solutions undecoded (decode)."""
         m, hull = self.scale, self.hull
         if hull is None:
             sols = self._search(xcodes, m)
             return sols, self.exhaustive or len(sols) == 2
         if self.single is not None:
             table, const = self.single
-            return [(z,) for z in hull.solve(table.value(xcodes), const.value(xcodes), m)], True
+            roots = hull.solve(table.value(xcodes), const.value(xcodes), m, self.parts)
+            return [(z,) for z in roots], True
         h = None
         for eq in self.sides:
             lhs, rhs = (s.value(xcodes) if s.zmax else [(hull.lo, 0, s.value(xcodes))] for s in eq)
@@ -794,7 +839,16 @@ class _Solver:
             if len(self.sides) > 1:
                 d = hull.join(d, hull.neg(d))
             h = d if h is None else hull.add(h, d)
-        return [(z,) for z in hull.solve(hull.table(h), hull.codes.zero, m)], True
+        return [(z,) for z in hull.solve(hull.table(h), hull.codes.zero, m, self.parts)], True
+
+    def decode(self, sols: list) -> list:
+        """The elements of solutions of solve_codes at the scale M: codes,
+        or the hull's points with one z."""
+        m, hull = self.scale, self.hull
+        if hull is not None:
+            return [(hull.decode(z, m),) for (z,) in sols]
+        down = self.layout.down
+        return [tuple([down(z, m) for z in zs]) for zs in sols]
 
     def _search(self, xcodes: tuple, m: int) -> list:
         if self.exhaustive:
@@ -811,8 +865,8 @@ class _Solver:
                 break
         else:
             self._extend(xcodes, 1, pool, sols)
-        down, n = self.layout.down, self.phi.n
-        return [tuple(down(z, m) for z in codes[n:]) for codes in sols]
+        n = self.phi.n
+        return [codes[n:] for codes in sols]
 
     def _extend(self, codes: tuple, j: int, pool, sols: list) -> bool:
         """Set z_j after codes (x-codes, then z_1 .. z_{j-1}) to each value of
@@ -876,9 +930,11 @@ def check_sentence_sampled(
     is labelled sampled, and a refutation exact; a candidate search that
     finds no solution is inconclusive.  The structured assignments come
     first, each x at one value of _Layout.structured, then random ones from
-    one seeded stream, up to budget; each distinct assignment is solved
-    once, as codes at the solver's scale, and its solutions are decoded.
-    Past _SEARCH_BOUND it passes on the assignments solved before.
+    one seeded stream, up to budget, or until every assignment the draws
+    can give (_Layout.space per x) was solved; each distinct assignment is
+    solved once, as codes at the solver's scale, and only a refutation's
+    solutions are decoded.  Past _SEARCH_BOUND it passes on the
+    assignments solved before.
     """
     if species(a) is not phi.signature:
         raise ModelError(
@@ -892,6 +948,7 @@ def check_sentence_sampled(
         [(w,) * n for w in layout.structured(m)],
         iter(lambda: tuple([layout.draw(rng, _CAP, m) for _ in range(n)]), None),  # endless
     )
+    space = layout.space**n  # the distinct assignments there are to draw
     for count, xcodes in enumerate(_distinct(itertools.islice(assignments, max(budget, 1))), 1):
         try:
             sols, exact = solver.solve_codes(xcodes)
@@ -905,7 +962,9 @@ def check_sentence_sampled(
             if not exact:
                 reason = "no z-solution among candidates"
                 return Verdict("inconclusive", False, (env, []), f"sampled: {reason}")
-            return _refutation(env, sols, "sampled")
+            return _refutation(env, solver.decode(sols), "sampled")
+        if count == space:
+            break
     return Verdict("consistent-on-sample", False, None, f"sampled: {count} distinct x-assignments")
 
 

@@ -1,8 +1,9 @@
 """The l-group of piecewise-linear functions of z1 on which models._Solver
 solves the equations of a sentence with one z-variable exactly at a fixed
 x-assignment, in every witness algebra but two: compile, merge, table,
-roots and the points of zero pieces.  models imports it when it builds
-such a solver, so import efdkit does not compile it.
+roots and the points of zero pieces, kept as points of the hull until a
+verdict decodes them.  models imports it when it builds such a solver,
+so import efdkit does not compile it.
 
 At fixed x, every term is a continuous piecewise-linear function of z1 over
 the divisible hull of the model: Q for a scalar group and its cone, and Q^d
@@ -172,16 +173,23 @@ class _Hull:
     # -- solving -------------------------------------------------------------
 
     def table(self, f: list) -> tuple:
-        """(L, rows): per piece (low, high, a, b, l, r), the range of its
+        """(L, rows): per piece (low, high, a, b, divs, l, r), the range of its
         values on [l, r] times L (None at an infinite end), L the lcm of the
         denominators of the ends, so that a constant c meets a piece iff
-        low <= L c <= high on integers."""
-        hi, add, scale = self.hi, self.codes.add, self.codes.scale
+        low <= L c <= high on integers.  divs holds, per coordinate, the part
+        of |a| prime to its scalar group's S (_prime_part), which solve's
+        root test reads: None for a zero piece.  In Gamma a zero piece whose
+        bits, from l to r, hold no integer holds no element: it has no row."""
+        hi, add, scale, leaves = self.hi, self.codes.add, self.codes.scale, self.leaves
+        bit = not leaves[0][1]  # the first coordinate is the bit of a Gamma pair
         rows, dens = [], set()
         for i, (l, a, b) in enumerate(f):
             r = f[i + 1][0] if i + 1 < len(f) else hi
             if a == 0:
+                if bit and -(-l[0][0] // l[1]) > r[0][0] // r[1]:
+                    continue
                 vl = vr = (b, 1)
+                divs = None
             else:
                 # a n / q + b = (a n + q b) / q
                 vl = None if l is None else (add(scale(a, l[0]), scale(l[1], b)), l[1])
@@ -189,46 +197,71 @@ class _Hull:
                 if a < 0:
                     vl, vr = vr, vl
                 dens.update(v[1] for v in (vl, vr) if v is not None)
-            rows.append((vl, vr, a, b, l, r))
+                divs = tuple([_prime_part(group, abs(a)) for group, _ in leaves])
+            rows.append((vl, vr, a, b, divs, l, r))
         big = math.lcm(*dens)
 
         def up(v):
             return None if v is None else (v[0] if v[1] == big else scale(big // v[1], v[0]))
 
-        return big, [(up(vl), up(vr), a, b, l, r) for vl, vr, a, b, l, r in rows]
+        return big, [(up(vl), up(vr), *row) for vl, vr, *row in rows]
 
-    def solve(self, table: tuple, c: tuple, m: int) -> list:
+    def parts(self, m: int) -> tuple:
+        """Per coordinate, the part of the scale m prime to its scalar
+        group's S, or 1 for the bit: the root test of solve at m."""
+        return tuple([_prime_part(group, m) if scaled else 1 for group, scaled in self.leaves])
+
+    def solve(self, table: tuple, c, m: int, parts: tuple) -> list:
         """The elements z, up to two and ascending, with h(z) = c for the
-        tabled h, c a code and m the scale of the codes."""
+        tabled h, c a code at the scale m and parts = parts(m), each as a
+        point (w, q) of the hull: the element whose code at m is w / q
+        (decode).  A root w / |a| of a piece a z + b is an element iff each
+        coordinate x of w lies in its scalar group, as the domain bounds it:
+        iff the part of |a| m prime to S, the product of the two parts,
+        divides x (of |a| for the bit)."""
         big, rows = table
-        cl = c if big == 1 else self.codes.scale(big, c)
+        codes, coords = self.codes, self.coords
+        cl = c if big == 1 else codes.scale(big, c)
         found = []
-        for low, high, a, b, l, r in rows:
+        for low, high, a, b, divs, l, r in rows:
             if (low is None or low <= cl) and (high is None or cl <= high):
-                for e in self._root(self.codes.sub(c, b), a, m) if a else self._points(l, r, m):
-                    if e not in found:
-                        found.append(e)
-                        if len(found) == 2:
+                if not a:
+                    for e in self._points(l, r, m):
+                        if self._add(found, e):
                             return found
+                    continue
+                w = codes.sub(c, b) if a > 0 else codes.sub(b, c)
+                for x, d, p in zip(coords(w), divs, parts):
+                    if x % (d * p):
+                        break
+                else:
+                    if self._add(found, (w, abs(a))):
+                        return found
         return found
 
-    def _root(self, w, a: int, m: int) -> tuple:
-        """w / a as an element, if it is one.  The root lies in the domain,
-        so only a coordinate's scalar group can refuse it: x / (a m) for a
-        scaled one and the bit x / a (iff the part of the divisor prime to S
-        divides x)."""
-        if a < 0:
-            w, a = self.codes.neg(w), -a
-        values = []
-        for x, (group, scaled) in zip(self.coords(w), self.leaves):
-            n = a * m if scaled else a
-            if x % _prime_part(group, n):
-                return ()
-            values.append(Fraction(x, n) if scaled else x // n)
-        return (self.shape(iter(values)),)
+    def _add(self, found: list, e: tuple) -> bool:
+        """Append the point e to found, at most one point, unless it is that
+        one: (w1, q1) and (w2, q2) are one point when q2 w1 = q1 w2.  True
+        once found holds two."""
+        if found:
+            (w, q), scale = found[0], self.codes.scale
+            if scale(e[1], w) == scale(q, e[0]):
+                return False
+        found.append(e)
+        return len(found) == 2
+
+    def decode(self, e: tuple, m: int):
+        """The element of the point e = (w, q) at the scale m: each scaled
+        coordinate x / (q m), the bit x / q."""
+        w, q = e
+        return self.shape(iter([
+            Fraction(x, q * m) if scaled else x // q
+            for x, (_, scaled) in zip(self.coords(w), self.leaves)
+        ]))
 
     def _points(self, l, r, m: int) -> list:
-        """Up to two elements in [l, r], l and r starts or None."""
+        """Up to two points (w, q) of the model in [l, r], l and r starts or
+        None."""
 
         def actual(v):
             if v is None:
@@ -239,7 +272,13 @@ class _Hull:
                 for x, (_, scaled) in zip(self.coords(n), self.leaves)
             )
 
-        return [self.shape(iter(e)) for e in _lex_points(self.leaves, actual(l), actual(r), 2)]
+        points = []
+        for e in _lex_points(self.leaves, actual(l), actual(r), 2):
+            values = [v * m if scaled else v for v, (_, scaled) in zip(e, self.leaves)]
+            q = math.lcm(*[v.denominator for v in values])
+            w = [v.numerator * (q // v.denominator) for v in values]
+            points.append((w[0] if len(w) == 1 else tuple(w), q))
+        return points
 
 
 def _lex_points(leaves: list, l, r, count: int) -> list:

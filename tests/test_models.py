@@ -3,6 +3,7 @@ import itertools
 import math
 import operator
 import random
+import time
 import types
 from collections import Counter
 from fractions import Fraction
@@ -1113,6 +1114,135 @@ class TestOneZExact:
         assert starts > 0
 
 
+# the models of the solving-on-codes comparison
+_CODE_MODELS = [
+    "q", "z", "qs:2,3", "cone(q)", "cone(qs:2)", "lex(z,q)", "lex(q,qs:2)",
+    "gamma(q)", "gamma(z)", "gamma(qs:2,3)",
+]
+# per signature, a sentence met by a zero piece and one with two roots at some x
+_CODE_SENTENCES = {
+    Signature.GROUP: [
+        r"forall x1 exists! z1 : (z1 \/ x1) + -x1 = 0", r"forall x1 exists! z1 : z1 \/ -z1 = x1",
+    ],
+    Signature.HOOP: [
+        "forall x1 exists! z1 : z1 -. x1 = 0",
+        "forall x1 exists! z1 : (z1 -. x1) + (x1 -. z1) = x1",
+    ],
+    Signature.MV: [
+        "forall x1 exists! z1 : z1 -. x1 = 0",
+        "forall x1 exists! z1 : (z1 -. x1) + (x1 -. z1) = x1",
+    ],
+}
+
+
+class TestSolvingOnCodes:
+    @pytest.mark.parametrize("descriptor", _CODE_MODELS)
+    def test_solve_on_codes_decodes_to_every_root_decoded(self, descriptor, monkeypatch):
+        """_Hull.solve, its points decoded, gives the elements, in the same
+        order, that it gave when it decoded each root it met and tabled
+        every piece: on random one-z sentences and on sentences met by zero
+        pieces and by two roots, at the check's own assignments."""
+        import efdkit.onez as onez
+
+        seen, solve, table, pieces = Counter(), onez._Hull.solve, onez._Hull.table, {}
+
+        def noted(hull, f):
+            tabled = table(hull, f)
+            pieces[id(tabled)] = tabled, f
+            return tabled
+
+        def compared(hull, tabled, c, m, parts):
+            found = solve(hull, tabled, c, m, parts)
+            expected = _decode_every_root(hull, pieces[id(tabled)][1], c, m, seen)
+            assert repr([hull.decode(e, m) for e in found]) == repr(expected), (tabled, c)
+            seen[len(found)] += 1
+            return found
+
+        monkeypatch.setattr(onez._Hull, "table", noted)
+        monkeypatch.setattr(onez._Hull, "solve", compared)
+        a = parse_model(descriptor)
+        sig = species(a)
+        rng = random.Random(f"codes {descriptor}")
+        sentences = [parse_sentence(text, sig) for text in _CODE_SENTENCES[sig]]
+        sentences += [_random_sentence(rng, sig, 1, depth=4) for _ in range(30)]
+        for seed, phi in enumerate(sentences):
+            solver = models._Solver(a, phi)
+            for env in _assignments(a, phi, 8, seed):
+                solver.solve(env)
+        assert seen["zero"] > 0 and seen[2] > 0 and seen[1] > 0, seen
+
+
+def _decode_every_root(hull, f, c, m, seen):
+    """The solutions of h(z) = c for the pieces f of h, as the hull found
+    them when it tabled every piece, decoded every root it met, a repeated
+    one included, and compared elements: its table, solve, _root and
+    _points.  Counts the zero pieces met in seen["zero"]."""
+    big, rows = _table_every_piece(hull, f)
+    cl = c if big == 1 else hull.codes.scale(big, c)
+    found = []
+    for low, high, a, b, l, r in rows:
+        if (low is None or low <= cl) and (high is None or cl <= high):
+            seen["zero"] += not a
+            if a:
+                points = _root_element(hull, hull.codes.sub(c, b), a, m)
+            else:
+                points = _point_elements(hull, l, r, m)
+            for e in points:
+                if e not in found:
+                    found.append(e)
+                    if len(found) == 2:
+                        return found
+    return found
+
+
+def _table_every_piece(hull, f):
+    hi, add, scale = hull.hi, hull.codes.add, hull.codes.scale
+    rows, dens = [], set()
+    for i, (l, a, b) in enumerate(f):
+        r = f[i + 1][0] if i + 1 < len(f) else hi
+        if a == 0:
+            vl = vr = (b, 1)
+        else:
+            vl = None if l is None else (add(scale(a, l[0]), scale(l[1], b)), l[1])
+            vr = None if r is None else (add(scale(a, r[0]), scale(r[1], b)), r[1])
+            if a < 0:
+                vl, vr = vr, vl
+            dens.update(v[1] for v in (vl, vr) if v is not None)
+        rows.append((vl, vr, a, b, l, r))
+    big = math.lcm(*dens)
+
+    def up(v):
+        return None if v is None else scale(big // v[1], v[0])
+
+    return big, [(up(vl), up(vr), a, b, l, r) for vl, vr, a, b, l, r in rows]
+
+
+def _root_element(hull, w, a, m):
+    if a < 0:
+        w, a = hull.codes.neg(w), -a
+    values = []
+    for x, (group, scaled) in zip(hull.coords(w), hull.leaves):
+        n = a * m if scaled else a
+        if x % models._prime_part(group, n):
+            return ()
+        values.append(Fraction(x, n) if scaled else x // n)
+    return (hull.shape(iter(values)),)
+
+
+def _point_elements(hull, l, r, m):
+    import efdkit.onez as onez
+
+    def actual(v):
+        if v is None:
+            return None
+        n, q = v
+        return tuple(
+            Fraction(x, q * m if scaled else q) for x, (_, scaled) in zip(hull.coords(n), hull.leaves)
+        )
+
+    return [hull.shape(iter(e)) for e in onez._lex_points(hull.leaves, actual(l), actual(r), 2)]
+
+
 def _hull_element(a, hull, p, m):
     """The element at the hull point p = (n, q) at scale m, or None: the
     first coordinate of a Gamma pair is n / q, every other one n / (q m)."""
@@ -1150,22 +1280,25 @@ class TestSolverWork:
         import efdkit.onez as onez
 
         counts = Counter()
-        for owner, name in (
-            (models, "_pool"),
-            (models._Layout, "draw"),
-            (models._Layout, "member"),
-        ):
+
+        def count(owner, name):
             original = getattr(owner, name)
 
-            def counted(*args, _original=original, _name=name, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
-        evaluator = models._evaluator
+
+        count(models, "_pool")
+        count(models._Layout, "member")
+        evaluator, drawn = models._evaluator, set()
 
         def counted_evaluator(a):
             compile_, layout = evaluator(a)
+            if id(layout) not in drawn:  # each layout holds its own draw
+                drawn.add(id(layout))
+                count(layout, "draw")
 
             def counted_compile(t, slots):
                 fn, reads = compile_(t, slots)
@@ -1245,6 +1378,48 @@ class TestSolverWork:
         assert counts["_pool"] == 0
         assert counts["hull"] == 0
 
+    @pytest.mark.parametrize("descriptor", ["gamma(q)", "gamma(qs:2,3)"])
+    def test_a_passing_check_decodes_nothing(self, descriptor, monkeypatch):
+        """A passing check solves each assignment on codes: onez builds no
+        Fraction, and the prime parts of its root test are taken with the
+        table and the scale, the same number at budget 10 and at 100."""
+        import efdkit.onez as onez
+
+        counts = Counter()
+        for owner, name in ((onez, "Fraction"), (onez, "_prime_part"), (models, "_prime_part")):
+            original = getattr(owner, name)
+
+            def counted(*args, _original=original, _name=name):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        a, parts = parse_model(descriptor), []
+        for budget in (10, 100):
+            verdict = check_sentence_sampled(a, build_epsilon_k(3), budget=budget, seed=0)
+            assert verdict.status == "consistent-on-sample"
+            parts.append(counts.pop("_prime_part", 0))
+        assert counts["Fraction"] == 0
+        assert parts[0] == parts[1] > 0
+
+    def test_a_refutation_decodes_what_it_prints(self, monkeypatch):
+        """|z| = x1 has the two roots -x1 and x1 at x1 = (1, 0), the first
+        assignment past 0; the check decodes those two and no other."""
+        import efdkit.onez as onez
+
+        decoded, decode = [], onez._Hull.decode
+
+        def noted(hull, e, m):
+            decoded.append(decode(hull, e, m))
+            return decoded[-1]
+
+        monkeypatch.setattr(onez._Hull, "decode", noted)
+        phi = parse_sentence(r"forall x1 exists! z1 : z1 \/ -z1 = x1", Signature.GROUP)
+        verdict = check_sentence_sampled(parse_model("lex(z,q)"), phi, budget=100, seed=0)
+        assert verdict.detail == "sampled: two distinct z-solutions"
+        assert verdict.witness == ({_X1: (1, 0)}, [((-1, 0),), ((1, 0),)])
+        assert decoded == [(-1, 0), (1, 0)]
+
     def test_a_build_walks_each_side_once(self, monkeypatch):
         """A solver folds each equation side once, to compile it, and reads
         the variables of the side off the slots the compile reads."""
@@ -1260,6 +1435,29 @@ class TestSolverWork:
         monkeypatch.setattr(terms, "fold", counted)
         models._Solver(TwoMV(), phi)
         assert len(folds) == 2
+
+
+class TestDrawSpace:
+    @pytest.mark.parametrize(
+        "descriptor, sig, text, distinct",
+        [
+            ("gamma(q)", Signature.MV, "epsilon 3", 184),
+            ("z", Signature.GROUP, "forall x1 exists! z1 : z1 = x1", 25),
+            ("cone(qs:2)", Signature.HOOP, "forall x1 x2 exists! z1 : z1 = x1 + x2", 25**2),
+            ("two", Signature.MV, "forall x1 x2 exists! z1 : z1 = x1 /\\ x2", 4),
+        ],
+    )
+    def test_a_check_stops_when_every_assignment_was_drawn(self, descriptor, sig, text, distinct):
+        """Once every assignment the structured values and the draws can
+        give was solved, a check stops; the budget would only draw them
+        again (gamma(q) epsilon_3 took 4 s to spend this one)."""
+        a = parse_model(descriptor)
+        phi = _reference_sentence(text, sig)
+        start = time.perf_counter()
+        verdict = check_sentence_sampled(a, phi, budget=1_000_000, seed=0)
+        assert time.perf_counter() - start < 1.0
+        assert verdict.status == "consistent-on-sample"
+        assert verdict.detail == f"sampled: {distinct} distinct x-assignments"
 
 
 class TestFixedScale:
@@ -1322,6 +1520,12 @@ class TestFixedScale:
 _LAYOUT_MODELS = [
     "z", "q", "qs:2,3", "qs:5,7,11", "lex(z,lex(z,q))", "lex(qs:3,q)", "cone(lex(z,q))",
     "cone(qs:2)", "gamma(q)", "gamma(z)", "gamma(qs:5)", "two",
+]
+
+
+# every layout species, and Gamma over a lex product
+_DRAW_MODELS = [parse_model(d) for d in _LAYOUT_MODELS] + [
+    GammaPerfect(LexProduct(IntegerGroup(), RationalGroup())),
 ]
 
 
@@ -1455,3 +1659,67 @@ class TestLayout:
         assert x[1][0] % 2 == 1
         held = check_sentence_sampled(a, build_epsilon_k(1), budget=50, seed=1)
         assert held.status == "consistent-on-sample"
+
+    @pytest.mark.parametrize("a", _DRAW_MODELS, ids=model_name)
+    def test_each_layout_draws_the_generic_stream(self, a):
+        """The draw a layout builds for itself gives the codes of the
+        generic draw, from the same calls of the stream."""
+        layout = models._layout(a)
+        m = models._LCM_CAP * layout.sample_den(models._CAP)
+        for seed in range(3):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            drawn = [layout.draw(rng, models._CAP, m) for _ in range(1000)]
+            expected = [_generic_draw(layout, oracle, models._CAP, m) for _ in range(1000)]
+            assert drawn == expected, seed
+            assert rng.getstate() == oracle.getstate(), seed
+
+    @pytest.mark.parametrize("a", _DRAW_MODELS, ids=model_name)
+    def test_space_counts_every_code_drawn(self, a):
+        """space is the number of codes the draw gives at a check's scale,
+        and the structured values are among them."""
+        layout = models._layout(a)
+        m = models._LCM_CAP * layout.sample_den(models._CAP)
+        space = _draw_space(layout, m)
+        assert layout.space == len(space)
+        assert set(layout.structured(m)) <= space
+        rng = random.Random(model_name(a))
+        assert all(layout.draw(rng, models._CAP, m) in space for _ in range(500))
+
+
+def _generic_draw(layout, rng, cap, m):
+    """One draw of a layout, built per call from the draws of its scaled
+    coordinates: the larger of v and -v in a cone, that one as (0, |v|) or
+    (1, -|v|) in Gamma, a bit in two."""
+    if not layout._draws:
+        return rng.randint(0, 1)
+    v = [f(rng, cap, m) for f in layout._draws]
+    if layout.cone:
+        v = max(v, [-x for x in v])
+        if layout.unit is not None:
+            v = [0, *v] if rng.random() < 0.5 else [1, *[-x for x in v]]
+    return v[0] if len(v) == 1 else tuple(v)
+
+
+def _draw_space(layout, m):
+    """Every code the draw can give at m, enumerated per coordinate: a
+    numerator in [-12, 12] over each denominator the coordinate draws."""
+    values = []
+    for group, scaled in layout.leaves:
+        if not scaled:
+            continue
+        if isinstance(group, RationalGroup):
+            dens = range(1, 13)
+        else:
+            primes = sorted(getattr(group, "primes", ()))
+            dens = {math.prod(p**j for p, j in zip(primes, js))
+                    for js in itertools.product(range(3), repeat=len(primes))}
+        values.append({n * (m // d) for n in range(-12, 13) for d in dens})
+    if not values:  # two
+        return {0, 1}
+    codes = set(itertools.product(*values))
+    if layout.cone:
+        codes = {max(v, tuple(-x for x in v)) for v in codes}
+    if layout.unit is not None:
+        codes = {(0, *v) for v in codes} | {(1, *(-x for x in v)) for v in codes}
+    codes = {v[0] if len(v) == 1 else v for v in codes}
+    return codes
