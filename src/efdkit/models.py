@@ -300,28 +300,17 @@ class _Layout:
     l-group group.  den(e) is the lcm of the denominators of e, up(e, M)
     its code and down(w, M) the element of a code.  unit is the code of the
     unit of an MV model, and cone is True when every element is >= 0.
-
-    draw(rng, cap, m) is _draw, built once as one closure for a scalar
-    group, its cone and Gamma over it.  space is the number of elements
-    it draws with the cap _CAP, the structured ones among them."""
+    space is the number of codes a draw with the cap _CAP gives (_space)."""
 
     __slots__ = (
-        "leaves", "shape", "flat", "unit", "cone", "group", "coords", "den", "up", "down", "_draws",
-        "draw", "space",
+        "leaves", "shape", "flat", "unit", "cone", "group", "coords", "den", "up", "down", "space"
     )
 
     def __init__(self, leaves: list, shape: Callable, flat: Callable, unit=None, cone=False):
         self.leaves, self.shape, self.flat, self.unit, self.cone = leaves, shape, flat, unit, cone
         self.group = _codes(len(leaves))
         self.coords = _single if len(leaves) == 1 else _same
-        scalars = [group for group, scaled in leaves if scaled]
-        self._draws = [_scalar_draw(group) for group in scalars]
-        self.draw = _one_draw(self._draws[0], cone, unit) if len(scalars) == 1 else self._draw
-        self.space = math.prod(len(_scalar_values(group, _CAP)) for group in scalars)
-        if cone:  # v and -v are drawn as one, for v != 0: the scalar draws are closed under negation
-            self.space = (self.space + 1) // 2
-        if unit is not None:  # as (0, |v|) and as (1, -|v|)
-            self.space *= 2
+        self.space = self._space(_CAP)
         codecs = [_SCALED if scaled else _UNSCALED for _, scaled in leaves]
         if len(codecs) == 1:
             self.den, self.up, self.down = codecs[0]
@@ -337,27 +326,62 @@ class _Layout:
             self.down = lambda w, d: shape(iter([f(x, d) for f, x in zip(downs, w)]))
 
     def sample_den(self, cap: int) -> int:
-        """The lcm of every denominator that draw can give with that cap."""
+        """The lcm of every denominator that a draw with that cap gives."""
         return math.lcm(*[
-            math.lcm(*range(1, cap + 1)) if isinstance(group, RationalGroup)
-            else math.prod(p * p for p in getattr(group, "primes", ()))
+            math.prod([math.lcm(*f) for f in _scalar_dens(group, cap)])
             for group, scaled in self.leaves if scaled
         ])
 
-    def _draw(self, rng: random.Random, cap: int, m: int):
-        """A random element as its code at m, a multiple of sample_den(cap):
-        per scaled coordinate a numerator in [-cap, cap] over a denominator
-        up to cap (Q), p^j, j <= 2, per p in S (Q_S) or 1 (Z); in a cone the
-        larger of v and -v, and in Gamma that one, |v|, as (0, |v|) or
-        (1, -|v|) with equal odds; in two a bit."""
-        if not self._draws:  # two
-            return rng.randint(0, 1)
-        v = [f(rng, cap, m) for f in self._draws]
-        if self.cone:
-            v = max(v, [-x for x in v])  # lists compare in the lex order too
-            if self.unit is not None:
-                v = [0, *v] if rng.random() < 0.5 else [1, *[-x for x in v]]
-        return v[0] if len(v) == 1 else tuple(v)
+    def drawer(self, cap: int) -> Callable:
+        """draw(rng, m): a random element as its code at m, a multiple of
+        sample_den(cap): per scaled coordinate a numerator in [-cap, cap]
+        over one of its denominators (_scalar_draw); in a cone the larger of
+        v and -v, and in Gamma that one, |v|, as (0, |v|) or (1, -|v|) with
+        equal odds; in two a bit.  For one scaled coordinate it is one
+        closure, with the same calls of rng."""
+        draws = [_scalar_draw(group, cap) for group, scaled in self.leaves if scaled]
+        cone, unit = self.cone, self.unit
+        if not draws:  # two
+            return lambda rng, m: rng.randint(0, 1)
+        if len(draws) == 1:
+            (f,) = draws
+            if not cone:
+                return f
+            if unit is None:
+                return lambda rng, m: abs(f(rng, m))
+
+            def gamma(rng, m):
+                v = abs(f(rng, m))
+                return (0, v) if rng.random() < 0.5 else (1, -v)
+
+            return gamma
+
+        def draw(rng, m):
+            v = [f(rng, m) for f in draws]
+            if cone:
+                v = max(v, [-x for x in v])  # lists compare in the lex order too
+                if unit is not None:
+                    v = [0, *v] if rng.random() < 0.5 else [1, *[-x for x in v]]
+            return tuple(v)
+
+        return draw
+
+    def _space(self, cap: int) -> int:
+        """The number of codes a draw with that cap gives, the structured
+        ones among them.  A scaled coordinate takes 0 and +-n/d in lowest
+        terms, 1 <= n <= cap, d a denominator (they are closed under
+        divisors): counted per n, as d is prime to n iff each factor is."""
+        count = 1
+        for group, scaled in self.leaves:
+            if scaled:
+                factors = _scalar_dens(group, cap)
+                count *= 1 + 2 * sum(
+                    math.prod([sum([math.gcd(n, d) == 1 for d in f]) for f in factors])
+                    for n in range(1, cap + 1)
+                )
+        if self.cone:  # v and -v are drawn as one, for v != 0: the draws are closed under negation
+            count = (count + 1) // 2
+        return count if self.unit is None else 2 * count  # as (0, |v|) and as (1, -|v|)
 
     def structured(self, m: int) -> list:
         """The codes at m of the x-values a sampled check tries first: 0,
@@ -387,49 +411,37 @@ class _Layout:
         return True
 
 
-def _scalar_draw(a) -> Callable:
-    """The draw of one coordinate in the scalar group a (_Layout.draw)."""
+def _scalar_dens(a, cap: int) -> list:
+    """The denominators a draw with that cap gives a coordinate in the
+    scalar group a: the products of one entry of each sequence, 1 .. cap
+    for Q, 1, p, p^2 per p in S for Q_S, none (only 1) for Z, with entries
+    of two sequences coprime."""
     if isinstance(a, RationalGroup):
+        return [range(1, cap + 1)]
+    return [(1, p, p * p) for p in getattr(a, "primes", ())]
 
-        def draw(rng, cap, m):
+
+def _scalar_draw(a, cap: int) -> Callable:
+    """draw(rng, m): one coordinate in the scalar group a, as its code at m:
+    a numerator in [-cap, cap], drawn first for Q and last otherwise, over
+    a denominator of _scalar_dens."""
+    factors = _scalar_dens(a, cap)  # choice(f) draws as randint(1, len(f)) does
+    if isinstance(a, RationalGroup):
+        (dens,) = factors
+
+        def draw(rng, m):
             n = rng.randint(-cap, cap)
-            return n * (m // rng.randint(1, cap))
+            return n * (m // rng.choice(dens))
 
         return draw
-    primes = getattr(a, "primes", ())  # none for Z
 
-    def draw(rng, cap, m):
+    def draw(rng, m):
         den = 1
-        for p in primes:
-            den *= p ** rng.randint(0, 2)
+        for f in factors:
+            den *= rng.choice(f)
         return rng.randint(-cap, cap) * (m // den)
 
     return draw
-
-
-def _one_draw(f: Callable, cone: bool, unit) -> Callable:
-    """_Layout._draw of one scaled coordinate drawn by f, its cone or Gamma
-    over it, making the same calls of rng."""
-    if unit is None:
-        return (lambda rng, cap, m: abs(f(rng, cap, m))) if cone else f
-
-    def draw(rng, cap, m):
-        v = abs(f(rng, cap, m))
-        return (0, v) if rng.random() < 0.5 else (1, -v)
-
-    return draw
-
-
-def _scalar_values(a, cap: int) -> set:
-    """The values of one coordinate in the scalar group a that _scalar_draw
-    draws with that cap, as codes at the lcm of their denominators."""
-    primes = getattr(a, "primes", ())  # none for Z
-    dens = range(1, cap + 1) if isinstance(a, RationalGroup) else [
-        math.prod(p**j for p, j in zip(primes, js))
-        for js in itertools.product(range(3), repeat=len(primes))
-    ]
-    m = math.lcm(*dens)
-    return {n * (m // d) for d in dens for n in range(-cap, cap + 1)}
 
 
 def _bit(it) -> int:
@@ -479,14 +491,14 @@ def _layout(a: WitnessAlgebra) -> _Layout:
     raise ModelError(f"not a witness algebra: {a!r}")
 
 
-_CAP = 12  # the cap of a sampled check's draws (_Layout.draw) and of its pool's divisors (_pool)
+_CAP = 12  # the cap of a sampled check's draws (_Layout.drawer) and of its pool's divisors (_pool)
 _LCM_CAP = math.lcm(*range(1, _CAP + 1))
 
 
 def sample_elements(a: WitnessAlgebra, count: int, seed: int, cap: int = _CAP) -> list:
     layout = _layout(a)
-    rng, m = random.Random(seed), layout.sample_den(cap)
-    return [layout.down(layout.draw(rng, cap, m), m) for _ in range(count)]
+    rng, m, draw = random.Random(seed), layout.sample_den(cap), layout.drawer(cap)
+    return [layout.down(draw(rng, m), m) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -763,10 +775,10 @@ class _Solver:
     candidates a check.  Two is searched exhaustively.
 
     Both run on codes at one scale M, fixed here: lcm(1.._CAP) times every
-    denominator _Layout.draw gives with _CAP, so every sample and its pool
-    (v / d, d <= _CAP) are codes at M.  solve_codes takes x-codes at M;
-    solve scales x-values up, and other x-values of denominator D raise M
-    to lcm(M, D lcm(1.._CAP)) first.  The memo stays, since a side
+    denominator a draw (_Layout.drawer) gives with _CAP, so every sample
+    and its pool (v / d, d <= _CAP) are codes at M.  solve_codes takes
+    x-codes at M; solve scales x-values up, and other x-values of
+    denominator D raise M to lcm(M, D lcm(1.._CAP)) first.  The memo stays, since a side
     compiled on codes or on the hull maps codes to codes without reading M
     (x -> M x commutes with every node operation).  solve_codes returns
     solutions undecoded: the search's z-codes, and the one-z hull's points
@@ -943,10 +955,10 @@ def check_sentence_sampled(
         )
     solver = _Solver(a, phi)
     layout, m, xvars = solver.layout, solver.scale, solver.xvars
-    rng, n = random.Random(seed), phi.n
+    rng, n, draw = random.Random(seed), phi.n, layout.drawer(_CAP)
     assignments = itertools.chain(
         [(w,) * n for w in layout.structured(m)],
-        iter(lambda: tuple([layout.draw(rng, _CAP, m) for _ in range(n)]), None),  # endless
+        iter(lambda: tuple([draw(rng, m) for _ in range(n)]), None),  # endless
     )
     space = layout.space**n  # the distinct assignments there are to draw
     for count, xcodes in enumerate(_distinct(itertools.islice(assignments, max(budget, 1))), 1):

@@ -178,8 +178,11 @@ class _Hull:
         denominators of the ends, so that a constant c meets a piece iff
         low <= L c <= high on integers.  divs holds, per coordinate, the part
         of |a| prime to its scalar group's S (_prime_part), which solve's
-        root test reads: None for a zero piece.  In Gamma a zero piece whose
-        bits, from l to r, hold no integer holds no element: it has no row."""
+        root test reads: None for a zero piece.  A table of an x-free side,
+        kept for the whole check, takes them once; one built at each
+        assignment (a side reading x, several equations) takes them for
+        each sloped row.  In Gamma a zero piece whose bits, from l to r,
+        hold no integer holds no element: it has no row."""
         hi, add, scale, leaves = self.hi, self.codes.add, self.codes.scale, self.leaves
         bit = not leaves[0][1]  # the first coordinate is the bit of a Gamma pair
         rows, dens = [], set()

@@ -3,7 +3,6 @@ import itertools
 import math
 import operator
 import random
-import time
 import types
 from collections import Counter
 from fractions import Fraction
@@ -1271,7 +1270,7 @@ class TestSolverWork:
     on the hull once per check and each assignment runs only its z-free
     side; the candidate search made 67 pool builds and 625 evaluations on
     the first case, the search before it 100 and 4,864.  Each x-value is
-    drawn by one _Layout.draw, as its code.  A root of the pieces lies in
+    drawn by one draw of _Layout.drawer, as its code.  A root of the pieces lies in
     the model's domain already, so no _Layout.member test runs (127 and 174
     when each root was tested)."""
 
@@ -1292,13 +1291,22 @@ class TestSolverWork:
 
         count(models, "_pool")
         count(models._Layout, "member")
-        evaluator, drawn = models._evaluator, set()
+        drawer = models._Layout.drawer
+
+        def counted_drawer(layout, cap):
+            draw = drawer(layout, cap)
+
+            def counted(rng, m):
+                counts["draw"] += 1
+                return draw(rng, m)
+
+            return counted
+
+        monkeypatch.setattr(models._Layout, "drawer", counted_drawer)
+        evaluator = models._evaluator
 
         def counted_evaluator(a):
             compile_, layout = evaluator(a)
-            if id(layout) not in drawn:  # each layout holds its own draw
-                drawn.add(id(layout))
-                count(layout, "draw")
 
             def counted_compile(t, slots):
                 fn, reads = compile_(t, slots)
@@ -1447,17 +1455,55 @@ class TestDrawSpace:
             ("two", Signature.MV, "forall x1 x2 exists! z1 : z1 = x1 /\\ x2", 4),
         ],
     )
-    def test_a_check_stops_when_every_assignment_was_drawn(self, descriptor, sig, text, distinct):
+    def test_a_check_stops_when_every_assignment_was_drawn(
+        self, descriptor, sig, text, distinct, monkeypatch
+    ):
         """Once every assignment the structured values and the draws can
         give was solved, a check stops; the budget would only draw them
-        again (gamma(q) epsilon_3 took 4 s to spend this one)."""
+        again (gamma(q) epsilon_3 took 4 s to spend this one).  Each of
+        them is solved once, and the draws stop with the last new one."""
         a = parse_model(descriptor)
         phi = _reference_sentence(text, sig)
-        start = time.perf_counter()
+        counts, solve_codes, drawer = Counter(), models._Solver.solve_codes, models._Layout.drawer
+
+        def counted_solve(solver, xcodes):
+            counts["solve"] += 1
+            return solve_codes(solver, xcodes)
+
+        def counted_drawer(layout, cap):
+            draw = drawer(layout, cap)
+
+            def counted(rng, m):
+                counts["draw"] += 1
+                return draw(rng, m)
+
+            return counted
+
+        monkeypatch.setattr(models._Solver, "solve_codes", counted_solve)
+        monkeypatch.setattr(models._Layout, "drawer", counted_drawer)
         verdict = check_sentence_sampled(a, phi, budget=1_000_000, seed=0)
-        assert time.perf_counter() - start < 1.0
         assert verdict.status == "consistent-on-sample"
         assert verdict.detail == f"sampled: {distinct} distinct x-assignments"
+        assert counts["solve"] == distinct == models._layout(a).space**phi.n
+        assert counts["draw"] < 100 * distinct
+
+    def test_many_primes_build_no_draw_space(self):
+        """A layout of Q_S lists none of the 3^|S| denominators its draws
+        have: with the first 20 primes it counts its space per numerator,
+        eval answers and a check runs."""
+        primes = [p for p in range(2, 72) if all(p % q for q in range(2, p))]
+        a = parse_model("qs:" + ",".join(map(str, primes)))
+        assert len(primes) == 20
+        t = parse_term("x1 + x1", Signature.GROUP)
+        assert eval_term(a, t, {_X1: Fraction(1, 2 * 71**2)}) == Fraction(1, 71**2)
+        # 0 and +-n/d in lowest terms: d is one of 3^20 products, with 3
+        # choices per prime that does not divide n and 1 per prime that does
+        counts = [3 ** sum(n % p != 0 for p in primes) for n in range(1, models._CAP + 1)]
+        assert models._layout(a).space == 1 + 2 * sum(counts)
+        phi = _reference_sentence("forall x1 exists! z1 : z1 = x1", Signature.GROUP)
+        verdict = check_sentence_sampled(a, phi, budget=50, seed=0)
+        assert verdict.status == "consistent-on-sample"
+        assert verdict.detail == "sampled: 47 distinct x-assignments"  # of 50 drawn
 
 
 class TestFixedScale:
@@ -1666,9 +1712,10 @@ class TestLayout:
         generic draw, from the same calls of the stream."""
         layout = models._layout(a)
         m = models._LCM_CAP * layout.sample_den(models._CAP)
+        draw = layout.drawer(models._CAP)
         for seed in range(3):
             rng, oracle = random.Random(seed), random.Random(seed)
-            drawn = [layout.draw(rng, models._CAP, m) for _ in range(1000)]
+            drawn = [draw(rng, m) for _ in range(1000)]
             expected = [_generic_draw(layout, oracle, models._CAP, m) for _ in range(1000)]
             assert drawn == expected, seed
             assert rng.getstate() == oracle.getstate(), seed
@@ -1682,17 +1729,18 @@ class TestLayout:
         space = _draw_space(layout, m)
         assert layout.space == len(space)
         assert set(layout.structured(m)) <= space
-        rng = random.Random(model_name(a))
-        assert all(layout.draw(rng, models._CAP, m) in space for _ in range(500))
+        rng, draw = random.Random(model_name(a)), layout.drawer(models._CAP)
+        assert all(draw(rng, m) in space for _ in range(500))
 
 
 def _generic_draw(layout, rng, cap, m):
     """One draw of a layout, built per call from the draws of its scaled
     coordinates: the larger of v and -v in a cone, that one as (0, |v|) or
     (1, -|v|) in Gamma, a bit in two."""
-    if not layout._draws:
+    draws = [models._scalar_draw(group, cap) for group, scaled in layout.leaves if scaled]
+    if not draws:
         return rng.randint(0, 1)
-    v = [f(rng, cap, m) for f in layout._draws]
+    v = [f(rng, m) for f in draws]
     if layout.cone:
         v = max(v, [-x for x in v])
         if layout.unit is not None:
@@ -1702,18 +1750,14 @@ def _generic_draw(layout, rng, cap, m):
 
 def _draw_space(layout, m):
     """Every code the draw can give at m, enumerated per coordinate: a
-    numerator in [-12, 12] over each denominator the coordinate draws."""
-    values = []
+    numerator in [-cap, cap] over each product of the coordinate's
+    sequences of denominators."""
+    values, cap = [], models._CAP
     for group, scaled in layout.leaves:
         if not scaled:
             continue
-        if isinstance(group, RationalGroup):
-            dens = range(1, 13)
-        else:
-            primes = sorted(getattr(group, "primes", ()))
-            dens = {math.prod(p**j for p, j in zip(primes, js))
-                    for js in itertools.product(range(3), repeat=len(primes))}
-        values.append({n * (m // d) for n in range(-12, 13) for d in dens})
+        dens = {math.prod(ds) for ds in itertools.product(*models._scalar_dens(group, cap))}
+        values.append({n * (m // d) for n in range(-cap, cap + 1) for d in dens})
     if not values:  # two
         return {0, 1}
     codes = set(itertools.product(*values))
