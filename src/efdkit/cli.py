@@ -13,11 +13,6 @@ import os
 import sys
 import types
 
-try:  # the json package would import its decoder and scanner too
-    from _json import encode_basestring_ascii as _encode_str
-except ImportError:
-    from json.encoder import encode_basestring_ascii as _encode_str
-
 # The layers are bound as modules and their members read at each call: the
 # package registers them lazily, so a query executes only the ones it runs,
 # and nothing at module level here reads a layer other than terms.
@@ -34,6 +29,7 @@ SEED_ENV = "EFDKIT_SEED"
 MAX_PRINTED_NODES = 10_000
 
 _SIGS = {sig.value: sig for sig in terms.Signature}
+_encode_str = terms._encode_str  # json's string encoder, in C where the interpreter has it
 
 
 class PropertyFailure(Exception):
@@ -192,15 +188,25 @@ def _class_json(c: lattice.AEClass) -> dict:
 
 
 def _sentence_json(item) -> dict:
+    """A sentence's node-tagged AST and its text.  The AST holds its terms
+    themselves, which _write_json and _render_text write."""
     if item == terms.ABSURD:
         return {"marker": "absurd"}
-    return {"ast": terms.sentence_to_json(item), "printed": terms.print_sentence(item)}
+    if isinstance(item, terms.Identity):
+        lhs, rhs = item.equation
+        ast = {"kind": "identity", "signature": item.signature.value, "n": item.n,
+               "equation": {"lhs": lhs, "rhs": rhs}}
+    else:
+        ast = {"kind": "efd", "signature": item.signature.value, "n": item.n, "m": item.m,
+               "equations": [{"lhs": a, "rhs": b} for a, b in item.equations]}
+    return {"ast": ast, "printed": terms.print_sentence(item)}
 
 
 def _render_text(obj, indent: int = 0) -> str:
     """obj as indented text: a dict entry is headed "key:", a list item "-",
-    and a nested value follows its head one level deeper.  An empty list
-    prints as [], an empty dict as nothing."""
+    and a nested value follows its head one level deeper, a term as the
+    dict of terms.term_to_json.  An empty list prints as [], an empty dict
+    as nothing."""
     pad = "  " * indent
     if isinstance(obj, dict):
         items = [(f"{key}:", obj[key]) for key in obj]
@@ -212,6 +218,8 @@ def _render_text(obj, indent: int = 0) -> str:
         return f"{pad}{obj}"
     lines = []
     for head, value in items:
+        if type(value) in terms.TERM_TYPES:
+            value = terms.term_to_json(value)
         if isinstance(value, (dict, list)):
             lines += (pad + head, _render_text(value, indent + 1))
         else:
@@ -254,9 +262,10 @@ def _write_json(value, out: list, pad: str) -> None:
     """Append value's JSON text to out, byte for byte what
     ``json.dumps(value, sort_keys=True, indent=2)`` writes at indentation
     pad, in one pass: with indent set, json runs its pure-Python generator
-    encoder.  Keys are str and values str, None, bool, int, list, tuple or
-    dict, all that efdkit's exact output holds; anything else, a float
-    included, raises TypeError."""
+    encoder.  Keys are str and values str, None, bool, int, list, tuple,
+    dict or a term, all that efdkit's exact output holds; a term is written
+    as its dict terms.term_to_json, straight from the term (terms.write_json).
+    Anything else, a float included, raises TypeError."""
     if isinstance(value, str):
         out.append(_encode_str(value))
     elif isinstance(value, dict):
@@ -291,6 +300,8 @@ def _write_json(value, out: list, pad: str) -> None:
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
+    elif type(value) in terms.TERM_TYPES:
+        terms.write_json(value, out, pad)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -317,7 +328,7 @@ def _cmd_parse(args) -> int:
     sig = _SIGS[args.sig]
     if args.term is not None:
         t = terms.parse_term(args.term, sig)
-        payload = {"term": terms.term_to_json(t), "printed": terms.print_term(t)}
+        payload = {"term": t, "printed": terms.print_term(t)}
     else:
         payload = {"sentences": [_sentence_json(s) for s in _gather_sentences(args, sig)]}
     _emit(args, payload)
@@ -362,8 +373,7 @@ def _cmd_translate(args) -> int:
             raise ValueError("translate takes --term only with --direction star and no sentence")
         t = terms.parse_term(args.term, terms.Signature.HOOP)
         st = translate.star_term(t)
-        payload = {"input": terms.print_term(t), "term": terms.term_to_json(st),
-                   "printed": terms.print_term(st)}
+        payload = {"input": terms.print_term(t), "term": st, "printed": terms.print_term(st)}
     else:
         if star:
             read = _sentence_reader(args, "star translation expects a hoop EFD-sentence")

@@ -777,7 +777,7 @@ class _Solver:
     Both run on codes at one scale M, fixed here: lcm(1.._CAP) times every
     denominator a draw (_Layout.drawer) gives with _CAP, so every sample
     and its pool (v / d, d <= _CAP) are codes at M.  solve_codes takes
-    x-codes at M; solve scales x-values up, and other x-values of
+    x-codes at M; codes scales x-values up, and other x-values of
     denominator D raise M to lcm(M, D lcm(1.._CAP)) first.  The memo stays, since a side
     compiled on codes or on the hull maps codes to codes without reading M
     (x -> M x commutes with every node operation).  solve_codes returns
@@ -826,12 +826,17 @@ class _Solver:
         self.parts = None if hull is None else hull.parts(self.scale)
 
     def solve(self, xassign: dict):
+        sols, exact = self.solve_codes(self.codes(xassign))
+        return self.decode(sols), exact
+
+    def codes(self, xassign: dict) -> tuple:
+        """The codes of an x-assignment at the scale M, which grows first
+        where a value's denominator needs it."""
         up, d = self.layout.up, math.lcm(*map(self.layout.den, xassign.values()))
         m = math.lcm(self.scale, d * _LCM_CAP)  # grows only for new denominators
         if m != self.scale:
             self.scale, self.parts = m, None if self.hull is None else self.hull.parts(m)
-        sols, exact = self.solve_codes(tuple([up(_lookup(v, xassign), m) for v in self.xvars]))
-        return self.decode(sols), exact
+        return tuple([up(_lookup(v, xassign), m) for v in self.xvars])
 
     def solve_codes(self, xcodes: tuple):
         """solve at the x-assignment with these codes at the scale M, its

@@ -445,9 +445,10 @@ def suite_decomposition(seed: int = DEFAULT_SEED, budget: int = 500) -> SuiteRep
             eps = build_epsilon_k(k)
             parts = phi_rad_decompose(eps)
             report.record(f"{label} eps_{k} branch count", len(parts) == 2)
-            # one solver per sentence for the whole sample, so each keeps its memo
-            solve_in = _Solver(model, eps).solve
-            by_sign = {p.sign_vector: _Solver(model, p.sentence).solve for p in parts}
+            # one solver per sentence for the whole sample, so each keeps its memo;
+            # solutions are decoded only where the radical-preservation check reads them
+            solver_in = _Solver(model, eps)
+            by_sign = {p.sign_vector: _Solver(model, p.sentence) for p in parts}
             input_ok = True
             branches_ok = True
             pointwise = True
@@ -456,23 +457,24 @@ def suite_decomposition(seed: int = DEFAULT_SEED, budget: int = 500) -> SuiteRep
             # the structured values first: a small sample may miss every failing x
             for x in structured + sample_elements(model, budget, seed + k, cap=9):
                 env = {xvar(1): x}
-                sols_in, _ = solve_in(env)
+                sols_in, _ = solver_in.solve_codes(solver_in.codes(env))
                 input_ok = input_ok and len(sols_in) == 1
                 ebar = _sign_pattern(model, [x])
                 xr = _negate_by(model, [x], ebar)[0]
-                sols_br, _ = by_sign[ebar]({xvar(1): xr})
+                branch = by_sign[ebar]
+                sols_br, _ = branch.solve_codes(branch.codes({xvar(1): xr}))
                 if min(len(sols_in), 2) != min(len(sols_br), 2):
                     pointwise = False
                     witness = (label, k, x, len(sols_in), len(sols_br))
-                for solve in by_sign.values():
-                    s, _ = solve(env)
-                    if len(s) != 1:
-                        branches_ok = False
                 if ebar == (0,):
-                    for (zv,) in sols_br:
+                    for (zv,) in branch.decode(sols_br):
                         if not radical_member(model, zv):
                             radical_pres = False
                             witness = (label, k, x, zv)
+                for solver in by_sign.values():
+                    s, _ = solver.solve_codes(solver.codes(env))
+                    if len(s) != 1:
+                        branches_ok = False
             exact = holds_delta_exact(model, k)
             report.record(
                 f"{label} eps_{k} aggregate agreement",

@@ -17,6 +17,11 @@ import enum
 import re
 from typing import Callable, Union
 
+try:  # the json package would import its decoder and scanner too
+    from _json import encode_basestring_ascii as _encode_str
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _encode_str
+
 from .record import Record, _set
 
 __all__ = [
@@ -56,7 +61,6 @@ __all__ = [
     "boolean_marker",
     "is_boolean_marker",
     "term_to_json",
-    "sentence_to_json",
 ]
 
 
@@ -186,6 +190,8 @@ def power(k: int, t: Term) -> Term:
 # The node types with children (left, right), and those with one child, arg
 _BINARY = frozenset((Plus, Join, Meet, Diff))
 _UNARY = frozenset((Neg, MVNeg, Scalar, Power))
+# the ten term node types, which no other value is an instance of
+TERM_TYPES = frozenset((Var, Zero, *_BINARY, *_UNARY))
 
 _UNSEEN = object()
 
@@ -698,21 +704,31 @@ def term_to_json(t: Term) -> dict:
     return fold(t, _json_node)
 
 
-def sentence_to_json(phi: EFDSentence | Identity) -> dict:
-    if isinstance(phi, Identity):
-        lhs, rhs = phi.equation
-        return {
-            "kind": "identity",
-            "signature": phi.signature.value,
-            "n": phi.n,
-            "equation": {"lhs": term_to_json(lhs), "rhs": term_to_json(rhs)},
-        }
-    return {
-        "kind": "efd",
-        "signature": phi.signature.value,
-        "n": phi.n,
-        "m": phi.m,
-        "equations": [
-            {"lhs": term_to_json(a), "rhs": term_to_json(b)} for a, b in phi.equations
-        ],
-    }
+def write_json(t: Term, out: list, pad: str) -> None:
+    """Append the JSON text of term_to_json(t) to out, at indentation pad,
+    byte for byte as json.dumps(..., sort_keys=True, indent=2) writes it,
+    in one top-down walk that builds no dict: each node writes its keys in
+    their sorted order.  It recurses once per level, so MAX_DEPTH bounds it
+    as it bounds fold, and it writes a shared subterm once per reference,
+    as the dict of term_to_json holds it.  Like fold, it stays out of
+    __all__, so that a tracer wrapping __all__ does not wrap it per node."""
+    inner = pad + "  "
+    kind = type(t)
+    if kind in _BINARY:
+        out.append("{\n" + inner + '"left": ')
+        write_json(t.left, out, inner)
+        out.append(f',\n{inner}"op": "{_TAGS[kind]}",\n{inner}"right": ')
+        write_json(t.right, out, inner)
+        out.append("\n" + pad + "}")
+    elif kind in _UNARY:
+        out.append("{\n" + inner + '"arg": ')
+        write_json(t.arg, out, inner)
+        k = f',\n{inner}"k": {int.__repr__(t.k)}' if kind is Scalar or kind is Power else ""
+        out.append(f'{k},\n{inner}"op": "{_TAGS[kind]}"\n{pad}}}')
+    elif kind is Var:
+        out.append(f'{{\n{inner}"index": {int.__repr__(t.index)},\n{inner}"kind": '
+                   f'{_encode_str(t.kind)},\n{inner}"op": "var"\n{pad}}}')
+    elif kind is Zero:
+        out.append(f'{{\n{inner}"op": "zero"\n{pad}}}')
+    else:
+        raise TypeError(f"not a term: {t!r}")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import efdkit.cli as cli
-from efdkit import models
+from efdkit import models, terms
 from efdkit.cli import run
 from efdkit.gen import random_rational_point, random_term
 from efdkit.models import (
@@ -25,6 +25,7 @@ from efdkit.models import (
 from efdkit.terms import (
     MAX_DEPTH,
     EFDSentence,
+    Meet,
     Signature,
     Var,
     build_epsilon_k,
@@ -1151,7 +1152,8 @@ class TestJsonWriter:
         assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
     def test_rejects_what_json_rejects(self):
-        for value in (Fraction(1, 2), {1}, [object()]):
+        # of the records, only the ten term node types are written
+        for value in (Fraction(1, 2), {1}, [object()], build_epsilon_k(2)):
             with pytest.raises(TypeError):
                 json.dumps(value)
             with pytest.raises(TypeError):
@@ -1174,6 +1176,78 @@ class TestJsonWriter:
         while "arg" in node:
             node, depth = node["arg"], depth + 1
         assert depth == MAX_DEPTH
+
+    @pytest.mark.parametrize("argv, side, deepest", [
+        (["parse", "--sig", "group"], "-" * (MAX_DEPTH - 1) + "x1", MAX_DEPTH),
+        # the star image of x1 is x1 \/ -x1, a level deeper
+        (["translate", "--direction", "star"], " + ".join(["x1"] * MAX_DEPTH), MAX_DEPTH + 1),
+    ])
+    def test_sentence_at_the_depth_bound(self, capsys, argv, side, deepest):
+        # a sentence side MAX_DEPTH deep, written inside the sentence's AST
+        code, out = invoke(capsys, *argv, "--sentence", f"forall x1 exists! z1 : z1 = {side}")
+        assert code == 0
+        payload = json.loads(out)
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        if argv[0] == "parse":
+            (sentence,) = payload["sentences"]
+        else:
+            sentence = payload["sentence"]
+        node, depth = sentence["ast"]["equations"][0]["rhs"], 1
+        while node["op"] != "var":
+            node, depth = node.get("arg") or node["left"], depth + 1
+        assert depth == deepest
+
+
+def _nested(value, levels: int):
+    """value at indentation levels inside dicts and lists, in turn."""
+    for level in range(levels):
+        value = {"a": 1, "t": value, "u": [value]} if level % 2 else [0, value]
+    return value
+
+
+class TestTermWriter:
+    """A payload holds terms themselves, which cli._write_json writes straight
+    from the term (terms.write_json): byte for byte what json.dumps writes
+    of the same payload with terms.term_to_json in their place."""
+
+    def test_matches_the_dict_route(self):
+        rng = random.Random(40)
+        # a negative scalar, a shared subterm and the largest index, then random terms
+        samples = [scalar(-3, xvar(1)), Meet(xvar(2), xvar(2)), Var("z", 100)]
+        for sig in Signature:
+            for depth in range(1, 7):
+                samples += [random_term(rng, sig, 3, depth, kinds=("x", "z"), m=2)
+                            for _ in range(10)]
+        for t in samples:
+            for levels in range(4):
+                assert cli._json_text(_nested(t, levels)) == json.dumps(
+                    _nested(terms.term_to_json(t), levels), sort_keys=True, indent=2)
+
+    def test_json_output_builds_no_dict_tree(self, capsys, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the dict route ran")
+
+        runs = [
+            ["parse", "--sig", "group", "--term", r"2 x1 \/ -x2"],
+            ["parse", "--sig", "mv", "--sentence", "epsilon 2", "--sentence", "boolean",
+             "--sentence", "absurd"],
+            ["translate", "--direction", "star", "--term", "x1 -. 2 x2"],
+            ["translate", "--direction", "star", "--sentence", "delta 2"],
+            ["translate", "--direction", "mv-hoop", "--sentence", "epsilon 3"],
+            ["decompose", "--sentence", r"forall x1 x2 exists! z1 : z1 = x1 /\ x2"],
+        ]
+        with monkeypatch.context() as patched:
+            patched.setattr(terms, "term_to_json", refused)
+            patched.setattr(terms, "_json_node", refused)
+            for argv in runs:
+                code, out = invoke(capsys, *argv)
+                assert code == 0, argv
+                assert '"op": "var"' in out
+        for argv in runs:  # --format text writes each term as the dict of term_to_json
+            code, out = invoke(capsys, *argv, "--format", "text")
+            assert code == 0, argv
+            assert out.startswith(f"schema: efdkit/{argv[0]}/")
+            assert "  op: var\n" in out
 
 
 # ---------------------------------------------------------------------------
