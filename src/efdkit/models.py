@@ -277,15 +277,17 @@ def _codes(n: int) -> _Group:
 
 # (den, up, down) of one coordinate.  den(e) is the denominator of a rational
 # coordinate; up(e, D) multiplies it by D (a multiple of den(e)), down(w, D)
-# divides it by D again.  x -> D x maps (1/D)Z onto Z preserving +, -, k x
-# and <, so it commutes with every node operation, cut at the unit included.
-# The bit of a Gamma pair and of TwoMV is an integer already: it is unscaled.
+# divides it by D again, and down(w, D, q) decodes the coordinate w / q of a
+# point of the one-z hull (onez).  x -> D x maps (1/D)Z onto Z preserving +,
+# -, k x and <, so it commutes with every node operation, cut at the unit
+# included.  The bit of a Gamma pair and of TwoMV is an integer already: it
+# is unscaled, and a point's bit is q times it.
 _SCALED = (
     operator.attrgetter("denominator"),
     lambda e, d: e.numerator * (d // e.denominator),
-    Fraction,
+    lambda w, d, q=1: Fraction(w, q * d),
 )
-_UNSCALED = (lambda e: 1, lambda e, d: e, lambda w, d: w)
+_UNSCALED = (lambda e: 1, lambda e, d: e, lambda w, d, q=1: w // q)
 
 
 class _Layout:
@@ -298,7 +300,9 @@ class _Layout:
     A code is an element with every scaled coordinate times a scale M: an
     int for one coordinate, otherwise a flat tuple of ints, in the integer
     l-group group.  den(e) is the lcm of the denominators of e, up(e, M)
-    its code and down(w, M) the element of a code.  unit is the code of the
+    its code and down(w, M) the element of a code; down(w, M, q) is the
+    element of the point w / q of the one-z hull (onez), w a code: each
+    scaled coordinate x / (q M), the bit x // q.  unit is the code of the
     unit of an MV model, and cone is True when every element is >= 0.
     space is the number of codes a draw with the cap _CAP gives (_space)."""
 
@@ -318,12 +322,12 @@ class _Layout:
             (lden, lup, ldown), (rden, rup, rdown) = codecs
             self.den = lambda e: math.lcm(lden(e[0]), rden(e[1]))
             self.up = lambda e, d: (lup(e[0], d), rup(e[1], d))
-            self.down = lambda w, d: (ldown(w[0], d), rdown(w[1], d))
+            self.down = lambda w, d, q=1: (ldown(w[0], d, q), rdown(w[1], d, q))
         else:
             dens, ups, downs = zip(*codecs)
             self.den = lambda e: math.lcm(*[f(x) for f, x in zip(dens, flat(e))])
             self.up = lambda e, d: tuple([f(x, d) for f, x in zip(ups, flat(e))])
-            self.down = lambda w, d: shape(iter([f(x, d) for f, x in zip(downs, w)]))
+            self.down = lambda w, d, q=1: shape(iter([f(x, d, q) for f, x in zip(downs, w)]))
 
     def sample_den(self, cap: int) -> int:
         """The lcm of every denominator that a draw with that cap gives."""
@@ -860,11 +864,10 @@ class _Solver:
 
     def decode(self, sols: list) -> list:
         """The elements of solutions of solve_codes at the scale M: codes,
-        or the hull's points with one z."""
-        m, hull = self.scale, self.hull
-        if hull is not None:
-            return [(hull.decode(z, m),) for (z,) in sols]
-        down = self.layout.down
+        or the hull's points (w, q) with one z."""
+        m, down = self.scale, self.layout.down
+        if self.hull is not None:
+            return [(down(w, m, q),) for ((w, q),) in sols]
         return [tuple([down(z, m) for z in zs]) for zs in sols]
 
     def _search(self, xcodes: tuple, m: int) -> list:

@@ -2,8 +2,8 @@
 solves the equations of a sentence with one z-variable exactly at a fixed
 x-assignment, in every witness algebra but two: compile, merge, table,
 roots and the points of zero pieces, kept as points of the hull until a
-verdict decodes them.  models imports it when it builds such a solver,
-so import efdkit does not compile it.
+verdict decodes them (models._Layout.down).  models imports it when it
+builds such a solver, so import efdkit does not compile it.
 
 At fixed x, every term is a continuous piecewise-linear function of z1 over
 the divisible hull of the model: Q for a scalar group and its cone, and Q^d
@@ -101,7 +101,7 @@ class _Hull:
 
     def __init__(self, a):
         layout = _layout(a)
-        self.leaves, self.shape, self.coords = layout.leaves, layout.shape, layout.coords
+        self.leaves, self.coords = layout.leaves, layout.coords
         self.codes = layout.group
         self.le, self._sum, self._difference, self._larger, self._smaller = _steps(
             layout.group, layout.coords
@@ -218,10 +218,10 @@ class _Hull:
         """The elements z, up to two and ascending, with h(z) = c for the
         tabled h, c a code at the scale m and parts = parts(m), each as a
         point (w, q) of the hull: the element whose code at m is w / q
-        (decode).  A root w / |a| of a piece a z + b is an element iff each
-        coordinate x of w lies in its scalar group, as the domain bounds it:
-        iff the part of |a| m prime to S, the product of the two parts,
-        divides x (of |a| for the bit)."""
+        (models._Layout.down decodes it).  A root w / |a| of a piece
+        a z + b is an element iff each coordinate x of w lies in its scalar
+        group, as the domain bounds it: iff the part of |a| m prime to S,
+        the product of the two parts, divides x (of |a| for the bit)."""
         big, rows = table
         codes, coords = self.codes, self.coords
         cl = c if big == 1 else codes.scale(big, c)
@@ -252,15 +252,6 @@ class _Hull:
                 return False
         found.append(e)
         return len(found) == 2
-
-    def decode(self, e: tuple, m: int):
-        """The element of the point e = (w, q) at the scale m: each scaled
-        coordinate x / (q m), the bit x / q."""
-        w, q = e
-        return self.shape(iter([
-            Fraction(x, q * m) if scaled else x // q
-            for x, (_, scaled) in zip(self.coords(w), self.leaves)
-        ]))
 
     def _points(self, l, r, m: int) -> list:
         """Up to two points (w, q) of the model in [l, r], l and r starts or

@@ -626,26 +626,23 @@ def parse_sentence(text: str, sig: Signature) -> EFDSentence | Identity:
 # ---------------------------------------------------------------------------
 # Printing
 
-# binary operators: their text, their level, and the least level at which
-# the left and the right child print without parentheses
-_INFIX = {
-    Join: (" \\/ ", _JOIN_LVL, _JOIN_LVL, _MEET_LVL),
-    Meet: (" /\\ ", _MEET_LVL, _MEET_LVL, _SUM_LVL),
-    Plus: (" + ", _SUM_LVL, _SUM_LVL, _PREFIX_LVL),
-    Diff: (" -. ", _SUM_LVL, _SUM_LVL, _PREFIX_LVL),
-}
+# binary operators, as the parser reads them: their text and their level
+_INFIX = {ctor: (f" {text} ", level) for text, (level, ctor) in _BINARY_OPS.items()
+          if ctor is not Neg}
 
 
 def _printed(t: Term, *kids: tuple[str, int]) -> tuple[str, int]:
-    """The text of t and the precedence level of its top operator."""
+    """The text of t and the precedence level of its top operator.  The
+    binary operators associate to the left: a left child prints bare at
+    the operator's level or above, a right child only above it."""
     kind = type(t)
     infix = _INFIX.get(kind)
     if infix is not None:
-        op, level, left_least, right_least = infix
+        op, level = infix
         (a, a_level), (b, b_level) = kids
-        if a_level < left_least:
+        if a_level < level:
             a = f"({a})"
-        if b_level < right_least:
+        if b_level <= level:
             b = f"({b})"
         return a + op + b, level
     if kind is Var:

@@ -1152,8 +1152,9 @@ class TestSolvingOnCodes:
 
         def compared(hull, tabled, c, m, parts):
             found = solve(hull, tabled, c, m, parts)
-            expected = _decode_every_root(hull, pieces[id(tabled)][1], c, m, seen)
-            assert repr([hull.decode(e, m) for e in found]) == repr(expected), (tabled, c)
+            layout = models._layout(a)
+            expected = _decode_every_root(hull, layout.shape, pieces[id(tabled)][1], c, m, seen)
+            assert repr([layout.down(w, m, q) for w, q in found]) == repr(expected), (tabled, c)
             seen[len(found)] += 1
             return found
 
@@ -1171,11 +1172,12 @@ class TestSolvingOnCodes:
         assert seen["zero"] > 0 and seen[2] > 0 and seen[1] > 0, seen
 
 
-def _decode_every_root(hull, f, c, m, seen):
+def _decode_every_root(hull, shape, f, c, m, seen):
     """The solutions of h(z) = c for the pieces f of h, as the hull found
     them when it tabled every piece, decoded every root it met, a repeated
     one included, and compared elements: its table, solve, _root and
-    _points.  Counts the zero pieces met in seen["zero"]."""
+    _points, with shape the layout's.  Counts the zero pieces met in
+    seen["zero"]."""
     big, rows = _table_every_piece(hull, f)
     cl = c if big == 1 else hull.codes.scale(big, c)
     found = []
@@ -1183,9 +1185,9 @@ def _decode_every_root(hull, f, c, m, seen):
         if (low is None or low <= cl) and (high is None or cl <= high):
             seen["zero"] += not a
             if a:
-                points = _root_element(hull, hull.codes.sub(c, b), a, m)
+                points = _root_element(hull, shape, hull.codes.sub(c, b), a, m)
             else:
-                points = _point_elements(hull, l, r, m)
+                points = _point_elements(hull, shape, l, r, m)
             for e in points:
                 if e not in found:
                     found.append(e)
@@ -1216,7 +1218,7 @@ def _table_every_piece(hull, f):
     return big, [(up(vl), up(vr), a, b, l, r) for vl, vr, a, b, l, r in rows]
 
 
-def _root_element(hull, w, a, m):
+def _root_element(hull, shape, w, a, m):
     if a < 0:
         w, a = hull.codes.neg(w), -a
     values = []
@@ -1225,10 +1227,10 @@ def _root_element(hull, w, a, m):
         if x % models._prime_part(group, n):
             return ()
         values.append(Fraction(x, n) if scaled else x // n)
-    return (hull.shape(iter(values)),)
+    return (shape(iter(values)),)
 
 
-def _point_elements(hull, l, r, m):
+def _point_elements(hull, shape, l, r, m):
     import efdkit.onez as onez
 
     def actual(v):
@@ -1239,7 +1241,7 @@ def _point_elements(hull, l, r, m):
             Fraction(x, q * m if scaled else q) for x, (_, scaled) in zip(hull.coords(n), hull.leaves)
         )
 
-    return [hull.shape(iter(e)) for e in onez._lex_points(hull.leaves, actual(l), actual(r), 2)]
+    return [shape(iter(e)) for e in onez._lex_points(hull.leaves, actual(l), actual(r), 2)]
 
 
 def _hull_element(a, hull, p, m):
@@ -1251,7 +1253,7 @@ def _hull_element(a, hull, p, m):
     ]
     if any(v.denominator != 1 for v, (_, scaled) in zip(values, hull.leaves) if not scaled):
         return None
-    e = hull.shape(iter(values))
+    e = models._layout(a).shape(iter(values))
     return e if models._element_ok(a, e) else None
 
 
@@ -1413,20 +1415,29 @@ class TestSolverWork:
     def test_a_refutation_decodes_what_it_prints(self, monkeypatch):
         """|z| = x1 has the two roots -x1 and x1 at x1 = (1, 0), the first
         assignment past 0; the check decodes those two and no other."""
-        import efdkit.onez as onez
+        decoded, decode = [], models._Solver.decode
 
-        decoded, decode = [], onez._Hull.decode
+        def noted(solver, sols):
+            decoded.extend(decode(solver, sols))
+            return decoded[len(decoded) - len(sols):]
 
-        def noted(hull, e, m):
-            decoded.append(decode(hull, e, m))
-            return decoded[-1]
-
-        monkeypatch.setattr(onez._Hull, "decode", noted)
+        monkeypatch.setattr(models._Solver, "decode", noted)
         phi = parse_sentence(r"forall x1 exists! z1 : z1 \/ -z1 = x1", Signature.GROUP)
         verdict = check_sentence_sampled(parse_model("lex(z,q)"), phi, budget=100, seed=0)
         assert verdict.detail == "sampled: two distinct z-solutions"
         assert verdict.witness == ({_X1: (1, 0)}, [((-1, 0),), ((1, 0),)])
-        assert decoded == [(-1, 0), (1, 0)]
+        assert decoded == [((-1, 0),), ((1, 0),)]
+
+    def test_a_gamma_root_decodes_its_bit(self):
+        """~z + ~z = x1 at x1 = (0, 1) has the one root (1, -1/2): the point
+        ((2, -M), 2) of a piece of slope -2, whose bit is 2 / 2."""
+        a = parse_model("gamma(q)")
+        phi = parse_sentence("forall x1 exists! z1 : ~z1 + ~z1 = x1", Signature.MV)
+        solver, env = models._Solver(a, phi), {_X1: (0, Fraction(1))}
+        sols, exact = solver.solve_codes(solver.codes(env))
+        assert exact and sols == [(((2, -solver.scale), 2),)]
+        assert solver.decode(sols) == [((1, Fraction(-1, 2)),)]
+        assert models._layout(a).down((2, -solver.scale), solver.scale, 2) == (1, Fraction(-1, 2))
 
     def test_a_build_walks_each_side_once(self, monkeypatch):
         """A solver folds each equation side once, to compile it, and reads
