@@ -187,6 +187,27 @@ def _class_json(c: lattice.AEClass) -> dict:
     return body
 
 
+def _readable(image) -> None:
+    """Refuse (exit 3) an image, a term or an EFD-sentence, whose printed
+    text parse would refuse: more than MAX_DEPTH equations, or a term that
+    prints nested deeper than MAX_DEPTH levels (terms.printed_depth)."""
+    bound = terms.MAX_DEPTH
+    if isinstance(image, terms.EFDSentence):
+        if len(image.equations) > bound:
+            raise BudgetExceeded(
+                f"the image has {len(image.equations)} equations, more than MAX_DEPTH = {bound}"
+            )
+        sides = [t for eq in image.equations for t in eq]
+    else:
+        sides = [image]
+    for t in sides:
+        depth = terms.printed_depth(t)
+        if depth > bound:
+            raise BudgetExceeded(
+                f"the image prints nested {depth} levels deep, deeper than MAX_DEPTH = {bound}"
+            )
+
+
 def _sentence_json(item) -> dict:
     """A sentence's node-tagged AST and its text.  The AST holds its terms
     themselves, which _write_json and _render_text write."""
@@ -252,9 +273,14 @@ def _render_text(obj, indent: int = 0) -> str:
 # off the multipliers; classify/3: the Boolean marker reads either way
 # round, so x = 2 x and x = x + x give the Boolean class instead of exit 3;
 # check/12: the hoop distance spelling 0 = (k z1 -. t) + (t -. k z1) is
-# decided as delta_{k,t}, as with the 0 on the right, instead of sampled
+# decided as delta_{k,t}, as with the 0 on the right, instead of sampled;
+# classify/4: every input is read before any is reduced, so the answer does
+# not depend on their order: the absurd marker gives the trivial class even
+# after a sentence whose reduction passes the cap, an unsupported input is
+# refused even after the marker, and the notes of several MV sentences
+# without a unique two-element solution are listed, sorted
 _SCHEMA_VERSIONS = {
-    "canon": 3, "check": 12, "classify": 3, "reduce": 2, "translate": 2, "fulldim": 2,
+    "canon": 3, "check": 12, "classify": 4, "reduce": 2, "translate": 2, "fulldim": 2,
 }
 
 
@@ -373,6 +399,7 @@ def _cmd_translate(args) -> int:
             raise ValueError("translate takes --term only with --direction star and no sentence")
         t = terms.parse_term(args.term, terms.Signature.HOOP)
         st = translate.star_term(t)
+        _readable(st)
         payload = {"input": terms.print_term(t), "term": st, "printed": terms.print_term(st)}
     else:
         if star:
@@ -389,6 +416,7 @@ def _cmd_translate(args) -> int:
                 raise BudgetExceeded(
                     f"the hoop image prints {size} term nodes, more than {MAX_PRINTED_NODES}"
                 )
+        _readable(image)
         payload = {"input": terms.print_sentence(phi), "sentence": _sentence_json(image)}
     _emit(args, {"direction": args.direction, **payload})
     return 0
@@ -397,6 +425,8 @@ def _cmd_translate(args) -> int:
 def _cmd_decompose(args) -> int:
     phi = _sentence_reader(args, "decomposition expects an MV EFD-sentence")(terms.Signature.MV)
     parts = translate.phi_rad_decompose(phi)
+    for p in parts:
+        _readable(p.sentence)
     branches = [{"sign_vector": list(p.sign_vector), "sentence": _sentence_json(p.sentence)}
                 for p in parts]
     _emit(args, {"input": terms.print_sentence(phi), "branches": branches})

@@ -53,6 +53,7 @@ __all__ = [
     "parse_term",
     "parse_sentence",
     "print_term",
+    "printed_depth",
     "print_sentence",
     "build_t_k",
     "build_delta_k",
@@ -629,6 +630,14 @@ def parse_sentence(text: str, sig: Signature) -> EFDSentence | Identity:
 # binary operators, as the parser reads them: their text and their level
 _INFIX = {ctor: (f" {text} ", level) for text, (level, ctor) in _BINARY_OPS.items()
           if ctor is not Neg}
+# unary operators: their level and the least level at which their argument
+# prints without parentheses
+_PREFIXED = {
+    Neg: (_PREFIX_LVL, _PREFIX_LVL),
+    MVNeg: (_PREFIX_LVL, _PREFIX_LVL),
+    Scalar: (_PREFIX_LVL, _POWER_LVL),
+    Power: (_POWER_LVL, _ATOM_LVL),
+}
 
 
 def _printed(t: Term, *kids: tuple[str, int]) -> tuple[str, int]:
@@ -650,18 +659,45 @@ def _printed(t: Term, *kids: tuple[str, int]) -> tuple[str, int]:
     if kind is Zero:
         return "0", _ATOM_LVL
     ((a, a_level),) = kids
+    level, least = _PREFIXED[kind]
+    if a_level < least:
+        a = f"({a})"
     if kind is Power:
-        return f"{f'({a})' if a_level < _ATOM_LVL else a}^{t.k}", _POWER_LVL
+        return f"{a}^{t.k}", level
     if kind is Scalar:
         # negative scalars have no literal syntax; print as negated positive
-        sign = "-" if t.k < 0 else ""
-        return f"{sign}{abs(t.k)} {f'({a})' if a_level < _POWER_LVL else a}", _PREFIX_LVL
-    sign = "-" if kind is Neg else "~"
-    return f"{sign}{f'({a})' if a_level < _PREFIX_LVL else a}", _PREFIX_LVL
+        return f"{'-' if t.k < 0 else ''}{abs(t.k)} {a}", level
+    return ("-" if kind is Neg else "~") + a, level
+
+
+def _printed_depth(t: Term, *kids: tuple[int, int]) -> tuple[int, int]:
+    """The depth that the parser gives the text _printed writes for t, and
+    the level of its top operator: one level per node and per pair of
+    parentheses _printed writes, and one for the - of a negative scalar,
+    which reads back as a negation."""
+    kind = type(t)
+    infix = _INFIX.get(kind)
+    if infix is not None:
+        level = infix[1]
+        (a, a_level), (b, b_level) = kids
+        a += a_level < level
+        b += b_level <= level
+        return (a if a > b else b) + 1, level
+    if kind is Var or kind is Zero:
+        return 1, _ATOM_LVL
+    ((a, a_level),) = kids
+    level, least = _PREFIXED[kind]
+    return a + (a_level < least) + (kind is Scalar and t.k < 0) + 1, level
 
 
 def print_term(t: Term) -> str:
     return fold(t, _printed)[0]
+
+
+def printed_depth(t: Term) -> int:
+    """The depth at which parse_term reads print_term(t) back, found
+    without printing: past MAX_DEPTH, it refuses the text."""
+    return fold(t, _printed_depth)[0]
 
 
 def print_sentence(phi: EFDSentence | Identity) -> str:

@@ -368,23 +368,36 @@ def _branch_images(phi: EFDSentence):
         yield h
 
 
+def _unsupported(item) -> FragmentError:
+    text = print_sentence(item) if isinstance(item, (EFDSentence, Identity)) else repr(item)
+    return FragmentError(f"unsupported classification input {text}")
+
+
+def _kprimes(deltas: list, cap: int) -> PrimeSet:
+    """The primes of the k' of every delta_{k,t}: a conjunction of
+    delta_k's is equivalent to delta of the product, and divisibility by k
+    to divisibility by the prime factors of k."""
+    primes: set[int] = set()
+    for d in deltas:
+        primes |= prime_factors(reduce_delta_kt(d, cap=cap))
+    return PrimeSet.finite(primes)
+
+
 def classify_group_sentences(sentences, cap: int = DEFAULT_CELL_BUDGET) -> AEClass:
     """The canonical AE-class of l-groups of group sentences, each of the
     delta_{k,t} shape, and the ABSURD marker (yielding the Trivial class).
-    A conjunction of delta_k's is equivalent to delta of the product, and
-    divisibility by k to divisibility by the prime factors of k; each
-    sentence is reduced as it is read."""
-    primes: set[int] = set()
+    Every input is read before any is reduced (_kprimes), so the answer
+    does not depend on their order."""
+    deltas: list[DeltaKT] = []
+    absurd = False
     for item in sentences:
         if item == ABSURD:
-            return trivial_g()
-        if not isinstance(item, EFDSentence) or item.signature is not Signature.GROUP:
-            sentence = isinstance(item, (EFDSentence, Identity))
-            text = print_sentence(item) if sentence else repr(item)
-            raise FragmentError(f"unsupported classification input {text}")
-        for d in sentence_deltas(item):
-            primes |= prime_factors(reduce_delta_kt(d, cap=cap))
-    return divisible_g(PrimeSet.finite(primes))
+            absurd = True
+        elif isinstance(item, EFDSentence) and item.signature is Signature.GROUP:
+            deltas.extend(sentence_deltas(item))
+        else:
+            raise _unsupported(item)
+    return trivial_g() if absurd else divisible_g(_kprimes(deltas, cap))
 
 
 class MVClassification(Record):
@@ -399,32 +412,33 @@ def classify_mv_sentences(
     algebras: the k' of each delta_{k,t} of sentence_deltas (check_in_two,
     then per Phi_rad branch the hoop image read off the sentence's own
     sides, recognized and starred) is divided into its primes once every
-    input is read; Boolean markers force the Boolean class and the ABSURD
-    marker the Trivial class."""
+    input is read (_kprimes).  Boolean markers force the Boolean class; the
+    ABSURD marker forces the Trivial class with its note, and otherwise
+    each sentence without a unique two-element solution adds its note to
+    the Trivial class.  Neither the class nor its notes depend on the order
+    of the inputs."""
     deltas: list[DeltaKT] = []
-    boolean = False
+    boolean = absurd = False
+    failures = set()
     for item in sentences:
         if item == ABSURD:
-            return MVClassification(trivial_p(), ("absurd marker",))
-        if isinstance(item, Identity):
-            if is_boolean_marker(item):
-                boolean = True
-                continue
-            raise FragmentError("the only supported identity is the Boolean marker")
-        if not isinstance(item, EFDSentence) or item.signature is not Signature.MV:
-            text = print_sentence(item) if isinstance(item, EFDSentence) else repr(item)
-            raise FragmentError(f"unsupported classification input {text}")
-        try:
-            deltas.extend(sentence_deltas(item))
-        except _NoUniqueSolution as exc:
-            return MVClassification(
-                trivial_p(),
-                (f"per-paper-scope: no unique two-element solution at {exc.failing}",),
-            )
-    primes: set[int] = set()
-    for d in deltas:
-        primes |= prime_factors(reduce_delta_kt(d, cap=cap))
-    result = divisible_p(PrimeSet.finite(primes))
+            absurd = True
+        elif isinstance(item, Identity):
+            if not is_boolean_marker(item):
+                raise FragmentError("the only supported identity is the Boolean marker")
+            boolean = True
+        elif isinstance(item, EFDSentence) and item.signature is Signature.MV:
+            try:
+                deltas.extend(sentence_deltas(item))
+            except _NoUniqueSolution as exc:
+                failures.add(f"per-paper-scope: no unique two-element solution at {exc.failing}")
+        else:
+            raise _unsupported(item)
+    if absurd:
+        return MVClassification(trivial_p(), ("absurd marker",))
+    if failures:
+        return MVClassification(trivial_p(), tuple(sorted(failures)))
+    result = divisible_p(_kprimes(deltas, cap))
     if boolean:
         result = class_meet(result, boolean_p())
     return MVClassification(result)

@@ -1179,12 +1179,18 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("argv, side, deepest", [
         (["parse", "--sig", "group"], "-" * (MAX_DEPTH - 1) + "x1", MAX_DEPTH),
-        # the star image of x1 is x1 \/ -x1, a level deeper
-        (["translate", "--direction", "star"], " + ".join(["x1"] * MAX_DEPTH), MAX_DEPTH + 1),
+        # the star image of x1 is x1 \/ -x1, a level deeper, and it prints in
+        # parentheses: MAX_DEPTH summands print 3 levels past MAX_DEPTH, which
+        # parse refuses (exit 3, TestPrintedImages), MAX_DEPTH - 3 at MAX_DEPTH
+        (["translate", "--direction", "star"], " + ".join(["x1"] * MAX_DEPTH), None),
+        (["translate", "--direction", "star"], " + ".join(["x1"] * (MAX_DEPTH - 3)), MAX_DEPTH - 2),
     ])
     def test_sentence_at_the_depth_bound(self, capsys, argv, side, deepest):
         # a sentence side MAX_DEPTH deep, written inside the sentence's AST
         code, out = invoke(capsys, *argv, "--sentence", f"forall x1 exists! z1 : z1 = {side}")
+        if deepest is None:
+            assert (code, out) == (3, "")
+            return
         assert code == 0
         payload = json.loads(out)
         assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -1196,6 +1202,72 @@ class TestJsonWriter:
         while node["op"] != "var":
             node, depth = node.get("arg") or node["left"], depth + 1
         assert depth == deepest
+        _reads_back(sentence)
+
+
+def _reads_back(sentence: dict) -> int:
+    """Assert that parse reads a printed sentence back as the AST printed
+    with it, and return the printed depth of its deepest side."""
+    ast = sentence["ast"]
+    phi = terms.parse_sentence(sentence["printed"], Signature(ast["signature"]))
+    assert [{"lhs": terms.term_to_json(a), "rhs": terms.term_to_json(b)}
+            for a, b in phi.equations] == ast["equations"]
+    return max(terms.printed_depth(t) for eq in phi.equations for t in eq)
+
+
+def _image_argv(kind: str, size: int) -> list:
+    """An argv whose printed image nests size - MAX_DEPTH levels past the
+    bound, or, for "equations", holds that many equations."""
+    star, hoop = ["translate", "--direction", "star"], ["translate", "--direction", "mv-hoop"]
+    if kind == "star-term":  # (x1 \/ -x1) + ... + (x1 \/ -x1)
+        return [*star, "--term", " + ".join(["x1"] * (size - 3))]
+    if kind == "star-sentence":
+        return [*star, "--sentence", "forall x1 exists! z1 : z1 = " + " + ".join(["x1"] * (size - 3))]
+    if kind == "equations":  # star adds z1 \/ 0 = z1
+        return [*star, "--sentence", _equations(size - 1)]
+    if kind == "mv-hoop":  # p \/ x2 maps to p + (x2 -. p)
+        side = " + ".join(["x1"] * (size - 4)) + r" \/ x2"
+        return [*hoop, "--sentence", f"forall x1 x2 exists! z1 : z1 = {side}"]
+    # decompose: a branch sums x1^2 and the distance (l -. r) + (r -. l) of
+    # each of 100 equations z1 = x1 + ... + x1
+    equation = "z1 = " + " + ".join(["x1"] * (size - 106))
+    return ["decompose", "--sentence", "forall x1 exists! z1 : " + " & ".join([equation] * 100)]
+
+
+_IMAGES = ["star-term", "star-sentence", "equations", "mv-hoop", "decompose"]
+
+
+class TestPrintedImages:
+    """translate and decompose print only images that parse reads back:
+    past MAX_DEPTH levels or equations they exit 3 and name the bound.
+    Depth is counted as the printer brackets (terms.printed_depth)."""
+
+    @pytest.mark.parametrize("kind", _IMAGES)
+    def test_an_image_at_the_bound_reads_back(self, capsys, kind):
+        code, out = invoke(capsys, *_image_argv(kind, MAX_DEPTH))
+        assert code == 0
+        payload = json.loads(out)
+        if kind == "star-term":
+            t = parse_term(payload["printed"], Signature.GROUP)
+            assert terms.term_to_json(t) == payload["term"]
+            assert terms.printed_depth(t) == MAX_DEPTH
+            return
+        if "branches" in payload:
+            sentences = [branch["sentence"] for branch in payload["branches"]]
+        else:
+            sentences = [payload["sentence"]]
+        deepest = max(_reads_back(sentence) for sentence in sentences)
+        if kind == "equations":
+            assert len(sentences[0]["ast"]["equations"]) == MAX_DEPTH
+        else:
+            assert deepest == MAX_DEPTH
+
+    @pytest.mark.parametrize("kind", _IMAGES)
+    def test_an_image_past_the_bound_exits_3(self, capsys, kind):
+        code = run(_image_argv(kind, MAX_DEPTH + 1))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert f"MAX_DEPTH = {MAX_DEPTH}" in captured.err
 
 
 def _nested(value, levels: int):

@@ -36,6 +36,7 @@ from efdkit.terms import (
     parse_term,
     print_sentence,
     print_term,
+    printed_depth,
     xvar,
     zvar,
 )
@@ -121,21 +122,64 @@ def terms_of(draw, sig):
     return random_term(rng, sig, n, depth, kinds=("x", "z"), m=2)
 
 
+def _read_back(t, sig):
+    """The term and the depth at which the parser reads print_term(t)."""
+    p = terms._Parser(print_term(t), sig)
+    u, depth = p.term()
+    assert p.at_end()
+    return u, depth
+
+
 class TestPrintParseRoundtrip:
+    """The printer writes each binary operator from the parser's table
+    (terms._INFIX from terms._BINARY_OPS), and printed_depth counts the
+    depth at which the parser reads the text back."""
+
     @settings(max_examples=1000, deadline=None)
     @given(terms_of(Signature.GROUP))
     def test_group(self, t):
-        assert parse_term(print_term(t), Signature.GROUP) == t
+        assert _read_back(t, Signature.GROUP) == (t, printed_depth(t))
 
     @settings(max_examples=1000, deadline=None)
     @given(terms_of(Signature.HOOP))
     def test_hoop(self, t):
-        assert parse_term(print_term(t), Signature.HOOP) == t
+        assert _read_back(t, Signature.HOOP) == (t, printed_depth(t))
 
     @settings(max_examples=1000, deadline=None)
     @given(terms_of(Signature.MV))
     def test_mv(self, t):
-        assert parse_term(print_term(t), Signature.MV) == t
+        assert _read_back(t, Signature.MV) == (t, printed_depth(t))
+
+    def test_a_negative_scalar_reads_back_as_a_negation(self):
+        t = Scalar(-3, Join(xvar(1), xvar(2)))
+        assert print_term(t) == r"-3 (x1 \/ x2)"
+        assert _read_back(t, Signature.GROUP) == (Neg(Scalar(3, t.arg)), printed_depth(t))
+        assert printed_depth(t) == 5
+
+    def test_nested_operators_bracket_as_they_associate(self):
+        x1, x2, x3 = xvar(1), xvar(2), xvar(3)
+        cases = [
+            (Plus(Plus(x1, x2), x3), "x1 + x2 + x3", 3),
+            (Plus(x1, Plus(x2, x3)), "x1 + (x2 + x3)", 4),
+            (Diff(x1, Plus(x2, x3)), "x1 -. (x2 + x3)", 4),
+            (Meet(Join(x1, x2), x3), r"(x1 \/ x2) /\ x3", 4),
+            (Power(3, Power(2, x1)), "(x1^2)^3", 4),
+        ]
+        for t, text, depth in cases:
+            assert (print_term(t), printed_depth(t)) == (text, depth)
+            sig = Signature.HOOP if type(t) is Plus or type(t) is Diff else Signature.MV
+            assert _read_back(t, sig) == (t, depth)
+
+    def test_the_parser_refuses_what_prints_past_the_bound(self):
+        t = xvar(1)
+        for _ in range(MAX_DEPTH - 1):
+            t = Plus(t, xvar(1))
+        assert printed_depth(t) == MAX_DEPTH
+        assert parse_term(print_term(t), Signature.HOOP) == t
+        t = Plus(xvar(1), t)
+        assert printed_depth(t) == MAX_DEPTH + 2
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH}"):
+            parse_term(print_term(t), Signature.HOOP)
 
 
 def _mv_primitive(t):

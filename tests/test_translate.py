@@ -6,6 +6,7 @@ import pytest
 
 from efdkit import canonical, terms, translate
 from efdkit.canonical import DeltaKT, FragmentError, sentence_to_delta_kt
+from efdkit.errors import BudgetExceeded
 from efdkit.gen import random_term
 from efdkit.lattice import (
     LogicExpansion,
@@ -345,6 +346,25 @@ class TestMVClassification:
             "per-paper-scope: no unique two-element solution at (0,)",
         )
 
+    def test_the_answer_does_not_depend_on_input_order(self):
+        # z1 + ~z1 = x1 has no unique solution in two at x1 = 0, the second
+        # sentence at x1 = 1: the marker's note prevails, and otherwise both
+        # notes are given, in every order
+        fail0 = parse_sentence("forall x1 exists! z1 : z1 + ~z1 = x1", Signature.MV)
+        fail1 = parse_sentence(r"forall x1 exists! z1 : z1 /\ ~x1 = 0", Signature.MV)
+        notes = tuple(f"per-paper-scope: no unique two-element solution at {e}"
+                      for e in ("(0,)", "(1,)"))
+        for items, expected in (
+            ([build_epsilon_k(2), fail0, ABSURD], ("absurd marker",)),
+            ([build_epsilon_k(2), fail0, fail1], notes),
+        ):
+            for order in itertools.permutations(items):
+                result = classify_mv_sentences(order)
+                assert (result.ae_class, result.notes) == (trivial_p(), expected), order
+        for order in itertools.permutations([ABSURD, fail0, build_delta_k(2, Signature.GROUP)]):
+            with pytest.raises(FragmentError, match="^unsupported classification input"):
+                classify_mv_sentences(order)
+
     def test_two_element_check_runs_once_per_sentence(self, monkeypatch):
         import efdkit.translate as translate
 
@@ -472,6 +492,20 @@ class TestClassification:
 
     def test_empty_set_is_top_divisible(self):
         assert classify_group_sentences([]) == divisible_g(PrimeSet.finite(()))
+
+    def test_the_answer_does_not_depend_on_input_order(self):
+        # S + S, S = |x1| /\ ... /\ |x6|: its reduction passes the default cap,
+        # and the absurd marker spares it in every order
+        s = "(" + r" /\ ".join(f"(x{i} \\/ -x{i})" for i in range(1, 7)) + ")"
+        phi = parse_sentence(f"forall x1 x2 x3 x4 x5 x6 exists! z1 : 2 z1 = {s} + {s}",
+                             Signature.GROUP)
+        with pytest.raises(BudgetExceeded):
+            classify_group_sentences([phi])
+        for order in itertools.permutations([build_delta_k(6), phi, ABSURD]):
+            assert classify_group_sentences(order) == trivial_g()
+        for order in itertools.permutations([ABSURD, build_delta_k(6), build_epsilon_k(2)]):
+            with pytest.raises(FragmentError, match="^unsupported classification input"):
+                classify_group_sentences(order)
 
     @pytest.mark.parametrize("item", [
         DeltaKT(2, xvar(1)), build_delta_k(2, Signature.HOOP), build_epsilon_k(2),
