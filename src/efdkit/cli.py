@@ -187,11 +187,15 @@ def _class_json(c: lattice.AEClass) -> dict:
     return body
 
 
-def _readable(image) -> None:
-    """Refuse (exit 3) an image, a term or an EFD-sentence, whose printed
-    text parse would refuse: more than MAX_DEPTH equations, or a term that
-    prints nested deeper than MAX_DEPTH levels (terms.printed_depth)."""
+def _readable(image, text: str) -> None:
+    """Refuse (exit 3) an image, a term or an EFD-sentence printed as text,
+    that parse would refuse: more than MAX_DEPTH equations, or a term that
+    prints nested deeper than MAX_DEPTH levels (terms.printed_depth).  Each
+    level and each equation takes at least one character of the text, so a
+    text of at most MAX_DEPTH characters is read back."""
     bound = terms.MAX_DEPTH
+    if len(text) <= bound:
+        return
     if isinstance(image, terms.EFDSentence):
         if len(image.equations) > bound:
             raise BudgetExceeded(
@@ -206,6 +210,14 @@ def _readable(image) -> None:
             raise BudgetExceeded(
                 f"the image prints nested {depth} levels deep, deeper than MAX_DEPTH = {bound}"
             )
+
+
+def _image_json(image: terms.EFDSentence) -> dict:
+    """_sentence_json of a sentence that a command built, once _readable
+    passes its printed text."""
+    payload = _sentence_json(image)
+    _readable(image, payload["printed"])
+    return payload
 
 
 def _sentence_json(item) -> dict:
@@ -399,8 +411,9 @@ def _cmd_translate(args) -> int:
             raise ValueError("translate takes --term only with --direction star and no sentence")
         t = terms.parse_term(args.term, terms.Signature.HOOP)
         st = translate.star_term(t)
-        _readable(st)
-        payload = {"input": terms.print_term(t), "term": st, "printed": terms.print_term(st)}
+        printed = terms.print_term(st)
+        _readable(st, printed)
+        payload = {"input": terms.print_term(t), "term": st, "printed": printed}
     else:
         if star:
             read = _sentence_reader(args, "star translation expects a hoop EFD-sentence")
@@ -416,8 +429,7 @@ def _cmd_translate(args) -> int:
                 raise BudgetExceeded(
                     f"the hoop image prints {size} term nodes, more than {MAX_PRINTED_NODES}"
                 )
-        _readable(image)
-        payload = {"input": terms.print_sentence(phi), "sentence": _sentence_json(image)}
+        payload = {"input": terms.print_sentence(phi), "sentence": _image_json(image)}
     _emit(args, {"direction": args.direction, **payload})
     return 0
 
@@ -425,9 +437,7 @@ def _cmd_translate(args) -> int:
 def _cmd_decompose(args) -> int:
     phi = _sentence_reader(args, "decomposition expects an MV EFD-sentence")(terms.Signature.MV)
     parts = translate.phi_rad_decompose(phi)
-    for p in parts:
-        _readable(p.sentence)
-    branches = [{"sign_vector": list(p.sign_vector), "sentence": _sentence_json(p.sentence)}
+    branches = [{"sign_vector": list(p.sign_vector), "sentence": _image_json(p.sentence)}
                 for p in parts]
     _emit(args, {"input": terms.print_sentence(phi), "branches": branches})
     return 0

@@ -123,10 +123,13 @@ def terms_of(draw, sig):
 
 
 def _read_back(t, sig):
-    """The term and the depth at which the parser reads print_term(t)."""
-    p = terms._Parser(print_term(t), sig)
+    """The term and the depth at which the parser reads print_term(t), a
+    depth no larger than the text is long (cli._readable reads no term
+    whose text is at most MAX_DEPTH long)."""
+    text = print_term(t)
+    p = terms._Parser(text, sig)
     u, depth = p.term()
-    assert p.at_end()
+    assert p.at_end() and depth <= len(text)
     return u, depth
 
 
