@@ -286,11 +286,9 @@ def _render_text(obj, indent: int = 0) -> str:
 # round, so x = 2 x and x = x + x give the Boolean class instead of exit 3;
 # check/12: the hoop distance spelling 0 = (k z1 -. t) + (t -. k z1) is
 # decided as delta_{k,t}, as with the 0 on the right, instead of sampled;
-# classify/4: every input is read before any is reduced, so the answer does
-# not depend on their order: the absurd marker gives the trivial class even
-# after a sentence whose reduction passes the cap, an unsupported input is
-# refused even after the marker, and the notes of several MV sentences
-# without a unique two-element solution are listed, sorted
+# classify/4: every input is read before any is reduced, so neither the
+# class nor the notes depend on their order (the absurd marker no longer
+# stops the reading, and an MV set lists one note per failing sentence)
 _SCHEMA_VERSIONS = {
     "canon": 3, "check": 12, "classify": 4, "reduce": 2, "translate": 2, "fulldim": 2,
 }

@@ -225,6 +225,32 @@ class TestExamples:
         assert payload["passed"] is True
 
 
+_ABSOLUTE_MEET = "(" + r" /\ ".join(f"(x{i} \\/ -x{i})" for i in range(1, 7)) + ")"
+
+
+class TestClassifyOrder:
+    """classify reads every input before it reduces any: the absurd marker
+    spares a sentence whose reduction passes the cap, and outranks the note
+    of an MV sentence without a unique two-element solution, in either
+    order."""
+
+    @pytest.mark.parametrize("sig, sentence, answer", [
+        ("group", f"forall x1 x2 x3 x4 x5 x6 exists! z1 : 2 z1 = {_ABSOLUTE_MEET} + {_ABSOLUTE_MEET}",
+         {"family": "G", "class": "trivial"}),
+        ("mv", "forall x1 exists! z1 : z1 + ~z1 = x1",
+         {"family": "P", "class": "trivial", "notes": ["absurd marker"]}),
+    ])
+    def test_either_order_gives_one_answer(self, capsys, sig, sentence, answer):
+        outputs = set()
+        for order in ([sentence, "absurd"], ["absurd", sentence]):
+            code, out = invoke(capsys, "classify", "--sig", sig,
+                               *[arg for item in order for arg in ("--sentence", item)])
+            assert code == 0
+            outputs.add(out)
+        (out,) = outputs
+        assert json.loads(out) == {"schema": "efdkit/classify/4", **answer}
+
+
 class TestStructuredAssignments:
     @pytest.mark.parametrize("seed", range(5))
     def test_lex_check_tries_each_coordinates_unit_first(self, capsys, seed):
